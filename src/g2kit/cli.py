@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -71,12 +72,17 @@ def _resolve_mode(flag):
     return "exact"
 
 
+def _reject_constant(name: str):
+    """json's hook for NaN, Infinity and -Infinity, which are not JSON."""
+    raise ParseError(f"non-finite number {name} in JSON input")
+
+
 def _load_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, parse_constant=_reject_constant)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
@@ -185,7 +191,7 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
 
 def _parse_inline(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid inline JSON: {exc}") from exc
 
@@ -434,8 +440,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.tol <= 0:
-            raise ParseError(f"--tol must be positive, got {args.tol}")
+        if not 0 < args.tol < math.inf:
+            raise ParseError(f"--tol must be positive and finite, got {args.tol}")
         cfg = CliConfig(mode=_resolve_mode(args.mode), tol=args.tol,
                         seed=args.seed, output=args.output)
         report = args.fn(args, cfg)

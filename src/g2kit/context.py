@@ -42,7 +42,8 @@ class Context:
 
         Exact mode accepts ints, Fractions and "p/q" strings; a float is
         rejected rather than silently promoted to its binary expansion.
-        Float mode accepts all of those plus floats.
+        Float mode accepts all of those plus finite floats; NaN, infinities
+        and strings beyond the float range are rejected.
         """
         if isinstance(x, bool):
             raise ParseError("booleans are not scalars")
@@ -56,11 +57,12 @@ class Context:
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise ParseError(f"bad exact scalar {x!r}") from exc
         try:
-            if isinstance(x, str):
-                return float(Fraction(x))
-            return float(x)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            val = float(Fraction(x)) if isinstance(x, str) else float(x)
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
             raise ParseError(f"bad float scalar {x!r}") from exc
+        if not math.isfinite(val):
+            raise ParseError(f"float scalar {x!r} is not finite")
+        return val
 
     def eq(self, a, b, tol: float | None = None) -> bool:
         """Scalar equality: literal in exact mode, tolerance in float mode."""

@@ -283,6 +283,8 @@ class Metric:
                 if rows[i][j] != rows[j][i]:
                     raise MetricError("metric must be symmetric")
         object.__setattr__(self, "rows", rows)
+        # Metric-keyed caches hash on every lookup; 49 Fractions are hashed once
+        object.__setattr__(self, "_hash", hash(rows))
         if self.is_exact:
             for n in range(1, DIM + 1):
                 minor = [r[:n] for r in rows[:n]]
@@ -293,6 +295,9 @@ class Metric:
             scale = max(1.0, float(np.max(np.abs(eig))))
             if eig[0] <= _SPD_EIG_TOL * scale:
                 raise MetricError("metric is not positive definite")
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_exact(self) -> bool:
@@ -313,15 +318,19 @@ class Metric:
         return self.rows[i - 1][j - 1]
 
 
+# Bound of each Metric-keyed cache below: a caller that sees many metrics
+# (one per structure it builds) must not grow them without limit.
+_METRIC_CACHE_SIZE = 32
+
 EUCLIDEAN = Metric(tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(DIM)) for i in range(DIM)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_is_euclidean(m: Metric) -> bool:
     return all(m.rows[i][j] == (1 if i == j else 0) for i in range(DIM) for j in range(DIM))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_inverse(m: Metric):
     if m.is_exact:
         return tuple(tuple(r) for r in ratlin.inv_exact(m.rows))
@@ -329,7 +338,7 @@ def _metric_inverse(m: Metric):
     return tuple(tuple(float(x) for x in row) for row in inv)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_det(m: Metric):
     if m.is_exact:
         return ratlin.det_exact(m.rows)
@@ -358,7 +367,7 @@ def _det_small(mat, exact: bool):
     return float(np.linalg.det(np.asarray(mat, dtype=float)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _lambda_gram(m: Metric, k: int):
     """Gram matrix of the basis k-forms: det of inverse-metric minors."""
     inv = _metric_inverse(m)

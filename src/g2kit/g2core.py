@@ -9,13 +9,15 @@ side.
 The eigenvalues of beta -> *(phi ^ beta) on 2-forms are discovered at
 construction time and stored on the structure, never hard-coded: their signs
 depend on the star and orientation conventions, and the contract is only
-that the eigenspaces have dimensions 7 and 14.
+that the eigenspaces have dimensions 7 and 14.  The exact lane finds them
+from tr T and tr T^2 in rational arithmetic; only the float lane asks numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -33,18 +35,19 @@ from .exterior import (
     BASIS,
     DIM,
     NK,
+    POS,
     KForm,
     Metric,
     NEGATIVE,
     POSITIVE,
     _metric_inverse,
+    _wedge_table,
     basis_vector,
     coerce_form,
     flat,
     form_inner,
     hodge_star,
     interior,
-    top_coeff,
     volume_form,
     wedge,
 )
@@ -68,17 +71,69 @@ def phi0(exact: bool = True) -> KForm:
     return KForm.from_entries(3, entries, exact=exact)
 
 
-def _contraction_matrix(phi: KForm):
-    """B with B_ij = coefficient of (e_i . phi) ^ (e_j . phi) ^ phi on the top form."""
-    exact = phi.is_exact
-    contr = [interior(basis_vector(i, exact), phi) for i in range(1, DIM + 1)]
-    zero = Fraction(0) if exact else 0.0
-    B = [[zero] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i, DIM):
-            val = top_coeff(wedge(wedge(contr[i], contr[j]), phi))
-            B[i][j] = val
-            B[j][i] = val
+# B_ij is cubic in phi: the upper-triangle pairs (i, j), i <= j, in row order.
+_PAIRS = tuple((i, j) for i in range(DIM) for j in range(i, DIM))
+
+
+@lru_cache(maxsize=None)
+def _contraction_table():
+    """B_ij(phi) = top coefficient of (e_i . phi) ^ (e_j . phi) ^ phi, as a cubic table.
+
+    One entry (a, b, c, pair, coefficient) per nonzero term
+    coefficient * phi_a phi_b phi_c of B at `pair` (an index into _PAIRS),
+    with positions a <= b <= c.  Built from the wedge tables on first use.
+    """
+    # e_i . dx_P = sign dx_Q: per i, Q position -> (P position, sign)
+    contr = []
+    for i in range(1, DIM + 1):
+        row = {}
+        for p, idx in enumerate(BASIS[3]):
+            if i in idx:
+                t = idx.index(i)
+                row[POS[2][idx[:t] + idx[t + 1:]]] = (p, -1 if t % 2 else 1)
+        contr.append(row)
+    top = {pa: (pb, sign) for pa, pb, sign, _ in _wedge_table(4, 3)}
+    terms = {}
+    for n, (i, j) in enumerate(_PAIRS):
+        ci, cj = contr[i], contr[j]
+        for qa, qb, sign, r in _wedge_table(2, 2):
+            if qa in ci and qb in cj:
+                (pa, sa), (pb, sb) = ci[qa], cj[qb]
+                pc, sc = top[r]
+                key = (*sorted((pa, pb, pc)), n)
+                terms[key] = terms.get(key, 0) + sign * sa * sb * sc
+    return tuple((*key, k) for key, k in sorted(terms.items()) if k)
+
+
+@lru_cache(maxsize=None)
+def _contraction_arrays():
+    """_contraction_table as read-only numpy columns for the float lane."""
+    a, b, c, n, k = (np.asarray(col) for col in zip(*_contraction_table()))
+    cols = (a, b, c, n, k.astype(float))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
+def _contraction_matrix(coeffs):
+    """B as rows of rows from phi's coefficients (exact ints, or floats)."""
+    if isinstance(coeffs[0], float):
+        phi = np.asarray(coeffs)
+        a, b, c, n, k = _contraction_arrays()
+        vals = np.bincount(n, weights=k * phi[a] * phi[b] * phi[c], minlength=len(_PAIRS)).tolist()
+    else:
+        vals = [0] * len(_PAIRS)
+        for a, b, c, n, k in _contraction_table():
+            m = coeffs[a]
+            if m:
+                m *= coeffs[b]
+                if m:
+                    m *= coeffs[c]
+                    if m:
+                        vals[n] += k * m
+    B = [[None] * DIM for _ in range(DIM)]
+    for (i, j), v in zip(_PAIRS, vals):
+        B[i][j] = B[j][i] = v
     return B
 
 
@@ -90,28 +145,34 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
     sign of B (and recording orientation -1) when det(B) < 0.  Exact mode
     requires det(B) = 6^7 * c^9 for a rational c and raises ExactModeError
     otherwise; degenerate or indefinite B raises NotG2FormError.
+
+    B is evaluated from a cubic table.  In exact mode phi = Phi / D with an
+    integer vector Phi, B = B(Phi) / D^3 with B(Phi) an integer matrix, and
+    each entry of g is built as one Fraction.
     """
     if phi.degree != 3:
         raise DegreeError("metric recovery expects a 3-form")
     phi = coerce_form(phi, ctx)
-    B = _contraction_matrix(phi)
     if ctx.is_exact:
-        det_b = ratlin.det_exact(B)
+        den = lcm(*(x.denominator for x in phi.coeffs))
+        B = _contraction_matrix([x.numerator * (den // x.denominator) for x in phi.coeffs])
+        det_b = ratlin.det_exact(B).numerator
         if det_b == 0:
             raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
         orient = POSITIVE if det_b > 0 else NEGATIVE
         if det_b < 0:
             B = [[-x for x in row] for row in B]
             det_b = -det_b
-        ratio = det_b / Fraction(_SIX_POW_7)
-        ninth = rational_nth_root(ratio, 9)
+        ninth = rational_nth_root(Fraction(det_b, den ** 21 * _SIX_POW_7), 9)
         if ninth is None:
             raise ExactModeError(
                 "exact metric normalization needs det(B)/6^7 to be a rational ninth power"
             )
-        scale = 6 * ninth
-        g = [[x / scale for x in row] for row in B]
+        # g = B(Phi) / (D^3 * 6 * ninth)
+        num, scale = ninth.denominator, den ** 3 * 6 * ninth.numerator
+        g = [[Fraction(x * num, scale) for x in row] for row in B]
     else:
+        B = _contraction_matrix(phi.coeffs)
         det_b = float(np.linalg.det(np.asarray(B, dtype=float)))
         if det_b == 0.0 or not np.isfinite(det_b):
             raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
@@ -164,6 +225,39 @@ def _cluster_eigenvalues(vals):
     return clusters
 
 
+def _exact_two_form_spectrum(tmat):
+    """(lambda7, lambda14, kernel basis of T - lambda7, of T - lambda14), exactly.
+
+    tr T = 7 lambda7 + 14 lambda14 and tr T^2 = 7 lambda7^2 + 14 lambda14^2
+    leave two candidate pairs.  The pair with (T - lambda7)(T - lambda14) = 0,
+    checked on integer-scaled rows, is kept, and rank(T - lambda7) = 14 is
+    checked through the kernel dimensions 7 and 14.
+    """
+    n2 = len(tmat)
+    t1 = sum(tmat[i][i] for i in range(n2))
+    t2 = sum(tmat[i][j] * tmat[j][i] for i in range(n2) for j in range(n2))
+    # lambda14 solves 42 x^2 - 4 t1 x + t1^2/7 - t2 = 0
+    disc = 8 * (21 * t2 - t1 * t1)
+    root = rational_nth_root(disc, 2) if disc > 0 else None
+    if root is None:
+        raise DecompositionError("2-form operator has no rational (7, 14) spectrum")
+
+    def shifted(lam):
+        return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(tmat)]
+
+    for lam14 in ((4 * t1 + root) / 84, (4 * t1 - root) / 84):
+        lam7 = (t1 - 14 * lam14) / 7
+        t7, t14 = shifted(lam7), shifted(lam14)
+        if ratlin.product_is_zero(t7, t14):
+            break
+    else:
+        raise DecompositionError("(T - lambda7)(T - lambda14) != 0 for both trace solutions")
+    eig7, eig14 = ratlin.nullspace_exact(t7), ratlin.nullspace_exact(t14)
+    if len(eig7) != 7 or len(eig14) != 14:
+        raise DecompositionError("eigenspace dimensions drifted from (7, 14)")
+    return lam7, lam14, eig7, eig14
+
+
 class G2Structure:
     """A nondegenerate 3-form bundled with everything derived from it.
 
@@ -172,8 +266,9 @@ class G2Structure:
     2-forms with its two eigenspace bases, and the Gram data of the
     contraction frame spanning the 7-dimensional piece of the 3-forms.
     All of it is in the context's arithmetic; exact mode never touches a
-    float beyond the eigenvalue discovery step, whose output is re-verified
-    exactly before being trusted.
+    float.  Its eigenvalues come from the traces of T and T^2 and are
+    verified by (T - lambda7)(T - lambda14) = 0; the frame's inverse Gram
+    matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
@@ -209,28 +304,18 @@ class G2Structure:
             cols.append(image.coeffs)
         tmat = [[cols[j][i] for j in range(n2)] for i in range(n2)]
         self._tmat = tmat
-        tf = np.asarray(tmat, dtype=float)
-        clusters = _cluster_eigenvalues(np.real(np.linalg.eigvals(tf)))
-        sizes = sorted(len(c) for c in clusters)
-        if len(clusters) != 2 or sizes != [7, 14]:
-            raise DecompositionError(
-                f"2-form operator spectrum should have multiplicities 7 and 14, got {sizes}"
-            )
-        by_size = {len(c): sum(c) / len(c) for c in clusters}
-        lam7f, lam14f = by_size[7], by_size[14]
         if self.ctx.is_exact:
-            lam7 = Fraction(lam7f).limit_denominator(10 ** 6)
-            lam14 = Fraction(lam14f).limit_denominator(10 ** 6)
-            eig7 = ratlin.nullspace_exact(
-                [[tmat[i][j] - (lam7 if i == j else 0) for j in range(n2)] for i in range(n2)]
-            )
-            eig14 = ratlin.nullspace_exact(
-                [[tmat[i][j] - (lam14 if i == j else 0) for j in range(n2)] for i in range(n2)]
-            )
-            if len(eig7) != 7 or len(eig14) != 14:
-                raise DecompositionError("rationalized eigenvalues failed exact verification")
-            self.lambda7, self.lambda14 = lam7, lam14
+            self.lambda7, self.lambda14, eig7, eig14 = _exact_two_form_spectrum(tmat)
         else:
+            tf = np.asarray(tmat, dtype=float)
+            clusters = _cluster_eigenvalues(np.real(np.linalg.eigvals(tf)))
+            sizes = sorted(len(c) for c in clusters)
+            if len(clusters) != 2 or sizes != [7, 14]:
+                raise DecompositionError(
+                    f"2-form operator spectrum should have multiplicities 7 and 14, got {sizes}"
+                )
+            by_size = {len(c): sum(c) / len(c) for c in clusters}
+            lam7f, lam14f = by_size[7], by_size[14]
             eig7 = ratlin.nullspace_float(tf - lam7f * np.eye(n2))
             eig14 = ratlin.nullspace_float(tf - lam14f * np.eye(n2))
             if len(eig7) != 7 or len(eig14) != 14:
@@ -246,13 +331,9 @@ class G2Structure:
         self.frame3_7 = tuple(
             interior(basis_vector(i, exact), self.star_phi) for i in range(1, DIM + 1)
         )
-        gram = [
-            [form_inner(a, b, self.metric) for b in self.frame3_7] for a in self.frame3_7
-        ]
-        if exact:
-            self._gram7_inv = ratlin.inv_exact(gram)
-        else:
-            self._gram7_inv = np.linalg.inv(np.asarray(gram, dtype=float)).tolist()
+        # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
+        quarter = Fraction(1, 4) if exact else 0.25
+        self._gram7_inv = [[x * quarter for x in row] for row in _metric_inverse(self.metric)]
 
     def phi_eval(self, i: int, j: int, k: int):
         """phi on basis vectors e_i, e_j, e_k (1-based, any order)."""
@@ -482,10 +563,20 @@ def symmetric_basis(exact: bool = True):
 
 
 def _odot_symmetric_matrix(s: G2Structure):
-    """35x28 matrix of the action restricted to symmetric tensors (cached)."""
+    """35x28 matrix of the action restricted to symmetric tensors (cached).
+
+    With u_i = (g^-1 e_i) . phi, the unit tensor at (i, i) acts as
+    dx_i ^ u_i and the pair (i, j) as dx_i ^ u_j + dx_j ^ u_i.
+    """
     if s._odot_matrix_cache is None:
-        cols = [odot(b, s).coeffs for b in symmetric_basis(s.ctx.is_exact)]
-        s._odot_matrix_cache = [[cols[j][i] for j in range(len(cols))] for i in range(NK[3])]
+        exact = s.ctx.is_exact
+        ginv = _metric_inverse(s.metric)
+        dx = [KForm(1, basis_vector(i, exact)) for i in range(1, DIM + 1)]
+        u = [interior(col, s.phi) for col in zip(*ginv)]
+        cols = [wedge(dx[i], u[i]).coeffs for i in range(DIM)]
+        cols += [(wedge(dx[i], u[j]) + wedge(dx[j], u[i])).coeffs
+                 for i in range(DIM) for j in range(i + 1, DIM)]
+        s._odot_matrix_cache = [list(row) for row in zip(*cols)]
     return s._odot_matrix_cache
 
 

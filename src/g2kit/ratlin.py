@@ -1,19 +1,26 @@
 """Small dense linear algebra kernel.
 
-Two lanes that never mix: exact Gaussian elimination over fractions.Fraction
-(no numpy anywhere in that path), and float helpers that defer to numpy with
-the package-wide singular value cutoff 1e-8 * sigma_max for rank decisions.
-Matrices are lists/tuples of rows; vectors are flat sequences.
+Two lanes that never mix.  The exact lane takes rational matrices (ints and
+fractions.Fraction, no numpy anywhere in that path) and eliminates
+fraction-free: each row is scaled to integers by the lcm of its
+denominators, rref runs Gauss-Jordan on Python ints with a gcd pass per
+updated row, det uses Bareiss's exact-division elimination (Math. Comp. 22
+(1968) 565-578), and a Fraction is built once per output entry.  The float
+lane defers to numpy with the package-wide singular value cutoff
+1e-8 * sigma_max for rank decisions.  Matrices are lists/tuples of rows;
+vectors are flat sequences.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import G2KitError
 
 FLOAT_RANK_CUTOFF = 1e-8
+_ZERO = Fraction(0)
 
 
 def is_exact_values(vals) -> bool:
@@ -60,9 +67,32 @@ def mat_max_abs(a):
     return max((abs(x) for row in a for x in row), default=0)
 
 
+def _int_row(row):
+    """(row times d, d) for d the lcm of the row's denominators: a list of ints."""
+    den = 1
+    for x in row:
+        if x.denominator != 1:
+            den = lcm(den, x.denominator)
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _primitive(row):
+    """An int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(m):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = mat_rows(m)
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Each row is first scaled to integers; elimination then runs on ints
+    (new = pivot * row - factor * pivot_row, divided by its gcd), and every
+    output entry becomes one Fraction at the end.  The reduced form is
+    unique, so this equals Gauss-Jordan over Fractions.
+    """
+    rows = [_primitive(_int_row(row)[0]) for row in m]
     if not rows:
         return rows, []
     nr, nc = len(rows), len(rows[0])
@@ -71,23 +101,31 @@ def rref(m):
     for c in range(nc):
         pivot = None
         for i in range(r, nr):
-            if rows[i][c] != 0:
+            if rows[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[c]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                rows[i] = _primitive([pv * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return rows, pivots
+    out = []
+    for i, row in enumerate(rows):
+        if i < r:
+            pv = row[pivots[i]]
+            out.append([Fraction(x, pv) if x else _ZERO for x in row])
+        else:
+            out.append([_ZERO] * nc)
+    return out, pivots
 
 
 def rank_exact(m) -> int:
@@ -95,29 +133,43 @@ def rank_exact(m) -> int:
 
 
 def det_exact(m):
-    """Determinant by fraction elimination with partial pivoting on != 0."""
-    rows = mat_rows(m)
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
+    """Determinant by fraction-free (Bareiss) elimination on integer-scaled rows.
+
+    Row i is scaled by the lcm d_i of its denominators, so the result is
+    det(integer matrix) / prod(d_i); each Bareiss step divides exactly.
+    """
+    den = 1
+    a = []
+    for row in m:
+        ints, d = _int_row(row)
+        a.append(ints)
+        den *= d
+    if not a:
+        return Fraction(1)
+    sign, prev = 1, 1
+    while len(a) > 1:
         pivot = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
+        for i, row in enumerate(a):
+            if row[0]:
                 pivot = i
                 break
         if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det *= pv
-        inv = 1 / Fraction(pv)
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
+            return _ZERO
+        if pivot:
+            a[0], a[pivot] = a[pivot], a[0]
+            sign = -sign
+        top = a[0]
+        pv = top[0]
+        a = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
+        prev = pv
+    return Fraction(sign * a[0][0], den)
+
+
+def product_is_zero(a, b) -> bool:
+    """Exact test of a b = 0, on the rows of a and columns of b scaled to ints."""
+    left = [_int_row(row)[0] for row in a]
+    right = [_int_row(col)[0] for col in zip(*b)]
+    return not any(sum(x * y for x, y in zip(row, col)) for row in left for col in right)
 
 
 def inv_exact(m):

@@ -216,3 +216,25 @@ def test_text_output_shape(capsys):
     assert code == 0
     assert "ok: true" in out
     assert "check metric_preserved: pass" in out
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["decompose", "--degree", "2", "--mode", "float", "-"],
+     '{"degree": 2, "entries": [{"idx": [1, 2], "coeff": NaN}]}'),
+    (["twist", "--mode", "float", "--c", "0.6",
+      "--omega", '{"degree": 1, "entries": [{"idx": [1], "coeff": Infinity}]}'], None),
+    (["twist", "--mode", "float", "--c", "1e400",
+      "--omega", '{"degree": 1, "entries": [{"idx": [1], "coeff": 0.8}]}'], None),
+    (["decompose", "--degree", "2", "--mode", "float", "-"],
+     '{"degree": 2, "entries": [{"idx": [1, 2], "coeff": 1e400}]}'),
+    (["decompose", "--degree", "2", "--mode", "float", "-"],
+     '{"degree": 2, "entries": [{"idx": [1, 2], "coeff": "-1e400"}]}'),
+])
+def test_non_finite_input_exits_two(monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_tol_must_be_finite(tol):
+    assert main(["normalizer", "--tol", tol]) == 2

@@ -1,0 +1,257 @@
+"""Integer kernels of the exact lane against plain reference definitions.
+
+- ratlin's fraction-free rref/det/solve/nullspace/inv against Gauss-Jordan
+  over Fractions, kept here as the reference;
+- the cubic table for B(phi) against the wedge chain that defines it;
+- the closed forms used at construction: frame Gram = 4 g, the symmetric
+  action assembled from g^-1, and the exact 2-form spectrum.
+"""
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from g2kit import ratlin
+from g2kit.context import FLOAT
+from g2kit.errors import G2KitError
+from g2kit.exterior import DIM, NK, KForm, basis_vector, form_inner, interior, pullback, top_coeff, wedge
+from g2kit.g2core import (
+    G2Structure,
+    _contraction_matrix,
+    _odot_symmetric_matrix,
+    metric_from_phi,
+    odot,
+    phi0,
+    symmetric_basis,
+)
+
+# -- reference Gauss-Jordan over Fractions ----------------------------------
+
+
+def ref_rref(m):
+    rows = [[Fraction(x) for x in row] for row in m]
+    if not rows:
+        return rows, []
+    nr, nc = len(rows), len(rows[0])
+    pivots, r = [], 0
+    for c in range(nc):
+        pivot = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots
+
+
+def ref_det(m):
+    rows = [[Fraction(x) for x in row] for row in m]
+    n, det = len(rows), Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def ref_nullspace(m):
+    nc = len(m[0]) if m else 0
+    red, pivots = ref_rref(m)
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Rational matrices, some rows zero or combinations of earlier rows."""
+    nr = draw(st.integers(1, 6))
+    nc = nr if square else draw(st.integers(1, 7))
+    rows = [[draw(RATIONALS) for _ in range(nc)] for _ in range(nr)]
+    for i in range(nr):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "combination")))
+        if kind == "zero":
+            rows[i] = [Fraction(0)] * nc
+        elif kind == "combination" and i:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(RATIONALS), draw(RATIONALS)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_reference(m):
+    red, pivots = ratlin.rref(m)
+    assert (red, pivots) == ref_rref(m)
+    assert all(isinstance(x, Fraction) for row in red for x in row)
+    assert ratlin.rank_exact(m) == len(pivots)
+
+
+@given(matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_det_matches_reference(m):
+    det = ratlin.det_exact(m)
+    assert isinstance(det, Fraction) and det == ref_det(m)
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_nullspace_matches_reference(m):
+    assert ratlin.nullspace_exact(m) == ref_nullspace(m)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_matches_reference(m, data):
+    nc = len(m[0])
+    x0 = [data.draw(RATIONALS) for _ in range(nc)]
+    b = [sum(a * x for a, x in zip(row, x0)) for row in m]
+    x = ratlin.solve_exact(m, b)
+    red, pivots = ref_rref([row + [bv] for row, bv in zip(m, b)])
+    want = [Fraction(0)] * nc
+    for r, c in enumerate(pivots):
+        want[c] = red[r][nc]
+    assert x == want
+    assert [sum(a * v for a, v in zip(row, x)) for row in m] == b
+    # an inconsistent right-hand side is refused
+    if ratlin.rank_exact(m) < len(m):
+        bad = [bv + data.draw(RATIONALS) for bv in b]
+        if ref_rref([row + [bv] for row, bv in zip(m, bad)])[1][-1:] == [nc]:
+            with pytest.raises(G2KitError):
+                ratlin.solve_exact(m, bad)
+
+
+@given(matrices(square=True))
+@settings(max_examples=100, deadline=None)
+def test_inv_matches_reference(m):
+    n = len(m)
+    if ref_det(m) == 0:
+        with pytest.raises(G2KitError):
+            ratlin.inv_exact(m)
+        return
+    red, _ = ref_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)])
+    assert ratlin.inv_exact(m) == [row[n:] for row in red]
+
+
+def test_kernels_on_empty_and_integer_input():
+    assert ratlin.rref([]) == ([], [])
+    assert ratlin.det_exact([]) == 1
+    assert ratlin.nullspace_exact([]) == []
+    assert ratlin.det_exact([[2, -3], [4, 5]]) == 22
+    assert ratlin.rref([[0, 0], [0, -4]]) == ([[0, 1], [0, 0]], [1])
+
+
+def test_product_is_zero():
+    a = [[Fraction(1, 2), Fraction(-1, 3)], [1, Fraction(-2, 3)]]
+    b = [[Fraction(2, 5), 2], [Fraction(3, 5), 3]]
+    assert ratlin.product_is_zero(a, b)
+    b[1][1] = Fraction(3, 1) + Fraction(1, 10 ** 12)
+    assert not ratlin.product_is_zero(a, b)
+
+
+# -- B(phi): cubic table against the wedge chain ------------------------------
+
+
+def wedge_chain_b(phi: KForm):
+    exact = phi.is_exact
+    contr = [interior(basis_vector(i, exact), phi) for i in range(1, DIM + 1)]
+    return [[top_coeff(wedge(wedge(contr[i], contr[j]), phi)) for j in range(DIM)]
+            for i in range(DIM)]
+
+
+THREE_FORMS = st.lists(RATIONALS, min_size=NK[3], max_size=NK[3]).map(lambda v: KForm(3, tuple(v)))
+
+
+@given(THREE_FORMS)
+@settings(max_examples=40, deadline=None)
+def test_cubic_table_matches_wedge_chain_exact(phi):
+    assert _contraction_matrix(phi.coeffs) == wedge_chain_b(phi)
+
+
+@given(st.lists(st.floats(-3, 3), min_size=NK[3], max_size=NK[3]))
+@settings(max_examples=60, deadline=None)
+def test_cubic_table_matches_wedge_chain_float(coeffs):
+    phi = KForm(3, tuple(float(x) for x in coeffs))
+    got, want = np.asarray(_contraction_matrix(phi.coeffs)), np.asarray(wedge_chain_b(phi))
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+# -- closed forms at construction ----------------------------------------------
+
+
+@st.composite
+def rational_frames(draw):
+    """Invertible rational 7x7 matrices, with a drawn sign of the determinant."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        a = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(DIM)]
+             for _ in range(DIM)]
+        det = ratlin.det_exact(a)
+        if det:
+            break
+    if (det > 0) != draw(st.booleans()):
+        a[0] = [-x for x in a[0]]
+    return a
+
+
+@given(rational_frames())
+@settings(max_examples=8, deadline=None)
+def test_frame_gram_and_symmetric_action(a):
+    """Frame Gram = 4 g exactly; the symmetric action equals 28 odot columns."""
+    phi = pullback(phi0(), a)
+    s = G2Structure(phi)
+    assert s.orientation.sign == (1 if ratlin.det_exact(a) > 0 else -1)
+    gram = [[form_inner(u, v, s.metric) for v in s.frame3_7] for u in s.frame3_7]
+    assert gram == [[4 * x for x in row] for row in s.metric.rows]
+    assert ratlin.matmul(gram, s._gram7_inv) == ratlin.identity(DIM)
+    cols = [odot(b, s).coeffs for b in symmetric_basis()]
+    assert _odot_symmetric_matrix(s) == [list(row) for row in zip(*cols)]
+    # the exact spectrum: T = lambda on each stored eigenbasis
+    for lam, basis in ((s.lambda7, s.basis2_7), (s.lambda14, s.basis2_14)):
+        for beta in basis:
+            assert s.two_form_operator(beta) == lam * beta
+    assert metric_from_phi(phi) == (s.metric, s.orientation)
+
+
+def test_exact_construction_uses_no_floats(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy reached from the exact lane")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    s = G2Structure(pullback(phi0(), [[1 if j in (i, (i + 1) % DIM) else 0 for j in range(DIM)]
+                                      for i in range(DIM)]))
+    assert (s.lambda7, s.lambda14) == (Fraction(2), Fraction(-1))
+
+
+def test_float_lane_frame_gram_within_tolerance():
+    a = [[1.0 if i == j else 0.0 for j in range(DIM)] for i in range(DIM)]
+    a[0][1], a[2][5] = 0.5, -0.25
+    s = G2Structure(pullback(phi0(False), a), FLOAT)
+    gram = np.asarray([[form_inner(u, v, s.metric) for v in s.frame3_7] for u in s.frame3_7])
+    assert np.allclose(gram @ np.asarray(s._gram7_inv), np.eye(DIM), atol=FLOAT.tol)
