@@ -83,7 +83,7 @@ def _load_json(path: str):
             return json.load(sys.stdin, parse_constant=_reject_constant)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -192,7 +192,7 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
 def _parse_inline(text: str):
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid inline JSON: {exc}") from exc
 
 

@@ -9,6 +9,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -20,6 +21,19 @@ Scalar = Union[int, float, Fraction]
 DEFAULT_TOL = 1e-10
 
 _MODES = ("exact", "float")
+
+# Fraction("1e999999999") expands 10**999999999 before anything can refuse it,
+# so decimal exponents are capped like Python's 4300-digit limit on int strings.
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+
+
+def _check_exponent(text: str):
+    m = _EXPONENT.search(text)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+            raise ParseError(f"decimal exponent beyond {_MAX_DECIMAL_EXPONENT} in {text[:40]!r}")
 
 
 @dataclass(frozen=True)
@@ -43,10 +57,13 @@ class Context:
         Exact mode accepts ints, Fractions and "p/q" strings; a float is
         rejected rather than silently promoted to its binary expansion.
         Float mode accepts all of those plus finite floats; NaN, infinities
-        and strings beyond the float range are rejected.
+        and strings beyond the float range are rejected.  A string's decimal
+        exponent may not exceed 4300 in either mode.
         """
         if isinstance(x, bool):
             raise ParseError("booleans are not scalars")
+        if isinstance(x, str):
+            _check_exponent(x)
         if self.is_exact:
             if isinstance(x, float):
                 raise ExactModeError(

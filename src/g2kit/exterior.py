@@ -369,17 +369,30 @@ def _det_small(mat, exact: bool):
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _lambda_gram(m: Metric, k: int):
-    """Gram matrix of the basis k-forms: det of inverse-metric minors."""
+    """Gram matrix of the basis k-forms: det of inverse-metric minors.
+
+    The result is symmetric in both lanes.  Exact minors (I, J) and (J, I)
+    agree, so only the upper triangle is computed.  Float ones round apart,
+    so each pair is averaged: that keeps every quadratic form <a, a> as the
+    full matrix gives it, while <a, b> read by rows equals <b, a> read by
+    columns (mirroring one triangle instead doubles that triangle's
+    rounding in <a, a>)."""
     inv = _metric_inverse(m)
     exact = m.is_exact
-    gram = []
-    for I in BASIS[k]:
-        row = []
-        for J in BASIS[k]:
-            minor = [[inv[a - 1][b - 1] for b in J] for a in I]
-            row.append(_det_small(minor, exact))
-        gram.append(tuple(row))
-    return tuple(gram)
+    basis = BASIS[k]
+
+    def minor_det(I, J):
+        return _det_small([[inv[a - 1][b - 1] for b in J] for a in I], exact)
+
+    gram = [[None] * len(basis) for _ in basis]
+    for p, I in enumerate(basis):
+        for q in range(p, len(basis)):
+            J = basis[q]
+            d = minor_det(I, J)
+            if not exact and q != p:
+                d = (d + minor_det(J, I)) / 2
+            gram[p][q] = gram[q][p] = d
+    return tuple(tuple(row) for row in gram)
 
 
 def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
@@ -400,6 +413,16 @@ def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
     return tot
 
 
+def gram_apply(a: KForm, m: Metric = EUCLIDEAN):
+    """Coefficients of Gram_k(m) . a, so that form_inner(a, b, m) is their
+    plain dot product with b's coefficients: one Gram product serves any
+    number of inner products with a."""
+    if m.is_euclidean:
+        return a.coeffs
+    nonzero = [(q, c) for q, c in enumerate(a.coeffs) if c]
+    return [sum(row[q] * c for q, c in nonzero) for row in _lambda_gram(m, a.degree)]
+
+
 def volume_form(m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KForm:
     """Riemannian volume form: o.sign * sqrt(det g) dx1..7."""
     return KForm(DIM, (o.sign * _sqrt_det(m),))
@@ -418,15 +441,9 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
             out[po] = (a.coeffs[p] * vol) if s > 0 else -(a.coeffs[p] * vol)
         return KForm(out_deg, tuple(out))
     vol = _sqrt_det(m) * o.sign
-    gram = _lambda_gram(m, k)
     exact = a.is_exact and m.is_exact
     out = [Fraction(0) if exact else 0.0] * NK[out_deg]
-    for p in range(NK[k]):
-        row = gram[p]
-        inner = 0
-        for q, cq in enumerate(a.coeffs):
-            if cq:
-                inner += row[q] * cq
+    for p, inner in enumerate(gram_apply(a, m)):
         if inner:
             po, s = comp[p]
             out[po] = s * inner * vol

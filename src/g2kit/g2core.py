@@ -46,6 +46,7 @@ from .exterior import (
     coerce_form,
     flat,
     form_inner,
+    gram_apply,
     hodge_star,
     interior,
     volume_form,
@@ -421,10 +422,11 @@ def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     if eta.degree != 3:
         raise DegreeError("decompose3 expects a 3-form")
     eta = coerce_form(eta, s.ctx)
-    coeff = form_inner(eta, s.phi, s.metric) / 7
-    p1 = s.phi * coeff
-    rhs = [form_inner(eta, w, s.metric) for w in s.frame3_7]
-    coords = ratlin.matvec(s._gram7_inv, rhs)
+    # <eta, phi> and <eta, w> for the 7 frame forms, from one Gram product
+    inner = ratlin.matvec([s.phi.coeffs] + [w.coeffs for w in s.frame3_7],
+                          gram_apply(eta, s.metric))
+    p1 = s.phi * (inner[0] / 7)
+    coords = ratlin.matvec(s._gram7_inv, inner[1:])
     p7 = KForm.zero(3, s.ctx.is_exact)
     for x, w in zip(coords, s.frame3_7):
         if x:

@@ -9,16 +9,23 @@ dimension count of the solution set modulo the stabilizer.
 
 Everything here targets the standard metric: algebra elements are plain
 antisymmetric matrices.  Float rank/kernel decisions use the package cutoff
-1e-8 * sigma_max; exact inputs run through the Fraction kernel instead.
+1e-8 * sigma_max; exact inputs run through the rational kernel instead.
+
+The exact lane of the normalizer and the coset count works on integers: a
+subspace of so(7) is tested through one integer annihilator (primitive int
+rows spanning the vectors orthogonal to it in the 21 upper-triangle
+coordinates), and brackets of coordinate vectors come from a sparse so(7)
+structure-constant table.  scipy is imported on the first matrix_exp call,
+so importing the package does not load it.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from . import ratlin
 from .errors import (
@@ -84,7 +91,9 @@ def matrix_exp(a):
     rows = _rows(a)
     if _exact_rows(rows):
         raise ExactModeError("matrix_exp needs float input; the exponential leaves the rationals")
-    out = _scipy_expm(np.asarray(rows, dtype=float))
+    from scipy.linalg import expm
+
+    out = expm(np.asarray(rows, dtype=float))
     return tuple(tuple(float(x) for x in row) for row in out)
 
 
@@ -134,13 +143,60 @@ def _vec_so(rows):
     return [rows[i][j] for (i, j) in _UPPER]
 
 
-def _unvec_so(vec, exact: bool):
-    zero = Fraction(0) if exact else 0.0
-    rows = [[zero] * DIM for _ in range(DIM)]
-    for v, (i, j) in zip(vec, _UPPER):
-        rows[i][j] = v
-        rows[j][i] = -v
-    return rows
+@lru_cache(maxsize=None)
+def _bracket_table():
+    """Structure constants of so(7) on the _UPPER coordinates.
+
+    Entry p lists (q, r, sign) with [E_p, E_q] = sign * E_r, from
+    [E_ij, E_kl] = d_jk E_il - d_ik E_jl - d_jl E_ik + d_il E_jk, where
+    E_ba = -E_ab and E_aa = 0; units sharing no index commute.
+    """
+    pos = {pair: r for r, pair in enumerate(_UPPER)}
+
+    def unit(a, b):
+        return (pos[(a, b)], 1) if a < b else (pos[(b, a)], -1)
+
+    table = []
+    for (i, j) in _UPPER:
+        row = []
+        for q, (k, l) in enumerate(_UPPER):
+            terms = []
+            if j == k:
+                terms.append((i, l, 1))
+            if i == k:
+                terms.append((j, l, -1))
+            if j == l:
+                terms.append((i, k, -1))
+            if i == l:
+                terms.append((j, k, 1))
+            for a, b, sign in terms:
+                if a != b:
+                    r, s = unit(a, b)
+                    row.append((q, r, sign * s))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _bracket_vec(u, v):
+    """Coordinates of [A, B] from the coordinates of A and B (O(nnz) table walk)."""
+    out = [0] * len(_UPPER)
+    table = _bracket_table()
+    for p, up in enumerate(u):
+        if up:
+            for q, r, sign in table[p]:
+                vq = v[q]
+                if vq:
+                    out[r] += sign * up * vq
+    return out
+
+
+def _annihilator(vecs):
+    """Primitive integer rows spanning the vectors orthogonal to every vec
+    (the standard dot product on the 21 coordinates): w is in the span of
+    vecs exactly when every row dotted with w is zero."""
+    if not vecs:
+        return [[int(r == c) for c in range(len(_UPPER))] for r in range(len(_UPPER))]
+    return [ratlin.primitive_int_row(v) for v in ratlin.nullspace_exact(vecs)]
 
 
 def so7_basis(exact: bool = True) -> SubalgebraBasis:
@@ -202,61 +258,75 @@ def g2_algebra_basis(s: G2Structure | None = None) -> SubalgebraBasis:
 
 
 class _SpanProjector:
-    """Least-squares projector onto the span of vectors (exact or float)."""
+    """Least-squares projector onto the span of float vectors."""
 
-    def __init__(self, vecs, exact: bool):
-        self.exact = exact
+    def __init__(self, vecs):
         self.vecs = [list(v) for v in vecs]
-        if not self.vecs:
-            self.empty = True
-            return
-        self.empty = False
-        if exact:
-            gram = [[sum(x * y for x, y in zip(a, b)) for b in self.vecs] for a in self.vecs]
-            self._gram_inv = ratlin.inv_exact(gram)
-        else:
+        self.empty = not self.vecs
+        if not self.empty:
             self._pinv = np.linalg.pinv(np.asarray(self.vecs, dtype=float).T)
 
     def residual(self, v):
         """v minus its projection onto the span."""
         if self.empty:
             return list(v)
-        if self.exact:
-            rhs = [sum(x * y for x, y in zip(b, v)) for b in self.vecs]
-            coords = ratlin.matvec(self._gram_inv, rhs)
-            out = list(v)
-            for c, b in zip(coords, self.vecs):
-                if c:
-                    out = [o - c * x for o, x in zip(out, b)]
-            return out
         coords = self._pinv @ np.asarray(v, dtype=float)
         proj = np.asarray(self.vecs, dtype=float).T @ coords
         return (np.asarray(v, dtype=float) - proj).tolist()
+
+
+def _normalizer_kernel_exact(ambient: SubalgebraBasis, sub: SubalgebraBasis):
+    """Kernel of A -> (annihilator . [A, S_b])_b over the ambient coordinates,
+    or None when either basis is empty.  Sub vectors are scaled to primitive
+    ints and the ambient ones by one common denominator; neither moves the
+    kernel, so the rref (and the basis) equal those of the projector residuals."""
+    sub_vecs = [ratlin.primitive_int_row(_vec_so(_rows(m))) for m in sub.matrices]
+    ann = _annihilator(sub_vecs)
+    for i, a in enumerate(sub_vecs):
+        for b in sub_vecs[i + 1:]:
+            if any(ratlin.matvec(ann, _bracket_vec(a, b))):
+                raise BracketClosureError("sub basis is not closed under the bracket")
+    if not ambient.matrices or not sub_vecs:
+        return None
+    amb_vecs, _ = ratlin.int_rows([_vec_so(_rows(m)) for m in ambient.matrices])
+    constraint = []
+    for svec in sub_vecs:
+        cols = [ratlin.matvec(ann, _bracket_vec(avec, svec)) for avec in amb_vecs]
+        constraint.extend(list(row) for row in zip(*cols))
+    return ratlin.nullspace_exact(constraint or [[0] * len(amb_vecs)])
+
+
+def _normalizer_kernel_float(ambient: SubalgebraBasis, sub: SubalgebraBasis, tol: float):
+    sub_vecs = [_vec_so(_rows(m)) for m in sub.matrices]
+    proj = _SpanProjector(sub_vecs)
+    for i, a in enumerate(sub.matrices):
+        for b in sub.matrices[i + 1:]:
+            res = proj.residual(_vec_so(bracket(_rows(a), _rows(b))))
+            if max(abs(r) for r in res) > tol:
+                raise BracketClosureError("sub basis is not closed under the bracket")
+    columns = []
+    for e in ambient.matrices:
+        col = []
+        for smat in sub.matrices:
+            col.extend(proj.residual(_vec_so(bracket(_rows(e), _rows(smat)))))
+        columns.append(col)
+    if not columns or not columns[0]:
+        return None
+    constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
+    return ratlin.nullspace_float(constraint, tol)
 
 
 def lie_normalizer(ambient: SubalgebraBasis, sub: SubalgebraBasis, tol: float = 1e-8) -> SubalgebraBasis:
     """Elements A of the ambient span with [A, S] in the sub span for every
     basis element S.  The sub basis must be bracket-closed (BracketClosureError)."""
     exact = ambient.is_exact() and sub.is_exact()
-    sub_vecs = [_vec_so(_rows(m)) for m in sub.matrices]
-    proj = _SpanProjector(sub_vecs, exact)
-    for i, a in enumerate(sub.matrices):
-        for b in sub.matrices[i + 1:]:
-            res = proj.residual(_vec_so(bracket(_rows(a), _rows(b))))
-            bad = any(r != 0 for r in res) if exact else max(abs(r) for r in res) > tol
-            if bad:
-                raise BracketClosureError("sub basis is not closed under the bracket")
-    amb_mats = [_rows(m) for m in ambient.matrices]
-    columns = []
-    for e in amb_mats:
-        col = []
-        for smat in sub.matrices:
-            col.extend(proj.residual(_vec_so(bracket(e, _rows(smat)))))
-        columns.append(col)
-    if not columns or not columns[0]:
+    if exact:
+        null = _normalizer_kernel_exact(ambient, sub)
+    else:
+        null = _normalizer_kernel_float(ambient, sub, tol)
+    if null is None:
         return ambient
-    constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
-    null = ratlin.nullspace(constraint, exact, tol)
+    amb_mats = [_rows(m) for m in ambient.matrices]
     zero = Fraction(0) if exact else 0.0
     mats = []
     for coeffs in null:
@@ -329,26 +399,43 @@ def coset_tangent_dim(h: HolonomySpec, s: G2Structure | None = None, tol: float 
         if not is_g2(gen, max(tol, 1e-8)):
             raise HolonomyError("generators must fix the 3-form for the identity coset")
     g2b = g2_algebra_basis(s)
-    exact = s.ctx.is_exact and all(_exact_rows(_rows(g)) for g in h.generators)
-    if exact:
-        g2_vecs = [_vec_so(_rows(m)) for m in g2b.matrices]
-    else:
-        g2_vecs = [[float(x) for x in _vec_so(_rows(m))] for m in g2b.matrices]
-    proj = _SpanProjector(g2_vecs, exact)
-    units = so7_basis(exact)
     if h.count == 0:
-        return len(units.matrices) - g2b.dim
+        return len(_UPPER) - g2b.dim
+    exact = s.ctx.is_exact and all(_exact_rows(_rows(g)) for g in h.generators)
+    nullity = _coset_nullity_exact(h, g2b) if exact else _coset_nullity_float(h, g2b, tol)
+    return nullity - g2b.dim
+
+
+def _coset_nullity_exact(h: HolonomySpec, g2b: SubalgebraBasis) -> int:
+    """Nullity of A -> (annihilator . (A - g^-1 A g))_g over the E_ij coordinates.
+
+    The generators are exactly orthogonal (is_g2 checked it), so g^-1 = g^T
+    and g^T E_ij g = r_i r_j^T - r_j r_i^T for the rows r of g.  With g = G/d
+    for an int matrix G, column E_ij is scaled by d^2, which keeps the rank."""
+    ann = _annihilator([_vec_so(_rows(m)) for m in g2b.matrices])
+    constraint = []
+    for gen in h.generators:
+        grows, d = ratlin.int_rows(_rows(gen))
+        cols = []
+        for a, (i, j) in enumerate(_UPPER):
+            gi, gj = grows[i], grows[j]
+            moved = [gi[p] * gj[q] - gj[p] * gi[q] for (p, q) in _UPPER]
+            moved[a] -= d * d
+            cols.append(ratlin.matvec(ann, moved))
+        constraint.extend(list(row) for row in zip(*cols))
+    return len(_UPPER) - ratlin.rank_exact(constraint)
+
+
+def _coset_nullity_float(h: HolonomySpec, g2b: SubalgebraBasis, tol: float) -> int:
+    g2_vecs = [[float(x) for x in _vec_so(_rows(m))] for m in g2b.matrices]
+    proj = _SpanProjector(g2_vecs)
     columns = []
-    for e in units.matrices:
-        erows = _rows(e) if exact else [[float(x) for x in row] for row in _rows(e)]
+    for e in so7_basis(False).matrices:
+        erows = _rows(e)
         col = []
         for gen in h.generators:
-            grows = _rows(gen)
-            if exact:
-                ginv = ratlin.inv_exact(grows)
-            else:
-                grows = [[float(x) for x in row] for row in grows]
-                ginv = ratlin.transpose(grows)
+            grows = [[float(x) for x in row] for row in _rows(gen)]
+            ginv = ratlin.transpose(grows)
             moved = ratlin.matmul(ratlin.matmul(ginv, erows), grows)
             diff = ratlin.mat_sub(erows, moved)
             sym_cleanup = [
@@ -357,8 +444,7 @@ def coset_tangent_dim(h: HolonomySpec, s: G2Structure | None = None, tol: float 
             col.extend(proj.residual(_vec_so(sym_cleanup)))
         columns.append(col)
     constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
-    null = ratlin.nullspace(constraint, exact, tol)
-    return len(null) - g2b.dim
+    return len(ratlin.nullspace_float(constraint, tol))
 
 
 def sample_so7(rng: random.Random):

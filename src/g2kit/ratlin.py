@@ -55,10 +55,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
-
-
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -84,6 +80,18 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
+def primitive_int_row(row):
+    """A positive multiple of a rational row with coprime int entries (a zero row stays zero)."""
+    return _primitive(_int_row(row)[0])
+
+
+def int_rows(m):
+    """(int rows, d) with m = rows / d, for d the lcm of all of m's denominators."""
+    ints, den = _int_row([x for row in m for x in row])
+    it = iter(ints)
+    return [[next(it) for _ in row] for row in m], den
+
+
 def rref(m):
     """Reduced row echelon form; returns (rows, pivot_columns).
 
@@ -92,7 +100,7 @@ def rref(m):
     output entry becomes one Fraction at the end.  The reduced form is
     unique, so this equals Gauss-Jordan over Fractions.
     """
-    rows = [_primitive(_int_row(row)[0]) for row in m]
+    rows = [primitive_int_row(row) for row in m]
     if not rows:
         return rows, []
     nr, nc = len(rows), len(rows[0])

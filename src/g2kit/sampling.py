@@ -66,16 +66,6 @@ def rational_symmetric(rng: random.Random, span: int = 5) -> list:
     return m
 
 
-def rational_antisymmetric(rng: random.Random, span: int = 5) -> list:
-    m = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            v = Fraction(rng.randint(-span, span), rng.randint(1, 3))
-            m[i][j] = v
-            m[j][i] = -v
-    return m
-
-
 def float_antisymmetric(rng: random.Random, span: float = 1.0) -> list:
     m = [[0.0] * DIM for _ in range(DIM)]
     for i in range(DIM):

@@ -1,12 +1,15 @@
 """Command-line behavior: reports, exit codes, and input validation."""
+import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2kit.cli import main
-from g2kit.exterior import KForm, interior
+from g2kit.exterior import DIM, KForm, interior
 from g2kit.g2core import phi0
 from g2kit.serialize import kform_to_json
 
@@ -238,3 +241,119 @@ def test_non_finite_input_exits_two(monkeypatch, argv, stdin):
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_tol_must_be_finite(tol):
     assert main(["normalizer", "--tol", tol]) == 2
+
+
+# -- fuzz: no argv or payload escapes the exit-code contract -------------------
+
+HOSTILE_TEXT = [
+    "", "-", "{", "[]", "null", "NaN", "-Infinity", "1e400", "1/0", "0/0", "3/5", "-0",
+    "1e-400", " 1 ", "1_000", "0x10", "½", "nan", "inf", "1e9999", "1e999999999", "9" * 5000,
+    "[" * 5000 + "]" * 5000, '{"degree": 3, "entries": ' + "[" * 3000 + "]" * 3000 + "}",
+]
+fuzz_scalars = st.one_of(
+    st.integers(-(10 ** 30), 10 ** 30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.sampled_from(HOSTILE_TEXT[:22]),
+    st.booleans(),
+    st.none(),
+)
+fuzz_json = st.recursive(
+    fuzz_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+fuzz_entries = st.lists(
+    st.fixed_dictionaries({"idx": st.lists(st.integers(-1, 8), max_size=4) | fuzz_scalars,
+                           "coeff": fuzz_scalars}),
+    max_size=4,
+)
+fuzz_forms = st.fixed_dictionaries({"degree": st.integers(-1, 8) | fuzz_scalars,
+                                    "entries": fuzz_entries})
+fuzz_matrices = st.fixed_dictionaries({
+    "shape": st.sampled_from([[7, 7], [7], [49], None]),
+    "entries": st.lists(st.sampled_from([0, 1, -1, "0", "1", "-1", "1/2", 0.6, 0.8, -0.8]),
+                        min_size=49, max_size=49) | st.lists(fuzz_scalars, max_size=4),
+})
+fuzz_payloads = st.one_of(
+    st.one_of(fuzz_json, fuzz_forms, fuzz_matrices).map(json.dumps),
+    st.text(max_size=20),
+    st.sampled_from(HOSTILE_TEXT),
+)
+fuzz_tokens = st.one_of(
+    st.sampled_from(["--mode", "exact", "float", "--tol", "--seed", "--output", "json", "text",
+                     "--degree", "2", "3", "--c", "3/5", "--omega", "--omega-file", "--model", "-",
+                     "/nonexistent/g2kit.json", ".", "--version", "-h"]),
+    st.text(max_size=8),
+    fuzz_payloads,
+)
+# Every payload-reading subcommand; demo and selftest take no payload and cost
+# seconds a run, so they stay out of the fuzz.
+fuzz_commands = st.sampled_from(["decompose", "twist", "recover", "g2check", "normalizer", "bogus"])
+
+
+# Well-formed payloads with random content reach the computations themselves.
+fuzz_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=5).map(str),
+    st.floats(-2, 2, allow_nan=False),
+)
+
+
+@st.composite
+def plausible_forms(draw, degree):
+    idx = draw(st.lists(st.lists(st.integers(1, DIM), min_size=degree, max_size=degree, unique=True)
+                        .map(sorted), max_size=6, unique_by=tuple))
+    return {"degree": degree, "entries": [{"idx": i, "coeff": draw(fuzz_coeffs)} for i in idx]}
+
+
+def plausible_matrices():
+    return st.lists(fuzz_coeffs, min_size=DIM * DIM, max_size=DIM * DIM).map(
+        lambda e: {"shape": [DIM, DIM], "entries": e})
+
+
+plausible_runs = st.one_of(
+    st.tuples(st.builds(lambda d, c, w: ["twist", "--c", c, "--omega", json.dumps(w)],
+                        st.just(0), fuzz_coeffs.map(str), plausible_forms(1)), st.just("")),
+    st.tuples(st.just(["decompose", "-", "--degree", "2"]), plausible_forms(2).map(json.dumps)),
+    st.tuples(st.just(["decompose", "-", "--degree", "3"]), plausible_forms(3).map(json.dumps)),
+    st.tuples(st.just(["recover", "-"]), plausible_forms(3).map(json.dumps)),
+    st.tuples(st.just(["g2check", "-"]), plausible_matrices().map(json.dumps)),
+)
+
+
+def run_quietly(argv, stdin):
+    old_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        sys.stdin = old_stdin
+
+
+@given(fuzz_commands, st.lists(fuzz_tokens, max_size=6), fuzz_payloads)
+@settings(max_examples=120, deadline=None)
+def test_fuzz_main_exit_codes(command, tokens, stdin):
+    assert run_quietly([command] + tokens, stdin) in (0, 1, 2)
+
+
+@given(plausible_runs, st.sampled_from([[], ["--mode", "float"], ["--output", "json"]]))
+@settings(max_examples=60, deadline=None)
+def test_fuzz_well_formed_payloads(run, extra):
+    argv, stdin = run
+    assert run_quietly(argv + extra, stdin) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("k", range(len(HOSTILE_TEXT)))
+@pytest.mark.parametrize("command", [["decompose", "--degree", "3", "-"], ["recover", "-"],
+                                     ["g2check", "--mode", "float", "-"]])
+def test_hostile_stdin_exits_two(monkeypatch, command, k):
+    monkeypatch.setattr("sys.stdin", io.StringIO(HOSTILE_TEXT[k]))
+    assert main(command) == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("c", ["1e999999999", "1E-99999", "1e1_0000", "1e00004301"])
+def test_huge_decimal_exponent_exits_two(mode, c):
+    assert main(["twist", "--mode", mode, "--c", c, "--omega", OMEGA_X1]) == 2

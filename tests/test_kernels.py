@@ -4,7 +4,9 @@
   over Fractions, kept here as the reference;
 - the cubic table for B(phi) against the wedge chain that defines it;
 - the closed forms used at construction: frame Gram = 4 g, the symmetric
-  action assembled from g^-1, and the exact 2-form spectrum.
+  action assembled from g^-1, and the exact 2-form spectrum;
+- decompose3's single Gram product against eight form_inner calls;
+- the k-form Gram matrix: symmetric in both lanes, entries its minor determinants.
 """
 import random
 from fractions import Fraction
@@ -16,11 +18,26 @@ from hypothesis import given, settings, strategies as st
 from g2kit import ratlin
 from g2kit.context import FLOAT
 from g2kit.errors import G2KitError
-from g2kit.exterior import DIM, NK, KForm, basis_vector, form_inner, interior, pullback, top_coeff, wedge
+from g2kit.exterior import (
+    BASIS,
+    DIM,
+    NK,
+    KForm,
+    _det_small,
+    _lambda_gram,
+    _metric_inverse,
+    basis_vector,
+    form_inner,
+    interior,
+    pullback,
+    top_coeff,
+    wedge,
+)
 from g2kit.g2core import (
     G2Structure,
     _contraction_matrix,
     _odot_symmetric_matrix,
+    decompose3,
     metric_from_phi,
     odot,
     phi0,
@@ -255,3 +272,54 @@ def test_float_lane_frame_gram_within_tolerance():
     s = G2Structure(pullback(phi0(False), a), FLOAT)
     gram = np.asarray([[form_inner(u, v, s.metric) for v in s.frame3_7] for u in s.frame3_7])
     assert np.allclose(gram @ np.asarray(s._gram7_inv), np.eye(DIM), atol=FLOAT.tol)
+
+
+# -- decompose3: one Gram product against eight quadratic forms ----------------
+
+
+def ref_decompose3(eta, s):
+    """decompose3 through form_inner: one 35x35 quadratic form per inner product."""
+    p1 = s.phi * (form_inner(eta, s.phi, s.metric) / 7)
+    rhs = [form_inner(eta, w, s.metric) for w in s.frame3_7]
+    p7 = KForm.zero(3, s.ctx.is_exact)
+    for x, w in zip(ratlin.matvec(s._gram7_inv, rhs), s.frame3_7):
+        if x:
+            p7 = p7 + w * x
+    return p1, p7, eta - p1 - p7
+
+
+@given(rational_frames(), THREE_FORMS)
+@settings(max_examples=6, deadline=None)
+def test_decompose3_matches_form_inner_reference(a, eta):
+    s = G2Structure(pullback(phi0(), a))
+    d = decompose3(eta, s)
+    assert (d.p1, d.p7, d.p27) == ref_decompose3(eta, s)
+    zero = decompose3(KForm.zero(3, True), s)
+    assert all(type(c) is Fraction and c == 0 for part in (zero.p1, zero.p7, zero.p27)
+               for c in part.coeffs)
+    sf = G2Structure(pullback(phi0(False), [[float(x) for x in row] for row in a]), FLOAT)
+    etaf = eta.as_float()
+    d = decompose3(etaf, sf)
+    for got, want in zip((d.p1, d.p7, d.p27), ref_decompose3(etaf, sf)):
+        assert (got - want).max_abs() <= 1e-9 * max(1.0, want.max_abs())
+
+
+@given(rational_frames())
+@settings(max_examples=4, deadline=None)
+def test_lambda_gram_symmetric_minor_determinants(a):
+    """Exact entries are the minors of g^-1; float entries average the two
+    transposed minors, so the float Gram is symmetric to the last bit."""
+    s = G2Structure(pullback(phi0(), a))
+    sf = G2Structure(pullback(phi0(False), [[float(x) for x in row] for row in a]), FLOAT)
+    for k in (2, 3):
+        for m, exact in ((s.metric, True), (sf.metric, False)):
+            inv = _metric_inverse(m)
+            minors = [[_det_small([[inv[i - 1][j - 1] for j in J] for i in I], exact)
+                       for J in BASIS[k]] for I in BASIS[k]]
+            gram = _lambda_gram(m, k)
+            assert all(gram[p][q] == gram[q][p] for p in range(NK[k]) for q in range(p))
+            if exact:
+                assert [list(row) for row in gram] == minors
+            else:
+                want = np.asarray(minors)
+                assert np.allclose(gram, want, rtol=0, atol=1e-12 * np.abs(want).max())

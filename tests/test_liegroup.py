@@ -1,10 +1,18 @@
 """Stabilizer algebra, normalizers, and holonomy-style membership tests."""
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import g2kit
 from g2kit.errors import (
     BracketClosureError,
     ExactModeError,
@@ -12,7 +20,7 @@ from g2kit.errors import (
     HolonomyError,
 )
 from g2kit.exterior import DIM, KForm, pullback
-from g2kit.g2core import G2Structure, decompose2, infinitesimal_action, phi0
+from g2kit.g2core import PHI0_ENTRIES, G2Structure, decompose2, infinitesimal_action, phi0
 from g2kit.liegroup import (
     HolonomySpec,
     SubalgebraBasis,
@@ -31,6 +39,7 @@ from g2kit.liegroup import (
     so7_basis,
     two_form_to_matrix,
 )
+from g2kit.liegroup import _bracket_vec
 from g2kit import ratlin
 from g2kit.sampling import rational_kform
 
@@ -196,3 +205,248 @@ def test_coset_requires_admissible_generators(s):
     h = HolonomySpec((plane_rotation(1, 2, math.pi / 5),))
     with pytest.raises(HolonomyError):
         coset_tangent_dim(h, s)
+
+
+# -- the integer exact lane against the projector-based reference -------------
+#
+# ref_lie_normalizer and ref_coset_tangent_dim keep the earlier exact lane: a
+# least-squares projector through the inverse Gram matrix of the sub span,
+# dense Fraction brackets, and residual columns.  The integer lane must return
+# literally equal matrices and counts.
+
+
+def ref_residual(vecs, gram_inv, v):
+    if not vecs:
+        return list(v)
+    rhs = [sum(x * y for x, y in zip(b, v)) for b in vecs]
+    coords = ratlin.matvec(gram_inv, rhs)
+    out = list(v)
+    for c, b in zip(coords, vecs):
+        if c:
+            out = [o - c * x for o, x in zip(out, b)]
+    return out
+
+
+def ref_projector(vecs):
+    vecs = [list(v) for v in vecs]
+    if not vecs:
+        return vecs, None
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in vecs] for a in vecs]
+    return vecs, ratlin.inv_exact(gram)
+
+
+def vec_so(rows):
+    return [rows[i][j] for i in range(DIM) for j in range(i + 1, DIM)]
+
+
+def ref_lie_normalizer(ambient, sub):
+    vecs, gram_inv = ref_projector([vec_so(m) for m in sub.matrices])
+    for i, a in enumerate(sub.matrices):
+        for b in sub.matrices[i + 1:]:
+            res = ref_residual(vecs, gram_inv, vec_so(bracket(a, b)))
+            if any(r != 0 for r in res):
+                raise BracketClosureError("sub basis is not closed under the bracket")
+    columns = []
+    for e in ambient.matrices:
+        col = []
+        for smat in sub.matrices:
+            col.extend(ref_residual(vecs, gram_inv, vec_so(bracket(e, smat))))
+        columns.append(col)
+    if not columns or not columns[0]:
+        return ambient
+    constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
+    mats = []
+    for coeffs in ratlin.nullspace_exact(constraint):
+        acc = [[Fraction(0)] * DIM for _ in range(DIM)]
+        for c, e in zip(coeffs, ambient.matrices):
+            if c:
+                for i in range(DIM):
+                    for j in range(DIM):
+                        if e[i][j]:
+                            acc[i][j] += c * e[i][j]
+        mats.append(tuple(tuple(r) for r in acc))
+    return SubalgebraBasis(tuple(mats))
+
+
+def ref_coset_tangent_dim(h, s):
+    g2b = g2_algebra_basis(s)
+    vecs, gram_inv = ref_projector([vec_so(m) for m in g2b.matrices])
+    if h.count == 0:
+        return 21 - g2b.dim
+    columns = []
+    for e in so7_basis(True).matrices:
+        col = []
+        for gen in h.generators:
+            grows = [list(r) for r in gen]
+            moved = ratlin.matmul(ratlin.matmul(ratlin.inv_exact(grows), e), grows)
+            diff = ratlin.mat_sub(e, moved)
+            sym = [[(diff[i][j] - diff[j][i]) / 2 for j in range(DIM)] for i in range(DIM)]
+            col.extend(ref_residual(vecs, gram_inv, vec_so(sym)))
+        columns.append(col)
+    constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
+    return len(ratlin.nullspace_exact(constraint)) - g2b.dim
+
+
+def unvec_so(vec):
+    rows = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for v, (i, j) in zip(vec, ((i, j) for i in range(DIM) for j in range(i + 1, DIM))):
+        rows[i][j] = v
+        rows[j][i] = -v
+    return rows
+
+
+so_coords = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6)
+                     | st.integers(-3, 3), min_size=21, max_size=21)
+
+
+@given(so_coords, so_coords)
+@settings(max_examples=40, deadline=None)
+def test_table_bracket_matches_dense_bracket(u, v):
+    assert _bracket_vec(u, v) == vec_so(bracket(unvec_so(u), unvec_so(v)))
+
+
+def test_table_bracket_on_units():
+    units = so7_basis(True).matrices
+    for p, a in enumerate(units):
+        for q, b in enumerate(units):
+            u = [int(r == p) for r in range(21)]
+            v = [int(r == q) for r in range(21)]
+            assert _bracket_vec(u, v) == vec_so(bracket(a, b))
+
+
+def coordinate_so(indices):
+    """so(k) on the coordinate axes in `indices` (0-based), inside so(7)."""
+    return SubalgebraBasis(tuple(unit_e(i + 1, j + 1) for i in indices for j in indices if i < j))
+
+
+def assert_same_basis(got, want):
+    assert got.matrices == want.matrices
+    assert all(type(x) is type(y) for m, n in zip(got.matrices, want.matrices)
+               for r, t in zip(m, n) for x, y in zip(r, t))
+
+
+@pytest.mark.parametrize("case", ["so7_g2", "g2_g2", "so7_e12"])
+def test_normalizer_equals_projector_reference(s, case):
+    g2 = g2_algebra_basis(s)
+    ambient, sub = {
+        "so7_g2": (so7_basis(True), g2),
+        "g2_g2": (g2, g2),
+        "so7_e12": (so7_basis(True), SubalgebraBasis((unit_e(1, 2),))),
+    }[case]
+    assert_same_basis(lie_normalizer(ambient, sub), ref_lie_normalizer(ambient, sub))
+
+
+@given(st.lists(st.integers(0, DIM - 1), min_size=2, max_size=5, unique=True))
+@settings(max_examples=6, deadline=None)
+def test_normalizer_of_coordinate_subalgebra(indices):
+    sub = coordinate_so(indices)
+    k = len(indices)
+    got = lie_normalizer(so7_basis(True), sub)
+    assert_same_basis(got, ref_lie_normalizer(so7_basis(True), sub))
+    # for k >= 2 the normalizer of so(k) is so(k) + so(7 - k)
+    assert got.dim == k * (k - 1) // 2 + (DIM - k) * (DIM - k - 1) // 2
+
+
+def test_normalizer_edge_spans():
+    so7 = so7_basis(True)
+    # sub = so(7): the annihilator is empty; the reference's constraint is all
+    # zero, so its kernel basis is the unit vectors and it returns the E_ij
+    assert_same_basis(lie_normalizer(so7, so7), so7)
+    assert lie_normalizer(so7, SubalgebraBasis(())) is so7
+    empty = SubalgebraBasis(())
+    assert lie_normalizer(empty, coordinate_so([0, 1])) is empty
+
+
+@given(st.lists(st.integers(0, DIM - 1), min_size=3, max_size=DIM, unique=True))
+@settings(max_examples=15, deadline=None)
+def test_normalizer_rejects_non_closed_subs(indices):
+    # so(k) on some axes plus one unit reaching out of them: [E_ji, E_io] = E_jo is missing
+    *inside, out = indices
+    opened = SubalgebraBasis(coordinate_so(inside).matrices + (unit_e(inside[0] + 1, out + 1),))
+    with pytest.raises(BracketClosureError):
+        lie_normalizer(so7_basis(True), opened)
+    with pytest.raises(BracketClosureError):
+        ref_lie_normalizer(so7_basis(True), opened)
+
+
+# -- coset_tangent_dim on exact signed permutations in G2 ----------------------
+
+
+def _phi0_values():
+    """phi0(e_a, e_b, e_c) on ordered 0-based triples, zero ones left out."""
+    values = {}
+    for idx, c in PHI0_ENTRIES.items():
+        for perm in permutations(range(3)):
+            parity = sum(1 for x in range(3) for y in range(x + 1, 3) if perm[x] > perm[y]) % 2
+            values[tuple(idx[k] - 1 for k in perm)] = -c if parity else c
+    return values
+
+
+@lru_cache(maxsize=None)
+def signed_permutations_in_g2():
+    """Every g with g e_i = eps_i e_sigma(i) fixing phi0: phi0(g e_i, g e_j, g e_k) = phi0_ijk."""
+    values = _phi0_values()
+    triples = [t for t in values if t[0] < t[1] < t[2]]
+    found = []
+    for sigma in permutations(range(DIM)):
+        moved = [values.get((sigma[a], sigma[b], sigma[c]), 0) for (a, b, c) in triples]
+        if not all(moved):
+            continue
+        for signs in product((1, -1), repeat=DIM):
+            if all(signs[a] * signs[b] * signs[c] * m == values[(a, b, c)]
+                   for (a, b, c), m in zip(triples, moved)):
+                g = [[Fraction(0)] * DIM for _ in range(DIM)]
+                for i in range(DIM):
+                    g[sigma[i]][i] = Fraction(signs[i])
+                found.append(tuple(tuple(r) for r in g))
+    return tuple(found)
+
+
+def test_signed_permutation_group_of_phi0():
+    # 2^3 sign changes extended by the 168 collineations of the Fano plane
+    group = signed_permutations_in_g2()
+    assert len(group) == 1344
+    assert all(is_g2(g) for g in group[::97])
+
+
+@given(st.lists(st.integers(0, 1343), min_size=1, max_size=3))
+@settings(max_examples=8, deadline=None)
+def test_coset_dimension_equals_projector_reference(s, picks):
+    group = signed_permutations_in_g2()
+    h = HolonomySpec(tuple(group[i] for i in picks))
+    assert coset_tangent_dim(h, s) == ref_coset_tangent_dim(h, s)
+
+
+# -- scipy is loaded on the first matrix_exp, not on import --------------------
+
+_NO_SCIPY = """
+import sys
+import g2kit, g2kit.cli
+from g2kit.errors import ExactModeError
+code = g2kit.cli.main(["twist", "--c", "3/5", "--omega",
+                       '{"degree": 1, "entries": [{"idx": [1], "coeff": "4/5"}]}'])
+assert code == 0, code
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+try:
+    g2kit.matrix_exp([[0] * 7 for _ in range(7)])
+except ExactModeError:
+    pass
+else:
+    raise AssertionError("exact input reached the exponential")
+assert "scipy" not in sys.modules
+A = [[0.0] * 7 for _ in range(7)]
+A[0][1], A[1][0] = 0.3, -0.3
+g = g2kit.matrix_exp(A)
+assert g2kit.is_so7(g, 1e-12) and abs(g[0][0] - 0.955336489125606) < 1e-12
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_import_and_cli_leave_scipy_unloaded():
+    src = str(Path(g2kit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
