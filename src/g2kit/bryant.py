@@ -7,9 +7,9 @@ implements the twist, its closed-form type decomposition, exact/float
 recovery of the canonical parameters from a twisted form, and the derivative
 of the twist map with its rank on an ambient parameter subspace.
 
-Tolerances follow one ladder: constraint checks at 1e-12, recovery residuals
-at 1e-9, float rank decisions at 1e-8 times the largest singular value.
-Exact mode replaces all three with literal equality.
+Float checks read the tolerance ladder in context.py (CONSTRAINT_TOL,
+RECOVERY_TOL, C_ZERO_SWITCH, FLOAT_RANK_CUTOFF) through the structure's
+Context; the exact lane replaces each with literal equality.
 """
 from __future__ import annotations
 
@@ -19,8 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ratlin
-from .context import scalar_sqrt
+from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, FLOAT_RANK_CUTOFF, RECOVERY_TOL
 from .errors import (
     ConstraintError,
     DecompositionError,
@@ -39,10 +38,6 @@ from .g2core import (
     odot_inverse,
 )
 from .sampling import rational_unit_tuple
-
-CONSTRAINT_TOL = 1e-12
-RECOVERY_TOL = 1e-9
-C_ZERO_SWITCH = 1e-7
 
 
 @dataclass(frozen=True)
@@ -109,11 +104,8 @@ def _coerce_params(s: G2Structure, p: TwistParams) -> TwistParams:
 
 def _check_constraint(s: G2Structure, p: TwistParams):
     res = p.constraint_residual(s)
-    if s.ctx.is_exact:
-        if res != 0:
-            raise ConstraintError(f"c^2 + |omega|^2 - 1 = {res}, want exactly 0")
-    elif abs(res) > CONSTRAINT_TOL:
-        raise ConstraintError(f"c^2 + |omega|^2 - 1 = {res}, beyond {CONSTRAINT_TOL}")
+    if not s.ctx.is_zero(res, CONSTRAINT_TOL):
+        raise ConstraintError(f"c^2 + |omega|^2 - 1 = {res}, not zero in the {s.ctx.mode} lane")
 
 
 def twist(s: G2Structure, p: TwistParams) -> KForm:
@@ -140,10 +132,9 @@ def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
     c, w = p.c, p.omega
     m, o = s.metric, s.orientation
     w2 = form_inner(w, w, m)
-    seven = Fraction(7) if s.ctx.is_exact else 7.0
-    p1 = ((8 * c * c - 1) / seven) * s.phi
+    p1 = ((8 * c * c - 1) / 7) * s.phi
     p7 = (2 * c) * hodge_star(wedge(w, s.phi), m, o)
-    p27 = 2 * wedge(w, hodge_star(wedge(w, s.star_phi), m, o)) - (6 * w2 / seven) * s.phi
+    p27 = 2 * wedge(w, hodge_star(wedge(w, s.star_phi), m, o)) - (6 * w2 / 7) * s.phi
     return Decomposition3(p1=p1, p7=p7, p27=p27)
 
 
@@ -153,11 +144,9 @@ def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
     _check_constraint(s, p)
     t = TwistTangent(s.ctx.scalar(t.c_dot), coerce_form(t.omega_dot, s.ctx))
     res = t.tangency_residual(p, s)
-    if s.ctx.is_exact:
-        if res != 0:
-            raise TangencyError(f"tangency c c_dot + <w, w_dot> = {res}, want exactly 0")
-    elif abs(res) > CONSTRAINT_TOL:
-        raise TangencyError(f"tangency c c_dot + <w, w_dot> = {res}, beyond {CONSTRAINT_TOL}")
+    if not s.ctx.is_zero(res, CONSTRAINT_TOL):
+        raise TangencyError(
+            f"tangency c c_dot + <w, w_dot> = {res}, not zero in the {s.ctx.mode} lane")
     c, w = p.c, p.omega
     cd, wd = t.c_dot, t.omega_dot
     m, o = s.metric, s.orientation
@@ -178,12 +167,10 @@ class Recovery:
 def _metric_matches(s: G2Structure, metric, orientation) -> bool:
     if orientation.sign != s.orientation.sign:
         return False
-    if s.ctx.is_exact:
-        return ratlin.mat_eq(metric.rows, s.metric.rows)
     diff = max(
         abs(metric.rows[i][j] - s.metric.rows[i][j]) for i in range(DIM) for j in range(DIM)
     )
-    return diff <= RECOVERY_TOL
+    return s.ctx.is_zero(diff, RECOVERY_TOL)
 
 
 def _recover_c_positive(s: G2Structure, phit: KForm, c) -> TwistParams:
@@ -193,13 +180,10 @@ def _recover_c_positive(s: G2Structure, phit: KForm, c) -> TwistParams:
         for i in range(1, DIM + 1)
     ]
     amat = [[cols[j][i] for j in range(DIM)] for i in range(len(target.coeffs))]
-    if s.ctx.is_exact:
-        try:
-            x = ratlin.solve_exact(amat, list(target.coeffs))
-        except G2KitError as exc:
-            raise RecoveryError(f"direction solve failed: {exc}") from exc
-    else:
-        x, _resid = ratlin.solve_float(amat, list(target.coeffs))
+    try:
+        x, _resid = s.ctx.solve(amat, list(target.coeffs))
+    except G2KitError as exc:
+        raise RecoveryError(f"direction solve failed: {exc}") from exc
     return TwistParams(c, KForm(1, tuple(x)))
 
 
@@ -213,7 +197,7 @@ def _recover_c_zero(s: G2Structure, phit: KForm) -> TwistParams:
         k = max(range(DIM), key=lambda i: rows[i][i])
         if rows[k][k] <= 0:
             raise RecoveryError("c=0 branch needs a positive rank-one symmetric part")
-        wk = scalar_sqrt(rows[k][k] / 2, True)
+        wk = s.ctx.sqrt(rows[k][k] / 2)
         w = [rows[i][k] / (2 * wk) for i in range(DIM)]
         for i in range(DIM):
             for j in range(DIM):
@@ -225,7 +209,7 @@ def _recover_c_zero(s: G2Structure, phit: KForm) -> TwistParams:
     lam = vals[-1]
     if lam <= 0:
         raise RecoveryError("c=0 branch needs a positive rank-one symmetric part")
-    if np.max(np.abs(vals[:-1])) > ratlin.FLOAT_RANK_CUTOFF * lam:
+    if np.max(np.abs(vals[:-1])) > FLOAT_RANK_CUTOFF * lam:
         raise RecoveryError("c=0 branch data is not rank one")
     w = np.sqrt(lam / 2.0) * vecs[:, -1]
     return TwistParams(0.0, KForm(1, tuple(float(x) for x in w)))
@@ -247,28 +231,22 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     metric, orient = metric_from_phi(phit, s.ctx)
     if not _metric_matches(s, metric, orient):
         raise MetricMismatchError("form does not induce this structure's metric/orientation")
+    ctx = s.ctx
     alpha = form_inner(phit, s.phi, s.metric) / 7
-    c_sq = (7 * alpha + 1) / (Fraction(8) if s.ctx.is_exact else 8.0)
-    if s.ctx.is_exact:
-        if c_sq < 0 or c_sq > 1:
-            raise RecoveryError(f"implied c^2 = {c_sq} outside [0, 1]")
-        if c_sq == 0:
-            params = _recover_c_zero(s, phit)
-        else:
-            params = _recover_c_positive(s, phit, scalar_sqrt(c_sq, True))
+    c_sq = (7 * alpha + 1) / 8
+    excess = max(-c_sq, c_sq - 1)  # positive outside [0, 1]
+    if excess > 0 and not ctx.is_zero(excess, CONSTRAINT_TOL):
+        raise RecoveryError(f"implied c^2 = {c_sq} outside [0, 1]")
+    c = ctx.sqrt(min(max(c_sq, 0), 1))
+    if ctx.is_zero(c, C_ZERO_SWITCH):
+        params = _recover_c_zero(s, phit)
     else:
-        if c_sq < -CONSTRAINT_TOL or c_sq > 1 + CONSTRAINT_TOL:
-            raise RecoveryError(f"implied c^2 = {c_sq} outside [0, 1]")
-        c = float(np.sqrt(min(max(c_sq, 0.0), 1.0)))
-        params = _recover_c_zero(s, phit) if c < C_ZERO_SWITCH else _recover_c_positive(s, phit, c)
+        params = _recover_c_positive(s, phit, c)
     params = params.canonical()
-    diff = twist(s, params) - phit
-    residual = float(diff.max_abs())
-    if s.ctx.is_exact:
-        if diff.max_abs() != 0:
-            raise RecoveryError(f"exact recovery left residual {residual}")
-    elif residual > tol * max(1.0, float(phit.max_abs())):
-        raise RecoveryError(f"recovery residual {residual} above {tol}")
+    err = (twist(s, params) - phit).max_abs()
+    residual = float(err)
+    if not ctx.is_zero(err, tol * max(1.0, float(phit.max_abs()))):
+        raise RecoveryError(f"recovery residual {residual} above {tol} in the {ctx.mode} lane")
     return Recovery(params=params, residual=residual)
 
 
@@ -281,14 +259,9 @@ def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
     if any(p.omega.coeffs[i] for i in range(ambient_dim, DIM)):
         raise ConstraintError("omega leaves the ambient coordinate subspace")
     row = [p.c] + [p.omega.coeffs[i] for i in range(ambient_dim)]
-    if s.ctx.is_exact:
-        null = ratlin.nullspace_exact([row])
-    else:
-        null = ratlin.nullspace_float([row])
-    zero = Fraction(0) if s.ctx.is_exact else 0.0
     basis = []
-    for v in null:
-        coeffs = list(v[1:]) + [zero] * (DIM - ambient_dim)
+    for v in s.ctx.nullspace([row]):
+        coeffs = list(v[1:]) + [s.ctx.zero] * (DIM - ambient_dim)
         basis.append(TwistTangent(v[0], KForm(1, tuple(coeffs))))
     return basis
 
@@ -304,7 +277,7 @@ def derivative_rank(s: G2Structure, p: TwistParams, ambient_dim: int) -> int:
     mat = derivative_matrix(s, p, ambient_dim)
     if not mat:
         return 0
-    return ratlin.matrix_rank(mat, s.ctx.is_exact)
+    return s.ctx.rank(mat)
 
 
 def derivative_margin(s: G2Structure, p: TwistParams, ambient_dim: int):

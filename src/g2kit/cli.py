@@ -15,11 +15,10 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .bryant import TwistParams, derivative_rank, recover, twist, twist_decomposed
-from .context import Context
+from .context import DEFAULT_TOL, Context
 from .errors import G2KitError, ParseError
 from .exterior import DIM, KForm, form_inner
 from .g2core import decompose2, decompose3, metric_from_phi, standard_structure
@@ -66,9 +65,10 @@ def _resolve_mode(flag):
         return flag
     env = os.environ.get("G2KIT_MODE", "")
     if env:
-        if env not in ("exact", "float"):
-            raise ParseError(f"G2KIT_MODE must be 'exact' or 'float', got {env!r}")
-        return env
+        try:
+            return Context.of(env).mode
+        except ValueError as exc:
+            raise ParseError(f"G2KIT_MODE must be 'exact' or 'float', got {env!r}") from exc
     return "exact"
 
 
@@ -109,12 +109,6 @@ def _report(command: str, cfg: CliConfig, inputs, outputs: dict, residuals: dict
     }
 
 
-def _zero_within(value, cfg: CliConfig) -> bool:
-    if isinstance(value, Fraction) or isinstance(value, int):
-        return value == 0
-    return abs(float(value)) <= cfg.tol
-
-
 # -- subcommands ----------------------------------------------------------
 
 
@@ -138,7 +132,7 @@ def cmd_decompose(args, cfg: CliConfig) -> dict:
         outputs[f"{name}_norm_sq"] = scalar_to_json(form_inner(part, part, s.metric))
     recon = (d.total() - form).max_abs()
     residuals["reconstruction"] = _residual_value(recon)
-    checks = {"reconstruction": _zero_within(recon, cfg)}
+    checks = {"reconstruction": cfg.ctx.is_zero(recon)}
     return _report("decompose", cfg, payload, outputs, residuals, checks)
 
 
@@ -156,8 +150,7 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
     inputs = {"c": scalar_to_json(c), "omega": omega_payload}
     res = p.constraint_residual(s)
     residuals = {"constraint": _residual_value(res)}
-    ok_constraint = res == 0 if ctx.is_exact else abs(float(res)) <= cfg.tol
-    if not ok_constraint:
+    if not ctx.is_zero(res):
         return _report("twist", cfg, inputs, {}, residuals,
                        {"constraint_on_sphere": False})
     phit = twist(s, p)
@@ -174,10 +167,10 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
     })
     checks = {
         "constraint_on_sphere": True,
-        "metric_preserved": _zero_within(gdiff, cfg),
+        "metric_preserved": ctx.is_zero(gdiff),
         "orientation_preserved": o.sign == s.orientation.sign,
-        "inner_product_law": _zero_within(inner_gap, cfg),
-        "parts_reconstruction": _zero_within(parts_gap, cfg),
+        "inner_product_law": ctx.is_zero(inner_gap),
+        "parts_reconstruction": ctx.is_zero(parts_gap),
     }
     outputs = {
         "phit": kform_to_json(phit),
@@ -200,31 +193,32 @@ def cmd_recover(args, cfg: CliConfig) -> dict:
     payload = _load_json(args.phit)
     phit = kform_from_json(payload, cfg.ctx)
     s = standard_structure(cfg.mode)
-    rec = recover(s, phit, tol=cfg.tol if cfg.mode == "float" else 1e-9)
+    rec = recover(s, phit, tol=cfg.tol)
     back = (twist(s, rec.params) - phit).max_abs()
     outputs = {"params": twistparams_to_json(rec.params)}
     residuals = {
         "recovery": _residual_value(rec.residual),
         "reconstruction": _residual_value(back),
     }
-    checks = {"reconstruction": _zero_within(back, cfg)}
+    checks = {"reconstruction": cfg.ctx.is_zero(back)}
     return _report("recover", cfg, payload, outputs, residuals, checks)
 
 
 def cmd_g2check(args, cfg: CliConfig) -> dict:
     payload = _load_json(args.matrix)
-    rows = matrix_from_json(payload, cfg.ctx)
+    ctx = cfg.ctx
+    rows = matrix_from_json(payload, ctx)
     s = standard_structure(cfg.mode)
     gtg = matmul(transpose([list(r) for r in rows]), [list(r) for r in rows])
     ortho_gap = max(abs(gtg[i][j] - (1 if i == j else 0)) for i in range(DIM) for j in range(DIM))
-    ortho_ok = _zero_within(ortho_gap, cfg)
+    ortho_ok = ctx.is_zero(ortho_gap)
     residuals = {"orthogonality": _residual_value(ortho_gap)}
     form_ok = False
     if ortho_ok:
         moved = act_on_form(rows, s.phi)
         form_gap = (moved - s.phi).max_abs()
         residuals["form_preservation"] = _residual_value(form_gap)
-        form_ok = _zero_within(form_gap, cfg)
+        form_ok = ctx.is_zero(form_gap)
     else:
         residuals["form_preservation"] = "not evaluated"
     outputs = {"member": form_ok, "orthogonal": ortho_ok}
@@ -234,7 +228,7 @@ def cmd_g2check(args, cfg: CliConfig) -> dict:
 def cmd_normalizer(args, cfg: CliConfig) -> dict:
     s = standard_structure(cfg.mode)
     basis = g2_algebra_basis(s)
-    normalizer = lie_normalizer(so7_basis(exact=cfg.mode == "exact"), basis)
+    normalizer = lie_normalizer(so7_basis(s.ctx.is_exact), basis)
     outputs = {
         "algebra_dim": basis.dim,
         "normalizer_dim": normalizer.dim,
@@ -254,9 +248,8 @@ def _phase_fit(s, p: TwistParams) -> dict:
     im_vol = KForm.from_entries(3, {(3, 4, 6): 1, (2, 4, 7): 1, (2, 5, 6): 1, (3, 5, 7): -1},
                                 s.ctx.is_exact)
     phit = twist(s, p)
-    quarter = Fraction(1, 4) if s.ctx.is_exact else 0.25
-    cos_fit = form_inner(phit, re_vol, s.metric) * quarter
-    sin_fit = form_inner(phit, im_vol, s.metric) * -quarter
+    cos_fit = form_inner(phit, re_vol, s.metric) / 4
+    sin_fit = form_inner(phit, im_vol, s.metric) / -4
     kaehler_part = phit - re_vol * cos_fit + im_vol * sin_fit
     ansatz_gap = (kaehler_part - (s.phi - re_vol)).max_abs()
     c, w1 = p.c, p.omega.coeffs[0]
@@ -296,8 +289,8 @@ def cmd_demo(args, cfg: CliConfig) -> dict:
         "roundtrip": _residual_value(roundtrip_gap),
     }
     checks = {
-        "standard_form": _zero_within(base_gap, cfg),
-        "roundtrip": _zero_within(roundtrip_gap, cfg),
+        "standard_form": cfg.ctx.is_zero(base_gap),
+        "roundtrip": cfg.ctx.is_zero(roundtrip_gap),
         "rank_equals_b1": rank == m.b1,
         "coset_equals_b1": coset == m.b1,
     }
@@ -322,10 +315,9 @@ def sample_circle_params(rng: random.Random, ctx: Context) -> TwistParams:
     from .sampling import rational_unit_tuple
 
     c, w = rational_unit_tuple(rng, 2)
-    coeffs = [ctx.scalar(0)] * DIM
-    coeffs[0] = ctx.scalar(str(w) if ctx.is_exact else float(w))
-    return TwistParams(ctx.scalar(str(c) if ctx.is_exact else float(c)),
-                       KForm(1, tuple(coeffs)))
+    coeffs = [ctx.zero] * DIM
+    coeffs[0] = ctx.scalar(w)
+    return TwistParams(ctx.scalar(c), KForm(1, tuple(coeffs)))
 
 
 def cmd_selftest(args, cfg: CliConfig) -> dict:
@@ -387,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--mode", choices=("exact", "float"), default=None,
                         help="arithmetic mode (default: $G2KIT_MODE or exact)")
-    shared.add_argument("--tol", type=float, default=1e-10,
+    shared.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="tolerance for float-mode comparisons")
     shared.add_argument("--seed", type=int, default=0, help="random seed, echoed in the report")
     shared.add_argument("--output", choices=("json", "text"), default="text")

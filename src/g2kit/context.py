@@ -1,10 +1,16 @@
-"""Computation context: scalar mode plus tolerances.
+"""Computation context: the arithmetic lane and the tolerance ladder.
 
 A whole computation runs either exact (fractions.Fraction everywhere) or
-float; the two are never mixed inside one structure.  The Context object is
-handed to the entry points (G2Structure construction, serialization, CLI) and
-coerces incoming scalars once, so everything downstream stays in one
-arithmetic.
+float; the two are never mixed inside one structure.  A Context names the
+lane and is the only place that knows what a lane is: it coerces incoming
+scalars once, gives the lane's zero and one, decides "is this zero" (literal
+in exact, within a tolerance in float), and routes square roots, ranks,
+kernels and solves to the lane's algorithm.  lane_of finds the lane of
+values that arrive without a Context (ints and Fractions are exact, any
+float makes them float).
+
+Every float tolerance of the package is one of the named constants below;
+the exact lane replaces each with literal equality.
 """
 from __future__ import annotations
 
@@ -18,9 +24,39 @@ from .errors import ExactModeError, ParseError
 
 Scalar = Union[int, float, Fraction]
 
+# -- the tolerance ladder ------------------------------------------------------
+# Absolute unless marked relative.
+#
+# Context.tol: CLI checks (--tol default) and odot_inverse's 7-part and residual.
 DEFAULT_TOL = 1e-10
+# is_so7 / is_g2 / nf_member default: entries of g^T g - 1, det g - 1, g.phi0 - phi0.
+SO7_TOL = 1e-10
+# c^2 + |omega|^2 = 1, tangency c c_dot + <omega, omega_dot> = 0, the range of c^2 in recover.
+CONSTRAINT_TOL = 1e-12
+# recover: induced metric match and re-twist residual (relative to max(1, |phit|)).
+RECOVERY_TOL = 1e-9
+# float recover takes the c = 0 branch at or below this c.
+C_ZERO_SWITCH = 1e-7
+# relative: singular values at or below this times the largest count as zero.
+FLOAT_RANK_CUTOFF = 1e-8
+# Lie side: holonomy generators in SO(7) and G2, algebra elements killing phi,
+# brackets staying in a span.
+LIE_TOL = 1e-8
+# entrywise float identities: traceless flag, orthonormal frame, antisymmetric
+# basis matrices, a model's unused directions.
+ENTRY_TOL = 1e-9
+# a float metric taken as the identity (the standard basis is orthonormal).
+EUCLIDEAN_TOL = 1e-12
+# |phi|^2 = 7 for a normalized 3-form.
+PHI_NORM_TOL = 1e-6
+# relative: gap that separates the eigenvalue clusters of the float 2-form spectrum.
+EIG_CLUSTER_GAP = 1e-6
+# relative: smallest eigenvalue of a positive definite float metric.
+SPD_EIG_TOL = 1e-12
 
 _MODES = ("exact", "float")
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 # Fraction("1e999999999") expands 10**999999999 before anything can refuse it,
 # so decimal exponents are capped like Python's 4300-digit limit on int strings.
@@ -38,18 +74,42 @@ def _check_exponent(text: str):
 
 @dataclass(frozen=True)
 class Context:
+    """One arithmetic lane, "exact" or "float", and the float lane's default tolerance."""
+
     mode: str = "exact"
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not (isinstance(self.tol, (int, float)) and self.tol > 0):
-            raise ValueError(f"tol must be a positive number, got {self.tol!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)) \
+                or not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
+
+    @staticmethod
+    def of(mode) -> "Context":
+        """The shared context of a mode name ("exact" or "float"); ValueError otherwise."""
+        if isinstance(mode, str) and mode in _MODES:
+            return EXACT if mode == "exact" else FLOAT
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
     @property
     def is_exact(self) -> bool:
         return self.mode == "exact"
+
+    @property
+    def zero(self) -> Scalar:
+        return _ZERO if self.is_exact else 0.0
+
+    @property
+    def one(self) -> Scalar:
+        return _ONE if self.is_exact else 1.0
+
+    def is_zero(self, x, tol: float | None = None) -> bool:
+        """x == 0 in exact mode; |x| <= tol (default: this context's tol) in float mode."""
+        if self.is_exact:
+            return x == 0
+        return abs(x) <= (self.tol if tol is None else tol)
 
     def scalar(self, x) -> Scalar:
         """Coerce one scalar into this context's arithmetic.
@@ -81,15 +141,54 @@ class Context:
             raise ParseError(f"float scalar {x!r} is not finite")
         return val
 
-    def eq(self, a, b, tol: float | None = None) -> bool:
-        """Scalar equality: literal in exact mode, tolerance in float mode."""
+    def sqrt(self, x) -> Scalar:
+        """Square root in this arithmetic.
+
+        Exact mode requires the rational to be a perfect square and raises
+        ExactModeError otherwise; float mode defers to math.sqrt.
+        """
+        if x < 0:
+            raise ValueError("negative radicand")
+        if not self.is_exact:
+            return math.sqrt(x)
+        q = Fraction(x)
+        root = rational_nth_root(q, 2) if q else _ZERO
+        if root is None:
+            raise ExactModeError(f"{q} has no rational square root")
+        return root
+
+    # ratlin reads FLOAT_RANK_CUTOFF from this module, so it is imported on use.
+
+    def rank(self, m) -> int:
+        from . import ratlin
+
+        return ratlin.matrix_rank(m, self.is_exact)
+
+    def nullspace(self, m) -> list:
+        """A kernel basis: one rational vector per free column in exact mode,
+        an orthonormal basis (SVD) in float mode."""
+        from . import ratlin
+
+        return ratlin.nullspace_exact(m) if self.is_exact else ratlin.nullspace_float(m)
+
+    def solve(self, a, b) -> tuple:
+        """(x, residual) for a x = b.  Exact mode returns a solution with
+        residual 0 and raises G2KitError for an inconsistent system; float
+        mode returns the least squares solution and its max-abs residual."""
+        from . import ratlin
+
         if self.is_exact:
-            return a == b
-        return abs(a - b) <= (self.tol if tol is None else tol)
+            return ratlin.solve_exact(a, b), _ZERO
+        return ratlin.solve_float(a, b)
 
 
 EXACT = Context("exact")
 FLOAT = Context("float")
+
+
+def lane_of(values) -> Context:
+    """The lane of loose values: FLOAT when any is a float, else EXACT."""
+    return FLOAT if any(isinstance(v, float) for v in values) else EXACT
 
 
 def _int_nth_root(m: int, n: int):
@@ -117,24 +216,3 @@ def rational_nth_root(q: Fraction, n: int) -> Fraction | None:
     if a ** n == p and b ** n == r:
         return Fraction(a, b)
     return None
-
-
-def scalar_sqrt(x, exact: bool):
-    """Square root in the given arithmetic.
-
-    Exact mode requires the rational to be a perfect square and raises
-    ExactModeError otherwise; float mode defers to math.sqrt.
-    """
-    if exact:
-        q = Fraction(x)
-        if q < 0:
-            raise ValueError("negative radicand")
-        if q == 0:
-            return Fraction(0)
-        root = rational_nth_root(q, 2)
-        if root is None:
-            raise ExactModeError(f"{q} has no rational square root")
-        return root
-    if x < 0:
-        raise ValueError("negative radicand")
-    return math.sqrt(x)

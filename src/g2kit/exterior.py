@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from . import ratlin
-from .context import Context, Scalar, scalar_sqrt
+from .context import EXACT, FLOAT, SPD_EIG_TOL, Context, Scalar, lane_of
 from .errors import DegreeError, MetricError
 
 DIM = 7
@@ -109,7 +109,7 @@ class KForm:
 
     @classmethod
     def zero(cls, degree: int, exact: bool = True) -> "KForm":
-        fill = Fraction(0) if exact else 0.0
+        fill = (EXACT if exact else FLOAT).zero
         return cls(degree, (fill,) * NK[degree])
 
     @classmethod
@@ -124,7 +124,7 @@ class KForm:
 
     @classmethod
     def from_entries(cls, degree: int, entries, exact: bool = True) -> "KForm":
-        coeffs = [Fraction(0) if exact else 0.0] * NK[degree]
+        coeffs = list(cls.zero(degree, exact).coeffs)
         for idx, c in dict(entries).items():
             idx = tuple(idx)
             if idx not in POS[degree]:
@@ -142,7 +142,7 @@ class KForm:
             index = tuple(index[0])
         order = tuple(sorted(index))
         if len(set(order)) != len(order):
-            return Fraction(0) if self.is_exact else 0.0
+            return lane_of(self.coeffs).zero
         sign = _permutation_sign(index)
         return sign * self.coeffs[POS[self.degree][order]]
 
@@ -205,17 +205,15 @@ def coerce_form(a: KForm, ctx: Context) -> KForm:
 
 
 def basis_vector(i: int, exact: bool = True) -> tuple:
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    return tuple(one if j == i else zero for j in range(1, DIM + 1))
+    lane = EXACT if exact else FLOAT
+    return tuple(lane.one if j == i else lane.zero for j in range(1, DIM + 1))
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
     if a.degree + b.degree > DIM:
         raise DegreeError(f"wedge degree {a.degree}+{b.degree} exceeds {DIM}")
     out_deg = a.degree + b.degree
-    exact = a.is_exact and b.is_exact
-    out = [Fraction(0) if exact else 0.0] * NK[out_deg]
+    out = [lane_of(a.coeffs + b.coeffs).zero] * NK[out_deg]
     ac, bc = a.coeffs, b.coeffs
     for pa, pb, s, po in _wedge_table(a.degree, b.degree):
         ca = ac[pa]
@@ -233,8 +231,7 @@ def interior(v: Sequence, a: KForm) -> KForm:
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
     k = a.degree
-    exact = a.is_exact and ratlin.is_exact_values(v)
-    out = [Fraction(0) if exact else 0.0] * NK[k - 1]
+    out = [lane_of((*a.coeffs, *v)).zero] * NK[k - 1]
     for p, I in enumerate(BASIS[k]):
         c = a.coeffs[p]
         if not c:
@@ -264,8 +261,6 @@ class Orientation:
 POSITIVE = Orientation(1)
 NEGATIVE = Orientation(-1)
 
-_SPD_EIG_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Metric:
@@ -293,7 +288,7 @@ class Metric:
         else:
             eig = np.linalg.eigvalsh(np.asarray(rows, dtype=float))
             scale = max(1.0, float(np.max(np.abs(eig))))
-            if eig[0] <= _SPD_EIG_TOL * scale:
+            if eig[0] <= SPD_EIG_TOL * scale:
                 raise MetricError("metric is not positive definite")
 
     def __hash__(self):
@@ -309,10 +304,9 @@ class Metric:
 
     def is_euclidean_within(self, tol: float) -> bool:
         """Euclidean up to entrywise tol; float metrics carry roundoff."""
-        if self.is_exact:
-            return self.is_euclidean
-        return all(abs(self.rows[i][j] - (1 if i == j else 0)) <= tol
-                   for i in range(DIM) for j in range(DIM))
+        lane = lane_of(self.rows[0])
+        return self.is_euclidean or all(lane.is_zero(self.rows[i][j] - (1 if i == j else 0), tol)
+                                        for i in range(DIM) for j in range(DIM))
 
     def entry(self, i: int, j: int):
         return self.rows[i - 1][j - 1]
@@ -340,19 +334,17 @@ def _metric_inverse(m: Metric):
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_det(m: Metric):
-    if m.is_exact:
-        return ratlin.det_exact(m.rows)
-    return float(np.linalg.det(np.asarray(m.rows, dtype=float)))
+    return _det_small(m.rows, m.is_exact)
 
 
 def _sqrt_det(m: Metric):
-    return scalar_sqrt(_metric_det(m), m.is_exact)
+    return lane_of(m.rows[0]).sqrt(_metric_det(m))
 
 
 def _det_small(mat, exact: bool):
     k = len(mat)
     if k == 0:
-        return Fraction(1) if exact else 1.0
+        return (EXACT if exact else FLOAT).one
     if k == 1:
         return mat[0][0]
     if k == 2:
@@ -434,15 +426,13 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
     out_deg = DIM - k
     comp = _comp_table(k)
     if m.is_euclidean:
-        vol = Fraction(o.sign) if a.is_exact else float(o.sign)
         out = [None] * NK[out_deg]
         for p in range(NK[k]):
             po, s = comp[p]
-            out[po] = (a.coeffs[p] * vol) if s > 0 else -(a.coeffs[p] * vol)
+            out[po] = (a.coeffs[p] * o.sign) if s > 0 else -(a.coeffs[p] * o.sign)
         return KForm(out_deg, tuple(out))
     vol = _sqrt_det(m) * o.sign
-    exact = a.is_exact and m.is_exact
-    out = [Fraction(0) if exact else 0.0] * NK[out_deg]
+    out = [lane_of((*a.coeffs, vol)).zero] * NK[out_deg]
     for p, inner in enumerate(gram_apply(a, m)):
         if inner:
             po, s = comp[p]
@@ -474,14 +464,14 @@ def pullback(a: KForm, mat) -> KForm:
     rows = [list(r) for r in mat]
     if len(rows) != DIM or any(len(r) != DIM for r in rows):
         raise ValueError("pullback needs a 7x7 matrix")
-    exact = a.is_exact and ratlin.is_exact_values([x for r in rows for x in r])
+    lane = lane_of((*a.coeffs, *(x for r in rows for x in r)))
     nonzero = list(a.entries())
     out = []
     for I in BASIS[k]:
-        tot = Fraction(0) if exact else 0.0
+        tot = lane.zero
         for J, c in nonzero:
             minor = [[rows[j - 1][i - 1] for i in I] for j in J]
-            tot += c * _det_small(minor, exact)
+            tot += c * _det_small(minor, lane.is_exact)
         out.append(tot)
     return KForm(k, tuple(out))
 

@@ -22,12 +22,23 @@ from math import lcm
 import numpy as np
 
 from . import ratlin
-from .context import EXACT, FLOAT, Context, rational_nth_root
+from .context import (
+    EIG_CLUSTER_GAP,
+    ENTRY_TOL,
+    EUCLIDEAN_TOL,
+    EXACT,
+    FLOAT,
+    PHI_NORM_TOL,
+    Context,
+    lane_of,
+    rational_nth_root,
+)
 from .errors import (
     DecompositionError,
     DegreeError,
     ExactModeError,
     FrameError,
+    G2KitError,
     MetricError,
     NotG2FormError,
 )
@@ -68,8 +79,7 @@ _SIX_POW_7 = 6 ** 7
 
 def phi0(exact: bool = True) -> KForm:
     """The standard associative 3-form on R^7."""
-    entries = {idx: (Fraction(v) if exact else float(v)) for idx, v in PHI0_ENTRIES.items()}
-    return KForm.from_entries(3, entries, exact=exact)
+    return KForm.from_entries(3, PHI0_ENTRIES, exact=exact)
 
 
 # B_ij is cubic in phi: the upper-triangle pairs (i, j), i <= j, in row order.
@@ -201,8 +211,7 @@ def is_g2_form(phi: KForm, ctx: Context = EXACT) -> bool:
 
 def _full_tensor(phi: KForm):
     """phi as a totally antisymmetric 3-tensor lookup t[a][b][c] (0-based)."""
-    exact = phi.is_exact
-    zero = Fraction(0) if exact else 0.0
+    zero = lane_of(phi.coeffs).zero
     t = [[[zero] * DIM for _ in range(DIM)] for _ in range(DIM)]
     for (i, j, k), c in phi.entries():
         for (a, b, d), sign in (
@@ -214,12 +223,12 @@ def _full_tensor(phi: KForm):
 
 
 def _cluster_eigenvalues(vals):
-    """Group a real spectrum into clusters with gap 1e-6 (relative)."""
+    """Group a real spectrum into clusters separated by more than EIG_CLUSTER_GAP (relative)."""
     vals = sorted(float(v) for v in vals)
     scale = max(1.0, max(abs(v) for v in vals))
     clusters = [[vals[0]]]
     for v in vals[1:]:
-        if v - clusters[-1][-1] <= 1e-6 * scale:
+        if v - clusters[-1][-1] <= EIG_CLUSTER_GAP * scale:
             clusters[-1].append(v)
         else:
             clusters.append([v])
@@ -279,10 +288,7 @@ class G2Structure:
         self.vol = volume_form(self.metric, self.orientation)
         self.star_phi = hodge_star(self.phi, self.metric, self.orientation)
         norm = form_inner(self.phi, self.phi, self.metric)
-        if ctx.is_exact:
-            if norm != 7:
-                raise NotG2FormError(f"normalized 3-form should have |phi|^2 = 7, got {norm}")
-        elif abs(norm - 7.0) > 1e-6:
+        if not ctx.is_zero(norm - 7, PHI_NORM_TOL):
             raise NotG2FormError(f"normalized 3-form should have |phi|^2 = 7, got {norm}")
         self._tensor = _full_tensor(self.phi)
         self._init_two_form_spectrum()
@@ -333,8 +339,7 @@ class G2Structure:
             interior(basis_vector(i, exact), self.star_phi) for i in range(1, DIM + 1)
         )
         # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
-        quarter = Fraction(1, 4) if exact else 0.25
-        self._gram7_inv = [[x * quarter for x in row] for row in _metric_inverse(self.metric)]
+        self._gram7_inv = [[x / 4 for x in row] for row in _metric_inverse(self.metric)]
 
     def phi_eval(self, i: int, j: int, k: int):
         """phi on basis vectors e_i, e_j, e_k (1-based, any order)."""
@@ -353,7 +358,7 @@ class G2Structure:
 @lru_cache(maxsize=None)
 def standard_structure(mode: str = "exact") -> G2Structure:
     """The structure of the standard form, cached per mode."""
-    ctx = EXACT if mode == "exact" else FLOAT
+    ctx = Context.of(mode)
     return G2Structure(phi0(ctx.is_exact), ctx)
 
 
@@ -409,7 +414,7 @@ def decompose2(beta: KForm, s: G2Structure) -> Decomposition2:
     beta = coerce_form(beta, s.ctx)
     t_beta = s.two_form_operator(beta)
     denom = s.lambda7 - s.lambda14
-    p7 = (t_beta - s.lambda14 * beta) * (1 / denom if s.ctx.is_exact else 1.0 / denom)
+    p7 = (t_beta - s.lambda14 * beta) * (1 / denom)
     return Decomposition2(p7=p7, p14=beta - p7)
 
 
@@ -455,10 +460,7 @@ class SymTensor:
         object.__setattr__(self, "rows", rows)
         if self.traceless:
             tr = sum(rows[i][i] for i in range(DIM))
-            if isinstance(tr, float):
-                if abs(tr) > 1e-9:
-                    raise ValueError("SymTensor flagged traceless has nonzero trace")
-            elif tr != 0:
+            if not lane_of([tr]).is_zero(tr, ENTRY_TOL):
                 raise ValueError("SymTensor flagged traceless has nonzero trace")
 
     def trace(self):
@@ -510,11 +512,11 @@ def odot_local(b, s: G2Structure, frame=None) -> KForm:
     Euclidean so the standard basis qualifies, otherwise FrameError.
     """
     rows = _as_rows(b)
-    exact = s.ctx.is_exact
+    ctx = s.ctx
     if frame is None:
-        if not s.metric.is_euclidean_within(1e-12):
+        if not s.metric.is_euclidean_within(EUCLIDEAN_TOL):
             raise FrameError("standard basis is not orthonormal for this metric; pass a frame")
-        frame = [basis_vector(i, exact) for i in range(1, DIM + 1)]
+        frame = [basis_vector(i, ctx.is_exact) for i in range(1, DIM + 1)]
     else:
         frame = [tuple(v) for v in frame]
         if len(frame) != DIM:
@@ -523,13 +525,9 @@ def odot_local(b, s: G2Structure, frame=None) -> KForm:
             fi = flat(frame[i], s.metric)
             for j in range(DIM):
                 val = sum(x * y for x, y in zip(fi.coeffs, frame[j]))
-                want = 1 if i == j else 0
-                if exact:
-                    if val != want:
-                        raise FrameError("frame is not orthonormal for the metric")
-                elif abs(val - want) > 1e-9:
+                if not ctx.is_zero(val - (1 if i == j else 0), ENTRY_TOL):
                     raise FrameError("frame is not orthonormal for the metric")
-    out = KForm.zero(3, exact)
+    out = KForm.zero(3, ctx.is_exact)
     contr = [interior(f, s.phi) for f in frame]
     flats = [flat(f, s.metric) for f in frame]
     for i in range(DIM):
@@ -548,8 +546,8 @@ def infinitesimal_action(A, s: G2Structure) -> KForm:
 
 def symmetric_basis(exact: bool = True):
     """The 28 symmetric unit matrices: 7 diagonal then the 21 pair sums."""
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
+    lane = EXACT if exact else FLOAT
+    one, zero = lane.one, lane.zero
     basis = []
     for i in range(DIM):
         m = [[zero] * DIM for _ in range(DIM)]
@@ -582,39 +580,29 @@ def _odot_symmetric_matrix(s: G2Structure):
     return s._odot_matrix_cache
 
 
-def odot_inverse(eta: KForm, s: G2Structure, tol: float | None = None) -> SymTensor:
+def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
     """The unique symmetric b with b acting on phi giving eta.
 
     Preconditions: eta is a 3-form with no 7-part (the action of symmetric
     tensors only reaches the 1- and 27-parts); violations raise
-    DecompositionError.
+    DecompositionError.  Float checks use the structure's context tol.
     """
     if eta.degree != 3:
         raise DegreeError("odot_inverse expects a 3-form")
-    eta = coerce_form(eta, s.ctx)
+    ctx = s.ctx
+    eta = coerce_form(eta, ctx)
     parts = decompose3(eta, s)
-    tol = s.ctx.tol if tol is None else tol
-    if s.ctx.is_exact:
-        if parts.p7.max_abs() != 0:
-            raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
-        target = list(eta.coeffs)
-    else:
-        if float(parts.p7.max_abs()) > tol:
-            raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
-        target = [a + b for a, b in zip(parts.p1.coeffs, parts.p27.coeffs)]
-    amat = _odot_symmetric_matrix(s)
-    if s.ctx.is_exact:
-        try:
-            x = ratlin.solve_exact(amat, target)
-        except Exception as exc:
-            raise DecompositionError(f"exact inversion failed: {exc}") from exc
-    else:
-        x, resid = ratlin.solve_float(amat, target)
-        scale = max(1.0, float(eta.max_abs()))
-        if resid > tol * scale:
-            raise DecompositionError(f"float inversion residual {resid} above tolerance")
-    zero = Fraction(0) if s.ctx.is_exact else 0.0
-    rows = [[zero] * DIM for _ in range(DIM)]
+    if not ctx.is_zero(parts.p7.max_abs()):
+        raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
+    # with p7 = 0 this is eta itself in the exact lane
+    target = [a + b for a, b in zip(parts.p1.coeffs, parts.p27.coeffs)]
+    try:
+        x, resid = ctx.solve(_odot_symmetric_matrix(s), target)
+    except G2KitError as exc:
+        raise DecompositionError(f"exact inversion failed: {exc}") from exc
+    if not ctx.is_zero(resid, ctx.tol * max(1.0, float(eta.max_abs()))):
+        raise DecompositionError(f"float inversion residual {resid} above tolerance")
+    rows = [[None] * DIM for _ in range(DIM)]
     pos = 0
     for i in range(DIM):
         rows[i][i] = x[pos]

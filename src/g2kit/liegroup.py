@@ -8,26 +8,28 @@ generators into the stabilizer, together with the first-order (tangent)
 dimension count of the solution set modulo the stabilizer.
 
 Everything here targets the standard metric: algebra elements are plain
-antisymmetric matrices.  Float rank/kernel decisions use the package cutoff
-1e-8 * sigma_max; exact inputs run through the rational kernel instead.
+antisymmetric matrices.  The lane of a computation is that of its inputs
+(context.lane_of); float checks read SO7_TOL, LIE_TOL, ENTRY_TOL and
+FLOAT_RANK_CUTOFF from the tolerance ladder in context.py.
 
-The exact lane of the normalizer and the coset count works on integers: a
-subspace of so(7) is tested through one integer annihilator (primitive int
-rows spanning the vectors orthogonal to it in the 21 upper-triangle
-coordinates), and brackets of coordinate vectors come from a sparse so(7)
-structure-constant table.  scipy is imported on the first matrix_exp call,
-so importing the package does not load it.
+The normalizer and the coset count run one code path in both lanes: a
+subspace of so(7) is tested through one annihilator (rows spanning the
+vectors orthogonal to it in the 21 upper-triangle coordinates), and brackets
+of coordinate vectors come from a sparse so(7) structure-constant table.
+The exact lane scales its vectors to integers first, so its arithmetic runs
+on ints.  scipy is imported on the first matrix_exp call, so importing the
+package does not load it.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import ratlin
+from .context import ENTRY_TOL, EUCLIDEAN_TOL, EXACT, FLOAT, LIE_TOL, SO7_TOL, lane_of
 from .errors import (
     BracketClosureError,
     DecompositionError,
@@ -39,8 +41,6 @@ from .exterior import DIM, KForm, pullback
 from .g2core import G2Structure, infinitesimal_action, phi0, standard_structure
 from .sampling import float_antisymmetric
 
-_SO7_TOL = 1e-10
-
 
 def _rows(m):
     rows = [list(r) for r in m]
@@ -49,14 +49,15 @@ def _rows(m):
     return rows
 
 
-def _exact_rows(rows) -> bool:
-    return ratlin.is_exact_values([x for r in rows for x in r])
+def _lane(*mats):
+    """The lane of the matrices' entries."""
+    return lane_of(x for m in mats for row in m for x in row)
 
 
-def is_so7(g, tol: float = _SO7_TOL) -> bool:
+def is_so7(g, tol: float = SO7_TOL) -> bool:
     """Orthogonal with determinant one."""
     rows = _rows(g)
-    if _exact_rows(rows):
+    if _lane(rows).is_exact:
         gtg = ratlin.matmul(ratlin.transpose(rows), rows)
         return ratlin.mat_eq(gtg, ratlin.identity(DIM)) and ratlin.det_exact(rows) == 1
     arr = np.asarray(rows, dtype=float)
@@ -67,29 +68,27 @@ def is_so7(g, tol: float = _SO7_TOL) -> bool:
 def act_on_form(g, a: KForm) -> KForm:
     """The group action g . a = pullback of a by g^{-1}."""
     rows = _rows(g)
-    if _exact_rows(rows):
+    if _lane(rows).is_exact:
         inv = ratlin.inv_exact(rows)
     else:
         inv = np.linalg.inv(np.asarray(rows, dtype=float)).tolist()
     return pullback(a, inv)
 
 
-def is_g2(g, tol: float = _SO7_TOL) -> bool:
+def is_g2(g, tol: float = SO7_TOL) -> bool:
     """True when g is orthogonal, unimodular, and its action fixes the standard 3-form."""
     rows = _rows(g)
     if not is_so7(rows, tol):
         return False
-    exact = _exact_rows(rows)
-    moved = act_on_form(rows, phi0(exact))
-    if exact:
-        return moved == phi0(True)
-    return moved.isclose(phi0(False), tol)
+    lane = _lane(rows)
+    phi = phi0(lane.is_exact)
+    return lane.is_zero((act_on_form(rows, phi) - phi).max_abs(), tol)
 
 
 def matrix_exp(a):
     """Matrix exponential (float only; exact mode has no rational exponential)."""
     rows = _rows(a)
-    if _exact_rows(rows):
+    if _lane(rows).is_exact:
         raise ExactModeError("matrix_exp needs float input; the exponential leaves the rationals")
     from scipy.linalg import expm
 
@@ -112,27 +111,19 @@ class SubalgebraBasis:
         object.__setattr__(self, "matrices", mats)
         for m in mats:
             rows = _rows(m)
-            exact = _exact_rows(rows)
-            for i in range(DIM):
-                for j in range(DIM):
-                    v = rows[i][j] + rows[j][i]
-                    if exact:
-                        if v != 0:
-                            raise ValueError("basis matrices must be antisymmetric")
-                    elif abs(v) > 1e-9:
-                        raise ValueError("basis matrices must be antisymmetric")
-        if mats:
-            vecs = [_vec_so(_rows(m)) for m in mats]
-            exact = all(ratlin.is_exact_values(v) for v in vecs)
-            if ratlin.matrix_rank(vecs, exact) != len(mats):
-                raise ValueError("basis matrices must be linearly independent")
+            lane = _lane(rows)
+            if not all(lane.is_zero(rows[i][j] + rows[j][i], ENTRY_TOL)
+                       for i in range(DIM) for j in range(DIM)):
+                raise ValueError("basis matrices must be antisymmetric")
+        if mats and _lane(*mats).rank([_vec_so(m) for m in mats]) != len(mats):
+            raise ValueError("basis matrices must be linearly independent")
 
     @property
     def dim(self) -> int:
         return len(self.matrices)
 
     def is_exact(self) -> bool:
-        return all(_exact_rows(_rows(m)) for m in self.matrices)
+        return _lane(*self.matrices).is_exact
 
 
 _UPPER = [(i, j) for i in range(DIM) for j in range(i + 1, DIM)]
@@ -190,19 +181,31 @@ def _bracket_vec(u, v):
     return out
 
 
-def _annihilator(vecs):
-    """Primitive integer rows spanning the vectors orthogonal to every vec
-    (the standard dot product on the 21 coordinates): w is in the span of
-    vecs exactly when every row dotted with w is zero."""
+def _scaled(lane, rows):
+    """(rows, d) with the input equal to rows / d: int rows over one common
+    denominator d in the exact lane, the rows themselves and d = 1 in float.
+    A positive common factor moves no span, kernel or rank tested here."""
+    return ratlin.int_rows(rows) if lane.is_exact else (rows, 1)
+
+
+def _annihilator(lane, vecs):
+    """Rows spanning the vectors orthogonal to every vec (the standard dot
+    product on the 21 coordinates): w is in the span of vecs exactly when
+    every row dotted with w is zero (within LIE_TOL in the float lane, where
+    the rows are orthonormal).  Exact rows are scaled to ints."""
     if not vecs:
         return [[int(r == c) for c in range(len(_UPPER))] for r in range(len(_UPPER))]
-    return [ratlin.primitive_int_row(v) for v in ratlin.nullspace_exact(vecs)]
+    return _scaled(lane, lane.nullspace(vecs))[0]
+
+
+def _in_span(lane, ann, v) -> bool:
+    return lane.is_zero(max((abs(x) for x in ratlin.matvec(ann, v)), default=0), LIE_TOL)
 
 
 def so7_basis(exact: bool = True) -> SubalgebraBasis:
     """The 21 antisymmetric units E_ij = e_i e_j^T - e_j e_i^T, i < j."""
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
+    lane = EXACT if exact else FLOAT
+    one, zero = lane.one, lane.zero
     mats = []
     for (i, j) in _UPPER:
         m = [[zero] * DIM for _ in range(DIM)]
@@ -214,9 +217,7 @@ def so7_basis(exact: bool = True) -> SubalgebraBasis:
 
 def two_form_to_matrix(beta: KForm):
     """The antisymmetric matrix B with B_ij = beta(e_i, e_j)."""
-    exact = beta.is_exact
-    zero = Fraction(0) if exact else 0.0
-    rows = [[zero] * DIM for _ in range(DIM)]
+    rows = [[lane_of(beta.coeffs).zero] * DIM for _ in range(DIM)]
     for (i, j), c in beta.entries():
         rows[i - 1][j - 1] = c
         rows[j - 1][i - 1] = -c
@@ -228,7 +229,7 @@ def matrix_to_two_form(rows) -> KForm:
     return KForm.from_entries(
         2,
         {(i + 1, j + 1): rows[i][j] for (i, j) in _UPPER},
-        exact=_exact_rows(rows),
+        exact=_lane(rows).is_exact,
     )
 
 
@@ -242,96 +243,43 @@ def g2_algebra_basis(s: G2Structure | None = None) -> SubalgebraBasis:
     """
     if s is None:
         s = standard_structure("exact")
-    if not s.metric.is_euclidean_within(1e-12):
+    if not s.metric.is_euclidean_within(EUCLIDEAN_TOL):
         raise FrameError("algebra extraction is defined for Euclidean-metric structures")
     mats = []
     for beta in s.basis2_14:
         m = two_form_to_matrix(beta)
-        killed = infinitesimal_action(m, s)
-        if s.ctx.is_exact:
-            if killed.max_abs() != 0:
-                raise DecompositionError("eigenspace element does not annihilate phi")
-        elif float(killed.max_abs()) > 1e-8:
+        if not s.ctx.is_zero(infinitesimal_action(m, s).max_abs(), LIE_TOL):
             raise DecompositionError("eigenspace element does not annihilate phi")
         mats.append(tuple(tuple(r) for r in m))
     return SubalgebraBasis(tuple(mats))
 
 
-class _SpanProjector:
-    """Least-squares projector onto the span of float vectors."""
+def lie_normalizer(ambient: SubalgebraBasis, sub: SubalgebraBasis) -> SubalgebraBasis:
+    """Elements A of the ambient span with [A, S] in the sub span for every
+    basis element S.  The sub basis must be bracket-closed (BracketClosureError).
 
-    def __init__(self, vecs):
-        self.vecs = [list(v) for v in vecs]
-        self.empty = not self.vecs
-        if not self.empty:
-            self._pinv = np.linalg.pinv(np.asarray(self.vecs, dtype=float).T)
-
-    def residual(self, v):
-        """v minus its projection onto the span."""
-        if self.empty:
-            return list(v)
-        coords = self._pinv @ np.asarray(v, dtype=float)
-        proj = np.asarray(self.vecs, dtype=float).T @ coords
-        return (np.asarray(v, dtype=float) - proj).tolist()
-
-
-def _normalizer_kernel_exact(ambient: SubalgebraBasis, sub: SubalgebraBasis):
-    """Kernel of A -> (annihilator . [A, S_b])_b over the ambient coordinates,
-    or None when either basis is empty.  Sub vectors are scaled to primitive
-    ints and the ambient ones by one common denominator; neither moves the
-    kernel, so the rref (and the basis) equal those of the projector residuals."""
-    sub_vecs = [ratlin.primitive_int_row(_vec_so(_rows(m))) for m in sub.matrices]
-    ann = _annihilator(sub_vecs)
+    The kernel of A -> (annihilator . [A, S_b])_b over the ambient
+    coordinates.  The exact lane scales the sub and ambient vectors to ints by
+    one common denominator each; neither moves that kernel, whose basis comes
+    from the unique reduced row echelon form."""
+    lane = _lane(*ambient.matrices, *sub.matrices)
+    sub_vecs = _scaled(lane, [_vec_so(m) for m in sub.matrices])[0]
+    ann = _annihilator(lane, sub_vecs)
     for i, a in enumerate(sub_vecs):
         for b in sub_vecs[i + 1:]:
-            if any(ratlin.matvec(ann, _bracket_vec(a, b))):
+            if not _in_span(lane, ann, _bracket_vec(a, b)):
                 raise BracketClosureError("sub basis is not closed under the bracket")
     if not ambient.matrices or not sub_vecs:
-        return None
-    amb_vecs, _ = ratlin.int_rows([_vec_so(_rows(m)) for m in ambient.matrices])
+        return ambient
+    amb_vecs = _scaled(lane, [_vec_so(m) for m in ambient.matrices])[0]
     constraint = []
     for svec in sub_vecs:
         cols = [ratlin.matvec(ann, _bracket_vec(avec, svec)) for avec in amb_vecs]
         constraint.extend(list(row) for row in zip(*cols))
-    return ratlin.nullspace_exact(constraint or [[0] * len(amb_vecs)])
-
-
-def _normalizer_kernel_float(ambient: SubalgebraBasis, sub: SubalgebraBasis, tol: float):
-    sub_vecs = [_vec_so(_rows(m)) for m in sub.matrices]
-    proj = _SpanProjector(sub_vecs)
-    for i, a in enumerate(sub.matrices):
-        for b in sub.matrices[i + 1:]:
-            res = proj.residual(_vec_so(bracket(_rows(a), _rows(b))))
-            if max(abs(r) for r in res) > tol:
-                raise BracketClosureError("sub basis is not closed under the bracket")
-    columns = []
-    for e in ambient.matrices:
-        col = []
-        for smat in sub.matrices:
-            col.extend(proj.residual(_vec_so(bracket(_rows(e), _rows(smat)))))
-        columns.append(col)
-    if not columns or not columns[0]:
-        return None
-    constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
-    return ratlin.nullspace_float(constraint, tol)
-
-
-def lie_normalizer(ambient: SubalgebraBasis, sub: SubalgebraBasis, tol: float = 1e-8) -> SubalgebraBasis:
-    """Elements A of the ambient span with [A, S] in the sub span for every
-    basis element S.  The sub basis must be bracket-closed (BracketClosureError)."""
-    exact = ambient.is_exact() and sub.is_exact()
-    if exact:
-        null = _normalizer_kernel_exact(ambient, sub)
-    else:
-        null = _normalizer_kernel_float(ambient, sub, tol)
-    if null is None:
-        return ambient
-    amb_mats = [_rows(m) for m in ambient.matrices]
-    zero = Fraction(0) if exact else 0.0
     mats = []
-    for coeffs in null:
-        acc = [[zero] * DIM for _ in range(DIM)]
-        for c, e in zip(coeffs, amb_mats):
+    for coeffs in lane.nullspace(constraint or [[0] * len(amb_vecs)]):
+        acc = [[lane.zero] * DIM for _ in range(DIM)]
+        for c, e in zip(coeffs, ambient.matrices):
             if c:
                 for i in range(DIM):
                     row = e[i]
@@ -353,7 +301,7 @@ class HolonomySpec:
         gens = tuple(tuple(tuple(x for x in row) for row in g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         for g in gens:
-            if not is_so7(g, 1e-8):
+            if not is_so7(g, LIE_TOL):
                 raise HolonomyError("holonomy generators must be special orthogonal")
 
     @classmethod
@@ -365,19 +313,17 @@ class HolonomySpec:
         return len(self.generators)
 
 
-def nf_member(g, h: HolonomySpec, tol: float = _SO7_TOL) -> bool:
+def nf_member(g, h: HolonomySpec, tol: float = SO7_TOL) -> bool:
     """Does conjugating every holonomy generator by g land in the stabilizer?
 
     g must itself be special orthogonal (HolonomyError otherwise); the test
-    is is_g2(g^-1 h_i g) for every generator.
+    is is_g2(g^T h_i g) for every generator, g^T being g^-1 (exactly so in
+    the exact lane, where is_so7 checks g^T g = 1 literally).
     """
     rows = _rows(g)
-    if not is_so7(rows, max(tol, 1e-8)):
+    if not is_so7(rows, max(tol, LIE_TOL)):
         raise HolonomyError("frame rotation must be special orthogonal")
-    if _exact_rows(rows):
-        ginv = ratlin.inv_exact(rows)
-    else:
-        ginv = ratlin.transpose(rows)
+    ginv = ratlin.transpose(rows)
     for gen in h.generators:
         conj = ratlin.matmul(ratlin.matmul(ginv, _rows(gen)), rows)
         if not is_g2(conj, tol):
@@ -385,37 +331,33 @@ def nf_member(g, h: HolonomySpec, tol: float = _SO7_TOL) -> bool:
     return True
 
 
-def coset_tangent_dim(h: HolonomySpec, s: G2Structure | None = None, tol: float = 1e-8) -> int:
+def coset_tangent_dim(h: HolonomySpec, s: G2Structure | None = None) -> int:
     """First-order dimension of the admissible rotations modulo the stabilizer.
 
     Linearizes the conjugation condition at the identity: counts antisymmetric
     A with A - h^-1 A h in the stabilizer algebra for every generator, then
     subtracts the stabilizer's dimension 14.  Generators must already satisfy
     is_g2 (the identity must be admissible), else HolonomyError.
+
+    The count is the nullity of A -> (annihilator . (g^T A g - A))_g over the
+    E_ij coordinates: the generators are orthogonal, so g^-1 = g^T, and
+    g^T E_ij g = r_i r_j^T - r_j r_i^T for the rows r of g.  The exact lane
+    takes g = G/d for an int matrix G, which scales column E_ij by d^2 and
+    keeps the rank.
     """
     if s is None:
         s = standard_structure("exact")
     for gen in h.generators:
-        if not is_g2(gen, max(tol, 1e-8)):
+        if not is_g2(gen, LIE_TOL):
             raise HolonomyError("generators must fix the 3-form for the identity coset")
     g2b = g2_algebra_basis(s)
     if h.count == 0:
         return len(_UPPER) - g2b.dim
-    exact = s.ctx.is_exact and all(_exact_rows(_rows(g)) for g in h.generators)
-    nullity = _coset_nullity_exact(h, g2b) if exact else _coset_nullity_float(h, g2b, tol)
-    return nullity - g2b.dim
-
-
-def _coset_nullity_exact(h: HolonomySpec, g2b: SubalgebraBasis) -> int:
-    """Nullity of A -> (annihilator . (A - g^-1 A g))_g over the E_ij coordinates.
-
-    The generators are exactly orthogonal (is_g2 checked it), so g^-1 = g^T
-    and g^T E_ij g = r_i r_j^T - r_j r_i^T for the rows r of g.  With g = G/d
-    for an int matrix G, column E_ij is scaled by d^2, which keeps the rank."""
-    ann = _annihilator([_vec_so(_rows(m)) for m in g2b.matrices])
+    lane = _lane(*h.generators, *g2b.matrices)
+    ann = _annihilator(lane, _scaled(lane, [_vec_so(m) for m in g2b.matrices])[0])
     constraint = []
     for gen in h.generators:
-        grows, d = ratlin.int_rows(_rows(gen))
+        grows, d = _scaled(lane, _rows(gen))
         cols = []
         for a, (i, j) in enumerate(_UPPER):
             gi, gj = grows[i], grows[j]
@@ -423,28 +365,7 @@ def _coset_nullity_exact(h: HolonomySpec, g2b: SubalgebraBasis) -> int:
             moved[a] -= d * d
             cols.append(ratlin.matvec(ann, moved))
         constraint.extend(list(row) for row in zip(*cols))
-    return len(_UPPER) - ratlin.rank_exact(constraint)
-
-
-def _coset_nullity_float(h: HolonomySpec, g2b: SubalgebraBasis, tol: float) -> int:
-    g2_vecs = [[float(x) for x in _vec_so(_rows(m))] for m in g2b.matrices]
-    proj = _SpanProjector(g2_vecs)
-    columns = []
-    for e in so7_basis(False).matrices:
-        erows = _rows(e)
-        col = []
-        for gen in h.generators:
-            grows = [[float(x) for x in row] for row in _rows(gen)]
-            ginv = ratlin.transpose(grows)
-            moved = ratlin.matmul(ratlin.matmul(ginv, erows), grows)
-            diff = ratlin.mat_sub(erows, moved)
-            sym_cleanup = [
-                [(diff[i][j] - diff[j][i]) / 2 for j in range(DIM)] for i in range(DIM)
-            ]
-            col.extend(proj.residual(_vec_so(sym_cleanup)))
-        columns.append(col)
-    constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
-    return len(ratlin.nullspace_float(constraint, tol))
+    return len(_UPPER) - lane.rank(constraint) - g2b.dim
 
 
 def sample_so7(rng: random.Random):

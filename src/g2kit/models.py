@@ -22,9 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from .bryant import Recovery, TwistParams, recover, sample_params
-from .context import EXACT, FLOAT, Context
+from .context import ENTRY_TOL, EXACT, Context
 from .errors import ModelError, SubspaceViolationError
-from .exterior import DIM, KForm, wedge
+from .exterior import DIM, KForm, coerce_form, wedge
 from .g2core import G2Structure, phi0
 from .liegroup import HolonomySpec, matrix_exp
 
@@ -88,15 +88,13 @@ def model_phi(m: FlatModel, ctx: Context = EXACT) -> KForm:
             + wedge(KForm.basis((2,)), vol2[0])
             - wedge(KForm.basis((3,)), vol2[1])
         )
-    if not ctx.is_exact:
-        phi = phi.as_float()
-    return phi
+    return coerce_form(phi, ctx)
 
 
 @lru_cache(maxsize=None)
 def model_structure(kind: str, mode: str = "exact") -> G2Structure:
     m = flat_model(kind)
-    ctx = EXACT if mode == "exact" else FLOAT
+    ctx = Context.of(mode)
     return G2Structure(model_phi(m, ctx), ctx)
 
 
@@ -126,15 +124,7 @@ def gamma_membership(m: FlatModel, phit: KForm, mode: str = "exact") -> GammaPoi
     w = rec.params.omega
     allowed = set(m.omega_indices)
     for i in range(1, DIM + 1):
-        if i in allowed:
-            continue
-        x = w.coeffs[i - 1]
-        if s.ctx.is_exact:
-            if x != 0:
-                raise SubspaceViolationError(
-                    f"recovered direction uses dx{i}, outside the model's {m.b1} coordinates"
-                )
-        elif abs(float(x)) > 1e-9:
+        if i not in allowed and not s.ctx.is_zero(w.coeffs[i - 1], ENTRY_TOL):
             raise SubspaceViolationError(
                 f"recovered direction uses dx{i}, outside the model's {m.b1} coordinates"
             )

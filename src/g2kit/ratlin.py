@@ -6,8 +6,9 @@ fraction-free: each row is scaled to integers by the lcm of its
 denominators, rref runs Gauss-Jordan on Python ints with a gcd pass per
 updated row, det uses Bareiss's exact-division elimination (Math. Comp. 22
 (1968) 565-578), and a Fraction is built once per output entry.  The float
-lane defers to numpy with the package-wide singular value cutoff
-1e-8 * sigma_max for rank decisions.  Matrices are lists/tuples of rows;
+lane defers to numpy; its rank decisions use the singular value cutoff
+context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a lane
+through Context.rank / nullspace / solve.  Matrices are lists/tuples of rows;
 vectors are flat sequences.
 """
 from __future__ import annotations
@@ -17,15 +18,10 @@ from math import gcd, lcm
 
 import numpy as np
 
+from .context import EXACT, FLOAT, FLOAT_RANK_CUTOFF
 from .errors import G2KitError
 
-FLOAT_RANK_CUTOFF = 1e-8
 _ZERO = Fraction(0)
-
-
-def is_exact_values(vals) -> bool:
-    """True when no value is a float (ints and Fractions count as exact)."""
-    return all(not isinstance(v, float) for v in vals)
 
 
 def mat_rows(m):
@@ -33,9 +29,8 @@ def mat_rows(m):
 
 
 def identity(n, exact: bool = True):
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    lane = EXACT if exact else FLOAT
+    return [[lane.one if i == j else lane.zero for j in range(n)] for i in range(n)]
 
 
 def transpose(m):
@@ -227,17 +222,17 @@ def _np(m):
     return np.asarray(m, dtype=float)
 
 
-def rank_float(m, cutoff_ratio: float = FLOAT_RANK_CUTOFF) -> int:
+def rank_float(m) -> int:
     arr = _np(m)
     if arr.size == 0:
         return 0
     sv = np.linalg.svd(arr, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > cutoff_ratio * sv[0]))
+    return int(np.sum(sv > FLOAT_RANK_CUTOFF * sv[0]))
 
 
-def nullspace_float(m, cutoff_ratio: float = FLOAT_RANK_CUTOFF):
+def nullspace_float(m):
     """Orthonormal kernel basis (list of vectors) via SVD."""
     arr = _np(m)
     if arr.size == 0:
@@ -245,7 +240,7 @@ def nullspace_float(m, cutoff_ratio: float = FLOAT_RANK_CUTOFF):
     u, sv, vt = np.linalg.svd(arr)
     nc = arr.shape[1]
     smax = sv[0] if sv.size else 0.0
-    r = int(np.sum(sv > cutoff_ratio * smax)) if smax > 0 else 0
+    r = int(np.sum(sv > FLOAT_RANK_CUTOFF * smax)) if smax > 0 else 0
     return [vt[i].tolist() for i in range(r, nc)]
 
 
@@ -258,9 +253,5 @@ def solve_float(a, b):
     return x.tolist(), resid
 
 
-def matrix_rank(m, exact: bool, cutoff_ratio: float = FLOAT_RANK_CUTOFF) -> int:
-    return rank_exact(m) if exact else rank_float(m, cutoff_ratio)
-
-
-def nullspace(m, exact: bool, cutoff_ratio: float = FLOAT_RANK_CUTOFF):
-    return nullspace_exact(m) if exact else nullspace_float(m, cutoff_ratio)
+def matrix_rank(m, exact: bool) -> int:
+    return rank_exact(m) if exact else rank_float(m)

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .bryant import TwistParams
-from .context import EXACT, FLOAT, Context
+from .context import Context
 from .errors import DegreeError, ExactModeError, ParseError
 from .exterior import DIM, NK, POS, KForm, Metric, Orientation
 from .g2core import G2Structure
@@ -135,8 +135,10 @@ def g2structure_from_json(obj) -> G2Structure:
     )
     _require(obj["schema_version"] == SCHEMA_VERSION,
              f"unsupported schema_version {obj['schema_version']!r}")
-    _require(obj["mode"] in ("exact", "float"), f"bad mode {obj['mode']!r}")
-    ctx = EXACT if obj["mode"] == "exact" else FLOAT
+    try:
+        ctx = Context.of(obj["mode"])
+    except ValueError as exc:
+        raise ParseError(f"bad mode {obj['mode']!r}") from exc
     phi = kform_from_json(obj["phi"], ctx)
     if sha256_hex(canonical_json(kform_to_json(phi))) != obj["phi_sha256"]:
         raise ParseError("stored phi hash does not match the payload")

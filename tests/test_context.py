@@ -1,0 +1,103 @@
+"""The lane object: Context validation, its lane API, and the one tolerance ladder."""
+import ast
+import dataclasses
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import g2kit
+from g2kit import ratlin
+from g2kit.context import EXACT, FLOAT, Context, lane_of
+from g2kit.errors import ExactModeError, G2KitError, ParseError
+from g2kit.g2core import phi0, standard_structure
+from g2kit.models import flat_model, gamma_membership, model_structure
+from g2kit.serialize import g2structure_from_json, g2structure_to_json
+
+SRC = Path(g2kit.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("mode, tol", [
+    ("Exact", 1e-10),
+    ("bogus", 1e-10),
+    ("float", 0),
+    ("float", -1e-10),
+    ("float", "1e-10"),
+    ("float", True),
+    ("float", float("inf")),
+    ("float", float("nan")),
+])
+def test_context_rejects_bad_fields(mode, tol):
+    with pytest.raises(ValueError):
+        Context(mode, tol)
+
+
+def test_context_has_exactly_mode_and_tol():
+    assert [f.name for f in dataclasses.fields(Context)] == ["mode", "tol"]
+    assert FLOAT.tol == 1e-10
+
+
+@pytest.mark.parametrize("bad", ["Exact", "bogus", "", None, ["exact"]])
+def test_typo_in_mode_is_an_error_not_the_float_lane(bad):
+    with pytest.raises(ValueError):
+        Context.of(bad)
+    if isinstance(bad, str):
+        with pytest.raises(ValueError):
+            standard_structure(bad)
+        with pytest.raises(ValueError):
+            model_structure("t7", bad)
+        with pytest.raises(ValueError):
+            gamma_membership(flat_model("t7"), phi0(), mode=bad)
+    payload = g2structure_to_json(standard_structure("exact"))
+    payload["mode"] = bad
+    with pytest.raises(ParseError):
+        g2structure_from_json(payload)
+
+
+def test_context_of_returns_the_shared_lanes():
+    assert Context.of("exact") is EXACT and Context.of("float") is FLOAT
+    assert model_structure("t7", "exact").ctx is EXACT
+
+
+def test_lane_api():
+    assert type(EXACT.zero) is Fraction and EXACT.zero == 0 and EXACT.one == 1
+    assert type(FLOAT.zero) is float and FLOAT.one == 1.0
+    assert EXACT.is_zero(Fraction(0)) and not EXACT.is_zero(Fraction(1, 10 ** 30), 1.0)
+    assert FLOAT.is_zero(1e-11) and not FLOAT.is_zero(1e-9) and FLOAT.is_zero(1e-9, 1e-8)
+    assert EXACT.sqrt(Fraction(9, 4)) == Fraction(3, 2) and EXACT.sqrt(0) == 0
+    with pytest.raises(ExactModeError):
+        EXACT.sqrt(Fraction(2))
+    assert FLOAT.sqrt(2.0) == math.sqrt(2.0)
+    with pytest.raises(ValueError):
+        FLOAT.sqrt(-1.0)
+    m = [[1, 2], [2, 4]]
+    assert EXACT.rank(m) == FLOAT.rank(m) == 1
+    assert EXACT.nullspace(m) == [[-2, 1]]
+    (v,) = FLOAT.nullspace(m)
+    assert abs(v[0] + 2 * v[1]) < 1e-12
+    x, res = EXACT.solve(m, [3, 6])
+    assert res == 0 and ratlin.matvec(m, x) == [3, 6]
+    with pytest.raises(G2KitError):
+        EXACT.solve(m, [3, 7])
+    x, res = FLOAT.solve([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0])
+    assert x == [0.5, 0.25] and res == 0.0
+    assert lane_of([1, Fraction(1, 2)]) is EXACT and lane_of([1, 0.5]) is FLOAT
+    assert lane_of([]) is EXACT
+
+
+def _tolerance_literals(path):
+    return [(path.name, node.lineno, node.value)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0 < abs(node.value) < 1e-3]
+
+
+def test_tolerance_ladder_lives_in_context():
+    """Every float tolerance of the package is a named constant in context.py
+    (the selftest states its own check bounds)."""
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             if path.name not in ("context.py", "selftest.py")
+             for hit in _tolerance_literals(path)]
+    assert found == []
+    assert _tolerance_literals(SRC / "context.py")

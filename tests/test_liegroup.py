@@ -9,6 +9,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +41,7 @@ from g2kit.liegroup import (
     two_form_to_matrix,
 )
 from g2kit.liegroup import _bracket_vec
+from g2kit.models import flat_model, holonomy_sample
 from g2kit import ratlin
 from g2kit.sampling import rational_kform
 
@@ -415,6 +417,125 @@ def test_coset_dimension_equals_projector_reference(s, picks):
     group = signed_permutations_in_g2()
     h = HolonomySpec(tuple(group[i] for i in picks))
     assert coset_tangent_dim(h, s) == ref_coset_tangent_dim(h, s)
+
+
+# -- the float lane against the earlier float path ------------------------------
+#
+# ref_float_lie_normalizer and ref_float_coset_tangent_dim keep the earlier
+# float lane: a pseudo-inverse projector onto the sub span, dense float
+# brackets and conjugations, and residual columns.  The float lane now runs
+# the exact lane's annihilator code; both must give the same dimensions and
+# span the same spaces (rank of the stacked bases at the 1e-8 cutoff).
+
+
+class RefSpanProjector:
+    """Least-squares projector onto the span of float vectors."""
+
+    def __init__(self, vecs):
+        self.vecs = [list(v) for v in vecs]
+        self.empty = not self.vecs
+        if not self.empty:
+            self._pinv = np.linalg.pinv(np.asarray(self.vecs, dtype=float).T)
+
+    def residual(self, v):
+        """v minus its projection onto the span."""
+        if self.empty:
+            return list(v)
+        coords = self._pinv @ np.asarray(v, dtype=float)
+        proj = np.asarray(self.vecs, dtype=float).T @ coords
+        return (np.asarray(v, dtype=float) - proj).tolist()
+
+
+def float_rows(m):
+    return [[float(x) for x in row] for row in m]
+
+
+def ref_float_lie_normalizer(ambient, sub, tol=1e-8):
+    proj = RefSpanProjector([vec_so(float_rows(m)) for m in sub.matrices])
+    for i, a in enumerate(sub.matrices):
+        for b in sub.matrices[i + 1:]:
+            res = proj.residual(vec_so(bracket(float_rows(a), float_rows(b))))
+            if max(abs(r) for r in res) > tol:
+                raise BracketClosureError("sub basis is not closed under the bracket")
+    columns = [sum((proj.residual(vec_so(bracket(float_rows(e), float_rows(m))))
+                    for m in sub.matrices), []) for e in ambient.matrices]
+    if not columns or not columns[0]:
+        return [vec_so(m) for m in ambient.matrices]
+    constraint = np.asarray(columns).T
+    return [list(np.asarray(c) @ np.asarray([vec_so(float_rows(e)) for e in ambient.matrices]))
+            for c in ratlin.nullspace_float(constraint)]
+
+
+def ref_float_coset_tangent_dim(h, s):
+    g2b = g2_algebra_basis(s)
+    proj = RefSpanProjector([vec_so(float_rows(m)) for m in g2b.matrices])
+    if h.count == 0:
+        return 21 - g2b.dim
+    columns = []
+    for e in so7_basis(False).matrices:
+        col = []
+        for gen in h.generators:
+            grows = float_rows(gen)
+            moved = ratlin.matmul(ratlin.matmul(ratlin.transpose(grows), float_rows(e)), grows)
+            diff = ratlin.mat_sub(float_rows(e), moved)
+            sym = [[(diff[i][j] - diff[j][i]) / 2 for j in range(DIM)] for i in range(DIM)]
+            col.extend(proj.residual(vec_so(sym)))
+        columns.append(col)
+    return len(ratlin.nullspace_float(np.asarray(columns).T)) - g2b.dim
+
+
+def assert_same_span(got, want_vecs):
+    got_vecs = [vec_so(m) for m in got.matrices]
+    assert got.dim == len(want_vecs)
+    assert ratlin.rank_float(got_vecs + want_vecs) == got.dim
+
+
+def float_subalgebra(basis):
+    return SubalgebraBasis(tuple(float_rows(m) for m in basis.matrices))
+
+
+@pytest.mark.parametrize("case", ["so7_g2", "so7_e12"])
+def test_float_normalizer_spans_projector_reference(sf, case):
+    ambient, sub = {
+        "so7_g2": (so7_basis(False), g2_algebra_basis(sf)),
+        "so7_e12": (so7_basis(False), float_subalgebra(SubalgebraBasis((unit_e(1, 2),)))),
+    }[case]
+    got = lie_normalizer(ambient, sub)
+    assert not got.is_exact()
+    assert_same_span(got, ref_float_lie_normalizer(ambient, sub))
+    assert got.dim == {"so7_g2": 14, "so7_e12": 11}[case]
+
+
+@given(st.lists(st.integers(0, DIM - 1), min_size=2, max_size=5, unique=True))
+@settings(max_examples=6, deadline=None)
+def test_float_normalizer_of_coordinate_subalgebra(indices):
+    sub = float_subalgebra(coordinate_so(indices))
+    k = len(indices)
+    got = lie_normalizer(so7_basis(False), sub)
+    assert_same_span(got, ref_float_lie_normalizer(so7_basis(False), sub))
+    assert got.dim == k * (k - 1) // 2 + (DIM - k) * (DIM - k - 1) // 2
+
+
+@given(st.lists(st.integers(0, DIM - 1), min_size=3, max_size=DIM, unique=True))
+@settings(max_examples=8, deadline=None)
+def test_float_normalizer_rejects_non_closed_subs(indices):
+    *inside, out = indices
+    opened = float_subalgebra(SubalgebraBasis(
+        coordinate_so(inside).matrices + (unit_e(inside[0] + 1, out + 1),)))
+    with pytest.raises(BracketClosureError):
+        lie_normalizer(so7_basis(False), opened)
+    with pytest.raises(BracketClosureError):
+        ref_float_lie_normalizer(so7_basis(False), opened)
+
+
+@pytest.mark.parametrize("kind", ["s1xcy3", "t3xk3"])
+@pytest.mark.parametrize("seed", range(6))
+def test_float_coset_dimension_equals_reference_and_b1(s, sf, kind, seed):
+    m = flat_model(kind)
+    h = holonomy_sample(m, random.Random(seed))
+    for structure in (s, sf):
+        got = coset_tangent_dim(h, structure)
+        assert got == ref_float_coset_tangent_dim(h, structure) == m.b1
 
 
 # -- scipy is loaded on the first matrix_exp, not on import --------------------
