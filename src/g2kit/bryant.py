@@ -7,9 +7,9 @@ implements the twist, its closed-form type decomposition, exact/float
 recovery of the canonical parameters from a twisted form, and the derivative
 of the twist map with its rank on an ambient parameter subspace.
 
-Float checks read the tolerance ladder in context.py (CONSTRAINT_TOL,
-RECOVERY_TOL, C_ZERO_SWITCH, FLOAT_RANK_CUTOFF) through the structure's
-Context; the exact lane replaces each with literal equality.
+Bryant's formula is written once, as a symmetric bilinear map (_twist_terms).
+Both lanes run one code path; float checks read CONSTRAINT_TOL, RECOVERY_TOL
+and C_ZERO_SWITCH from context.py, and the exact lane tests literal equality.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, FLOAT_RANK_CUTOFF, RECOVERY_TOL
+from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL
 from .errors import (
     ConstraintError,
     DecompositionError,
@@ -108,38 +108,56 @@ def _check_constraint(s: G2Structure, p: TwistParams):
         raise ConstraintError(f"c^2 + |omega|^2 - 1 = {res}, not zero in the {s.ctx.mode} lane")
 
 
+def _twist_terms(s: G2Structure, p, q):
+    """Bryant's formula polarized: the symmetric bilinear B with B(p, p) = twist.
+
+    For pairs p = (c, w) and q = (d, v),
+    B(p, q) = (c d - <w, v>) phi + [c *(v ^ phi) + d *(w ^ phi)]
+              + [w ^ *(v ^ *phi) + v ^ *(w ^ *phi)],
+    returned as (phi coefficient, 7-part, quadratic part).  With q is p each
+    wedge/star chain runs once.
+    """
+    (c, w), (d, v) = p, q
+    m, o = s.metric, s.orientation
+
+    def seven(x):
+        return hodge_star(wedge(x, s.phi), m, o)
+
+    def quadratic(x, y):
+        return wedge(x, hodge_star(wedge(y, s.star_phi), m, o))
+
+    if q is p:
+        return c * c - form_inner(w, w, m), (2 * c) * seven(w), 2 * quadratic(w, w)
+    return (c * d - form_inner(w, v, m), c * seven(v) + d * seven(w),
+            quadratic(w, v) + quadratic(v, w))
+
+
 def twist(s: G2Structure, p: TwistParams) -> KForm:
     """The twisted 3-form (c^2 - |w|^2) phi + 2c *(w ^ phi) + 2 w ^ *(w ^ *phi)."""
     p = _coerce_params(s, p)
     _check_constraint(s, p)
-    c, w = p.c, p.omega
-    m, o = s.metric, s.orientation
-    w2 = form_inner(w, w, m)
-    out = (c * c - w2) * s.phi
-    out = out + (2 * c) * hodge_star(wedge(w, s.phi), m, o)
-    out = out + 2 * wedge(w, hodge_star(wedge(w, s.star_phi), m, o))
-    return out
+    pair = (p.c, p.omega)
+    coef, seven, quadratic = _twist_terms(s, pair, pair)
+    return coef * s.phi + seven + quadratic
 
 
 def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
     """Type components of the twist without going through projections.
 
     p1 = (8c^2 - 1)/7 phi,  p7 = 2c *(w ^ phi),
-    p27 = 2 w ^ *(w ^ *phi) - (6/7) |w|^2 phi.
+    p27 = 2 w ^ *(w ^ *phi) - (6/7) |w|^2 phi;  on the sphere these read
+    (4 coef + 3)/7 and (3 - 3 coef)/7 for coef = c^2 - |w|^2.
     """
     p = _coerce_params(s, p)
     _check_constraint(s, p)
-    c, w = p.c, p.omega
-    m, o = s.metric, s.orientation
-    w2 = form_inner(w, w, m)
-    p1 = ((8 * c * c - 1) / 7) * s.phi
-    p7 = (2 * c) * hodge_star(wedge(w, s.phi), m, o)
-    p27 = 2 * wedge(w, hodge_star(wedge(w, s.star_phi), m, o)) - (6 * w2 / 7) * s.phi
-    return Decomposition3(p1=p1, p7=p7, p27=p27)
+    pair = (p.c, p.omega)
+    coef, seven, quadratic = _twist_terms(s, pair, pair)
+    return Decomposition3(p1=((4 * coef + 3) / 7) * s.phi, p7=seven,
+                          p27=quadratic - ((3 - 3 * coef) / 7) * s.phi)
 
 
 def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
-    """Directional derivative of the twist map at p along a sphere tangent t."""
+    """Directional derivative of the twist map at p along a sphere tangent t: 2 B(p, t)."""
     p = _coerce_params(s, p)
     _check_constraint(s, p)
     t = TwistTangent(s.ctx.scalar(t.c_dot), coerce_form(t.omega_dot, s.ctx))
@@ -147,15 +165,8 @@ def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
     if not s.ctx.is_zero(res, CONSTRAINT_TOL):
         raise TangencyError(
             f"tangency c c_dot + <w, w_dot> = {res}, not zero in the {s.ctx.mode} lane")
-    c, w = p.c, p.omega
-    cd, wd = t.c_dot, t.omega_dot
-    m, o = s.metric, s.orientation
-    out = (4 * c * cd) * s.phi
-    out = out + (2 * cd) * hodge_star(wedge(w, s.phi), m, o)
-    out = out + (2 * c) * hodge_star(wedge(wd, s.phi), m, o)
-    out = out + 2 * wedge(wd, hodge_star(wedge(w, s.star_phi), m, o))
-    out = out + 2 * wedge(w, hodge_star(wedge(wd, s.star_phi), m, o))
-    return out
+    coef, seven, quadratic = _twist_terms(s, (p.c, p.omega), (t.c_dot, t.omega_dot))
+    return 2 * (coef * s.phi + seven + quadratic)
 
 
 @dataclass(frozen=True)
@@ -192,27 +203,18 @@ def _recover_c_zero(s: G2Structure, phit: KForm) -> TwistParams:
         b = odot_inverse(phit + s.phi, s)
     except DecompositionError as exc:
         raise RecoveryError(f"c=0 branch inversion failed: {exc}") from exc
-    rows = b.rows
-    if s.ctx.is_exact:
-        k = max(range(DIM), key=lambda i: rows[i][i])
-        if rows[k][k] <= 0:
-            raise RecoveryError("c=0 branch needs a positive rank-one symmetric part")
-        wk = s.ctx.sqrt(rows[k][k] / 2)
-        w = [rows[i][k] / (2 * wk) for i in range(DIM)]
-        for i in range(DIM):
-            for j in range(DIM):
-                if rows[i][j] != 2 * w[i] * w[j]:
-                    raise RecoveryError("c=0 branch data is not rank one")
-        return TwistParams(Fraction(0), KForm(1, tuple(w)))
-    arr = np.asarray(rows, dtype=float)
-    vals, vecs = np.linalg.eigh(arr)
-    lam = vals[-1]
-    if lam <= 0:
+    rows, ctx = b.rows, s.ctx
+    k = max(range(DIM), key=lambda i: rows[i][i])
+    bkk = rows[k][k]
+    if bkk <= 0:
         raise RecoveryError("c=0 branch needs a positive rank-one symmetric part")
-    if np.max(np.abs(vals[:-1])) > FLOAT_RANK_CUTOFF * lam:
+    # b = 2 w w^T: w is column k over 2 w_k
+    wk = ctx.sqrt(bkk / 2)
+    w = [rows[i][k] / (2 * wk) for i in range(DIM)]
+    gap = max(abs(rows[i][j] - 2 * w[i] * w[j]) for i in range(DIM) for j in range(DIM))
+    if not ctx.is_zero(gap, RECOVERY_TOL * max(1, bkk)):
         raise RecoveryError("c=0 branch data is not rank one")
-    w = np.sqrt(lam / 2.0) * vecs[:, -1]
-    return TwistParams(0.0, KForm(1, tuple(float(x) for x in w)))
+    return TwistParams(ctx.zero, KForm(1, tuple(w)))
 
 
 def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:

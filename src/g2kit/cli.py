@@ -89,10 +89,6 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _residual_value(x):
-    return scalar_to_json(x)
-
-
 def _report(command: str, cfg: CliConfig, inputs, outputs: dict, residuals: dict,
             checks: dict) -> dict:
     return {
@@ -131,7 +127,7 @@ def cmd_decompose(args, cfg: CliConfig) -> dict:
         outputs[name] = kform_to_json(part)
         outputs[f"{name}_norm_sq"] = scalar_to_json(form_inner(part, part, s.metric))
     recon = (d.total() - form).max_abs()
-    residuals["reconstruction"] = _residual_value(recon)
+    residuals["reconstruction"] = scalar_to_json(recon)
     checks = {"reconstruction": cfg.ctx.is_zero(recon)}
     return _report("decompose", cfg, payload, outputs, residuals, checks)
 
@@ -149,7 +145,7 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
     s = standard_structure(cfg.mode)
     inputs = {"c": scalar_to_json(c), "omega": omega_payload}
     res = p.constraint_residual(s)
-    residuals = {"constraint": _residual_value(res)}
+    residuals = {"constraint": scalar_to_json(res)}
     if not ctx.is_zero(res):
         return _report("twist", cfg, inputs, {}, residuals,
                        {"constraint_on_sphere": False})
@@ -161,9 +157,9 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
     inner_gap = inner - (8 * c * c - 1)
     parts_gap = (d.total() - phit).max_abs()
     residuals.update({
-        "metric_preservation": _residual_value(gdiff),
-        "inner_product_law": _residual_value(inner_gap),
-        "parts_reconstruction": _residual_value(parts_gap),
+        "metric_preservation": scalar_to_json(gdiff),
+        "inner_product_law": scalar_to_json(inner_gap),
+        "parts_reconstruction": scalar_to_json(parts_gap),
     })
     checks = {
         "constraint_on_sphere": True,
@@ -197,8 +193,8 @@ def cmd_recover(args, cfg: CliConfig) -> dict:
     back = (twist(s, rec.params) - phit).max_abs()
     outputs = {"params": twistparams_to_json(rec.params)}
     residuals = {
-        "recovery": _residual_value(rec.residual),
-        "reconstruction": _residual_value(back),
+        "recovery": scalar_to_json(rec.residual),
+        "reconstruction": scalar_to_json(back),
     }
     checks = {"reconstruction": cfg.ctx.is_zero(back)}
     return _report("recover", cfg, payload, outputs, residuals, checks)
@@ -212,12 +208,12 @@ def cmd_g2check(args, cfg: CliConfig) -> dict:
     gtg = matmul(transpose([list(r) for r in rows]), [list(r) for r in rows])
     ortho_gap = max(abs(gtg[i][j] - (1 if i == j else 0)) for i in range(DIM) for j in range(DIM))
     ortho_ok = ctx.is_zero(ortho_gap)
-    residuals = {"orthogonality": _residual_value(ortho_gap)}
+    residuals = {"orthogonality": scalar_to_json(ortho_gap)}
     form_ok = False
     if ortho_ok:
         moved = act_on_form(rows, s.phi)
         form_gap = (moved - s.phi).max_abs()
-        residuals["form_preservation"] = _residual_value(form_gap)
+        residuals["form_preservation"] = scalar_to_json(form_gap)
         form_ok = ctx.is_zero(form_gap)
     else:
         residuals["form_preservation"] = "not evaluated"
@@ -285,8 +281,8 @@ def cmd_demo(args, cfg: CliConfig) -> dict:
         "coset_tangent_dim": coset,
     }
     residuals = {
-        "standard_form": _residual_value(base_gap),
-        "roundtrip": _residual_value(roundtrip_gap),
+        "standard_form": scalar_to_json(base_gap),
+        "roundtrip": scalar_to_json(roundtrip_gap),
     }
     checks = {
         "standard_form": cfg.ctx.is_zero(base_gap),

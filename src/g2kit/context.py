@@ -33,7 +33,8 @@ DEFAULT_TOL = 1e-10
 SO7_TOL = 1e-10
 # c^2 + |omega|^2 = 1, tangency c c_dot + <omega, omega_dot> = 0, the range of c^2 in recover.
 CONSTRAINT_TOL = 1e-12
-# recover: induced metric match and re-twist residual (relative to max(1, |phit|)).
+# recover: induced metric match, the c = 0 branch's rank-one gap |b - 2 w w^T|
+# (relative to max(1, b_kk)) and the re-twist residual (relative to max(1, |phit|)).
 RECOVERY_TOL = 1e-9
 # float recover takes the c = 0 branch at or below this c.
 C_ZERO_SWITCH = 1e-7
@@ -49,8 +50,6 @@ ENTRY_TOL = 1e-9
 EUCLIDEAN_TOL = 1e-12
 # |phi|^2 = 7 for a normalized 3-form.
 PHI_NORM_TOL = 1e-6
-# relative: gap that separates the eigenvalue clusters of the float 2-form spectrum.
-EIG_CLUSTER_GAP = 1e-6
 # relative: smallest eigenvalue of a positive definite float metric.
 SPD_EIG_TOL = 1e-12
 

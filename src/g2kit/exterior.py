@@ -109,8 +109,7 @@ class KForm:
 
     @classmethod
     def zero(cls, degree: int, exact: bool = True) -> "KForm":
-        fill = (EXACT if exact else FLOAT).zero
-        return cls(degree, (fill,) * NK[degree])
+        return cls.from_entries(degree, {}, exact)
 
     @classmethod
     def basis(cls, index: Sequence[int]) -> "KForm":
@@ -124,12 +123,15 @@ class KForm:
 
     @classmethod
     def from_entries(cls, degree: int, entries, exact: bool = True) -> "KForm":
-        coeffs = list(cls.zero(degree, exact).coeffs)
+        """A k-form from {index tuple: coefficient}, every entry coerced into
+        the lane (a float entry of an exact form raises ExactModeError)."""
+        lane = EXACT if exact else FLOAT
+        coeffs = [lane.zero] * NK[degree]
         for idx, c in dict(entries).items():
             idx = tuple(idx)
             if idx not in POS[degree]:
                 raise DegreeError(f"bad index {idx!r} for degree {degree}")
-            coeffs[POS[degree][idx]] = c
+            coeffs[POS[degree][idx]] = lane.scalar(c)
         return cls(degree, tuple(coeffs))
 
     @property

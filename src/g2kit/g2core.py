@@ -9,8 +9,9 @@ side.
 The eigenvalues of beta -> *(phi ^ beta) on 2-forms are discovered at
 construction time and stored on the structure, never hard-coded: their signs
 depend on the star and orientation conventions, and the contract is only
-that the eigenspaces have dimensions 7 and 14.  The exact lane finds them
-from tr T and tr T^2 in rational arithmetic; only the float lane asks numpy.
+that the eigenspaces have dimensions 7 and 14.  Both lanes read them from
+tr T and tr T^2 and keep the pair whose kernels have those dimensions; the
+lane only supplies the square root and the kernel algorithm.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import ratlin
 from .context import (
-    EIG_CLUSTER_GAP,
     ENTRY_TOL,
     EUCLIDEAN_TOL,
     EXACT,
@@ -222,50 +222,35 @@ def _full_tensor(phi: KForm):
     return t
 
 
-def _cluster_eigenvalues(vals):
-    """Group a real spectrum into clusters separated by more than EIG_CLUSTER_GAP (relative)."""
-    vals = sorted(float(v) for v in vals)
-    scale = max(1.0, max(abs(v) for v in vals))
-    clusters = [[vals[0]]]
-    for v in vals[1:]:
-        if v - clusters[-1][-1] <= EIG_CLUSTER_GAP * scale:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return clusters
-
-
-def _exact_two_form_spectrum(tmat):
-    """(lambda7, lambda14, kernel basis of T - lambda7, of T - lambda14), exactly.
+def _two_form_spectrum(tmat, ctx: Context):
+    """(lambda7, lambda14, kernel basis of T - lambda7, of T - lambda14).
 
     tr T = 7 lambda7 + 14 lambda14 and tr T^2 = 7 lambda7^2 + 14 lambda14^2
-    leave two candidate pairs.  The pair with (T - lambda7)(T - lambda14) = 0,
-    checked on integer-scaled rows, is kept, and rank(T - lambda7) = 14 is
-    checked through the kernel dimensions 7 and 14.
+    leave two candidate pairs; the square root and the kernels are the
+    lane's.  The pair whose kernels have dimensions 7 and 14 is kept: the
+    two kernels then meet only in 0 and span all 21 dimensions, which proves
+    (T - lambda7)(T - lambda14) = 0.  Every G2 structure gives (2, -1), the
+    first candidate tried.
     """
     n2 = len(tmat)
     t1 = sum(tmat[i][i] for i in range(n2))
     t2 = sum(tmat[i][j] * tmat[j][i] for i in range(n2) for j in range(n2))
     # lambda14 solves 42 x^2 - 4 t1 x + t1^2/7 - t2 = 0
     disc = 8 * (21 * t2 - t1 * t1)
-    root = rational_nth_root(disc, 2) if disc > 0 else None
-    if root is None:
-        raise DecompositionError("2-form operator has no rational (7, 14) spectrum")
+    try:
+        root = ctx.sqrt(disc)
+    except (ValueError, ExactModeError) as exc:
+        raise DecompositionError(f"2-form operator has no (7, 14) spectrum: {exc}") from exc
 
     def shifted(lam):
         return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(tmat)]
 
-    for lam14 in ((4 * t1 + root) / 84, (4 * t1 - root) / 84):
+    for lam14 in ((4 * t1 - root) / 84, (4 * t1 + root) / 84):
         lam7 = (t1 - 14 * lam14) / 7
-        t7, t14 = shifted(lam7), shifted(lam14)
-        if ratlin.product_is_zero(t7, t14):
-            break
-    else:
-        raise DecompositionError("(T - lambda7)(T - lambda14) != 0 for both trace solutions")
-    eig7, eig14 = ratlin.nullspace_exact(t7), ratlin.nullspace_exact(t14)
-    if len(eig7) != 7 or len(eig14) != 14:
-        raise DecompositionError("eigenspace dimensions drifted from (7, 14)")
-    return lam7, lam14, eig7, eig14
+        eig7, eig14 = ctx.nullspace(shifted(lam7)), ctx.nullspace(shifted(lam14))
+        if (len(eig7), len(eig14)) == (7, 14):
+            return lam7, lam14, eig7, eig14
+    raise DecompositionError("2-form operator has no eigenspaces of dimensions (7, 14)")
 
 
 class G2Structure:
@@ -277,7 +262,7 @@ class G2Structure:
     contraction frame spanning the 7-dimensional piece of the 3-forms.
     All of it is in the context's arithmetic; exact mode never touches a
     float.  Its eigenvalues come from the traces of T and T^2 and are
-    verified by (T - lambda7)(T - lambda14) = 0; the frame's inverse Gram
+    verified by kernel dimensions 7 and 14; the frame's inverse Gram
     matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.
     """
 
@@ -311,23 +296,7 @@ class G2Structure:
             cols.append(image.coeffs)
         tmat = [[cols[j][i] for j in range(n2)] for i in range(n2)]
         self._tmat = tmat
-        if self.ctx.is_exact:
-            self.lambda7, self.lambda14, eig7, eig14 = _exact_two_form_spectrum(tmat)
-        else:
-            tf = np.asarray(tmat, dtype=float)
-            clusters = _cluster_eigenvalues(np.real(np.linalg.eigvals(tf)))
-            sizes = sorted(len(c) for c in clusters)
-            if len(clusters) != 2 or sizes != [7, 14]:
-                raise DecompositionError(
-                    f"2-form operator spectrum should have multiplicities 7 and 14, got {sizes}"
-                )
-            by_size = {len(c): sum(c) / len(c) for c in clusters}
-            lam7f, lam14f = by_size[7], by_size[14]
-            eig7 = ratlin.nullspace_float(tf - lam7f * np.eye(n2))
-            eig14 = ratlin.nullspace_float(tf - lam14f * np.eye(n2))
-            if len(eig7) != 7 or len(eig14) != 14:
-                raise DecompositionError("eigenspace dimensions drifted from (7, 14)")
-            self.lambda7, self.lambda14 = lam7f, lam14f
+        self.lambda7, self.lambda14, eig7, eig14 = _two_form_spectrum(tmat, self.ctx)
         self.basis2_7 = tuple(KForm(2, tuple(v)) for v in eig7)
         self.basis2_14 = tuple(KForm(2, tuple(v)) for v in eig14)
 
@@ -340,10 +309,6 @@ class G2Structure:
         )
         # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
         self._gram7_inv = [[x / 4 for x in row] for row in _metric_inverse(self.metric)]
-
-    def phi_eval(self, i: int, j: int, k: int):
-        """phi on basis vectors e_i, e_j, e_k (1-based, any order)."""
-        return self._tensor[i - 1][j - 1][k - 1]
 
     def star(self, a: KForm) -> KForm:
         return hodge_star(a, self.metric, self.orientation)

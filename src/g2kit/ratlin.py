@@ -168,13 +168,6 @@ def det_exact(m):
     return Fraction(sign * a[0][0], den)
 
 
-def product_is_zero(a, b) -> bool:
-    """Exact test of a b = 0, on the rows of a and columns of b scaled to ints."""
-    left = [_int_row(row)[0] for row in a]
-    right = [_int_row(col)[0] for col in zip(*b)]
-    return not any(sum(x * y for x, y in zip(row, col)) for row in left for col in right)
-
-
 def inv_exact(m):
     n = len(m)
     aug = [list(row) + ident for row, ident in zip(mat_rows(m), identity(n))]

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,8 +26,17 @@ from g2kit.errors import (
     RecoveryError,
     TangencyError,
 )
-from g2kit.exterior import DIM, KForm, form_inner, pullback
-from g2kit.g2core import G2Structure, decompose3, metric_from_phi, odot, phi0, standard_structure
+from g2kit.exterior import DIM, KForm, form_inner, hodge_star, pullback, wedge
+from g2kit.g2core import (
+    G2Structure,
+    decompose3,
+    metric_from_phi,
+    odot,
+    odot_inverse,
+    phi0,
+    standard_structure,
+)
+from g2kit.models import flat_model, gamma_sample, model_structure
 from g2kit.sampling import rational_kform
 
 
@@ -279,3 +289,87 @@ def test_tangent_basis_rejects_off_subspace_point(s):
     p = TwistParams(Fraction(3, 5), KForm.from_entries(1, {(4,): Fraction(4, 5)}))
     with pytest.raises(ConstraintError):
         tangent_basis(s, p, 1)
+
+
+# -- kept references: Bryant's formula written out three times by hand, and the
+# -- float c = 0 square root through numpy's eigh -----------------------------
+
+
+def ref_twist(s, p):
+    c, w = p.c, p.omega
+    m, o = s.metric, s.orientation
+    w2 = form_inner(w, w, m)
+    out = (c * c - w2) * s.phi
+    out = out + (2 * c) * hodge_star(wedge(w, s.phi), m, o)
+    out = out + 2 * wedge(w, hodge_star(wedge(w, s.star_phi), m, o))
+    return out
+
+
+def ref_twist_decomposed(s, p):
+    c, w = p.c, p.omega
+    m, o = s.metric, s.orientation
+    w2 = form_inner(w, w, m)
+    p1 = ((8 * c * c - 1) / 7) * s.phi
+    p7 = (2 * c) * hodge_star(wedge(w, s.phi), m, o)
+    p27 = 2 * wedge(w, hodge_star(wedge(w, s.star_phi), m, o)) - (6 * w2 / 7) * s.phi
+    return p1, p7, p27
+
+
+def ref_twist_derivative(s, p, t):
+    c, w = p.c, p.omega
+    cd, wd = t.c_dot, t.omega_dot
+    m, o = s.metric, s.orientation
+    out = (4 * c * cd) * s.phi
+    out = out + (2 * cd) * hodge_star(wedge(w, s.phi), m, o)
+    out = out + (2 * c) * hodge_star(wedge(wd, s.phi), m, o)
+    out = out + 2 * wedge(wd, hodge_star(wedge(w, s.star_phi), m, o))
+    out = out + 2 * wedge(w, hodge_star(wedge(wd, s.star_phi), m, o))
+    return out
+
+
+def ref_float_recover_c_zero(s, phit):
+    """omega from the top eigenpair of b = 2 w w^T, rank one within 1e-8 relative."""
+    b = np.asarray(odot_inverse(phit + s.phi, s).rows, dtype=float)
+    vals, vecs = np.linalg.eigh(b)
+    lam = vals[-1]
+    assert lam > 0 and np.max(np.abs(vals[:-1])) <= 1e-8 * lam
+    w = np.sqrt(lam / 2.0) * vecs[:, -1]
+    return TwistParams(0.0, KForm(1, tuple(float(x) for x in w))).canonical()
+
+
+@given(sphere_points())
+@settings(max_examples=20, deadline=None)
+def test_twist_formulas_equal_hand_written_references(p):
+    """One bilinear map gives all three formulas: literally equal in the exact
+    lane; the float twist keeps its arithmetic, so it is literally equal too."""
+    s = standard_structure()
+    assert twist(s, p) == ref_twist(s, p)
+    d = twist_decomposed(s, p)
+    assert (d.p1, d.p7, d.p27) == ref_twist_decomposed(s, p)
+    for t in tangent_basis(s, p, DIM):
+        assert twist_derivative(s, p, t) == ref_twist_derivative(s, p, t)
+    sf = standard_structure("float")
+    pf = TwistParams(float(p.c), p.omega.as_float())
+    assert twist(sf, pf) == ref_twist(sf, pf)
+    d = twist_decomposed(sf, pf)
+    for got, want in zip((d.p1, d.p7, d.p27), ref_twist_decomposed(sf, pf)):
+        assert (got - want).max_abs() <= 1e-12
+    for t in tangent_basis(sf, pf, DIM):
+        gap = twist_derivative(sf, pf, t) - ref_twist_derivative(sf, pf, t)
+        assert gap.max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_c_zero_recovery_matches_eigh_reference(kind, rng):
+    m = flat_model(kind)
+    s, sf = model_structure(kind, "exact"), model_structure(kind, "float")
+    for _ in range(6):
+        p = gamma_sample(m, rng, force_c_zero=True).params
+        rec = recover(s, twist(s, p))
+        assert rec.params == p and rec.residual == 0
+        # c = 0 exactly and c = 1e-12, both at or below the c = 0 switch
+        for c in (0.0, 1e-12):
+            phit = twist(sf, TwistParams(c, p.omega.as_float()))
+            want = ref_float_recover_c_zero(sf, phit)
+            got = recover(sf, phit).params
+            assert got.c == 0.0 and (got.omega - want.omega).max_abs() <= 1e-12

@@ -2,6 +2,7 @@
 import ast
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,3 +102,19 @@ def test_tolerance_ladder_lives_in_context():
              for hit in _tolerance_literals(path)]
     assert found == []
     assert _tolerance_literals(SRC / "context.py")
+
+
+# A line that re-makes the exact/float choice outside context.py.
+LANE_FORK = re.compile(
+    r"\b(if|elif)\b.*(\bexact\b|is_exact|_exact_rows)|(\bexact\b|is_exact).*\belse\b")
+KERNEL_MODULES = ("ratlin", "exterior", "g2core", "bryant", "liegroup", "models", "cli")
+
+
+def test_lane_forks_are_counted():
+    """The kernel modules keep at most 16 lane forks: the bool-taking public
+    signatures and the lanes that still run different algorithms.  A new
+    fork raises this count and has to be stated here."""
+    forks = [(name, line) for name in KERNEL_MODULES
+             for line in (SRC / f"{name}.py").read_text(encoding="utf-8").splitlines()
+             if LANE_FORK.search(line)]
+    assert len(forks) <= 16, forks

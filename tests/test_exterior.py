@@ -298,3 +298,13 @@ def test_sampled_spd_metrics_star_exactly(rng):
         g = rational_spd_metric(rng)
         a = rational_kform(rng, 3)
         assert (hodge_star(hodge_star(a, g, POSITIVE), g, POSITIVE) - a).max_abs() == 0
+
+
+def test_from_entries_coerces_every_entry_into_the_lane():
+    with pytest.raises(ExactModeError):
+        KForm.from_entries(3, {(1, 2, 3): 0.5}, exact=True)
+    exact = KForm.from_entries(3, {(1, 2, 3): 1, (1, 4, 5): "1/2"}, exact=True)
+    assert exact.is_exact and exact.coeff(1, 4, 5) == Fraction(1, 2)
+    floats = KForm.from_entries(3, {(1, 2, 3): Fraction(1, 2)}, exact=False)
+    assert not floats.is_exact and floats.coeffs == (0.5,) + (0.0,) * 34
+    assert KForm.from_entries(2, {}, exact=False) == KForm.zero(2, False)

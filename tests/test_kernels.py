@@ -4,7 +4,10 @@
   over Fractions, kept here as the reference;
 - the cubic table for B(phi) against the wedge chain that defines it;
 - the closed forms used at construction: frame Gram = 4 g, the symmetric
-  action assembled from g^-1, and the exact 2-form spectrum;
+  action assembled from g^-1;
+- the 2-form spectrum from tr T and tr T^2 against the earlier exact lane
+  (kept by (T - lambda7)(T - lambda14) = 0) and float lane (numpy eigvals,
+  clustered);
 - decompose3's single Gram product against eight form_inner calls;
 - the k-form Gram matrix: symmetric in both lanes, entries its minor determinants.
 """
@@ -13,11 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from g2kit import ratlin
-from g2kit.context import FLOAT
-from g2kit.errors import G2KitError
+from g2kit.context import EXACT, FLOAT, rational_nth_root
+from g2kit.errors import DecompositionError, G2KitError
 from g2kit.exterior import (
     BASIS,
     DIM,
@@ -37,10 +40,12 @@ from g2kit.g2core import (
     G2Structure,
     _contraction_matrix,
     _odot_symmetric_matrix,
+    _two_form_spectrum,
     decompose3,
     metric_from_phi,
     odot,
     phi0,
+    standard_structure,
     symmetric_basis,
 )
 
@@ -183,14 +188,6 @@ def test_kernels_on_empty_and_integer_input():
     assert ratlin.rref([[0, 0], [0, -4]]) == ([[0, 1], [0, 0]], [1])
 
 
-def test_product_is_zero():
-    a = [[Fraction(1, 2), Fraction(-1, 3)], [1, Fraction(-2, 3)]]
-    b = [[Fraction(2, 5), 2], [Fraction(3, 5), 3]]
-    assert ratlin.product_is_zero(a, b)
-    b[1][1] = Fraction(3, 1) + Fraction(1, 10 ** 12)
-    assert not ratlin.product_is_zero(a, b)
-
-
 # -- B(phi): cubic table against the wedge chain ------------------------------
 
 
@@ -253,6 +250,117 @@ def test_frame_gram_and_symmetric_action(a):
         for beta in basis:
             assert s.two_form_operator(beta) == lam * beta
     assert metric_from_phi(phi) == (s.metric, s.orientation)
+
+
+# -- the 2-form spectrum: one trace path against the earlier per-lane ones -----
+
+
+def ref_exact_two_form_spectrum(tmat):
+    """Trace candidates, kept by (T - lambda7)(T - lambda14) = 0 over Fractions."""
+    n2 = len(tmat)
+    t1 = sum(tmat[i][i] for i in range(n2))
+    t2 = sum(tmat[i][j] * tmat[j][i] for i in range(n2) for j in range(n2))
+    root = rational_nth_root(8 * (21 * t2 - t1 * t1), 2)
+    for lam14 in ((4 * t1 + root) / 84, (4 * t1 - root) / 84):
+        lam7 = (t1 - 14 * lam14) / 7
+        t7, t14 = (ratlin.mat_sub(tmat, [[lam * (i == j) for j in range(n2)] for i in range(n2)])
+                   for lam in (lam7, lam14))
+        if all(x == 0 for row in ratlin.matmul(t7, t14) for x in row):
+            return lam7, lam14, ratlin.nullspace_exact(t7), ratlin.nullspace_exact(t14)
+    raise AssertionError("no trace candidate annihilates T")
+
+
+def ref_float_two_form_spectrum(tmat):
+    """numpy eigenvalues grouped by a relative gap of 1e-6, cluster means, SVD kernels."""
+    tf = np.asarray(tmat, dtype=float)
+    vals = sorted(float(v) for v in np.real(np.linalg.eigvals(tf)))
+    scale = max(1.0, max(abs(v) for v in vals))
+    clusters = [[vals[0]]]
+    for v in vals[1:]:
+        if v - clusters[-1][-1] <= 1e-6 * scale:
+            clusters[-1].append(v)
+        else:
+            clusters.append([v])
+    assert sorted(len(c) for c in clusters) == [7, 14]
+    by_size = {len(c): sum(c) / len(c) for c in clusters}
+    lam7, lam14 = by_size[7], by_size[14]
+    eye = np.eye(len(tmat))
+    return (lam7, lam14, ratlin.nullspace_float(tf - lam7 * eye),
+            ratlin.nullspace_float(tf - lam14 * eye))
+
+
+def span_projector(rows):
+    """Orthogonal projector onto the span of orthonormal rows."""
+    v = np.asarray(rows, dtype=float)
+    return v.T @ v
+
+
+@given(rational_frames())
+@settings(max_examples=3, deadline=None)
+def test_exact_two_form_spectrum_equals_reference(a):
+    for s in (standard_structure(), G2Structure(pullback(phi0(), a))):
+        lam7, lam14, eig7, eig14 = ref_exact_two_form_spectrum(s._tmat)
+        assert (s.lambda7, s.lambda14) == (lam7, lam14) == (2, -1)
+        assert [list(b.coeffs) for b in s.basis2_7] == eig7
+        assert [list(b.coeffs) for b in s.basis2_14] == eig14
+
+
+@given(rational_frames())
+@settings(max_examples=40, deadline=None)
+def test_float_two_form_spectrum_matches_eigvals_reference(a):
+    """On float frames with cond(g) up to 1e5 the trace eigenvalues sit within
+    1e-9 of the eigvals cluster means, and the eigenbases span the same spaces."""
+    af = [[float(x) for x in row] for row in a]
+    arr = np.asarray(af)
+    assume(np.linalg.cond(arr.T @ arr) <= 1e5)
+    s = G2Structure(pullback(phi0(False), af), FLOAT)
+    lam7, lam14, eig7, eig14 = ref_float_two_form_spectrum(s._tmat)
+    assert abs(s.lambda7 - lam7) <= 1e-9 and abs(s.lambda14 - lam14) <= 1e-9
+    for basis, ref in ((s.basis2_7, eig7), (s.basis2_14, eig14)):
+        assert len(basis) == len(ref)
+        gap = span_projector([b.coeffs for b in basis]) - span_projector(ref)
+        assert np.abs(gap).max() <= 1e-9
+
+
+# cond(g) about 6.9e4: the float T's eigenvalues spread by 2.5e-6 around 2
+# and -1, so eigvals clustered at a 1e-6 relative gap found multiplicities
+# [1, 1, 6, 13] and the float structure could not be built.
+SPREAD_SPECTRUM_FRAME = [[k * x for x in row] for k, row in zip((32, 16, 1, 1, 2, 8, 32), (
+    (1, 0, 0, 1, 0, 1, 0),
+    (-1, 1, 1, 1, 0, 0, 1),
+    (1, 0, 0, -1, 0, 0, -1),
+    (-1, 1, 1, 1, 1, 1, 1),
+    (0, -1, 0, -1, -1, -1, -1),
+    (0, 0, 0, -1, 0, -1, -1),
+    (-1, 0, 1, 0, 0, 1, 0),
+))]
+
+
+def test_float_spectrum_where_eigvals_clusters_split():
+    s = G2Structure(pullback(phi0(), SPREAD_SPECTRUM_FRAME))
+    af = [[float(x) for x in row] for row in SPREAD_SPECTRUM_FRAME]
+    sf = G2Structure(pullback(phi0(False), af), FLOAT)
+    assert abs(sf.lambda7 - s.lambda7) <= 1e-6 and abs(sf.lambda14 - s.lambda14) <= 1e-6
+    for basis, exact in ((sf.basis2_7, s.basis2_7), (sf.basis2_14, s.basis2_14)):
+        q, _ = np.linalg.qr(np.asarray([b.coeffs for b in exact], dtype=float).T)
+        gap = span_projector([b.coeffs for b in basis]) - q @ q.T
+        assert np.abs(gap).max() <= 1e-7
+
+
+def test_two_form_spectrum_refuses_other_operators():
+    n2 = NK[2]
+    ident = ratlin.identity(n2)
+    # eigenvalues 2 and -1 with multiplicities 8 and 13
+    wrong = [[Fraction(2 if i < 8 else -1) * (i == j) for j in range(n2)] for i in range(n2)]
+    # a rotation block: tr T^2 < 0, no real square root
+    rot = [[Fraction(0)] * n2 for _ in range(n2)]
+    rot[0][1], rot[1][0] = Fraction(1), Fraction(-1)
+    for ctx in (EXACT, FLOAT):
+        for tmat in (ident, wrong, rot):
+            if not ctx.is_exact:
+                tmat = [[float(x) for x in row] for row in tmat]
+            with pytest.raises(DecompositionError):
+                _two_form_spectrum(tmat, ctx)
 
 
 def test_exact_construction_uses_no_floats(monkeypatch):
