@@ -7,9 +7,12 @@ implements the twist, its closed-form type decomposition, exact/float
 recovery of the canonical parameters from a twisted form, and the derivative
 of the twist map with its rank on an ambient parameter subspace.
 
-Bryant's formula is written once, as a symmetric bilinear map (_twist_terms).
-Both lanes run one code path; float checks read CONSTRAINT_TOL, RECOVERY_TOL
-and C_ZERO_SWITCH from context.py, and the exact lane tests literal equality.
+The twist evaluates Bryant's formula through Hodge star chains
+(_twist_terms).  Its derivative and the generic branch of recovery run no
+star: they read the structure's contraction tables, by the identities
+*(a ^ phi) = -a# . *phi and *(a ^ *phi) = a# . phi for 1-forms a.  Both lanes
+run one code path; float checks read CONSTRAINT_TOL, RECOVERY_TOL and
+C_ZERO_SWITCH from context.py, and the exact lane tests literal equality.
 """
 from __future__ import annotations
 
@@ -24,16 +27,26 @@ from .errors import (
     ConstraintError,
     DecompositionError,
     DegreeError,
-    G2KitError,
     MetricMismatchError,
     RecoveryError,
     TangencyError,
 )
-from .exterior import DIM, KForm, coerce_form, form_inner, hodge_star, wedge
+from . import ratlin
+from .exterior import (
+    DIM,
+    NK,
+    KForm,
+    basis_vector,
+    coerce_form,
+    form_inner,
+    hodge_star,
+    sharp,
+    wedge,
+)
 from .g2core import (
     Decomposition3,
     G2Structure,
-    decompose3,
+    frame_coordinates,
     metric_from_phi,
     odot_inverse,
 )
@@ -108,36 +121,21 @@ def _check_constraint(s: G2Structure, p: TwistParams):
         raise ConstraintError(f"c^2 + |omega|^2 - 1 = {res}, not zero in the {s.ctx.mode} lane")
 
 
-def _twist_terms(s: G2Structure, p, q):
-    """Bryant's formula polarized: the symmetric bilinear B with B(p, p) = twist.
-
-    For pairs p = (c, w) and q = (d, v),
-    B(p, q) = (c d - <w, v>) phi + [c *(v ^ phi) + d *(w ^ phi)]
-              + [w ^ *(v ^ *phi) + v ^ *(w ^ *phi)],
-    returned as (phi coefficient, 7-part, quadratic part).  With q is p each
-    wedge/star chain runs once.
-    """
-    (c, w), (d, v) = p, q
+def _twist_terms(s: G2Structure, p: TwistParams):
+    """Bryant's formula at p = (c, w), term by term:
+    (c^2 - |w|^2, 2c *(w ^ phi), 2 w ^ *(w ^ *phi)), the phi coefficient,
+    the 7-part and the quadratic part."""
+    c, w = p.c, p.omega
     m, o = s.metric, s.orientation
-
-    def seven(x):
-        return hodge_star(wedge(x, s.phi), m, o)
-
-    def quadratic(x, y):
-        return wedge(x, hodge_star(wedge(y, s.star_phi), m, o))
-
-    if q is p:
-        return c * c - form_inner(w, w, m), (2 * c) * seven(w), 2 * quadratic(w, w)
-    return (c * d - form_inner(w, v, m), c * seven(v) + d * seven(w),
-            quadratic(w, v) + quadratic(v, w))
+    return (c * c - form_inner(w, w, m), (2 * c) * hodge_star(wedge(w, s.phi), m, o),
+            2 * wedge(w, hodge_star(wedge(w, s.star_phi), m, o)))
 
 
 def twist(s: G2Structure, p: TwistParams) -> KForm:
     """The twisted 3-form (c^2 - |w|^2) phi + 2c *(w ^ phi) + 2 w ^ *(w ^ *phi)."""
     p = _coerce_params(s, p)
     _check_constraint(s, p)
-    pair = (p.c, p.omega)
-    coef, seven, quadratic = _twist_terms(s, pair, pair)
+    coef, seven, quadratic = _twist_terms(s, p)
     return coef * s.phi + seven + quadratic
 
 
@@ -150,10 +148,52 @@ def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
     """
     p = _coerce_params(s, p)
     _check_constraint(s, p)
-    pair = (p.c, p.omega)
-    coef, seven, quadratic = _twist_terms(s, pair, pair)
+    coef, seven, quadratic = _twist_terms(s, p)
     return Decomposition3(p1=((4 * coef + 3) / 7) * s.phi, p7=seven,
                           p27=quadratic - ((3 - 3 * coef) / 7) * s.phi)
+
+
+def _combine(s: G2Structure, degree: int, terms):
+    """Coefficients of sum x * a over (x, a) pairs, a a coefficient sequence."""
+    out = [s.ctx.zero] * NK[degree]
+    for x, a in terms:
+        if x:
+            for i, y in enumerate(a):
+                if y:
+                    out[i] += x * y
+    return out
+
+
+def _derivative_images(s: G2Structure, p: TwistParams, tangents):
+    """2 B(p, t) for each tangent t = (d, v), as 3-form coefficients.
+
+    B is Bryant's formula polarized, the symmetric bilinear map with
+    B(p, p) = twist(p).  For p = (c, w) it reads
+    B(p, (d, v)) = (c d - <w, v>) phi + c *(v ^ phi) + d *(w ^ phi)
+                   + w ^ *(v ^ *phi) + v ^ *(w ^ *phi),
+    and every star is read from the structure's tables by linearity:
+    *(v ^ phi) = sum v_j s_j and *(v ^ *phi) = sum v_j u_j, with
+    s_j = star_dx_phi[j] and u_j = star_dx_star_phi[j].
+    """
+    c, w = p.c, p.omega
+    phi = s.phi.coeffs
+    stars, ustars = s.star_dx_phi, s.star_dx_star_phi
+    wsharp = sharp(w, s.metric)
+
+    def starred(v):
+        """(*(v ^ phi) coefficients, *(v ^ *phi)) for a 1-form v."""
+        return (_combine(s, 3, zip(v.coeffs, (a.coeffs for a in stars))),
+                KForm(2, tuple(_combine(s, 2, zip(v.coeffs, (u.coeffs for u in ustars))))))
+
+    seven, z = starred(w)
+    images = []
+    for d, v in tangents:
+        vseven, vz = starred(v)
+        coef = c * d - sum(x * y for x, y in zip(wsharp, v.coeffs))
+        quadratic = (wedge(w, vz) + wedge(v, z)).coeffs
+        images.append(_combine(s, 3, ((2 * coef, phi), (2 * c, vseven), (2 * d, seven),
+                                      (2, quadratic))))
+    return images
 
 
 def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
@@ -165,8 +205,8 @@ def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
     if not s.ctx.is_zero(res, CONSTRAINT_TOL):
         raise TangencyError(
             f"tangency c c_dot + <w, w_dot> = {res}, not zero in the {s.ctx.mode} lane")
-    coef, seven, quadratic = _twist_terms(s, (p.c, p.omega), (t.c_dot, t.omega_dot))
-    return 2 * (coef * s.phi + seven + quadratic)
+    (image,) = _derivative_images(s, p, [(t.c_dot, t.omega_dot)])
+    return KForm(3, tuple(image))
 
 
 @dataclass(frozen=True)
@@ -184,18 +224,14 @@ def _metric_matches(s: G2Structure, metric, orientation) -> bool:
     return s.ctx.is_zero(diff, RECOVERY_TOL)
 
 
-def _recover_c_positive(s: G2Structure, phit: KForm, c) -> TwistParams:
-    target = decompose3(phit, s).p7
-    cols = [
-        ((2 * c) * hodge_star(wedge(KForm.basis((i,)), s.phi), s.metric, s.orientation)).coeffs
-        for i in range(1, DIM + 1)
-    ]
-    amat = [[cols[j][i] for j in range(DIM)] for i in range(len(target.coeffs))]
-    try:
-        x, _resid = s.ctx.solve(amat, list(target.coeffs))
-    except G2KitError as exc:
-        raise RecoveryError(f"direction solve failed: {exc}") from exc
-    return TwistParams(c, KForm(1, tuple(x)))
+def _recover_c_positive(s: G2Structure, coords, c) -> TwistParams:
+    """omega from the frame coordinates of the 7-part, 2c *(w ^ phi).
+
+    That 7-part is -2c sum_i (g^-1 w)_i e_i . *phi, so its coordinates in the
+    frame e_i . *phi are -2c g^-1 w, and w = -g coords / (2c).
+    """
+    scale = -2 * c
+    return TwistParams(c, KForm(1, tuple(x / scale for x in ratlin.matvec(s.metric.rows, coords))))
 
 
 def _recover_c_zero(s: G2Structure, phit: KForm) -> TwistParams:
@@ -221,9 +257,9 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     """Canonical parameters of a form in the structure's metric family.
 
     Checks the induced metric and orientation first (MetricMismatchError),
-    then branches on c^2 = (7 <phit, phi>/7 + 1)/8: the generic branch solves
-    the vector part linearly in omega, the c = 0 branch inverts the
-    symmetric action and extracts a rank-one square root.  The reported
+    then branches on c^2 = (<phit, phi> + 1)/8: the generic branch reads
+    omega from the frame coordinates of the 7-part, the c = 0 branch inverts
+    the symmetric action and extracts a rank-one square root.  The reported
     residual is the max-abs difference between re-twisting the recovered
     parameters and the input; exact mode demands literal zero.
     """
@@ -234,8 +270,8 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     if not _metric_matches(s, metric, orient):
         raise MetricMismatchError("form does not induce this structure's metric/orientation")
     ctx = s.ctx
-    alpha = form_inner(phit, s.phi, s.metric) / 7
-    c_sq = (7 * alpha + 1) / 8
+    phi_inner, coords = frame_coordinates(phit, s)
+    c_sq = (phi_inner + 1) / 8
     excess = max(-c_sq, c_sq - 1)  # positive outside [0, 1]
     if excess > 0 and not ctx.is_zero(excess, CONSTRAINT_TOL):
         raise RecoveryError(f"implied c^2 = {c_sq} outside [0, 1]")
@@ -243,7 +279,7 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     if ctx.is_zero(c, C_ZERO_SWITCH):
         params = _recover_c_zero(s, phit)
     else:
-        params = _recover_c_positive(s, phit, c)
+        params = _recover_c_positive(s, coords, c)
     params = params.canonical()
     err = (twist(s, params) - phit).max_abs()
     residual = float(err)
@@ -254,13 +290,14 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
 
 def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
     """A basis of the tangent space at p inside the ambient parameter sphere
-    spanned by c and the first ambient_dim coordinate 1-forms."""
+    spanned by c and the first ambient_dim coordinate 1-forms: the kernel of
+    (c_dot, v) -> c c_dot + <omega, v>, with the structure's inner product."""
     if not 1 <= ambient_dim <= DIM:
         raise ValueError("ambient_dim must be 1..7")
     p = _coerce_params(s, p)
     if any(p.omega.coeffs[i] for i in range(ambient_dim, DIM)):
         raise ConstraintError("omega leaves the ambient coordinate subspace")
-    row = [p.c] + [p.omega.coeffs[i] for i in range(ambient_dim)]
+    row = [p.c, *sharp(p.omega, s.metric)[:ambient_dim]]
     basis = []
     for v in s.ctx.nullspace([row]):
         coeffs = list(v[1:]) + [s.ctx.zero] * (DIM - ambient_dim)
@@ -269,9 +306,21 @@ def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
 
 
 def derivative_matrix(s: G2Structure, p: TwistParams, ambient_dim: int):
-    """Columns are twist derivatives along a tangent basis (35 x ambient_dim)."""
-    cols = [twist_derivative(s, p, t).coeffs for t in tangent_basis(s, p, ambient_dim)]
-    return [[col[i] for col in cols] for i in range(len(cols[0]))] if cols else []
+    """Columns are twist derivatives along a tangent basis (35 x ambient_dim).
+
+    2 B(p, .) is evaluated once per point on the coordinate directions c and
+    dx_1..dx_ambient_dim, then applied to the tangent basis."""
+    basis = tangent_basis(s, p, ambient_dim)
+    p = _coerce_params(s, p)
+    _check_constraint(s, p)
+    ctx = s.ctx
+    exact = ctx.is_exact
+    units = [(ctx.one, KForm.zero(1, exact))]
+    units += [(ctx.zero, KForm(1, basis_vector(j, exact))) for j in range(1, ambient_dim + 1)]
+    cols = _derivative_images(s, p, units)
+    # zip stops at the last column: the tangents vanish past ambient_dim
+    images = [_combine(s, 3, zip((t.c_dot, *t.omega_dot.coeffs), cols)) for t in basis]
+    return [list(row) for row in zip(*images)]
 
 
 def derivative_rank(s: G2Structure, p: TwistParams, ambient_dim: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
@@ -264,6 +264,10 @@ class G2Structure:
     float.  Its eigenvalues come from the traces of T and T^2 and are
     verified by kernel dimensions 7 and 14; the frame's inverse Gram
     matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.
+
+    The two contraction tables star_dx_phi and star_dx_star_phi, which
+    Bryant's formula reads, are built lazily on first use, so construction
+    does not pay for them.
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
@@ -309,6 +313,18 @@ class G2Structure:
         )
         # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
         self._gram7_inv = [[x / 4 for x in row] for row in _metric_inverse(self.metric)]
+
+    # -- contraction tables for Bryant's formula (built on first use) --
+
+    @cached_property
+    def star_dx_star_phi(self) -> tuple:
+        """u_j = *(dx_j ^ *phi) for j = 1..7, as the contractions (g^-1 e_j) . phi."""
+        return tuple(interior(col, self.phi) for col in zip(*_metric_inverse(self.metric)))
+
+    @cached_property
+    def star_dx_phi(self) -> tuple:
+        """s_j = *(dx_j ^ phi) for j = 1..7, as the contractions -(g^-1 e_j) . *phi."""
+        return tuple(-interior(col, self.star_phi) for col in zip(*_metric_inverse(self.metric)))
 
     def star(self, a: KForm) -> KForm:
         return hodge_star(a, self.metric, self.orientation)
@@ -383,6 +399,23 @@ def decompose2(beta: KForm, s: G2Structure) -> Decomposition2:
     return Decomposition2(p7=p7, p14=beta - p7)
 
 
+def frame_coordinates(eta: KForm, s: G2Structure):
+    """(<eta, phi>, coordinates of eta's 7-part in the frame e_i . *phi).
+
+    Both come from one Gram product of eta: its inner products with phi and
+    the 7 frame forms, the latter mapped through the frame's inverse Gram.
+    eta must already be in the structure's lane.
+    """
+    zero = s.ctx.zero
+
+    def matvec(rows, v):
+        # phi, the frame forms and (on flat metrics) g^-1 are sparse: skip their zeros
+        return [sum((x * y for x, y in zip(row, v) if x), zero) for row in rows]
+
+    inner = matvec([s.phi.coeffs, *(w.coeffs for w in s.frame3_7)], gram_apply(eta, s.metric))
+    return inner[0], matvec(s._gram7_inv, inner[1:])
+
+
 def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     """Split a 3-form into scalar, vector and symmetric-traceless parts.
 
@@ -392,11 +425,8 @@ def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     if eta.degree != 3:
         raise DegreeError("decompose3 expects a 3-form")
     eta = coerce_form(eta, s.ctx)
-    # <eta, phi> and <eta, w> for the 7 frame forms, from one Gram product
-    inner = ratlin.matvec([s.phi.coeffs] + [w.coeffs for w in s.frame3_7],
-                          gram_apply(eta, s.metric))
-    p1 = s.phi * (inner[0] / 7)
-    coords = ratlin.matvec(s._gram7_inv, inner[1:])
+    phi_inner, coords = frame_coordinates(eta, s)
+    p1 = s.phi * (phi_inner / 7)
     p7 = KForm.zero(3, s.ctx.is_exact)
     for x, w in zip(coords, s.frame3_7):
         if x:
@@ -530,14 +560,13 @@ def symmetric_basis(exact: bool = True):
 def _odot_symmetric_matrix(s: G2Structure):
     """35x28 matrix of the action restricted to symmetric tensors (cached).
 
-    With u_i = (g^-1 e_i) . phi, the unit tensor at (i, i) acts as
-    dx_i ^ u_i and the pair (i, j) as dx_i ^ u_j + dx_j ^ u_i.
+    With u_i = (g^-1 e_i) . phi (the structure's star_dx_star_phi table),
+    the unit tensor at (i, i) acts as dx_i ^ u_i and the pair (i, j) as
+    dx_i ^ u_j + dx_j ^ u_i.
     """
     if s._odot_matrix_cache is None:
-        exact = s.ctx.is_exact
-        ginv = _metric_inverse(s.metric)
-        dx = [KForm(1, basis_vector(i, exact)) for i in range(1, DIM + 1)]
-        u = [interior(col, s.phi) for col in zip(*ginv)]
+        dx = [KForm(1, basis_vector(i, s.ctx.is_exact)) for i in range(1, DIM + 1)]
+        u = s.star_dx_star_phi
         cols = [wedge(dx[i], u[i]).coeffs for i in range(DIM)]
         cols += [(wedge(dx[i], u[j]) + wedge(dx[j], u[i])).coeffs
                  for i in range(DIM) for j in range(i + 1, DIM)]

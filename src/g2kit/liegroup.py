@@ -23,6 +23,7 @@ package does not load it.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -233,16 +234,28 @@ def matrix_to_two_form(rows) -> KForm:
     )
 
 
+# One stabilizer basis per structure, dropped with the structure.
+_ALGEBRA_BASES = weakref.WeakKeyDictionary()
+
+
 def g2_algebra_basis(s: G2Structure | None = None) -> SubalgebraBasis:
     """Basis of the stabilizer algebra: the 14-dimensional eigenspace of the
     structure's 2-form operator, reinterpreted as antisymmetric matrices.
 
     Requires the structure's metric to be Euclidean (so(7) is taken with the
     standard inner product here); each basis element is verified to kill phi
-    under the infinitesimal action.
+    under the infinitesimal action.  The basis is built and verified once
+    per structure; later calls return the same object.
     """
     if s is None:
         s = standard_structure("exact")
+    basis = _ALGEBRA_BASES.get(s)
+    if basis is None:
+        basis = _ALGEBRA_BASES[s] = _build_g2_algebra_basis(s)
+    return basis
+
+
+def _build_g2_algebra_basis(s: G2Structure) -> SubalgebraBasis:
     if not s.metric.is_euclidean_within(EUCLIDEAN_TOL):
         raise FrameError("algebra extraction is defined for Euclidean-metric structures")
     mats = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2kit import bryant, exterior, g2core
 from g2kit.bryant import (
     TwistParams,
     TwistTangent,
@@ -19,6 +20,7 @@ from g2kit.bryant import (
     twist_decomposed,
     twist_derivative,
 )
+from g2kit.context import FLOAT
 from g2kit.errors import (
     ConstraintError,
     DegreeError,
@@ -38,6 +40,7 @@ from g2kit.g2core import (
 )
 from g2kit.models import flat_model, gamma_sample, model_structure
 from g2kit.sampling import rational_kform
+from test_kernels import rational_frames
 
 
 def sphere_points():
@@ -373,3 +376,158 @@ def test_c_zero_recovery_matches_eigh_reference(kind, rng):
             want = ref_float_recover_c_zero(sf, phit)
             got = recover(sf, phit).params
             assert got.c == 0.0 and (got.omega - want.omega).max_abs() <= 1e-12
+
+
+# -- the star-free derivative and recovery against the star chains they
+# -- replaced, on the flat models and on non-Euclidean rational frames ---------
+
+
+def ref_derivative_matrix(s, p, ambient_dim):
+    """The earlier derivative_matrix: per tangent, 2 B(p, t) from four Hodge stars."""
+    c, w = p.c, p.omega
+    m, o = s.metric, s.orientation
+
+    def seven(x):
+        return hodge_star(wedge(x, s.phi), m, o)
+
+    def quadratic(x, y):
+        return wedge(x, hodge_star(wedge(y, s.star_phi), m, o))
+
+    cols = []
+    for t in tangent_basis(s, p, ambient_dim):
+        d, v = t.c_dot, t.omega_dot
+        out = ((c * d - form_inner(w, v, m)) * s.phi + c * seven(v) + d * seven(w)
+               + quadratic(w, v) + quadratic(v, w))
+        cols.append((2 * out).coeffs)
+    return [[col[i] for col in cols] for i in range(len(cols[0]))]
+
+
+def ref_recover_c_positive(s, phit):
+    """The earlier generic branch: the 7-part solved against the 7 columns 2c *(dx_i ^ phi)."""
+    c = s.ctx.sqrt((form_inner(phit, s.phi, s.metric) + 1) / 8)
+    target = decompose3(phit, s).p7
+    cols = [((2 * c) * hodge_star(wedge(KForm.basis((i,)), s.phi), s.metric, s.orientation)).coeffs
+            for i in range(1, DIM + 1)]
+    amat = [[cols[j][i] for j in range(DIM)] for i in range(len(target.coeffs))]
+    x, _resid = s.ctx.solve(amat, list(target.coeffs))
+    return TwistParams(c, KForm(1, tuple(x)))
+
+
+def frame_point(p, a):
+    """A point on the sphere of the structure pulled back by a: omega pulled back too."""
+    return TwistParams(p.c, pullback(p.omega, a))
+
+
+def float_point(p):
+    return TwistParams(float(p.c), p.omega.as_float())
+
+
+def assert_star_free_tables(s):
+    m, o = s.metric, s.orientation
+    for j in range(DIM):
+        dx = KForm.basis((j + 1,))
+        assert s.star_dx_phi[j] == hodge_star(wedge(dx, s.phi), m, o)
+        assert s.star_dx_star_phi[j] == hodge_star(wedge(dx, s.star_phi), m, o)
+
+
+def assert_matches_star_references(s, p, ambient_dim):
+    assert derivative_matrix(s, p, ambient_dim) == ref_derivative_matrix(s, p, ambient_dim)
+    if p.c:
+        phit = twist(s, p)
+        assert recover(s, phit).params == ref_recover_c_positive(s, phit).canonical()
+
+
+def assert_float_close_to_star_references(sf, pf, ambient_dim):
+    got = np.asarray(derivative_matrix(sf, pf, ambient_dim))
+    want = np.asarray(ref_derivative_matrix(sf, pf, ambient_dim))
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    phit = twist(sf, pf)
+    rec, ref = recover(sf, phit).params, ref_recover_c_positive(sf, phit).canonical()
+    assert abs(rec.c - ref.c) <= FLOAT.tol and rec.omega.isclose(ref.omega, FLOAT.tol)
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_star_free_derivative_and_recovery_on_models(kind, rng):
+    m = flat_model(kind)
+    s, sf = model_structure(kind, "exact"), model_structure(kind, "float")
+    assert_star_free_tables(s)
+    for _ in range(4):
+        p = sample_params(rng, m.b1)
+        assert_matches_star_references(s, p, m.b1)
+        assert_float_close_to_star_references(sf, float_point(p), m.b1)
+    p = sample_params(rng, m.b1, force_c_zero=True)
+    assert derivative_matrix(s, p, m.b1) == ref_derivative_matrix(s, p, m.b1)
+
+
+@given(rational_frames(), sphere_points())
+@settings(max_examples=6, deadline=None)
+def test_star_free_derivative_and_recovery_on_rational_frames(a, p):
+    """Literal equality in the exact lane on frames of both orientations, where
+    the tables come from a non-Euclidean metric and star_phi carries sqrt(det g)."""
+    s = G2Structure(pullback(phi0(), a))
+    assert_star_free_tables(s)
+    q = frame_point(p, a)
+    assert_matches_star_references(s, q, DIM)
+    for t in tangent_basis(s, q, DIM)[:2]:
+        assert twist_derivative(s, q, t) == ref_twist_derivative(s, q, t)
+
+
+@given(rational_frames(), sphere_points())
+@settings(max_examples=6, deadline=None)
+def test_tangent_basis_uses_the_metric(a, p):
+    """The tangent space is the kernel of c c_dot + <omega, v> with the
+    structure's inner product, so off the Euclidean metric the derivative
+    still has rank 7 and each basis vector is literally tangent."""
+    s = G2Structure(pullback(phi0(), a))
+    q = frame_point(p, a)
+    basis = tangent_basis(s, q, DIM)
+    assert len(basis) == DIM
+    assert all(t.tangency_residual(q, s) == 0 for t in basis)
+    assert derivative_rank(s, q, DIM) == DIM
+
+
+def test_tangent_basis_on_sheared_frame():
+    a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    a[0][1] = Fraction(1)
+    for sign in (1, -1):
+        a[6] = [sign * x for x in a[6]]
+        s = G2Structure(pullback(phi0(), a))
+        assert s.orientation.sign == sign
+        p = TwistParams(Fraction(3, 5), KForm.from_entries(1, {(2,): Fraction(4, 5)}))
+        assert p.constraint_residual(s) == 0
+        assert derivative_rank(s, p, DIM) == DIM
+        assert all(t.tangency_residual(p, s) == 0 for t in tangent_basis(s, p, DIM))
+
+
+@pytest.fixture
+def star_calls(monkeypatch):
+    """Counts hodge_star calls made through any module that imports it."""
+    calls = []
+    real = exterior.hodge_star
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (exterior, g2core, bryant):
+        monkeypatch.setattr(module, "hodge_star", counted)
+    return calls
+
+
+def test_star_count_does_not_grow_with_the_ambient_dimension(star_calls, rng):
+    s = model_structure("t7", "exact")
+    counts = []
+    for d in range(1, DIM + 1):
+        p = sample_params(rng, d)
+        del star_calls[:]
+        derivative_matrix(s, p, d)
+        counts.append(len(star_calls))
+    assert counts == [0] * DIM
+    a = [[1 if j in (i, (i + 1) % DIM) else 0 for j in range(DIM)] for i in range(DIM)]
+    s = G2Structure(pullback(phi0(), a))
+    p = frame_point(sample_params(rng), a)
+    phit = twist(s, p)
+    del star_calls[:]
+    recover(s, phit)
+    # only the final re-twist, *(w ^ phi) and *(w ^ *phi), runs stars
+    assert len(star_calls) == 2

@@ -40,7 +40,7 @@ from g2kit.liegroup import (
     so7_basis,
     two_form_to_matrix,
 )
-from g2kit.liegroup import _bracket_vec
+from g2kit.liegroup import _bracket_vec, _build_g2_algebra_basis
 from g2kit.models import flat_model, holonomy_sample
 from g2kit import ratlin
 from g2kit.sampling import rational_kform
@@ -71,6 +71,19 @@ def test_algebra_dimension_and_kernel(s):
     assert basis.is_exact()
     for m in basis.matrices:
         assert infinitesimal_action(m, s).max_abs() == 0
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_algebra_basis_is_built_once_per_structure(mode):
+    """A repeated call returns the same object, equal to a fresh verified build;
+    another structure of the same form gets its own basis."""
+    s = G2Structure(phi0(mode == "exact"), g2kit.Context.of(mode))
+    basis = g2_algebra_basis(s)
+    assert g2_algebra_basis(s) is basis
+    assert basis.matrices == _build_g2_algebra_basis(s).matrices
+    other = G2Structure(phi0(mode == "exact"), g2kit.Context.of(mode))
+    assert g2_algebra_basis(other) is not basis
+    assert g2_algebra_basis(other).matrices == basis.matrices
 
 
 def test_algebra_is_bracket_closed(s):
