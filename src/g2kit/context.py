@@ -5,9 +5,9 @@ float; the two are never mixed inside one structure.  A Context names the
 lane and is the only place that knows what a lane is: it coerces incoming
 scalars once, gives the lane's zero and one, decides "is this zero" (literal
 in exact, within a tolerance in float), and routes square roots, ranks,
-kernels and solves to the lane's algorithm.  lane_of finds the lane of
-values that arrive without a Context (ints and Fractions are exact, any
-float makes them float).
+kernels, solves and integer scaling to the lane's algorithm.  lane_of finds
+the lane of values that arrive without a Context (ints and Fractions are
+exact, any float makes them float).
 
 Every float tolerance of the package is one of the named constants below;
 the exact lane replaces each with literal equality.
@@ -27,7 +27,8 @@ Scalar = Union[int, float, Fraction]
 # -- the tolerance ladder ------------------------------------------------------
 # Absolute unless marked relative.
 #
-# Context.tol: CLI checks (--tol default) and odot_inverse's 7-part and residual.
+# Context.tol: CLI checks (--tol default); odot_inverse's 7-part and residual
+# (relative to max(1, |eta|)).
 DEFAULT_TOL = 1e-10
 # is_so7 / is_g2 / nf_member default: entries of g^T g - 1, det g - 1, g.phi0 - phi0.
 SO7_TOL = 1e-10
@@ -157,6 +158,20 @@ class Context:
         return root
 
     # ratlin reads FLOAT_RANK_CUTOFF from this module, so it is imported on use.
+
+    def scaled(self, rows) -> tuple:
+        """(rows', den) with rows = rows' / den.  Exact mode: int rows over
+        the lcm of every denominator; float mode: the rows themselves over 1.
+        Table code runs on rows' in both lanes, so the exact lane's sums and
+        products are on ints, and builds each output with ratio."""
+        from . import ratlin
+
+        return ratlin.int_rows(rows) if self.is_exact else (rows, 1)
+
+    def ratio(self, num, den) -> Scalar:
+        """num / den as one lane scalar: Fraction(num, den) in exact mode (a
+        single gcd for ints), num / den in float mode."""
+        return Fraction(num, den) if self.is_exact else num / den
 
     def rank(self, m) -> int:
         from . import ratlin

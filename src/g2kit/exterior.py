@@ -365,14 +365,21 @@ def _det_small(mat, exact: bool):
 def _lambda_gram(m: Metric, k: int):
     """Gram matrix of the basis k-forms: det of inverse-metric minors.
 
+    The exact lane takes the minors on integers: g^-1 = G / d for an int
+    matrix G (Context.scaled), each k x k minor of G is an int, and an entry
+    is built as one Fraction(minor, d^k).  The float lane takes them on g^-1
+    itself.
+
     The result is symmetric in both lanes.  Exact minors (I, J) and (J, I)
     agree, so only the upper triangle is computed.  Float ones round apart,
     so each pair is averaged: that keeps every quadratic form <a, a> as the
     full matrix gives it, while <a, b> read by rows equals <b, a> read by
     columns (mirroring one triangle instead doubles that triangle's
     rounding in <a, a>)."""
-    inv = _metric_inverse(m)
-    exact = m.is_exact
+    lane = lane_of(m.rows[0])
+    inv, den = lane.scaled(_metric_inverse(m))
+    den **= k
+    exact = lane.is_exact
     basis = BASIS[k]
 
     def minor_det(I, J):
@@ -385,7 +392,7 @@ def _lambda_gram(m: Metric, k: int):
             d = minor_det(I, J)
             if not exact and q != p:
                 d = (d + minor_det(J, I)) / 2
-            gram[p][q] = gram[q][p] = d
+            gram[p][q] = gram[q][p] = lane.ratio(d, den)
     return tuple(tuple(row) for row in gram)
 
 

@@ -12,6 +12,14 @@ depend on the star and orientation conventions, and the contract is only
 that the eigenspaces have dimensions 7 and 14.  Both lanes read them from
 tr T and tr T^2 and keep the pair whose kernels have those dimensions; the
 lane only supplies the square root and the kernel algorithm.
+
+A structure's linear maps are built from constant index tables, not from
+wedge-and-star chains or solves: the 2-form operator from the 2 x 2 minors
+of g and the coefficients of phi, the action of symmetric and endomorphism
+tensors from phi's coefficient tensor, and the inverse of the symmetric
+action from the derivative of the cubic table that gives the metric.  The exact lane runs those tables
+on integers over one common denominator (Context.scaled) and builds one
+Fraction per output entry; the float lane runs the same code on floats.
 """
 from __future__ import annotations
 
@@ -38,7 +46,6 @@ from .errors import (
     DegreeError,
     ExactModeError,
     FrameError,
-    G2KitError,
     MetricError,
     NotG2FormError,
 )
@@ -60,6 +67,8 @@ from .exterior import (
     gram_apply,
     hodge_star,
     interior,
+    merge_sign,
+    top_coeff,
     volume_form,
     wedge,
 )
@@ -124,6 +133,43 @@ def _contraction_arrays():
     for col in cols:
         col.flags.writeable = False
     return cols
+
+
+@lru_cache(maxsize=None)
+def _two_form_operator_table():
+    """T = *(phi ^ .) on 2-forms as constant signs, with no star and no g^-1.
+
+    T(beta) is the star of the 5-form phi ^ beta, and Jacobi's complementary
+    minor identity writes the degree-5 Gram matrix of g^-1 through the 2 x 2
+    minors M2(g) of g itself.  With vol = o sqrt(det g) dx1..7:
+
+        T = o / sqrt(det g) * diag(r) . M2(g) . W(phi),
+
+    where W(phi)[Q][AB] = c * phi_L for disjoint 2-indices Q, AB and L the
+    3-index completing them.  Returns (r, terms): the 21 row signs and one
+    (Q, AB, c, position of L) per disjoint pair, 210 in all.
+    """
+    rows = []
+    for K in BASIS[2]:
+        rest = tuple(i for i in range(1, DIM + 1) if i not in K)
+        rows.append(merge_sign(rest, K)[0] * (-1) ** sum(K))
+    terms = []
+    for q, Q in enumerate(BASIS[2]):
+        for ab, AB in enumerate(BASIS[2]):
+            L = tuple(i for i in range(1, DIM + 1) if i not in Q and i not in AB)
+            if len(L) == 3:
+                terms.append((q, ab, merge_sign(L, AB)[0] * (-1) ** sum(Q), POS[3][L]))
+    return tuple(rows), tuple(terms)
+
+
+def _apply(table, v, ctx: Context) -> list:
+    """rows . v / den for a table (rows, den) built on Context.scaled rows.
+    v is scaled the same way, so the exact lane multiplies and sums ints and
+    builds one Fraction per output entry."""
+    rows, den = table
+    (v,), vden = ctx.scaled([v])
+    den *= vden
+    return [ctx.ratio(sum(x * y for x, y in zip(row, v) if y), den) for row in rows]
 
 
 def _contraction_matrix(coeffs):
@@ -209,11 +255,12 @@ def is_g2_form(phi: KForm, ctx: Context = EXACT) -> bool:
     return True
 
 
-def _full_tensor(phi: KForm):
-    """phi as a totally antisymmetric 3-tensor lookup t[a][b][c] (0-based)."""
-    zero = lane_of(phi.coeffs).zero
-    t = [[[zero] * DIM for _ in range(DIM)] for _ in range(DIM)]
-    for (i, j, k), c in phi.entries():
+def _full_tensor(coeffs):
+    """3-form coefficients as a totally antisymmetric 3-tensor lookup t[a][b][c] (0-based)."""
+    t = [[[0] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    for (i, j, k), c in zip(BASIS[3], coeffs):
+        if not c:
+            continue
         for (a, b, d), sign in (
             ((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
             ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
@@ -230,7 +277,9 @@ def _two_form_spectrum(tmat, ctx: Context):
     lane's.  The pair whose kernels have dimensions 7 and 14 is kept: the
     two kernels then meet only in 0 and span all 21 dimensions, which proves
     (T - lambda7)(T - lambda14) = 0.  Every G2 structure gives (2, -1), the
-    first candidate tried.
+    first candidate tried.  For tmat = d T with d > 0 (an integer-scaled T)
+    the eigenvalues come out multiplied by d and the kernel bases are those
+    of T: the reduced row echelon form does not see the factor.
     """
     n2 = len(tmat)
     t1 = sum(tmat[i][i] for i in range(n2))
@@ -257,17 +306,24 @@ class G2Structure:
     """A nondegenerate 3-form bundled with everything derived from it.
 
     Construction computes (eagerly): the induced metric and orientation, the
-    volume form, the star of phi, the spectrum of beta -> *(phi ^ beta) on
-    2-forms with its two eigenspace bases, and the Gram data of the
-    contraction frame spanning the 7-dimensional piece of the 3-forms.
-    All of it is in the context's arithmetic; exact mode never touches a
-    float.  Its eigenvalues come from the traces of T and T^2 and are
-    verified by kernel dimensions 7 and 14; the frame's inverse Gram
-    matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.
+    volume form, the star of phi (the one Hodge star construction runs), the
+    check |phi|^2 = 7 read as top(phi ^ *phi) / top(vol), the operator
+    T = *(phi ^ .) on 2-forms with its spectrum and two eigenspace bases,
+    and the contraction frame spanning the 7-dimensional piece of the
+    3-forms.  All of it is in the context's arithmetic; exact mode never
+    touches a float.
 
-    The two contraction tables star_dx_phi and star_dx_star_phi, which
-    Bryant's formula reads, are built lazily on first use, so construction
-    does not pay for them.
+    T is built without a star or g^-1 as o / sqrt(det g) times the 2 x 2
+    minors of g times a constant sign table filled with phi's coefficients
+    (_two_form_operator_table).  It is kept as a (rows, den) table: int rows
+    over a common denominator in exact mode.  Its eigenvalues come from the
+    traces of T and T^2 on those rows and are verified by kernel dimensions
+    7 and 14.  The frame's inverse Gram matrix is g^-1 / 4,
+    since <e_i . *phi, e_j . *phi> = 4 g_ij.
+
+    Built lazily on first use, so construction does not pay for them: the
+    two contraction tables star_dx_phi and star_dx_star_phi that Bryant's
+    formula reads, and the derivative table of B that odot_inverse reads.
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
@@ -276,13 +332,16 @@ class G2Structure:
         self.metric, self.orientation = metric_from_phi(self.phi, ctx)
         self.vol = volume_form(self.metric, self.orientation)
         self.star_phi = hodge_star(self.phi, self.metric, self.orientation)
-        norm = form_inner(self.phi, self.phi, self.metric)
+        # phi ^ *phi = |phi|^2 vol
+        norm = top_coeff(wedge(self.phi, self.star_phi)) / top_coeff(self.vol)
         if not ctx.is_zero(norm - 7, PHI_NORM_TOL):
             raise NotG2FormError(f"normalized 3-form should have |phi|^2 = 7, got {norm}")
-        self._tensor = _full_tensor(self.phi)
+        # phi = Phi / den with Phi an int vector in exact mode; the tables read Phi
+        self._scaled_phi = ctx.scaled([self.phi.coeffs])
+        (phi,), den = self._scaled_phi
+        self._tensor = (_full_tensor(phi), den)
         self._init_two_form_spectrum()
         self._init_three_form_frame()
-        self._odot_matrix_cache = None
 
     # -- spectral data on 2-forms ------------------------------------
 
@@ -293,14 +352,30 @@ class G2Structure:
         return hodge_star(wedge(self.phi, beta), self.metric, self.orientation)
 
     def _init_two_form_spectrum(self):
-        n2 = NK[2]
-        cols = []
-        for idx in BASIS[2]:
-            image = self.two_form_operator(KForm.basis(idx))
-            cols.append(image.coeffs)
-        tmat = [[cols[j][i] for j in range(n2)] for i in range(n2)]
-        self._tmat = tmat
-        self.lambda7, self.lambda14, eig7, eig14 = _two_form_spectrum(tmat, self.ctx)
+        ctx = self.ctx
+        g, gden = ctx.scaled(self.metric.rows)
+        (phi,), den = self._scaled_phi
+        ((root,),), root_den = ctx.scaled([[self.orientation.sign * top_coeff(self.vol)]])
+        signs, terms = _two_form_operator_table()
+        w = [[] for _ in BASIS[2]]
+        for q, ab, sign, pl in terms:
+            if phi[pl]:
+                w[q].append((ab, sign * phi[pl]))
+        tmat = []
+        for (a, b), sign in zip(BASIS[2], signs):
+            ga, gb, row = g[a - 1], g[b - 1], [0] * NK[2]
+            sign *= self.orientation.sign * root_den
+            for (c, d), entries in zip(BASIS[2], w):
+                minor = sign * (ga[c - 1] * gb[d - 1] - ga[d - 1] * gb[c - 1])
+                if minor:
+                    for ab, x in entries:
+                        row[ab] += minor * x
+            tmat.append(row)
+        # g = G / gden, phi = Phi / den and sqrt(det g) = root / root_den
+        den *= gden * gden * root
+        self._t_table = (tmat, den)
+        lam7, lam14, eig7, eig14 = _two_form_spectrum(tmat, ctx)
+        self.lambda7, self.lambda14 = ctx.ratio(lam7, den), ctx.ratio(lam14, den)
         self.basis2_7 = tuple(KForm(2, tuple(v)) for v in eig7)
         self.basis2_14 = tuple(KForm(2, tuple(v)) for v in eig14)
 
@@ -314,7 +389,28 @@ class G2Structure:
         # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
         self._gram7_inv = [[x / 4 for x in row] for row in _metric_inverse(self.metric)]
 
-    # -- contraction tables for Bryant's formula (built on first use) --
+    # -- tables built on first use --------------------------------------
+
+    @cached_property
+    def _odot_inverse_table(self) -> tuple:
+        """(rows, den) with rows . eta / den = dB_phi[eta] / lambda on _PAIRS.
+
+        B(phi) = lambda g (metric_from_phi, lambda < 0 in orientation -1).
+        dB_phi is the polarized cubic table: each term k phi_a phi_b phi_c of
+        B_n adds k phi_b phi_c at (n, a), and likewise at b and c.  Euler's
+        identity dB_phi[phi] = 3 B(phi) then gives lambda from B_11 / g_11.
+        """
+        (phi,), pden = self._scaled_phi
+        rows = [[0] * NK[3] for _ in _PAIRS]
+        for a, b, c, n, k in _contraction_table():
+            pa, pb, pc = phi[a], phi[b], phi[c]
+            row = rows[n]
+            row[a] += k * pb * pc
+            row[b] += k * pa * pc
+            row[c] += k * pa * pb
+        # rows = pden^2 dB_phi, so den = pden^2 lambda = (rows . Phi)_11 / (3 pden g_11)
+        b11 = sum(x * y for x, y in zip(rows[0], phi))
+        return rows, self.ctx.ratio(b11, 3 * pden * self.metric.rows[0][0])
 
     @cached_property
     def star_dx_star_phi(self) -> tuple:
@@ -388,12 +484,13 @@ def decompose2(beta: KForm, s: G2Structure) -> Decomposition2:
     """Split a 2-form into its 7- and 14-dimensional eigenspace parts.
 
     Spectral projection: p7 = (T(beta) - lam14 beta) / (lam7 - lam14) with
-    the structure's stored eigenvalues, p14 the remainder.
+    the structure's stored eigenvalues, p14 the remainder.  T(beta) is one
+    21x21 product with the structure's stored T (no Hodge star).
     """
     if beta.degree != 2:
         raise DegreeError("decompose2 expects a 2-form")
     beta = coerce_form(beta, s.ctx)
-    t_beta = s.two_form_operator(beta)
+    t_beta = KForm(2, tuple(_apply(s._t_table, beta.coeffs, s.ctx)))
     denom = s.lambda7 - s.lambda14
     p7 = (t_beta - s.lambda14 * beta) * (1 / denom)
     return Decomposition2(p7=p7, p14=beta - p7)
@@ -471,10 +568,17 @@ def _as_rows(b):
     return rows
 
 
-def odot_endo(E, s: G2Structure) -> KForm:
-    """(E . phi)(u,v,w) = phi(Eu,v,w) + phi(u,Ev,w) + phi(u,v,Ew) for an endomorphism E."""
-    rows = _as_rows(E)
-    t = s._tensor
+def _lane_rows(b, ctx: Context):
+    """b's rows coerced into the lane (a float entry in exact mode raises ExactModeError)."""
+    return [[ctx.scalar(x) for x in row] for row in _as_rows(b)]
+
+
+def _odot_scaled(rows, den, s: G2Structure) -> KForm:
+    """E . phi for E = rows / den (Context.scaled rows): the sums run on the
+    structure's tensor of phi, on ints in exact mode, and each coefficient
+    is built once."""
+    t, tden = s._tensor
+    den *= tden
     out = []
     for (i, j, k) in BASIS[3]:
         a, b, c = i - 1, j - 1, k - 1
@@ -489,15 +593,26 @@ def odot_endo(E, s: G2Structure) -> KForm:
             e_mc = rows[m][c]
             if e_mc:
                 acc += e_mc * t[a][b][m]
-        out.append(acc)
+        out.append(s.ctx.ratio(acc, den))
     return KForm(3, tuple(out))
+
+
+def odot_endo(E, s: G2Structure) -> KForm:
+    """(E . phi)(u,v,w) = phi(Eu,v,w) + phi(u,Ev,w) + phi(u,v,Ew) for an endomorphism E."""
+    return _odot_scaled(*s.ctx.scaled(_lane_rows(E, s.ctx)), s)
 
 
 def odot(b, s: G2Structure) -> KForm:
     """Action of a bilinear form on phi: raise the first index, then act slotwise."""
-    rows = _as_rows(b)
-    endo = ratlin.matmul([list(r) for r in _metric_inverse(s.metric)], rows)
-    return odot_endo(endo, s)
+    return _odot_rows(_lane_rows(b, s.ctx), s)
+
+
+def _odot_rows(rows, s: G2Structure) -> KForm:
+    """odot of rows already in the structure's lane."""
+    ctx = s.ctx
+    ginv, gden = ctx.scaled(_metric_inverse(s.metric))
+    rows, bden = ctx.scaled(rows)
+    return _odot_scaled(ratlin.matmul(ginv, rows), gden * bden, s)
 
 
 def odot_local(b, s: G2Structure, frame=None) -> KForm:
@@ -557,53 +672,38 @@ def symmetric_basis(exact: bool = True):
     return basis
 
 
-def _odot_symmetric_matrix(s: G2Structure):
-    """35x28 matrix of the action restricted to symmetric tensors (cached).
-
-    With u_i = (g^-1 e_i) . phi (the structure's star_dx_star_phi table),
-    the unit tensor at (i, i) acts as dx_i ^ u_i and the pair (i, j) as
-    dx_i ^ u_j + dx_j ^ u_i.
-    """
-    if s._odot_matrix_cache is None:
-        dx = [KForm(1, basis_vector(i, s.ctx.is_exact)) for i in range(1, DIM + 1)]
-        u = s.star_dx_star_phi
-        cols = [wedge(dx[i], u[i]).coeffs for i in range(DIM)]
-        cols += [(wedge(dx[i], u[j]) + wedge(dx[j], u[i])).coeffs
-                 for i in range(DIM) for j in range(i + 1, DIM)]
-        s._odot_matrix_cache = [list(row) for row in zip(*cols)]
-    return s._odot_matrix_cache
-
-
 def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
-    """The unique symmetric b with b acting on phi giving eta.
+    """The unique symmetric h with h acting on phi (odot) giving eta.
 
     Preconditions: eta is a 3-form with no 7-part (the action of symmetric
     tensors only reaches the 1- and 27-parts); violations raise
-    DecompositionError.  Float checks use the structure's context tol.
+    DecompositionError.
+
+    Closed form, no solve: with B(phi) = lambda g, for symmetric h
+    dB_phi[h . phi] = lambda (2h + tr_g(h) g).  So J = dB_phi[eta] / lambda,
+    one 28x35 product with the structure's table, gives
+    h = (J - tr_g(J) / 9 g) / 2.  Float checks are relative: the 7-part and
+    the residual odot(h) - eta must be within the context's tol times
+    max(1, |eta|).
     """
     if eta.degree != 3:
         raise DegreeError("odot_inverse expects a 3-form")
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
+    bound = ctx.tol * max(1.0, float(eta.max_abs()))
     parts = decompose3(eta, s)
-    if not ctx.is_zero(parts.p7.max_abs()):
+    if not ctx.is_zero(parts.p7.max_abs(), bound):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     # with p7 = 0 this is eta itself in the exact lane
-    target = [a + b for a, b in zip(parts.p1.coeffs, parts.p27.coeffs)]
-    try:
-        x, resid = ctx.solve(_odot_symmetric_matrix(s), target)
-    except G2KitError as exc:
-        raise DecompositionError(f"exact inversion failed: {exc}") from exc
-    if not ctx.is_zero(resid, ctx.tol * max(1.0, float(eta.max_abs()))):
-        raise DecompositionError(f"float inversion residual {resid} above tolerance")
+    target = KForm(3, tuple(a + b for a, b in zip(parts.p1.coeffs, parts.p27.coeffs)))
+    jvec = _apply(s._odot_inverse_table, target.coeffs, ctx)
+    ginv, g = _metric_inverse(s.metric), s.metric.rows
+    trace = sum(ginv[i][j] * x if i == j else 2 * ginv[i][j] * x
+                for (i, j), x in zip(_PAIRS, jvec)) / 9
     rows = [[None] * DIM for _ in range(DIM)]
-    pos = 0
-    for i in range(DIM):
-        rows[i][i] = x[pos]
-        pos += 1
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            rows[i][j] = x[pos]
-            rows[j][i] = x[pos]
-            pos += 1
+    for (i, j), x in zip(_PAIRS, jvec):
+        rows[i][j] = rows[j][i] = (x - trace * g[i][j]) / 2
+    resid = (_odot_rows(rows, s) - target).max_abs()
+    if not ctx.is_zero(resid, bound):
+        raise DecompositionError(f"inversion residual {resid} above tolerance")
     return SymTensor(tuple(tuple(r) for r in rows))

@@ -182,13 +182,6 @@ def _bracket_vec(u, v):
     return out
 
 
-def _scaled(lane, rows):
-    """(rows, d) with the input equal to rows / d: int rows over one common
-    denominator d in the exact lane, the rows themselves and d = 1 in float.
-    A positive common factor moves no span, kernel or rank tested here."""
-    return ratlin.int_rows(rows) if lane.is_exact else (rows, 1)
-
-
 def _annihilator(lane, vecs):
     """Rows spanning the vectors orthogonal to every vec (the standard dot
     product on the 21 coordinates): w is in the span of vecs exactly when
@@ -196,7 +189,7 @@ def _annihilator(lane, vecs):
     the rows are orthonormal).  Exact rows are scaled to ints."""
     if not vecs:
         return [[int(r == c) for c in range(len(_UPPER))] for r in range(len(_UPPER))]
-    return _scaled(lane, lane.nullspace(vecs))[0]
+    return lane.scaled(lane.nullspace(vecs))[0]
 
 
 def _in_span(lane, ann, v) -> bool:
@@ -276,7 +269,7 @@ def lie_normalizer(ambient: SubalgebraBasis, sub: SubalgebraBasis) -> Subalgebra
     one common denominator each; neither moves that kernel, whose basis comes
     from the unique reduced row echelon form."""
     lane = _lane(*ambient.matrices, *sub.matrices)
-    sub_vecs = _scaled(lane, [_vec_so(m) for m in sub.matrices])[0]
+    sub_vecs = lane.scaled([_vec_so(m) for m in sub.matrices])[0]
     ann = _annihilator(lane, sub_vecs)
     for i, a in enumerate(sub_vecs):
         for b in sub_vecs[i + 1:]:
@@ -284,7 +277,7 @@ def lie_normalizer(ambient: SubalgebraBasis, sub: SubalgebraBasis) -> Subalgebra
                 raise BracketClosureError("sub basis is not closed under the bracket")
     if not ambient.matrices or not sub_vecs:
         return ambient
-    amb_vecs = _scaled(lane, [_vec_so(m) for m in ambient.matrices])[0]
+    amb_vecs = lane.scaled([_vec_so(m) for m in ambient.matrices])[0]
     constraint = []
     for svec in sub_vecs:
         cols = [ratlin.matvec(ann, _bracket_vec(avec, svec)) for avec in amb_vecs]
@@ -367,10 +360,10 @@ def coset_tangent_dim(h: HolonomySpec, s: G2Structure | None = None) -> int:
     if h.count == 0:
         return len(_UPPER) - g2b.dim
     lane = _lane(*h.generators, *g2b.matrices)
-    ann = _annihilator(lane, _scaled(lane, [_vec_so(m) for m in g2b.matrices])[0])
+    ann = _annihilator(lane, lane.scaled([_vec_so(m) for m in g2b.matrices])[0])
     constraint = []
     for gen in h.generators:
-        grows, d = _scaled(lane, _rows(gen))
+        grows, d = lane.scaled(_rows(gen))
         cols = []
         for a, (i, j) in enumerate(_UPPER):
             gi, gj = grows[i], grows[j]

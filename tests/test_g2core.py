@@ -1,4 +1,5 @@
 """The standard 3-form: induced metric, spectra, decompositions, tensor action."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,25 @@ def test_odot_inverse_roundtrip(s, rng):
 def test_odot_inverse_rejects_seven_part(s):
     with pytest.raises(DecompositionError):
         odot_inverse(s.frame3_7[2], s)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6, 1e8])
+def test_float_odot_inverse_bounds_are_relative(scale):
+    """The float 7-part test scales with |eta| like the residual test: an
+    absolute 1e-10 refused 7 of 20 of these inputs at 1e6 and all at 1e8."""
+    sf = standard_structure("float")
+    rng = random.Random(int(scale))
+    for _ in range(20):
+        h = [[None] * DIM for _ in range(DIM)]
+        for i in range(DIM):
+            for j in range(i, DIM):
+                h[i][j] = h[j][i] = rng.uniform(-1.0, 1.0) * scale
+        back = odot_inverse(odot(h, sf), sf)
+        gap = max(abs(x - y) for rb, rh in zip(back.rows, h) for x, y in zip(rb, rh))
+        assert gap <= 1e-12 * scale
+    # a 7-part is refused at every scale
+    with pytest.raises(DecompositionError):
+        odot_inverse(sf.frame3_7[2] * scale, sf)
 
 
 def test_odot_local_standard_frame(s, rng):

@@ -5,6 +5,10 @@
 - the cubic table for B(phi) against the wedge chain that defines it;
 - the closed forms used at construction: frame Gram = 4 g, the symmetric
   action assembled from g^-1;
+- the structure tables against the chains they replace: T from the minors
+  of g against 21 wedge + star columns, odot_inverse's dB_phi table against its
+  identity and against the 35x28 solve it replaced, and the counts of stars,
+  Gram degrees and eliminations these paths run;
 - the 2-form spectrum from tr T and tr T^2 against the earlier exact lane
   (kept by (T - lambda7)(T - lambda14) = 0) and float lane (numpy eigvals,
   clustered);
@@ -18,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from g2kit import ratlin
+from g2kit import exterior, g2core, ratlin
 from g2kit.context import EXACT, FLOAT, rational_nth_root
 from g2kit.errors import DecompositionError, G2KitError
 from g2kit.exterior import (
@@ -30,6 +34,7 @@ from g2kit.exterior import (
     _lambda_gram,
     _metric_inverse,
     basis_vector,
+    coerce_form,
     form_inner,
     interior,
     pullback,
@@ -37,17 +42,22 @@ from g2kit.exterior import (
     wedge,
 )
 from g2kit.g2core import (
+    _PAIRS,
     G2Structure,
+    SymTensor,
+    _apply,
     _contraction_matrix,
-    _odot_symmetric_matrix,
     _two_form_spectrum,
+    decompose2,
     decompose3,
     metric_from_phi,
     odot,
+    odot_inverse,
     phi0,
     standard_structure,
     symmetric_basis,
 )
+from g2kit.models import model_structure
 
 # -- reference Gauss-Jordan over Fractions ----------------------------------
 
@@ -233,23 +243,230 @@ def rational_frames(draw):
     return a
 
 
+# -- odot_inverse by the 35x28 solve it replaced, kept as the reference --------
+
+
+def ref_odot_symmetric_matrix(s):
+    """35x28 matrix of the action on the 28 symmetric unit tensors.
+
+    With u_i = (g^-1 e_i) . phi (the structure's star_dx_star_phi table),
+    the unit tensor at (i, i) acts as dx_i ^ u_i and the pair (i, j) as
+    dx_i ^ u_j + dx_j ^ u_i.
+    """
+    dx = [KForm(1, basis_vector(i, s.ctx.is_exact)) for i in range(1, DIM + 1)]
+    u = s.star_dx_star_phi
+    cols = [wedge(dx[i], u[i]).coeffs for i in range(DIM)]
+    cols += [(wedge(dx[i], u[j]) + wedge(dx[j], u[i])).coeffs
+             for i in range(DIM) for j in range(i + 1, DIM)]
+    return [list(row) for row in zip(*cols)]
+
+
+def ref_odot_inverse(eta, s):
+    """The symmetric preimage by a least squares / exact solve against
+    ref_odot_symmetric_matrix, with an absolute 7-part test at ctx.tol."""
+    ctx = s.ctx
+    eta = coerce_form(eta, ctx)
+    parts = decompose3(eta, s)
+    if not ctx.is_zero(parts.p7.max_abs()):
+        raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
+    target = [a + b for a, b in zip(parts.p1.coeffs, parts.p27.coeffs)]
+    x, resid = ctx.solve(ref_odot_symmetric_matrix(s), target)
+    if not ctx.is_zero(resid, ctx.tol * max(1.0, float(eta.max_abs()))):
+        raise DecompositionError(f"float inversion residual {resid} above tolerance")
+    coords = iter(x)
+    rows = [[None] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        rows[i][i] = next(coords)
+    for i in range(DIM):
+        for j in range(i + 1, DIM):
+            rows[i][j] = rows[j][i] = next(coords)
+    return SymTensor(tuple(tuple(r) for r in rows))
+
+
 @given(rational_frames())
 @settings(max_examples=8, deadline=None)
 def test_frame_gram_and_symmetric_action(a):
-    """Frame Gram = 4 g exactly; the symmetric action equals 28 odot columns."""
+    """Frame Gram = 4 g exactly; the reference symmetric action equals 28
+    odot columns, and odot_inverse takes each column back to its tensor."""
     phi = pullback(phi0(), a)
     s = G2Structure(phi)
     assert s.orientation.sign == (1 if ratlin.det_exact(a) > 0 else -1)
     gram = [[form_inner(u, v, s.metric) for v in s.frame3_7] for u in s.frame3_7]
     assert gram == [[4 * x for x in row] for row in s.metric.rows]
     assert ratlin.matmul(gram, s._gram7_inv) == ratlin.identity(DIM)
-    cols = [odot(b, s).coeffs for b in symmetric_basis()]
-    assert _odot_symmetric_matrix(s) == [list(row) for row in zip(*cols)]
+    basis = symmetric_basis()
+    cols = [odot(b, s) for b in basis]
+    assert ref_odot_symmetric_matrix(s) == [list(row) for row in zip(*(c.coeffs for c in cols))]
+    assert [odot_inverse(c, s).rows for c in cols] == [tuple(map(tuple, b)) for b in basis]
     # the exact spectrum: T = lambda on each stored eigenbasis
     for lam, basis in ((s.lambda7, s.basis2_7), (s.lambda14, s.basis2_14)):
         for beta in basis:
             assert s.two_form_operator(beta) == lam * beta
     assert metric_from_phi(phi) == (s.metric, s.orientation)
+
+
+# -- structure tables against the chains they replace -------------------------
+
+
+def t_matrix(s):
+    """The structure's T as lane scalars, from its (rows, den) table."""
+    rows, den = s._t_table
+    return [[s.ctx.ratio(x, den) for x in row] for row in rows]
+
+
+def star_t_matrix(s):
+    """T from 21 wedge + star chains: column j is two_form_operator of basis 2-form j."""
+    cols = [s.two_form_operator(KForm.basis(idx)).coeffs for idx in BASIS[2]]
+    return [list(row) for row in zip(*cols)]
+
+
+def assert_float_close(got, want, rel):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.abs(got - want).max() <= rel * max(1.0, np.abs(want).max())
+
+
+def float_frame(a):
+    """a in floats, kept to cond(a^T a) <= 1e5, where the float lane builds structures."""
+    af = [[float(x) for x in row] for row in a]
+    arr = np.asarray(af)
+    assume(np.linalg.cond(arr.T @ arr) <= 1e5)
+    return af
+
+
+def random_symmetric(rng, ctx, scale=1):
+    h = [[None] * DIM for _ in range(DIM)]
+    for i, j in _PAIRS:
+        h[i][j] = h[j][i] = ctx.scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) * scale
+    return h
+
+
+@pytest.mark.parametrize("name", ["t7", "s1xcy3", "t3xk3"])
+def test_t_table_equals_star_chain_on_models(name):
+    s = model_structure(name, "exact")
+    assert t_matrix(s) == star_t_matrix(s)
+    sf = model_structure(name, "float")
+    assert_float_close(t_matrix(sf), star_t_matrix(sf), 1e-9)
+
+
+@given(rational_frames())
+@settings(max_examples=6, deadline=None)
+def test_t_table_equals_star_chain_on_frames(a):
+    """Literally equal in the exact lane (both orientations: rational_frames
+    draws the sign), within 1e-9 relative in the float lane."""
+    s = G2Structure(pullback(phi0(), a))
+    assert t_matrix(s) == star_t_matrix(s)
+    beta = KForm(2, tuple(Fraction(i - 10, 1 + i % 3) for i in range(NK[2])))
+    t_beta = star_t_matrix(s)
+    assert decompose2(beta, s).p7 == (KForm(2, tuple(ratlin.matvec(t_beta, beta.coeffs)))
+                                      - s.lambda14 * beta) * (1 / (s.lambda7 - s.lambda14))
+    sf = G2Structure(pullback(phi0(False), float_frame(a)), FLOAT)
+    assert_float_close(t_matrix(sf), star_t_matrix(sf), 1e-9)
+
+
+@given(rational_frames())
+@settings(max_examples=3, deadline=None)
+def test_odot_inverse_table_identity(a):
+    """dB_phi[h . phi] / lambda = 2h + tr_g(h) g, literally, on all 28
+    symmetric unit tensors, in both orientations."""
+    flipped = [[-x for x in a[0]]] + a[1:]
+    structures = [standard_structure()] + [G2Structure(pullback(phi0(), f)) for f in (a, flipped)]
+    assert sorted(s.orientation.sign for s in structures[1:]) == [-1, 1]
+    for s in structures:
+        ginv, g = _metric_inverse(s.metric), s.metric.rows
+        for h in symmetric_basis():
+            jvec = _apply(s._odot_inverse_table, odot(h, s).coeffs, s.ctx)
+            trace = sum(ginv[i][j] * h[j][i] for i in range(DIM) for j in range(DIM))
+            assert jvec == [2 * h[i][j] + trace * g[i][j] for i, j in _PAIRS]
+
+
+@pytest.mark.parametrize("name", ["t7", "s1xcy3", "t3xk3"])
+def test_odot_inverse_equals_solve_reference_on_models(name):
+    rng = random.Random(name)
+    for mode in ("exact", "float"):
+        s = model_structure(name, mode)
+        for _ in range(3):
+            h = random_symmetric(rng, s.ctx)
+            eta = odot(h, s)
+            got, want = odot_inverse(eta, s), ref_odot_inverse(eta, s)
+            if s.ctx.is_exact:
+                assert got == want == SymTensor(h)
+            else:
+                assert_float_close(got.rows, want.rows, 1e-12)
+
+
+@given(rational_frames(), st.integers(0, 2 ** 16))
+@settings(max_examples=4, deadline=None)
+def test_odot_inverse_equals_solve_reference_on_frames(a, seed):
+    rng = random.Random(seed)
+    s = G2Structure(pullback(phi0(), a))
+    eta = odot(random_symmetric(rng, EXACT), s)
+    assert odot_inverse(eta, s) == ref_odot_inverse(eta, s)
+    with pytest.raises(DecompositionError):
+        odot_inverse(eta + s.frame3_7[seed % DIM], s)
+    # The float lane accepts every input the solve accepted (its 7-part test
+    # is now relative) and agrees with it there.
+    sf = G2Structure(pullback(phi0(False), float_frame(a)), FLOAT)
+    eta = odot(random_symmetric(rng, FLOAT), sf)
+    try:
+        want = ref_odot_inverse(eta, sf)
+    except DecompositionError:
+        return
+    assert_float_close(odot_inverse(eta, sf).rows, want.rows, 1e-9)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts hodge_star and ratlin.rref calls and the degrees asked of _lambda_gram."""
+    calls = {"star": 0, "rref": 0, "gram": []}
+    star, rref, gram = exterior.hodge_star, ratlin.rref, exterior._lambda_gram
+
+    def counted_star(*args, **kwargs):
+        calls["star"] += 1
+        return star(*args, **kwargs)
+
+    def counted_rref(m):
+        calls["rref"] += 1
+        return rref(m)
+
+    def counted_gram(m, k):
+        calls["gram"].append(k)
+        return gram(m, k)
+
+    for module in (exterior, g2core):
+        monkeypatch.setattr(module, "hodge_star", counted_star)
+    monkeypatch.setattr(exterior, "_lambda_gram", counted_gram)
+    monkeypatch.setattr(ratlin, "rref", counted_rref)
+
+    def reset():
+        calls.update(star=0, rref=0, gram=[])
+        return calls
+
+    return reset
+
+
+def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
+    """Exact construction runs one star (of phi, through the degree-3 Gram)
+    and no degree-5 Gram;
+    decompose2 runs no star; odot_inverse runs no elimination."""
+    a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    a[0][1], a[2][5], a[4][4] = Fraction(1), Fraction(-1, 2), Fraction(2)
+    rng = random.Random(3)
+    for sign in (1, -1):
+        a[6] = [sign * abs(x) for x in a[6]]
+        phi = pullback(phi0(), a)
+        calls = kernel_calls()
+        s = G2Structure(phi)
+        assert s.orientation.sign == sign and not s.metric.is_euclidean
+        assert calls["star"] == 1 and set(calls["gram"]) == {3}
+        eta = odot(random_symmetric(rng, EXACT), s)
+        beta = KForm(2, tuple(Fraction(rng.randint(-5, 5), 3) for _ in range(NK[2])))
+        calls = kernel_calls()
+        decompose2(beta, s)
+        assert calls["star"] == 0
+        calls = kernel_calls()
+        odot_inverse(eta, s)
+        odot_inverse(eta, s)
+        assert calls["rref"] == 0 and calls["star"] == 0
 
 
 # -- the 2-form spectrum: one trace path against the earlier per-lane ones -----
@@ -299,7 +516,7 @@ def span_projector(rows):
 @settings(max_examples=3, deadline=None)
 def test_exact_two_form_spectrum_equals_reference(a):
     for s in (standard_structure(), G2Structure(pullback(phi0(), a))):
-        lam7, lam14, eig7, eig14 = ref_exact_two_form_spectrum(s._tmat)
+        lam7, lam14, eig7, eig14 = ref_exact_two_form_spectrum(t_matrix(s))
         assert (s.lambda7, s.lambda14) == (lam7, lam14) == (2, -1)
         assert [list(b.coeffs) for b in s.basis2_7] == eig7
         assert [list(b.coeffs) for b in s.basis2_14] == eig14
@@ -314,7 +531,7 @@ def test_float_two_form_spectrum_matches_eigvals_reference(a):
     arr = np.asarray(af)
     assume(np.linalg.cond(arr.T @ arr) <= 1e5)
     s = G2Structure(pullback(phi0(False), af), FLOAT)
-    lam7, lam14, eig7, eig14 = ref_float_two_form_spectrum(s._tmat)
+    lam7, lam14, eig7, eig14 = ref_float_two_form_spectrum(t_matrix(s))
     assert abs(s.lambda7 - lam7) <= 1e-9 and abs(s.lambda14 - lam14) <= 1e-9
     for basis, ref in ((s.basis2_7, eig7), (s.basis2_14, eig14)):
         assert len(basis) == len(ref)
