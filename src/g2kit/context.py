@@ -164,14 +164,18 @@ class Context:
         the lcm of every denominator; float mode: the rows themselves over 1.
         Table code runs on rows' in both lanes, so the exact lane's sums and
         products are on ints, and builds each output with ratio."""
+        if self.mode != "exact":
+            return rows, 1
         from . import ratlin
 
-        return ratlin.int_rows(rows) if self.is_exact else (rows, 1)
+        return ratlin.int_rows(rows)
 
     def ratio(self, num, den) -> Scalar:
         """num / den as one lane scalar: Fraction(num, den) in exact mode (a
         single gcd for ints), num / den in float mode."""
-        return Fraction(num, den) if self.is_exact else num / den
+        # called once per output entry of every table product: mode is read
+        # directly, not through the is_exact property
+        return Fraction(num, den) if self.mode == "exact" else num / den
 
     def rank(self, m) -> int:
         from . import ratlin
@@ -202,7 +206,10 @@ FLOAT = Context("float")
 
 def lane_of(values) -> Context:
     """The lane of loose values: FLOAT when any is a float, else EXACT."""
-    return FLOAT if any(isinstance(v, float) for v in values) else EXACT
+    for v in values:
+        if isinstance(v, float):
+            return FLOAT
+    return EXACT
 
 
 def _int_nth_root(m: int, n: int):

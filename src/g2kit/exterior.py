@@ -10,6 +10,14 @@ antiderivation acting on the first slot.
 Coefficients are fractions.Fraction in exact computations and float
 otherwise; a single form never mixes the two (construction normalizes ints
 to Fraction unless a float is present).
+
+A metric's Gram matrix of basis k-forms (the minors of g^-1) is kept per
+(metric, k) as a table (rows, den): int rows over d^k in the exact lane,
+where g^-1 = G / d for an int matrix G, and float rows over 1 in the float
+lane.  gram_apply, form_inner and the non-Euclidean hodge_star scale their
+form once (Context.scaled), run one int matvec with the table and build
+one scalar per output (Context.ratio); the star folds the scaling of
+sqrt(det g) into that same scalar.
 """
 from __future__ import annotations
 
@@ -363,12 +371,14 @@ def _det_small(mat, exact: bool):
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _lambda_gram(m: Metric, k: int):
-    """Gram matrix of the basis k-forms: det of inverse-metric minors.
+    """Gram matrix of the basis k-forms as a table (rows, den): the minor
+    determinants of g^-1, which are rows / den.
 
     The exact lane takes the minors on integers: g^-1 = G / d for an int
-    matrix G (Context.scaled), each k x k minor of G is an int, and an entry
-    is built as one Fraction(minor, d^k).  The float lane takes them on g^-1
-    itself.
+    matrix G (Context.scaled), each k x k minor of G is an int (orders 2
+    and 3 by their expansion, higher orders by ratlin's Bareiss
+    elimination), so the table is (int rows, d^k).  The float lane takes
+    them on g^-1 itself, over 1.
 
     The result is symmetric in both lanes.  Exact minors (I, J) and (J, I)
     agree, so only the upper triangle is computed.  Float ones round apart,
@@ -378,7 +388,6 @@ def _lambda_gram(m: Metric, k: int):
     rounding in <a, a>)."""
     lane = lane_of(m.rows[0])
     inv, den = lane.scaled(_metric_inverse(m))
-    den **= k
     exact = lane.is_exact
     basis = BASIS[k]
 
@@ -392,26 +401,47 @@ def _lambda_gram(m: Metric, k: int):
             d = minor_det(I, J)
             if not exact and q != p:
                 d = (d + minor_det(J, I)) / 2
-            gram[p][q] = gram[q][p] = lane.ratio(d, den)
-    return tuple(tuple(row) for row in gram)
+            gram[p][q] = gram[q][p] = d
+    # Bareiss minors come back as Fractions over 1: scaled makes them ints
+    rows, rden = lane.scaled(gram)
+    return tuple(tuple(row) for row in rows), den ** k * rden
+
+
+def _matvec(rows, v) -> list:
+    """rows . v, skipping v's zeros: ints for Context.scaled rows in the exact lane."""
+    nonzero = [(q, c) for q, c in enumerate(v) if c]
+    return [sum(row[q] * c for q, c in nonzero) for row in rows]
+
+
+def _gram_sums(a: KForm, m: Metric, lane: Context):
+    """(sums, den) with Gram_k(m) . a = sums / den: a is scaled once
+    (Context.scaled), so the exact lane runs one int matvec."""
+    rows, den = _lambda_gram(m, a.degree)
+    (v,), vden = lane.scaled([a.coeffs])
+    return _matvec(rows, v), den * vden
 
 
 def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
-    """Inner product of two k-forms induced by the metric."""
+    """Inner product of two k-forms induced by the metric: on a non-Euclidean
+    metric the dot product of b with the Gram product of a, built as one
+    lane scalar."""
     if a.degree != b.degree:
         raise DegreeError("inner product needs equal degrees")
     if m.is_euclidean:
         return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
-    gram = _lambda_gram(m, a.degree)
+    lane = lane_of((a.coeffs[0], b.coeffs[0], m.rows[0][0]))
+    rows, den = _lambda_gram(m, a.degree)
+    (v,), vden = lane.scaled([a.coeffs])
+    (w,), wden = lane.scaled([b.coeffs])
+    nonzero = [(q, x) for q, x in enumerate(v) if x]
     tot = 0
-    for p, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        row = gram[p]
-        for q, cb in enumerate(b.coeffs):
-            if cb:
-                tot += ca * row[q] * cb
-    return tot
+    # only the entries of the Gram product that meet b's nonzeros
+    for p, y in enumerate(w):
+        if y:
+            row = rows[p]
+            for q, x in nonzero:
+                tot += row[q] * x * y
+    return lane.ratio(tot, den * vden * wden)
 
 
 def gram_apply(a: KForm, m: Metric = EUCLIDEAN):
@@ -420,8 +450,9 @@ def gram_apply(a: KForm, m: Metric = EUCLIDEAN):
     number of inner products with a."""
     if m.is_euclidean:
         return a.coeffs
-    nonzero = [(q, c) for q, c in enumerate(a.coeffs) if c]
-    return [sum(row[q] * c for q, c in nonzero) for row in _lambda_gram(m, a.degree)]
+    lane = lane_of((a.coeffs[0], m.rows[0][0]))
+    sums, den = _gram_sums(a, m, lane)
+    return [lane.ratio(x, den) for x in sums]
 
 
 def volume_form(m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KForm:
@@ -440,12 +471,16 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
             po, s = comp[p]
             out[po] = (a.coeffs[p] * o.sign) if s > 0 else -(a.coeffs[p] * o.sign)
         return KForm(out_deg, tuple(out))
-    vol = _sqrt_det(m) * o.sign
-    out = [lane_of((*a.coeffs, vol)).zero] * NK[out_deg]
-    for p, inner in enumerate(gram_apply(a, m)):
+    lane = lane_of((a.coeffs[0], m.rows[0][0]))
+    ((vol,),), vden = lane.scaled([[_sqrt_det(m) * o.sign]])
+    sums, den = _gram_sums(a, m, lane)
+    # vol = vol / vden joins the Gram's denominator in one scalar per output
+    den *= vden
+    out = [lane.zero] * NK[out_deg]
+    for p, inner in enumerate(sums):
         if inner:
             po, s = comp[p]
-            out[po] = s * inner * vol
+            out[po] = lane.ratio(s * inner * vol, den)
     return KForm(out_deg, tuple(out))
 
 

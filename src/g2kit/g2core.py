@@ -17,9 +17,13 @@ A structure's linear maps are built from constant index tables, not from
 wedge-and-star chains or solves: the 2-form operator from the 2 x 2 minors
 of g and the coefficients of phi, the action of symmetric and endomorphism
 tensors from phi's coefficient tensor, and the inverse of the symmetric
-action from the derivative of the cubic table that gives the metric.  The exact lane runs those tables
-on integers over one common denominator (Context.scaled) and builds one
-Fraction per output entry; the float lane runs the same code on floats.
+action from the derivative of the cubic table that gives the metric, the
+3-form frame e_i . *phi as a signed selection of *phi's coefficients.  The
+exact lane runs those tables on integers over one common denominator
+(Context.scaled) and builds one Fraction per output entry; the float lane
+runs the same code on floats.  decompose3 and frame_coordinates run the
+same way on the structure's scaled rows of phi and the frame forms and on
+the metric's (int rows, den) Gram table of 3-forms.
 """
 from __future__ import annotations
 
@@ -58,13 +62,14 @@ from .exterior import (
     Metric,
     NEGATIVE,
     POSITIVE,
+    _lambda_gram,
+    _matvec,
     _metric_inverse,
     _wedge_table,
     basis_vector,
     coerce_form,
     flat,
     form_inner,
-    gram_apply,
     hodge_star,
     interior,
     merge_sign,
@@ -96,6 +101,20 @@ _PAIRS = tuple((i, j) for i in range(DIM) for j in range(i, DIM))
 
 
 @lru_cache(maxsize=None)
+def _interior_table(k: int):
+    """e_i . dx_P = sign dx_Q on k-forms: per i = 1..7, {Q position: (P position, sign)}."""
+    table = []
+    for i in range(1, DIM + 1):
+        row = {}
+        for p, idx in enumerate(BASIS[k]):
+            if i in idx:
+                t = idx.index(i)
+                row[POS[k - 1][idx[:t] + idx[t + 1:]]] = (p, -1 if t % 2 else 1)
+        table.append(row)
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
 def _contraction_table():
     """B_ij(phi) = top coefficient of (e_i . phi) ^ (e_j . phi) ^ phi, as a cubic table.
 
@@ -103,15 +122,7 @@ def _contraction_table():
     coefficient * phi_a phi_b phi_c of B at `pair` (an index into _PAIRS),
     with positions a <= b <= c.  Built from the wedge tables on first use.
     """
-    # e_i . dx_P = sign dx_Q: per i, Q position -> (P position, sign)
-    contr = []
-    for i in range(1, DIM + 1):
-        row = {}
-        for p, idx in enumerate(BASIS[3]):
-            if i in idx:
-                t = idx.index(i)
-                row[POS[2][idx[:t] + idx[t + 1:]]] = (p, -1 if t % 2 else 1)
-        contr.append(row)
+    contr = _interior_table(3)
     top = {pa: (pb, sign) for pa, pb, sign, _ in _wedge_table(4, 3)}
     terms = {}
     for n, (i, j) in enumerate(_PAIRS):
@@ -169,7 +180,7 @@ def _apply(table, v, ctx: Context) -> list:
     rows, den = table
     (v,), vden = ctx.scaled([v])
     den *= vden
-    return [ctx.ratio(sum(x * y for x, y in zip(row, v) if y), den) for row in rows]
+    return [ctx.ratio(x, den) for x in _matvec(rows, v)]
 
 
 def _contraction_matrix(coeffs):
@@ -318,12 +329,18 @@ class G2Structure:
     (_two_form_operator_table).  It is kept as a (rows, den) table: int rows
     over a common denominator in exact mode.  Its eigenvalues come from the
     traces of T and T^2 on those rows and are verified by kernel dimensions
-    7 and 14.  The frame's inverse Gram matrix is g^-1 / 4,
-    since <e_i . *phi, e_j . *phi> = 4 g_ij.
+    7 and 14.  The frame forms e_i . *phi are read off *phi with constant
+    signs (_interior_table), no arithmetic.  The frame's inverse Gram matrix
+    is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.  The star of phi
+    is one int product with the metric's Gram table of 3-forms, which
+    exterior keeps as (int rows, den) in exact mode.
 
     Built lazily on first use, so construction does not pay for them: the
     two contraction tables star_dx_phi and star_dx_star_phi that Bryant's
-    formula reads, and the derivative table of B that odot_inverse reads.
+    formula reads, the derivative table of B that odot_inverse reads, and
+    the frame table that decompose3 and frame_coordinates read: phi and the
+    7 frame forms as scaled rows, the Gram table (on a non-Euclidean
+    metric) and g^-1 / 4 as scaled rows.
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
@@ -382,12 +399,29 @@ class G2Structure:
     # -- frame data on 3-forms ---------------------------------------
 
     def _init_three_form_frame(self):
-        exact = self.ctx.is_exact
-        self.frame3_7 = tuple(
-            interior(basis_vector(i, exact), self.star_phi) for i in range(1, DIM + 1)
-        )
+        # e_i . *phi is a signed selection of *phi's coefficients
+        psi, zero = self.star_phi.coeffs, self.ctx.zero
+        frames = []
+        for contr in _interior_table(4):
+            out = [zero] * NK[3]
+            for q, (p, sign) in contr.items():
+                if psi[p]:
+                    out[q] = psi[p] if sign > 0 else -psi[p]
+            frames.append(KForm(3, tuple(out)))
+        self.frame3_7 = tuple(frames)
         # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
         self._gram7_inv = [[x / 4 for x in row] for row in _metric_inverse(self.metric)]
+
+    @cached_property
+    def _frame_table(self) -> tuple:
+        """(rows, den, gram, inv): phi and the 7 frame forms as rows / den,
+        the degree-3 Gram table (rows, den) of the metric (None when it is
+        Euclidean), and the frame's inverse Gram g^-1 / 4 as a table
+        (rows, den).  All on Context.scaled rows: ints in exact mode."""
+        ctx = self.ctx
+        rows, den = ctx.scaled([self.phi.coeffs, *(w.coeffs for w in self.frame3_7)])
+        gram = None if self.metric.is_euclidean else _lambda_gram(self.metric, 3)
+        return rows, den, gram, ctx.scaled(self._gram7_inv)
 
     # -- tables built on first use --------------------------------------
 
@@ -496,21 +530,30 @@ def decompose2(beta: KForm, s: G2Structure) -> Decomposition2:
     return Decomposition2(p7=p7, p14=beta - p7)
 
 
+def _frame_sums(v, den, s: G2Structure) -> tuple:
+    """(inner, coords, den, cden) for eta = v / den (Context.scaled):
+    <eta, phi> = inner[0] / den, <eta, e_i . *phi> = inner[i] / den, and
+    the frame coordinates of eta's 7-part are coords / cden.  One Gram
+    product of eta serves all 8 inner products; in exact mode every sum
+    runs on ints."""
+    rows, rden, gram, (inv, iden) = s._frame_table
+    if gram is not None:
+        grows, gden = gram
+        v, den = _matvec(grows, v), den * gden
+    inner = _matvec(rows, v)
+    den *= rden
+    return inner, _matvec(inv, inner[1:]), den, den * iden
+
+
 def frame_coordinates(eta: KForm, s: G2Structure):
     """(<eta, phi>, coordinates of eta's 7-part in the frame e_i . *phi).
 
-    Both come from one Gram product of eta: its inner products with phi and
-    the 7 frame forms, the latter mapped through the frame's inverse Gram.
     eta must already be in the structure's lane.
     """
-    zero = s.ctx.zero
-
-    def matvec(rows, v):
-        # phi, the frame forms and (on flat metrics) g^-1 are sparse: skip their zeros
-        return [sum((x * y for x, y in zip(row, v) if x), zero) for row in rows]
-
-    inner = matvec([s.phi.coeffs, *(w.coeffs for w in s.frame3_7)], gram_apply(eta, s.metric))
-    return inner[0], matvec(s._gram7_inv, inner[1:])
+    ctx = s.ctx
+    (v,), den = ctx.scaled([eta.coeffs])
+    inner, coords, den, cden = _frame_sums(v, den, s)
+    return ctx.ratio(inner[0], den), [ctx.ratio(x, cden) for x in coords]
 
 
 def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
@@ -518,17 +561,29 @@ def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
 
     p1 is the phi-component <eta, phi>/7 * phi; p7 is the Gram projection
     onto the span of the contractions e_i . *phi; p27 is the remainder.
+    Each part is assembled on the structure's scaled rows of phi and the
+    frame forms (ints in exact mode) and built with one scalar per
+    coefficient.
     """
     if eta.degree != 3:
         raise DegreeError("decompose3 expects a 3-form")
-    eta = coerce_form(eta, s.ctx)
-    phi_inner, coords = frame_coordinates(eta, s)
-    p1 = s.phi * (phi_inner / 7)
-    p7 = KForm.zero(3, s.ctx.is_exact)
-    for x, w in zip(coords, s.frame3_7):
-        if x:
-            p7 = p7 + w * x
-    return Decomposition3(p1=p1, p7=p7, p27=eta - p1 - p7)
+    ctx = s.ctx
+    eta = coerce_form(eta, ctx)
+    (v,), eden = ctx.scaled([eta.coeffs])
+    inner, coords, den, cden = _frame_sums(v, eden, s)
+    (phi, *frames), rden = s._frame_table[:2]
+    # <eta, phi> / 7 = w / wden
+    ((w,),), wden = ctx.scaled([[ctx.ratio(inner[0], 7 * den)]])
+    p1 = [x * w for x in phi]
+    terms = [(f, c) for f, c in zip(frames, coords) if c]
+    p7 = [sum(f[q] * c for f, c in terms) for q in range(NK[3])]
+    d1, d7 = wden * rden, cden * rden
+    # eta - p1 - p7 over one denominator
+    den = lcm(eden, d1, d7)
+    e, m1, m7 = den // eden, den // d1, den // d7
+    p27 = [x * e - y * m1 - z * m7 for x, y, z in zip(v, p1, p7)]
+    return Decomposition3(*(KForm(3, tuple(ctx.ratio(x, d) for x in part))
+                            for part, d in ((p1, d1), (p7, d7), (p27, den))))
 
 
 # -- the action of bilinear forms on phi ------------------------------

@@ -40,7 +40,7 @@ from g2kit.g2core import (
 )
 from g2kit.models import flat_model, gamma_sample, model_structure
 from g2kit.sampling import rational_kform
-from test_kernels import rational_frames
+from test_kernels import frame_structure, rational_frames
 
 
 def sphere_points():
@@ -464,7 +464,7 @@ def test_star_free_derivative_and_recovery_on_models(kind, rng):
 def test_star_free_derivative_and_recovery_on_rational_frames(a, p):
     """Literal equality in the exact lane on frames of both orientations, where
     the tables come from a non-Euclidean metric and star_phi carries sqrt(det g)."""
-    s = G2Structure(pullback(phi0(), a))
+    s = frame_structure(a)
     assert_star_free_tables(s)
     q = frame_point(p, a)
     assert_matches_star_references(s, q, DIM)
@@ -478,7 +478,7 @@ def test_tangent_basis_uses_the_metric(a, p):
     """The tangent space is the kernel of c c_dot + <omega, v> with the
     structure's inner product, so off the Euclidean metric the derivative
     still has rank 7 and each basis vector is literally tangent."""
-    s = G2Structure(pullback(phi0(), a))
+    s = frame_structure(a)
     q = frame_point(p, a)
     basis = tangent_basis(s, q, DIM)
     assert len(basis) == DIM

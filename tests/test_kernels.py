@@ -12,11 +12,18 @@
 - the 2-form spectrum from tr T and tr T^2 against the earlier exact lane
   (kept by (T - lambda7)(T - lambda14) = 0) and float lane (numpy eigvals,
   clustered);
-- decompose3's single Gram product against eight form_inner calls;
-- the k-form Gram matrix: symmetric in both lanes, entries its minor determinants.
+- decompose3's single Gram product against eight quadratic forms, the
+  frame forms against interior contractions, and form_inner against the
+  quadratic form through the Fraction-entry Gram it replaced;
+- the k-form Gram table (int rows, den): symmetric in both lanes, entries
+  its minor determinants.
+
+Properties over drawn frames build their exact structures through
+frame_structure, cached per frame, so a failing property shrinks fast.
 """
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -58,6 +65,7 @@ from g2kit.g2core import (
     symmetric_basis,
 )
 from g2kit.models import model_structure
+from g2kit.sampling import rational_kform
 
 # -- reference Gauss-Jordan over Fractions ----------------------------------
 
@@ -243,6 +251,18 @@ def rational_frames(draw):
     return a
 
 
+@lru_cache(maxsize=64)
+def _frame_structure(frame):
+    return G2Structure(pullback(phi0(), frame))
+
+
+def frame_structure(a) -> G2Structure:
+    """The exact structure of phi0 pulled back by the frame a, cached on the
+    frame's tuple: shrinking a failing property replays hundreds of frames,
+    many of them more than once."""
+    return _frame_structure(tuple(map(tuple, a)))
+
+
 # -- odot_inverse by the 35x28 solve it replaced, kept as the reference --------
 
 
@@ -288,8 +308,7 @@ def ref_odot_inverse(eta, s):
 def test_frame_gram_and_symmetric_action(a):
     """Frame Gram = 4 g exactly; the reference symmetric action equals 28
     odot columns, and odot_inverse takes each column back to its tensor."""
-    phi = pullback(phi0(), a)
-    s = G2Structure(phi)
+    s = frame_structure(a)
     assert s.orientation.sign == (1 if ratlin.det_exact(a) > 0 else -1)
     gram = [[form_inner(u, v, s.metric) for v in s.frame3_7] for u in s.frame3_7]
     assert gram == [[4 * x for x in row] for row in s.metric.rows]
@@ -302,7 +321,7 @@ def test_frame_gram_and_symmetric_action(a):
     for lam, basis in ((s.lambda7, s.basis2_7), (s.lambda14, s.basis2_14)):
         for beta in basis:
             assert s.two_form_operator(beta) == lam * beta
-    assert metric_from_phi(phi) == (s.metric, s.orientation)
+    assert metric_from_phi(s.phi) == (s.metric, s.orientation)
 
 
 # -- structure tables against the chains they replace -------------------------
@@ -353,7 +372,7 @@ def test_t_table_equals_star_chain_on_models(name):
 def test_t_table_equals_star_chain_on_frames(a):
     """Literally equal in the exact lane (both orientations: rational_frames
     draws the sign), within 1e-9 relative in the float lane."""
-    s = G2Structure(pullback(phi0(), a))
+    s = frame_structure(a)
     assert t_matrix(s) == star_t_matrix(s)
     beta = KForm(2, tuple(Fraction(i - 10, 1 + i % 3) for i in range(NK[2])))
     t_beta = star_t_matrix(s)
@@ -369,7 +388,7 @@ def test_odot_inverse_table_identity(a):
     """dB_phi[h . phi] / lambda = 2h + tr_g(h) g, literally, on all 28
     symmetric unit tensors, in both orientations."""
     flipped = [[-x for x in a[0]]] + a[1:]
-    structures = [standard_structure()] + [G2Structure(pullback(phi0(), f)) for f in (a, flipped)]
+    structures = [standard_structure()] + [frame_structure(f) for f in (a, flipped)]
     assert sorted(s.orientation.sign for s in structures[1:]) == [-1, 1]
     for s in structures:
         ginv, g = _metric_inverse(s.metric), s.metric.rows
@@ -398,7 +417,7 @@ def test_odot_inverse_equals_solve_reference_on_models(name):
 @settings(max_examples=4, deadline=None)
 def test_odot_inverse_equals_solve_reference_on_frames(a, seed):
     rng = random.Random(seed)
-    s = G2Structure(pullback(phi0(), a))
+    s = frame_structure(a)
     eta = odot(random_symmetric(rng, EXACT), s)
     assert odot_inverse(eta, s) == ref_odot_inverse(eta, s)
     with pytest.raises(DecompositionError):
@@ -416,7 +435,8 @@ def test_odot_inverse_equals_solve_reference_on_frames(a, seed):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts hodge_star and ratlin.rref calls and the degrees asked of _lambda_gram."""
+    """Counts hodge_star and ratlin.rref calls and the degrees asked of
+    _lambda_gram, through every module that imports them."""
     calls = {"star": 0, "rref": 0, "gram": []}
     star, rref, gram = exterior.hodge_star, ratlin.rref, exterior._lambda_gram
 
@@ -434,7 +454,7 @@ def kernel_calls(monkeypatch):
 
     for module in (exterior, g2core):
         monkeypatch.setattr(module, "hodge_star", counted_star)
-    monkeypatch.setattr(exterior, "_lambda_gram", counted_gram)
+        monkeypatch.setattr(module, "_lambda_gram", counted_gram)
     monkeypatch.setattr(ratlin, "rref", counted_rref)
 
     def reset():
@@ -446,8 +466,10 @@ def kernel_calls(monkeypatch):
 
 def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
     """Exact construction runs one star (of phi, through the degree-3 Gram)
-    and no degree-5 Gram;
-    decompose2 runs no star; odot_inverse runs no elimination."""
+    and asks for no other Gram degree; decompose2 runs no star; a warm
+    decompose3 or odot_inverse asks for no Gram and runs no star (the
+    structure keeps its scaled frame rows and Gram table); odot_inverse runs
+    no elimination."""
     a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
     a[0][1], a[2][5], a[4][4] = Fraction(1), Fraction(-1, 2), Fraction(2)
     rng = random.Random(3)
@@ -465,8 +487,11 @@ def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
         assert calls["star"] == 0
         calls = kernel_calls()
         odot_inverse(eta, s)
+        assert calls["rref"] == 0 and calls["star"] == 0 and set(calls["gram"]) <= {3}
+        calls = kernel_calls()
+        decompose3(eta, s)
         odot_inverse(eta, s)
-        assert calls["rref"] == 0 and calls["star"] == 0
+        assert calls == {"star": 0, "rref": 0, "gram": []}
 
 
 # -- the 2-form spectrum: one trace path against the earlier per-lane ones -----
@@ -515,7 +540,7 @@ def span_projector(rows):
 @given(rational_frames())
 @settings(max_examples=3, deadline=None)
 def test_exact_two_form_spectrum_equals_reference(a):
-    for s in (standard_structure(), G2Structure(pullback(phi0(), a))):
+    for s in (standard_structure(), frame_structure(a)):
         lam7, lam14, eig7, eig14 = ref_exact_two_form_spectrum(t_matrix(s))
         assert (s.lambda7, s.lambda14) == (lam7, lam14) == (2, -1)
         assert [list(b.coeffs) for b in s.basis2_7] == eig7
@@ -603,9 +628,9 @@ def test_float_lane_frame_gram_within_tolerance():
 
 
 def ref_decompose3(eta, s):
-    """decompose3 through form_inner: one 35x35 quadratic form per inner product."""
-    p1 = s.phi * (form_inner(eta, s.phi, s.metric) / 7)
-    rhs = [form_inner(eta, w, s.metric) for w in s.frame3_7]
+    """decompose3 through ref_form_inner: one 35x35 quadratic form per inner product."""
+    p1 = s.phi * (ref_form_inner(eta, s.phi, s.metric) / 7)
+    rhs = [ref_form_inner(eta, w, s.metric) for w in s.frame3_7]
     p7 = KForm.zero(3, s.ctx.is_exact)
     for x, w in zip(ratlin.matvec(s._gram7_inv, rhs), s.frame3_7):
         if x:
@@ -616,7 +641,7 @@ def ref_decompose3(eta, s):
 @given(rational_frames(), THREE_FORMS)
 @settings(max_examples=6, deadline=None)
 def test_decompose3_matches_form_inner_reference(a, eta):
-    s = G2Structure(pullback(phi0(), a))
+    s = frame_structure(a)
     d = decompose3(eta, s)
     assert (d.p1, d.p7, d.p27) == ref_decompose3(eta, s)
     zero = decompose3(KForm.zero(3, True), s)
@@ -647,28 +672,110 @@ def max_gap_to(exact_gram, mat):
     return max(abs(Fraction(x) - e) for row, erow in zip(mat, exact_gram) for x, e in zip(row, erow))
 
 
+def minor_table(m, k):
+    inv = _metric_inverse(m)
+    return [[_det_small([[inv[i - 1][j - 1] for j in J] for i in I], m.is_exact)
+             for J in BASIS[k]] for I in BASIS[k]]
+
+
 @given(rational_frames())
 @example(a=ILL_CONDITIONED_FRAME)
 @settings(max_examples=4, deadline=None)
 def test_lambda_gram_symmetric_minor_determinants(a):
-    """Exact entries are the minors of g^-1; float entries average the two
-    transposed minors, so the float Gram is symmetric to the last bit.
-    Measured against the exact Gram of the same frame, averaging is never
-    worse than one side's minors plus one rounding."""
-    s = G2Structure(pullback(phi0(), a))
-    sf = G2Structure(pullback(phi0(False), [[float(x) for x in row] for row in a]), FLOAT)
-    for k in (2, 3):
-        for m, exact in ((s.metric, True), (sf.metric, False)):
-            inv = _metric_inverse(m)
-            minors = [[_det_small([[inv[i - 1][j - 1] for j in J] for i in I], exact)
-                       for J in BASIS[k]] for I in BASIS[k]]
-            gram = _lambda_gram(m, k)
-            assert all(gram[p][q] == gram[q][p] for p in range(NK[k]) for q in range(p))
-            if exact:
-                assert [list(row) for row in gram] == minors
-            else:
-                exact_gram = _lambda_gram(s.metric, k)
-                scale = max(abs(x) for row in exact_gram for x in row)
-                eps = Fraction(np.finfo(float).eps)
-                assert (max_gap_to(exact_gram, gram)
-                        <= max_gap_to(exact_gram, minors) + 4 * eps * scale)
+    """The exact table is int rows over d^k whose entries are the minors of
+    g^-1 and the Fraction-entry reference (orders 2 and 3 by expansion, 4 by
+    Bareiss); the float table is over 1 and averages the two transposed
+    minors, so it is symmetric to the last bit.  Measured against the exact
+    Gram of the same frame, averaging is never worse than one side's minors
+    plus one rounding.  Only the metrics are built (metric_from_phi): the
+    subject is the table, not the float structure's |phi|^2 check."""
+    m = metric_from_phi(pullback(phi0(), a))[0]
+    mf = metric_from_phi(pullback(phi0(False), [[float(x) for x in row] for row in a]), FLOAT)[0]
+    for k in (2, 3, 4):
+        rows, den = _lambda_gram(m, k)
+        assert all(type(x) is int for row in rows for x in row) and type(den) is int
+        exact_gram = [[Fraction(x, den) for x in row] for row in rows]
+        assert exact_gram == ref_lambda_gram(m, k) == minor_table(m, k)
+        if k == 4:
+            continue
+        gram, fden = _lambda_gram(mf, k)
+        assert fden == 1
+        assert all(gram[p][q] == gram[q][p] for p in range(NK[k]) for q in range(p))
+        scale = max(abs(x) for row in exact_gram for x in row)
+        eps = Fraction(np.finfo(float).eps)
+        assert (max_gap_to(exact_gram, gram)
+                <= max_gap_to(exact_gram, minor_table(mf, k)) + 4 * eps * scale)
+
+
+# -- form_inner and the frame forms against the code they replace -------------
+
+
+def ref_lambda_gram(m, k):
+    """The Gram matrix of basis k-forms with one lane scalar per entry, as
+    _lambda_gram built it before it kept the (int rows, den) table."""
+    lane = EXACT if m.is_exact else FLOAT
+    inv, den = lane.scaled(_metric_inverse(m))
+    den **= k
+    exact = lane.is_exact
+    basis = BASIS[k]
+
+    def minor_det(I, J):
+        return _det_small([[inv[a - 1][b - 1] for b in J] for a in I], exact)
+
+    gram = [[None] * len(basis) for _ in basis]
+    for p, I in enumerate(basis):
+        for q in range(p, len(basis)):
+            J = basis[q]
+            d = minor_det(I, J)
+            if not exact and q != p:
+                d = (d + minor_det(J, I)) / 2
+            gram[p][q] = gram[q][p] = lane.ratio(d, den)
+    return [list(row) for row in gram]
+
+
+def ref_form_inner(a, b, m):
+    """The quadratic form a^T Gram b, summed term by term over ref_lambda_gram."""
+    if m.is_euclidean:
+        return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
+    gram = ref_lambda_gram(m, a.degree)
+    tot = 0
+    for p, ca in enumerate(a.coeffs):
+        if ca:
+            for q, cb in enumerate(b.coeffs):
+                if cb:
+                    tot += ca * gram[p][q] * cb
+    return tot
+
+
+@given(rational_frames(), st.integers(0, 2 ** 16))
+@settings(max_examples=4, deadline=None)
+def test_form_inner_equals_quadratic_form_reference(a, seed):
+    """Exact form_inner (b against the int Gram product of a) equals the
+    Fraction quadratic form literally; the float one agrees to 1e-12
+    relative to the sum of the absolute terms."""
+    rng = random.Random(seed)
+    m = metric_from_phi(pullback(phi0(), a))[0]
+    mf = metric_from_phi(pullback(phi0(False), [[float(x) for x in row] for row in a]), FLOAT)[0]
+    for k in (1, 2, 3):
+        x, y = rational_kform(rng, k), rational_kform(rng, k)
+        assert form_inner(x, y, m) == ref_form_inner(x, y, m)
+        assert type(form_inner(x, y, m)) is Fraction
+        xf, yf = x.as_float(), y.as_float()
+        gram = np.abs(np.asarray(ref_lambda_gram(mf, k)))
+        size = np.abs(xf.coeffs) @ gram @ np.abs(yf.coeffs)
+        assert abs(form_inner(xf, yf, mf) - ref_form_inner(xf, yf, mf)) <= 1e-12 * max(1.0, size)
+
+
+def test_frame_forms_are_interior_contractions():
+    """frame3_7, a signed selection of *phi's coefficients, equals the 7
+    interior contractions e_i . *phi literally (types and float bits too)."""
+    structures = [model_structure(name, mode) for name in ("t7", "s1xcy3", "t3xk3")
+                  for mode in ("exact", "float")]
+    structures.append(frame_structure(ILL_CONDITIONED_FRAME))
+    float_frame_rows = [[float(x) for x in row] for row in ILL_CONDITIONED_FRAME]
+    structures.append(G2Structure(pullback(phi0(False), float_frame_rows), FLOAT))
+    for s in structures:
+        want = tuple(interior(basis_vector(i, s.ctx.is_exact), s.star_phi) for i in range(1, DIM + 1))
+        assert s.frame3_7 == want
+        assert [[(type(x), repr(x)) for x in w.coeffs] for w in s.frame3_7] \
+            == [[(type(x), repr(x)) for x in w.coeffs] for w in want]
