@@ -20,9 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL
+from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
 from .errors import (
     ConstraintError,
     DecompositionError,

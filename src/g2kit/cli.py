@@ -33,7 +33,6 @@ from .models import (
     translation_orbit,
 )
 from .ratlin import matmul, transpose
-from .selftest import run_selftest
 from .serialize import (
     SCHEMA_VERSION,
     canonical_json,
@@ -317,6 +316,8 @@ def sample_circle_params(rng: random.Random, ctx: Context) -> TwistParams:
 
 
 def cmd_selftest(args, cfg: CliConfig) -> dict:
+    from .selftest import run_selftest
+
     results = run_selftest(seed=cfg.seed, tol=cfg.tol)
     outputs = {
         "checks_run": len(results),

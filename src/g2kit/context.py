@@ -9,6 +9,10 @@ kernels, solves and integer scaling to the lane's algorithm.  lane_of finds
 the lane of values that arrive without a Context (ints and Fractions are
 exact, any float makes them float).
 
+Only the float lane calls numpy, so the kernel modules reach it through the
+handle `np` below, which imports numpy on the first float-lane call: the
+exact lane and `import g2kit` never load it.
+
 Every float tolerance of the package is one of the named constants below;
 the exact lane replaces each with literal equality.
 """
@@ -53,6 +57,27 @@ EUCLIDEAN_TOL = 1e-12
 PHI_NORM_TOL = 1e-6
 # relative: smallest eigenvalue of a positive definite float metric.
 SPD_EIG_TOL = 1e-12
+
+
+class _LazyNumpy:
+    """numpy for the float lane, imported on the first attribute access.
+
+    Each resolved attribute (np.asarray, np.linalg, ...) is stored on the
+    handle, so later lookups are plain attribute reads.  Dunder names are
+    refused rather than resolved: tools that probe objects (copy, inspect)
+    must not import numpy through the handle."""
+
+    def __getattr__(self, name):
+        if name.startswith("__") and name.endswith("__"):
+            raise AttributeError(name)
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _LazyNumpy()
 
 _MODES = ("exact", "float")
 _ZERO = Fraction(0)

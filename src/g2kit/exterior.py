@@ -27,10 +27,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Tuple
 
-import numpy as np
-
 from . import ratlin
-from .context import EXACT, FLOAT, SPD_EIG_TOL, Context, Scalar, lane_of
+from .context import EXACT, FLOAT, SPD_EIG_TOL, Context, Scalar, lane_of, np
 from .errors import DegreeError, MetricError
 
 DIM = 7

@@ -32,8 +32,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-import numpy as np
-
 from . import ratlin
 from .context import (
     ENTRY_TOL,
@@ -43,6 +41,7 @@ from .context import (
     PHI_NORM_TOL,
     Context,
     lane_of,
+    np,
     rational_nth_root,
 )
 from .errors import (

@@ -27,10 +27,8 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import ratlin
-from .context import ENTRY_TOL, EUCLIDEAN_TOL, EXACT, FLOAT, LIE_TOL, SO7_TOL, lane_of
+from .context import ENTRY_TOL, EUCLIDEAN_TOL, EXACT, FLOAT, LIE_TOL, SO7_TOL, lane_of, np
 from .errors import (
     BracketClosureError,
     DecompositionError,

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .bryant import Recovery, TwistParams, recover, sample_params
-from .context import ENTRY_TOL, EXACT, Context
+from .context import ENTRY_TOL, EXACT, Context, np
 from .errors import ModelError, SubspaceViolationError
 from .exterior import DIM, KForm, coerce_form, wedge
 from .g2core import G2Structure, phi0

@@ -16,9 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
-from .context import EXACT, FLOAT, FLOAT_RANK_CUTOFF
+from .context import EXACT, FLOAT, FLOAT_RANK_CUTOFF, np
 from .errors import G2KitError
 
 _ZERO = Fraction(0)

@@ -39,6 +39,11 @@ def _require(cond: bool, msg: str):
         raise ParseError(msg)
 
 
+def _plain_int(v) -> bool:
+    """An int that is not a bool: JSON's true and 1.0 compare equal to 1 but are not counts."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _scalar_from_json(v, ctx: Context):
     _require(isinstance(v, (int, float, str)) and not isinstance(v, bool), f"bad scalar {v!r}")
     try:
@@ -60,8 +65,7 @@ def kform_from_json(obj, ctx: Context) -> KForm:
     _require(isinstance(obj, dict), "form payload must be an object")
     _require(set(obj) == {"degree", "entries"}, "form payload needs exactly degree and entries")
     degree = obj["degree"]
-    _require(isinstance(degree, int) and not isinstance(degree, bool) and 0 <= degree <= DIM,
-             f"bad degree {degree!r}")
+    _require(_plain_int(degree) and 0 <= degree <= DIM, f"bad degree {degree!r}")
     entries = obj["entries"]
     _require(isinstance(entries, list), "entries must be a list")
     coeffs = [ctx.scalar(0)] * NK[degree]
@@ -71,7 +75,7 @@ def kform_from_json(obj, ctx: Context) -> KForm:
                  "each entry needs exactly idx and coeff")
         idx = e["idx"]
         _require(isinstance(idx, list) and len(idx) == degree, f"bad idx length in {e!r}")
-        _require(all(isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= DIM for i in idx),
+        _require(all(_plain_int(i) and 1 <= i <= DIM for i in idx),
                  f"idx values must be 1..7 in {e!r}")
         key = tuple(idx)
         _require(all(a < b for a, b in zip(key, key[1:])), f"idx must be strictly increasing in {e!r}")
@@ -89,7 +93,9 @@ def matrix_to_json(rows) -> dict:
 def matrix_from_json(obj, ctx: Context):
     _require(isinstance(obj, dict), "matrix payload must be an object")
     _require(set(obj) == {"shape", "entries"}, "matrix payload needs exactly shape and entries")
-    _require(obj["shape"] == [DIM, DIM], f"matrix shape must be [7, 7], got {obj['shape']!r}")
+    shape = obj["shape"]
+    _require(shape == [DIM, DIM] and all(_plain_int(n) for n in shape),
+             f"matrix shape must be [7, 7], got {shape!r}")
     entries = obj["entries"]
     _require(isinstance(entries, list) and len(entries) == DIM * DIM,
              "matrix needs 49 row-major entries")
@@ -133,8 +139,9 @@ def g2structure_from_json(obj) -> G2Structure:
         set(obj) == {"schema_version", "mode", "phi", "phi_sha256", "derived_sha256"},
         "structure payload has unexpected keys",
     )
-    _require(obj["schema_version"] == SCHEMA_VERSION,
-             f"unsupported schema_version {obj['schema_version']!r}")
+    version = obj["schema_version"]
+    _require(_plain_int(version) and version == SCHEMA_VERSION,
+             f"unsupported schema_version {version!r}")
     try:
         ctx = Context.of(obj["mode"])
     except ValueError as exc:

@@ -616,6 +616,40 @@ def test_exact_construction_uses_no_floats(monkeypatch):
     assert (s.lambda7, s.lambda14) == (Fraction(2), Fraction(-1))
 
 
+_EXACT_LANE_NO_NUMPY = """
+import random
+import sys
+from fractions import Fraction
+from g2kit import (G2Structure, KForm, TwistParams, decompose2, decompose3, derivative_rank,
+                   g2_algebra_basis, lie_normalizer, odot, odot_inverse, phi0, pullback, recover,
+                   sample_params, so7_basis, standard_structure, twist)
+frame = [[1 if j in (i, (i + 1) % 7) else 0 for j in range(7)] for i in range(7)]
+s = G2Structure(pullback(phi0(), frame))
+assert (s.lambda7, s.lambda14) == (Fraction(2), Fraction(-1))
+beta = KForm.from_entries(2, {(1, 2): Fraction(1, 2), (3, 5): -2, (4, 7): 3})
+assert decompose2(beta, s).total() == beta
+eta = KForm.from_entries(3, {(1, 2, 3): 1, (1, 4, 5): Fraction(-1, 3), (2, 4, 6): 2})
+d = decompose3(eta, s)
+assert d.total() == eta
+h = odot_inverse(d.p1 + d.p27, s)
+assert odot(h, s) == d.p1 + d.p27
+p = sample_params(random.Random(3))
+q = TwistParams(p.c, pullback(p.omega, frame))
+rec = recover(s, twist(s, q))
+assert twist(s, rec.params) == twist(s, q)
+assert derivative_rank(s, q, 7) == 7
+assert lie_normalizer(so7_basis(), g2_algebra_basis(standard_structure())).dim == 14
+assert "numpy" not in sys.modules, "numpy reached from the exact lane"
+"""
+
+
+def test_exact_kernels_never_import_numpy(fresh_python):
+    """On the non-Euclidean frame above, in a new interpreter: construction,
+    the decompositions, odot_inverse, twist, recover, the derivative rank and
+    the normalizer of g2 in so(7) run without numpy ever being imported."""
+    fresh_python(_EXACT_LANE_NO_NUMPY)
+
+
 def test_float_lane_frame_gram_within_tolerance():
     a = [[1.0 if i == j else 0.0 for j in range(DIM)] for i in range(DIM)]
     a[0][1], a[2][5] = 0.5, -0.25

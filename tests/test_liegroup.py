@@ -1,13 +1,9 @@
 """Stabilizer algebra, normalizers, and holonomy-style membership tests."""
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,36 +547,78 @@ def test_float_coset_dimension_equals_reference_and_b1(s, sf, kind, seed):
         assert got == ref_float_coset_tangent_dim(h, structure) == m.b1
 
 
-# -- scipy is loaded on the first matrix_exp, not on import --------------------
+# -- numpy, scipy and the selftest load on first use, not on import ------------
 
 _NO_SCIPY = """
+import io
+import json
 import sys
+from fractions import Fraction
 import g2kit, g2kit.cli
 from g2kit.errors import ExactModeError
-code = g2kit.cli.main(["twist", "--c", "3/5", "--omega",
-                       '{"degree": 1, "entries": [{"idx": [1], "coeff": "4/5"}]}'])
+from g2kit.serialize import kform_to_json
+
+
+def cli(argv, stdin=""):
+    sys.stdin = io.StringIO(stdin)
+    try:
+        return g2kit.cli.main(argv)
+    finally:
+        sys.stdin = sys.__stdin__
+
+
+def unloaded(*names):
+    loaded = sorted(m for m in sys.modules for n in names if m == n or m.startswith(n + "."))
+    assert not loaded, loaded[:3]
+
+
+code = cli(["twist", "--c", "3/5", "--omega",
+            '{"degree": 1, "entries": [{"idx": [1], "coeff": "4/5"}]}'])
 assert code == 0, code
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
+unloaded("scipy", "numpy", "g2kit.selftest")
+identity = {"shape": [7, 7], "entries": [str(int(i == j)) for i in range(7) for j in range(7)]}
+phit = g2kit.twist(g2kit.standard_structure(), g2kit.TwistParams(
+    Fraction(3, 5), g2kit.KForm.from_entries(1, {(2,): Fraction(4, 5)})))
+for argv, stdin, want in [
+    (["decompose", "--degree", "2", "-"],
+     '{"degree": 2, "entries": [{"idx": [1, 2], "coeff": "1/2"}, {"idx": [3, 5], "coeff": "-2"}]}', 0),
+    (["g2check", "-"], json.dumps(identity), 0),
+    (["recover", "-"], json.dumps(kform_to_json(phit)), 0),
+    (["normalizer"], "", 0),
+    (["demo", "--model", "t7", "--mode", "exact"], "", 0),
+    (["g2check", "-"], json.dumps({"shape": [6, 6], "entries": ["0"] * 36}), 2),
+]:
+    code = cli(argv, stdin)
+    assert code == want, (argv, code)
+    unloaded("scipy", "numpy", "g2kit.selftest")
 try:
     g2kit.matrix_exp([[0] * 7 for _ in range(7)])
 except ExactModeError:
     pass
 else:
     raise AssertionError("exact input reached the exponential")
-assert "scipy" not in sys.modules
+unloaded("scipy", "numpy")
+code = cli(["decompose", "--degree", "3", "--mode", "float", "-"],
+           '{"degree": 3, "entries": [{"idx": [1, 2, 3], "coeff": 0.5}, {"idx": [1, 4, 5], "coeff": -0.25}]}')
+assert code == 0, code
+assert "numpy" in sys.modules
+unloaded("scipy", "g2kit.selftest")
 A = [[0.0] * 7 for _ in range(7)]
 A[0][1], A[1][0] = 0.3, -0.3
 g = g2kit.matrix_exp(A)
 assert g2kit.is_so7(g, 1e-12) and abs(g[0][0] - 0.955336489125606) < 1e-12
 assert "scipy.linalg" in sys.modules
+from g2kit import CheckResult, run_selftest
+assert run_selftest.__module__ == CheckResult.__module__ == "g2kit.selftest"
+namespace = {}
+exec("from g2kit import *", namespace)
+assert namespace["run_selftest"] is run_selftest and namespace["CheckResult"] is CheckResult
+assert set(g2kit.__all__) <= set(namespace)
 """
 
 
-def test_import_and_cli_leave_scipy_unloaded():
-    src = str(Path(g2kit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+def test_import_and_cli_leave_scipy_unloaded(fresh_python):
+    """A cold `import g2kit` and the exact CLI subcommands load neither numpy,
+    scipy nor the selftest; the first float-lane call loads numpy, the first
+    matrix_exp scipy, and both selftest names still import."""
+    fresh_python(_NO_SCIPY)

@@ -106,6 +106,8 @@ def test_matrix_roundtrip():
     {"shape": [6, 7], "entries": ["0"] * 42},
     {"shape": [7, 7], "entries": ["0"] * 48},
     {"shape": [7, 7], "entries": ["0"] * 48 + [None]},
+    {"shape": [7.0, 7.0], "entries": ["0"] * 49},
+    {"shape": [7, 7.0], "entries": ["0"] * 49},
 ])
 def test_malformed_matrix_payloads(obj):
     with pytest.raises(ParseError):
@@ -157,6 +159,9 @@ def test_structure_hash_tamper_detected():
     lambda o: o.update(schema_version=2),
     lambda o: o.update(mode="interval"),
     lambda o: o.update(extra=1),
+    lambda o: o.update(schema_version=True),
+    lambda o: o.update(schema_version=1.0),
+    lambda o: o.update(schema_version="1"),
 ])
 def test_malformed_structure_payloads(mangle):
     obj = g2structure_to_json(standard_structure())
