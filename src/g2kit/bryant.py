@@ -312,9 +312,8 @@ def derivative_matrix(s: G2Structure, p: TwistParams, ambient_dim: int):
     p = _coerce_params(s, p)
     _check_constraint(s, p)
     ctx = s.ctx
-    exact = ctx.is_exact
-    units = [(ctx.one, KForm.zero(1, exact))]
-    units += [(ctx.zero, KForm(1, basis_vector(j, exact))) for j in range(1, ambient_dim + 1)]
+    units = [(ctx.one, KForm.zero(1, ctx))]
+    units += [(ctx.zero, KForm(1, basis_vector(j, ctx))) for j in range(1, ambient_dim + 1)]
     cols = _derivative_images(s, p, units)
     # zip stops at the last column: the tangents vanish past ambient_dim
     images = [_combine(s, 3, zip((t.c_dot, *t.omega_dot.coeffs), cols)) for t in basis]

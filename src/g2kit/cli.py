@@ -223,7 +223,7 @@ def cmd_g2check(args, cfg: CliConfig) -> dict:
 def cmd_normalizer(args, cfg: CliConfig) -> dict:
     s = standard_structure(cfg.mode)
     basis = g2_algebra_basis(s)
-    normalizer = lie_normalizer(so7_basis(s.ctx.is_exact), basis)
+    normalizer = lie_normalizer(so7_basis(s.ctx), basis)
     outputs = {
         "algebra_dim": basis.dim,
         "normalizer_dim": normalizer.dim,
@@ -239,9 +239,9 @@ def _phase_fit(s, p: TwistParams) -> dict:
     """Exploratory: compare a circle-direction twist with a phase-rotated
     holomorphic volume part.  Observational only; nothing here is asserted."""
     re_vol = KForm.from_entries(3, {(2, 4, 6): 1, (2, 5, 7): -1, (3, 4, 7): -1, (3, 5, 6): -1},
-                                s.ctx.is_exact)
+                                s.ctx)
     im_vol = KForm.from_entries(3, {(3, 4, 6): 1, (2, 4, 7): 1, (2, 5, 6): 1, (3, 5, 7): -1},
-                                s.ctx.is_exact)
+                                s.ctx)
     phit = twist(s, p)
     cos_fit = form_inner(phit, re_vol, s.metric) / 4
     sin_fit = form_inner(phit, im_vol, s.metric) / -4

@@ -4,8 +4,10 @@ A whole computation runs either exact (fractions.Fraction everywhere) or
 float; the two are never mixed inside one structure.  A Context names the
 lane and is the only place that knows what a lane is: it coerces incoming
 scalars once, gives the lane's zero and one, decides "is this zero" (literal
-in exact, within a tolerance in float), and routes square roots, ranks,
-kernels, solves and integer scaling to the lane's algorithm.  lane_of finds
+in exact, within a tolerance in float), and routes square roots,
+determinants, inverses, ranks, kernels, solves and integer scaling to the
+lane's algorithm.  Constructors that need a lane's zero and one (phi0(FLOAT),
+KForm.zero, basis_vector, ...) take a Context, never a bool.  lane_of finds
 the lane of values that arrive without a Context (ints and Fractions are
 exact, any float makes them float).
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ExactModeError, ParseError
+from .errors import ExactModeError, G2KitError, ParseError
 
 Scalar = Union[int, float, Fraction]
 
@@ -202,10 +204,29 @@ class Context:
         # directly, not through the is_exact property
         return Fraction(num, den) if self.mode == "exact" else num / den
 
+    def det(self, m) -> Scalar:
+        """Determinant: Bareiss elimination in exact mode, numpy in float mode."""
+        from . import ratlin
+
+        if self.is_exact:
+            return ratlin.det_exact(m)
+        return float(np.linalg.det(np.asarray(m, dtype=float)))
+
+    def inv(self, m) -> list:
+        """Inverse as rows; G2KitError("matrix is singular") in both modes."""
+        from . import ratlin
+
+        if self.is_exact:
+            return ratlin.inv_exact(m)
+        try:
+            return np.linalg.inv(np.asarray(m, dtype=float)).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise G2KitError("matrix is singular") from exc
+
     def rank(self, m) -> int:
         from . import ratlin
 
-        return ratlin.matrix_rank(m, self.is_exact)
+        return ratlin.rank_exact(m) if self.is_exact else ratlin.rank_float(m)
 
     def nullspace(self, m) -> list:
         """A kernel basis: one rational vector per free column in exact mode,

@@ -27,8 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from . import ratlin
-from .context import EXACT, FLOAT, SPD_EIG_TOL, Context, Scalar, lane_of, np
+from .context import EXACT, SPD_EIG_TOL, Context, Scalar, lane_of, np
 from .errors import DegreeError, MetricError
 
 DIM = 7
@@ -114,8 +113,8 @@ class KForm:
         object.__setattr__(self, "coeffs", vals)
 
     @classmethod
-    def zero(cls, degree: int, exact: bool = True) -> "KForm":
-        return cls.from_entries(degree, {}, exact)
+    def zero(cls, degree: int, ctx: Context = EXACT) -> "KForm":
+        return cls.from_entries(degree, {}, ctx)
 
     @classmethod
     def basis(cls, index: Sequence[int]) -> "KForm":
@@ -128,16 +127,15 @@ class KForm:
         return cls(k, tuple(coeffs))
 
     @classmethod
-    def from_entries(cls, degree: int, entries, exact: bool = True) -> "KForm":
+    def from_entries(cls, degree: int, entries, ctx: Context = EXACT) -> "KForm":
         """A k-form from {index tuple: coefficient}, every entry coerced into
         the lane (a float entry of an exact form raises ExactModeError)."""
-        lane = EXACT if exact else FLOAT
-        coeffs = [lane.zero] * NK[degree]
+        coeffs = [ctx.zero] * NK[degree]
         for idx, c in dict(entries).items():
             idx = tuple(idx)
             if idx not in POS[degree]:
                 raise DegreeError(f"bad index {idx!r} for degree {degree}")
-            coeffs[POS[degree][idx]] = lane.scalar(c)
+            coeffs[POS[degree][idx]] = ctx.scalar(c)
         return cls(degree, tuple(coeffs))
 
     @property
@@ -212,9 +210,8 @@ def coerce_form(a: KForm, ctx: Context) -> KForm:
     return KForm(a.degree, tuple(ctx.scalar(c) for c in a.coeffs))
 
 
-def basis_vector(i: int, exact: bool = True) -> tuple:
-    lane = EXACT if exact else FLOAT
-    return tuple(lane.one if j == i else lane.zero for j in range(1, DIM + 1))
+def basis_vector(i: int, ctx: Context = EXACT) -> tuple:
+    return tuple(ctx.one if j == i else ctx.zero for j in range(1, DIM + 1))
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
@@ -291,7 +288,7 @@ class Metric:
         if self.is_exact:
             for n in range(1, DIM + 1):
                 minor = [r[:n] for r in rows[:n]]
-                if ratlin.det_exact(minor) <= 0:
+                if EXACT.det(minor) <= 0:
                     raise MetricError("metric is not positive definite")
         else:
             eig = np.linalg.eigvalsh(np.asarray(rows, dtype=float))
@@ -334,25 +331,23 @@ def _metric_is_euclidean(m: Metric) -> bool:
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_inverse(m: Metric):
-    if m.is_exact:
-        return tuple(tuple(r) for r in ratlin.inv_exact(m.rows))
-    inv = np.linalg.inv(np.asarray(m.rows, dtype=float))
-    return tuple(tuple(float(x) for x in row) for row in inv)
+    return tuple(tuple(r) for r in lane_of(m.rows[0]).inv(m.rows))
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_det(m: Metric):
-    return _det_small(m.rows, m.is_exact)
+    return _det_small(m.rows, lane_of(m.rows[0]))
 
 
 def _sqrt_det(m: Metric):
     return lane_of(m.rows[0]).sqrt(_metric_det(m))
 
 
-def _det_small(mat, exact: bool):
+def _det_small(mat, ctx: Context = EXACT):
+    """Orders up to 3 by expansion in either lane, higher orders by Context.det."""
     k = len(mat)
     if k == 0:
-        return (EXACT if exact else FLOAT).one
+        return ctx.one
     if k == 1:
         return mat[0][0]
     if k == 2:
@@ -362,9 +357,7 @@ def _det_small(mat, exact: bool):
         d, e, f = mat[1]
         g, h, i = mat[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if exact:
-        return ratlin.det_exact(mat)
-    return float(np.linalg.det(np.asarray(mat, dtype=float)))
+    return ctx.det(mat)
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
@@ -374,7 +367,7 @@ def _lambda_gram(m: Metric, k: int):
 
     The exact lane takes the minors on integers: g^-1 = G / d for an int
     matrix G (Context.scaled), each k x k minor of G is an int (orders 2
-    and 3 by their expansion, higher orders by ratlin's Bareiss
+    and 3 by their expansion, higher orders by Context.det's Bareiss
     elimination), so the table is (int rows, d^k).  The float lane takes
     them on g^-1 itself, over 1.
 
@@ -386,18 +379,17 @@ def _lambda_gram(m: Metric, k: int):
     rounding in <a, a>)."""
     lane = lane_of(m.rows[0])
     inv, den = lane.scaled(_metric_inverse(m))
-    exact = lane.is_exact
     basis = BASIS[k]
 
     def minor_det(I, J):
-        return _det_small([[inv[a - 1][b - 1] for b in J] for a in I], exact)
+        return _det_small([[inv[a - 1][b - 1] for b in J] for a in I], lane)
 
     gram = [[None] * len(basis) for _ in basis]
     for p, I in enumerate(basis):
         for q in range(p, len(basis)):
             J = basis[q]
             d = minor_det(I, J)
-            if not exact and q != p:
+            if not lane.is_exact and q != p:
                 d = (d + minor_det(J, I)) / 2
             gram[p][q] = gram[q][p] = d
     # Bareiss minors come back as Fractions over 1: scaled makes them ints
@@ -513,7 +505,7 @@ def pullback(a: KForm, mat) -> KForm:
         tot = lane.zero
         for J, c in nonzero:
             minor = [[rows[j - 1][i - 1] for i in I] for j in J]
-            tot += c * _det_small(minor, lane.is_exact)
+            tot += c * _det_small(minor, lane)
         out.append(tot)
     return KForm(k, tuple(out))
 

@@ -28,16 +28,14 @@ the metric's (int rows, den) Gram table of 3-forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import isfinite, lcm
 
 from . import ratlin
 from .context import (
     ENTRY_TOL,
     EUCLIDEAN_TOL,
     EXACT,
-    FLOAT,
     PHI_NORM_TOL,
     Context,
     lane_of,
@@ -90,9 +88,9 @@ PHI0_ENTRIES = {
 _SIX_POW_7 = 6 ** 7
 
 
-def phi0(exact: bool = True) -> KForm:
+def phi0(ctx: Context = EXACT) -> KForm:
     """The standard associative 3-form on R^7."""
-    return KForm.from_entries(3, PHI0_ENTRIES, exact=exact)
+    return KForm.from_entries(3, PHI0_ENTRIES, ctx)
 
 
 # B_ij is cubic in phi: the upper-triangle pairs (i, j), i <= j, in row order.
@@ -213,42 +211,35 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
     requires det(B) = 6^7 * c^9 for a rational c and raises ExactModeError
     otherwise; degenerate or indefinite B raises NotG2FormError.
 
-    B is evaluated from a cubic table.  In exact mode phi = Phi / D with an
-    integer vector Phi, B = B(Phi) / D^3 with B(Phi) an integer matrix, and
-    each entry of g is built as one Fraction.
+    B is evaluated from a cubic table on phi = Phi / D (Context.scaled), so
+    in exact mode Phi is an integer vector, B = B(Phi) / D^3 with B(Phi) an
+    integer matrix, and each entry of g is built as one Fraction.
     """
     if phi.degree != 3:
         raise DegreeError("metric recovery expects a 3-form")
     phi = coerce_form(phi, ctx)
+    (coeffs,), den = ctx.scaled([phi.coeffs])
+    B = _contraction_matrix(coeffs)
+    det_b = ctx.det(B)
+    if det_b == 0:
+        raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
+    orient = POSITIVE if det_b > 0 else NEGATIVE
+    if det_b < 0:
+        B = [[-x for x in row] for row in B]
+        det_b = -det_b
+    # g = B(Phi) * num / scale
     if ctx.is_exact:
-        den = lcm(*(x.denominator for x in phi.coeffs))
-        B = _contraction_matrix([x.numerator * (den // x.denominator) for x in phi.coeffs])
-        det_b = ratlin.det_exact(B).numerator
-        if det_b == 0:
-            raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
-        orient = POSITIVE if det_b > 0 else NEGATIVE
-        if det_b < 0:
-            B = [[-x for x in row] for row in B]
-            det_b = -det_b
-        ninth = rational_nth_root(Fraction(det_b, den ** 21 * _SIX_POW_7), 9)
+        ninth = rational_nth_root(det_b / (den ** 21 * _SIX_POW_7), 9)
         if ninth is None:
             raise ExactModeError(
                 "exact metric normalization needs det(B)/6^7 to be a rational ninth power"
             )
-        # g = B(Phi) / (D^3 * 6 * ninth)
         num, scale = ninth.denominator, den ** 3 * 6 * ninth.numerator
-        g = [[Fraction(x * num, scale) for x in row] for row in B]
     else:
-        B = _contraction_matrix(phi.coeffs)
-        det_b = float(np.linalg.det(np.asarray(B, dtype=float)))
-        if det_b == 0.0 or not np.isfinite(det_b):
+        if not isfinite(det_b):
             raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
-        orient = POSITIVE if det_b > 0 else NEGATIVE
-        if det_b < 0:
-            B = [[-x for x in row] for row in B]
-            det_b = -det_b
-        scale = 6.0 ** (2.0 / 9.0) * det_b ** (1.0 / 9.0)
-        g = [[x / scale for x in row] for row in B]
+        num, scale = 1, 6.0 ** (2.0 / 9.0) * det_b ** (1.0 / 9.0)
+    g = [[ctx.ratio(x * num, scale) for x in row] for row in B]
     try:
         metric = Metric(tuple(tuple(row) for row in g))
     except MetricError as exc:
@@ -469,7 +460,7 @@ class G2Structure:
 def standard_structure(mode: str = "exact") -> G2Structure:
     """The structure of the standard form, cached per mode."""
     ctx = Context.of(mode)
-    return G2Structure(phi0(ctx.is_exact), ctx)
+    return G2Structure(phi0(ctx), ctx)
 
 
 @lru_cache(maxsize=None)
@@ -680,7 +671,7 @@ def odot_local(b, s: G2Structure, frame=None) -> KForm:
     if frame is None:
         if not s.metric.is_euclidean_within(EUCLIDEAN_TOL):
             raise FrameError("standard basis is not orthonormal for this metric; pass a frame")
-        frame = [basis_vector(i, ctx.is_exact) for i in range(1, DIM + 1)]
+        frame = [basis_vector(i, ctx) for i in range(1, DIM + 1)]
     else:
         frame = [tuple(v) for v in frame]
         if len(frame) != DIM:
@@ -691,7 +682,7 @@ def odot_local(b, s: G2Structure, frame=None) -> KForm:
                 val = sum(x * y for x, y in zip(fi.coeffs, frame[j]))
                 if not ctx.is_zero(val - (1 if i == j else 0), ENTRY_TOL):
                     raise FrameError("frame is not orthonormal for the metric")
-    out = KForm.zero(3, ctx.is_exact)
+    out = KForm.zero(3, ctx)
     contr = [interior(f, s.phi) for f in frame]
     flats = [flat(f, s.metric) for f in frame]
     for i in range(DIM):
@@ -708,10 +699,9 @@ def infinitesimal_action(A, s: G2Structure) -> KForm:
     return odot_endo([[-x for x in row] for row in rows], s)
 
 
-def symmetric_basis(exact: bool = True):
+def symmetric_basis(ctx: Context = EXACT):
     """The 28 symmetric unit matrices: 7 diagonal then the 21 pair sums."""
-    lane = EXACT if exact else FLOAT
-    one, zero = lane.one, lane.zero
+    one, zero = ctx.one, ctx.zero
     basis = []
     for i in range(DIM):
         m = [[zero] * DIM for _ in range(DIM)]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import ratlin
-from .context import ENTRY_TOL, EUCLIDEAN_TOL, EXACT, FLOAT, LIE_TOL, SO7_TOL, lane_of, np
+from .context import ENTRY_TOL, EUCLIDEAN_TOL, EXACT, LIE_TOL, SO7_TOL, Context, lane_of, np
 from .errors import (
     BracketClosureError,
     DecompositionError,
@@ -54,24 +54,19 @@ def _lane(*mats):
 
 
 def is_so7(g, tol: float = SO7_TOL) -> bool:
-    """Orthogonal with determinant one."""
+    """Orthogonal with determinant one: g^T g - 1 and det g - 1 vanish
+    (literally in exact mode, entrywise within tol in float mode)."""
     rows = _rows(g)
-    if _lane(rows).is_exact:
-        gtg = ratlin.matmul(ratlin.transpose(rows), rows)
-        return ratlin.mat_eq(gtg, ratlin.identity(DIM)) and ratlin.det_exact(rows) == 1
-    arr = np.asarray(rows, dtype=float)
-    ortho = float(np.max(np.abs(arr.T @ arr - np.eye(DIM))))
-    return ortho <= tol and abs(float(np.linalg.det(arr)) - 1.0) <= tol
+    lane = _lane(rows)
+    gtg = ratlin.matmul(ratlin.transpose(rows), rows)
+    ortho = ratlin.mat_max_abs(ratlin.mat_sub(gtg, ratlin.identity(DIM)))
+    return lane.is_zero(ortho, tol) and lane.is_zero(lane.det(rows) - 1, tol)
 
 
 def act_on_form(g, a: KForm) -> KForm:
     """The group action g . a = pullback of a by g^{-1}."""
     rows = _rows(g)
-    if _lane(rows).is_exact:
-        inv = ratlin.inv_exact(rows)
-    else:
-        inv = np.linalg.inv(np.asarray(rows, dtype=float)).tolist()
-    return pullback(a, inv)
+    return pullback(a, _lane(rows).inv(rows))
 
 
 def is_g2(g, tol: float = SO7_TOL) -> bool:
@@ -80,7 +75,7 @@ def is_g2(g, tol: float = SO7_TOL) -> bool:
     if not is_so7(rows, tol):
         return False
     lane = _lane(rows)
-    phi = phi0(lane.is_exact)
+    phi = phi0(lane)
     return lane.is_zero((act_on_form(rows, phi) - phi).max_abs(), tol)
 
 
@@ -121,6 +116,7 @@ class SubalgebraBasis:
     def dim(self) -> int:
         return len(self.matrices)
 
+    @property
     def is_exact(self) -> bool:
         return _lane(*self.matrices).is_exact
 
@@ -194,10 +190,9 @@ def _in_span(lane, ann, v) -> bool:
     return lane.is_zero(max((abs(x) for x in ratlin.matvec(ann, v)), default=0), LIE_TOL)
 
 
-def so7_basis(exact: bool = True) -> SubalgebraBasis:
+def so7_basis(ctx: Context = EXACT) -> SubalgebraBasis:
     """The 21 antisymmetric units E_ij = e_i e_j^T - e_j e_i^T, i < j."""
-    lane = EXACT if exact else FLOAT
-    one, zero = lane.one, lane.zero
+    one, zero = ctx.one, ctx.zero
     mats = []
     for (i, j) in _UPPER:
         m = [[zero] * DIM for _ in range(DIM)]
@@ -218,11 +213,7 @@ def two_form_to_matrix(beta: KForm):
 
 def matrix_to_two_form(rows) -> KForm:
     rows = _rows(rows)
-    return KForm.from_entries(
-        2,
-        {(i + 1, j + 1): rows[i][j] for (i, j) in _UPPER},
-        exact=_lane(rows).is_exact,
-    )
+    return KForm.from_entries(2, {(i + 1, j + 1): rows[i][j] for (i, j) in _UPPER}, _lane(rows))
 
 
 # One stabilizer basis per structure, dropped with the structure.

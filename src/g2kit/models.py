@@ -72,7 +72,7 @@ def model_phi(m: FlatModel, ctx: Context = EXACT) -> KForm:
     volume form.  All three agree coefficientwise.
     """
     if m.kind == "t7":
-        return phi0(ctx.is_exact)
+        return phi0(ctx)
     if m.kind == "s1xcy3":
         kahler = KForm.from_entries(2, {(2, 3): 1, (4, 5): 1, (6, 7): 1})
         vol3 = _cpx_wedge(_cpx_wedge(_dz(2, 3), _dz(4, 5)), _dz(6, 7))

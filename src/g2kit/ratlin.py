@@ -8,7 +8,7 @@ updated row, det uses Bareiss's exact-division elimination (Math. Comp. 22
 (1968) 565-578), and a Fraction is built once per output entry.  The float
 lane defers to numpy; its rank decisions use the singular value cutoff
 context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a lane
-through Context.rank / nullspace / solve.  Matrices are lists/tuples of rows;
+through Context.det / inv / rank / nullspace / solve.  Matrices are lists/tuples of rows;
 vectors are flat sequences.
 """
 from __future__ import annotations
@@ -16,19 +16,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .context import EXACT, FLOAT, FLOAT_RANK_CUTOFF, np
+from .context import FLOAT_RANK_CUTOFF, np
 from .errors import G2KitError
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def mat_rows(m):
     return [list(row) for row in m]
 
 
-def identity(n, exact: bool = True):
-    lane = EXACT if exact else FLOAT
-    return [[lane.one if i == j else lane.zero for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def transpose(m):
@@ -242,7 +242,3 @@ def solve_float(a, b):
     x, *_ = np.linalg.lstsq(arr, rhs, rcond=None)
     resid = float(np.linalg.norm(arr @ x - rhs, ord=np.inf)) if arr.size else 0.0
     return x.tolist(), resid
-
-
-def matrix_rank(m, exact: bool) -> int:
-    return rank_exact(m) if exact else rank_float(m)

@@ -251,7 +251,7 @@ def check_phi_metric_identity(rng, tol):
     _ensure(o2.sign == -1, "negated form should flip orientation")
     _ensure(tuple(tuple(r) for r in g2.rows) == tuple(tuple(r) for r in s.metric.rows),
             "negated form should induce the same metric")
-    _ensure(is_g2_form(phi0()) and not is_g2_form(KForm.zero(3, True)),
+    _ensure(is_g2_form(phi0()) and not is_g2_form(KForm.zero(3, EXACT)),
             "membership test disagrees on the standard form")
     return "metric/orientation/norm on the standard form"
 
@@ -265,7 +265,7 @@ def check_two_form_spectrum(rng, tol):
         t = s.two_form_operator(KForm.basis(idx))
         cols.append(list(t.coeffs))
     T = ratlin.transpose(cols)
-    I = ratlin.identity(len(BASIS[2]), True)
+    I = ratlin.identity(len(BASIS[2]))
     m7 = [[T[i][j] - s.lambda7 * I[i][j] for j in range(21)] for i in range(21)]
     m14 = [[T[i][j] - s.lambda14 * I[i][j] for j in range(21)] for i in range(21)]
     prod = ratlin.matmul(m7, m14)
@@ -313,14 +313,14 @@ def check_projector_ranks(rng, tol):
         rows1.append(list(d.p1.coeffs))
         rows7.append(list(d.p7.coeffs))
         rows27.append(list(d.p27.coeffs))
-    ranks3 = tuple(ratlin.matrix_rank(m, exact=True) for m in (rows1, rows7, rows27))
+    ranks3 = tuple(EXACT.rank(m) for m in (rows1, rows7, rows27))
     _ensure(ranks3 == (1, 7, 27), f"3-form projector ranks {ranks3}")
     rows7b, rows14 = [], []
     for idx in BASIS[2]:
         d = decompose2(KForm.basis(idx), s)
         rows7b.append(list(d.p7.coeffs))
         rows14.append(list(d.p14.coeffs))
-    ranks2 = tuple(ratlin.matrix_rank(m, exact=True) for m in (rows7b, rows14))
+    ranks2 = tuple(EXACT.rank(m) for m in (rows7b, rows14))
     _ensure(ranks2 == (7, 14), f"2-form projector ranks {ranks2}")
     return "ranks (1,7,27) and (7,14)"
 
@@ -346,14 +346,14 @@ def check_odot_antisymmetric_kernel(rng, tol):
         _ensure_zero(d.p1, "7-space action has a phi component")
         _ensure_zero(d.p27, "7-space action leaks into the 27-part")
         rows7.append(list(out.coeffs))
-    _ensure(ratlin.matrix_rank(rows7, exact=True) == 7, "7-space action drops rank")
+    _ensure(EXACT.rank(rows7) == 7, "7-space action drops rank")
     return "kernel 14, image 7 inside the 7-part"
 
 
 def check_odot_symmetric_rank(rng, tol):
     s = standard_structure()
-    cols = [list(odot(b, s).coeffs) for b in symmetric_basis(True)]
-    _ensure(ratlin.matrix_rank(cols, exact=True) == 28, "symmetric action is not injective")
+    cols = [list(odot(b, s).coeffs) for b in symmetric_basis(EXACT)]
+    _ensure(EXACT.rank(cols) == 28, "symmetric action is not injective")
     for _ in range(10):
         b = rational_symmetric(rng)
         tr = sum(b[i][i] for i in range(DIM))
@@ -438,8 +438,8 @@ def check_twist_antipodal(rng, tol):
     for _ in range(100):
         p = sample_params(rng)
         _ensure_zero(twist(s, p) - twist(s, p.antipode()), "antipode gives a different form")
-    _ensure_zero(twist(s, TwistParams(1, KForm.zero(1, True))) - s.phi, "identity point")
-    _ensure_zero(twist(s, TwistParams(-1, KForm.zero(1, True))) - s.phi, "antipodal identity")
+    _ensure_zero(twist(s, TwistParams(1, KForm.zero(1, EXACT))) - s.phi, "identity point")
+    _ensure_zero(twist(s, TwistParams(-1, KForm.zero(1, EXACT))) - s.phi, "antipodal identity")
     return "100 random points plus both poles"
 
 
@@ -535,7 +535,7 @@ def check_derivative_matches_difference(rng, tol):
 
 def check_derivative_full_rank(rng, tol):
     s = standard_structure()
-    pts = [TwistParams(1, KForm.zero(1, True))]
+    pts = [TwistParams(1, KForm.zero(1, EXACT))]
     pts += [sample_params(rng) for _ in range(6)]
     pts += [sample_params(rng, force_c_zero=True) for _ in range(3)]
     for p in pts:
@@ -600,13 +600,13 @@ def check_algebra_dimension(rng, tol):
 
 
 def check_normalizer_in_so7(rng, tol):
-    n = lie_normalizer(so7_basis(True), g2_algebra_basis())
+    n = lie_normalizer(so7_basis(EXACT), g2_algebra_basis())
     _ensure(n.dim == 14, f"normalizer dimension {n.dim}")
     return "self-normalizing inside so(7)"
 
 
 def check_normalizer_plane_rotation(rng, tol):
-    amb = so7_basis(True)
+    amb = so7_basis(EXACT)
     gen = [[Fraction(0)] * DIM for _ in range(DIM)]
     gen[0][1] = Fraction(1)
     gen[1][0] = Fraction(-1)
@@ -689,7 +689,7 @@ def check_model_gamma_roundtrip(rng, tol):
 def check_model_subspace_enforced(rng, tol):
     m = flat_model("s1xcy3")
     s = model_structure("s1xcy3")
-    w = KForm.from_entries(1, {(4,): Fraction(4, 5)}, True)
+    w = KForm.from_entries(1, {(4,): Fraction(4, 5)}, EXACT)
     p = TwistParams(Fraction(3, 5), w)
     try:
         gamma_membership(m, twist(s, p))

@@ -49,6 +49,7 @@ from g2kit.models import (
     translation_orbit,
 )
 from g2kit import ratlin
+from g2kit.context import EXACT
 from g2kit.sampling import rational_kform
 
 BASIS3 = [KForm.basis(idx) for idx in BASIS[3]]
@@ -87,11 +88,11 @@ def test_criterion_2():
     t = [[cols[j][i] for j in range(21)] for i in range(21)]
     t_minus_2 = [[t[i][j] - (2 if i == j else 0) for j in range(21)] for i in range(21)]
     t_plus_1 = [[t[i][j] + (1 if i == j else 0) for j in range(21)] for i in range(21)]
-    assert 21 - ratlin.matrix_rank(t_minus_2, True) == 7
-    assert 21 - ratlin.matrix_rank(t_plus_1, True) == 14
+    assert 21 - EXACT.rank(t_minus_2) == 7
+    assert 21 - EXACT.rank(t_plus_1) == 14
     for name, expected in (("p1", 1), ("p7", 7), ("p27", 27)):
         images = [getattr(decompose3(b, s), name).coeffs for b in BASIS3]
-        assert ratlin.matrix_rank([list(v) for v in images], True) == expected
+        assert EXACT.rank([list(v) for v in images]) == expected
 
 
 @criterion(3, "quadratic 1-form law: leading part is (3/7)|w|^2 phi at 100 rational points")
@@ -200,15 +201,15 @@ def test_criterion_7():
         for b in g2.matrices:
             br = bracket([list(r) for r in a], [list(r) for r in b])
             closed.append([br[i][j] for i in range(DIM) for j in range(i + 1, DIM)])
-    assert ratlin.matrix_rank(closed, True) == 14
+    assert EXACT.rank(closed) == 14
 
-    assert lie_normalizer(so7_basis(True), g2).dim == 14
+    assert lie_normalizer(so7_basis(EXACT), g2).dim == 14
 
-    cols = [infinitesimal_action(e, s).coeffs for e in so7_basis(True).matrices]
+    cols = [infinitesimal_action(e, s).coeffs for e in so7_basis(EXACT).matrices]
     act = [[cols[j][i] for j in range(21)] for i in range(len(cols[0]))]
     kernel = ratlin.nullspace_exact(act)
     assert len(kernel) == 14
-    assert ratlin.matrix_rank(g2_vecs + [list(v) for v in kernel], True) == 14
+    assert EXACT.rank(g2_vecs + [list(v) for v in kernel]) == 14
 
     assert coset_tangent_dim(HolonomySpec.trivial(), s) == 7
 

@@ -186,7 +186,7 @@ def test_recover_rejects_orientation_flip(s):
 def test_recover_rejects_noise(sf, rng):
     p = sample_params(rng)
     pf = TwistParams(float(p.c), p.omega.as_float())
-    noisy = twist(sf, pf) + KForm.from_entries(3, {(1, 2, 4): 1e-3}, exact=False)
+    noisy = twist(sf, pf) + KForm.from_entries(3, {(1, 2, 4): 1e-3}, FLOAT)
     with pytest.raises((RecoveryError, MetricMismatchError)):
         recover(sf, noisy)
 

@@ -12,7 +12,9 @@ import g2kit
 from g2kit import ratlin
 from g2kit.context import EXACT, FLOAT, Context, lane_of
 from g2kit.errors import ExactModeError, G2KitError, ParseError
-from g2kit.g2core import phi0, standard_structure
+from g2kit.exterior import KForm, basis_vector
+from g2kit.g2core import phi0, standard_structure, symmetric_basis
+from g2kit.liegroup import so7_basis
 from g2kit.models import flat_model, gamma_membership, model_structure
 from g2kit.serialize import g2structure_from_json, g2structure_to_json
 
@@ -83,6 +85,18 @@ def test_lane_api():
         EXACT.solve(m, [3, 7])
     x, res = FLOAT.solve([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0])
     assert x == [0.5, 0.25] and res == 0.0
+    a = [[2, 1], [1, 1]]
+    assert type(EXACT.det(a)) is Fraction and EXACT.det(a) == 1
+    assert type(FLOAT.det(a)) is float and abs(FLOAT.det(a) - 1.0) < 1e-15
+    assert EXACT.inv(a) == [[1, -1], [-1, 2]]
+    assert all(type(x) is Fraction for row in EXACT.inv(a) for x in row)
+    finv = FLOAT.inv(a)
+    assert all(type(x) is float for row in finv for x in row)
+    assert max(abs(x - y) for row, erow in zip(finv, EXACT.inv(a)) for x, y in zip(row, erow)) < 1e-15
+    assert EXACT.det(m) == 0 and FLOAT.det(m) == 0.0
+    for lane in (EXACT, FLOAT):
+        with pytest.raises(G2KitError, match="matrix is singular"):
+            lane.inv(m)
     rows = [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]]
     assert EXACT.scaled(rows) == ([[3, 18], [-4, 0]], 6)
     assert all(type(x) is int for row in EXACT.scaled(rows)[0] for x in row)
@@ -117,11 +131,41 @@ KERNEL_MODULES = ("ratlin", "exterior", "g2core", "bryant", "liegroup", "models"
 
 
 def test_lane_forks_are_counted():
-    """The kernel modules keep at most 15 lane forks: the bool-taking public
-    signatures and the lanes that still run different algorithms.  Integer
-    scaling is Context.scaled, not a fork.  A new fork raises this count and
-    has to be stated here."""
+    """The kernel modules keep at most 4 lane forks, the places where the
+    lanes still run different algorithms:
+    - metric_from_phi's normalization (a rational ninth root in exact mode,
+      the 1/9 power and the non-finite refusal in float mode);
+    - Metric's positive definiteness test (leading minors, eigenvalues);
+    - _lambda_gram's averaging of the two transposed float minors;
+    - matrix_exp's refusal of exact input.
+    Determinants, inverses, ranks, kernels, solves and integer scaling are
+    Context methods, not forks.  A new fork raises this count and has to be
+    stated here."""
     forks = [(name, line) for name in KERNEL_MODULES
              for line in (SRC / f"{name}.py").read_text(encoding="utf-8").splitlines()
              if LANE_FORK.search(line)]
-    assert len(forks) <= 15, forks
+    assert len(forks) <= 4, forks
+
+
+def test_no_kernel_function_takes_an_exact_flag():
+    """A lane is named by a Context, never by a bool parameter `exact`."""
+    flagged = [(name, node.name) for name in KERNEL_MODULES
+               for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and "exact" in {arg.arg for arg in (*node.args.posonlyargs, *node.args.args,
+                                                    *node.args.kwonlyargs)}]
+    assert flagged == []
+
+
+@pytest.mark.parametrize("build", [
+    phi0,
+    symmetric_basis,
+    so7_basis,
+    lambda lane: basis_vector(1, lane),
+    lambda lane: KForm.zero(3, lane),
+    lambda lane: KForm.from_entries(1, {(1,): 1}, lane),
+], ids=["phi0", "symmetric_basis", "so7_basis", "basis_vector", "zero", "from_entries"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_never_picks_a_lane(build, flag):
+    with pytest.raises(AttributeError):
+        build(flag)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2kit.context import EXACT, FLOAT
 from g2kit.errors import DegreeError, ExactModeError, MetricError
 from g2kit.exterior import (
     BASIS,
@@ -302,9 +303,9 @@ def test_sampled_spd_metrics_star_exactly(rng):
 
 def test_from_entries_coerces_every_entry_into_the_lane():
     with pytest.raises(ExactModeError):
-        KForm.from_entries(3, {(1, 2, 3): 0.5}, exact=True)
-    exact = KForm.from_entries(3, {(1, 2, 3): 1, (1, 4, 5): "1/2"}, exact=True)
+        KForm.from_entries(3, {(1, 2, 3): 0.5}, EXACT)
+    exact = KForm.from_entries(3, {(1, 2, 3): 1, (1, 4, 5): "1/2"}, EXACT)
     assert exact.is_exact and exact.coeff(1, 4, 5) == Fraction(1, 2)
-    floats = KForm.from_entries(3, {(1, 2, 3): Fraction(1, 2)}, exact=False)
+    floats = KForm.from_entries(3, {(1, 2, 3): Fraction(1, 2)}, FLOAT)
     assert not floats.is_exact and floats.coeffs == (0.5,) + (0.0,) * 34
-    assert KForm.from_entries(2, {}, exact=False) == KForm.zero(2, False)
+    assert KForm.from_entries(2, {}, FLOAT) == KForm.zero(2, FLOAT)

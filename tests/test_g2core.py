@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2kit import ratlin
+from g2kit.context import EXACT, FLOAT
 from g2kit.errors import (
     DecompositionError,
     DegreeError,
@@ -221,7 +222,7 @@ def test_projector_ranks(s):
         rows[1].append(list(d.p1.coeffs))
         rows[7].append(list(d.p7.coeffs))
         rows[27].append(list(d.p27.coeffs))
-    assert [ratlin.matrix_rank(rows[k], exact=True) for k in (1, 7, 27)] == [1, 7, 27]
+    assert [EXACT.rank(rows[k]) for k in (1, 7, 27)] == [1, 7, 27]
 
 
 def test_decompose_degree_guards(s):
@@ -265,13 +266,13 @@ def test_seven_part_matrices_hit_seven_part(s):
         d = decompose3(out, s)
         assert d.p1.max_abs() == 0 and d.p27.max_abs() == 0
         rows.append(list(out.coeffs))
-    assert ratlin.matrix_rank(rows, exact=True) == 7
+    assert EXACT.rank(rows) == 7
 
 
 def test_symmetric_action_injective(s):
     cols = [list(odot(b, s).coeffs) for b in symmetric_basis()]
     assert len(cols) == 28
-    assert ratlin.matrix_rank(cols, exact=True) == 28
+    assert EXACT.rank(cols) == 28
 
 
 def test_odot_inverse_roundtrip(s, rng):
@@ -371,4 +372,4 @@ def test_quadratic_term_phi_component(coeffs):
 
 def test_exact_structure_rejects_float_phi():
     with pytest.raises(ExactModeError):
-        G2Structure(phi0(exact=False))
+        G2Structure(phi0(FLOAT))

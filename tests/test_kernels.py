@@ -30,7 +30,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from g2kit import exterior, g2core, ratlin
-from g2kit.context import EXACT, FLOAT, rational_nth_root
+from g2kit.context import EXACT, FLOAT, lane_of, rational_nth_root
 from g2kit.errors import DecompositionError, G2KitError
 from g2kit.exterior import (
     BASIS,
@@ -210,8 +210,7 @@ def test_kernels_on_empty_and_integer_input():
 
 
 def wedge_chain_b(phi: KForm):
-    exact = phi.is_exact
-    contr = [interior(basis_vector(i, exact), phi) for i in range(1, DIM + 1)]
+    contr = [interior(basis_vector(i, lane_of(phi.coeffs)), phi) for i in range(1, DIM + 1)]
     return [[top_coeff(wedge(wedge(contr[i], contr[j]), phi)) for j in range(DIM)]
             for i in range(DIM)]
 
@@ -273,7 +272,7 @@ def ref_odot_symmetric_matrix(s):
     the unit tensor at (i, i) acts as dx_i ^ u_i and the pair (i, j) as
     dx_i ^ u_j + dx_j ^ u_i.
     """
-    dx = [KForm(1, basis_vector(i, s.ctx.is_exact)) for i in range(1, DIM + 1)]
+    dx = [KForm(1, basis_vector(i, s.ctx)) for i in range(1, DIM + 1)]
     u = s.star_dx_star_phi
     cols = [wedge(dx[i], u[i]).coeffs for i in range(DIM)]
     cols += [(wedge(dx[i], u[j]) + wedge(dx[j], u[i])).coeffs
@@ -378,7 +377,7 @@ def test_t_table_equals_star_chain_on_frames(a):
     t_beta = star_t_matrix(s)
     assert decompose2(beta, s).p7 == (KForm(2, tuple(ratlin.matvec(t_beta, beta.coeffs)))
                                       - s.lambda14 * beta) * (1 / (s.lambda7 - s.lambda14))
-    sf = G2Structure(pullback(phi0(False), float_frame(a)), FLOAT)
+    sf = G2Structure(pullback(phi0(FLOAT), float_frame(a)), FLOAT)
     assert_float_close(t_matrix(sf), star_t_matrix(sf), 1e-9)
 
 
@@ -424,7 +423,7 @@ def test_odot_inverse_equals_solve_reference_on_frames(a, seed):
         odot_inverse(eta + s.frame3_7[seed % DIM], s)
     # The float lane accepts every input the solve accepted (its 7-part test
     # is now relative) and agrees with it there.
-    sf = G2Structure(pullback(phi0(False), float_frame(a)), FLOAT)
+    sf = G2Structure(pullback(phi0(FLOAT), float_frame(a)), FLOAT)
     eta = odot(random_symmetric(rng, FLOAT), sf)
     try:
         want = ref_odot_inverse(eta, sf)
@@ -555,7 +554,7 @@ def test_float_two_form_spectrum_matches_eigvals_reference(a):
     af = [[float(x) for x in row] for row in a]
     arr = np.asarray(af)
     assume(np.linalg.cond(arr.T @ arr) <= 1e5)
-    s = G2Structure(pullback(phi0(False), af), FLOAT)
+    s = G2Structure(pullback(phi0(FLOAT), af), FLOAT)
     lam7, lam14, eig7, eig14 = ref_float_two_form_spectrum(t_matrix(s))
     assert abs(s.lambda7 - lam7) <= 1e-9 and abs(s.lambda14 - lam14) <= 1e-9
     for basis, ref in ((s.basis2_7, eig7), (s.basis2_14, eig14)):
@@ -581,7 +580,7 @@ SPREAD_SPECTRUM_FRAME = [[k * x for x in row] for k, row in zip((32, 16, 1, 1, 2
 def test_float_spectrum_where_eigvals_clusters_split():
     s = G2Structure(pullback(phi0(), SPREAD_SPECTRUM_FRAME))
     af = [[float(x) for x in row] for row in SPREAD_SPECTRUM_FRAME]
-    sf = G2Structure(pullback(phi0(False), af), FLOAT)
+    sf = G2Structure(pullback(phi0(FLOAT), af), FLOAT)
     assert abs(sf.lambda7 - s.lambda7) <= 1e-6 and abs(sf.lambda14 - s.lambda14) <= 1e-6
     for basis, exact in ((sf.basis2_7, s.basis2_7), (sf.basis2_14, s.basis2_14)):
         q, _ = np.linalg.qr(np.asarray([b.coeffs for b in exact], dtype=float).T)
@@ -653,7 +652,7 @@ def test_exact_kernels_never_import_numpy(fresh_python):
 def test_float_lane_frame_gram_within_tolerance():
     a = [[1.0 if i == j else 0.0 for j in range(DIM)] for i in range(DIM)]
     a[0][1], a[2][5] = 0.5, -0.25
-    s = G2Structure(pullback(phi0(False), a), FLOAT)
+    s = G2Structure(pullback(phi0(FLOAT), a), FLOAT)
     gram = np.asarray([[form_inner(u, v, s.metric) for v in s.frame3_7] for u in s.frame3_7])
     assert np.allclose(gram @ np.asarray(s._gram7_inv), np.eye(DIM), atol=FLOAT.tol)
 
@@ -665,7 +664,7 @@ def ref_decompose3(eta, s):
     """decompose3 through ref_form_inner: one 35x35 quadratic form per inner product."""
     p1 = s.phi * (ref_form_inner(eta, s.phi, s.metric) / 7)
     rhs = [ref_form_inner(eta, w, s.metric) for w in s.frame3_7]
-    p7 = KForm.zero(3, s.ctx.is_exact)
+    p7 = KForm.zero(3, s.ctx)
     for x, w in zip(ratlin.matvec(s._gram7_inv, rhs), s.frame3_7):
         if x:
             p7 = p7 + w * x
@@ -678,10 +677,10 @@ def test_decompose3_matches_form_inner_reference(a, eta):
     s = frame_structure(a)
     d = decompose3(eta, s)
     assert (d.p1, d.p7, d.p27) == ref_decompose3(eta, s)
-    zero = decompose3(KForm.zero(3, True), s)
+    zero = decompose3(KForm.zero(3, EXACT), s)
     assert all(type(c) is Fraction and c == 0 for part in (zero.p1, zero.p7, zero.p27)
                for c in part.coeffs)
-    sf = G2Structure(pullback(phi0(False), [[float(x) for x in row] for row in a]), FLOAT)
+    sf = G2Structure(pullback(phi0(FLOAT), [[float(x) for x in row] for row in a]), FLOAT)
     etaf = eta.as_float()
     d = decompose3(etaf, sf)
     for got, want in zip((d.p1, d.p7, d.p27), ref_decompose3(etaf, sf)):
@@ -708,7 +707,7 @@ def max_gap_to(exact_gram, mat):
 
 def minor_table(m, k):
     inv = _metric_inverse(m)
-    return [[_det_small([[inv[i - 1][j - 1] for j in J] for i in I], m.is_exact)
+    return [[_det_small([[inv[i - 1][j - 1] for j in J] for i in I], lane_of(m.rows[0]))
              for J in BASIS[k]] for I in BASIS[k]]
 
 
@@ -724,7 +723,7 @@ def test_lambda_gram_symmetric_minor_determinants(a):
     plus one rounding.  Only the metrics are built (metric_from_phi): the
     subject is the table, not the float structure's |phi|^2 check."""
     m = metric_from_phi(pullback(phi0(), a))[0]
-    mf = metric_from_phi(pullback(phi0(False), [[float(x) for x in row] for row in a]), FLOAT)[0]
+    mf = metric_from_phi(pullback(phi0(FLOAT), [[float(x) for x in row] for row in a]), FLOAT)[0]
     for k in (2, 3, 4):
         rows, den = _lambda_gram(m, k)
         assert all(type(x) is int for row in rows for x in row) and type(den) is int
@@ -754,7 +753,7 @@ def ref_lambda_gram(m, k):
     basis = BASIS[k]
 
     def minor_det(I, J):
-        return _det_small([[inv[a - 1][b - 1] for b in J] for a in I], exact)
+        return _det_small([[inv[a - 1][b - 1] for b in J] for a in I], lane)
 
     gram = [[None] * len(basis) for _ in basis]
     for p, I in enumerate(basis):
@@ -789,7 +788,7 @@ def test_form_inner_equals_quadratic_form_reference(a, seed):
     relative to the sum of the absolute terms."""
     rng = random.Random(seed)
     m = metric_from_phi(pullback(phi0(), a))[0]
-    mf = metric_from_phi(pullback(phi0(False), [[float(x) for x in row] for row in a]), FLOAT)[0]
+    mf = metric_from_phi(pullback(phi0(FLOAT), [[float(x) for x in row] for row in a]), FLOAT)[0]
     for k in (1, 2, 3):
         x, y = rational_kform(rng, k), rational_kform(rng, k)
         assert form_inner(x, y, m) == ref_form_inner(x, y, m)
@@ -807,9 +806,9 @@ def test_frame_forms_are_interior_contractions():
                   for mode in ("exact", "float")]
     structures.append(frame_structure(ILL_CONDITIONED_FRAME))
     float_frame_rows = [[float(x) for x in row] for row in ILL_CONDITIONED_FRAME]
-    structures.append(G2Structure(pullback(phi0(False), float_frame_rows), FLOAT))
+    structures.append(G2Structure(pullback(phi0(FLOAT), float_frame_rows), FLOAT))
     for s in structures:
-        want = tuple(interior(basis_vector(i, s.ctx.is_exact), s.star_phi) for i in range(1, DIM + 1))
+        want = tuple(interior(basis_vector(i, s.ctx), s.star_phi) for i in range(1, DIM + 1))
         assert s.frame3_7 == want
         assert [[(type(x), repr(x)) for x in w.coeffs] for w in s.frame3_7] \
             == [[(type(x), repr(x)) for x in w.coeffs] for w in want]

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import g2kit
+from g2kit.context import EXACT, FLOAT
 from g2kit.errors import (
     BracketClosureError,
     ExactModeError,
     FrameError,
+    G2KitError,
     HolonomyError,
 )
 from g2kit.exterior import DIM, KForm, pullback
@@ -64,7 +66,7 @@ def plane_rotation(i, j, theta):
 def test_algebra_dimension_and_kernel(s):
     basis = g2_algebra_basis(s)
     assert basis.dim == 14
-    assert basis.is_exact()
+    assert basis.is_exact
     for m in basis.matrices:
         assert infinitesimal_action(m, s).max_abs() == 0
 
@@ -73,11 +75,12 @@ def test_algebra_dimension_and_kernel(s):
 def test_algebra_basis_is_built_once_per_structure(mode):
     """A repeated call returns the same object, equal to a fresh verified build;
     another structure of the same form gets its own basis."""
-    s = G2Structure(phi0(mode == "exact"), g2kit.Context.of(mode))
+    ctx = g2kit.Context.of(mode)
+    s = G2Structure(phi0(ctx), ctx)
     basis = g2_algebra_basis(s)
     assert g2_algebra_basis(s) is basis
     assert basis.matrices == _build_g2_algebra_basis(s).matrices
-    other = G2Structure(phi0(mode == "exact"), g2kit.Context.of(mode))
+    other = G2Structure(phi0(ctx), ctx)
     assert g2_algebra_basis(other) is not basis
     assert g2_algebra_basis(other).matrices == basis.matrices
 
@@ -90,7 +93,7 @@ def test_algebra_is_bracket_closed(s):
         for b in basis.matrices:
             br = bracket([list(r) for r in a], [list(r) for r in b])
             vecs.append([br[i][j] for i in range(DIM) for j in range(i + 1, DIM)])
-    assert ratlin.matrix_rank(vecs, True) == 14
+    assert EXACT.rank(vecs) == 14
 
 
 def test_unit_generators_do_not_kill_phi(s):
@@ -101,21 +104,21 @@ def test_unit_generators_do_not_kill_phi(s):
 
 
 def test_algebra_is_self_normalizing(s):
-    n = lie_normalizer(so7_basis(True), g2_algebra_basis(s))
+    n = lie_normalizer(so7_basis(EXACT), g2_algebra_basis(s))
     assert n.dim == 14
 
 
 def test_plane_rotation_normalizer():
     # so(2) + so(5) inside so(7)
     sub = SubalgebraBasis((unit_e(1, 2),))
-    n = lie_normalizer(so7_basis(True), sub)
+    n = lie_normalizer(so7_basis(EXACT), sub)
     assert n.dim == 11
 
 
 def test_normalizer_rejects_open_bracket():
     sub = SubalgebraBasis((unit_e(1, 2), unit_e(1, 3)))
     with pytest.raises(BracketClosureError):
-        lie_normalizer(so7_basis(True), sub)
+        lie_normalizer(so7_basis(EXACT), sub)
 
 
 def test_subalgebra_basis_validation():
@@ -156,6 +159,14 @@ def test_action_composes(rng):
 def test_action_on_identity_matrix(s):
     a = rational_kform(random.Random(7), 4)
     assert act_on_form(IDENTITY, a) == a
+
+
+@pytest.mark.parametrize("lane", [EXACT, FLOAT])
+def test_action_of_a_singular_matrix_is_refused_in_both_lanes(lane):
+    rank_one = [[lane.scalar(i * j) for j in range(1, DIM + 1)] for i in range(1, DIM + 1)]
+    with pytest.raises(G2KitError, match="matrix is singular"):
+        act_on_form(rank_one, phi0(lane))
+    assert not is_so7(rank_one)
 
 
 def test_matrix_exp_guards():
@@ -285,7 +296,7 @@ def ref_coset_tangent_dim(h, s):
     if h.count == 0:
         return 21 - g2b.dim
     columns = []
-    for e in so7_basis(True).matrices:
+    for e in so7_basis(EXACT).matrices:
         col = []
         for gen in h.generators:
             grows = [list(r) for r in gen]
@@ -317,7 +328,7 @@ def test_table_bracket_matches_dense_bracket(u, v):
 
 
 def test_table_bracket_on_units():
-    units = so7_basis(True).matrices
+    units = so7_basis(EXACT).matrices
     for p, a in enumerate(units):
         for q, b in enumerate(units):
             u = [int(r == p) for r in range(21)]
@@ -340,9 +351,9 @@ def assert_same_basis(got, want):
 def test_normalizer_equals_projector_reference(s, case):
     g2 = g2_algebra_basis(s)
     ambient, sub = {
-        "so7_g2": (so7_basis(True), g2),
+        "so7_g2": (so7_basis(EXACT), g2),
         "g2_g2": (g2, g2),
-        "so7_e12": (so7_basis(True), SubalgebraBasis((unit_e(1, 2),))),
+        "so7_e12": (so7_basis(EXACT), SubalgebraBasis((unit_e(1, 2),))),
     }[case]
     assert_same_basis(lie_normalizer(ambient, sub), ref_lie_normalizer(ambient, sub))
 
@@ -352,14 +363,14 @@ def test_normalizer_equals_projector_reference(s, case):
 def test_normalizer_of_coordinate_subalgebra(indices):
     sub = coordinate_so(indices)
     k = len(indices)
-    got = lie_normalizer(so7_basis(True), sub)
-    assert_same_basis(got, ref_lie_normalizer(so7_basis(True), sub))
+    got = lie_normalizer(so7_basis(EXACT), sub)
+    assert_same_basis(got, ref_lie_normalizer(so7_basis(EXACT), sub))
     # for k >= 2 the normalizer of so(k) is so(k) + so(7 - k)
     assert got.dim == k * (k - 1) // 2 + (DIM - k) * (DIM - k - 1) // 2
 
 
 def test_normalizer_edge_spans():
-    so7 = so7_basis(True)
+    so7 = so7_basis(EXACT)
     # sub = so(7): the annihilator is empty; the reference's constraint is all
     # zero, so its kernel basis is the unit vectors and it returns the E_ij
     assert_same_basis(lie_normalizer(so7, so7), so7)
@@ -375,9 +386,9 @@ def test_normalizer_rejects_non_closed_subs(indices):
     *inside, out = indices
     opened = SubalgebraBasis(coordinate_so(inside).matrices + (unit_e(inside[0] + 1, out + 1),))
     with pytest.raises(BracketClosureError):
-        lie_normalizer(so7_basis(True), opened)
+        lie_normalizer(so7_basis(EXACT), opened)
     with pytest.raises(BracketClosureError):
-        ref_lie_normalizer(so7_basis(True), opened)
+        ref_lie_normalizer(so7_basis(EXACT), opened)
 
 
 # -- coset_tangent_dim on exact signed permutations in G2 ----------------------
@@ -481,7 +492,7 @@ def ref_float_coset_tangent_dim(h, s):
     if h.count == 0:
         return 21 - g2b.dim
     columns = []
-    for e in so7_basis(False).matrices:
+    for e in so7_basis(FLOAT).matrices:
         col = []
         for gen in h.generators:
             grows = float_rows(gen)
@@ -506,11 +517,11 @@ def float_subalgebra(basis):
 @pytest.mark.parametrize("case", ["so7_g2", "so7_e12"])
 def test_float_normalizer_spans_projector_reference(sf, case):
     ambient, sub = {
-        "so7_g2": (so7_basis(False), g2_algebra_basis(sf)),
-        "so7_e12": (so7_basis(False), float_subalgebra(SubalgebraBasis((unit_e(1, 2),)))),
+        "so7_g2": (so7_basis(FLOAT), g2_algebra_basis(sf)),
+        "so7_e12": (so7_basis(FLOAT), float_subalgebra(SubalgebraBasis((unit_e(1, 2),)))),
     }[case]
     got = lie_normalizer(ambient, sub)
-    assert not got.is_exact()
+    assert not got.is_exact
     assert_same_span(got, ref_float_lie_normalizer(ambient, sub))
     assert got.dim == {"so7_g2": 14, "so7_e12": 11}[case]
 
@@ -520,8 +531,8 @@ def test_float_normalizer_spans_projector_reference(sf, case):
 def test_float_normalizer_of_coordinate_subalgebra(indices):
     sub = float_subalgebra(coordinate_so(indices))
     k = len(indices)
-    got = lie_normalizer(so7_basis(False), sub)
-    assert_same_span(got, ref_float_lie_normalizer(so7_basis(False), sub))
+    got = lie_normalizer(so7_basis(FLOAT), sub)
+    assert_same_span(got, ref_float_lie_normalizer(so7_basis(FLOAT), sub))
     assert got.dim == k * (k - 1) // 2 + (DIM - k) * (DIM - k - 1) // 2
 
 
@@ -532,9 +543,9 @@ def test_float_normalizer_rejects_non_closed_subs(indices):
     opened = float_subalgebra(SubalgebraBasis(
         coordinate_so(inside).matrices + (unit_e(inside[0] + 1, out + 1),)))
     with pytest.raises(BracketClosureError):
-        lie_normalizer(so7_basis(False), opened)
+        lie_normalizer(so7_basis(FLOAT), opened)
     with pytest.raises(BracketClosureError):
-        ref_float_lie_normalizer(so7_basis(False), opened)
+        ref_float_lie_normalizer(so7_basis(FLOAT), opened)
 
 
 @pytest.mark.parametrize("kind", ["s1xcy3", "t3xk3"])
