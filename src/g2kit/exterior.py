@@ -11,13 +11,13 @@ Coefficients are fractions.Fraction in exact computations and float
 otherwise; a single form never mixes the two (construction normalizes ints
 to Fraction unless a float is present).
 
-A metric's Gram matrix of basis k-forms (the minors of g^-1) is kept per
-(metric, k) as a table (rows, den): int rows over d^k in the exact lane,
-where g^-1 = G / d for an int matrix G, and float rows over 1 in the float
-lane.  gram_apply, form_inner and the non-Euclidean hodge_star scale their
-form once (Context.scaled), run one int matvec with the table and build
-one scalar per output (Context.ratio); the star folds the scaling of
-sqrt(det g) into that same scalar.
+A metric's Gram matrix of basis k-forms (the minors of g^-1, by compound)
+is kept per (metric, k) as a table (rows, den): int rows over d^k in the
+exact lane, where g^-1 = G / d for an int matrix G, and float rows over 1
+in the float lane.  gram_apply, form_inner and the non-Euclidean hodge_star
+scale their form once (Context.scaled), run one int matvec with the table
+and build one scalar per output (Context.ratio); the star folds the scaling
+of sqrt(det g) into that same scalar.
 """
 from __future__ import annotations
 
@@ -336,63 +336,64 @@ def _metric_inverse(m: Metric):
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_det(m: Metric):
-    return _det_small(m.rows, lane_of(m.rows[0]))
+    return lane_of(m.rows[0]).det(m.rows)
 
 
 def _sqrt_det(m: Metric):
     return lane_of(m.rows[0]).sqrt(_metric_det(m))
 
 
-def _det_small(mat, ctx: Context = EXACT):
-    """Orders up to 3 by expansion in either lane, higher orders by Context.det."""
-    k = len(mat)
-    if k == 0:
-        return ctx.one
-    if k == 1:
-        return mat[0][0]
-    if k == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if k == 3:
-        a, b, c = mat[0]
-        d, e, f = mat[1]
-        g, h, i = mat[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return ctx.det(mat)
+@lru_cache(maxsize=None)
+def _laplace_table(r: int):
+    """Expansion of an order-r minor along its first row: per r-index J, the
+    column of J[0], the position of J[1:] in BASIS[r - 1], and one (column,
+    position of J without it, sign) per later entry of J."""
+    return tuple((J[0] - 1, POS[r - 1][J[1:]],
+                  tuple((j - 1, POS[r - 1][J[:t] + J[t + 1:]], (-1) ** t)
+                        for t, j in enumerate(J) if t))
+                 for J in BASIS[r])
+
+
+def compound(rows, k: int) -> list:
+    """Every k x k minor of a 7 x 7 matrix, C[p][q] = det(rows[I, J]) for
+    I, J = BASIS[k][p], BASIS[k][q], order by order by Laplace expansion
+    (_laplace_table) in the entries' own arithmetic (ints for Context.scaled
+    rows).  Terms add left to right from the first, so float minors of
+    orders 2 and 3 are bit for bit the textbook expansion."""
+    minors = [[1]]
+    for r in range(1, k + 1):
+        table, nxt = _laplace_table(r), []
+        for I in BASIS[r]:
+            row, below = rows[I[0] - 1], minors[POS[r - 1][I[1:]]]
+            out = []
+            for j, q, rest in table:
+                tot = row[j] * below[q]
+                for j, q, s in rest:
+                    tot += s * row[j] * below[q]
+                out.append(tot)
+            nxt.append(out)
+        minors = nxt
+    return minors
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _lambda_gram(m: Metric, k: int):
-    """Gram matrix of the basis k-forms as a table (rows, den): the minor
-    determinants of g^-1, which are rows / den.
+    """Gram matrix of the basis k-forms as a table (rows, den): the k x k
+    minors of g^-1 = G / d, G = Context.scaled(g^-1), are compound(G) / d^k.
 
-    The exact lane takes the minors on integers: g^-1 = G / d for an int
-    matrix G (Context.scaled), each k x k minor of G is an int (orders 2
-    and 3 by their expansion, higher orders by Context.det's Bareiss
-    elimination), so the table is (int rows, d^k).  The float lane takes
-    them on g^-1 itself, over 1.
-
-    The result is symmetric in both lanes.  Exact minors (I, J) and (J, I)
-    agree, so only the upper triangle is computed.  Float ones round apart,
-    so each pair is averaged: that keeps every quadratic form <a, a> as the
-    full matrix gives it, while <a, b> read by rows equals <b, a> read by
-    columns (mirroring one triangle instead doubles that triangle's
-    rounding in <a, a>)."""
+    Entry (p, q) is the mean of minors (p, q) and (q, p), so the table is
+    symmetric in both lanes: exact minors agree, and the float mean keeps
+    <a, a> as the full matrix gives it (mirroring one triangle would double
+    that triangle's rounding in <a, a>)."""
     lane = lane_of(m.rows[0])
     inv, den = lane.scaled(_metric_inverse(m))
-    basis = BASIS[k]
-
-    def minor_det(I, J):
-        return _det_small([[inv[a - 1][b - 1] for b in J] for a in I], lane)
-
-    gram = [[None] * len(basis) for _ in basis]
-    for p, I in enumerate(basis):
-        for q in range(p, len(basis)):
-            J = basis[q]
-            d = minor_det(I, J)
-            if not lane.is_exact and q != p:
-                d = (d + minor_det(J, I)) / 2
-            gram[p][q] = gram[q][p] = d
-    # Bareiss minors come back as Fractions over 1: scaled makes them ints
+    minors = compound(inv, k)
+    n = NK[k]
+    gram = [[None] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(p, n):
+            gram[p][q] = gram[q][p] = lane.ratio(minors[p][q] + minors[q][p], 2)
+    # exact means come back as Fractions over 1: scaled makes them ints
     rows, rden = lane.scaled(gram)
     return tuple(tuple(row) for row in rows), den ** k * rden
 
@@ -490,24 +491,20 @@ def sharp(a: KForm, m: Metric = EUCLIDEAN) -> tuple:
 def pullback(a: KForm, mat) -> KForm:
     """Pullback of a k-form by the linear map with matrix mat (7x7 rows).
 
-    Coefficientwise: (F*a)_I = sum_J a_J det(mat[J rows, I cols]).
+    Coefficientwise: (F*a)_I = sum_J a_J det(mat[J rows, I cols]) (compound).
     """
-    k = a.degree
-    if k == 0:
-        return a
     rows = [list(r) for r in mat]
     if len(rows) != DIM or any(len(r) != DIM for r in rows):
         raise ValueError("pullback needs a 7x7 matrix")
+    k = a.degree
     lane = lane_of((*a.coeffs, *(x for r in rows for x in r)))
-    nonzero = list(a.entries())
-    out = []
-    for I in BASIS[k]:
-        tot = lane.zero
-        for J, c in nonzero:
-            minor = [[rows[j - 1][i - 1] for i in I] for j in J]
-            tot += c * _det_small(minor, lane)
-        out.append(tot)
-    return KForm(k, tuple(out))
+    (v, *rows), den = lane.scaled([a.coeffs, *rows])
+    sums = [0] * NK[k]
+    for minors, c in zip(compound(rows, k), v):
+        if c:
+            sums = [t + c * x for t, x in zip(sums, minors)]
+    den **= k + 1
+    return KForm(k, tuple(lane.ratio(t, den) for t in sums))
 
 
 def top_coeff(a: KForm):

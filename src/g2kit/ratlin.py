@@ -48,10 +48,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_max_abs(a):
     return max((abs(x) for row in a for x in row), default=0)
 

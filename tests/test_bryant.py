@@ -1,5 +1,6 @@
 """The metric-preserving family: twisting, recovery, derivatives."""
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +40,7 @@ from g2kit.g2core import (
     standard_structure,
 )
 from g2kit.models import flat_model, gamma_sample, model_structure
-from g2kit.sampling import rational_kform
+from g2kit.sampling import rational_kform, rational_unit_tuple
 from test_kernels import frame_structure, rational_frames
 
 
@@ -531,3 +532,53 @@ def test_star_count_does_not_grow_with_the_ambient_dimension(star_calls, rng):
     recover(s, phit)
     # only the final re-twist, *(w ^ phi) and *(w ^ *phi), runs stars
     assert len(star_calls) == 2
+
+
+# -- the group action: an oracle that shares no code with Bryant's formula ----
+
+
+def octonion_product(s):
+    """x . y = -<x, y> + x0 y + y0 x + x x y on R + R^7, with the structure's
+    metric and cross product (x x y)_k = phi_ijk x_i y_j."""
+    g = s.metric.rows
+    phi = [[[s.phi.coeff(i, j, k) for k in range(1, DIM + 1)] for j in range(1, DIM + 1)]
+           for i in range(1, DIM + 1)]
+
+    def mul(x, y):
+        (x0, *xv), (y0, *yv) = x, y
+        dot = sum(xv[i] * g[i][j] * yv[j] for i in range(DIM) for j in range(DIM))
+        cross = [sum(phi[i][j][k] * xv[i] * yv[j] for i in range(DIM) for j in range(DIM))
+                 for k in range(DIM)]
+        return (x0 * y0 - dot, *(x0 * b + y0 * a + c for a, b, c in zip(xv, yv, cross)))
+
+    return mul
+
+
+def octonion_params(a):
+    return TwistParams(a[0], KForm(1, tuple(a[1:])))
+
+
+@pytest.mark.parametrize("name", ["t7", "s1xcy3", "t3xk3", "negative"])
+def test_twist_is_the_octonion_conjugation_orbit(name):
+    """For a unit octonion a, conjugation x -> a x a-bar on the imaginary
+    part is a rotation R (row j = Im(a e_j a-bar)), and phi pulled back by
+    R is the twist by a^3, literally: the family through phi is its SO(7)
+    orbit, reached from S^7 by a -> +-a^3.  R^T gives a-bar^3; recover
+    returns a^3 up to sign; decompose3 of the pullback is twist_decomposed.
+    On the three flat models and on -phi0 (orientation -1)."""
+    s = G2Structure(-phi0()) if name == "negative" else model_structure(name, "exact")
+    assert s.orientation.sign == (-1 if name == "negative" else 1)
+    mul = octonion_product(s)
+    rng = random.Random(name)
+    units = [tuple(Fraction(int(i == j)) for i in range(DIM + 1)) for j in range(1, DIM + 1)]
+    for _ in range(3):
+        a = rational_unit_tuple(rng, DIM + 1)
+        a_bar = (a[0], *(-x for x in a[1:]))
+        rot = [list(mul(mul(a, e), a_bar)[1:]) for e in units]
+        cube = mul(mul(a, a), a)
+        cube_bar = (cube[0], *(-x for x in cube[1:]))
+        phit = pullback(s.phi, rot)
+        assert phit == twist(s, octonion_params(cube))
+        assert pullback(s.phi, [list(col) for col in zip(*rot)]) == twist(s, octonion_params(cube_bar))
+        assert recover(s, phit).params.equivalent_to(octonion_params(cube))
+        assert decompose3(phit, s) == twist_decomposed(s, octonion_params(cube))

@@ -278,6 +278,16 @@ def test_pullback_diagonal_literal():
     assert pullback(KForm.basis((2, 3)), d).coeff((2, 3)) == 1
 
 
+@pytest.mark.parametrize("degree", range(DIM + 1))
+def test_pullback_checks_the_matrix_shape_in_every_degree(degree):
+    """A 0-form too: it used to come back unchanged from a 1x1 matrix."""
+    a = KForm(degree, (1,) * NK[degree])
+    for mat in ([[1]], [[1] * DIM] * (DIM - 1), [[1] * (DIM + 1)] * DIM):
+        with pytest.raises(ValueError, match="7x7"):
+            pullback(a, mat)
+    assert pullback(KForm(0, (Fraction(3, 2),)), [[2] * DIM] * DIM) == KForm(0, (Fraction(3, 2),))
+
+
 def test_pullback_composition(rng):
     for _ in range(10):
         A = [[Fraction(rng.randint(-2, 2)) for _ in range(DIM)] for _ in range(DIM)]

@@ -16,7 +16,9 @@
   frame forms against interior contractions, and form_inner against the
   quadratic form through the Fraction-entry Gram it replaced;
 - the k-form Gram table (int rows, den): symmetric in both lanes, entries
-  its minor determinants.
+  its minor determinants;
+- compound and pullback against the per-minor determinants they replaced,
+  kept here as ref_det_small and ref_pullback.
 
 Properties over drawn frames build their exact structures through
 frame_structure, cached per frame, so a failing property shrinks fast.
@@ -37,11 +39,11 @@ from g2kit.exterior import (
     DIM,
     NK,
     KForm,
-    _det_small,
     _lambda_gram,
     _metric_inverse,
     basis_vector,
     coerce_form,
+    compound,
     form_inner,
     interior,
     pullback,
@@ -260,6 +262,79 @@ def frame_structure(a) -> G2Structure:
     frame's tuple: shrinking a failing property replays hundreds of frames,
     many of them more than once."""
     return _frame_structure(tuple(map(tuple, a)))
+
+
+# -- compound and pullback against the per-minor determinants they replaced ---
+
+
+def ref_det_small(mat, ctx=EXACT):
+    """Orders up to 3 by expansion in either lane, higher orders by Context.det."""
+    k = len(mat)
+    if k == 0:
+        return ctx.one
+    if k == 1:
+        return mat[0][0]
+    if k == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    if k == 3:
+        a, b, c = mat[0]
+        d, e, f = mat[1]
+        g, h, i = mat[2]
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return ctx.det(mat)
+
+
+def ref_pullback(a, mat):
+    """Pullback with one ref_det_small call per (I, J) pair, as pullback
+    computed it before it read the compound matrix."""
+    k = a.degree
+    if k == 0:
+        return a
+    rows = [list(r) for r in mat]
+    lane = lane_of((*a.coeffs, *(x for r in rows for x in r)))
+    nonzero = list(a.entries())
+    out = []
+    for I in BASIS[k]:
+        tot = lane.zero
+        for J, c in nonzero:
+            minor = [[rows[j - 1][i - 1] for i in I] for j in J]
+            tot += c * ref_det_small(minor, lane)
+        out.append(tot)
+    return KForm(k, tuple(out))
+
+
+def ref_minors(rows, k, lane):
+    return [[ref_det_small([[rows[i - 1][j - 1] for j in J] for i in I], lane) for J in BASIS[k]]
+            for I in BASIS[k]]
+
+
+def float_bits(values):
+    return [(type(x), repr(x)) for x in values]
+
+
+@given(rational_frames(), st.integers(0, 2 ** 16))
+@settings(max_examples=5, deadline=None)
+def test_compound_and_pullback_equal_minor_references(a, seed):
+    """compound equals the reference minors literally at orders 1-7, on the
+    frame and on its int scaling, and to the last bit on float entries at
+    orders 1-3.  pullback equals ref_pullback literally in the exact lane in
+    every degree, and bit for bit in the float lane in degrees up to 3 (from
+    order 4 the reference's float minors are numpy determinants)."""
+    rng = random.Random(seed)
+    ints, _ = EXACT.scaled(a)
+    af = [[float(x) for x in row] for row in a]
+    for k in range(1, DIM + 1):
+        assert compound(a, k) == ref_minors(a, k, EXACT)
+        assert compound(ints, k) == ref_minors(ints, k, EXACT)
+        if k <= 3:
+            got, want = compound(af, k), ref_minors(af, k, FLOAT)
+            assert [float_bits(row) for row in got] == [float_bits(row) for row in want]
+    for k in range(DIM + 1):
+        x = rational_kform(rng, k)
+        assert pullback(x, a) == ref_pullback(x, a)
+        if k <= 3:
+            xf = x.as_float()
+            assert float_bits(pullback(xf, af).coeffs) == float_bits(ref_pullback(xf, af).coeffs)
 
 
 # -- odot_inverse by the 35x28 solve it replaced, kept as the reference --------
@@ -707,7 +782,7 @@ def max_gap_to(exact_gram, mat):
 
 def minor_table(m, k):
     inv = _metric_inverse(m)
-    return [[_det_small([[inv[i - 1][j - 1] for j in J] for i in I], lane_of(m.rows[0]))
+    return [[ref_det_small([[inv[i - 1][j - 1] for j in J] for i in I], lane_of(m.rows[0]))
              for J in BASIS[k]] for I in BASIS[k]]
 
 
@@ -753,7 +828,7 @@ def ref_lambda_gram(m, k):
     basis = BASIS[k]
 
     def minor_det(I, J):
-        return _det_small([[inv[a - 1][b - 1] for b in J] for a in I], lane)
+        return ref_det_small([[inv[a - 1][b - 1] for b in J] for a in I], lane)
 
     gram = [[None] * len(basis) for _ in basis]
     for p, I in enumerate(basis):
