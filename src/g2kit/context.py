@@ -5,11 +5,12 @@ float; the two are never mixed inside one structure.  A Context names the
 lane and is the only place that knows what a lane is: it coerces incoming
 scalars once, gives the lane's zero and one, decides "is this zero" (literal
 in exact, within a tolerance in float), and routes square roots,
-determinants, inverses, ranks, kernels, solves and integer scaling to the
-lane's algorithm.  Constructors that need a lane's zero and one (phi0(FLOAT),
-KForm.zero, basis_vector, ...) take a Context, never a bool.  lane_of finds
-the lane of values that arrive without a Context (ints and Fractions are
-exact, any float makes them float).
+determinants, inverses, ranks, kernels, spans, eigenvector checks, solves,
+symmetrizing and integer scaling to the lane's algorithm.  Constructors that
+need a lane's zero and one (phi0(FLOAT), KForm.zero, basis_vector, ...) take
+a Context, never a bool.  lane_of finds the lane of values that arrive
+without a Context (ints and Fractions are exact, any float makes them
+float).
 
 Only the float lane calls numpy, so the kernel modules reach it through the
 handle `np` below, which imports numpy on the first float-lane call: the
@@ -204,6 +205,19 @@ class Context:
         # directly, not through the is_exact property
         return Fraction(num, den) if self.mode == "exact" else num / den
 
+    def symmetric(self, m) -> list:
+        """A square matrix whose transposed entries agree in exact arithmetic,
+        made symmetric: exact mode returns it as it is (ints stay ints), float
+        mode replaces each transposed pair by its mean (x_pq + x_qp) / 2."""
+        if self.mode == "exact":
+            return m
+        n = len(m)
+        out = [[None] * n for _ in range(n)]
+        for p in range(n):
+            for q in range(p, n):
+                out[p][q] = out[q][p] = (m[p][q] + m[q][p]) / 2
+        return out
+
     def det(self, m) -> Scalar:
         """Determinant: Bareiss elimination in exact mode, numpy in float mode."""
         from . import ratlin
@@ -234,6 +248,24 @@ class Context:
         from . import ratlin
 
         return ratlin.nullspace_exact(m) if self.is_exact else ratlin.nullspace_float(m)
+
+    def span(self, rows) -> list:
+        """A basis of the row span: in exact mode normalized as nullspace
+        normalizes a kernel (nullspace(nullspace(rows)) literally), an
+        orthonormal basis (SVD) in float mode."""
+        from . import ratlin
+
+        return ratlin.span_exact(rows) if self.is_exact else ratlin.span_float(rows)
+
+    def eigenvalue(self, m, vectors, lam=None):
+        """lam (by default the vectors' Rayleigh quotient) when m v = lam v
+        for every vector, else None: checked literally in exact mode, in
+        float mode within FLOAT_RANK_CUTOFF relative to the bound of |m v|."""
+        from . import ratlin
+
+        if self.is_exact:
+            return ratlin.eigenvalue_exact(m, vectors, lam)
+        return ratlin.eigenvalue_float(m, vectors, lam)
 
     def solve(self, a, b) -> tuple:
         """(x, residual) for a x = b.  Exact mode returns a solution with

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
-from .context import EXACT, SPD_EIG_TOL, Context, Scalar, lane_of, np
+from .context import EXACT, SPD_EIG_TOL, Context, lane_of, np
 from .errors import DegreeError, MetricError
 
 DIM = 7
@@ -381,21 +381,14 @@ def _lambda_gram(m: Metric, k: int):
     """Gram matrix of the basis k-forms as a table (rows, den): the k x k
     minors of g^-1 = G / d, G = Context.scaled(g^-1), are compound(G) / d^k.
 
-    Entry (p, q) is the mean of minors (p, q) and (q, p), so the table is
-    symmetric in both lanes: exact minors agree, and the float mean keeps
-    <a, a> as the full matrix gives it (mirroring one triangle would double
-    that triangle's rounding in <a, a>)."""
+    Context.symmetric makes the table symmetric in both lanes: the exact
+    minors of the symmetric G already are (ints, kept as they are), and the
+    float table averages the two transposed minors, which keeps <a, a> as
+    the full matrix gives it (mirroring one triangle would double that
+    triangle's rounding in <a, a>)."""
     lane = lane_of(m.rows[0])
     inv, den = lane.scaled(_metric_inverse(m))
-    minors = compound(inv, k)
-    n = NK[k]
-    gram = [[None] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(p, n):
-            gram[p][q] = gram[q][p] = lane.ratio(minors[p][q] + minors[q][p], 2)
-    # exact means come back as Fractions over 1: scaled makes them ints
-    rows, rden = lane.scaled(gram)
-    return tuple(tuple(row) for row in rows), den ** k * rden
+    return tuple(tuple(row) for row in lane.symmetric(compound(inv, k))), den ** k
 
 
 def _matvec(rows, v) -> list:

@@ -9,9 +9,11 @@ side.
 The eigenvalues of beta -> *(phi ^ beta) on 2-forms are discovered at
 construction time and stored on the structure, never hard-coded: their signs
 depend on the star and orientation conventions, and the contract is only
-that the eigenspaces have dimensions 7 and 14.  Both lanes read them from
-tr T and tr T^2 and keep the pair whose kernels have those dimensions; the
-lane only supplies the square root and the kernel algorithm.
+that the eigenspaces have dimensions 7 and 14.  The splitting is read off
+phi, not solved for: the 7-space is spanned by the contractions e_i . phi
+and the 14-space is the kernel of a 7 x 21 matrix, and T is checked to act
+by one scalar on each (_split_two_forms).  Both lanes run that one path;
+the lane supplies the span, kernel and eigenvector checks.
 
 A structure's linear maps are built from constant index tables, not from
 wedge-and-star chains or solves: the 2-form operator from the 2 x 2 minors
@@ -36,6 +38,7 @@ from .context import (
     ENTRY_TOL,
     EUCLIDEAN_TOL,
     EXACT,
+    FLOAT_RANK_CUTOFF,
     PHI_NORM_TOL,
     Context,
     lane_of,
@@ -275,37 +278,64 @@ def _full_tensor(coeffs):
     return t
 
 
-def _two_form_spectrum(tmat, ctx: Context):
-    """(lambda7, lambda14, kernel basis of T - lambda7, of T - lambda14).
+def _contractions(k: int, coeffs, zero=0) -> list:
+    """e_i . a for i = 1..7 on a k-form's coefficients: signed selections
+    (_interior_table), one row of NK[k - 1] entries each, no arithmetic."""
+    rows = []
+    for contr in _interior_table(k):
+        out = [zero] * NK[k - 1]
+        for q, (p, sign) in contr.items():
+            if coeffs[p]:
+                out[q] = coeffs[p] if sign > 0 else -coeffs[p]
+        rows.append(out)
+    return rows
 
-    tr T = 7 lambda7 + 14 lambda14 and tr T^2 = 7 lambda7^2 + 14 lambda14^2
-    leave two candidate pairs; the square root and the kernels are the
-    lane's.  The pair whose kernels have dimensions 7 and 14 is kept: the
-    two kernels then meet only in 0 and span all 21 dimensions, which proves
-    (T - lambda7)(T - lambda14) = 0.  Every G2 structure gives (2, -1), the
-    first candidate tried.  For tmat = d T with d > 0 (an integer-scaled T)
-    the eigenvalues come out multiplied by d and the kernel bases are those
-    of T: the reduced row echelon form does not see the factor.
+
+def _split_two_forms(table, gens7, ctx: Context) -> tuple:
+    """(lambda7, lambda14, basis of the 7-space, basis of the 14-space) of
+    T = rows / den, for table = (rows, den), whose lambda7-eigenspace should
+    be spanned by gens7, the contractions e_i . phi.
+
+    lambda7 is the Rayleigh quotient of gens7 and lambda14 comes from
+    tr T = 7 lambda7 + 14 lambda14.  The 14-space is the kernel of the
+    7 x 21 matrix gens7 . (T - lambda14): its rows span the annihilator of
+    that eigenspace, since gens7 . gens7^T is invertible.  It reads only phi
+    and T, which the float lane builds from the minors of g, not from g^-1.
+    (The kernel of beta -> beta ^ *phi is the same space, but the float *phi
+    goes through g^-1: on frames with cond(g) near 1e5 that kernel was off
+    by 2.5e-9 in projector norm, this one by 1e-12.)
+
+    T must then act on gens7 and on the kernel basis by its two scalars
+    (Context.eigenvalue: literal int products in exact mode, a relative
+    residual in float mode), and the scalars must differ.  With the spans of
+    dimensions 7 and 14, the two spaces meet only in 0 and fill all 21,
+    which proves that T is diagonalizable with eigenspaces of dimensions
+    (7, 14).  The bases are Context.span(gens7) and Context.nullspace: in
+    exact mode both are normalized as the kernels of T - lambda are.
     """
-    n2 = len(tmat)
-    t1 = sum(tmat[i][i] for i in range(n2))
-    t2 = sum(tmat[i][j] * tmat[j][i] for i in range(n2) for j in range(n2))
-    # lambda14 solves 42 x^2 - 4 t1 x + t1^2/7 - t2 = 0
-    disc = 8 * (21 * t2 - t1 * t1)
-    try:
-        root = ctx.sqrt(disc)
-    except (ValueError, ExactModeError) as exc:
-        raise DecompositionError(f"2-form operator has no (7, 14) spectrum: {exc}") from exc
-
-    def shifted(lam):
-        return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(tmat)]
-
-    for lam14 in ((4 * t1 - root) / 84, (4 * t1 + root) / 84):
-        lam7 = (t1 - 14 * lam14) / 7
-        eig7, eig14 = ctx.nullspace(shifted(lam7)), ctx.nullspace(shifted(lam14))
-        if (len(eig7), len(eig14)) == (7, 14):
-            return lam7, lam14, eig7, eig14
-    raise DecompositionError("2-form operator has no eigenspaces of dimensions (7, 14)")
+    rows, den = table
+    lam7 = ctx.eigenvalue(rows, gens7)
+    if lam7 is None:
+        raise DecompositionError("2-form operator is not a scalar on the contractions of phi")
+    lam14 = (sum(row[i] for i, row in enumerate(rows)) - 7 * lam7) / 14
+    # gens7 . (T - lambda14) on ints: lambda14 = p / q
+    ((p,),), q = ctx.scaled([[lam14]])
+    kernel_rows = []
+    for c in gens7:
+        acc = [0] * NK[2]
+        for x, row in zip(c, rows):
+            if x:
+                acc = [a + x * y for a, y in zip(acc, row)]
+        kernel_rows.append([q * a - p * x for a, x in zip(acc, c)])
+    eig7, eig14 = ctx.span(gens7), ctx.nullspace(kernel_rows)
+    if (len(eig7), len(eig14)) != (7, 14):
+        raise DecompositionError("2-form operator has no eigenspaces of dimensions (7, 14)")
+    if ctx.eigenvalue(rows, ctx.scaled(eig14)[0], lam14) is None:
+        raise DecompositionError("2-form operator is not a scalar on its 14-space")
+    lam7, lam14 = ctx.ratio(lam7, den), ctx.ratio(lam14, den)
+    if ctx.is_zero(lam7 - lam14, FLOAT_RANK_CUTOFF * max(abs(lam7), abs(lam14))):
+        raise DecompositionError("2-form operator has one eigenvalue on both spaces")
+    return lam7, lam14, eig7, eig14
 
 
 class G2Structure:
@@ -322,12 +352,14 @@ class G2Structure:
     T is built without a star or g^-1 as o / sqrt(det g) times the 2 x 2
     minors of g (compound) times a constant sign table of phi's coefficients
     (_two_form_operator_table).  It is kept as a (rows, den) table: int rows
-    over a common denominator in exact mode.  Its eigenvalues come from the
-    traces of T and T^2 on those rows and are verified by kernel dimensions
-    7 and 14.  The frame forms e_i . *phi are read off *phi with constant
-    signs (_interior_table), no arithmetic.  The frame's inverse Gram matrix
-    is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.  The star of phi
-    is one int product with the metric's Gram table of 3-forms, which
+    over a common denominator in exact mode.  Its eigenspaces are read off
+    phi (_split_two_forms): the contractions e_i . phi span the 7-space, the
+    14-space is the kernel of those contractions times T - lambda14, and
+    T . v = lambda v is checked on all 21 generators (literally, on the int
+    rows, in exact mode).  The frame forms e_i . *phi are read off *phi with
+    constant signs (_contractions), no arithmetic.  The frame's inverse Gram
+    matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.  The star
+    of phi is one int product with the metric's Gram table of 3-forms, which
     exterior keeps as (int rows, den) in exact mode.
 
     Built lazily on first use, so construction does not pay for them: the
@@ -386,8 +418,9 @@ class G2Structure:
         # g = G / gden, phi = Phi / den and sqrt(det g) = root / root_den
         den *= gden * gden * root
         self._t_table = (tmat, den)
-        lam7, lam14, eig7, eig14 = _two_form_spectrum(tmat, ctx)
-        self.lambda7, self.lambda14 = ctx.ratio(lam7, den), ctx.ratio(lam14, den)
+        # Lambda^2_7 = {v . phi}: the contractions of phi span it
+        self.lambda7, self.lambda14, eig7, eig14 = _split_two_forms(
+            self._t_table, _contractions(3, phi), ctx)
         self.basis2_7 = tuple(KForm(2, tuple(v)) for v in eig7)
         self.basis2_14 = tuple(KForm(2, tuple(v)) for v in eig14)
 
@@ -395,15 +428,8 @@ class G2Structure:
 
     def _init_three_form_frame(self):
         # e_i . *phi is a signed selection of *phi's coefficients
-        psi, zero = self.star_phi.coeffs, self.ctx.zero
-        frames = []
-        for contr in _interior_table(4):
-            out = [zero] * NK[3]
-            for q, (p, sign) in contr.items():
-                if psi[p]:
-                    out[q] = psi[p] if sign > 0 else -psi[p]
-            frames.append(KForm(3, tuple(out)))
-        self.frame3_7 = tuple(frames)
+        self.frame3_7 = tuple(KForm(3, tuple(row))
+                              for row in _contractions(4, self.star_phi.coeffs, self.ctx.zero))
         # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
         self._gram7_inv = [[x / 4 for x in row] for row in _metric_inverse(self.metric)]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bryant import Recovery, TwistParams, recover, sample_params
+from .bryant import TwistParams, recover, sample_params
 from .context import ENTRY_TOL, EXACT, Context, np
 from .errors import ModelError, SubspaceViolationError
 from .exterior import DIM, KForm, coerce_form, wedge

@@ -8,8 +8,8 @@ updated row, det uses Bareiss's exact-division elimination (Math. Comp. 22
 (1968) 565-578), and a Fraction is built once per output entry.  The float
 lane defers to numpy; its rank decisions use the singular value cutoff
 context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a lane
-through Context.det / inv / rank / nullspace / solve.  Matrices are lists/tuples of rows;
-vectors are flat sequences.
+through Context.det / inv / rank / nullspace / span / eigenvalue / solve.
+Matrices are lists/tuples of rows; vectors are flat sequences.
 """
 from __future__ import annotations
 
@@ -205,18 +205,56 @@ def nullspace_exact(m):
     return basis
 
 
+def span_exact(m):
+    """Basis of the row span in nullspace_exact's normalization: the reduced
+    row echelon form taken from the right (columns reversed, rref, reversed
+    back), rows ordered by their last nonzero column.  Those columns are the
+    free columns of any matrix whose kernel is this span, so the basis
+    equals nullspace_exact(nullspace_exact(m))."""
+    red, pivots = rref([row[::-1] for row in m])
+    return [row[::-1] for row in red[len(pivots) - 1::-1]] if pivots else []
+
+
+def eigenvalue_exact(m, vectors, lam=None):
+    """lam when m v = lam v for every vector, else None.  Without lam, the
+    Rayleigh quotient sum <v, m v> / sum <v, v> is tried.  The check is
+    literal: q m v == p v for lam = p / q (ints for int input)."""
+    cols, images = list(zip(*m)), []
+    for v in vectors:
+        w = [0] * len(cols[0])
+        for x, col in zip(v, cols):
+            if x:
+                w = [a + x * y for a, y in zip(w, col)]
+        images.append(w)
+    if lam is None:
+        den = sum(x * x for v in vectors for x in v)
+        if not den:
+            return None
+        lam = Fraction(sum(x * y for v, w in zip(vectors, images) for x, y in zip(v, w)), den)
+    lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    for v, w in zip(vectors, images):
+        if any(q * y != p * x for x, y in zip(v, w)):
+            return None
+    return lam
+
+
 def _np(m):
     return np.asarray(m, dtype=float)
+
+
+def _svd_rank(sv) -> int:
+    """The number of singular values above FLOAT_RANK_CUTOFF times the largest."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > FLOAT_RANK_CUTOFF * sv[0]))
 
 
 def rank_float(m) -> int:
     arr = _np(m)
     if arr.size == 0:
         return 0
-    sv = np.linalg.svd(arr, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > FLOAT_RANK_CUTOFF * sv[0]))
+    return _svd_rank(np.linalg.svd(arr, compute_uv=False))
 
 
 def nullspace_float(m):
@@ -224,11 +262,36 @@ def nullspace_float(m):
     arr = _np(m)
     if arr.size == 0:
         return []
-    u, sv, vt = np.linalg.svd(arr)
-    nc = arr.shape[1]
-    smax = sv[0] if sv.size else 0.0
-    r = int(np.sum(sv > FLOAT_RANK_CUTOFF * smax)) if smax > 0 else 0
-    return [vt[i].tolist() for i in range(r, nc)]
+    _, sv, vt = np.linalg.svd(arr)
+    return vt[_svd_rank(sv):].tolist()
+
+
+def span_float(m):
+    """Orthonormal basis (list of vectors) of the row span via SVD."""
+    arr = _np(m)
+    if arr.size == 0:
+        return []
+    _, sv, vt = np.linalg.svd(arr, full_matrices=False)
+    return vt[:_svd_rank(sv)].tolist()
+
+
+def eigenvalue_float(m, vectors, lam=None):
+    """lam when every residual |m v - lam v| stays within FLOAT_RANK_CUTOFF
+    times the bound |m|_inf |v|_max of m v itself, else None.  Without lam,
+    the Rayleigh quotient sum <v, m v> / sum <v, v> is tried."""
+    a, v = _np(m), _np(vectors)
+    if v.size == 0:
+        return None
+    w = v @ a.T
+    if lam is None:
+        den = float(np.sum(v * v))
+        if den == 0.0:
+            return None
+        lam = float(np.sum(v * w)) / den
+    scale = float(np.abs(a).sum(axis=1).max()) * np.abs(v).max(axis=1)
+    if np.any(np.abs(w - lam * v).max(axis=1) > FLOAT_RANK_CUTOFF * scale):
+        return None
+    return lam
 
 
 def solve_float(a, b):

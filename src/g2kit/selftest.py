@@ -43,7 +43,6 @@ from .exterior import (
     NEGATIVE,
     POSITIVE,
     KForm,
-    basis_vector,
     flat,
     form_inner,
     hodge_star,
@@ -99,7 +98,6 @@ from .sampling import (
     rational_kform,
     rational_spd_metric,
     rational_symmetric,
-    rational_unit_tuple,
 )
 from . import serialize
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .bryant import TwistParams
 from .context import Context
 from .errors import DegreeError, ExactModeError, ParseError
-from .exterior import DIM, NK, POS, KForm, Metric, Orientation
+from .exterior import DIM, NK, POS, KForm
 from .g2core import G2Structure
 
 SCHEMA_VERSION = 1

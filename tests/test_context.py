@@ -105,6 +105,24 @@ def test_lane_api():
     assert FLOAT.ratio(-0.0, 1) == 0.0 and FLOAT.ratio(3.0, 2) == 1.5
     assert lane_of([1, Fraction(1, 2)]) is EXACT and lane_of([1, 0.5]) is FLOAT
     assert lane_of([]) is EXACT
+    assert EXACT.span([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == [[-1, 1, 0], [1, 0, 1]]
+    assert EXACT.span([[0, 0]]) == [] and FLOAT.span([[0.0, 0.0]]) == []
+    (u,) = FLOAT.span([[3.0, 4.0], [6.0, 8.0]])
+    assert abs(abs(u[0]) - 0.6) < 1e-15 and abs(abs(u[1]) - 0.8) < 1e-15
+    t = [[2, 1], [0, 3]]
+    assert EXACT.eigenvalue(t, [[1, 0], [3, 0]]) == 2 and EXACT.eigenvalue(t, [[1, 1]], 3) == 3
+    assert EXACT.eigenvalue(t, [[1, 0], [1, 1]]) is None and EXACT.eigenvalue(t, [[0, 1]]) is None
+    assert EXACT.eigenvalue(t, [[1, 0]], 3) is None and EXACT.eigenvalue(t, [[0, 0]]) is None
+    tf = [[2.0, 1.0], [0.0, 3.0]]
+    assert FLOAT.eigenvalue(tf, [[1.0, 0.0]]) == 2.0
+    assert FLOAT.eigenvalue(tf, [[1.0, 1.0]], 3.0) == 3.0
+    assert FLOAT.eigenvalue(tf, [[1.0, 0.0], [1.0, 1.0]]) is None
+    # residuals against FLOAT_RANK_CUTOFF times |m|_inf |v|_max = 4
+    assert FLOAT.eigenvalue(tf, [[1.0, 1e-12]]) is not None
+    assert FLOAT.eigenvalue(tf, [[1.0, 1e-6]]) is None
+    sym = [[1, 2], [2, 5]]
+    assert EXACT.symmetric(sym) is sym
+    assert FLOAT.symmetric([[1.0, 2.0], [4.0, 5.0]]) == [[1.0, 3.0], [3.0, 5.0]]
 
 
 def _tolerance_literals(path):
@@ -201,3 +219,25 @@ def test_no_kernel_function_takes_an_exact_flag():
 def test_a_bool_never_picks_a_lane(build, flag):
     with pytest.raises(AttributeError):
         build(flag)
+
+
+def _unused_imports(path):
+    """Names a module imports and never references (outside __all__)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    return sorted(imported - used - exported)
+
+
+def test_no_unused_imports():
+    """The package's lint step: every imported name is referenced or re-exported."""
+    found = {path.name: names for path in sorted(SRC.glob("*.py"))
+             if (names := _unused_imports(path))}
+    assert found == {}

@@ -9,9 +9,11 @@
   of g against 21 wedge + star columns, odot_inverse's dB_phi table against its
   identity and against the 35x28 solve it replaced, and the counts of stars,
   Gram degrees and eliminations these paths run;
-- the 2-form spectrum from tr T and tr T^2 against the earlier exact lane
-  (kept by (T - lambda7)(T - lambda14) = 0) and float lane (numpy eigvals,
-  clustered);
+- the 2-form splitting read off phi (the span of the contractions
+  C = e_i . phi and the kernel of C (T - lambda14), with T checked on their
+  generators) against the earlier exact lane (trace candidates kept by
+  (T - lambda7)(T - lambda14) = 0) and float lane (numpy eigvals,
+  clustered); Context.span against the double kernel;
 - decompose3's single Gram product against eight quadratic forms, the
   frame forms against interior contractions, and form_inner against the
   quadratic form through the Fraction-entry Gram it replaced;
@@ -26,6 +28,7 @@ frame_structure, cached per frame, so a failing property shrinks fast.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import pytest
@@ -56,7 +59,8 @@ from g2kit.g2core import (
     SymTensor,
     _apply,
     _contraction_matrix,
-    _two_form_spectrum,
+    _contractions,
+    _split_two_forms,
     decompose2,
     decompose3,
     metric_from_phi,
@@ -509,9 +513,10 @@ def test_odot_inverse_equals_solve_reference_on_frames(a, seed):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts hodge_star and ratlin.rref calls and the degrees asked of
-    _lambda_gram, through every module that imports them."""
-    calls = {"star": 0, "rref": 0, "gram": []}
+    """Counts hodge_star and ratlin.rref calls, the row counts of the
+    matrices rref eliminates and the degrees asked of _lambda_gram, through
+    every module that imports them."""
+    calls = {"star": 0, "rref": 0, "rref_rows": [], "gram": []}
     star, rref, gram = exterior.hodge_star, ratlin.rref, exterior._lambda_gram
 
     def counted_star(*args, **kwargs):
@@ -520,6 +525,7 @@ def kernel_calls(monkeypatch):
 
     def counted_rref(m):
         calls["rref"] += 1
+        calls["rref_rows"].append(len(m))
         return rref(m)
 
     def counted_gram(m, k):
@@ -532,15 +538,17 @@ def kernel_calls(monkeypatch):
     monkeypatch.setattr(ratlin, "rref", counted_rref)
 
     def reset():
-        calls.update(star=0, rref=0, gram=[])
+        calls.update(star=0, rref=0, rref_rows=[], gram=[])
         return calls
 
     return reset
 
 
 def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
-    """Exact construction runs one star (of phi, through the degree-3 Gram)
-    and asks for no other Gram degree; decompose2 runs no star; a warm
+    """Exact construction runs one star (of phi, through the degree-3 Gram),
+    asks for no other Gram degree and eliminates no matrix of more than 7
+    rows (the 2-form splitting is read off phi: no 21 x 21 kernel of
+    T - lambda is left); decompose2 runs no star; a warm
     decompose3 or odot_inverse asks for no Gram and runs no star (the
     structure keeps its scaled frame rows and Gram table); odot_inverse runs
     no elimination."""
@@ -554,6 +562,7 @@ def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
         s = G2Structure(phi)
         assert s.orientation.sign == sign and not s.metric.is_euclidean
         assert calls["star"] == 1 and set(calls["gram"]) == {3}
+        assert calls["rref"] and max(calls["rref_rows"]) <= 7
         eta = odot(random_symmetric(rng, EXACT), s)
         beta = KForm(2, tuple(Fraction(rng.randint(-5, 5), 3) for _ in range(NK[2])))
         calls = kernel_calls()
@@ -565,10 +574,10 @@ def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
         calls = kernel_calls()
         decompose3(eta, s)
         odot_inverse(eta, s)
-        assert calls == {"star": 0, "rref": 0, "gram": []}
+        assert calls == {"star": 0, "rref": 0, "rref_rows": [], "gram": []}
 
 
-# -- the 2-form spectrum: one trace path against the earlier per-lane ones -----
+# -- the 2-form splitting read off phi against the earlier per-lane spectra -----
 
 
 def ref_exact_two_form_spectrum(tmat):
@@ -609,6 +618,33 @@ def span_projector(rows):
     """Orthogonal projector onto the span of orthonormal rows."""
     v = np.asarray(rows, dtype=float)
     return v.T @ v
+
+
+def exact_projector(rows):
+    """Orthogonal projector onto the span of exact rows, in floats."""
+    q, _ = np.linalg.qr(np.asarray(rows, dtype=float).T)
+    return q @ q.T
+
+
+@given(rational_frames())
+@settings(max_examples=20, deadline=None)
+def test_span_is_the_double_kernel(a):
+    """Context.span on the contractions e_i . phi of a pulled-back phi0
+    (7 x 21, rank 7) and on four frame rows with two combinations of them
+    (6 x 7, rank 4): exact mode returns nullspace(nullspace(rows)) literally;
+    float mode an orthonormal basis whose projector is within 1e-9 of the
+    exact span's."""
+    contractions = _contractions(3, frame_structure(a).phi.coeffs)
+    dependent = [*a[:4], [x + y for x, y in zip(a[0], a[1])],
+                 [x - 2 * y for x, y in zip(a[2], a[3])]]
+    for rows, rank in ((contractions, 7), (dependent, 4)):
+        span = EXACT.span(rows)
+        assert len(span) == rank
+        assert span == ratlin.nullspace_exact(ratlin.nullspace_exact(rows))
+        fspan = FLOAT.span([[float(x) for x in row] for row in rows])
+        assert len(fspan) == rank
+        assert np.abs(np.asarray(fspan) @ np.asarray(fspan).T - np.eye(rank)).max() <= 1e-9
+        assert np.abs(span_projector(fspan) - exact_projector(span)).max() <= 1e-9
 
 
 @given(rational_frames())
@@ -664,19 +700,41 @@ def test_float_spectrum_where_eigvals_clusters_split():
 
 
 def test_two_form_spectrum_refuses_other_operators():
+    """The splitting that replaced the trace path refuses three operators
+    given the standard form's contractions e_i . phi0 as the 7-space: the
+    identity (one eigenvalue, no (7, 14) split), diag(2 x 8, -1 x 13) and a
+    rotation block (the contractions are eigenvectors of neither).
+
+    It also refuses T + u w^T for u in the 14-space, which keeps tr T and
+    the kernel matrix C (T - lambda14) (C u = 0): with w in the 7-space only
+    the eigenvector check on the contractions sees it, with w in the
+    14-space and orthogonal to u only the check on the kernel basis does."""
     n2 = NK[2]
     ident = ratlin.identity(n2)
     # eigenvalues 2 and -1 with multiplicities 8 and 13
     wrong = [[Fraction(2 if i < 8 else -1) * (i == j) for j in range(n2)] for i in range(n2)]
-    # a rotation block: tr T^2 < 0, no real square root
+    # a rotation block: no real eigenvector in its plane
     rot = [[Fraction(0)] * n2 for _ in range(n2)]
     rot[0][1], rot[1][0] = Fraction(1), Fraction(-1)
     for ctx in (EXACT, FLOAT):
+        s = standard_structure(ctx.mode)
+        gens7 = _contractions(3, s.phi.coeffs)
+        lam7, lam14, eig7, eig14 = _split_two_forms(s._t_table, gens7, ctx)
+        assert (lam7, lam14) == (s.lambda7, s.lambda14)
+        assert (len(eig7), len(eig14)) == (7, 14)
         for tmat in (ident, wrong, rot):
             if not ctx.is_exact:
                 tmat = [[float(x) for x in row] for row in tmat]
             with pytest.raises(DecompositionError):
-                _two_form_spectrum(tmat, ctx)
+                _split_two_forms((tmat, 1), gens7, ctx)
+        (w7, *_), (u, v, *_) = ([list(b.coeffs) for b in basis]
+                                for basis in (s.basis2_7, s.basis2_14))
+        w14 = [y - sum(map(mul, u, v)) / sum(map(mul, u, u)) * x for x, y in zip(u, v)]
+        rows, den = s._t_table
+        for w in (w7, w14):
+            bumped = [[x + den * ui * wj for x, wj in zip(row, w)] for row, ui in zip(rows, u)]
+            with pytest.raises(DecompositionError, match="not a scalar"):
+                _split_two_forms((bumped, den), gens7, ctx)
 
 
 def test_exact_construction_uses_no_floats(monkeypatch):
