@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
 from .errors import (
@@ -77,7 +78,8 @@ class TwistParams:
             return self
         if self.c < 0:
             return self.antipode()
-        for x in self.omega.coeffs:
+        # the stored numerators carry the coefficients' signs (den > 0)
+        for x in self.omega.num:
             if x:
                 return self if x > 0 else self.antipode()
         return self
@@ -151,19 +153,25 @@ def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
                           p27=quadratic - ((3 - 3 * coef) / 7) * s.phi)
 
 
-def _combine(s: G2Structure, degree: int, terms):
-    """Coefficients of sum x * a over (x, a) pairs, a a coefficient sequence."""
-    out = [s.ctx.zero] * NK[degree]
+def _combine(ctx, coefs, forms) -> KForm:
+    """sum x_i a_i for coefs = (num, den), x_i = num[i] / den, and forms a_i
+    of one degree in the lane: summed on the forms' stored pairs (ints in
+    the exact lane) over their common denominator, one reduction at the end.
+    zip stops at the shorter of num and forms."""
+    num, den = coefs
+    terms = [(x, a) for x, a in zip(num, forms) if x]
+    common = lcm(*(a.den for _, a in terms))
+    out = [ctx.scaled_zero] * NK[forms[0].degree]
     for x, a in terms:
-        if x:
-            for i, y in enumerate(a):
-                if y:
-                    out[i] += x * y
-    return out
+        x *= common // a.den
+        for i, y in enumerate(a.num):
+            if y:
+                out[i] += x * y
+    return KForm._of(forms[0].degree, out, den * common, ctx)
 
 
 def _derivative_images(s: G2Structure, p: TwistParams, tangents):
-    """2 B(p, t) for each tangent t = (d, v), as 3-form coefficients.
+    """2 B(p, t) for each tangent t = (d, v), as 3-forms.
 
     B is Bryant's formula polarized, the symmetric bilinear map with
     B(p, p) = twist(p).  For p = (c, w) it reads
@@ -174,23 +182,22 @@ def _derivative_images(s: G2Structure, p: TwistParams, tangents):
     s_j = star_dx_phi[j] and u_j = star_dx_star_phi[j].
     """
     c, w = p.c, p.omega
-    phi = s.phi.coeffs
+    ctx = s.ctx
     stars, ustars = s.star_dx_phi, s.star_dx_star_phi
     wsharp = sharp(w, s.metric)
 
     def starred(v):
-        """(*(v ^ phi) coefficients, *(v ^ *phi)) for a 1-form v."""
-        return (_combine(s, 3, zip(v.coeffs, (a.coeffs for a in stars))),
-                KForm(2, tuple(_combine(s, 2, zip(v.coeffs, (u.coeffs for u in ustars))))))
+        """(*(v ^ phi), *(v ^ *phi)) for a 1-form v."""
+        return _combine(ctx, (v.num, v.den), stars), _combine(ctx, (v.num, v.den), ustars)
 
     seven, z = starred(w)
     images = []
     for d, v in tangents:
         vseven, vz = starred(v)
         coef = c * d - sum(x * y for x, y in zip(wsharp, v.coeffs))
-        quadratic = (wedge(w, vz) + wedge(v, z)).coeffs
-        images.append(_combine(s, 3, ((2 * coef, phi), (2 * c, vseven), (2 * d, seven),
-                                      (2, quadratic))))
+        quadratic = wedge(w, vz) + wedge(v, z)
+        (xs,), xden = ctx.scaled([[2 * coef, 2 * c, 2 * d, 2]])
+        images.append(_combine(ctx, (xs, xden), (s.phi, vseven, seven, quadratic)))
     return images
 
 
@@ -204,7 +211,7 @@ def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
         raise TangencyError(
             f"tangency c c_dot + <w, w_dot> = {res}, not zero in the {s.ctx.mode} lane")
     (image,) = _derivative_images(s, p, [(t.c_dot, t.omega_dot)])
-    return KForm(3, tuple(image))
+    return image
 
 
 @dataclass(frozen=True)
@@ -293,7 +300,7 @@ def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
     if not 1 <= ambient_dim <= DIM:
         raise ValueError("ambient_dim must be 1..7")
     p = _coerce_params(s, p)
-    if any(p.omega.coeffs[i] for i in range(ambient_dim, DIM)):
+    if any(p.omega.num[ambient_dim:]):
         raise ConstraintError("omega leaves the ambient coordinate subspace")
     row = [p.c, *sharp(p.omega, s.metric)[:ambient_dim]]
     basis = []
@@ -303,8 +310,8 @@ def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
     return basis
 
 
-def derivative_matrix(s: G2Structure, p: TwistParams, ambient_dim: int):
-    """Columns are twist derivatives along a tangent basis (35 x ambient_dim).
+def _derivative_columns(s: G2Structure, p: TwistParams, ambient_dim: int) -> list:
+    """The twist derivatives along a tangent basis, as 3-forms.
 
     2 B(p, .) is evaluated once per point on the coordinate directions c and
     dx_1..dx_ambient_dim, then applied to the tangent basis."""
@@ -315,17 +322,24 @@ def derivative_matrix(s: G2Structure, p: TwistParams, ambient_dim: int):
     units = [(ctx.one, KForm.zero(1, ctx))]
     units += [(ctx.zero, KForm(1, basis_vector(j, ctx))) for j in range(1, ambient_dim + 1)]
     cols = _derivative_images(s, p, units)
-    # zip stops at the last column: the tangents vanish past ambient_dim
-    images = [_combine(s, 3, zip((t.c_dot, *t.omega_dot.coeffs), cols)) for t in basis]
-    return [list(row) for row in zip(*images)]
+    # _combine's zip stops at the last column: the tangents vanish past ambient_dim
+    coefs = (ctx.scaled([[t.c_dot, *t.omega_dot.coeffs]]) for t in basis)
+    return [_combine(ctx, (xs, xden), cols) for (xs,), xden in coefs]
+
+
+def derivative_matrix(s: G2Structure, p: TwistParams, ambient_dim: int):
+    """Columns are twist derivatives along a tangent basis (35 x ambient_dim)."""
+    return [list(row) for row in zip(*(a.coeffs for a in _derivative_columns(s, p, ambient_dim)))]
 
 
 def derivative_rank(s: G2Structure, p: TwistParams, ambient_dim: int) -> int:
-    """Rank of the twist derivative on the ambient tangent space at p."""
-    mat = derivative_matrix(s, p, ambient_dim)
-    if not mat:
+    """Rank of the twist derivative on the ambient tangent space at p, read
+    on the columns' stored numerators (each column scaled by its positive
+    denominator, which keeps the rank)."""
+    cols = _derivative_columns(s, p, ambient_dim)
+    if not cols:
         return 0
-    return s.ctx.rank(mat)
+    return s.ctx.rank([list(row) for row in zip(*(a.num for a in cols))])
 
 
 def derivative_margin(s: G2Structure, p: TwistParams, ambient_dim: int):

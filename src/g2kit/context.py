@@ -6,7 +6,8 @@ lane and is the only place that knows what a lane is: it coerces incoming
 scalars once, gives the lane's zero and one, decides "is this zero" (literal
 in exact, within a tolerance in float), and routes square roots,
 determinants, inverses, ranks, kernels, spans, eigenvector checks, solves,
-symmetrizing and integer scaling to the lane's algorithm.  Constructors that
+symmetrizing, integer scaling and the reduction of a k-form's stored
+(num, den) pair to the lane's algorithm.  Constructors that
 need a lane's zero and one (phi0(FLOAT), KForm.zero, basis_vector, ...) take
 a Context, never a bool.  lane_of finds the lane of values that arrive
 without a Context (ints and Fractions are exact, any float makes them
@@ -204,6 +205,30 @@ class Context:
         # called once per output entry of every table product: mode is read
         # directly, not through the is_exact property
         return Fraction(num, den) if self.mode == "exact" else num / den
+
+    @property
+    def scaled_zero(self):
+        """The zero that sums on scaled rows start from: int 0 in exact mode,
+        0.0 in float mode."""
+        return 0 if self.mode == "exact" else 0.0
+
+    def reduce(self, num, den) -> tuple:
+        """(num', den', values) storing num / den as a k-form does.
+
+        Exact mode: num' / den' in lowest terms over one denominator, so
+        gcd(den', *num') == 1 and den' > 0 (a zero vector gets den' == 1);
+        values is None, as the Fractions are built on first read.  Float
+        mode: the floats num / den (num itself when den is 1) over 1, and
+        values the same tuple."""
+        if self.mode == "exact":
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g == 1:
+                return tuple(num), den, None
+            return tuple(x // g for x in num), den // g, None
+        vals = tuple(num) if den == 1 else tuple(x / den for x in num)
+        return vals, 1, vals
 
     def symmetric(self, m) -> list:
         """A square matrix whose transposed entries agree in exact arithmetic,

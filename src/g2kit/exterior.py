@@ -7,17 +7,23 @@ throughout is the determinant evaluation without factorial weights, so
 dx1^dx2 applied to (e1, e2) is +1 and interior contraction is an
 antiderivation acting on the first slot.
 
-Coefficients are fractions.Fraction in exact computations and float
-otherwise; a single form never mixes the two (construction normalizes ints
-to Fraction unless a float is present).
+A form stores its coefficients as a pair (num, den).  An exact form keeps
+int numerators over one positive int denominator in lowest terms, and its
+coeffs, the fractions.Fraction values every public reader sees, are built
+on first read; a float form keeps its floats as num and coeffs over 1.  A
+single form never mixes the two (construction normalizes ints to Fraction
+unless a float is present), and forms of both lanes meet in the float lane.
+Every kernel here (the arithmetic, wedge, interior, the star, inner
+products, sharp, pullback) reads the stored pairs, sums on them (ints in
+the exact lane) and builds its result's pair with Context.reduce, so the
+exact lane builds no Fraction per coefficient.
 
 A metric's Gram matrix of basis k-forms (the minors of g^-1, by compound)
 is kept per (metric, k) as a table (rows, den): int rows over d^k in the
 exact lane, where g^-1 = G / d for an int matrix G, and float rows over 1
 in the float lane.  gram_apply, form_inner and the non-Euclidean hodge_star
-scale their form once (Context.scaled), run one int matvec with the table
-and build one scalar per output (Context.ratio); the star folds the scaling
-of sqrt(det g) into that same scalar.
+run one matvec of the table with their form's stored numerators; the star
+folds the scaling of sqrt(det g) into the result's denominator.
 """
 from __future__ import annotations
 
@@ -25,9 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Sequence, Tuple
 
-from .context import EXACT, SPD_EIG_TOL, Context, lane_of, np
+from .context import EXACT, FLOAT, SPD_EIG_TOL, Context, lane_of, np
 from .errors import DegreeError, MetricError
 
 DIM = 7
@@ -95,9 +102,17 @@ def _normalize(values) -> tuple:
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KForm:
-    """Dense k-form; immutable and hashable."""
+    """Dense k-form; immutable and hashable.
+
+    Stored as a pair, num over den.  An exact form keeps a tuple of ints
+    over one positive int den, in lowest terms (gcd(den, *num) == 1, and a
+    zero form has den == 1), so two exact forms are equal when their pairs
+    are; coeffs, its Fractions, are built on first read and kept.  A float
+    form keeps its floats as both num and coeffs, over den == 1.  Kernels
+    read and build the pair (Context.reduce), never the Fractions.
+    """
 
     degree: int
     coeffs: tuple
@@ -110,7 +125,43 @@ class KForm:
             raise DegreeError(
                 f"degree {self.degree} needs {NK[self.degree]} coefficients, got {len(vals)}"
             )
-        object.__setattr__(self, "coeffs", vals)
+        lane = lane_of(vals[:1])
+        (num,), den = lane.scaled([vals])
+        state = self.__dict__
+        state["coeffs"], state["num"], state["den"], state["_lane"] = vals, tuple(num), den, lane
+
+    @classmethod
+    def _of(cls, degree: int, num, den, lane: Context) -> "KForm":
+        """The form num / den, num a sequence of the lane's scaled entries
+        (ints in exact mode, floats in float mode), stored as Context.reduce
+        gives it."""
+        form = object.__new__(cls)
+        num, den, values = lane.reduce(num, den)
+        state = form.__dict__
+        state["degree"], state["num"], state["den"], state["_lane"] = degree, num, den, lane
+        if values is not None:
+            state["coeffs"] = values
+        return form
+
+    def __getattr__(self, name):
+        # only coeffs is ever missing: an exact form's Fractions, built once
+        if name != "coeffs" or "num" not in self.__dict__:
+            raise AttributeError(name)
+        den, ratio = self.den, self._lane.ratio
+        coeffs = self.__dict__["coeffs"] = tuple(ratio(x, den) for x in self.num)
+        return coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.degree != other.degree:
+            return False
+        if self._lane.mode == other._lane.mode:
+            return self.den == other.den and self.num == other.num
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.degree, self.coeffs))
 
     @classmethod
     def zero(cls, degree: int, ctx: Context = EXACT) -> "KForm":
@@ -140,7 +191,7 @@ class KForm:
 
     @property
     def is_exact(self) -> bool:
-        return not any(isinstance(c, float) for c in self.coeffs)
+        return self._lane.is_exact
 
     def coeff(self, *index: int):
         """Signed coefficient lookup; repeated indices give 0."""
@@ -148,9 +199,9 @@ class KForm:
             index = tuple(index[0])
         order = tuple(sorted(index))
         if len(set(order)) != len(order):
-            return lane_of(self.coeffs).zero
+            return self._lane.zero
         sign = _permutation_sign(index)
-        return sign * self.coeffs[POS[self.degree][order]]
+        return self._lane.ratio(sign * self.num[POS[self.degree][order]], self.den)
 
     def entries(self) -> Iterator[tuple]:
         for p, I in enumerate(BASIS[self.degree]):
@@ -161,28 +212,36 @@ class KForm:
     def __add__(self, other: "KForm") -> "KForm":
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
-        return KForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b, lane = _meet(self, other)
+        return KForm._of(self.degree, *_pair_sum(a, b, 1), lane)
 
     def __sub__(self, other: "KForm") -> "KForm":
         if self.degree != other.degree:
             raise DegreeError("cannot subtract forms of different degree")
-        return KForm(self.degree, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b, lane = _meet(self, other)
+        return KForm._of(self.degree, *_pair_sum(a, b, -1), lane)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.degree, tuple(-a for a in self.coeffs))
+        return KForm._of(self.degree, [-a for a in self.num], self.den, self._lane)
 
     def __mul__(self, s) -> "KForm":
-        return KForm(self.degree, tuple(a * s for a in self.coeffs))
+        lane = lane_of((self.num[0], s))
+        a = coerce_form(self, lane)
+        ((x,),), xden = lane.scaled([[s]])
+        return KForm._of(a.degree, [y * x for y in a.num], a.den * xden, lane)
 
     __rmul__ = __mul__
 
     def __truediv__(self, s) -> "KForm":
-        if isinstance(s, int):
-            s = Fraction(s)
-        return KForm(self.degree, tuple(a / s for a in self.coeffs))
+        if not s:
+            raise ZeroDivisionError("k-form divided by zero")
+        lane = lane_of((self.num[0], s))
+        a = coerce_form(self, lane)
+        ((x,),), xden = lane.scaled([[s]])
+        return KForm._of(a.degree, [y * xden for y in a.num], a.den * x, lane)
 
     def max_abs(self):
-        return max((abs(c) for c in self.coeffs), default=0)
+        return self._lane.ratio(max(abs(x) for x in self.num), self.den)
 
     def isclose(self, other: "KForm", tol: float = 0.0) -> bool:
         """Coefficientwise comparison; tol=0 means literal equality."""
@@ -193,7 +252,26 @@ class KForm:
         return all(abs(a - b) <= tol for a, b in zip(self.coeffs, other.coeffs))
 
     def as_float(self) -> "KForm":
-        return KForm(self.degree, tuple(float(c) for c in self.coeffs))
+        # int / int rounds the exact quotient once, as float(Fraction) does
+        return KForm._of(self.degree, [x / self.den for x in self.num], 1, FLOAT)
+
+
+def _meet(a: KForm, b: KForm) -> tuple:
+    """(a, b, lane) with both forms in one lane: the float lane when either
+    is float, as Fraction-float arithmetic meets."""
+    lane = lane_of((a.num[0], b.num[0]))
+    return coerce_form(a, lane), coerce_form(b, lane), lane
+
+
+def _pair_sum(a: KForm, b: KForm, sign: int) -> tuple:
+    """(num, den) of a + sign * b on the stored pairs of two forms of one lane."""
+    if a.den == b.den:
+        if sign > 0:
+            return [x + y for x, y in zip(a.num, b.num)], a.den
+        return [x - y for x, y in zip(a.num, b.num)], a.den
+    den = lcm(a.den, b.den)
+    ma, mb = den // a.den, sign * (den // b.den)
+    return [x * ma + y * mb for x, y in zip(a.num, b.num)], den
 
 
 def _permutation_sign(seq: Sequence[int]) -> int:
@@ -206,7 +284,10 @@ def _permutation_sign(seq: Sequence[int]) -> int:
 
 
 def coerce_form(a: KForm, ctx: Context) -> KForm:
-    """Re-express a form in the context's arithmetic (may raise on floats in exact mode)."""
+    """Re-express a form in the context's arithmetic (may raise on floats in
+    exact mode); a form already in that lane is returned as it is."""
+    if a._lane.mode == ctx.mode:
+        return a
     return KForm(a.degree, tuple(ctx.scalar(c) for c in a.coeffs))
 
 
@@ -218,8 +299,9 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if a.degree + b.degree > DIM:
         raise DegreeError(f"wedge degree {a.degree}+{b.degree} exceeds {DIM}")
     out_deg = a.degree + b.degree
-    out = [lane_of(a.coeffs + b.coeffs).zero] * NK[out_deg]
-    ac, bc = a.coeffs, b.coeffs
+    a, b, lane = _meet(a, b)
+    out = [lane.scaled_zero] * NK[out_deg]
+    ac, bc = a.num, b.num
     for pa, pb, s, po in _wedge_table(a.degree, b.degree):
         ca = ac[pa]
         if not ca:
@@ -228,7 +310,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
         if not cb:
             continue
         out[po] += ca * cb if s > 0 else -(ca * cb)
-    return KForm(out_deg, tuple(out))
+    return KForm._of(out_deg, out, a.den * b.den, lane)
 
 
 def interior(v: Sequence, a: KForm) -> KForm:
@@ -236,9 +318,12 @@ def interior(v: Sequence, a: KForm) -> KForm:
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
     k = a.degree
-    out = [lane_of((*a.coeffs, *v)).zero] * NK[k - 1]
+    lane = lane_of((a.num[0], *v))
+    a = coerce_form(a, lane)
+    (v,), vden = lane.scaled([v])
+    out = [lane.scaled_zero] * NK[k - 1]
     for p, I in enumerate(BASIS[k]):
-        c = a.coeffs[p]
+        c = a.num[p]
         if not c:
             continue
         for t, i in enumerate(I):
@@ -248,7 +333,7 @@ def interior(v: Sequence, a: KForm) -> KForm:
             rest = I[:t] + I[t + 1:]
             term = vi * c
             out[POS[k - 1][rest]] += term if t % 2 == 0 else -term
-    return KForm(k - 1, tuple(out))
+    return KForm._of(k - 1, out, a.den * vden, lane)
 
 
 @dataclass(frozen=True)
@@ -391,18 +476,18 @@ def _lambda_gram(m: Metric, k: int):
     return tuple(tuple(row) for row in lane.symmetric(compound(inv, k))), den ** k
 
 
-def _matvec(rows, v) -> list:
-    """rows . v, skipping v's zeros: ints for Context.scaled rows in the exact lane."""
+def _matvec(rows, v, zero=0) -> list:
+    """rows . v, skipping v's zeros, each sum started at zero: ints for
+    Context.scaled rows in the exact lane."""
     nonzero = [(q, c) for q, c in enumerate(v) if c]
-    return [sum(row[q] * c for q, c in nonzero) for row in rows]
+    return [sum((row[q] * c for q, c in nonzero), zero) for row in rows]
 
 
-def _gram_sums(a: KForm, m: Metric, lane: Context):
-    """(sums, den) with Gram_k(m) . a = sums / den: a is scaled once
-    (Context.scaled), so the exact lane runs one int matvec."""
+def _gram_sums(a: KForm, m: Metric):
+    """(sums, den) with Gram_k(m) . a = sums / den, one matvec on a's stored
+    pair: ints in the exact lane."""
     rows, den = _lambda_gram(m, a.degree)
-    (v,), vden = lane.scaled([a.coeffs])
-    return _matvec(rows, v), den * vden
+    return _matvec(rows, a.num), den * a.den
 
 
 def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
@@ -412,11 +497,12 @@ def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
     if a.degree != b.degree:
         raise DegreeError("inner product needs equal degrees")
     if m.is_euclidean:
-        return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
-    lane = lane_of((a.coeffs[0], b.coeffs[0], m.rows[0][0]))
+        a, b, lane = _meet(a, b)
+        return lane.ratio(sum(x * y for x, y in zip(a.num, b.num)), a.den * b.den)
+    lane = lane_of((a.num[0], b.num[0], m.rows[0][0]))
+    a, b = coerce_form(a, lane), coerce_form(b, lane)
     rows, den = _lambda_gram(m, a.degree)
-    (v,), vden = lane.scaled([a.coeffs])
-    (w,), wden = lane.scaled([b.coeffs])
+    v, w = a.num, b.num
     nonzero = [(q, x) for q, x in enumerate(v) if x]
     tot = 0
     # only the entries of the Gram product that meet b's nonzeros
@@ -425,7 +511,7 @@ def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
             row = rows[p]
             for q, x in nonzero:
                 tot += row[q] * x * y
-    return lane.ratio(tot, den * vden * wden)
+    return lane.ratio(tot, den * a.den * b.den)
 
 
 def gram_apply(a: KForm, m: Metric = EUCLIDEAN):
@@ -434,8 +520,8 @@ def gram_apply(a: KForm, m: Metric = EUCLIDEAN):
     number of inner products with a."""
     if m.is_euclidean:
         return a.coeffs
-    lane = lane_of((a.coeffs[0], m.rows[0][0]))
-    sums, den = _gram_sums(a, m, lane)
+    lane = lane_of((a.num[0], m.rows[0][0]))
+    sums, den = _gram_sums(coerce_form(a, lane), m)
     return [lane.ratio(x, den) for x in sums]
 
 
@@ -451,21 +537,19 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
     comp = _comp_table(k)
     if m.is_euclidean:
         out = [None] * NK[out_deg]
-        for p in range(NK[k]):
-            po, s = comp[p]
-            out[po] = (a.coeffs[p] * o.sign) if s > 0 else -(a.coeffs[p] * o.sign)
-        return KForm(out_deg, tuple(out))
-    lane = lane_of((a.coeffs[0], m.rows[0][0]))
+        for (po, s), c in zip(comp, a.num):
+            out[po] = (c * o.sign) if s > 0 else -(c * o.sign)
+        return KForm._of(out_deg, out, a.den, a._lane)
+    lane = lane_of((a.num[0], m.rows[0][0]))
     ((vol,),), vden = lane.scaled([[_sqrt_det(m) * o.sign]])
-    sums, den = _gram_sums(a, m, lane)
-    # vol = vol / vden joins the Gram's denominator in one scalar per output
-    den *= vden
-    out = [lane.zero] * NK[out_deg]
+    sums, den = _gram_sums(coerce_form(a, lane), m)
+    # vol = vol / vden joins the Gram's denominator
+    out = [lane.scaled_zero] * NK[out_deg]
     for p, inner in enumerate(sums):
         if inner:
             po, s = comp[p]
-            out[po] = lane.ratio(s * inner * vol, den)
-    return KForm(out_deg, tuple(out))
+            out[po] = s * inner * vol
+    return KForm._of(out_deg, out, den * vden, lane)
 
 
 def flat(v: Sequence, m: Metric = EUCLIDEAN) -> KForm:
@@ -477,8 +561,11 @@ def sharp(a: KForm, m: Metric = EUCLIDEAN) -> tuple:
     """Raise an index: the vector dual to a 1-form."""
     if a.degree != 1:
         raise DegreeError("sharp expects a 1-form")
-    inv = _metric_inverse(m)
-    return tuple(sum(inv[i][j] * a.coeffs[j] for j in range(DIM)) for i in range(DIM))
+    lane = lane_of((a.num[0], m.rows[0][0]))
+    a = coerce_form(a, lane)
+    inv, den = lane.scaled(_metric_inverse(m))
+    den *= a.den
+    return tuple(lane.ratio(sum(x * y for x, y in zip(row, a.num)), den) for row in inv)
 
 
 def pullback(a: KForm, mat) -> KForm:
@@ -490,18 +577,18 @@ def pullback(a: KForm, mat) -> KForm:
     if len(rows) != DIM or any(len(r) != DIM for r in rows):
         raise ValueError("pullback needs a 7x7 matrix")
     k = a.degree
-    lane = lane_of((*a.coeffs, *(x for r in rows for x in r)))
-    (v, *rows), den = lane.scaled([a.coeffs, *rows])
-    sums = [0] * NK[k]
-    for minors, c in zip(compound(rows, k), v):
+    lane = lane_of((a.num[0], *(x for r in rows for x in r)))
+    a = coerce_form(a, lane)
+    rows, den = lane.scaled(rows)
+    sums = [lane.scaled_zero] * NK[k]
+    for minors, c in zip(compound(rows, k), a.num):
         if c:
             sums = [t + c * x for t, x in zip(sums, minors)]
-    den **= k + 1
-    return KForm(k, tuple(lane.ratio(t, den) for t in sums))
+    return KForm._of(k, sums, a.den * den ** k, lane)
 
 
 def top_coeff(a: KForm):
     """Coefficient of dx1^...^dx7 (the form must be degree 7)."""
     if a.degree != DIM:
         raise DegreeError("top_coeff expects a 7-form")
-    return a.coeffs[0]
+    return a._lane.ratio(a.num[0], a.den)

@@ -21,11 +21,12 @@ of g and the coefficients of phi, the action of symmetric and endomorphism
 tensors from phi's coefficient tensor, and the inverse of the symmetric
 action from the derivative of the cubic table that gives the metric, the
 3-form frame e_i . *phi as a signed selection of *phi's coefficients.  The
-exact lane runs those tables on integers over one common denominator
-(Context.scaled) and builds one Fraction per output entry; the float lane
-runs the same code on floats.  decompose3 and frame_coordinates run the
-same way on the structure's scaled rows of phi and the frame forms and on
-the metric's (int rows, den) Gram table of 3-forms.
+exact lane runs those tables on integers over one common denominator (the
+forms' stored (num, den) pairs, Context.scaled for matrices) and builds one
+Fraction per output scalar or one reduced pair per output form; the float
+lane runs the same code on floats.  decompose3 and frame_coordinates run
+the same way on the structure's scaled rows of phi and the frame forms and
+on the metric's (int rows, den) Gram table of 3-forms.
 """
 from __future__ import annotations
 
@@ -174,14 +175,13 @@ def _two_form_operator_table():
     return tuple(rows), tuple(terms)
 
 
-def _apply(table, v, ctx: Context) -> list:
-    """rows . v / den for a table (rows, den) built on Context.scaled rows.
-    v is scaled the same way, so the exact lane multiplies and sums ints and
-    builds one Fraction per output entry."""
+def _apply(table, a: KForm, ctx: Context) -> list:
+    """rows . a / den for a table (rows, den) built on Context.scaled rows
+    and a form a of the lane: the exact lane multiplies and sums ints on a's
+    stored pair and builds one Fraction per output entry."""
     rows, den = table
-    (v,), vden = ctx.scaled([v])
-    den *= vden
-    return [ctx.ratio(x, den) for x in _matvec(rows, v)]
+    den *= a.den
+    return [ctx.ratio(x, den) for x in _matvec(rows, a.num)]
 
 
 def _contraction_matrix(coeffs):
@@ -219,14 +219,14 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
     requires det(B) = 6^7 * c^9 for a rational c and raises ExactModeError
     otherwise; degenerate or indefinite B raises NotG2FormError.
 
-    B is evaluated from a cubic table on phi = Phi / D (Context.scaled), so
-    in exact mode Phi is an integer vector, B = B(Phi) / D^3 with B(Phi) an
+    B is evaluated from a cubic table on phi's stored pair Phi / D, so in
+    exact mode Phi is an integer vector, B = B(Phi) / D^3 with B(Phi) an
     integer matrix, and each entry of g is built as one Fraction.
     """
     if phi.degree != 3:
         raise DegreeError("metric recovery expects a 3-form")
     phi = coerce_form(phi, ctx)
-    (coeffs,), den = ctx.scaled([phi.coeffs])
+    coeffs, den = phi.num, phi.den
     B = _contraction_matrix(coeffs)
     det_b = ctx.det(B)
     if det_b == 0:
@@ -292,9 +292,9 @@ def _contractions(k: int, coeffs, zero=0) -> list:
 
 
 def _split_two_forms(table, gens7, ctx: Context) -> tuple:
-    """(lambda7, lambda14, basis of the 7-space, basis of the 14-space) of
-    T = rows / den, for table = (rows, den), whose lambda7-eigenspace should
-    be spanned by gens7, the contractions e_i . phi.
+    """(lambda7, lambda14, basis of the 14-space) of T = rows / den, for
+    table = (rows, den), whose lambda7-eigenspace should be spanned by
+    gens7, the contractions e_i . phi.
 
     lambda7 is the Rayleigh quotient of gens7 and lambda14 comes from
     tr T = 7 lambda7 + 14 lambda14.  The 14-space is the kernel of the
@@ -307,11 +307,13 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
 
     T must then act on gens7 and on the kernel basis by its two scalars
     (Context.eigenvalue: literal int products in exact mode, a relative
-    residual in float mode), and the scalars must differ.  With the spans of
-    dimensions 7 and 14, the two spaces meet only in 0 and fill all 21,
-    which proves that T is diagonalizable with eigenspaces of dimensions
-    (7, 14).  The bases are Context.span(gens7) and Context.nullspace: in
-    exact mode both are normalized as the kernels of T - lambda are.
+    residual in float mode), and the scalars must differ.  A kernel of
+    dimension 14 means gens7 . (T - lambda14) has rank 7, so gens7 has rank
+    7 too: with spans of dimensions 7 and 14, the two spaces meet only in 0
+    and fill all 21, which proves that T is diagonalizable with eigenspaces
+    of dimensions (7, 14).  The 14-space basis is Context.nullspace, in
+    exact mode normalized as the kernel of T - lambda14 is; the 7-space
+    basis, Context.span(gens7), is left to G2Structure.basis2_7.
     """
     rows, den = table
     lam7 = ctx.eigenvalue(rows, gens7)
@@ -327,15 +329,15 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
             if x:
                 acc = [a + x * y for a, y in zip(acc, row)]
         kernel_rows.append([q * a - p * x for a, x in zip(acc, c)])
-    eig7, eig14 = ctx.span(gens7), ctx.nullspace(kernel_rows)
-    if (len(eig7), len(eig14)) != (7, 14):
+    eig14 = ctx.nullspace(kernel_rows)
+    if len(eig14) != 14:
         raise DecompositionError("2-form operator has no eigenspaces of dimensions (7, 14)")
     if ctx.eigenvalue(rows, ctx.scaled(eig14)[0], lam14) is None:
         raise DecompositionError("2-form operator is not a scalar on its 14-space")
     lam7, lam14 = ctx.ratio(lam7, den), ctx.ratio(lam14, den)
     if ctx.is_zero(lam7 - lam14, FLOAT_RANK_CUTOFF * max(abs(lam7), abs(lam14))):
         raise DecompositionError("2-form operator has one eigenvalue on both spaces")
-    return lam7, lam14, eig7, eig14
+    return lam7, lam14, eig14
 
 
 class G2Structure:
@@ -344,9 +346,9 @@ class G2Structure:
     Construction computes (eagerly): the induced metric and orientation, the
     volume form, the star of phi (the one Hodge star construction runs), the
     check |phi|^2 = 7 read as top(phi ^ *phi) / top(vol), the operator
-    T = *(phi ^ .) on 2-forms with its spectrum and two eigenspace bases,
-    and the contraction frame spanning the 7-dimensional piece of the
-    3-forms.  All of it is in the context's arithmetic; exact mode never
+    T = *(phi ^ .) on 2-forms with its spectrum and the basis of its
+    14-space, and the contraction frame spanning the 7-dimensional piece of
+    the 3-forms.  All of it is in the context's arithmetic; exact mode never
     touches a float.
 
     T is built without a star or g^-1 as o / sqrt(det g) times the 2 x 2
@@ -363,11 +365,12 @@ class G2Structure:
     exterior keeps as (int rows, den) in exact mode.
 
     Built lazily on first use, so construction does not pay for them: the
-    two contraction tables star_dx_phi and star_dx_star_phi that Bryant's
-    formula reads, the derivative table of B that odot_inverse reads, and
-    the frame table that decompose3 and frame_coordinates read: phi and the
-    7 frame forms as scaled rows, the Gram table (on a non-Euclidean
-    metric) and g^-1 / 4 as scaled rows.
+    7-space basis basis2_7 (one span), the two contraction tables
+    star_dx_phi and star_dx_star_phi that Bryant's formula reads, the
+    derivative table of B that odot_inverse reads, the frame table that
+    decompose3 and frame_coordinates read (phi and the 7 frame forms as
+    scaled rows, the Gram table on a non-Euclidean metric and g^-1 / 4 as
+    scaled rows), and g^-1 as scaled rows for odot.
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
@@ -381,9 +384,7 @@ class G2Structure:
         if not ctx.is_zero(norm - 7, PHI_NORM_TOL):
             raise NotG2FormError(f"normalized 3-form should have |phi|^2 = 7, got {norm}")
         # phi = Phi / den with Phi an int vector in exact mode; the tables read Phi
-        self._scaled_phi = ctx.scaled([self.phi.coeffs])
-        (phi,), den = self._scaled_phi
-        self._tensor = (_full_tensor(phi), den)
+        self._tensor = (_full_tensor(self.phi.num), self.phi.den)
         self._init_two_form_spectrum()
         self._init_three_form_frame()
 
@@ -398,7 +399,7 @@ class G2Structure:
     def _init_two_form_spectrum(self):
         ctx = self.ctx
         g, gden = ctx.scaled(self.metric.rows)
-        (phi,), den = self._scaled_phi
+        phi, den = self.phi.num, self.phi.den
         ((root,),), root_den = ctx.scaled([[self.orientation.sign * top_coeff(self.vol)]])
         signs, terms = _two_form_operator_table()
         w = [[] for _ in BASIS[2]]
@@ -419,17 +420,24 @@ class G2Structure:
         den *= gden * gden * root
         self._t_table = (tmat, den)
         # Lambda^2_7 = {v . phi}: the contractions of phi span it
-        self.lambda7, self.lambda14, eig7, eig14 = _split_two_forms(
+        self.lambda7, self.lambda14, eig14 = _split_two_forms(
             self._t_table, _contractions(3, phi), ctx)
-        self.basis2_7 = tuple(KForm(2, tuple(v)) for v in eig7)
         self.basis2_14 = tuple(KForm(2, tuple(v)) for v in eig14)
+
+    @cached_property
+    def basis2_7(self) -> tuple:
+        """A basis of the lambda7-eigenspace: Context.span of the contractions
+        e_i . phi, in exact mode normalized as the kernel of T - lambda7 is."""
+        return tuple(KForm(2, tuple(v))
+                     for v in self.ctx.span(_contractions(3, self.phi.num)))
 
     # -- frame data on 3-forms ---------------------------------------
 
     def _init_three_form_frame(self):
-        # e_i . *phi is a signed selection of *phi's coefficients
-        self.frame3_7 = tuple(KForm(3, tuple(row))
-                              for row in _contractions(4, self.star_phi.coeffs, self.ctx.zero))
+        # e_i . *phi is a signed selection of *phi's stored numerators
+        ctx, star_phi = self.ctx, self.star_phi
+        self.frame3_7 = tuple(KForm._of(3, row, star_phi.den, ctx)
+                              for row in _contractions(4, star_phi.num, ctx.scaled_zero))
         # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
         self._gram7_inv = [[x / 4 for x in row] for row in _metric_inverse(self.metric)]
 
@@ -455,7 +463,7 @@ class G2Structure:
         B_n adds k phi_b phi_c at (n, a), and likewise at b and c.  Euler's
         identity dB_phi[phi] = 3 B(phi) then gives lambda from B_11 / g_11.
         """
-        (phi,), pden = self._scaled_phi
+        phi, pden = self.phi.num, self.phi.den
         rows = [[0] * NK[3] for _ in _PAIRS]
         for a, b, c, n, k in _contraction_table():
             pa, pb, pc = phi[a], phi[b], phi[c]
@@ -466,6 +474,11 @@ class G2Structure:
         # rows = pden^2 dB_phi, so den = pden^2 lambda = (rows . Phi)_11 / (3 pden g_11)
         b11 = sum(x * y for x, y in zip(rows[0], phi))
         return rows, self.ctx.ratio(b11, 3 * pden * self.metric.rows[0][0])
+
+    @cached_property
+    def _scaled_inverse(self) -> tuple:
+        """g^-1 as Context.scaled rows (rows, den): ints in exact mode."""
+        return self.ctx.scaled(_metric_inverse(self.metric))
 
     @cached_property
     def star_dx_star_phi(self) -> tuple:
@@ -545,14 +558,15 @@ def decompose2(beta: KForm, s: G2Structure) -> Decomposition2:
     if beta.degree != 2:
         raise DegreeError("decompose2 expects a 2-form")
     beta = coerce_form(beta, s.ctx)
-    t_beta = KForm(2, tuple(_apply(s._t_table, beta.coeffs, s.ctx)))
+    rows, den = s._t_table
+    t_beta = KForm._of(2, _matvec(rows, beta.num, s.ctx.scaled_zero), den * beta.den, s.ctx)
     denom = s.lambda7 - s.lambda14
     p7 = (t_beta - s.lambda14 * beta) * (1 / denom)
     return Decomposition2(p7=p7, p14=beta - p7)
 
 
 def _frame_sums(v, den, s: G2Structure) -> tuple:
-    """(inner, coords, den, cden) for eta = v / den (Context.scaled):
+    """(inner, coords, den, cden) for eta = v / den (its stored pair):
     <eta, phi> = inner[0] / den, <eta, e_i . *phi> = inner[i] / den, and
     the frame coordinates of eta's 7-part are coords / cden.  One Gram
     product of eta serves all 8 inner products; in exact mode every sum
@@ -572,8 +586,7 @@ def frame_coordinates(eta: KForm, s: G2Structure):
     eta must already be in the structure's lane.
     """
     ctx = s.ctx
-    (v,), den = ctx.scaled([eta.coeffs])
-    inner, coords, den, cden = _frame_sums(v, den, s)
+    inner, coords, den, cden = _frame_sums(eta.num, eta.den, s)
     return ctx.ratio(inner[0], den), [ctx.ratio(x, cden) for x in coords]
 
 
@@ -590,20 +603,20 @@ def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
         raise DegreeError("decompose3 expects a 3-form")
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
-    (v,), eden = ctx.scaled([eta.coeffs])
+    v, eden = eta.num, eta.den
     inner, coords, den, cden = _frame_sums(v, eden, s)
     (phi, *frames), rden = s._frame_table[:2]
     # <eta, phi> / 7 = w / wden
     ((w,),), wden = ctx.scaled([[ctx.ratio(inner[0], 7 * den)]])
     p1 = [x * w for x in phi]
     terms = [(f, c) for f, c in zip(frames, coords) if c]
-    p7 = [sum(f[q] * c for f, c in terms) for q in range(NK[3])]
+    p7 = [sum((f[q] * c for f, c in terms), ctx.scaled_zero) for q in range(NK[3])]
     d1, d7 = wden * rden, cden * rden
     # eta - p1 - p7 over one denominator
     den = lcm(eden, d1, d7)
     e, m1, m7 = den // eden, den // d1, den // d7
     p27 = [x * e - y * m1 - z * m7 for x, y, z in zip(v, p1, p7)]
-    return Decomposition3(*(KForm(3, tuple(ctx.ratio(x, d) for x in part))
+    return Decomposition3(*(KForm._of(3, part, d, ctx)
                             for part, d in ((p1, d1), (p7, d7), (p27, den))))
 
 
@@ -654,11 +667,11 @@ def _odot_scaled(rows, den, s: G2Structure) -> KForm:
     structure's tensor of phi, on ints in exact mode, and each coefficient
     is built once."""
     t, tden = s._tensor
-    den *= tden
+    zero = s.ctx.scaled_zero
     out = []
     for (i, j, k) in BASIS[3]:
         a, b, c = i - 1, j - 1, k - 1
-        acc = 0
+        acc = zero
         for m in range(DIM):
             e_ma = rows[m][a]
             if e_ma:
@@ -669,8 +682,8 @@ def _odot_scaled(rows, den, s: G2Structure) -> KForm:
             e_mc = rows[m][c]
             if e_mc:
                 acc += e_mc * t[a][b][m]
-        out.append(s.ctx.ratio(acc, den))
-    return KForm(3, tuple(out))
+        out.append(acc)
+    return KForm._of(3, out, den * tden, s.ctx)
 
 
 def odot_endo(E, s: G2Structure) -> KForm:
@@ -686,7 +699,7 @@ def odot(b, s: G2Structure) -> KForm:
 def _odot_rows(rows, s: G2Structure) -> KForm:
     """odot of rows already in the structure's lane."""
     ctx = s.ctx
-    ginv, gden = ctx.scaled(_metric_inverse(s.metric))
+    ginv, gden = s._scaled_inverse
     rows, bden = ctx.scaled(rows)
     return _odot_scaled(ratlin.matmul(ginv, rows), gden * bden, s)
 
@@ -770,8 +783,8 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
     if not ctx.is_zero(parts.p7.max_abs(), bound):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     # with p7 = 0 this is eta itself in the exact lane
-    target = KForm(3, tuple(a + b for a, b in zip(parts.p1.coeffs, parts.p27.coeffs)))
-    jvec = _apply(s._odot_inverse_table, target.coeffs, ctx)
+    target = parts.p1 + parts.p27
+    jvec = _apply(s._odot_inverse_table, target, ctx)
     ginv, g = _metric_inverse(s.metric), s.metric.rows
     trace = sum(ginv[i][j] * x if i == j else 2 * ginv[i][j] * x
                 for (i, j), x in zip(_PAIRS, jvec)) / 9

@@ -1,5 +1,7 @@
 """The metric-preserving family: twisting, recovery, derivatives."""
+import cProfile
 import math
+import pstats
 import random
 from fractions import Fraction
 
@@ -532,6 +534,31 @@ def test_star_count_does_not_grow_with_the_ambient_dimension(star_calls, rng):
     recover(s, phit)
     # only the final re-twist, *(w ^ phi) and *(w ^ *phi), runs stars
     assert len(star_calls) == 2
+
+
+def fractions_built(run) -> int:
+    """Fraction.__new__ calls made by run(), counted under cProfile."""
+    prof = cProfile.Profile()
+    prof.enable()
+    try:
+        run()
+    finally:
+        prof.disable()
+    return sum(stat[1] for (filename, _, func), stat in pstats.Stats(prof).stats.items()
+               if filename.endswith("fractions.py") and func == "__new__")
+
+
+@pytest.mark.parametrize("fn", [twist, twist_decomposed], ids=["twist", "twist_decomposed"])
+def test_exact_twist_builds_fewer_fractions_than_coefficients(fn):
+    """Exact twist and twist_decomposed run on the forms' stored int pairs:
+    on the t7 model each call builds fewer than 35 Fractions, less than one
+    per output coefficient (a Fraction per coefficient built over 600)."""
+    s = model_structure("t7", "exact")
+    points = [sample_params(random.Random(seed), DIM) for seed in range(8)]
+    for p in points:  # the structure's lazy tables are built on first use
+        fn(s, p)
+    built = fractions_built(lambda: [fn(s, p) for p in points])
+    assert built < 35 * len(points), built / len(points)
 
 
 # -- the group action: an oracle that shares no code with Bryant's formula ----

@@ -1,5 +1,6 @@
 """Exterior algebra layer: wedge, contraction, star, musical maps, pullback."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,65 @@ def test_addition_commutes(a, b):
 def test_scalar_action(a):
     assert (a * 2 - a - a).max_abs() == 0
     assert (a / 2 + a / 2 - a).max_abs() == 0
+
+
+def _pair_is_canonical(f):
+    """An exact form's stored pair: int numerators over a positive int
+    denominator in lowest terms, den 1 for a zero form, and coeffs its
+    Fractions."""
+    return (type(f.den) is int and f.den > 0 and all(type(x) is int for x in f.num)
+            and gcd(f.den, *f.num) == 1 and (any(f.num) or f.den == 1)
+            and f.coeffs == tuple(Fraction(x, f.den) for x in f.num)
+            and all(type(x) is Fraction for x in f.coeffs))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_forms_store_a_canonical_pair(data):
+    """KForm(k, c) keeps c's values as Fractions (ints become Fractions);
+    every exact form, built or computed, stores a canonical (num, den);
+    equal forms hash equal, before and after arithmetic and when zero."""
+    k = data.draw(st.integers(0, 4), label="k")
+    n = NK[k]
+    scalar = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-30, 30),
+                                                     st.integers(1, 30)))
+    c = tuple(data.draw(st.lists(scalar, min_size=n, max_size=n), label="c"))
+    a, b = KForm(k, c), data.draw(kforms(k), label="b")
+    e = data.draw(kforms(DIM - k), label="e")
+    s = data.draw(scalar.filter(bool), label="s")
+    assert a.coeffs == c and all(type(x) is Fraction for x in a.coeffs)
+    zero = KForm.zero(k)
+    computed = [a + b, a - b, -a, a * s, s * a, a / s, a - a, a * 0, zero, wedge(a, e),
+                interior(basis_vector(1), a) if k else zero, hodge_star(a), a.as_float() * 0]
+    for f in computed[:-1]:
+        assert _pair_is_canonical(f)
+        twin = KForm(f.degree, f.coeffs)
+        assert twin == f and hash(twin) == hash(f) and twin.num == f.num and twin.den == f.den
+    for f, g in (((a + b) - b, a), (a - a, zero), (a * 0, zero), ((a * s) / s, a),
+                 (hodge_star(hodge_star(a)), a * (-1) ** (k * (DIM - k)))):
+        assert f == g and hash(f) == hash(g)
+    # a float zero form equals and hashes like the exact one
+    assert computed[-1] == zero and hash(computed[-1]) == hash(zero)
+
+
+@given(kforms(2))
+def test_exact_against_float_compares_values(a):
+    """An exact form equals a float form when every coefficient is the same
+    number, as Fraction == float decides, and then hashes like it."""
+    f = a.as_float()
+    assert (a == f) == (f == a) == all(Fraction(y) == x for x, y in zip(a.coeffs, f.coeffs))
+    if a == f:
+        assert hash(a) == hash(f)
+    assert a != KForm(2, tuple(x + 0.5 for x in f.coeffs))
+
+
+def test_exact_against_float_examples():
+    halves = KForm(1, (Fraction(1, 2), Fraction(-3, 4), 0, 0, 0, 0, 2))
+    assert halves == KForm(1, (0.5, -0.75, 0.0, -0.0, 0.0, 0.0, 2.0))
+    assert hash(halves) == hash(KForm(1, (0.5, -0.75, 0.0, -0.0, 0.0, 0.0, 2.0)))
+    thirds = KForm(1, (Fraction(1, 3),) * DIM)
+    assert thirds != thirds.as_float() and thirds.as_float() != thirds
+    assert thirds.isclose(thirds.as_float(), 1e-15) and not thirds.isclose(thirds.as_float())
 
 
 # -- wedge ----------------------------------------------------------------

@@ -20,7 +20,12 @@
 - the k-form Gram table (int rows, den): symmetric in both lanes, entries
   its minor determinants;
 - compound and pullback against the per-minor determinants they replaced,
-  kept here as ref_det_small and ref_pullback.
+  kept here as ref_det_small and ref_pullback;
+- wedge, interior, bryant._combine and KForm's scalar arithmetic, which run
+  on the forms' stored (num, den) pairs, against the loops over Fraction
+  or float coefficients they replaced, kept here as ref_wedge,
+  ref_interior, ref_combine, ref_add, ref_sub, ref_neg, ref_mul,
+  ref_truediv and ref_max_abs.
 
 Properties over drawn frames build their exact structures through
 frame_structure, cached per frame, so a failing property shrinks fast.
@@ -34,7 +39,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from g2kit import exterior, g2core, ratlin
+from g2kit import bryant, exterior, g2core, ratlin
 from g2kit.context import EXACT, FLOAT, lane_of, rational_nth_root
 from g2kit.errors import DecompositionError, G2KitError
 from g2kit.exterior import (
@@ -471,7 +476,7 @@ def test_odot_inverse_table_identity(a):
     for s in structures:
         ginv, g = _metric_inverse(s.metric), s.metric.rows
         for h in symmetric_basis():
-            jvec = _apply(s._odot_inverse_table, odot(h, s).coeffs, s.ctx)
+            jvec = _apply(s._odot_inverse_table, odot(h, s), s.ctx)
             trace = sum(ginv[i][j] * h[j][i] for i in range(DIM) for j in range(DIM))
             assert jvec == [2 * h[i][j] + trace * g[i][j] for i, j in _PAIRS]
 
@@ -719,9 +724,9 @@ def test_two_form_spectrum_refuses_other_operators():
     for ctx in (EXACT, FLOAT):
         s = standard_structure(ctx.mode)
         gens7 = _contractions(3, s.phi.coeffs)
-        lam7, lam14, eig7, eig14 = _split_two_forms(s._t_table, gens7, ctx)
+        lam7, lam14, eig14 = _split_two_forms(s._t_table, gens7, ctx)
         assert (lam7, lam14) == (s.lambda7, s.lambda14)
-        assert (len(eig7), len(eig14)) == (7, 14)
+        assert (len(s.basis2_7), len(eig14)) == (7, 14)
         for tmat in (ident, wrong, rot):
             if not ctx.is_exact:
                 tmat = [[float(x) for x in row] for row in tmat]
@@ -735,6 +740,28 @@ def test_two_form_spectrum_refuses_other_operators():
             bumped = [[x + den * ui * wj for x, wj in zip(row, w)] for row, ui in zip(rows, u)]
             with pytest.raises(DecompositionError, match="not a scalar"):
                 _split_two_forms((bumped, den), gens7, ctx)
+
+
+def test_basis2_7_is_built_on_first_read(monkeypatch):
+    """Construction takes no span: the 7-space basis, Context.span of the
+    contractions e_i . phi, is built when basis2_7 is first read, once, and
+    equals the kernel of T - lambda7 in exact mode."""
+    spans = []
+    span = ratlin.span_exact
+
+    def counted(m):
+        spans.append(len(m))
+        return span(m)
+
+    monkeypatch.setattr(ratlin, "span_exact", counted)
+    a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    a[0][1], a[2][5], a[4][4] = Fraction(1), Fraction(-1, 2), Fraction(2)
+    s = G2Structure(pullback(phi0(), a))
+    assert spans == []
+    basis = s.basis2_7
+    assert spans == [7] and s.basis2_7 is basis
+    lam7, _, eig7, _ = ref_exact_two_form_spectrum(t_matrix(s))
+    assert s.lambda7 == lam7 and [list(b.coeffs) for b in basis] == eig7
 
 
 def test_exact_construction_uses_no_floats(monkeypatch):
@@ -945,3 +972,128 @@ def test_frame_forms_are_interior_contractions():
         assert s.frame3_7 == want
         assert [[(type(x), repr(x)) for x in w.coeffs] for w in s.frame3_7] \
             == [[(type(x), repr(x)) for x in w.coeffs] for w in want]
+
+
+# -- the scaled-pair KForm kernels against the Fraction loops they replaced ---
+
+
+def ref_wedge(a, b):
+    """wedge as a loop over lane scalars, before forms kept (num, den)."""
+    out = [lane_of(a.coeffs + b.coeffs).zero] * NK[a.degree + b.degree]
+    for pa, pb, s, po in exterior._wedge_table(a.degree, b.degree):
+        ca = a.coeffs[pa]
+        if not ca:
+            continue
+        cb = b.coeffs[pb]
+        if not cb:
+            continue
+        out[po] += ca * cb if s > 0 else -(ca * cb)
+    return KForm(a.degree + b.degree, tuple(out))
+
+
+def ref_interior(v, a):
+    k = a.degree
+    out = [lane_of((*a.coeffs, *v)).zero] * NK[k - 1]
+    for p, idx in enumerate(BASIS[k]):
+        c = a.coeffs[p]
+        if not c:
+            continue
+        for t, i in enumerate(idx):
+            vi = v[i - 1]
+            if not vi:
+                continue
+            term = vi * c
+            out[exterior.POS[k - 1][idx[:t] + idx[t + 1:]]] += term if t % 2 == 0 else -term
+    return KForm(k - 1, tuple(out))
+
+
+def ref_combine(ctx, degree, terms):
+    """bryant._combine's coefficients of sum x * a over (x, coefficient sequence) pairs."""
+    out = [ctx.zero] * NK[degree]
+    for x, a in terms:
+        if x:
+            for i, y in enumerate(a):
+                if y:
+                    out[i] += x * y
+    return out
+
+
+def ref_add(a, b):
+    return KForm(a.degree, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def ref_sub(a, b):
+    return KForm(a.degree, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def ref_neg(a):
+    return KForm(a.degree, tuple(-x for x in a.coeffs))
+
+
+def ref_mul(a, s):
+    return KForm(a.degree, tuple(x * s for x in a.coeffs))
+
+
+def ref_truediv(a, s):
+    if isinstance(s, int):
+        s = Fraction(s)
+    return KForm(a.degree, tuple(x / s for x in a.coeffs))
+
+
+def ref_max_abs(a):
+    return max((abs(c) for c in a.coeffs), default=0)
+
+
+# zeros of both signs, small rationals and doubles of every magnitude in [-4, 4]
+RATIONALS = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
+DOUBLES = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+
+
+def lane_forms(degree, lane):
+    scalars = RATIONALS if lane == "exact" else DOUBLES
+    return st.lists(scalars, min_size=NK[degree], max_size=NK[degree]).map(
+        lambda c: KForm(degree, tuple(c)))
+
+
+def same(got, want):
+    """Literally equal: the same values, types and float bits (the sign of zero too)."""
+    got = got.coeffs if isinstance(got, KForm) else got
+    want = want.coeffs if isinstance(want, KForm) else want
+    return [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
+
+
+@given(st.data(), st.sampled_from(["exact", "float"]), st.sampled_from(["exact", "float"]))
+@settings(max_examples=150, deadline=None)
+def test_pair_kernels_equal_fraction_loops(data, lane_a, lane_b):
+    """wedge, interior, _combine and the scalar arithmetic of KForm, on the
+    stored (num, den) pairs, against the Fraction loops they replaced: exact
+    results equal literally (Fraction types), float results are
+    repr-identical (sign of zero included), and forms of two lanes meet in
+    the float lane as Fraction-float arithmetic does."""
+    k = data.draw(st.integers(0, 4), label="k")
+    l = data.draw(st.integers(0, DIM - k), label="l")
+    a = data.draw(lane_forms(k, lane_a), label="a")
+    b = data.draw(lane_forms(l, lane_b), label="b")
+    c = data.draw(lane_forms(k, lane_b), label="c")
+    assert same(wedge(a, b), ref_wedge(a, b))
+    for x, y in ((a, c), (c, a)):
+        assert same(x + y, ref_add(x, y)) and same(x - y, ref_sub(x, y))
+    assert same(-a, ref_neg(a))
+    assert same([a.max_abs()], [ref_max_abs(a)])
+    scalars = RATIONALS if lane_b == "exact" else DOUBLES
+    s = data.draw(st.one_of(st.integers(-6, 6), scalars), label="s")
+    assert same(a * s, ref_mul(a, s)) and same(s * a, ref_mul(a, s))
+    if s:
+        assert same(a / s, ref_truediv(a, s))
+    if k:
+        v = data.draw(st.lists(scalars, min_size=DIM, max_size=DIM), label="v")
+        assert same(interior(v, a), ref_interior(v, a))
+    ctx = EXACT if lane_a == "exact" else FLOAT
+    forms = data.draw(st.lists(lane_forms(k, lane_a), min_size=1, max_size=5), label="forms")
+    xs = data.draw(st.lists(RATIONALS if lane_a == "exact" else DOUBLES,
+                            min_size=len(forms), max_size=len(forms)), label="xs")
+    (num,), den = ctx.scaled([xs])
+    assert same(bryant._combine(ctx, (num, den), forms),
+                ref_combine(ctx, k, zip(xs, (f.coeffs for f in forms))))
