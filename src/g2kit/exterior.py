@@ -23,10 +23,7 @@ is kept per (metric, k) as a table (rows, den): int rows over d^k in the
 exact lane, where g^-1 = G / d for an int matrix G, and float rows over 1
 in the float lane.  gram_apply, form_inner and the non-Euclidean hodge_star
 run one matvec of the table with their form's stored numerators; the star
-folds the scaling of sqrt(det g) into the result's denominator.  The star
-of a k-form with k >= 3 reads the (7 - k) x (7 - k) minors of g instead
-(Jacobi's complementary-minor identity), whose float rounding grows far
-less with cond(g) than that of the k x k minors of g^-1.
+folds the scaling of sqrt(det g) into the result's denominator.
 """
 from __future__ import annotations
 
@@ -464,31 +461,19 @@ def compound(rows, k: int) -> list:
     return minors
 
 
-def _minor_table(rows, k: int):
-    """Every k x k minor of a symmetric 7 x 7 matrix as a table (rows, den):
-    rows = G / d, G = Context.scaled(rows), has the minors compound(G) / d^k.
+@lru_cache(maxsize=_METRIC_CACHE_SIZE)
+def _lambda_gram(m: Metric, k: int):
+    """Gram matrix of the basis k-forms as a table (rows, den): the k x k
+    minors of g^-1 = G / d, G = Context.scaled(g^-1), are compound(G) / d^k.
 
     Context.symmetric makes the table symmetric in both lanes: the exact
     minors of the symmetric G already are (ints, kept as they are), and the
     float table averages the two transposed minors, which keeps <a, a> as
     the full matrix gives it (mirroring one triangle would double that
     triangle's rounding in <a, a>)."""
-    lane = lane_of(rows[0])
-    rows, den = lane.scaled(rows)
-    return tuple(tuple(row) for row in lane.symmetric(compound(rows, k))), den ** k
-
-
-@lru_cache(maxsize=_METRIC_CACHE_SIZE)
-def _lambda_gram(m: Metric, k: int):
-    """Gram matrix of the basis k-forms as a table (rows, den): the k x k
-    minors of g^-1 (_minor_table)."""
-    return _minor_table(_metric_inverse(m), k)
-
-
-@lru_cache(maxsize=_METRIC_CACHE_SIZE)
-def _metric_minors(m: Metric, k: int):
-    """The k x k minors of g as a table (rows, den) (_minor_table)."""
-    return _minor_table(m.rows, k)
+    lane = lane_of(m.rows[0])
+    inv, den = lane.scaled(_metric_inverse(m))
+    return tuple(tuple(row) for row in lane.symmetric(compound(inv, k))), den ** k
 
 
 def _matvec(rows, v, zero=0) -> list:
@@ -556,20 +541,8 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
             out[po] = (c * o.sign) if s > 0 else -(c * o.sign)
         return KForm._of(out_deg, out, a.den, a._lane)
     lane = lane_of((a.num[0], m.rows[0][0]))
-    a = coerce_form(a, lane)
-    if k >= 3:
-        # Jacobi: the k x k minor of g^-1 on rows I, columns J is
-        # s_I s_J det(g[I^c, J^c]) / det g, s the signs of comp, so
-        # (*a)_{I^c} = vol / det g * sum_J s_J det(g[I^c, J^c]) a_J
-        signed = [None] * NK[out_deg]
-        for (po, s), c in zip(comp, a.num):
-            signed[po] = c if s > 0 else -c
-        rows, den = _metric_minors(m, out_deg)
-        ((scale,),), sden = lane.scaled([[_sqrt_det(m) * o.sign / _metric_det(m)]])
-        out = [x * scale for x in _matvec(rows, signed, lane.scaled_zero)]
-        return KForm._of(out_deg, out, den * a.den * sden, lane)
     ((vol,),), vden = lane.scaled([[_sqrt_det(m) * o.sign]])
-    sums, den = _gram_sums(a, m)
+    sums, den = _gram_sums(coerce_form(a, lane), m)
     # vol = vol / vden joins the Gram's denominator
     out = [lane.scaled_zero] * NK[out_deg]
     for p, inner in enumerate(sums):

@@ -361,7 +361,7 @@ class G2Structure:
     rows, in exact mode).  The frame forms e_i . *phi are read off *phi with
     constant signs (_contractions), no arithmetic.  The frame's inverse Gram
     matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.  The star
-    of phi is one int product with the table of the 4 x 4 minors of g, which
+    of phi is one int product with the metric's Gram table of 3-forms, which
     exterior keeps as (int rows, den) in exact mode.
 
     Built lazily on first use, so construction does not pay for them: the
