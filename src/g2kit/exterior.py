@@ -420,6 +420,13 @@ def _metric_inverse(m: Metric):
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
+def _scaled_inverse(m: Metric) -> tuple:
+    """g^-1 as Context.scaled rows (rows, den): int rows in the exact lane."""
+    rows, den = lane_of(m.rows[0]).scaled(_metric_inverse(m))
+    return tuple(tuple(r) for r in rows), den
+
+
+@lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_det(m: Metric):
     return lane_of(m.rows[0]).det(m.rows)
 
@@ -464,16 +471,15 @@ def compound(rows, k: int) -> list:
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _lambda_gram(m: Metric, k: int):
     """Gram matrix of the basis k-forms as a table (rows, den): the k x k
-    minors of g^-1 = G / d, G = Context.scaled(g^-1), are compound(G) / d^k.
+    minors of g^-1 = G / d, G = _scaled_inverse(m), are compound(G) / d^k.
 
     Context.symmetric makes the table symmetric in both lanes: the exact
     minors of the symmetric G already are (ints, kept as they are), and the
     float table averages the two transposed minors, which keeps <a, a> as
     the full matrix gives it (mirroring one triangle would double that
     triangle's rounding in <a, a>)."""
-    lane = lane_of(m.rows[0])
-    inv, den = lane.scaled(_metric_inverse(m))
-    return tuple(tuple(row) for row in lane.symmetric(compound(inv, k))), den ** k
+    inv, den = _scaled_inverse(m)
+    return tuple(tuple(row) for row in lane_of(m.rows[0]).symmetric(compound(inv, k))), den ** k
 
 
 def _matvec(rows, v, zero=0) -> list:
@@ -563,7 +569,7 @@ def sharp(a: KForm, m: Metric = EUCLIDEAN) -> tuple:
         raise DegreeError("sharp expects a 1-form")
     lane = lane_of((a.num[0], m.rows[0][0]))
     a = coerce_form(a, lane)
-    inv, den = lane.scaled(_metric_inverse(m))
+    inv, den = _scaled_inverse(m)
     den *= a.den
     return tuple(lane.ratio(sum(x * y for x, y in zip(row, a.num)), den) for row in inv)
 

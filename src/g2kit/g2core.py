@@ -66,6 +66,7 @@ from .exterior import (
     _lambda_gram,
     _matvec,
     _metric_inverse,
+    _scaled_inverse,
     _wedge_table,
     basis_vector,
     coerce_form,
@@ -476,11 +477,6 @@ class G2Structure:
         return rows, self.ctx.ratio(b11, 3 * pden * self.metric.rows[0][0])
 
     @cached_property
-    def _scaled_inverse(self) -> tuple:
-        """g^-1 as Context.scaled rows (rows, den): ints in exact mode."""
-        return self.ctx.scaled(_metric_inverse(self.metric))
-
-    @cached_property
     def star_dx_star_phi(self) -> tuple:
         """u_j = *(dx_j ^ *phi) for j = 1..7, as the contractions (g^-1 e_j) . phi."""
         return tuple(interior(col, self.phi) for col in zip(*_metric_inverse(self.metric)))
@@ -699,7 +695,7 @@ def odot(b, s: G2Structure) -> KForm:
 def _odot_rows(rows, s: G2Structure) -> KForm:
     """odot of rows already in the structure's lane."""
     ctx = s.ctx
-    ginv, gden = s._scaled_inverse
+    ginv, gden = _scaled_inverse(s.metric)
     rows, bden = ctx.scaled(rows)
     return _odot_scaled(ratlin.matmul(ginv, rows), gden * bden, s)
 
