@@ -30,7 +30,6 @@ from .errors import (
     RecoveryError,
     TangencyError,
 )
-from . import ratlin
 from .exterior import (
     DIM,
     NK,
@@ -223,20 +222,26 @@ class Recovery:
 def _metric_matches(s: G2Structure, metric, orientation) -> bool:
     if orientation.sign != s.orientation.sign:
         return False
+    if metric == s.metric:
+        return True
     diff = max(
         abs(metric.rows[i][j] - s.metric.rows[i][j]) for i in range(DIM) for j in range(DIM)
     )
     return s.ctx.is_zero(diff, RECOVERY_TOL)
 
 
-def _recover_c_positive(s: G2Structure, coords, c) -> TwistParams:
-    """omega from the frame coordinates of the 7-part, 2c *(w ^ phi).
+def _recover_c_positive(s: G2Structure, coords, cden, c) -> TwistParams:
+    """omega from the frame coordinates coords / cden of the 7-part, 2c *(w ^ phi).
 
     That 7-part is -2c sum_i (g^-1 w)_i e_i . *phi, so its coordinates in the
-    frame e_i . *phi are -2c g^-1 w, and w = -g coords / (2c).
+    frame e_i . *phi are -2c g^-1 w, and w = -g coords / (2c).  g . coords
+    runs on the metric's stored pair and the scaled coords: ints in exact
+    mode.
     """
-    scale = -2 * c
-    return TwistParams(c, KForm(1, tuple(x / scale for x in ratlin.matvec(s.metric.rows, coords))))
+    g = s.metric
+    ((p,),), q = s.ctx.scaled([[c]])
+    sums = [sum(x * y for x, y in zip(row, coords)) * q for row in g.num]
+    return TwistParams(c, KForm._of(1, sums, -2 * p * g.den * cden, s.ctx))
 
 
 def _recover_c_zero(s: G2Structure, phit: KForm) -> TwistParams:
@@ -275,7 +280,7 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     if not _metric_matches(s, metric, orient):
         raise MetricMismatchError("form does not induce this structure's metric/orientation")
     ctx = s.ctx
-    phi_inner, coords = frame_coordinates(phit, s)
+    phi_inner, (coords, cden) = frame_coordinates(phit, s)
     c_sq = (phi_inner + 1) / 8
     excess = max(-c_sq, c_sq - 1)  # positive outside [0, 1]
     if excess > 0 and not ctx.is_zero(excess, CONSTRAINT_TOL):
@@ -284,7 +289,7 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     if ctx.is_zero(c, C_ZERO_SWITCH):
         params = _recover_c_zero(s, phit)
     else:
-        params = _recover_c_positive(s, coords, c)
+        params = _recover_c_positive(s, coords, cden, c)
     params = params.canonical()
     err = (twist(s, params) - phit).max_abs()
     residual = float(err)

@@ -18,6 +18,14 @@ products, sharp, pullback) reads the stored pairs, sums on them (ints in
 the exact lane) and builds its result's pair with Context.reduce, so the
 exact lane builds no Fraction per coefficient.
 
+A Metric is stored the same way: an exact metric keeps 7 int rows over one
+positive int denominator in lowest terms, and builds its Fraction rows on
+first read; a float metric keeps its float rows over 1.  Its symmetry and
+positivity checks (the leading minors, from one Bareiss pass) run on the
+ints, and equality and the hash read the pair, so the Metric-keyed caches
+below compare ints on every lookup.  Metrics of different lanes never
+compare equal, so those caches keep one entry per lane.
+
 A metric's Gram matrix of basis k-forms (the minors of g^-1, by compound)
 is kept per (metric, k) as a table (rows, den): int rows over d^k in the
 exact lane, where g^-1 = G / d for an int matrix G, and float rows over 1
@@ -34,6 +42,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterator, Sequence, Tuple
 
+from . import ratlin
 from .context import EXACT, FLOAT, SPD_EIG_TOL, Context, lane_of, np
 from .errors import DegreeError, MetricError
 
@@ -352,41 +361,92 @@ POSITIVE = Orientation(1)
 NEGATIVE = Orientation(-1)
 
 
-@dataclass(frozen=True)
+_IDENTITY = tuple(tuple(int(i == j) for j in range(DIM)) for i in range(DIM))
+
+
+def _split_rows(flat) -> tuple:
+    return tuple(tuple(flat[i * DIM:(i + 1) * DIM]) for i in range(DIM))
+
+
+@dataclass(frozen=True, eq=False)
 class Metric:
-    """Symmetric positive definite 7x7 matrix (rows of rows)."""
+    """Symmetric positive definite 7x7 matrix g; immutable and hashable.
+
+    Stored as a pair, num over den, as a KForm is.  An exact metric keeps a
+    tuple of int rows over one positive int den, in lowest terms, and its
+    rows, the Fractions every public reader sees, are built on first read
+    and kept; a float metric keeps its float rows as both num and rows, over
+    den == 1.  Symmetry, positivity, equality and the hash read the pair.
+    Positivity is Sylvester's criterion in exact mode: one Bareiss pass on
+    num, whose pivots are its leading principal minors and whose last pivot
+    det(num) _metric_det reuses; float mode reads the eigenvalues.  Metrics
+    of different lanes are never equal, so a Metric-keyed cache never hands
+    one lane's tables to the other.
+    """
 
     rows: tuple
 
     def __post_init__(self):
         if len(self.rows) != DIM or any(len(r) != DIM for r in self.rows):
             raise MetricError("metric must be 7x7")
-        flat_vals = _normalize(x for r in self.rows for x in r)
-        rows = tuple(flat_vals[i * DIM:(i + 1) * DIM] for i in range(DIM))
+        vals = _normalize(x for r in self.rows for x in r)
+        lane = lane_of(vals[:1])
+        rows = self.__dict__["rows"] = _split_rows(vals)
+        num, den = lane.scaled(rows)
+        self._store(tuple(tuple(r) for r in num), den, lane)
+
+    @classmethod
+    def _of(cls, num, den, lane: Context) -> "Metric":
+        """The metric num / den, num 7 rows of the lane's scaled entries (ints
+        in exact mode, floats in float mode), stored as Context.reduce gives
+        it; no Fraction is built."""
+        metric = object.__new__(cls)
+        flat, den, values = lane.reduce([x for row in num for x in row], den)
+        if values is not None:
+            metric.__dict__["rows"] = _split_rows(values)
+        metric._store(_split_rows(flat), den, lane)
+        return metric
+
+    def _store(self, num, den, lane: Context):
         for i in range(DIM):
             for j in range(i):
-                if rows[i][j] != rows[j][i]:
+                if num[i][j] != num[j][i]:
                     raise MetricError("metric must be symmetric")
-        object.__setattr__(self, "rows", rows)
-        # Metric-keyed caches hash on every lookup; 49 Fractions are hashed once
-        object.__setattr__(self, "_hash", hash(rows))
-        if self.is_exact:
-            for n in range(1, DIM + 1):
-                minor = [r[:n] for r in rows[:n]]
-                if EXACT.det(minor) <= 0:
-                    raise MetricError("metric is not positive definite")
+        det = None
+        if lane.is_exact:
+            det = ratlin.positive_definite_det(num)
+            if det is None:
+                raise MetricError("metric is not positive definite")
         else:
-            eig = np.linalg.eigvalsh(np.asarray(rows, dtype=float))
+            eig = np.linalg.eigvalsh(np.asarray(num, dtype=float))
             scale = max(1.0, float(np.max(np.abs(eig))))
             if eig[0] <= SPD_EIG_TOL * scale:
                 raise MetricError("metric is not positive definite")
+        state = self.__dict__
+        state["num"], state["den"], state["_lane"], state["_det"] = num, den, lane, det
+        # Metric-keyed caches hash on every lookup
+        state["_hash"] = hash((lane.mode, den, num))
+
+    def __getattr__(self, name):
+        # only rows is ever missing: an exact metric's Fractions, built once
+        if name != "rows" or "num" not in self.__dict__:
+            raise AttributeError(name)
+        den, ratio = self.den, self._lane.ratio
+        rows = self.__dict__["rows"] = tuple(tuple(ratio(x, den) for x in row) for row in self.num)
+        return rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._lane.mode == other._lane.mode and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
         return self._hash
 
     @property
     def is_exact(self) -> bool:
-        return not isinstance(self.rows[0][0], float)
+        return self._lane.is_exact
 
     @property
     def is_euclidean(self) -> bool:
@@ -394,7 +454,7 @@ class Metric:
 
     def is_euclidean_within(self, tol: float) -> bool:
         """Euclidean up to entrywise tol; float metrics carry roundoff."""
-        lane = lane_of(self.rows[0])
+        lane = self._lane
         return self.is_euclidean or all(lane.is_zero(self.rows[i][j] - (1 if i == j else 0), tol)
                                         for i in range(DIM) for j in range(DIM))
 
@@ -411,28 +471,31 @@ EUCLIDEAN = Metric(tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in r
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_is_euclidean(m: Metric) -> bool:
-    return all(m.rows[i][j] == (1 if i == j else 0) for i in range(DIM) for j in range(DIM))
+    return m.den == 1 and m.num == _IDENTITY
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_inverse(m: Metric):
-    return tuple(tuple(r) for r in lane_of(m.rows[0]).inv(m.rows))
+    return tuple(tuple(r) for r in m._lane.inv(m.rows))
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _scaled_inverse(m: Metric) -> tuple:
     """g^-1 as Context.scaled rows (rows, den): int rows in the exact lane."""
-    rows, den = lane_of(m.rows[0]).scaled(_metric_inverse(m))
+    rows, den = m._lane.scaled(_metric_inverse(m))
     return tuple(tuple(r) for r in rows), den
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_det(m: Metric):
-    return lane_of(m.rows[0]).det(m.rows)
+    """det g: an exact metric's det(num) / den^7, det(num) the last pivot of
+    its positivity test; numpy's determinant of a float metric."""
+    det, lane = m._det, m._lane
+    return lane.det(m.rows) if det is None else lane.ratio(det, m.den ** DIM)
 
 
 def _sqrt_det(m: Metric):
-    return lane_of(m.rows[0]).sqrt(_metric_det(m))
+    return m._lane.sqrt(_metric_det(m))
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +542,7 @@ def _lambda_gram(m: Metric, k: int):
     the full matrix gives it (mirroring one triangle would double that
     triangle's rounding in <a, a>)."""
     inv, den = _scaled_inverse(m)
-    return tuple(tuple(row) for row in lane_of(m.rows[0]).symmetric(compound(inv, k))), den ** k
+    return tuple(tuple(row) for row in m._lane.symmetric(compound(inv, k))), den ** k
 
 
 def _matvec(rows, v, zero=0) -> list:
@@ -505,7 +568,7 @@ def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
     if m.is_euclidean:
         a, b, lane = _meet(a, b)
         return lane.ratio(sum(x * y for x, y in zip(a.num, b.num)), a.den * b.den)
-    lane = lane_of((a.num[0], b.num[0], m.rows[0][0]))
+    lane = lane_of((a.num[0], b.num[0], m.num[0][0]))
     a, b = coerce_form(a, lane), coerce_form(b, lane)
     rows, den = _lambda_gram(m, a.degree)
     v, w = a.num, b.num
@@ -526,7 +589,7 @@ def gram_apply(a: KForm, m: Metric = EUCLIDEAN):
     number of inner products with a."""
     if m.is_euclidean:
         return a.coeffs
-    lane = lane_of((a.num[0], m.rows[0][0]))
+    lane = lane_of((a.num[0], m.num[0][0]))
     sums, den = _gram_sums(coerce_form(a, lane), m)
     return [lane.ratio(x, den) for x in sums]
 
@@ -546,7 +609,7 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
         for (po, s), c in zip(comp, a.num):
             out[po] = (c * o.sign) if s > 0 else -(c * o.sign)
         return KForm._of(out_deg, out, a.den, a._lane)
-    lane = lane_of((a.num[0], m.rows[0][0]))
+    lane = lane_of((a.num[0], m.num[0][0]))
     ((vol,),), vden = lane.scaled([[_sqrt_det(m) * o.sign]])
     sums, den = _gram_sums(coerce_form(a, lane), m)
     # vol = vol / vden joins the Gram's denominator
@@ -567,7 +630,7 @@ def sharp(a: KForm, m: Metric = EUCLIDEAN) -> tuple:
     """Raise an index: the vector dual to a 1-form."""
     if a.degree != 1:
         raise DegreeError("sharp expects a 1-form")
-    lane = lane_of((a.num[0], m.rows[0][0]))
+    lane = lane_of((a.num[0], m.num[0][0]))
     a = coerce_form(a, lane)
     inv, den = _scaled_inverse(m)
     den *= a.den

@@ -222,7 +222,8 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
 
     B is evaluated from a cubic table on phi's stored pair Phi / D, so in
     exact mode Phi is an integer vector, B = B(Phi) / D^3 with B(Phi) an
-    integer matrix, and each entry of g is built as one Fraction.
+    integer matrix, and g is stored as B(Phi) times an int over one int
+    denominator (Metric._of), with no Fraction per entry.
     """
     if phi.degree != 3:
         raise DegreeError("metric recovery expects a 3-form")
@@ -248,9 +249,8 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
         if not isfinite(det_b):
             raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
         num, scale = 1, 6.0 ** (2.0 / 9.0) * det_b ** (1.0 / 9.0)
-    g = [[ctx.ratio(x * num, scale) for x in row] for row in B]
     try:
-        metric = Metric(tuple(tuple(row) for row in g))
+        metric = Metric._of([[x * num for x in row] for row in B], scale, ctx)
     except MetricError as exc:
         raise NotG2FormError(f"3-form does not induce a positive metric: {exc}") from exc
     return metric, orient
@@ -399,7 +399,7 @@ class G2Structure:
 
     def _init_two_form_spectrum(self):
         ctx = self.ctx
-        g, gden = ctx.scaled(self.metric.rows)
+        g, gden = self.metric.num, self.metric.den
         phi, den = self.phi.num, self.phi.den
         ((root,),), root_den = ctx.scaled([[self.orientation.sign * top_coeff(self.vol)]])
         signs, terms = _two_form_operator_table()
@@ -577,13 +577,14 @@ def _frame_sums(v, den, s: G2Structure) -> tuple:
 
 
 def frame_coordinates(eta: KForm, s: G2Structure):
-    """(<eta, phi>, coordinates of eta's 7-part in the frame e_i . *phi).
+    """(<eta, phi>, (coords, cden)): the coordinates of eta's 7-part in the
+    frame e_i . *phi are coords / cden, on the lane's scaled entries (ints
+    in exact mode).
 
     eta must already be in the structure's lane.
     """
-    ctx = s.ctx
     inner, coords, den, cden = _frame_sums(eta.num, eta.den, s)
-    return ctx.ratio(inner[0], den), [ctx.ratio(x, cden) for x in coords]
+    return s.ctx.ratio(inner[0], den), (coords, cden)
 
 
 def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:

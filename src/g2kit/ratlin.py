@@ -162,6 +162,24 @@ def det_exact(m):
     return Fraction(sign * a[0][0], den)
 
 
+def positive_definite_det(m):
+    """det(m) for a symmetric int matrix whose leading principal minors are
+    all positive (Sylvester's criterion for positive definiteness), else
+    None.  One Bareiss pass with no row swaps: its k-th pivot is the k-th
+    leading minor, so it stops at the first pivot <= 0 and its last pivot
+    is det(m)."""
+    a, prev = m, 1
+    while True:
+        top = a[0]
+        pv = top[0]
+        if pv <= 0:
+            return None
+        if len(a) == 1:
+            return pv
+        a = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
+        prev = pv
+
+
 def inv_exact(m):
     n = len(m)
     aug = [list(row) + ident for row, ident in zip(mat_rows(m), identity(n))]

@@ -536,8 +536,8 @@ def test_star_count_does_not_grow_with_the_ambient_dimension(star_calls, rng):
     assert len(star_calls) == 2
 
 
-def fractions_built(run) -> int:
-    """Fraction.__new__ calls made by run(), counted under cProfile."""
+def fraction_calls(run, method: str) -> int:
+    """Calls of the Fraction method made by run(), counted under cProfile."""
     prof = cProfile.Profile()
     prof.enable()
     try:
@@ -545,7 +545,12 @@ def fractions_built(run) -> int:
     finally:
         prof.disable()
     return sum(stat[1] for (filename, _, func), stat in pstats.Stats(prof).stats.items()
-               if filename.endswith("fractions.py") and func == "__new__")
+               if filename.endswith("fractions.py") and func == method)
+
+
+def fractions_built(run) -> int:
+    """Fraction.__new__ calls made by run()."""
+    return fraction_calls(run, "__new__")
 
 
 @pytest.mark.parametrize("fn", [twist, twist_decomposed], ids=["twist", "twist_decomposed"])
@@ -559,6 +564,31 @@ def test_exact_twist_builds_fewer_fractions_than_coefficients(fn):
         fn(s, p)
     built = fractions_built(lambda: [fn(s, p) for p in points])
     assert built < 35 * len(points), built / len(points)
+
+
+def test_exact_recover_builds_few_fractions():
+    """Exact recover reads the induced metric as int rows over one
+    denominator: on the t7 model a call builds fewer than 60 Fractions and
+    metric_from_phi fewer than 10 (290 and 60 while a Metric stored one
+    Fraction per entry)."""
+    s = model_structure("t7", "exact")
+    forms = [twist(s, sample_params(random.Random(seed), DIM)) for seed in range(8)]
+    for phit in forms:  # the structure's lazy tables are built on first use
+        recover(s, phit)
+    built = fractions_built(lambda: [recover(s, phit) for phit in forms])
+    assert built < 60 * len(forms), built / len(forms)
+    built = fractions_built(lambda: [metric_from_phi(phit) for phit in forms])
+    assert built < 10 * len(forms), built / len(forms)
+
+
+def test_equal_model_metrics_compare_on_ints():
+    """The three flat models carry three distinct but equal Euclidean
+    metrics; is_euclidean on them (a Metric-keyed cache lookup, which
+    compares equal keys) calls no Fraction.__eq__."""
+    metrics = [model_structure(name, "exact").metric for name in ("t7", "s1xcy3", "t3xk3")]
+    assert len({id(m) for m in metrics}) == 3 and metrics[0] == metrics[1] == metrics[2]
+    calls = fraction_calls(lambda: [m.is_euclidean for m in metrics * 2], "__eq__")
+    assert calls == 0 and all(m.is_euclidean for m in metrics)
 
 
 # -- the group action: an oracle that shares no code with Bryant's formula ----

@@ -174,7 +174,9 @@ def test_lane_forks_are_counted():
     lanes still run different algorithms:
     - metric_from_phi's normalization (a rational ninth root in exact mode,
       the 1/9 power and the non-finite refusal in float mode);
-    - Metric's positive definiteness test (leading minors, eigenvalues);
+    - Metric's positive definiteness test (in exact mode the leading
+      minors, all from one Bareiss pass on the int rows, whose last pivot
+      is det g's numerator; in float mode the eigenvalues);
     - matrix_exp's refusal of exact input;
     - _contraction_matrix's numpy bincount for float coefficients (its
       docstring gives the measurement that keeps it).

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2kit import exterior
 from g2kit.context import EXACT, FLOAT
 from g2kit.errors import DegreeError, ExactModeError, MetricError
 from g2kit.exterior import (
@@ -255,6 +256,25 @@ def test_metric_validation():
     neg = [[Fraction(-1 if i == j else 0) for j in range(DIM)] for i in range(DIM)]
     with pytest.raises(MetricError):
         Metric(tuple(tuple(r) for r in neg))
+
+
+def test_metric_caches_keep_the_lanes_apart():
+    """An exact and a float metric with the same values are not equal, so the
+    Metric-keyed caches keep one entry per lane: after the exact diag(2, 1,
+    ..., 1) has filled them, the float diag(2.0, 1.0, ...) still gets float
+    rows, and its Gram table is over 1."""
+    exact = Metric(tuple(tuple(Fraction(2 if i == j == 0 else int(i == j)) for j in range(DIM))
+                         for i in range(DIM)))
+    floats = Metric(tuple(tuple(float(x) for x in row) for row in exact.rows))
+    for cache in (exterior._metric_inverse, exterior._scaled_inverse, exterior._lambda_gram):
+        cache.cache_clear()
+    assert exterior._metric_inverse(exact)[0][0] == Fraction(1, 2)
+    assert exterior._lambda_gram(exact, 3)[1] == 8
+    inverse = exterior._metric_inverse(floats)
+    assert all(type(x) is float for row in inverse for x in row) and inverse[0][0] == 0.5
+    rows, den = exterior._lambda_gram(floats, 3)
+    assert den == 1 and all(type(x) is float for row in rows for x in row)
+    assert exact != floats and floats != exact
 
 
 def test_volume_form_literals():

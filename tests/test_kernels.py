@@ -25,7 +25,13 @@
   on the forms' stored (num, den) pairs, against the loops over Fraction
   or float coefficients they replaced, kept here as ref_wedge,
   ref_interior, ref_combine, ref_add, ref_sub, ref_neg, ref_mul,
-  ref_truediv and ref_max_abs.
+  ref_truediv and ref_max_abs;
+- the exact Metric's (int rows, den) pair: its one Bareiss pass against
+  the seven Fraction determinants of Sylvester's criterion
+  (ref_leading_minors_positive), and is_euclidean, bryant._metric_matches
+  and bryant._recover_c_positive against the loops over the metric's rows
+  they replaced (ref_metric_is_euclidean, ref_metric_matches,
+  ref_recover_c_positive).
 
 Properties over drawn frames build their exact structures through
 frame_structure, cached per frame, so a failing property shrinks fast.
@@ -33,6 +39,7 @@ frame_structure, cached per frame, so a failing property shrinks fast.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 import numpy as np
@@ -40,13 +47,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from g2kit import bryant, exterior, g2core, ratlin
-from g2kit.context import EXACT, FLOAT, lane_of, rational_nth_root
-from g2kit.errors import DecompositionError, G2KitError
+from g2kit.context import EXACT, FLOAT, RECOVERY_TOL, Context, lane_of, rational_nth_root
+from g2kit.errors import DecompositionError, G2KitError, MetricError
 from g2kit.exterior import (
     BASIS,
     DIM,
+    NEGATIVE,
     NK,
+    POSITIVE,
     KForm,
+    Metric,
     _lambda_gram,
     _metric_inverse,
     basis_vector,
@@ -68,6 +78,7 @@ from g2kit.g2core import (
     _split_two_forms,
     decompose2,
     decompose3,
+    frame_coordinates,
     metric_from_phi,
     odot,
     odot_inverse,
@@ -1097,3 +1108,119 @@ def test_pair_kernels_equal_fraction_loops(data, lane_a, lane_b):
     (num,), den = ctx.scaled([xs])
     assert same(bryant._combine(ctx, (num, den), forms),
                 ref_combine(ctx, k, zip(xs, (f.coeffs for f in forms))))
+
+
+# -- the scaled-pair Metric against the Fraction code it replaced --------------
+
+
+def ref_leading_minors_positive(rows):
+    """Sylvester's criterion as Metric ran it on Fraction rows: one
+    Context.det per leading principal minor, seven in all."""
+    return all(EXACT.det([row[:n] for row in rows[:n]]) > 0 for n in range(1, DIM + 1))
+
+
+def ref_metric_is_euclidean(m):
+    """_metric_is_euclidean's loop over the metric's rows."""
+    return all(m.rows[i][j] == (1 if i == j else 0) for i in range(DIM) for j in range(DIM))
+
+
+def ref_metric_matches(s, metric, orientation):
+    """bryant._metric_matches with no equality shortcut: the max-abs entry
+    gap over the two metrics' rows."""
+    if orientation.sign != s.orientation.sign:
+        return False
+    diff = max(abs(metric.rows[i][j] - s.metric.rows[i][j]) for i in range(DIM) for j in range(DIM))
+    return s.ctx.is_zero(diff, RECOVERY_TOL)
+
+
+def ref_recover_c_positive(s, coords, c):
+    """omega = -g coords / (2c) by a matvec over the metric's rows and the
+    frame coordinates as lane scalars."""
+    scale = -2 * c
+    return KForm(1, tuple(x / scale for x in ratlin.matvec(s.metric.rows, coords)))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational 7x7 matrices L B L^T, L unit lower triangular, so
+    that their leading minors are those of B, and then rows and columns
+    permuted alike (or not).  B is a positive diagonal (positive definite),
+    a diagonal with one negative or one zero entry (indefinite, singular),
+    or a positive diagonal with a 2 x 2 block [[0, x], [x, 0]] in it: a zero
+    leading minor followed by nonzero ones."""
+    kind = draw(st.sampled_from(("definite", "definite", "indefinite", "singular",
+                                 "zero minor")))
+    b = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        b[i][i] = draw(st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)))
+    i = draw(st.integers(0, DIM - 2))
+    if kind == "indefinite":
+        b[i][i] = -b[i][i]
+    elif kind == "singular":
+        b[i][i] = Fraction(0)
+    elif kind == "zero minor":
+        b[i][i] = b[i + 1][i + 1] = Fraction(0)
+        b[i][i + 1] = b[i + 1][i] = draw(st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)))
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    lower = [[Fraction(int(i == j)) if j >= i else draw(small) for j in range(DIM)]
+             for i in range(DIM)]
+    g = ratlin.matmul(lower, ratlin.matmul(b, ratlin.transpose(lower)))
+    perm = draw(st.permutations(range(DIM))) if draw(st.booleans()) else range(DIM)
+    return tuple(tuple(g[p][q] for q in perm) for p in perm)
+
+
+@given(symmetric_matrices())
+@settings(max_examples=150, deadline=None)
+def test_metric_pair_equals_sylvester_reference(rows):
+    """One Bareiss pass on the int rows accepts or refuses a symmetric
+    rational matrix exactly as seven Fraction determinants do.  An accepted
+    one stores a canonical pair (gcd(den, *num) == 1 and den > 0) and reads
+    back its rows literally, as Fractions; Metric(rows) equals the metric
+    built from its scaled pair, or from a negative multiple of that pair,
+    and hashes like it; det g is the pass's last pivot over den^7."""
+    positive = ref_leading_minors_positive(rows)
+    num, den = EXACT.scaled(rows)
+    assert (ratlin.positive_definite_det(num) is not None) is positive
+    if not positive:
+        for build in (lambda: Metric(rows), lambda: Metric._of(num, den, EXACT)):
+            with pytest.raises(MetricError):
+                build()
+        return
+    m = Metric(rows)
+    assert m.rows == rows and all(type(x) is Fraction for row in m.rows for x in row)
+    assert all(type(x) is int for row in m.num for x in row)
+    assert m.den > 0 and gcd(m.den, *(x for row in m.num for x in row)) == 1
+    for twin in (Metric._of(num, den, EXACT),
+                 Metric._of([[-3 * x for x in row] for row in num], -3 * den, EXACT)):
+        assert twin == m and hash(twin) == hash(m)
+        assert (twin.num, twin.den) == (m.num, m.den) and twin.rows == rows
+    assert exterior._metric_det(m) == ref_det(rows)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_metric_readers_equal_fraction_loops(mode):
+    """is_euclidean, bryant._metric_matches and bryant._recover_c_positive,
+    which read the metric's stored pair, against the loops over its rows
+    they replaced: exact results equal literally, float results are
+    repr-identical.  On the three flat models, a non-Euclidean frame and a
+    metric 1e-12 off the first model's (inside RECOVERY_TOL in the float
+    lane, unequal in the exact lane)."""
+    ctx = Context.of(mode)
+    frame = [[ctx.scalar(x) for x in row] for row in ILL_CONDITIONED_FRAME]
+    structures = [model_structure(name, mode) for name in ("t7", "s1xcy3", "t3xk3")]
+    structures.append(G2Structure(pullback(phi0(ctx), frame), ctx))
+    metrics = [s.metric for s in structures]
+    nudge = ctx.scalar(Fraction(1, 10 ** 12))
+    metrics.append(Metric(tuple(tuple(x + nudge if i == j == 0 else x for j, x in enumerate(row))
+                                for i, row in enumerate(metrics[0].rows))))
+    rng = random.Random(mode)
+    for s in structures:
+        for m in metrics:
+            assert m.is_euclidean == ref_metric_is_euclidean(m)
+            for o in (POSITIVE, NEGATIVE):
+                assert bryant._metric_matches(s, m, o) == ref_metric_matches(s, m, o)
+        for _ in range(3):
+            _, (coords, cden) = frame_coordinates(coerce_form(rational_kform(rng, 3), ctx), s)
+            c = ctx.scalar(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            want = ref_recover_c_positive(s, [ctx.ratio(x, cden) for x in coords], c)
+            assert same(bryant._recover_c_positive(s, coords, cden, c).omega, want)
