@@ -8,9 +8,11 @@ recovery of the canonical parameters from a twisted form, and the derivative
 of the twist map with its rank on an ambient parameter subspace.
 
 The twist evaluates Bryant's formula through Hodge star chains
-(_twist_terms).  Its derivative and the generic branch of recovery run no
-star: they read the structure's contraction tables, by the identities
-*(a ^ phi) = -a# . *phi and *(a ^ *phi) = a# . phi for 1-forms a.  Both lanes
+(_twist_terms).  Its derivative runs no star and no wedge: it reads the
+structure's polarized table, Bryant's formula as a symmetric bilinear map
+on the coordinate directions c, dx_1..dx_7, and sums its scaled rows (ints
+in the exact lane) with the point's and the tangents' coordinates.  The
+generic branch of recovery reads the 3-form frame e_i . *phi.  Both lanes
 run one code path; float checks read CONSTRAINT_TOL, RECOVERY_TOL and
 C_ZERO_SWITCH from context.py, and the exact lane tests literal equality.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
 from .errors import (
@@ -32,9 +33,7 @@ from .errors import (
 )
 from .exterior import (
     DIM,
-    NK,
     KForm,
-    basis_vector,
     coerce_form,
     form_inner,
     hodge_star,
@@ -152,52 +151,35 @@ def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
                           p27=quadratic - ((3 - 3 * coef) / 7) * s.phi)
 
 
-def _combine(ctx, coefs, forms) -> KForm:
-    """sum x_i a_i for coefs = (num, den), x_i = num[i] / den, and forms a_i
-    of one degree in the lane: summed on the forms' stored pairs (ints in
-    the exact lane) over their common denominator, one reduction at the end.
-    zip stops at the shorter of num and forms."""
-    num, den = coefs
-    terms = [(x, a) for x, a in zip(num, forms) if x]
-    common = lcm(*(a.den for _, a in terms))
-    out = [ctx.scaled_zero] * NK[forms[0].degree]
-    for x, a in terms:
-        x *= common // a.den
-        for i, y in enumerate(a.num):
-            if y:
-                out[i] += x * y
-    return KForm._of(forms[0].degree, out, den * common, ctx)
+def _row_sum(xs, rows, zero):
+    """sum x_i rows_i over the nonzero x_i, summed from zero on scaled rows
+    of one length (ints in the exact lane); zip stops at the shorter of xs
+    and rows."""
+    out = [zero] * len(rows[0])
+    for x, row in zip(xs, rows):
+        if x:
+            out = [u + x * y for u, y in zip(out, row)]
+    return out
 
 
-def _derivative_images(s: G2Structure, p: TwistParams, tangents):
-    """2 B(p, t) for each tangent t = (d, v), as 3-forms.
+def _derivative_sums(s: G2Structure, p: TwistParams, tangents, units: int) -> list:
+    """2 B(p, t) for each tangent t, as (scaled numerators, den) pairs.
 
-    B is Bryant's formula polarized, the symmetric bilinear map with
-    B(p, p) = twist(p).  For p = (c, w) it reads
-    B(p, (d, v)) = (c d - <w, v>) phi + c *(v ^ phi) + d *(w ^ phi)
-                   + w ^ *(v ^ *phi) + v ^ *(w ^ *phi),
-    and every star is read from the structure's tables by linearity:
-    *(v ^ phi) = sum v_j s_j and *(v ^ *phi) = sum v_j u_j, with
-    s_j = star_dx_phi[j] and u_j = star_dx_star_phi[j].
-    """
-    c, w = p.c, p.omega
+    B is Bryant's formula polarized, read from the structure's polarized
+    table on the directions e_c, dx_1..dx_7: for p = (c, w) with
+    coordinates x = (c, w_1..w_7), D_b = sum_a x_a B(a, b) for the first
+    `units` directions b, and each tangent with coordinates y, zero past
+    those directions, gives 2 sum_b y_b D_b.  Sums on scaled entries: ints
+    over one denominator in the exact lane."""
     ctx = s.ctx
-    stars, ustars = s.star_dx_phi, s.star_dx_star_phi
-    wsharp = sharp(w, s.metric)
-
-    def starred(v):
-        """(*(v ^ phi), *(v ^ *phi)) for a 1-form v."""
-        return _combine(ctx, (v.num, v.den), stars), _combine(ctx, (v.num, v.den), ustars)
-
-    seven, z = starred(w)
-    images = []
-    for d, v in tangents:
-        vseven, vz = starred(v)
-        coef = c * d - sum(x * y for x, y in zip(wsharp, v.coeffs))
-        quadratic = wedge(w, vz) + wedge(v, z)
-        (xs,), xden = ctx.scaled([[2 * coef, 2 * c, 2 * d, 2]])
-        images.append(_combine(ctx, (xs, xden), (s.phi, vseven, seven, quadratic)))
-    return images
+    rows, den = s.polarized_table
+    (xs,), xden = ctx.scaled([[p.c, *p.omega.coeffs]])
+    images = [_row_sum(xs, row, ctx.scaled_zero) for row in rows[:units]]
+    out = []
+    for t in tangents:
+        (ys,), yden = ctx.scaled([[t.c_dot, *t.omega_dot.coeffs]])
+        out.append((_row_sum([2 * y for y in ys], images, ctx.scaled_zero), yden * xden * den))
+    return out
 
 
 def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
@@ -209,8 +191,8 @@ def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
     if not s.ctx.is_zero(res, CONSTRAINT_TOL):
         raise TangencyError(
             f"tangency c c_dot + <w, w_dot> = {res}, not zero in the {s.ctx.mode} lane")
-    (image,) = _derivative_images(s, p, [(t.c_dot, t.omega_dot)])
-    return image
+    ((num, den),) = _derivative_sums(s, p, [t], DIM + 1)
+    return KForm._of(3, num, den, s.ctx)
 
 
 @dataclass(frozen=True)
@@ -316,42 +298,34 @@ def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
 
 
 def _derivative_columns(s: G2Structure, p: TwistParams, ambient_dim: int) -> list:
-    """The twist derivatives along a tangent basis, as 3-forms.
-
-    2 B(p, .) is evaluated once per point on the coordinate directions c and
-    dx_1..dx_ambient_dim, then applied to the tangent basis."""
+    """The twist derivatives along a tangent basis, as (scaled numerators,
+    den) pairs, read on the directions c and dx_1..dx_ambient_dim."""
     basis = tangent_basis(s, p, ambient_dim)
     p = _coerce_params(s, p)
     _check_constraint(s, p)
-    ctx = s.ctx
-    units = [(ctx.one, KForm.zero(1, ctx))]
-    units += [(ctx.zero, KForm(1, basis_vector(j, ctx))) for j in range(1, ambient_dim + 1)]
-    cols = _derivative_images(s, p, units)
-    # _combine's zip stops at the last column: the tangents vanish past ambient_dim
-    coefs = (ctx.scaled([[t.c_dot, *t.omega_dot.coeffs]]) for t in basis)
-    return [_combine(ctx, (xs, xden), cols) for (xs,), xden in coefs]
+    return _derivative_sums(s, p, basis, ambient_dim + 1)
 
 
 def derivative_matrix(s: G2Structure, p: TwistParams, ambient_dim: int):
     """Columns are twist derivatives along a tangent basis (35 x ambient_dim)."""
-    return [list(row) for row in zip(*(a.coeffs for a in _derivative_columns(s, p, ambient_dim)))]
+    ratio = s.ctx.ratio
+    cols = _derivative_columns(s, p, ambient_dim)
+    return [list(row) for row in zip(*([ratio(x, den) for x in num] for num, den in cols))]
 
 
 def derivative_rank(s: G2Structure, p: TwistParams, ambient_dim: int) -> int:
     """Rank of the twist derivative on the ambient tangent space at p, read
-    on the columns' stored numerators (each column scaled by its positive
-    denominator, which keeps the rank)."""
-    cols = _derivative_columns(s, p, ambient_dim)
-    if not cols:
-        return 0
-    return s.ctx.rank([list(row) for row in zip(*(a.num for a in cols))])
+    on the columns' scaled numerators (each column scaled by its positive
+    denominator, which keeps the rank), one row per column."""
+    return s.ctx.rank([num for num, _ in _derivative_columns(s, p, ambient_dim)])
 
 
 def derivative_margin(s: G2Structure, p: TwistParams, ambient_dim: int):
-    """(sigma_min, sigma_max) of the float derivative matrix, for margin reports."""
-    mat = derivative_matrix(s, p, ambient_dim)
-    arr = np.asarray([[float(x) for x in row] for row in mat], dtype=float)
-    sv = np.linalg.svd(arr, compute_uv=False)
+    """(sigma_min, sigma_max) of the float derivative matrix, for margin reports.
+    Each entry is num / den of a column's pair, which rounds the exact value
+    once, as KForm.as_float does."""
+    cols = [[x / den for x in num] for num, den in _derivative_columns(s, p, ambient_dim)]
+    sv = np.linalg.svd(np.asarray(cols, dtype=float).T, compute_uv=False)
     return float(sv[-1]), float(sv[0])
 
 

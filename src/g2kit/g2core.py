@@ -368,6 +368,8 @@ class G2Structure:
     Built lazily on first use, so construction does not pay for them: the
     7-space basis basis2_7 (one span), the two contraction tables
     star_dx_phi and star_dx_star_phi that Bryant's formula reads, the
+    polarized table of Bryant's formula on the coordinate directions that
+    the twist derivative reads (8 x 8 scaled 3-forms over one den), the
     derivative table of B that odot_inverse reads, the frame table that
     decompose3 and frame_coordinates read (phi and the 7 frame forms as
     scaled rows, the Gram table on a non-Euclidean metric and g^-1 / 4 as
@@ -485,6 +487,30 @@ class G2Structure:
     def star_dx_phi(self) -> tuple:
         """s_j = *(dx_j ^ phi) for j = 1..7, as the contractions -(g^-1 e_j) . *phi."""
         return tuple(-interior(col, self.star_phi) for col in zip(*_metric_inverse(self.metric)))
+
+    @cached_property
+    def polarized_table(self) -> tuple:
+        """(rows, den): Bryant's formula polarized, on the coordinate directions.
+
+        B is the symmetric bilinear map on the parameters (c, w) with
+        B(p, p) = twist(p).  On the directions e_c, dx_1..dx_7 it reads
+        B(e_c, e_c) = phi, B(e_c, dx_j) = s_j and
+        B(dx_i, dx_j) = dx_i ^ u_j + dx_j ^ u_i - (g^-1)_ij phi, with
+        s_j = star_dx_phi[j] and u_j = star_dx_star_phi[j].  rows[a][b]
+        holds the 35 coefficients of B(a, b) times den (index 0 is e_c):
+        Context.scaled entries, ints in exact mode."""
+        ctx, phi = self.ctx, self.phi
+        stars, ustars = self.star_dx_phi, self.star_dx_star_phi
+        ginv = _metric_inverse(self.metric)
+        dx = [KForm(1, basis_vector(j, ctx)) for j in range(1, DIM + 1)]
+        forms = [[phi, *stars]] + [[s] + [None] * DIM for s in stars]
+        for i in range(DIM):
+            for j in range(i, DIM):
+                forms[i + 1][j + 1] = forms[j + 1][i + 1] = (
+                    wedge(dx[i], ustars[j]) + wedge(dx[j], ustars[i]) - ginv[i][j] * phi)
+        den = lcm(*(f.den for row in forms for f in row))
+        return tuple(tuple(tuple(x * (den // f.den) for x in f.num) for f in row)
+                     for row in forms), den
 
     def star(self, a: KForm) -> KForm:
         return hodge_star(a, self.metric, self.orientation)

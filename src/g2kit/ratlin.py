@@ -4,10 +4,11 @@ Two lanes that never mix.  The exact lane takes rational matrices (ints and
 fractions.Fraction, no numpy anywhere in that path) and eliminates
 fraction-free: each row is scaled to integers by the lcm of its
 denominators, rref runs Gauss-Jordan on Python ints with a gcd pass per
-updated row, det uses Bareiss's exact-division elimination (Math. Comp. 22
-(1968) 565-578), and a Fraction is built once per output entry.  The float
-lane defers to numpy; its rank decisions use the singular value cutoff
-context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a lane
+updated row, rank runs the same elimination forward only, det uses
+Bareiss's exact-division elimination (Math. Comp. 22 (1968) 565-578), and a
+Fraction is built once per output entry.  The float lane defers to numpy;
+its rank decisions use the singular value cutoff context.FLOAT_RANK_CUTOFF
+of the tolerance ladder.  Callers pick a lane
 through Context.det / inv / rank / nullspace / span / eigenvalue / solve.
 Matrices are lists/tuples of rows; vectors are flat sequences.
 """
@@ -126,7 +127,31 @@ def rref(m):
 
 
 def rank_exact(m) -> int:
-    return len(rref(m)[1])
+    """Rank by forward fraction-free elimination: rows scaled to coprime
+    ints; each pivot row leaves the working rows and is eliminated from the
+    rest (new = pivot * row - factor * pivot_row, divided by its gcd), and
+    zero rows are dropped as they appear.  No back substitution and no
+    Fraction: the rank is the number of pivots."""
+    rows = [row for row in map(primitive_int_row, m) if any(row)]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        pv, rest = pivot[c], []
+        for row in rows:
+            f = row[c]
+            if not f:
+                rest.append(row)
+            elif row is not pivot:
+                row = _primitive([pv * x - f * y for x, y in zip(row, pivot)])
+                if any(row):
+                    rest.append(row)
+        rows = rest
+        if not rows:
+            break
+    return rank
 
 
 def det_exact(m):

@@ -1,5 +1,6 @@
 """The metric-preserving family: twisting, recovery, derivatives."""
 import cProfile
+import json
 import math
 import pstats
 import random
@@ -34,6 +35,7 @@ from g2kit.errors import (
 from g2kit.exterior import DIM, KForm, form_inner, hodge_star, pullback, wedge
 from g2kit.g2core import (
     G2Structure,
+    decompose2,
     decompose3,
     metric_from_phi,
     odot,
@@ -43,6 +45,7 @@ from g2kit.g2core import (
 )
 from g2kit.models import flat_model, gamma_sample, model_structure
 from g2kit.sampling import rational_kform, rational_unit_tuple
+from g2kit.serialize import g2structure_from_json, g2structure_to_json
 from test_kernels import frame_structure, rational_frames
 
 
@@ -385,9 +388,8 @@ def test_c_zero_recovery_matches_eigh_reference(kind, rng):
 # -- replaced, on the flat models and on non-Euclidean rational frames ---------
 
 
-def ref_derivative_matrix(s, p, ambient_dim):
-    """The earlier derivative_matrix: per tangent, 2 B(p, t) from four Hodge stars."""
-    c, w = p.c, p.omega
+def ref_polarization(s, c, w, d, v):
+    """B((c, w), (d, v)), Bryant's formula polarized, from four Hodge stars."""
     m, o = s.metric, s.orientation
 
     def seven(x):
@@ -396,11 +398,15 @@ def ref_derivative_matrix(s, p, ambient_dim):
     def quadratic(x, y):
         return wedge(x, hodge_star(wedge(y, s.star_phi), m, o))
 
+    return ((c * d - form_inner(w, v, m)) * s.phi + c * seven(v) + d * seven(w)
+            + quadratic(w, v) + quadratic(v, w))
+
+
+def ref_derivative_matrix(s, p, ambient_dim):
+    """The earlier derivative_matrix: per tangent, 2 B(p, t) from four Hodge stars."""
     cols = []
     for t in tangent_basis(s, p, ambient_dim):
-        d, v = t.c_dot, t.omega_dot
-        out = ((c * d - form_inner(w, v, m)) * s.phi + c * seven(v) + d * seven(w)
-               + quadratic(w, v) + quadratic(v, w))
+        out = ref_polarization(s, p.c, p.omega, t.c_dot, t.omega_dot)
         cols.append((2 * out).coeffs)
     return [[col[i] for col in cols] for i in range(len(cols[0]))]
 
@@ -475,6 +481,51 @@ def test_star_free_derivative_and_recovery_on_rational_frames(a, p):
         assert twist_derivative(s, q, t) == ref_twist_derivative(s, q, t)
 
 
+def unit_directions(ctx):
+    """The coordinate directions e_c, dx_1..dx_7 of the parameters, as (c, w)."""
+    return [(ctx.one, KForm.zero(1, ctx))] + [
+        (ctx.zero, KForm.from_entries(1, {(j,): 1}, ctx)) for j in range(1, DIM + 1)]
+
+
+def assert_polarized_table(s, points):
+    """The structure's polarized table is symmetric, each entry is the
+    star-chain polarization of two coordinate directions, and
+    sum x_a x_b B(a, b) is the twist at each point, all literally."""
+    rows, den = s.polarized_table
+    units = unit_directions(s.ctx)
+    for a, (c, w) in enumerate(units):
+        for b in range(a, len(units)):
+            assert rows[a][b] == rows[b][a]
+            assert KForm._of(3, rows[a][b], den, s.ctx) == ref_polarization(s, c, w, *units[b])
+    for p in points:
+        (xs,), xden = s.ctx.scaled([[p.c, *p.omega.coeffs]])
+        num = [sum(x * y * rows[a][b][i] for a, x in enumerate(xs) for b, y in enumerate(xs))
+               for i in range(len(rows[0][0]))]
+        assert KForm._of(3, num, den * xden * xden, s.ctx) == twist(s, p)
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_polarized_table_on_models(kind, rng):
+    """Exact on the flat models; the float table within 1e-12 of the exact one."""
+    m = flat_model(kind)
+    s, sf = model_structure(kind, "exact"), model_structure(kind, "float")
+    points = [sample_params(rng, m.b1) for _ in range(3)]
+    assert_polarized_table(s, points + [sample_params(rng, m.b1, force_c_zero=True)])
+    (rows, den), (frows, fden) = s.polarized_table, sf.polarized_table
+    assert fden == 1
+    assert max(abs(x / den - y) for ra, fa in zip(rows, frows) for r, f in zip(ra, fa)
+               for x, y in zip(r, f)) <= 1e-12
+
+
+@given(rational_frames(), sphere_points())
+@settings(max_examples=6, deadline=None)
+def test_polarized_table_on_rational_frames(a, p):
+    """On frames of both orientations: a non-Euclidean metric, and *phi
+    carrying sqrt(det g)."""
+    s = frame_structure(a)
+    assert_polarized_table(s, [frame_point(p, a)])
+
+
 @given(rational_frames(), sphere_points())
 @settings(max_examples=6, deadline=None)
 def test_tangent_basis_uses_the_metric(a, p):
@@ -534,6 +585,56 @@ def test_star_count_does_not_grow_with_the_ambient_dimension(star_calls, rng):
     recover(s, phit)
     # only the final re-twist, *(w ^ phi) and *(w ^ *phi), runs stars
     assert len(star_calls) == 2
+
+
+@pytest.fixture
+def wedge_calls(monkeypatch):
+    """Counts wedge calls made through any module that imports it."""
+    calls = []
+    real = exterior.wedge
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (exterior, g2core, bryant):
+        monkeypatch.setattr(module, "wedge", counted)
+    return calls
+
+
+def test_warm_derivative_runs_no_wedge_and_no_star(star_calls, wedge_calls, rng):
+    """Once the polarized table is built, the exact derivative is sums of
+    its rows: derivative_rank, derivative_matrix and twist_derivative run
+    no wedge and no Hodge star, on a model and on a non-Euclidean frame."""
+    a = [[1 if j in (i, (i + 1) % DIM) else 0 for j in range(DIM)] for i in range(DIM)]
+    frame = G2Structure(pullback(phi0(), a))
+    cases = [(model_structure("t7", "exact"), sample_params(rng)),
+             (frame, frame_point(sample_params(rng), a))]
+    for s, p in cases:
+        s.polarized_table
+        t = tangent_basis(s, p, DIM)[0]
+        del star_calls[:], wedge_calls[:]
+        derivative_rank(s, p, DIM)
+        derivative_matrix(s, p, DIM)
+        twist_derivative(s, p, t)
+        assert (len(wedge_calls), len(star_calls)) == (0, 0)
+
+
+def test_polarized_table_stays_lazy():
+    """Construction, decompose2, decompose3, odot_inverse and the JSON round
+    trip never build the polarized table; derivative_rank does."""
+    rng = random.Random(5)
+    phit = twist(standard_structure(), sample_params(rng))
+    for s in (G2Structure(phit), G2Structure(phit, FLOAT)):
+        assert "polarized_table" not in s.__dict__
+        decompose2(rational_kform(rng, 2), s)
+        decompose3(rational_kform(rng, 3), s)
+        odot_inverse(twist(s, sample_params(rng, force_c_zero=True)) + s.phi, s)
+        back = g2structure_from_json(json.loads(json.dumps(g2structure_to_json(s))))
+        assert "polarized_table" not in s.__dict__
+        assert "polarized_table" not in back.__dict__
+        derivative_rank(s, sample_params(rng), DIM)
+        assert "polarized_table" in s.__dict__
 
 
 def fraction_calls(run, method: str) -> int:

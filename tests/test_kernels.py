@@ -1,7 +1,8 @@
 """Integer kernels of the exact lane against plain reference definitions.
 
 - ratlin's fraction-free rref/det/solve/nullspace/inv against Gauss-Jordan
-  over Fractions, kept here as the reference;
+  over Fractions, kept here as the reference, and the forward-only rank
+  against the rref pivot count it replaced (ref_rank_exact);
 - the cubic table for B(phi) against the wedge chain that defines it;
 - the closed forms used at construction: frame Gram = 4 g, the symmetric
   action assembled from g^-1;
@@ -21,7 +22,7 @@
   its minor determinants;
 - compound and pullback against the per-minor determinants they replaced,
   kept here as ref_det_small and ref_pullback;
-- wedge, interior, bryant._combine and KForm's scalar arithmetic, which run
+- wedge, interior, bryant._row_sum and KForm's scalar arithmetic, which run
   on the forms' stored (num, den) pairs, against the loops over Fraction
   or float coefficients they replaced, kept here as ref_wedge,
   ref_interior, ref_combine, ref_add, ref_sub, ref_neg, ref_mul,
@@ -218,6 +219,46 @@ def test_inv_matches_reference(m):
         return
     red, _ = ref_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)])
     assert ratlin.inv_exact(m) == [row[n:] for row in red]
+
+
+def ref_rank_exact(m) -> int:
+    """The earlier rank_exact: the pivot count of the full reduced row echelon form."""
+    return len(ratlin.rref(m)[1])
+
+
+@st.composite
+def rank_matrices(draw):
+    """Rational matrices of any shape, the empty one and zero columns
+    included, with zero rows, duplicate rows, multiples and combinations."""
+    nr, nc = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rows = [[draw(RATIONALS) for _ in range(nc)] for _ in range(nr)]
+    for i in range(nr):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "duplicate", "combination")))
+        if kind == "zero":
+            rows[i] = [Fraction(0)] * nc
+        elif i and kind != "keep":
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(RATIONALS), draw(RATIONALS)
+            rows[i] = list(rows[j]) if kind == "duplicate" else [
+                a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@given(rank_matrices())
+@example([])
+@example([[]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, 2], [1, 2], [2, 4]])
+@example([[Fraction(1, 2), 3, 0, 1], [0, 0, 1, 5]])
+@example([[1], [2], [0], [Fraction(-3, 7)]])
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_the_rref_rank(m):
+    """The forward-only rank equals the rref pivot count, on the matrix and
+    its transpose (tall and wide shapes alike)."""
+    assert ratlin.rank_exact(m) == ref_rank_exact(m)
+    if m and m[0]:
+        mt = [list(col) for col in zip(*m)]
+        assert ratlin.rank_exact(mt) == ref_rank_exact(mt) == ref_rank_exact(m)
 
 
 def test_kernels_on_empty_and_integer_input():
@@ -1019,7 +1060,8 @@ def ref_interior(v, a):
 
 
 def ref_combine(ctx, degree, terms):
-    """bryant._combine's coefficients of sum x * a over (x, coefficient sequence) pairs."""
+    """The coefficients of sum x * a over (x, coefficient sequence) pairs, as
+    bryant._row_sum gives them."""
     out = [ctx.zero] * NK[degree]
     for x, a in terms:
         if x:
@@ -1078,8 +1120,8 @@ def same(got, want):
 @given(st.data(), st.sampled_from(["exact", "float"]), st.sampled_from(["exact", "float"]))
 @settings(max_examples=150, deadline=None)
 def test_pair_kernels_equal_fraction_loops(data, lane_a, lane_b):
-    """wedge, interior, _combine and the scalar arithmetic of KForm, on the
-    stored (num, den) pairs, against the Fraction loops they replaced: exact
+    """wedge, interior, _row_sum and the scalar arithmetic of KForm, on the
+    stored (num, den) pairs or the forms' Context.scaled rows, against the Fraction loops they replaced: exact
     results equal literally (Fraction types), float results are
     repr-identical (sign of zero included), and forms of two lanes meet in
     the float lane as Fraction-float arithmetic does."""
@@ -1106,7 +1148,8 @@ def test_pair_kernels_equal_fraction_loops(data, lane_a, lane_b):
     xs = data.draw(st.lists(RATIONALS if lane_a == "exact" else DOUBLES,
                             min_size=len(forms), max_size=len(forms)), label="xs")
     (num,), den = ctx.scaled([xs])
-    assert same(bryant._combine(ctx, (num, den), forms),
+    rows, fden = ctx.scaled([f.coeffs for f in forms])
+    assert same(KForm._of(k, bryant._row_sum(num, rows, ctx.scaled_zero), den * fden, ctx),
                 ref_combine(ctx, k, zip(xs, (f.coeffs for f in forms))))
 
 
