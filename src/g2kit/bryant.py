@@ -11,10 +11,14 @@ The twist evaluates Bryant's formula through Hodge star chains
 (_twist_terms).  Its derivative runs no star and no wedge: it reads the
 structure's polarized table, Bryant's formula as a symmetric bilinear map
 on the coordinate directions c, dx_1..dx_7, and sums its scaled rows (ints
-in the exact lane) with the point's and the tangents' coordinates.  The
-generic branch of recovery reads the 3-form frame e_i . *phi.  Both lanes
-run one code path; float checks read CONSTRAINT_TOL, RECOVERY_TOL and
-C_ZERO_SWITCH from context.py, and the exact lane tests literal equality.
+in the exact lane) with the point's and the tangents' coordinates.  Its
+rank needs no tangent basis: it is the rank of the point's ambient images
+under that table, less one (derivative_rank).  Recovery tests the form's
+contraction matrix B against the structure's literally before it
+normalizes any metric, and its generic branch reads the 3-form frame
+e_i . *phi.  Both lanes run one code path; float checks read
+CONSTRAINT_TOL, RECOVERY_TOL and C_ZERO_SWITCH from context.py, and the
+exact lane tests literal equality.
 """
 from __future__ import annotations
 
@@ -43,8 +47,9 @@ from .exterior import (
 from .g2core import (
     Decomposition3,
     G2Structure,
+    _contraction_matrix,
+    _normalized_metric,
     frame_coordinates,
-    metric_from_phi,
     odot_inverse,
 )
 from .sampling import rational_unit_tuple
@@ -162,23 +167,30 @@ def _row_sum(xs, rows, zero):
     return out
 
 
-def _derivative_sums(s: G2Structure, p: TwistParams, tangents, units: int) -> list:
-    """2 B(p, t) for each tangent t, as (scaled numerators, den) pairs.
+def _ambient_images(s: G2Structure, p: TwistParams, units: int) -> tuple:
+    """(images, den): D_b = sum_a x_a B(a, b) = images[b] / den for the
+    first `units` directions b of e_c, dx_1..dx_7.
 
     B is Bryant's formula polarized, read from the structure's polarized
-    table on the directions e_c, dx_1..dx_7: for p = (c, w) with
-    coordinates x = (c, w_1..w_7), D_b = sum_a x_a B(a, b) for the first
-    `units` directions b, and each tangent with coordinates y, zero past
-    those directions, gives 2 sum_b y_b D_b.  Sums on scaled entries: ints
-    over one denominator in the exact lane."""
+    table on those directions, and x = (c, w_1..w_7) are the coordinates of
+    p = (c, w).  Sums on scaled entries: ints over one denominator in the
+    exact lane."""
     ctx = s.ctx
     rows, den = s.polarized_table
     (xs,), xden = ctx.scaled([[p.c, *p.omega.coeffs]])
-    images = [_row_sum(xs, row, ctx.scaled_zero) for row in rows[:units]]
+    return [_row_sum(xs, row, ctx.scaled_zero) for row in rows[:units]], xden * den
+
+
+def _derivative_sums(s: G2Structure, p: TwistParams, tangents, units: int) -> list:
+    """2 B(p, t) for each tangent t, as (scaled numerators, den) pairs: a
+    tangent with coordinates y, zero past the first `units` directions,
+    gives 2 sum_b y_b D_b (_ambient_images)."""
+    ctx = s.ctx
+    images, den = _ambient_images(s, p, units)
     out = []
     for t in tangents:
         (ys,), yden = ctx.scaled([[t.c_dot, *t.omega_dot.coeffs]])
-        out.append((_row_sum([2 * y for y in ys], images, ctx.scaled_zero), yden * xden * den))
+        out.append((_row_sum([2 * y for y in ys], images, ctx.scaled_zero), yden * den))
     return out
 
 
@@ -245,22 +257,37 @@ def _recover_c_zero(s: G2Structure, phit: KForm) -> TwistParams:
     return TwistParams(ctx.zero, KForm(1, tuple(w)))
 
 
+def _check_metric(s: G2Structure, phit: KForm):
+    """MetricMismatchError unless phit induces the structure's metric and
+    orientation.  g = B / (6^(2/9) det(B)^(1/9)) after the sign flip, so a
+    contraction matrix B(phit) literally equal to B(phi) settles it with no
+    normalization; any other B is normalized (with metric_from_phi's
+    errors) and compared as _metric_matches does."""
+    contraction = _contraction_matrix(phit.num)
+    if s.same_contraction(contraction, phit.den):
+        return
+    metric, orient = _normalized_metric(contraction, phit.den, s.ctx)
+    if not _metric_matches(s, metric, orient):
+        raise MetricMismatchError("form does not induce this structure's metric/orientation")
+
+
 def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     """Canonical parameters of a form in the structure's metric family.
 
-    Checks the induced metric and orientation first (MetricMismatchError),
-    then branches on c^2 = (<phit, phi> + 1)/8: the generic branch reads
-    omega from the frame coordinates of the 7-part, the c = 0 branch inverts
-    the symmetric action and extracts a rank-one square root.  The reported
-    residual is the max-abs difference between re-twisting the recovered
-    parameters and the input; exact mode demands literal zero.
+    Tests the induced metric and orientation first (MetricMismatchError):
+    the form's contraction matrix B is compared with the structure's
+    literally, and only a B that differs is normalized to a metric and
+    compared within RECOVERY_TOL.  Then it branches on
+    c^2 = (<phit, phi> + 1)/8: the generic branch reads omega from the frame
+    coordinates of the 7-part, the c = 0 branch inverts the symmetric action
+    and extracts a rank-one square root.  The reported residual is the
+    max-abs difference between re-twisting the recovered parameters and the
+    input; exact mode demands literal zero.
     """
     phit = coerce_form(phit, s.ctx)
     if phit.degree != 3:
         raise DegreeError("recover expects a 3-form")
-    metric, orient = metric_from_phi(phit, s.ctx)
-    if not _metric_matches(s, metric, orient):
-        raise MetricMismatchError("form does not induce this structure's metric/orientation")
+    _check_metric(s, phit)
     ctx = s.ctx
     phi_inner, (coords, cden) = frame_coordinates(phit, s)
     c_sq = (phi_inner + 1) / 8
@@ -280,15 +307,22 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     return Recovery(params=params, residual=residual)
 
 
-def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
-    """A basis of the tangent space at p inside the ambient parameter sphere
-    spanned by c and the first ambient_dim coordinate 1-forms: the kernel of
-    (c_dot, v) -> c c_dot + <omega, v>, with the structure's inner product."""
+def _ambient_point(s: G2Structure, p: TwistParams, ambient_dim: int) -> TwistParams:
+    """p in the structure's lane, once ambient_dim is in 1..7 (ValueError) and
+    omega lies in the first ambient_dim coordinates (ConstraintError)."""
     if not 1 <= ambient_dim <= DIM:
         raise ValueError("ambient_dim must be 1..7")
     p = _coerce_params(s, p)
     if any(p.omega.num[ambient_dim:]):
         raise ConstraintError("omega leaves the ambient coordinate subspace")
+    return p
+
+
+def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
+    """A basis of the tangent space at p inside the ambient parameter sphere
+    spanned by c and the first ambient_dim coordinate 1-forms: the kernel of
+    (c_dot, v) -> c c_dot + <omega, v>, with the structure's inner product."""
+    p = _ambient_point(s, p, ambient_dim)
     row = [p.c, *sharp(p.omega, s.metric)[:ambient_dim]]
     basis = []
     for v in s.ctx.nullspace([row]):
@@ -314,10 +348,20 @@ def derivative_matrix(s: G2Structure, p: TwistParams, ambient_dim: int):
 
 
 def derivative_rank(s: G2Structure, p: TwistParams, ambient_dim: int) -> int:
-    """Rank of the twist derivative on the ambient tangent space at p, read
-    on the columns' scaled numerators (each column scaled by its positive
-    denominator, which keeps the rank), one row per column."""
-    return s.ctx.rank([num for num, _ in _derivative_columns(s, p, ambient_dim)])
+    """Rank of the twist derivative on the ambient tangent space at p, with
+    no tangent basis: the rank of the ambient images D_b, less one.
+
+    The twist is Q(x) = sum_ab x_a x_b B(a, b), homogeneous quadratic with
+    |Q(x)|^2 = 7 |x|^4.  So dQ_x(x) = 2 Q(x) is not zero, and
+    <Q(x), dQ_x(t)> = 14 |x|^2 <x, t> = 0 for every tangent t.  The ambient
+    directions are the tangent space plus the line through x, so their
+    images D_b = dQ_x(e_b) / 2 span the tangent image plus the line through
+    Q(x), one dimension more.  The rank is read on the scaled numerators of
+    the D_b (a common positive denominator keeps it), one row per ambient
+    direction e_c, dx_1..dx_ambient_dim."""
+    p = _ambient_point(s, p, ambient_dim)
+    _check_constraint(s, p)
+    return s.ctx.rank(_ambient_images(s, p, ambient_dim + 1)[0]) - 1
 
 
 def derivative_margin(s: G2Structure, p: TwistParams, ambient_dim: int):

@@ -228,8 +228,13 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
     if phi.degree != 3:
         raise DegreeError("metric recovery expects a 3-form")
     phi = coerce_form(phi, ctx)
-    coeffs, den = phi.num, phi.den
-    B = _contraction_matrix(coeffs)
+    return _normalized_metric(_contraction_matrix(phi.num), phi.den, ctx)
+
+
+def _normalized_metric(B, den, ctx: Context) -> tuple:
+    """(metric, orientation) of the 3-form Phi / den from B = B(Phi), its
+    unflipped contraction matrix (_contraction_matrix of Phi): metric_from_phi's
+    normalization, with its errors."""
     det_b = ctx.det(B)
     if det_b == 0:
         raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
@@ -344,13 +349,13 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
 class G2Structure:
     """A nondegenerate 3-form bundled with everything derived from it.
 
-    Construction computes (eagerly): the induced metric and orientation, the
-    volume form, the star of phi (the one Hodge star construction runs), the
-    check |phi|^2 = 7 read as top(phi ^ *phi) / top(vol), the operator
-    T = *(phi ^ .) on 2-forms with its spectrum and the basis of its
-    14-space, and the contraction frame spanning the 7-dimensional piece of
-    the 3-forms.  All of it is in the context's arithmetic; exact mode never
-    touches a float.
+    Construction computes (eagerly): the contraction matrix B(phi) and from
+    it the induced metric and orientation, the volume form, the star of phi
+    (the one Hodge star construction runs), the check |phi|^2 = 7 read as
+    top(phi ^ *phi) / top(vol), the operator T = *(phi ^ .) on 2-forms with
+    its spectrum and the kernel vectors of its 14-space, and the contraction
+    frame spanning the 7-dimensional piece of the 3-forms.  All of it is in
+    the context's arithmetic; exact mode never touches a float.
 
     T is built without a star or g^-1 as o / sqrt(det g) times the 2 x 2
     minors of g (compound) times a constant sign table of phi's coefficients
@@ -366,7 +371,8 @@ class G2Structure:
     exterior keeps as (int rows, den) in exact mode.
 
     Built lazily on first use, so construction does not pay for them: the
-    7-space basis basis2_7 (one span), the two contraction tables
+    7-space basis basis2_7 (one span), the 14-space basis basis2_14 (the
+    kernel vectors wrapped as forms), the two contraction tables
     star_dx_phi and star_dx_star_phi that Bryant's formula reads, the
     polarized table of Bryant's formula on the coordinate directions that
     the twist derivative reads (8 x 8 scaled 3-forms over one den), the
@@ -379,7 +385,12 @@ class G2Structure:
     def __init__(self, phi: KForm, ctx: Context = EXACT):
         self.ctx = ctx
         self.phi = coerce_form(phi, ctx)
-        self.metric, self.orientation = metric_from_phi(self.phi, ctx)
+        if self.phi.degree != 3:
+            raise DegreeError("metric recovery expects a 3-form")
+        # B(phi) = B(Phi) / den^3, kept for same_contraction and odot_inverse
+        contraction = _contraction_matrix(self.phi.num)
+        self._contraction = (contraction, self.phi.den ** 3)
+        self.metric, self.orientation = _normalized_metric(contraction, self.phi.den, ctx)
         self.vol = volume_form(self.metric, self.orientation)
         self.star_phi = hodge_star(self.phi, self.metric, self.orientation)
         # phi ^ *phi = |phi|^2 vol
@@ -423,9 +434,8 @@ class G2Structure:
         den *= gden * gden * root
         self._t_table = (tmat, den)
         # Lambda^2_7 = {v . phi}: the contractions of phi span it
-        self.lambda7, self.lambda14, eig14 = _split_two_forms(
+        self.lambda7, self.lambda14, self._kernel14 = _split_two_forms(
             self._t_table, _contractions(3, phi), ctx)
-        self.basis2_14 = tuple(KForm(2, tuple(v)) for v in eig14)
 
     @cached_property
     def basis2_7(self) -> tuple:
@@ -433,6 +443,22 @@ class G2Structure:
         e_i . phi, in exact mode normalized as the kernel of T - lambda7 is."""
         return tuple(KForm(2, tuple(v))
                      for v in self.ctx.span(_contractions(3, self.phi.num)))
+
+    @cached_property
+    def basis2_14(self) -> tuple:
+        """A basis of the lambda14-eigenspace: the kernel vectors that
+        _split_two_forms found at construction, wrapped as forms on first read."""
+        return tuple(KForm(2, tuple(v)) for v in self._kernel14)
+
+    def same_contraction(self, contraction, den) -> bool:
+        """Whether B(Phi) / den^3, for contraction = B(Phi) (_contraction_matrix
+        of a 3-form's stored numerators Phi), is this structure's B(phi),
+        compared entry for entry across the denominators (literally in both
+        lanes).  Equal contraction matrices normalize to the same metric and
+        orientation (metric_from_phi), so a True needs no normalization."""
+        own, den3 = self._contraction
+        d3 = den ** 3
+        return all(contraction[i][j] * den3 == own[i][j] * d3 for i, j in _PAIRS)
 
     # -- frame data on 3-forms ---------------------------------------
 
@@ -463,8 +489,10 @@ class G2Structure:
 
         B(phi) = lambda g (metric_from_phi, lambda < 0 in orientation -1).
         dB_phi is the polarized cubic table: each term k phi_a phi_b phi_c of
-        B_n adds k phi_b phi_c at (n, a), and likewise at b and c.  Euler's
-        identity dB_phi[phi] = 3 B(phi) then gives lambda from B_11 / g_11.
+        B_n adds k phi_b phi_c at (n, a), and likewise at b and c.  lambda is
+        B_11 / g_11, read from the contraction matrix kept at construction
+        (Euler's identity dB_phi[phi] = 3 B(phi) makes that the same number
+        as (rows . Phi)_11 / 3).
         """
         phi, pden = self.phi.num, self.phi.den
         rows = [[0] * NK[3] for _ in _PAIRS]
@@ -474,9 +502,10 @@ class G2Structure:
             row[a] += k * pb * pc
             row[b] += k * pa * pc
             row[c] += k * pa * pb
-        # rows = pden^2 dB_phi, so den = pden^2 lambda = (rows . Phi)_11 / (3 pden g_11)
-        b11 = sum(x * y for x, y in zip(rows[0], phi))
-        return rows, self.ctx.ratio(b11, 3 * pden * self.metric.rows[0][0])
+        # rows = pden^2 dB_phi, so den = pden^2 lambda = 3 B(Phi)_11 / (3 pden g_11); the 3
+        # stays on both sides so that float phi with integer entries round as before
+        contraction, _ = self._contraction
+        return rows, self.ctx.ratio(3 * contraction[0][0], 3 * pden * self.metric.rows[0][0])
 
     @cached_property
     def star_dx_star_phi(self) -> tuple:

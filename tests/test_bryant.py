@@ -24,11 +24,14 @@ from g2kit.bryant import (
     twist_decomposed,
     twist_derivative,
 )
-from g2kit.context import FLOAT
+from g2kit.context import FLOAT, Context
 from g2kit.errors import (
     ConstraintError,
     DegreeError,
+    ExactModeError,
+    G2KitError,
     MetricMismatchError,
+    NotG2FormError,
     RecoveryError,
     TangencyError,
 )
@@ -740,3 +743,183 @@ def test_twist_is_the_octonion_conjugation_orbit(name):
         assert pullback(s.phi, [list(col) for col in zip(*rot)]) == twist(s, octonion_params(cube_bar))
         assert recover(s, phit).params.equivalent_to(octonion_params(cube))
         assert decompose3(phit, s) == twist_decomposed(s, octonion_params(cube))
+
+
+# -- the rank from the ambient images, and recover's literal metric test -------
+
+
+def ref_derivative_rank(s, p, ambient_dim):
+    """The earlier derivative_rank: the rank of the derivatives along a tangent basis."""
+    return s.ctx.rank([num for num, _ in bryant._derivative_columns(s, p, ambient_dim)])
+
+
+def ambient_point(s, u):
+    """The stereographic image (1 - |u|^2, 2u) / (1 + |u|^2) of a 1-form u,
+    exactly on the structure's parameter sphere, with omega where u is."""
+    q = form_inner(u, u, s.metric)
+    return TwistParams((1 - q) / (1 + q), u * (2 / (1 + q)))
+
+
+def assert_rank_equals_reference(s, p, ambient_dim):
+    rank = derivative_rank(s, p, ambient_dim)
+    assert rank == ref_derivative_rank(s, p, ambient_dim)
+    return rank
+
+
+@given(st.sampled_from(["t7", "s1xcy3", "t3xk3"]), st.integers(1, DIM), st.booleans(),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_derivative_rank_equals_tangent_basis_reference_on_models(kind, ambient_dim, c_zero, seed):
+    """Literally equal in the exact lane and equal in the float lane, on the
+    three flat models, ambient dimensions 1-7 and points with c = 0."""
+    p = sample_params(random.Random(seed), ambient_dim, force_c_zero=c_zero)
+    s = model_structure(kind, "exact")
+    assert assert_rank_equals_reference(s, p, ambient_dim) == ambient_dim
+    assert_rank_equals_reference(model_structure(kind, "float"), float_point(p), ambient_dim)
+
+
+@given(rational_frames(), sphere_points(), st.integers(1, DIM),
+       st.lists(st.integers(-3, 3), min_size=DIM, max_size=DIM))
+@settings(max_examples=8, deadline=None)
+def test_derivative_rank_equals_tangent_basis_reference_on_rational_frames(a, p, ambient_dim, u):
+    """On frames of both orientations, with a non-Euclidean metric: a
+    pulled-back point, a pulled-back point with c = 0, and a point with
+    omega in the first ambient_dim coordinates.  Float structures are built
+    from the same phi where cond(a^T a) <= 1e3, inside the float lane's
+    working range."""
+    s = frame_structure(a)
+    u = KForm(1, tuple(Fraction(x) for x in u[:ambient_dim]) + (Fraction(0),) * (DIM - ambient_dim))
+    cases = [(frame_point(p, a), DIM), (frame_point(TwistParams(0, KForm.basis((1,))), a), DIM),
+             (ambient_point(s, u), ambient_dim)]
+    for q, d in cases:
+        assert q.constraint_residual(s) == 0
+        assert_rank_equals_reference(s, q, d)
+    arr = np.asarray(a, dtype=float)
+    if np.linalg.cond(arr.T @ arr) <= 1e3:
+        sf = G2Structure(s.phi.as_float(), FLOAT)
+        for q, d in cases:
+            assert_rank_equals_reference(sf, float_point(q), d)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_derivative_rank_argument_errors_in_order(mode):
+    """ValueError for ambient_dim outside 1..7 comes first, then the
+    ConstraintError for omega outside the ambient coordinates, then the
+    ConstraintError for a point off the sphere."""
+    s = standard_structure(mode)
+    off_both = TwistParams(1, KForm.from_entries(1, {(4,): 1}, s.ctx))
+    for d in (0, DIM + 1):
+        with pytest.raises(ValueError, match="ambient_dim must be 1..7"):
+            derivative_rank(s, off_both, d)
+    with pytest.raises(ConstraintError, match="leaves the ambient coordinate subspace"):
+        derivative_rank(s, off_both, 3)
+    with pytest.raises(ConstraintError, match=r"c\^2 \+ \|omega\|\^2 - 1"):
+        derivative_rank(s, off_both, 4)
+
+
+@pytest.fixture
+def nullspace_calls(monkeypatch):
+    calls = []
+    real = Context.nullspace
+
+    def counted(self, m):
+        calls.append(1)
+        return real(self, m)
+
+    monkeypatch.setattr(Context, "nullspace", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_warm_derivative_rank_takes_no_kernel(nullspace_calls, mode):
+    """derivative_rank builds no tangent basis: once the polarized table is
+    built it calls Context.nullspace 0 times."""
+    rng = random.Random(mode)
+    s = model_structure("t7", mode)
+    points = [sample_params(rng), sample_params(rng, 3), sample_params(rng, force_c_zero=True)]
+    if mode == "float":
+        points = [float_point(p) for p in points]
+    s.polarized_table
+    del nullspace_calls[:]
+    for p, d in zip(points, (DIM, 3, DIM)):
+        assert derivative_rank(s, p, d) == d
+    assert nullspace_calls == []
+
+
+@pytest.fixture
+def normalization_calls(monkeypatch):
+    """Calls of the exact metric normalization's ninth root and of Context.det."""
+    calls = []
+    real_root, real_det = g2core.rational_nth_root, Context.det
+
+    def root(*args):
+        calls.append("rational_nth_root")
+        return real_root(*args)
+
+    def det(self, m):
+        calls.append("det")
+        return real_det(self, m)
+
+    monkeypatch.setattr(g2core, "rational_nth_root", root)
+    monkeypatch.setattr(Context, "det", det)
+    return calls
+
+
+def test_exact_recover_of_a_twist_normalizes_no_metric(normalization_calls):
+    """A twist has the structure's contraction matrix B literally, so exact
+    recover runs no determinant and no ninth root: on a model and on a
+    non-Euclidean frame, generic and with c = 0."""
+    rng = random.Random(11)
+    a = [[1 if j in (i, (i + 1) % DIM) else 0 for j in range(DIM)] for i in range(DIM)]
+    frame = G2Structure(pullback(phi0(), a))
+    model = model_structure("t7", "exact")
+    cases = [(model, sample_params(rng)), (model, sample_params(rng, force_c_zero=True)),
+             (frame, frame_point(sample_params(rng), a)),
+             (frame, frame_point(sample_params(rng, force_c_zero=True), a))]
+    for s, p in cases:
+        phit = twist(s, p)
+        recover(s, phit)  # the structure's lazy tables are built on first use
+        del normalization_calls[:]
+        rec = recover(s, phit)
+        assert normalization_calls == []
+        assert rec.residual == 0 and rec.params.equivalent_to(p)
+
+
+def ref_check_metric(s, phit):
+    """The earlier metric test of recover: normalize phit's metric, then compare."""
+    metric, orient = metric_from_phi(phit, s.ctx)
+    if not bryant._metric_matches(s, metric, orient):
+        raise MetricMismatchError("form does not induce this structure's metric/orientation")
+
+
+def raised(run):
+    try:
+        run()
+    except G2KitError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_recover_refuses_what_it_refused(mode):
+    """Forms outside the family are refused with the errors of the earlier
+    test, which normalized every metric: 2 phi (MetricMismatchError in float
+    mode; in exact mode det(B)/6^7 = 2^21 has no rational ninth root, so
+    ExactModeError), 8 phi, -phi and a pullback by diag(2, 1, ..., 1)
+    (MetricMismatchError), and a degenerate form (NotG2FormError)."""
+    s = standard_structure(mode)
+    ctx = s.ctx
+    diag = [[ctx.scalar(2 if i == j == 0 else int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    forms = {
+        "2phi": 2 * s.phi,
+        "8phi": 8 * s.phi,
+        "-phi": -1 * s.phi,
+        "pullback": pullback(s.phi, diag),
+        "degenerate": KForm.from_entries(3, {(1, 2, 3): 1}, ctx),
+    }
+    want = {"2phi": ExactModeError if ctx.is_exact else MetricMismatchError,
+            "8phi": MetricMismatchError, "-phi": MetricMismatchError,
+            "pullback": MetricMismatchError, "degenerate": NotG2FormError}
+    for name, phit in forms.items():
+        assert raised(lambda: recover(s, phit)) is want[name], name
+        assert raised(lambda: ref_check_metric(s, phit)) is want[name], name

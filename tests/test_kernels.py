@@ -1267,3 +1267,75 @@ def test_metric_readers_equal_fraction_loops(mode):
             c = ctx.scalar(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
             want = ref_recover_c_positive(s, [ctx.ratio(x, cden) for x in coords], c)
             assert same(bryant._recover_c_positive(s, coords, cden, c).omega, want)
+
+
+# -- basis2_14 on first read, lambda from the kept B, the one-row kernel -------
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_basis2_14_is_built_on_first_read(mode):
+    """Construction keeps the 14-space kernel vectors and wraps none of them:
+    basis2_14 is built on first read, once, literally equal to the forms
+    construction used to build from _split_two_forms."""
+    ctx = Context.of(mode)
+    a = [[ctx.scalar(int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    a[0][1], a[2][5], a[4][4] = ctx.scalar(1), ctx.scalar(Fraction(-1, 2)), ctx.scalar(2)
+    s = G2Structure(pullback(phi0(ctx), a), ctx)
+    assert "basis2_14" not in s.__dict__
+    basis = s.basis2_14
+    assert s.basis2_14 is basis
+    _, _, eig14 = _split_two_forms(s._t_table, _contractions(3, s.phi.num), ctx)
+    want = tuple(KForm(2, tuple(v)) for v in eig14)
+    assert basis == want and all(same(b, w) for b, w in zip(basis, want))
+
+
+def ref_odot_inverse_den(s):
+    """The earlier lambda of _odot_inverse_table: (rows . Phi)_11 / (3 pden g_11)."""
+    rows, _ = s._odot_inverse_table
+    b11 = sum(x * y for x, y in zip(rows[0], s.phi.num))
+    return s.ctx.ratio(b11, 3 * s.phi.den * s.metric.rows[0][0])
+
+
+@given(rational_frames())
+@settings(max_examples=6, deadline=None)
+def test_odot_inverse_lambda_is_the_kept_contraction_entry(a):
+    """B_11(Phi) / (pden g_11) from the contraction matrix kept at
+    construction equals the 35-term product it replaced, literally, in both
+    orientations and on the float models."""
+    flipped = [[-x for x in a[0]]] + a[1:]
+    structures = [frame_structure(f) for f in (a, flipped)]
+    structures += [model_structure(name, mode) for name in ("t7", "s1xcy3", "t3xk3")
+                   for mode in ("exact", "float")]
+    for s in structures:
+        assert same([s._odot_inverse_table[1]], [ref_odot_inverse_den(s)])
+
+
+def rref_nullspace(m):
+    """The kernel as nullspace_exact took it for every input: from ratlin.rref."""
+    nc = len(m[0]) if m else 0
+    red, pivots = ratlin.rref(m)
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        v = [Fraction(0)] * nc
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+@given(st.lists(RATIONALS, min_size=1, max_size=9))
+@example([Fraction(0)] * 8)
+@example([Fraction(0), Fraction(0), Fraction(3, 4), Fraction(-1, 6), Fraction(0)])
+@example([Fraction(0)] * 6 + [Fraction(-5, 3)])
+@example([Fraction(7, 2)])
+@settings(max_examples=200, deadline=None)
+def test_one_row_kernel_equals_rref_reference(row):
+    """A one-row kernel is e_f - (r_f / r_k) e_k, read off with no
+    elimination; it equals the rref kernel literally (values and Fraction
+    type), for the zero row, leading zeros and a pivot in the last column."""
+    got, want = ratlin.nullspace_exact([row]), rref_nullspace([row])
+    assert got == want
+    assert all(type(x) is Fraction for v in got for x in v)
+    ints = [int(x) for x in row]
+    assert ratlin.nullspace_exact([ints]) == rref_nullspace([ints])
