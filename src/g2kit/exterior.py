@@ -31,7 +31,10 @@ is kept per (metric, k) as a table (rows, den): int rows over d^k in the
 exact lane, where g^-1 = G / d for an int matrix G, and float rows over 1
 in the float lane.  gram_apply, form_inner and the non-Euclidean hodge_star
 run one matvec of the table with their form's stored numerators; the star
-folds the scaling of sqrt(det g) into the result's denominator.
+folds the scaling of sqrt(det g) into the result's denominator.  The star
+of a k-form with k >= 4 reads the (7 - k) x (7 - k) minors of g instead
+(Jacobi's complementary-minor identity): they are of lower order than the
+k x k minors of g^-1, and their float rounding grows far less with cond(g).
 """
 from __future__ import annotations
 
@@ -545,6 +548,13 @@ def _lambda_gram(m: Metric, k: int):
     return tuple(tuple(row) for row in m._lane.symmetric(compound(inv, k))), den ** k
 
 
+@lru_cache(maxsize=_METRIC_CACHE_SIZE)
+def _metric_minors(m: Metric, k: int):
+    """The k x k minors of g as a table (rows, den): compound(num) over
+    den^k, ints in the exact lane."""
+    return tuple(tuple(row) for row in compound(m.num, k)), m.den ** k
+
+
 def _matvec(rows, v, zero=0) -> list:
     """rows . v, skipping v's zeros, each sum started at zero: ints for
     Context.scaled rows in the exact lane."""
@@ -610,8 +620,20 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
             out[po] = (c * o.sign) if s > 0 else -(c * o.sign)
         return KForm._of(out_deg, out, a.den, a._lane)
     lane = lane_of((a.num[0], m.num[0][0]))
+    a = coerce_form(a, lane)
+    if k > out_deg:
+        # Jacobi: the k x k minor of g^-1 on rows I, columns J is
+        # s_I s_J det(g[I^c, J^c]) / det g, s the signs of comp, so
+        # (*a)_{I^c} = vol / det g * sum_J det(g[I^c, J^c]) s_J a_J
+        signed = [None] * NK[out_deg]
+        for (po, s), c in zip(comp, a.num):
+            signed[po] = c if s > 0 else -c
+        rows, den = _metric_minors(m, out_deg)
+        ((scale,),), sden = lane.scaled([[_sqrt_det(m) * o.sign / _metric_det(m)]])
+        out = [x * scale for x in _matvec(rows, signed, lane.scaled_zero)]
+        return KForm._of(out_deg, out, den * a.den * sden, lane)
     ((vol,),), vden = lane.scaled([[_sqrt_det(m) * o.sign]])
-    sums, den = _gram_sums(coerce_form(a, lane), m)
+    sums, den = _gram_sums(a, m)
     # vol = vol / vden joins the Gram's denominator
     out = [lane.scaled_zero] * NK[out_deg]
     for p, inner in enumerate(sums):
