@@ -225,10 +225,18 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
     integer matrix, and g is stored as B(Phi) times an int over one int
     denominator (Metric._of), with no Fraction per entry.
     """
+    _, metric, orientation = _contraction_and_metric(phi, ctx)
+    return metric, orientation
+
+
+def _contraction_and_metric(phi: KForm, ctx: Context) -> tuple:
+    """(B(Phi), metric, orientation) of a 3-form phi = Phi / den: its unflipped
+    contraction matrix on the stored numerators and metric_from_phi's result."""
     if phi.degree != 3:
         raise DegreeError("metric recovery expects a 3-form")
     phi = coerce_form(phi, ctx)
-    return _normalized_metric(_contraction_matrix(phi.num), phi.den, ctx)
+    B = _contraction_matrix(phi.num)
+    return (B, *_normalized_metric(B, phi.den, ctx))
 
 
 def _normalized_metric(B, den, ctx: Context) -> tuple:
@@ -385,12 +393,9 @@ class G2Structure:
     def __init__(self, phi: KForm, ctx: Context = EXACT):
         self.ctx = ctx
         self.phi = coerce_form(phi, ctx)
-        if self.phi.degree != 3:
-            raise DegreeError("metric recovery expects a 3-form")
+        contraction, self.metric, self.orientation = _contraction_and_metric(self.phi, ctx)
         # B(phi) = B(Phi) / den^3, kept for same_contraction and odot_inverse
-        contraction = _contraction_matrix(self.phi.num)
         self._contraction = (contraction, self.phi.den ** 3)
-        self.metric, self.orientation = _normalized_metric(contraction, self.phi.den, ctx)
         self.vol = volume_form(self.metric, self.orientation)
         self.star_phi = hodge_star(self.phi, self.metric, self.orientation)
         # phi ^ *phi = |phi|^2 vol
@@ -492,7 +497,9 @@ class G2Structure:
         B_n adds k phi_b phi_c at (n, a), and likewise at b and c.  lambda is
         B_11 / g_11, read from the contraction matrix kept at construction
         (Euler's identity dB_phi[phi] = 3 B(phi) makes that the same number
-        as (rows . Phi)_11 / 3).
+        as (rows . Phi)_11 / 3: literally in exact mode and for float phi with
+        integer entries, within rounding for other float phi, whose terms are
+        summed in another order).
         """
         phi, pden = self.phi.num, self.phi.den
         rows = [[0] * NK[3] for _ in _PAIRS]

@@ -233,13 +233,8 @@ def solve_exact(a, b):
 
 
 def nullspace_exact(m):
-    """Basis of the exact kernel, one vector per free column.  One row r
-    takes the closed form of its rref, with no elimination: for its first
-    nonzero entry r_k, e_f - (r_f / r_k) e_k for every column f != k (the
-    unit vectors for a zero row)."""
+    """Basis of the exact kernel, one vector per free column."""
     nr = len(m)
-    if nr == 1:
-        return _one_row_kernel(m[0])
     nc = len(m[0]) if nr else 0
     red, pivots = rref(m)
     free = [c for c in range(nc) if c not in pivots]
@@ -249,21 +244,6 @@ def nullspace_exact(m):
         v[fc] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
-def _one_row_kernel(row):
-    row = _int_row(row)[0]  # the ratios r_f / r_k are one int Fraction each
-    k = next((i for i, x in enumerate(row) if x), None)
-    basis = []
-    for f, x in enumerate(row):
-        if f == k:
-            continue
-        v = [_ZERO] * len(row)
-        v[f] = _ONE
-        if x:
-            v[k] = Fraction(-x, row[k])
         basis.append(v)
     return basis
 

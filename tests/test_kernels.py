@@ -1328,7 +1328,7 @@ def test_metric_readers_equal_fraction_loops(mode):
             assert same(bryant._recover_c_positive(s, coords, cden, c).omega, want)
 
 
-# -- basis2_14 on first read, lambda from the kept B, the one-row kernel -------
+# -- basis2_14 on first read, lambda from the kept B -------------------------
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -1359,42 +1359,20 @@ def ref_odot_inverse_den(s):
 @settings(max_examples=6, deadline=None)
 def test_odot_inverse_lambda_is_the_kept_contraction_entry(a):
     """B_11(Phi) / (pden g_11) from the contraction matrix kept at
-    construction equals the 35-term product it replaced, literally, in both
-    orientations and on the float models."""
+    construction equals the 35-term product it replaced: literally on exact
+    frames of both orientations and on the models of both lanes (integer
+    phi), and within 1e-12 (relative) on float frames with cond(a^T a) <= 1e5,
+    whose non-integer phi sums the same terms in another order (over 1453
+    drawn frames 1130 moved, by 1.8e-14 at worst)."""
     flipped = [[-x for x in a[0]]] + a[1:]
     structures = [frame_structure(f) for f in (a, flipped)]
     structures += [model_structure(name, mode) for name in ("t7", "s1xcy3", "t3xk3")
                    for mode in ("exact", "float")]
     for s in structures:
         assert same([s._odot_inverse_table[1]], [ref_odot_inverse_den(s)])
-
-
-def rref_nullspace(m):
-    """The kernel as nullspace_exact took it for every input: from ratlin.rref."""
-    nc = len(m[0]) if m else 0
-    red, pivots = ratlin.rref(m)
-    basis = []
-    for fc in (c for c in range(nc) if c not in pivots):
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
-@given(st.lists(RATIONALS, min_size=1, max_size=9))
-@example([Fraction(0)] * 8)
-@example([Fraction(0), Fraction(0), Fraction(3, 4), Fraction(-1, 6), Fraction(0)])
-@example([Fraction(0)] * 6 + [Fraction(-5, 3)])
-@example([Fraction(7, 2)])
-@settings(max_examples=200, deadline=None)
-def test_one_row_kernel_equals_rref_reference(row):
-    """A one-row kernel is e_f - (r_f / r_k) e_k, read off with no
-    elimination; it equals the rref kernel literally (values and Fraction
-    type), for the zero row, leading zeros and a pivot in the last column."""
-    got, want = ratlin.nullspace_exact([row]), rref_nullspace([row])
-    assert got == want
-    assert all(type(x) is Fraction for v in got for x in v)
-    ints = [int(x) for x in row]
-    assert ratlin.nullspace_exact([ints]) == rref_nullspace([ints])
+    for f in (a, flipped):
+        af = np.asarray(f, dtype=float)
+        if np.linalg.cond(af.T @ af) <= 1e5:
+            s = G2Structure(pullback(phi0(FLOAT), af.tolist()), FLOAT)
+            got, want = s._odot_inverse_table[1], ref_odot_inverse_den(s)
+            assert abs(got - want) <= 1e-12 * abs(want)
