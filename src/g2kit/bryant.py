@@ -7,16 +7,17 @@ implements the twist, its closed-form type decomposition, exact/float
 recovery of the canonical parameters from a twisted form, and the derivative
 of the twist map with its rank on an ambient parameter subspace.
 
-The twist evaluates Bryant's formula through Hodge star chains
-(_twist_terms).  Its derivative runs no star and no wedge: it reads the
-structure's polarized table, Bryant's formula as a symmetric bilinear map
-on the coordinate directions c, dx_1..dx_7, and sums its scaled rows (ints
-in the exact lane) with the point's and the tangents' coordinates.  Its
-rank needs no tangent basis: it is the rank of the point's ambient images
-under that table, less one (derivative_rank).  Recovery tests the form's
-contraction matrix B against the structure's literally before it
-normalizes any metric, and its generic branch reads the 3-form frame
-e_i . *phi.  Both lanes run one code path; float checks read
+The twist, its type parts and its derivative run no star and no wedge.
+They read the structure's polarized table, Bryant's formula as a symmetric
+bilinear map B on the coordinate directions c, dx_1..dx_7, stored as its
+nonzero scaled entries (ints in the exact lane), and sum those entries with
+the point's and the tangents' coordinates: the twist at x = (c, w) is
+sum_ab x_a x_b B(a, b).  The derivative's rank needs no tangent basis: it
+is the rank of the point's ambient images under that table, less one
+(derivative_rank).  Recovery tests the form's contraction matrix B against
+the structure's literally before it normalizes any metric, its generic
+branch reads the 3-form frame e_i . *phi and puts the recovered point back
+onto the sphere.  Both lanes run one code path; float checks read
 CONSTRAINT_TOL, RECOVERY_TOL and C_ZERO_SWITCH from context.py, and the
 exact lane tests literal equality.
 """
@@ -37,12 +38,11 @@ from .errors import (
 )
 from .exterior import (
     DIM,
+    NK,
     KForm,
     coerce_form,
     form_inner,
-    hodge_star,
     sharp,
-    wedge,
 )
 from .g2core import (
     Decomposition3,
@@ -119,27 +119,42 @@ def _coerce_params(s: G2Structure, p: TwistParams) -> TwistParams:
 
 
 def _check_constraint(s: G2Structure, p: TwistParams):
-    res = p.constraint_residual(s)
+    """|w|^2 at p = (c, w), once c^2 + |w|^2 - 1 is zero (ConstraintError)."""
+    w2 = form_inner(p.omega, p.omega, s.metric)
+    res = p.c * p.c + w2 - 1
     if not s.ctx.is_zero(res, CONSTRAINT_TOL):
         raise ConstraintError(f"c^2 + |omega|^2 - 1 = {res}, not zero in the {s.ctx.mode} lane")
+    return w2
 
 
-def _twist_terms(s: G2Structure, p: TwistParams):
-    """Bryant's formula at p = (c, w), term by term:
-    (c^2 - |w|^2, 2c *(w ^ phi), 2 w ^ *(w ^ *phi)), the phi coefficient,
-    the 7-part and the quadratic part."""
-    c, w = p.c, p.omega
-    m, o = s.metric, s.orientation
-    return (c * c - form_inner(w, w, m), (2 * c) * hodge_star(wedge(w, s.phi), m, o),
-            2 * wedge(w, hodge_star(wedge(w, s.star_phi), m, o)))
+def _pair_terms(xs, start: int = 0) -> list:
+    """(a, b, f) for the pairs a <= b of nonzero x_a, x_b with a, b >= start:
+    f = x_a^2 on the diagonal and 2 x_a x_b off it, so that the terms sum
+    to sum_ab x_a x_b B(a, b) over those directions."""
+    nonzero = [(a, x) for a, x in enumerate(xs) if x and a >= start]
+    return [(a, b, x * x if a == b else 2 * x * y)
+            for i, (a, x) in enumerate(nonzero) for b, y in nonzero[i:]]
+
+
+def _table_sum(table, terms, zero) -> list:
+    """sum f B(a, b) over the (a, b, f) terms, as 3-form numerators summed
+    from zero over the polarized table's nonzero (position, value) entries."""
+    out = [zero] * NK[3]
+    for a, b, f in terms:
+        for k, v in table[a][b]:
+            out[k] += f * v
+    return out
 
 
 def twist(s: G2Structure, p: TwistParams) -> KForm:
-    """The twisted 3-form (c^2 - |w|^2) phi + 2c *(w ^ phi) + 2 w ^ *(w ^ *phi)."""
+    """The twisted 3-form (c^2 - |w|^2) phi + 2c *(w ^ phi) + 2 w ^ *(w ^ *phi),
+    as sum_ab x_a x_b B(a, b) on the polarized table at x = (c, w_1..w_7)."""
     p = _coerce_params(s, p)
     _check_constraint(s, p)
-    coef, seven, quadratic = _twist_terms(s, p)
-    return coef * s.phi + seven + quadratic
+    table, den = s.polarized_table
+    (xs,), xden = s.ctx.scaled([[p.c, *p.omega.coeffs]])
+    num = _table_sum(table, _pair_terms(xs), s.ctx.scaled_zero)
+    return KForm._of(3, num, den * xden * xden, s.ctx)
 
 
 def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
@@ -147,13 +162,24 @@ def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
 
     p1 = (8c^2 - 1)/7 phi,  p7 = 2c *(w ^ phi),
     p27 = 2 w ^ *(w ^ *phi) - (6/7) |w|^2 phi;  on the sphere these read
-    (4 coef + 3)/7 and (3 - 3 coef)/7 for coef = c^2 - |w|^2.
+    (4 coef + 3)/7 and (3 - 3 coef)/7 for coef = c^2 - |w|^2.  On the
+    polarized table p7 = 2c sum_j w_j B(e_c, dx_j) and
+    p27 = Q_ww + (|w|^2 - (3 - 3 coef)/7) phi, for
+    Q_ww = sum_ij w_i w_j B(dx_i, dx_j) = 2 w ^ *(w ^ *phi) - |w|^2 phi.
     """
     p = _coerce_params(s, p)
-    _check_constraint(s, p)
-    coef, seven, quadratic = _twist_terms(s, p)
-    return Decomposition3(p1=((4 * coef + 3) / 7) * s.phi, p7=seven,
-                          p27=quadratic - ((3 - 3 * coef) / 7) * s.phi)
+    w2 = _check_constraint(s, p)
+    coef = p.c * p.c - w2
+    ctx, phi = s.ctx, s.phi
+    table, den = s.polarized_table
+    (xs,), xden = ctx.scaled([[p.c, *p.omega.coeffs]])
+    den *= xden * xden
+    c2 = 2 * xs[0]
+    seven = [(0, b, c2 * y) for b, y in enumerate(xs) if b and y] if c2 else []
+    p7 = KForm._of(3, _table_sum(table, seven, ctx.scaled_zero), den, ctx)
+    qww = KForm._of(3, _table_sum(table, _pair_terms(xs, 1), ctx.scaled_zero), den, ctx)
+    return Decomposition3(p1=((4 * coef + 3) / 7) * phi, p7=p7,
+                          p27=qww + (w2 - (3 - 3 * coef) / 7) * phi)
 
 
 def _row_sum(xs, rows, zero):
@@ -173,12 +199,14 @@ def _ambient_images(s: G2Structure, p: TwistParams, units: int) -> tuple:
 
     B is Bryant's formula polarized, read from the structure's polarized
     table on those directions, and x = (c, w_1..w_7) are the coordinates of
-    p = (c, w).  Sums on scaled entries: ints over one denominator in the
-    exact lane."""
-    ctx = s.ctx
-    rows, den = s.polarized_table
-    (xs,), xden = ctx.scaled([[p.c, *p.omega.coeffs]])
-    return [_row_sum(xs, row, ctx.scaled_zero) for row in rows[:units]], xden * den
+    p = (c, w).  Sums over the nonzero x_a and the table's nonzero entries,
+    on scaled entries: ints over one denominator in the exact lane."""
+    table, den = s.polarized_table
+    (xs,), xden = s.ctx.scaled([[p.c, *p.omega.coeffs]])
+    nonzero = [(a, x) for a, x in enumerate(xs) if x]
+    zero = s.ctx.scaled_zero
+    return [_table_sum(table, [(a, b, x) for a, x in nonzero], zero)
+            for b in range(units)], xden * den
 
 
 def _derivative_sums(s: G2Structure, p: TwistParams, tangents, units: int) -> list:
@@ -238,6 +266,18 @@ def _recover_c_positive(s: G2Structure, coords, cden, c) -> TwistParams:
     return TwistParams(c, KForm._of(1, sums, -2 * p * g.den * cden, s.ctx))
 
 
+def _onto_sphere(s: G2Structure, p: TwistParams) -> TwistParams:
+    """p / sqrt(c^2 + |w|^2) when that norm is not literally 1.  An exact
+    point recovered from a form of the family lies on the sphere, so only a
+    float point moves: the re-twist checks the constraint within the
+    absolute CONSTRAINT_TOL, which rounding in c and w can miss."""
+    n2 = p.c * p.c + form_inner(p.omega, p.omega, s.metric)
+    if n2 == 1:
+        return p
+    n = s.ctx.sqrt(n2)
+    return TwistParams(p.c / n, p.omega / n)
+
+
 def _recover_c_zero(s: G2Structure, phit: KForm) -> TwistParams:
     try:
         b = odot_inverse(phit + s.phi, s)
@@ -279,10 +319,11 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     literally, and only a B that differs is normalized to a metric and
     compared within RECOVERY_TOL.  Then it branches on
     c^2 = (<phit, phi> + 1)/8: the generic branch reads omega from the frame
-    coordinates of the 7-part, the c = 0 branch inverts the symmetric action
-    and extracts a rank-one square root.  The reported residual is the
-    max-abs difference between re-twisting the recovered parameters and the
-    input; exact mode demands literal zero.
+    coordinates of the 7-part and puts (c, omega) back onto the sphere
+    (_onto_sphere, which moves only float points), the c = 0 branch inverts
+    the symmetric action and extracts a rank-one square root.  The reported
+    residual is the max-abs difference between re-twisting the recovered
+    parameters and the input; exact mode demands literal zero.
     """
     phit = coerce_form(phit, s.ctx)
     if phit.degree != 3:
@@ -298,7 +339,7 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     if ctx.is_zero(c, C_ZERO_SWITCH):
         params = _recover_c_zero(s, phit)
     else:
-        params = _recover_c_positive(s, coords, cden, c)
+        params = _onto_sphere(s, _recover_c_positive(s, coords, cden, c))
     params = params.canonical()
     err = (twist(s, params) - phit).max_abs()
     residual = float(err)

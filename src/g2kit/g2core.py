@@ -117,6 +117,16 @@ def _interior_table(k: int):
     return tuple(table)
 
 
+def _dx_wedge(i: int, u: KForm, ctx: Context) -> KForm:
+    """dx_(i+1) ^ u for a 2-form u in the context's lane: a signed selection
+    of u's stored numerators, the inverse of _interior_table(3) with its
+    signs (e_i . dx_P = sign dx_Q there, and dx_i ^ dx_Q = sign dx_P)."""
+    out = [ctx.scaled_zero] * NK[3]
+    for q, (p, sign) in _interior_table(3)[i].items():
+        out[p] = u.num[q] if sign > 0 else -u.num[q]
+    return KForm._of(3, out, u.den, ctx)
+
+
 @lru_cache(maxsize=None)
 def _contraction_table():
     """B_ij(phi) = top coefficient of (e_i . phi) ^ (e_j . phi) ^ phi, as a cubic table.
@@ -383,7 +393,8 @@ class G2Structure:
     kernel vectors wrapped as forms), the two contraction tables
     star_dx_phi and star_dx_star_phi that Bryant's formula reads, the
     polarized table of Bryant's formula on the coordinate directions that
-    the twist derivative reads (8 x 8 scaled 3-forms over one den), the
+    the twist, its type parts and its derivative read (the nonzero scaled
+    entries of 8 x 8 3-forms over one den), the
     derivative table of B that odot_inverse reads, the frame table that
     decompose3 and frame_coordinates read (phi and the 7 frame forms as
     scaled rows, the Gram table on a non-Euclidean metric and g^-1 / 4 as
@@ -526,27 +537,34 @@ class G2Structure:
 
     @cached_property
     def polarized_table(self) -> tuple:
-        """(rows, den): Bryant's formula polarized, on the coordinate directions.
+        """(table, den): Bryant's formula polarized, on the coordinate directions.
 
         B is the symmetric bilinear map on the parameters (c, w) with
         B(p, p) = twist(p).  On the directions e_c, dx_1..dx_7 it reads
         B(e_c, e_c) = phi, B(e_c, dx_j) = s_j and
         B(dx_i, dx_j) = dx_i ^ u_j + dx_j ^ u_i - (g^-1)_ij phi, with
-        s_j = star_dx_phi[j] and u_j = star_dx_star_phi[j].  rows[a][b]
-        holds the 35 coefficients of B(a, b) times den (index 0 is e_c):
-        Context.scaled entries, ints in exact mode."""
+        s_j = star_dx_phi[j] and u_j = star_dx_star_phi[j]; each dx_i ^ u_j
+        is a signed selection of u_j's coefficients (_dx_wedge), no wedge.
+        table[a][b] (index 0 is e_c) is a tuple of the nonzero coefficients
+        of B(a, b) times den as (position, value) pairs, the same tuple at
+        (a, b) and (b, a): Context.scaled entries, ints in exact mode."""
         ctx, phi = self.ctx, self.phi
         stars, ustars = self.star_dx_phi, self.star_dx_star_phi
         ginv = _metric_inverse(self.metric)
-        dx = [KForm(1, basis_vector(j, ctx)) for j in range(1, DIM + 1)]
         forms = [[phi, *stars]] + [[s] + [None] * DIM for s in stars]
         for i in range(DIM):
             for j in range(i, DIM):
                 forms[i + 1][j + 1] = forms[j + 1][i + 1] = (
-                    wedge(dx[i], ustars[j]) + wedge(dx[j], ustars[i]) - ginv[i][j] * phi)
+                    _dx_wedge(i, ustars[j], ctx) + _dx_wedge(j, ustars[i], ctx) - ginv[i][j] * phi)
         den = lcm(*(f.den for row in forms for f in row))
-        return tuple(tuple(tuple(x * (den // f.den) for x in f.num) for f in row)
-                     for row in forms), den
+        table = [[None] * (DIM + 1) for _ in range(DIM + 1)]
+        for a, row in enumerate(forms):
+            for b in range(a, DIM + 1):
+                f = row[b]
+                scale = den // f.den
+                table[a][b] = table[b][a] = tuple(
+                    (k, x * scale) for k, x in enumerate(f.num) if x)
+        return tuple(map(tuple, table)), den
 
     def star(self, a: KForm) -> KForm:
         return hodge_star(a, self.metric, self.orientation)
