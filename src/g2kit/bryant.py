@@ -15,11 +15,14 @@ the point's and the tangents' coordinates: the twist at x = (c, w) is
 sum_ab x_a x_b B(a, b).  The derivative's rank needs no tangent basis: it
 is the rank of the point's ambient images under that table, less one
 (derivative_rank).  Recovery tests the form's contraction matrix B against
-the structure's literally before it normalizes any metric, its generic
-branch reads the 3-form frame e_i . *phi and puts the recovered point back
-onto the sphere.  Both lanes run one code path; float checks read
-CONSTRAINT_TOL, RECOVERY_TOL and C_ZERO_SWITCH from context.py, and the
-exact lane tests literal equality.
+the structure's literally before it normalizes any metric, then reads
+X = x x^T off the form and takes x as a pivot column of X over the root of
+its diagonal entry: the pivot c when c^2 >= 1/16, else the largest diagonal
+entry of the block w w^T, so no point of the sphere divides by a small
+number.  Both lanes run one code path; float checks read CONSTRAINT_TOL and
+RECOVERY_TOL from context.py, a recovered |c| at or below C_ZERO_SWITCH is
+set to 0 before the antipodal representative is picked, and the exact lane
+tests literal equality.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ from fractions import Fraction
 from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
 from .errors import (
     ConstraintError,
-    DecompositionError,
     DegreeError,
     MetricMismatchError,
     RecoveryError,
@@ -47,10 +49,10 @@ from .exterior import (
 from .g2core import (
     Decomposition3,
     G2Structure,
+    _PAIRS,
     _contraction_matrix,
     _normalized_metric,
     frame_coordinates,
-    odot_inverse,
 )
 from .sampling import rational_unit_tuple
 
@@ -278,23 +280,43 @@ def _onto_sphere(s: G2Structure, p: TwistParams) -> TwistParams:
     return TwistParams(p.c / n, p.omega / n)
 
 
-def _recover_c_zero(s: G2Structure, phit: KForm) -> TwistParams:
-    try:
-        b = odot_inverse(phit + s.phi, s)
-    except DecompositionError as exc:
-        raise RecoveryError(f"c=0 branch inversion failed: {exc}") from exc
-    rows, ctx = b.rows, s.ctx
-    k = max(range(DIM), key=lambda i: rows[i][i])
-    bkk = rows[k][k]
-    if bkk <= 0:
-        raise RecoveryError("c=0 branch needs a positive rank-one symmetric part")
-    # b = 2 w w^T: w is column k over 2 w_k
-    wk = ctx.sqrt(bkk / 2)
-    w = [rows[i][k] / (2 * wk) for i in range(DIM)]
-    gap = max(abs(rows[i][j] - 2 * w[i] * w[j]) for i in range(DIM) for j in range(DIM))
-    if not ctx.is_zero(gap, RECOVERY_TOL * max(1, bkk)):
-        raise RecoveryError("c=0 branch data is not rank one")
-    return TwistParams(ctx.zero, KForm(1, tuple(w)))
+# position of the pair (min(i, j), max(i, j)) in g2core's _PAIRS, the rows of
+# the structure's _odot_inverse_table
+_PAIR_AT = tuple(tuple(_PAIRS.index((min(i, j), max(i, j))) for j in range(DIM))
+                 for i in range(DIM))
+
+
+def _recover_w_pivot(s: G2Structure, phit: KForm, phi_inner, coords, cden) -> TwistParams:
+    """x = X[:, k] / sqrt(X_kk) for X = x x^T and its largest diagonal entry
+    X_kk in the block W = w w^T, for phit = twist(x), x = (c, w).
+
+    phit + phi = 2c^2 phi + 2c *(w ^ phi) + odot(2 w w^T) with odot(g) = 3 phi,
+    and J = dB_phi[.] / lambda (the structure's _odot_inverse_table) kills
+    the 7-part, gives J(odot(h)) = 2h + tr_g(h) g and J(phi) = 3g.  On the
+    sphere, with c^2 = (a + 1)/8 for a = <phit, phi>, that makes
+    W = J(zeta) / 24 for zeta = 6 phit + (1 - a) phi, and X_0k = c w_k is
+    u_k = -(g coords)_k / 2 from the frame coordinates coords / cden.  Only
+    W's diagonal and its column k are read: 13 of the 28 sparse rows, summed
+    on zeta's scaled numerators (ints in exact mode)."""
+    ctx, phi, g = s.ctx, s.phi, s.metric
+    rows, tden = s._odot_inverse_entries
+    ((a_num,),), a_den = ctx.scaled([[phi_inner]])
+    f, e = 6 * phi.den * a_den, (a_den - a_num) * phit.den
+    zeta = [f * x + e * y for x, y in zip(phit.num, phi.num)]
+    # W = sign * (rows . zeta) / den with den made positive: lambda < 0 in orientation -1
+    den = 24 * phit.den * phi.den * a_den * tden
+    sign = 1 if den > 0 else -1
+    den *= sign
+    diag = [sign * sum(v * zeta[q] for q, v in rows[_PAIR_AT[i][i]]) for i in range(DIM)]
+    k = max(range(DIM), key=diag.__getitem__)
+    if diag[k] <= 0:
+        raise RecoveryError("w w^T read off the form has no positive diagonal entry")
+    col = [diag[i] if i == k else sign * sum(v * zeta[q] for q, v in rows[_PAIR_AT[i][k]])
+           for i in range(DIM)]
+    root = ctx.sqrt(diag[k] / den)
+    c = ctx.ratio(-sum(x * y for x, y in zip(g.num[k], coords)), 2 * g.den * cden) / root
+    ((scale,),), sden = ctx.scaled([[den * root]])
+    return TwistParams(c, KForm._of(1, [y * sden for y in col], scale, ctx))
 
 
 def _check_metric(s: G2Structure, phit: KForm):
@@ -317,13 +339,18 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     Tests the induced metric and orientation first (MetricMismatchError):
     the form's contraction matrix B is compared with the structure's
     literally, and only a B that differs is normalized to a metric and
-    compared within RECOVERY_TOL.  Then it branches on
-    c^2 = (<phit, phi> + 1)/8: the generic branch reads omega from the frame
-    coordinates of the 7-part and puts (c, omega) back onto the sphere
-    (_onto_sphere, which moves only float points), the c = 0 branch inverts
-    the symmetric action and extracts a rank-one square root.  The reported
-    residual is the max-abs difference between re-twisting the recovered
-    parameters and the input; exact mode demands literal zero.
+    compared within RECOVERY_TOL.  Then it reads x = (c, w) off
+    X = x x^T, with X_00 = c^2 = (<phit, phi> + 1)/8 and X_0i = c w_i from
+    the frame coordinates of the 7-part, and divides a pivot column of X by
+    the root of its diagonal entry.  At c^2 >= 1/16 the pivot is c
+    (_recover_c_positive); below it, the largest diagonal entry of the
+    block W = w w^T, read off the symmetric action's table
+    (_recover_w_pivot), where a recovered |c| at or below C_ZERO_SWITCH is
+    set to 0 (literally zero in exact mode).  The point is put back onto
+    the sphere (_onto_sphere, which moves only float points) and made
+    canonical.  The reported residual is the max-abs difference between
+    re-twisting the recovered parameters and the input; exact mode demands
+    literal zero.
     """
     phit = coerce_form(phit, s.ctx)
     if phit.degree != 3:
@@ -335,12 +362,13 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     excess = max(-c_sq, c_sq - 1)  # positive outside [0, 1]
     if excess > 0 and not ctx.is_zero(excess, CONSTRAINT_TOL):
         raise RecoveryError(f"implied c^2 = {c_sq} outside [0, 1]")
-    c = ctx.sqrt(min(max(c_sq, 0), 1))
-    if ctx.is_zero(c, C_ZERO_SWITCH):
-        params = _recover_c_zero(s, phit)
+    if 16 * c_sq >= 1:
+        params = _recover_c_positive(s, coords, cden, ctx.sqrt(min(c_sq, 1)))
     else:
-        params = _onto_sphere(s, _recover_c_positive(s, coords, cden, c))
-    params = params.canonical()
+        params = _recover_w_pivot(s, phit, phi_inner, coords, cden)
+        if ctx.is_zero(params.c, C_ZERO_SWITCH):
+            params = TwistParams(ctx.zero, params.omega)
+    params = _onto_sphere(s, params).canonical()
     err = (twist(s, params) - phit).max_abs()
     residual = float(err)
     if not ctx.is_zero(err, tol * max(1.0, float(phit.max_abs()))):

@@ -42,11 +42,11 @@ DEFAULT_TOL = 1e-10
 SO7_TOL = 1e-10
 # c^2 + |omega|^2 = 1, tangency c c_dot + <omega, omega_dot> = 0, the range of c^2 in recover.
 CONSTRAINT_TOL = 1e-12
-# recover: induced metric match, the c = 0 branch's rank-one gap |b - 2 w w^T|
-# (relative to max(1, b_kk)) and the re-twist residual (relative to max(1, |phit|)).
+# recover: induced metric match and the re-twist residual (relative to max(1, |phit|)).
 RECOVERY_TOL = 1e-9
-# float recover takes the c = 0 branch at or below this c.
-C_ZERO_SWITCH = 1e-7
+# recover sets a recovered |c| at or below this to 0 before it picks the
+# antipodal representative; it lies below the 1e-10 that equivalent_to allows in c.
+C_ZERO_SWITCH = 1e-11
 # relative: singular values at or below this times the largest count as zero.
 FLOAT_RANK_CUTOFF = 1e-8
 # Lie side: holonomy generators in SO(7) and G2, algebra elements killing phi,
@@ -316,17 +316,21 @@ def lane_of(values) -> Context:
 
 
 def _int_nth_root(m: int, n: int):
-    """Largest r with r**n <= m, for m >= 0 (exact integer Newton)."""
+    """Largest r with r**n <= m, for m >= 0: math.isqrt for n = 2, else an
+    integer Newton iteration from 2**ceil(bits / n), which lies above the
+    root, so it decreases until it stops at the root (no float guess)."""
     if m < 0:
         raise ValueError("negative radicand")
-    if m in (0, 1):
+    if n == 2:
+        return math.isqrt(m)
+    if m < 2:
         return m
-    r = int(round(m ** (1.0 / n))) or 1
-    while r ** n > m:
-        r = (r * (n - 1) + m // r ** (n - 1)) // n
-    while (r + 1) ** n <= m:
-        r += 1
-    return r
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        nxt = ((n - 1) * r + m // r ** (n - 1)) // n
+        if nxt >= r:
+            return r
+        r = nxt
 
 
 def rational_nth_root(q: Fraction, n: int) -> Fraction | None:

@@ -395,7 +395,8 @@ class G2Structure:
     polarized table of Bryant's formula on the coordinate directions that
     the twist, its type parts and its derivative read (the nonzero scaled
     entries of 8 x 8 3-forms over one den), the
-    derivative table of B that odot_inverse reads, the frame table that
+    derivative table of B that odot_inverse reads (and its nonzero entries,
+    which recover reads at c^2 < 1/16), the frame table that
     decompose3 and frame_coordinates read (phi and the 7 frame forms as
     scaled rows, the Gram table on a non-Euclidean metric and g^-1 / 4 as
     scaled rows), and g^-1 as scaled rows for odot.
@@ -524,6 +525,14 @@ class G2Structure:
         # stays on both sides so that float phi with integer entries round as before
         contraction, _ = self._contraction
         return rows, self.ctx.ratio(3 * contraction[0][0], 3 * pden * self.metric.rows[0][0])
+
+    @cached_property
+    def _odot_inverse_entries(self) -> tuple:
+        """(rows, den): _odot_inverse_table with each row kept as its nonzero
+        (position, value) pairs, as polarized_table stores B (105 of 980
+        entries are nonzero on phi0), for sums that read a few rows."""
+        rows, den = self._odot_inverse_table
+        return tuple(tuple((q, x) for q, x in enumerate(row) if x) for row in rows), den
 
     @cached_property
     def star_dx_star_phi(self) -> tuple:

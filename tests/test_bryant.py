@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g2kit import bryant, exterior, g2core
 from g2kit.bryant import (
@@ -24,9 +24,10 @@ from g2kit.bryant import (
     twist_decomposed,
     twist_derivative,
 )
-from g2kit.context import FLOAT, Context
+from g2kit.context import CONSTRAINT_TOL, FLOAT, RECOVERY_TOL, Context
 from g2kit.errors import (
     ConstraintError,
+    DecompositionError,
     DegreeError,
     ExactModeError,
     G2KitError,
@@ -35,11 +36,12 @@ from g2kit.errors import (
     RecoveryError,
     TangencyError,
 )
-from g2kit.exterior import DIM, KForm, form_inner, hodge_star, pullback, wedge
+from g2kit.exterior import DIM, KForm, coerce_form, form_inner, hodge_star, pullback, wedge
 from g2kit.g2core import (
     G2Structure,
     decompose2,
     decompose3,
+    frame_coordinates,
     metric_from_phi,
     odot,
     odot_inverse,
@@ -380,7 +382,7 @@ def test_c_zero_recovery_matches_eigh_reference(kind, rng):
         p = gamma_sample(m, rng, force_c_zero=True).params
         rec = recover(s, twist(s, p))
         assert rec.params == p and rec.residual == 0
-        # c = 0 exactly and c = 1e-12, both at or below the c = 0 switch
+        # c = 0 exactly and c = 1e-12: recover sets a |c| at or below C_ZERO_SWITCH to 0
         for c in (0.0, 1e-12):
             phit = twist(sf, TwistParams(c, p.omega.as_float()))
             want = ref_float_recover_c_zero(sf, phit)
@@ -1040,3 +1042,243 @@ def test_recover_refuses_what_it_refused(mode):
     for name, phit in forms.items():
         assert raised(lambda: recover(s, phit)) is want[name], name
         assert raised(lambda: ref_check_metric(s, phit)) is want[name], name
+
+
+# -- recover through a pivot of X = x x^T, against the earlier c-switch branch --
+
+
+def ref_recover_c_zero(s, phit):
+    """The earlier c = 0 branch: odot_inverse of phit + phi is b = 2 w w^T,
+    and w is its column k over 2 w_k at its largest diagonal entry b_kk."""
+    try:
+        b = odot_inverse(phit + s.phi, s)
+    except DecompositionError as exc:
+        raise RecoveryError(f"c=0 branch inversion failed: {exc}") from exc
+    rows, ctx = b.rows, s.ctx
+    k = max(range(DIM), key=lambda i: rows[i][i])
+    bkk = rows[k][k]
+    if bkk <= 0:
+        raise RecoveryError("c=0 branch needs a positive rank-one symmetric part")
+    wk = ctx.sqrt(bkk / 2)
+    w = [rows[i][k] / (2 * wk) for i in range(DIM)]
+    gap = max(abs(rows[i][j] - 2 * w[i] * w[j]) for i in range(DIM) for j in range(DIM))
+    if not ctx.is_zero(gap, RECOVERY_TOL * max(1, bkk)):
+        raise RecoveryError("c=0 branch data is not rank one")
+    return TwistParams(ctx.zero, KForm(1, tuple(w)))
+
+
+def ref_recover(s, phit, tol=RECOVERY_TOL):
+    """The earlier recover: c = sqrt((<phit, phi> + 1)/8), then w = u / c above
+    the earlier switch |c| = 1e-7 and the c = 0 branch at or below it."""
+    phit = coerce_form(phit, s.ctx)
+    if phit.degree != 3:
+        raise DegreeError("recover expects a 3-form")
+    bryant._check_metric(s, phit)
+    ctx = s.ctx
+    phi_inner, (coords, cden) = frame_coordinates(phit, s)
+    c_sq = (phi_inner + 1) / 8
+    excess = max(-c_sq, c_sq - 1)
+    if excess > 0 and not ctx.is_zero(excess, CONSTRAINT_TOL):
+        raise RecoveryError(f"implied c^2 = {c_sq} outside [0, 1]")
+    c = ctx.sqrt(min(max(c_sq, 0), 1))
+    if ctx.is_zero(c, 1e-7):
+        params = ref_recover_c_zero(s, phit)
+    else:
+        params = bryant._onto_sphere(s, bryant._recover_c_positive(s, coords, cden, c))
+    params = params.canonical()
+    err = (twist(s, params) - phit).max_abs()
+    if not ctx.is_zero(err, tol * max(1.0, float(phit.max_abs()))):
+        raise RecoveryError(f"recovery residual {float(err)} above {tol}")
+    return bryant.Recovery(params=params, residual=float(err))
+
+
+def near_equator(u, t=Fraction(9, 10)):
+    """(c, s u) with c = (1 - t^2)/(1 + t^2) and s = 2t/(1 + t^2): a rational
+    point with 0 < c^2 < 1/16 (c = 19/181 at t = 9/10) for a unit 1-form u."""
+    return TwistParams((1 - t * t) / (1 + t * t), u * (2 * t / (1 + t * t)))
+
+
+def model_points(kind, rng):
+    """A generic point, a c = 0 point and a point with 0 < c^2 < 1/16 on a model."""
+    b1 = flat_model(kind).b1
+    return [sample_params(rng, b1), sample_params(rng, b1, force_c_zero=True),
+            near_equator(sample_params(rng, b1, force_c_zero=True).omega)]
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_exact_recover_equals_the_c_switch_reference_on_models(kind, rng):
+    """Literally equal Recovery (parameters and residual) at generic points,
+    at c = 0 and at 0 < c^2 < 1/16, and at their antipodes."""
+    s = model_structure(kind, "exact")
+    for _ in range(4):
+        for p in model_points(kind, rng):
+            for q in (p, p.antipode()):
+                phit = twist(s, q)
+                assert recover(s, phit) == ref_recover(s, phit)
+
+
+@given(rational_frames(), sphere_points(), st.lists(st.integers(-3, 3), min_size=DIM, max_size=DIM))
+@settings(max_examples=8, deadline=None)
+def test_exact_recover_equals_the_c_switch_reference_on_rational_frames(a, p, u):
+    """On frames of both orientations, with a non-Euclidean metric: a
+    pulled-back point, a pulled-back c = 0 point and one with
+    0 < c^2 < 1/16, literally equal to the earlier recover."""
+    s = frame_structure(a)
+    unit = frame_point(TwistParams(0, KForm.basis((1 + sum(map(abs, u)) % DIM,))), a)
+    for q in (frame_point(p, a), unit, near_equator(unit.omega)):
+        assert q.constraint_residual(s) == 0
+        phit = twist(s, q)
+        assert recover(s, phit) == ref_recover(s, phit)
+
+
+def unusual_forms(s):
+    """Forms by name: foreign metrics and orientations, a degenerate form, a
+    2-form, a c = 0 twist plus 1e-6 *(dx_1 ^ phi) (a 7-part of phi, not of
+    the twist, so it moves the metric), and the
+    quadratic Q(x) at points x whose x x^T is rational but x is not
+    (c^2 = 1/2, c = 0 with w_1^2 = w_2^2 = 1/2, and c^2 = 1/50 < 1/16),
+    which only the exact lane refuses."""
+    ctx = s.ctx
+    diag = [[ctx.scalar(2 if i == j == 0 else int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    dx1, dx2 = (KForm.from_entries(1, {(j,): 1}, ctx) for j in (1, 2))
+    c_zero = twist(s, TwistParams(ctx.zero, dx2))
+    return {
+        "2phi": 2 * s.phi,
+        "8phi": 8 * s.phi,
+        "-phi": -1 * s.phi,
+        "pullback": pullback(s.phi, diag),
+        "degenerate": KForm.from_entries(3, {(1, 2, 3): 1}, ctx),
+        "2-form": KForm.from_entries(2, {(1, 2): 1}, ctx),
+        "seven": c_zero + ctx.scalar(Fraction(1, 10 ** 6)) * s.star_dx_phi[0],
+        # ref_twist is the quadratic form Q on any (c, w): Q(y / sqrt(m)) = Q(y) / m
+        "c^2=1/2": ref_twist(s, TwistParams(ctx.one, dx1)) * ctx.scalar(Fraction(1, 2)),
+        "w^2=1/2": ref_twist(s, TwistParams(ctx.zero, dx1 + dx2)) * ctx.scalar(Fraction(1, 2)),
+        "c^2=1/50": ref_twist(s, TwistParams(ctx.one, 7 * dx1)) * ctx.scalar(Fraction(1, 50)),
+    }
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_recover_refuses_what_the_c_switch_reference_refused(mode):
+    """Both lanes refuse the same forms as the earlier recover, with the same
+    error classes: every unusual form in exact mode, all but the three
+    irrational points in float mode, where those are recovered."""
+    s = standard_structure(mode)
+    irrational = {"c^2=1/2", "w^2=1/2", "c^2=1/50"}
+    for name, phit in unusual_forms(s).items():
+        want = raised(lambda: ref_recover(s, phit))
+        assert raised(lambda: recover(s, phit)) is want, name
+        assert (want is None) == (mode == "float" and name in irrational), (name, want)
+
+
+# a sheared frame with cond(a^T a) about 20: phi0 pulled back has a non-Euclidean metric
+SHEAR = [[1 if j in (i, (i + 1) % DIM) else 0 for j in range(DIM)] for i in range(DIM)]
+
+
+@given(st.sampled_from(["t7", "s1xcy3", "t3xk3", "shear"]), st.floats(0.0, 1.0), st.booleans(),
+       st.integers(0, 2 ** 32))
+@example("t7", 0.0, False, 1)
+@example("t7", 1e-12, True, 2)
+@example("s1xcy3", 1e-8, False, 3)
+@example("t3xk3", 1e-6, True, 4)
+@example("shear", 1e-6, False, 5)
+@example("t7", 1e-4, False, 6)
+@example("t3xk3", 1e-2, True, 7)
+@example("shear", 1 - 1e-12, True, 8)
+@settings(max_examples=60, deadline=None)
+def test_recover_float_roundtrip_on_the_whole_sphere(kind, c, flip, seed):
+    """Float twist -> recover returns the point, up to the antipode and
+    within FLOAT.tol, for every |c| in [0, 1]: below c^2 = 1/16 it is read
+    off the pivot column of w w^T, so nothing divides by a small c."""
+    if kind == "shear":
+        s, b1 = G2Structure(pullback(phi0(FLOAT), SHEAR), FLOAT), DIM
+    else:
+        s, b1 = model_structure(kind, "float"), flat_model(kind).b1
+    rng = random.Random(seed)
+    w = [rng.gauss(0.0, 1.0) for _ in range(b1)]
+    scale = math.sqrt(1.0 - c * c) / math.sqrt(sum(x * x for x in w))
+    p = TwistParams(-c if flip else c, KForm(1, tuple(x * scale for x in w) + (0.0,) * (DIM - b1)))
+    if kind == "shear":
+        p = frame_point(p, SHEAR)
+    rec = recover(s, twist(s, p))
+    assert rec.params.equivalent_to(p, FLOAT.tol), (rec.params, p)
+    assert rec.residual <= RECOVERY_TOL
+
+
+@pytest.fixture
+def symmetric_inverse_calls(monkeypatch):
+    """Calls of odot_inverse and decompose3 through any module that imports them."""
+    calls = []
+    for name in ("odot_inverse", "decompose3"):
+        real = getattr(g2core, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        # bryant imports neither; one it imported later would be counted too
+        for module in (g2core, bryant):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_warm_c_zero_recover_takes_no_odot_inverse(symmetric_inverse_calls, mode):
+    """w w^T is read off 13 rows of the symmetric action's table: a warm
+    recover of a c = 0 twist, and of one with 0 < c^2 < 1/16, calls
+    odot_inverse and decompose3 0 times, on a model and on a sheared frame."""
+    rng = random.Random(mode)
+    ctx = Context.of(mode)
+    frame = G2Structure(pullback(phi0(ctx), SHEAR), ctx)
+    cases = [(model_structure("t7", mode), sample_params(rng, force_c_zero=True)),
+             (model_structure("t7", mode), near_equator(sample_params(rng, force_c_zero=True).omega)),
+             (frame, frame_point(sample_params(rng, force_c_zero=True), SHEAR))]
+    for s, p in cases:
+        if mode == "float":
+            p = float_point(p)
+        phit = twist(s, p)
+        recover(s, phit)  # the structure's lazy tables are built on first use
+        del symmetric_inverse_calls[:]
+        assert recover(s, phit).params.equivalent_to(p, FLOAT.tol)
+        assert symmetric_inverse_calls == []
+
+
+def assert_w_pivot_identities(s, p):
+    """The identities behind recover's W = w w^T, literally: J = dB_phi / lambda
+    kills the 7-part, J(phit + phi) = J(p1 + p27); tr_g J(phit + phi) =
+    3(<phit, phi> + 7); J(phi) = 3g; and W = J(6 phit + (1 - a) phi) / 24 for
+    a = <phit, phi>.  The sparse rows are the dense table's nonzero entries."""
+    ctx, g = s.ctx, s.metric.rows
+    table = s._odot_inverse_table
+    sparse, den = s._odot_inverse_entries
+    assert den == table[1] and all(
+        row == tuple((q, x) for q, x in enumerate(dense) if x) for row, dense in zip(sparse, table[0]))
+    phit = twist(s, p)
+    d = decompose3(phit, s)
+    jvec = g2core._apply(table, phit + s.phi, ctx)
+    assert jvec == g2core._apply(table, d.p1 + d.p27 + s.phi, ctx)
+    ginv = exterior._metric_inverse(s.metric)
+    trace = sum(ginv[i][j] * x * (1 if i == j else 2) for (i, j), x in zip(g2core._PAIRS, jvec))
+    a = form_inner(phit, s.phi, s.metric)
+    assert trace == 3 * (a + 7)
+    assert g2core._apply(table, s.phi, ctx) == [3 * g[i][j] for i, j in g2core._PAIRS]
+    w = p.omega.coeffs
+    zeta = 6 * phit + (1 - a) * s.phi
+    assert [x / 24 for x in g2core._apply(table, zeta, ctx)] == [w[i] * w[j] for i, j in g2core._PAIRS]
+
+
+@given(rational_frames(), sphere_points())
+@settings(max_examples=6, deadline=None)
+def test_w_pivot_identities_on_rational_frames(a, p):
+    """On frames of both orientations, at a pulled-back point and at the
+    pulled-back c = 0 point (0, dx_1)."""
+    s = frame_structure(a)
+    for q in (frame_point(p, a), frame_point(TwistParams(0, KForm.basis((1,))), a)):
+        assert_w_pivot_identities(s, q)
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_w_pivot_identities_on_models(kind, rng):
+    s = model_structure(kind, "exact")
+    for _ in range(3):
+        for p in model_points(kind, rng):
+            assert_w_pivot_identities(s, p)

@@ -12,6 +12,7 @@ from g2kit.cli import main
 from g2kit.exterior import DIM, KForm, interior
 from g2kit.g2core import phi0
 from g2kit.serialize import kform_to_json
+from test_context import time_limit
 
 OMEGA_X1 = '{"degree": 1, "entries": [{"idx": [1], "coeff": "4/5"}]}'
 
@@ -357,3 +358,34 @@ def test_hostile_stdin_exits_two(monkeypatch, command, k):
 @pytest.mark.parametrize("c", ["1e999999999", "1E-99999", "1e1_0000", "1e00004301"])
 def test_huge_decimal_exponent_exits_two(mode, c):
     assert main(["twist", "--mode", mode, "--c", c, "--omega", OMEGA_X1]) == 2
+
+
+# A point whose c^2 = (<phit, phi> + 1)/8 has an 80-digit numerator: a float
+# first guess of its integer square root lands about 1e24 below the root.
+LONG_C = "171700082492251125137249489474173704951/1840600057142114054268473294296797050249"
+LONG_OMEGA = json.dumps({"degree": 1, "entries": [{"idx": [1], "coeff": (
+    "1832574050897727756115710628582283761360/1840600057142114054268473294296797050249")}]})
+
+
+def test_exact_recover_of_a_long_rational_point(capsys, tmp_path):
+    code, rep = run_json(capsys, ["twist", "--mode", "exact", "--c=" + LONG_C, "--omega", LONG_OMEGA])
+    assert code == 0
+    path = tmp_path / "phit.json"
+    path.write_text(json.dumps(rep["outputs"]["phit"]))
+    with time_limit(60):
+        code, rep = run_json(capsys, ["recover", "--mode", "exact", str(path)])
+    assert code == 0
+    assert rep["outputs"]["params"]["c"] == LONG_C
+    assert rep["outputs"]["params"]["omega"] == json.loads(LONG_OMEGA)
+    assert rep["residuals"]["reconstruction"] == "0"
+
+
+def test_exact_recover_of_a_tiny_multiple_of_phi0_exits_one(capsys, tmp_path):
+    """The normalization of phi0 / 10^20 takes the ninth root of a rational
+    with a 421-digit denominator, beyond the float range; it needs no float
+    and refuses the form (no rational ninth root) with an error line and no
+    traceback."""
+    path = write_form(tmp_path, phi0() * Fraction(1, 10 ** 20))
+    assert main(["recover", "--mode", "exact", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: exact metric normalization needs det(B)/6^7 to be a rational ninth power\n"

@@ -1,16 +1,19 @@
 """The lane object: Context validation, its lane API, and the one tolerance ladder."""
 import ast
+import contextlib
 import dataclasses
 import math
 import re
+import signal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import g2kit
 from g2kit import ratlin
-from g2kit.context import EXACT, FLOAT, Context, lane_of
+from g2kit.context import EXACT, FLOAT, Context, _int_nth_root, lane_of, rational_nth_root
 from g2kit.errors import ExactModeError, G2KitError, ParseError
 from g2kit.exterior import KForm, basis_vector
 from g2kit.g2core import phi0, standard_structure, symmetric_basis
@@ -123,6 +126,46 @@ def test_lane_api():
     sym = [[1, 2], [2, 5]]
     assert EXACT.symmetric(sym) is sym
     assert FLOAT.symmetric([[1.0, 2.0], [4.0, 5.0]]) == [[1.0, 3.0], [3.0, 5.0]]
+
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raises TimeoutError in the block once it runs past seconds, rather than
+    letting a non-terminating loop hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@given(st.integers(0, 10 ** 700), st.integers(2, 11))
+@settings(max_examples=300, deadline=None)
+def test_int_nth_root_is_the_integer_floor(m, n):
+    """r**n <= m < (r + 1)**n on ints far above the float range, where a float
+    first guess raises OverflowError, and on roots of 60 digits, where it
+    lands so far below the root that a scan upward never ends."""
+    with time_limit(5):
+        r = _int_nth_root(m, n)
+    assert r ** n <= m < (r + 1) ** n
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_rational_nth_root_of_long_powers(n):
+    """Exact n-th roots of n-th powers of 60-digit rationals, one more or less
+    than such a power has none, and radicands above 1.8e308 need no float."""
+    q = Fraction(3 ** 125 + 7, 2 ** 199 + 1)
+    with time_limit(5):
+        assert rational_nth_root(q ** n, n) == q
+        assert rational_nth_root(q ** n + 1, n) is None
+        assert rational_nth_root(Fraction(10 ** (400 * n)), n) == 10 ** 400
+        assert n != 2 or EXACT.sqrt(q * q) == q
 
 
 def _tolerance_literals(path):
