@@ -35,6 +35,11 @@ folds the scaling of sqrt(det g) into the result's denominator.  The star
 of a k-form with k >= 4 reads the (7 - k) x (7 - k) minors of g instead
 (Jacobi's complementary-minor identity): they are of lower order than the
 k x k minors of g^-1, and their float rounding grows far less with cond(g).
+So does the float star of a 3-form (of phi, at construction): through the
+4 x 4 minors of g a valid pullback of phi0 keeps |phi|^2 = 7 on frames
+where the 3 x 3 minors of g^-1 miss it by 1e-6.  The exact star of a
+3-form, the same either way, keeps the degree-3 Gram, which decompose3 and
+odot_inverse read too.
 """
 from __future__ import annotations
 
@@ -621,7 +626,7 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
         return KForm._of(out_deg, out, a.den, a._lane)
     lane = lane_of((a.num[0], m.num[0][0]))
     a = coerce_form(a, lane)
-    if k > out_deg:
+    if k > out_deg or (k == 3 and not lane.is_exact):
         # Jacobi: the k x k minor of g^-1 on rows I, columns J is
         # s_I s_J det(g[I^c, J^c]) / det g, s the signs of comp, so
         # (*a)_{I^c} = vol / det g * sum_J det(g[I^c, J^c]) s_J a_J

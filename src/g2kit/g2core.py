@@ -386,7 +386,9 @@ class G2Structure:
     constant signs (_contractions), no arithmetic.  The frame's inverse Gram
     matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.  The star
     of phi is one int product with the metric's Gram table of 3-forms, which
-    exterior keeps as (int rows, den) in exact mode.
+    exterior keeps as (int rows, den) in exact mode; in float mode it is one
+    product with the 4 x 4 minors of g, which keep |phi|^2 = 7 within
+    PHI_NORM_TOL on far worse conditioned metrics than the Gram does.
 
     Built lazily on first use, so construction does not pay for them: the
     7-space basis basis2_7 (one span), the 14-space basis basis2_14 (the
