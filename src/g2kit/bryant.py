@@ -299,7 +299,7 @@ def _recover_w_pivot(s: G2Structure, phit: KForm, phi_inner, coords, cden) -> Tw
     W's diagonal and its column k are read: 13 of the 28 sparse rows, summed
     on zeta's scaled numerators (ints in exact mode)."""
     ctx, phi, g = s.ctx, s.phi, s.metric
-    rows, tden = s._odot_inverse_entries
+    rows, tden = s._odot_inverse_table
     ((a_num,),), a_den = ctx.scaled([[phi_inner]])
     f, e = 6 * phi.den * a_den, (a_den - a_num) * phit.den
     zeta = [f * x + e * y for x, y in zip(phit.num, phi.num)]

@@ -32,14 +32,12 @@ exact lane, where g^-1 = G / d for an int matrix G, and float rows over 1
 in the float lane.  gram_apply, form_inner and the non-Euclidean hodge_star
 run one matvec of the table with their form's stored numerators; the star
 folds the scaling of sqrt(det g) into the result's denominator.  The star
-of a k-form with k >= 4 reads the (7 - k) x (7 - k) minors of g instead
-(Jacobi's complementary-minor identity): they are of lower order than the
-k x k minors of g^-1, and their float rounding grows far less with cond(g).
-So does the float star of a 3-form (of phi, at construction): through the
-4 x 4 minors of g a valid pullback of phi0 keeps |phi|^2 = 7 on frames
-where the 3 x 3 minors of g^-1 miss it by 1e-6.  The exact star of a
-3-form, the same either way, keeps the degree-3 Gram, which decompose3 and
-odot_inverse read too.
+of a k-form with k >= 3 reads the (7 - k) x (7 - k) minors of g instead
+(Jacobi's complementary-minor identity): they are of no higher order than
+the k x k minors of g^-1, and their float rounding grows far less with
+cond(g).  For the star of phi at construction that keeps a valid float
+pullback of phi0 at |phi|^2 = 7 on frames where the 3 x 3 minors of g^-1
+miss it by 1e-6; the exact star is the same either way.
 """
 from __future__ import annotations
 
@@ -509,11 +507,9 @@ def _sqrt_det(m: Metric):
 @lru_cache(maxsize=None)
 def _laplace_table(r: int):
     """Expansion of an order-r minor along its first row: per r-index J, the
-    column of J[0], the position of J[1:] in BASIS[r - 1], and one (column,
-    position of J without it, sign) per later entry of J."""
-    return tuple((J[0] - 1, POS[r - 1][J[1:]],
-                  tuple((j - 1, POS[r - 1][J[:t] + J[t + 1:]], (-1) ** t)
-                        for t, j in enumerate(J) if t))
+    flat pairs (column of J[t], position of J without J[t] in BASIS[r - 1])
+    for t = 0..r-1, whose terms alternate in sign from +."""
+    return tuple(tuple(x for t, j in enumerate(J) for x in (j - 1, POS[r - 1][J[:t] + J[t + 1:]]))
                  for J in BASIS[r])
 
 
@@ -522,18 +518,32 @@ def compound(rows, k: int) -> list:
     I, J = BASIS[k][p], BASIS[k][q], order by order by Laplace expansion
     (_laplace_table) in the entries' own arithmetic (ints for Context.scaled
     rows).  Terms add left to right from the first, so float minors of
-    orders 2 and 3 are bit for bit the textbook expansion."""
+    orders 2 and 3 are bit for bit the textbook expansion.  Orders up to 4
+    (the star of phi reads order 4) run as one expression per minor, with
+    the expansion's signs written out."""
     minors = [[1]]
     for r in range(1, k + 1):
         table, nxt = _laplace_table(r), []
         for I in BASIS[r]:
             row, below = rows[I[0] - 1], minors[POS[r - 1][I[1:]]]
-            out = []
-            for j, q, rest in table:
-                tot = row[j] * below[q]
-                for j, q, s in rest:
-                    tot += s * row[j] * below[q]
-                out.append(tot)
+            if r == 1:
+                out = [row[a] * below[b] for a, b in table]
+            elif r == 2:
+                out = [row[a] * below[b] - row[c] * below[d] for a, b, c, d in table]
+            elif r == 3:
+                out = [row[a] * below[b] - row[c] * below[d] + row[e] * below[f]
+                       for a, b, c, d, e, f in table]
+            elif r == 4:
+                out = [row[a] * below[b] - row[c] * below[d] + row[e] * below[f]
+                       - row[g] * below[h] for a, b, c, d, e, f, g, h in table]
+            else:
+                out = []
+                for t in table:
+                    tot = row[t[0]] * below[t[1]]
+                    for u in range(2, 2 * r, 2):
+                        x = row[t[u]] * below[t[u + 1]]
+                        tot = tot - x if u % 4 == 2 else tot + x
+                    out.append(tot)
             nxt.append(out)
         minors = nxt
     return minors
@@ -626,7 +636,7 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
         return KForm._of(out_deg, out, a.den, a._lane)
     lane = lane_of((a.num[0], m.num[0][0]))
     a = coerce_form(a, lane)
-    if k > out_deg or (k == 3 and not lane.is_exact):
+    if k >= 3:
         # Jacobi: the k x k minor of g^-1 on rows I, columns J is
         # s_I s_J det(g[I^c, J^c]) / det g, s the signs of comp, so
         # (*a)_{I^c} = vol / det g * sum_J det(g[I^c, J^c]) s_J a_J

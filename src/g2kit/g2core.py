@@ -195,6 +195,14 @@ def _apply(table, a: KForm, ctx: Context) -> list:
     return [ctx.ratio(x, den) for x in _matvec(rows, a.num)]
 
 
+def _apply_sparse(table, a: KForm, ctx: Context) -> list:
+    """_apply for a table whose rows are kept as their nonzero (position,
+    value) pairs."""
+    rows, den = table
+    num, den = a.num, den * a.den
+    return [ctx.ratio(sum(x * num[q] for q, x in row), den) for row in rows]
+
+
 def _contraction_matrix(coeffs):
     """B as rows of rows from phi's coefficients (exact ints, or floats).
     Float phi take numpy's bincount, a lane fork kept on measurement: on a
@@ -385,10 +393,9 @@ class G2Structure:
     rows, in exact mode).  The frame forms e_i . *phi are read off *phi with
     constant signs (_contractions), no arithmetic.  The frame's inverse Gram
     matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.  The star
-    of phi is one int product with the metric's Gram table of 3-forms, which
-    exterior keeps as (int rows, den) in exact mode; in float mode it is one
-    product with the 4 x 4 minors of g, which keep |phi|^2 = 7 within
-    PHI_NORM_TOL on far worse conditioned metrics than the Gram does.
+    of phi is one product with the 4 x 4 minors of g (int rows in exact
+    mode), which keep a float |phi|^2 = 7 within PHI_NORM_TOL on far worse
+    conditioned metrics than the Gram of g^-1 does.
 
     Built lazily on first use, so construction does not pay for them: the
     7-space basis basis2_7 (one span), the 14-space basis basis2_14 (the
@@ -397,8 +404,8 @@ class G2Structure:
     polarized table of Bryant's formula on the coordinate directions that
     the twist, its type parts and its derivative read (the nonzero scaled
     entries of 8 x 8 3-forms over one den), the
-    derivative table of B that odot_inverse reads (and its nonzero entries,
-    which recover reads at c^2 < 1/16), the frame table that
+    derivative table of B that odot_inverse and recover read (as each
+    row's nonzero entries), the frame table that
     decompose3 and frame_coordinates read (phi and the 7 frame forms as
     scaled rows, the Gram table on a non-Euclidean metric and g^-1 / 4 as
     scaled rows), and g^-1 as scaled rows for odot.
@@ -504,7 +511,9 @@ class G2Structure:
 
     @cached_property
     def _odot_inverse_table(self) -> tuple:
-        """(rows, den) with rows . eta / den = dB_phi[eta] / lambda on _PAIRS.
+        """(rows, den) with rows . eta / den = dB_phi[eta] / lambda on _PAIRS,
+        each row kept as its nonzero (position, value) pairs, as
+        polarized_table stores B (105 of 980 entries are nonzero on phi0).
 
         B(phi) = lambda g (metric_from_phi, lambda < 0 in orientation -1).
         dB_phi is the polarized cubic table: each term k phi_a phi_b phi_c of
@@ -526,15 +535,8 @@ class G2Structure:
         # rows = pden^2 dB_phi, so den = pden^2 lambda = 3 B(Phi)_11 / (3 pden g_11); the 3
         # stays on both sides so that float phi with integer entries round as before
         contraction, _ = self._contraction
-        return rows, self.ctx.ratio(3 * contraction[0][0], 3 * pden * self.metric.rows[0][0])
-
-    @cached_property
-    def _odot_inverse_entries(self) -> tuple:
-        """(rows, den): _odot_inverse_table with each row kept as its nonzero
-        (position, value) pairs, as polarized_table stores B (105 of 980
-        entries are nonzero on phi0), for sums that read a few rows."""
-        rows, den = self._odot_inverse_table
-        return tuple(tuple((q, x) for q, x in enumerate(row) if x) for row in rows), den
+        sparse = tuple(tuple((q, x) for q, x in enumerate(row) if x) for row in rows)
+        return sparse, self.ctx.ratio(3 * contraction[0][0], 3 * pden * self.metric.rows[0][0])
 
     @cached_property
     def star_dx_star_phi(self) -> tuple:
@@ -872,7 +874,7 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     # with p7 = 0 this is eta itself in the exact lane
     target = parts.p1 + parts.p27
-    jvec = _apply(s._odot_inverse_table, target, ctx)
+    jvec = _apply_sparse(s._odot_inverse_table, target, ctx)
     ginv, g = _metric_inverse(s.metric), s.metric.rows
     trace = sum(ginv[i][j] * x if i == j else 2 * ginv[i][j] * x
                 for (i, j), x in zip(_PAIRS, jvec)) / 9

@@ -1246,24 +1246,22 @@ def assert_w_pivot_identities(s, p):
     """The identities behind recover's W = w w^T, literally: J = dB_phi / lambda
     kills the 7-part, J(phit + phi) = J(p1 + p27); tr_g J(phit + phi) =
     3(<phit, phi> + 7); J(phi) = 3g; and W = J(6 phit + (1 - a) phi) / 24 for
-    a = <phit, phi>.  The sparse rows are the dense table's nonzero entries."""
+    a = <phit, phi>.  The table keeps only nonzero entries."""
     ctx, g = s.ctx, s.metric.rows
     table = s._odot_inverse_table
-    sparse, den = s._odot_inverse_entries
-    assert den == table[1] and all(
-        row == tuple((q, x) for q, x in enumerate(dense) if x) for row, dense in zip(sparse, table[0]))
+    assert all(x for row in table[0] for _, x in row)
     phit = twist(s, p)
     d = decompose3(phit, s)
-    jvec = g2core._apply(table, phit + s.phi, ctx)
-    assert jvec == g2core._apply(table, d.p1 + d.p27 + s.phi, ctx)
+    jvec = g2core._apply_sparse(table, phit + s.phi, ctx)
+    assert jvec == g2core._apply_sparse(table, d.p1 + d.p27 + s.phi, ctx)
     ginv = exterior._metric_inverse(s.metric)
     trace = sum(ginv[i][j] * x * (1 if i == j else 2) for (i, j), x in zip(g2core._PAIRS, jvec))
     a = form_inner(phit, s.phi, s.metric)
     assert trace == 3 * (a + 7)
-    assert g2core._apply(table, s.phi, ctx) == [3 * g[i][j] for i, j in g2core._PAIRS]
+    assert g2core._apply_sparse(table, s.phi, ctx) == [3 * g[i][j] for i, j in g2core._PAIRS]
     w = p.omega.coeffs
     zeta = 6 * phit + (1 - a) * s.phi
-    assert [x / 24 for x in g2core._apply(table, zeta, ctx)] == [w[i] * w[j] for i, j in g2core._PAIRS]
+    assert [x / 24 for x in g2core._apply_sparse(table, zeta, ctx)] == [w[i] * w[j] for i, j in g2core._PAIRS]
 
 
 @given(rational_frames(), sphere_points())

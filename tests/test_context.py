@@ -213,7 +213,7 @@ def _function_lines(tree):
 
 
 def test_lane_forks_are_counted():
-    """The kernel modules keep at most 5 lane forks, the places where the
+    """The kernel modules keep at most 4 lane forks, the places where the
     lanes still run different algorithms:
     - metric_from_phi's normalization (a rational ninth root in exact mode,
       the 1/9 power and the non-finite refusal in float mode);
@@ -222,12 +222,7 @@ def test_lane_forks_are_counted():
       is det g's numerator; in float mode the eigenvalues);
     - matrix_exp's refusal of exact input;
     - _contraction_matrix's numpy bincount for float coefficients (its
-      docstring gives the measurement that keeps it);
-    - hodge_star of a 3-form (in exact mode through the degree-3 Gram that
-      decompose3 and odot_inverse share, in float mode through the 4 x 4
-      minors of g, which keep a float structure's |phi|^2 = 7 on frames
-      where the Gram misses it; the 4 x 4 minors in exact mode cost about
-      8 % of structures_exact ops/s).
+      docstring gives the measurement that keeps it).
     Determinants, inverses, ranks, kernels, solves and integer scaling are
     Context methods, not forks, and every table of minors comes from
     exterior.compound in both lanes.  A type test for floats counts as a fork
@@ -244,7 +239,7 @@ def test_lane_forks_are_counted():
         forks += [(name, line) for n, line in enumerate(text.splitlines(), 1)
                   if n not in exempt and LANE_FORK.search(line)]
     assert detectors == LANE_DETECTORS
-    assert len(forks) <= 5, forks
+    assert len(forks) <= 4, forks
 
 
 def test_no_kernel_function_takes_an_exact_flag():
