@@ -321,7 +321,7 @@ def _recover_w_pivot(s: G2Structure, phit: KForm, phi_inner, coords, cden) -> Tw
 
 def _check_metric(s: G2Structure, phit: KForm):
     """MetricMismatchError unless phit induces the structure's metric and
-    orientation.  g = B / (6^(2/9) det(B)^(1/9)) after the sign flip, so a
+    orientation.  g = B / (6 (det(B) / 6^7)^(1/9)) after the sign flip, so a
     contraction matrix B(phit) literally equal to B(phi) settles it with no
     normalization; any other B is normalized (with metric_from_phi's
     errors) and compared as _metric_matches does."""

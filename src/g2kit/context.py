@@ -244,12 +244,13 @@ class Context:
         return out
 
     def det(self, m) -> Scalar:
-        """Determinant: Bareiss elimination in exact mode, numpy in float mode."""
+        """Determinant: Bareiss elimination in exact mode, in float mode the
+        signed product of partial-pivoting pivots (ratlin.det_float), so an
+        integer-valued matrix with exact pivots, such as 6 I, has its
+        determinant to the last bit."""
         from . import ratlin
 
-        if self.is_exact:
-            return ratlin.det_exact(m)
-        return float(np.linalg.det(np.asarray(m, dtype=float)))
+        return ratlin.det_exact(m) if self.is_exact else ratlin.det_float(m)
 
     def inv(self, m) -> list:
         """Inverse as rows; G2KitError("matrix is singular") in both modes."""

@@ -495,7 +495,7 @@ def _scaled_inverse(m: Metric) -> tuple:
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_det(m: Metric):
     """det g: an exact metric's det(num) / den^7, det(num) the last pivot of
-    its positivity test; numpy's determinant of a float metric."""
+    its positivity test; Context.det of a float metric."""
     det, lane = m._det, m._lane
     return lane.det(m.rows) if det is None else lane.ratio(det, m.den ** DIM)
 

@@ -233,7 +233,7 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
     """Metric and orientation induced by a nondegenerate 3-form.
 
     The contraction matrix B is normalized so that the standard form maps to
-    the identity metric: g = B / (6^(2/9) det(B)^(1/9)) after flipping the
+    the identity metric: g = B / (6 (det(B) / 6^7)^(1/9)) after flipping the
     sign of B (and recording orientation -1) when det(B) < 0.  Exact mode
     requires det(B) = 6^7 * c^9 for a rational c and raises ExactModeError
     otherwise; degenerate or indefinite B raises NotG2FormError.
@@ -279,7 +279,8 @@ def _normalized_metric(B, den, ctx: Context) -> tuple:
     else:
         if not isfinite(det_b):
             raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
-        num, scale = 1, 6.0 ** (2.0 / 9.0) * det_b ** (1.0 / 9.0)
+        # 6 (det B / 6^7)^(1/9) is 6.0 when det B = 6.0^7: phi0 gets g = I
+        num, scale = 1, 6.0 * (det_b / 6.0 ** 7) ** (1.0 / 9.0)
     try:
         metric = Metric._of([[x * num for x in row] for row in B], scale, ctx)
     except MetricError as exc:
@@ -585,8 +586,28 @@ class G2Structure:
     def inner(self, a: KForm, b: KForm):
         return form_inner(a, b, self.metric)
 
+    def describe(self) -> dict:
+        """What the structure is and what it has built so far: its lane,
+        orientation sign, the eigenvalues lambda7 and lambda14 of the 2-form
+        operator, whether its metric is literally the identity (then stars,
+        inner products and frame coordinates read no Gram of the metric), and
+        the names of the lazy tables built so far, in definition order."""
+        return {
+            "lane": self.ctx.mode,
+            "orientation": self.orientation.sign,
+            "lambda7": self.lambda7,
+            "lambda14": self.lambda14,
+            "euclidean": self.metric.is_euclidean,
+            "built": [name for name in _LAZY_TABLES if name in self.__dict__],
+        }
+
     def __repr__(self):
         return f"G2Structure(mode={self.ctx.mode}, orientation={self.orientation.sign:+d})"
+
+
+# the tables a G2Structure builds on first use, which describe() reports
+_LAZY_TABLES = tuple(name for name, value in vars(G2Structure).items()
+                     if isinstance(value, cached_property))
 
 
 @lru_cache(maxsize=None)

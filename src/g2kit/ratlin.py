@@ -6,9 +6,11 @@ fraction-free: each row is scaled to integers by the lcm of its
 denominators, rref runs Gauss-Jordan on Python ints with a gcd pass per
 updated row, rank runs the same elimination forward only, det uses
 Bareiss's exact-division elimination (Math. Comp. 22 (1968) 565-578), and a
-Fraction is built once per output entry.  The float lane defers to numpy;
-its rank decisions use the singular value cutoff context.FLOAT_RANK_CUTOFF
-of the tolerance ladder.  Callers pick a lane
+Fraction is built once per output entry.  The float lane takes det as the
+signed product of partial-pivoting pivots in pure Python (det_float, exact
+when the pivots are, as for phi0's contraction matrix 6 I) and defers the
+rest to numpy; its rank decisions use the singular value cutoff
+context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a lane
 through Context.det / inv / rank / nullspace / span / eigenvalue / solve.
 Matrices are lists/tuples of rows; vectors are flat sequences.
 """
@@ -291,6 +293,34 @@ def _svd_rank(sv) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > FLOAT_RANK_CUTOFF * sv[0]))
+
+
+def det_float(m) -> float:
+    """Determinant of a small float matrix (callers pass at most 7 x 7) as
+    the signed product of the pivots of Gaussian elimination with partial
+    pivoting, in pure Python.  Products of exact pivots stay exact, so
+    det(6 I) is 6.0 ** 7 and a signed permutation gives +-1.0; numpy's
+    det, exp of the summed log pivots, gives 279935.99999999953 for the
+    first.  A zero pivot column gives 0.0."""
+    a = [[float(x) for x in row] for row in m]
+    det = 1.0
+    while a:
+        col = [abs(row[0]) for row in a]
+        p = col.index(max(col))
+        top = a[p]
+        pv = top[0]
+        if pv == 0.0:
+            return 0.0
+        if p:
+            a[p] = a[0]
+            det = -det
+        det *= pv
+        rest, top = [], top[1:]
+        for row in a[1:]:
+            f = row[0] / pv
+            rest.append([x - f * y for x, y in zip(row[1:], top)] if f else row[1:])
+        a = rest
+    return det
 
 
 def rank_float(m) -> int:

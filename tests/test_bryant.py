@@ -24,7 +24,7 @@ from g2kit.bryant import (
     twist_decomposed,
     twist_derivative,
 )
-from g2kit.context import CONSTRAINT_TOL, FLOAT, RECOVERY_TOL, Context
+from g2kit.context import C_ZERO_SWITCH, CONSTRAINT_TOL, FLOAT, RECOVERY_TOL, Context
 from g2kit.errors import (
     ConstraintError,
     DecompositionError,
@@ -740,6 +740,46 @@ def test_cold_polarized_table_runs_no_wedge(wedge_calls):
             assert len(wedge_calls) == 0
 
 
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """Counts exterior._lambda_gram lookups made through any module that imports it."""
+    calls = []
+    real = exterior._lambda_gram
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (exterior, g2core, bryant):
+        monkeypatch.setattr(module, "_lambda_gram", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ("t7", "s1xcy3", "t3xk3"))
+def test_warm_float_model_op_reads_no_gram(gram_calls, kind, rng):
+    """A float model's metric is literally I, so its frame table keeps no
+    Gram, and a warm float family op (twist, twist_decomposed, recover at
+    c = 0 and c = 0.6, derivative_rank) looks up no Gram of the metric."""
+    s = model_structure(kind, "float")
+    assert s.metric.is_euclidean and s._frame_table[2] is None
+    unit = rational_unit_tuple(rng, DIM)
+    points = [TwistParams(0.0, KForm(1, tuple(map(float, unit)))),
+              TwistParams(0.6, KForm(1, tuple(float(Fraction(4, 5) * x) for x in unit)))]
+
+    def op(p):
+        phit = twist(s, p)
+        twist_decomposed(s, p)
+        recover(s, phit)
+        derivative_rank(s, p, DIM)
+
+    for p in points:
+        op(p)
+    del gram_calls[:]
+    for p in points:
+        op(p)
+    assert len(gram_calls) == 0
+
+
 def test_polarized_table_stays_lazy():
     """Construction, decompose2, decompose3, odot_inverse and the JSON round
     trip never build the polarized table; derivative_rank does."""
@@ -1280,3 +1320,62 @@ def test_w_pivot_identities_on_models(kind, rng):
     for _ in range(3):
         for p in model_points(kind, rng):
             assert_w_pivot_identities(s, p)
+
+
+# -- the float family against the exact one, across the |c| band ---------------
+
+# |c| of the drawn points, down to where recover sets a float |c| to 0
+C_BAND = (Fraction(0), Fraction(1, 10 ** 12), Fraction(1, 10 ** 8), Fraction(1, 10 ** 4),
+          Fraction(3, 10))
+# absolute, on every coefficient: forms and parameters on the models are O(1)
+# and the float ops on their metric I round a few ulps
+CROSS_LANE_TOL = 1e-14
+
+
+def band_point(c0, unit, sign):
+    """An exact point (c, w) of the sphere with c = sign |c|, |c| within
+    1e-20 of c0 and w along the rational unit vector unit: c = (1 - t^2) /
+    (1 + t^2), w = 2t / (1 + t^2) unit, for t = r / 10^20 and r the integer
+    square root of 10^40 (1 - c0) / (1 + c0) (t = 1, c = 0 at c0 = 0)."""
+    n2 = 10 ** 40
+    q = n2 * (1 - c0) / (1 + c0)
+    r = math.isqrt(q.numerator // q.denominator)
+    d = n2 + r * r
+    w = [Fraction(2 * r * 10 ** 20, d) * x for x in unit]
+    return TwistParams(sign * Fraction(n2 - r * r, d), KForm(1, tuple(w + [0] * (DIM - len(w)))))
+
+
+def float_params(p):
+    return TwistParams(float(p.c), KForm(1, tuple(float(x) for x in p.omega.coeffs)))
+
+
+def float_gap(f: KForm, e: KForm) -> float:
+    return max(abs(x - float(y)) for x, y in zip(f.coeffs, e.coeffs))
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+@given(st.sampled_from(C_BAND), st.sampled_from((1, -1)), st.integers(0, 2 ** 32))
+@settings(max_examples=25, deadline=None)
+def test_float_family_matches_exact_across_the_c_band(kind, c0, sign, seed):
+    """On the three models, with omega in the model's b1 coordinates and |c|
+    in {0, 1e-12, 1e-8, 1e-4, 0.3}: float twist, twist_decomposed, recover
+    and derivative_rank on float(x) agree with float(exact result on x).
+    Forms and recovered parameters within CROSS_LANE_TOL on every
+    coefficient (recover's parameters modulo the antipode, with the exact c
+    set to 0 where recover zeroes a float |c| <= C_ZERO_SWITCH); ranks equal."""
+    m = flat_model(kind)
+    se, sf = model_structure(kind, "exact"), model_structure(kind, "float")
+    p = band_point(c0, rational_unit_tuple(random.Random(seed), m.b1), sign)
+    pf = float_params(p)
+    phit = twist(se, p)
+    assert float_gap(twist(sf, pf), phit) <= CROSS_LANE_TOL
+    de, df = twist_decomposed(se, p), twist_decomposed(sf, pf)
+    assert all(float_gap(f, e) <= CROSS_LANE_TOL
+               for f, e in zip((df.p1, df.p7, df.p27), (de.p1, de.p7, de.p27)))
+    got = recover(sf, KForm(3, tuple(float(x) for x in phit.coeffs))).params
+    want = float_params(recover(se, phit).params)
+    if abs(want.c) <= C_ZERO_SWITCH:
+        want = TwistParams(0.0, want.omega)
+    assert min(max(abs(got.c - q.c), float_gap(got.omega, q.omega))
+               for q in (want, want.antipode())) <= CROSS_LANE_TOL
+    assert derivative_rank(sf, pf, m.b1) == derivative_rank(se, p, m.b1)

@@ -5,9 +5,11 @@ import dataclasses
 import math
 import re
 import signal
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,7 +92,7 @@ def test_lane_api():
     assert x == [0.5, 0.25] and res == 0.0
     a = [[2, 1], [1, 1]]
     assert type(EXACT.det(a)) is Fraction and EXACT.det(a) == 1
-    assert type(FLOAT.det(a)) is float and abs(FLOAT.det(a) - 1.0) < 1e-15
+    assert type(FLOAT.det(a)) is float and FLOAT.det(a) == 1.0
     assert EXACT.inv(a) == [[1, -1], [-1, 2]]
     assert all(type(x) is Fraction for row in EXACT.inv(a) for x in row)
     finv = FLOAT.inv(a)
@@ -127,6 +129,50 @@ def test_lane_api():
     assert EXACT.symmetric(sym) is sym
     assert FLOAT.symmetric([[1.0, 2.0], [4.0, 5.0]]) == [[1.0, 3.0], [3.0, 5.0]]
 
+
+
+def ref_float_det(m):
+    """The float determinant Context.det took before ratlin.det_float:
+    numpy's, sign times exp of the summed logs of the LU pivots."""
+    return float(np.linalg.det(np.asarray(m, dtype=float)))
+
+
+def test_float_det_keeps_exact_pivots():
+    """The pivot product has an integer-valued determinant to the last bit
+    when its pivots are exact: det(6 I) = 6.0 ** 7 (the contraction matrix
+    of phi0), a signed permutation gives +-1.0, a singular matrix 0.0."""
+    six = [[6.0 if i == j else 0.0 for j in range(7)] for i in range(7)]
+    assert FLOAT.det(six) == 6.0 ** 7
+    perm = [[0] * 7 for _ in range(7)]
+    for i, (j, sign) in enumerate(zip((3, 0, 6, 1, 5, 2, 4), (1, -1, -1, 1, 1, -1, 1))):
+        perm[i][j] = sign
+    for rows in (perm, perm[1:] + perm[:1]):
+        det = FLOAT.det([[float(x) for x in row] for row in rows])
+        assert abs(det) == 1.0 and det == EXACT.det(rows)
+    singular = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]
+    assert FLOAT.det(singular) == 0.0 and FLOAT.det([[0.0, 1.0], [0.0, 2.0]]) == 0.0
+    assert FLOAT.det([]) == 1.0
+
+
+@st.composite
+def rational_square_matrices(draw):
+    n = draw(st.integers(1, 7))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(rational_square_matrices())
+@settings(max_examples=200, deadline=None)
+def test_float_det_is_within_the_reference_bound(m):
+    """|float det - exact det| <= 8 n eps prod |row|_2 on rational n x n
+    matrices, n <= 7: prod |row|_2 is Hadamard's bound on |det|, so this is a
+    relative error of 8 n ulps of that bound.  numpy's determinant
+    (ref_float_det) meets the same bound on the same draws."""
+    exact = float(EXACT.det(m))
+    bound = 8 * len(m) * sys.float_info.epsilon * math.prod(
+        math.hypot(*map(float, row)) for row in m)
+    assert abs(FLOAT.det(m) - exact) <= bound
+    assert abs(ref_float_det(m) - exact) <= bound
 
 
 @contextlib.contextmanager

@@ -79,11 +79,37 @@ def test_star_phi_frozen(s):
     assert sum(1 for c in s.star_phi.coeffs if c != 0) == 7
 
 
-def test_metric_from_phi0_is_euclidean(s):
-    g, o = metric_from_phi(phi0())
-    assert o.sign == 1
-    assert all(g.rows[i][j] == (1 if i == j else 0) for i in range(DIM) for j in range(DIM))
-    assert form_inner(s.phi, s.phi, s.metric) == 7
+def test_metric_from_phi0_is_euclidean(s, sf):
+    """phi0 induces g = I literally in both lanes: the float determinant of
+    B = 6 I is 6.0 ** 7 and the normalization divides by 6.0, so a float
+    structure of phi0 takes the Euclidean branches, as an exact one does."""
+    for ctx, st in ((EXACT, s), (FLOAT, sf)):
+        g, o = metric_from_phi(phi0(ctx), ctx)
+        assert o.sign == 1
+        assert g.is_euclidean and st.metric.is_euclidean
+        assert all(g.rows[i][j] == (1 if i == j else 0) for i in range(DIM) for j in range(DIM))
+        assert form_inner(st.phi, st.phi, st.metric) == 7
+    assert type(form_inner(sf.phi, sf.phi, sf.metric)) is float
+
+
+def test_describe_reports_lane_spectrum_metric_and_built_tables():
+    """describe() in both lanes, on phi0, on -phi0 and on a non-Euclidean
+    frame: it builds no table itself, and lists each lazy table once built."""
+    frame = [[2 if i == j == 0 else int(i == j) for j in range(DIM)] for i in range(DIM)]
+    for ctx in (EXACT, FLOAT):
+        cases = ((phi0(ctx), 1, True), (phi0(ctx) * -1, -1, True),
+                 (pullback(phi0(ctx), frame), 1, False))
+        for phi, sign, euclidean in cases:
+            s = G2Structure(phi, ctx)
+            info = s.describe()
+            assert info == {"lane": ctx.mode, "orientation": sign, "lambda7": s.lambda7,
+                            "lambda14": s.lambda14, "euclidean": euclidean, "built": []}
+            assert type(info["lambda7"]) is type(ctx.one)
+            assert (info["lambda7"], info["lambda14"]) == (2, -1)
+            decompose3(phi, s)
+            assert s.describe()["built"] == ["_frame_table"]
+            s.basis2_7
+            assert s.describe()["built"] == ["basis2_7", "_frame_table"]
 
 
 def test_metric_from_negated_phi_flips_orientation():

@@ -5,7 +5,7 @@ import pytest
 
 from g2kit.bryant import TwistParams, derivative_rank, twist
 from g2kit.errors import ModelError, SubspaceViolationError
-from g2kit.exterior import KForm
+from g2kit.exterior import DIM, KForm, form_inner
 from g2kit.g2core import phi0
 from g2kit.liegroup import coset_tangent_dim, is_g2
 from g2kit.models import (
@@ -44,9 +44,16 @@ def test_model_table():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_model_structure_is_standard(kind):
-    s = model_structure(kind)
-    assert s.metric.is_euclidean
-    assert s.orientation.sign == 1
+    """Each model's structure has the literal metric I in both lanes, with
+    rows equal to I and |phi|^2 = 7 (7.0 in the float lane)."""
+    for mode in ("exact", "float"):
+        s = model_structure(kind, mode)
+        assert s.metric.is_euclidean
+        assert s.orientation.sign == 1
+        assert all(s.metric.rows[i][j] == (1 if i == j else 0)
+                   for i in range(DIM) for j in range(DIM))
+        norm = form_inner(s.phi, s.phi, s.metric)
+        assert norm == 7 and type(norm) is (float if mode == "float" else Fraction)
 
 
 @pytest.mark.parametrize("kind", KINDS)
