@@ -15,7 +15,8 @@ the point's and the tangents' coordinates: the twist at x = (c, w) is
 sum_ab x_a x_b B(a, b).  The derivative's rank needs no tangent basis: it
 is the rank of the point's ambient images under that table, less one
 (derivative_rank).  Recovery tests the form's contraction matrix B against
-the structure's literally before it normalizes any metric, then reads
+the structure's within a slack that bounds the metric gap (literally in
+exact mode) before it normalizes any metric, then reads
 X = x x^T off the form and takes x as a pivot column of X over the root of
 its diagonal entry: the pivot c when c^2 >= 1/16, else the largest diagonal
 entry of the block w w^T, so no point of the sphere divides by a small
@@ -322,11 +323,12 @@ def _recover_w_pivot(s: G2Structure, phit: KForm, phi_inner, coords, cden) -> Tw
 def _check_metric(s: G2Structure, phit: KForm):
     """MetricMismatchError unless phit induces the structure's metric and
     orientation.  g = B / (6 (det(B) / 6^7)^(1/9)) after the sign flip, so a
-    contraction matrix B(phit) literally equal to B(phi) settles it with no
-    normalization; any other B is normalized (with metric_from_phi's
-    errors) and compared as _metric_matches does."""
+    contraction matrix B(phit) within the structure's slack of B(phi)
+    (G2Structure.matches_contraction: literally equal in exact mode) settles
+    it with no normalization; any other B is normalized (with
+    metric_from_phi's errors) and compared as _metric_matches does."""
     contraction = _contraction_matrix(phit.num)
-    if s.same_contraction(contraction, phit.den):
+    if s.matches_contraction(contraction, phit.den):
         return
     metric, orient = _normalized_metric(contraction, phit.den, s.ctx)
     if not _metric_matches(s, metric, orient):
@@ -337,20 +339,22 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     """Canonical parameters of a form in the structure's metric family.
 
     Tests the induced metric and orientation first (MetricMismatchError):
-    the form's contraction matrix B is compared with the structure's
-    literally, and only a B that differs is normalized to a metric and
+    the form's contraction matrix B is compared with the structure's within
+    a slack that bounds the metric gap below RECOVERY_TOL (literally in
+    exact mode), and only a B that misses it is normalized to a metric and
     compared within RECOVERY_TOL.  Then it reads x = (c, w) off
     X = x x^T, with X_00 = c^2 = (<phit, phi> + 1)/8 and X_0i = c w_i from
     the frame coordinates of the 7-part, and divides a pivot column of X by
     the root of its diagonal entry.  At c^2 >= 1/16 the pivot is c
-    (_recover_c_positive); below it, the largest diagonal entry of the
-    block W = w w^T, read off the symmetric action's table
-    (_recover_w_pivot), where a recovered |c| at or below C_ZERO_SWITCH is
-    set to 0 (literally zero in exact mode).  The point is put back onto
-    the sphere (_onto_sphere, which moves only float points) and made
-    canonical.  The reported residual is the max-abs difference between
-    re-twisting the recovered parameters and the input; exact mode demands
-    literal zero.
+    (_recover_c_positive), once c^2 is at most 1 within CONSTRAINT_TOL;
+    below it, the largest diagonal entry of the block W = w w^T, read off
+    the symmetric action's table (_recover_w_pivot), which reads no c^2, so
+    a float c^2 rounded below 0 is not refused; there a recovered |c| at or
+    below C_ZERO_SWITCH is set to 0 (literally zero in exact mode).  The
+    point is put back onto the sphere (_onto_sphere, which moves only float
+    points) and made canonical.  The reported residual is the max-abs
+    difference between re-twisting the recovered parameters and the input,
+    which decides acceptance; exact mode demands literal zero.
     """
     phit = coerce_form(phit, s.ctx)
     if phit.degree != 3:
@@ -359,10 +363,9 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     ctx = s.ctx
     phi_inner, (coords, cden) = frame_coordinates(phit, s)
     c_sq = (phi_inner + 1) / 8
-    excess = max(-c_sq, c_sq - 1)  # positive outside [0, 1]
-    if excess > 0 and not ctx.is_zero(excess, CONSTRAINT_TOL):
-        raise RecoveryError(f"implied c^2 = {c_sq} outside [0, 1]")
     if 16 * c_sq >= 1:
+        if c_sq > 1 and not ctx.is_zero(c_sq - 1, CONSTRAINT_TOL):
+            raise RecoveryError(f"implied c^2 = {c_sq} outside [0, 1]")
         params = _recover_c_positive(s, coords, cden, ctx.sqrt(min(c_sq, 1)))
     else:
         params = _recover_w_pivot(s, phit, phi_inner, coords, cden)

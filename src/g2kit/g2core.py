@@ -31,6 +31,7 @@ on the metric's (int rows, den) Gram table of 3-forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isfinite, lcm
 
@@ -41,6 +42,7 @@ from .context import (
     EXACT,
     FLOAT_RANK_CUTOFF,
     PHI_NORM_TOL,
+    RECOVERY_TOL,
     Context,
     lane_of,
     np,
@@ -205,10 +207,12 @@ def _apply_sparse(table, a: KForm, ctx: Context) -> list:
 
 def _contraction_matrix(coeffs):
     """B as rows of rows from phi's coefficients (exact ints, or floats).
-    Float phi take numpy's bincount, a lane fork kept on measurement: on a
-    dense phi it takes 14 us and the int loop 117 us (Python 3.11, numpy
-    2.4), float recover runs it on every call, and the loop's B differed
-    from bincount's on 200 of 200 random phi (coefficients +-3 and +-6)."""
+    recover runs it on every call, in both lanes, for the test of B(phit)
+    against B(phi) (G2Structure.matches_contraction); only a B that misses
+    that test is normalized.  Float phi take numpy's bincount, a lane fork
+    kept on measurement: on a dense phi it takes 14 us and the int loop
+    117 us (Python 3.11, numpy 2.4), and the loop's B differed from
+    bincount's on 200 of 200 random phi (coefficients +-3 and +-6)."""
     if isinstance(coeffs[0], float):
         phi = np.asarray(coeffs)
         a, b, c, n, k = _contraction_arrays()
@@ -409,14 +413,17 @@ class G2Structure:
     row's nonzero entries), the frame table that
     decompose3 and frame_coordinates read (phi and the 7 frame forms as
     scaled rows, the Gram table on a non-Euclidean metric and g^-1 / 4 as
-    scaled rows), and g^-1 as scaled rows for odot.
+    scaled rows), g^-1 as scaled rows for odot, and the slack within which
+    recover's test of a form's contraction matrix against B(phi) proves the
+    metric match (_contraction_slack).
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
         self.ctx = ctx
         self.phi = coerce_form(phi, ctx)
         contraction, self.metric, self.orientation = _contraction_and_metric(self.phi, ctx)
-        # B(phi) = B(Phi) / den^3, kept for same_contraction and odot_inverse
+        # B(phi) = B(Phi) / den^3, kept for matches_contraction, its slack and
+        # odot_inverse
         self._contraction = (contraction, self.phi.den ** 3)
         self.vol = volume_form(self.metric, self.orientation)
         self.star_phi = hodge_star(self.phi, self.metric, self.orientation)
@@ -477,15 +484,45 @@ class G2Structure:
         _split_two_forms found at construction, wrapped as forms on first read."""
         return tuple(KForm(2, tuple(v)) for v in self._kernel14)
 
-    def same_contraction(self, contraction, den) -> bool:
+    @cached_property
+    def _contraction_slack(self):
+        """slack * den^3 for the structure's phi = Phi / den: a bound on
+        |B(phit) - B(phi)|_max under which phit induces this orientation and
+        a metric within RECOVERY_TOL of this one (matches_contraction).
+
+        Write B(phi) = o s g with o the orientation sign and s > 0 the scale
+        (|B_11| / g_11), and B(phit) = o s (g + F).  The normalization of
+        metric_from_phi gives phit the metric (g + F) det(I + g^-1 F)^(-1/9),
+        and for eta = |g^-1 F|_2 < 1 its entries lie within
+        |g|_max ((1 - eta)^(-7/9) - 1) + |F|_max (1 - eta)^(-7/9) of g's, with
+        g + F positive definite, so o is phit's orientation too.
+        gamma = 7 max|g^-1| bounds |g^-1|_2, so eta <= 7 gamma |F|_max, and
+        |F|_max <= RECOVERY_TOL / (2 + 6 gamma max(1, |g|_max)) keeps eta
+        below 2e-9 and that gap below 0.91 RECOVERY_TOL.  Fraction(RECOVERY_TOL)
+        keeps the exact lane's slack a Fraction, with no float arithmetic (a
+        float bound would overflow on long denominators); exact mode's literal
+        is_zero never reads it."""
+        own, den3 = self._contraction
+        g = self.metric.rows
+        gamma = 7 * max(abs(x) for row in _metric_inverse(self.metric) for x in row)
+        size = max(1, max(abs(x) for row in g for x in row))
+        # s den^3 = |B(Phi)_11| / g_11
+        return Fraction(RECOVERY_TOL) * abs(own[0][0]) / g[0][0] / (2 + 6 * gamma * size)
+
+    def matches_contraction(self, contraction, den) -> bool:
         """Whether B(Phi) / den^3, for contraction = B(Phi) (_contraction_matrix
-        of a 3-form's stored numerators Phi), is this structure's B(phi),
-        compared entry for entry across the denominators (literally in both
-        lanes).  Equal contraction matrices normalize to the same metric and
-        orientation (metric_from_phi), so a True needs no normalization."""
+        of a 3-form's stored numerators Phi), is this structure's B(phi)
+        within the slack (_contraction_slack), compared entry for entry
+        across the denominators: literally in exact mode.  A True shows, by
+        the bound behind the slack, that the form induces this orientation
+        and a metric within RECOVERY_TOL of this one, with no normalization;
+        a False shows nothing, and the caller normalizes."""
         own, den3 = self._contraction
         d3 = den ** 3
-        return all(contraction[i][j] * den3 == own[i][j] * d3 for i, j in _PAIRS)
+        gaps = [abs(contraction[i][j] * den3 - own[i][j] * d3) for i, j in _PAIRS]
+        # max skips a nan gap (an overflowed float B) unless it comes first:
+        # 0 * sum(gaps) is nan then, and 0 otherwise
+        return self.ctx.is_zero(max(0 * sum(gaps), *gaps), self._contraction_slack * d3)
 
     # -- frame data on 3-forms ---------------------------------------
 

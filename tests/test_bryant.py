@@ -51,7 +51,7 @@ from g2kit.g2core import (
 from g2kit.models import flat_model, gamma_sample, model_structure
 from g2kit.sampling import rational_kform, rational_unit_tuple
 from g2kit.serialize import g2structure_from_json, g2structure_to_json
-from test_kernels import frame_structure, rational_frames
+from test_kernels import float_frame, frame_structure, rational_frames
 
 
 def sphere_points():
@@ -1007,9 +1007,15 @@ def test_warm_derivative_rank_takes_no_kernel(nullspace_calls, mode):
 
 @pytest.fixture
 def normalization_calls(monkeypatch):
-    """Calls of the exact metric normalization's ninth root and of Context.det."""
+    """Calls of the metric normalization recover runs (bryant's
+    _normalized_metric), of the exact normalization's ninth root and of
+    Context.det."""
     calls = []
-    real_root, real_det = g2core.rational_nth_root, Context.det
+    real_norm, real_root, real_det = bryant._normalized_metric, g2core.rational_nth_root, Context.det
+
+    def norm(*args):
+        calls.append("_normalized_metric")
+        return real_norm(*args)
 
     def root(*args):
         calls.append("rational_nth_root")
@@ -1019,6 +1025,7 @@ def normalization_calls(monkeypatch):
         calls.append("det")
         return real_det(self, m)
 
+    monkeypatch.setattr(bryant, "_normalized_metric", norm)
     monkeypatch.setattr(g2core, "rational_nth_root", root)
     monkeypatch.setattr(Context, "det", det)
     return calls
@@ -1042,6 +1049,35 @@ def test_exact_recover_of_a_twist_normalizes_no_metric(normalization_calls):
         rec = recover(s, phit)
         assert normalization_calls == []
         assert rec.residual == 0 and rec.params.equivalent_to(p)
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_float_recover_of_a_twist_normalizes_no_metric(normalization_calls, kind):
+    """A float twist's contraction matrix misses B(phi) only in its last bits,
+    inside the structure's slack, so warm float recover on a model runs no
+    _normalized_metric and no determinant: at c = 0, 1e-4 and 0.6, on the
+    model's parallel directions."""
+    s, b1 = model_structure(kind, "float"), flat_model(kind).b1
+    rng = random.Random(kind)
+    for c in (0.0, 1e-4, 0.6):
+        w = [rng.gauss(0.0, 1.0) for _ in range(b1)]
+        scale = math.sqrt(1.0 - c * c) / math.sqrt(sum(x * x for x in w))
+        p = TwistParams(c, KForm(1, tuple(x * scale for x in w) + (0.0,) * (DIM - b1)))
+        phit = twist(s, p)
+        recover(s, phit)
+        del normalization_calls[:]
+        rec = recover(s, phit)
+        assert normalization_calls == [], c
+        assert rec.params.equivalent_to(p, FLOAT.tol)
+
+
+def ref_same_contraction(s, contraction, den):
+    """The earlier literal B test of recover: B(Phi) / den^3, for contraction
+    = B(Phi), equal to the structure's B(phi) entry for entry across the
+    denominators, in both lanes."""
+    own, den3 = s._contraction
+    d3 = den ** 3
+    return all(contraction[i][j] * den3 == own[i][j] * d3 for i, j in g2core._PAIRS)
 
 
 def ref_check_metric(s, phit):
@@ -1082,6 +1118,121 @@ def test_recover_refuses_what_it_refused(mode):
     for name, phit in forms.items():
         assert raised(lambda: recover(s, phit)) is want[name], name
         assert raised(lambda: ref_check_metric(s, phit)) is want[name], name
+
+
+def reference_metric_gap(s, phit):
+    """max |g(phit) - g| for the metric g(phit) that metric_from_phi normalizes."""
+    metric, _ = metric_from_phi(phit, s.ctx)
+    return max(abs(metric.rows[i][j] - s.metric.rows[i][j]) for i in range(DIM) for j in range(DIM))
+
+
+# 0 and 1e-15, 1e-14, ..., 1e-6: the fast B test accepts the small ones on
+# the models, the normalization decides the middle ones, both refuse 1e-6
+PERTURBATIONS = (0.0, *(10.0 ** -k for k in range(15, 5, -1)))
+
+
+def float_sphere_point(s, rng):
+    """A Gaussian (c, w) put onto the float sphere of the structure's metric."""
+    w = KForm(1, tuple(rng.gauss(0.0, 1.0) for _ in range(DIM)))
+    return bryant._onto_sphere(s, TwistParams(rng.gauss(0.0, 1.0), w))
+
+
+def assert_metric_tests_agree(s, rng):
+    """For phit = twist + delta psi, psi a Gaussian 3-form: recover's metric
+    test raises what the normalizing reference raises, and wherever the
+    slack test (matches_contraction) accepts, the reference's metric gap is
+    within RECOVERY_TOL.  Returns how many perturbations it accepted."""
+    base = twist(s, float_sphere_point(s, rng))
+    psi = KForm(3, tuple(rng.gauss(0.0, 1.0) for _ in range(len(base.num))))
+    accepted = 0
+    for delta in PERTURBATIONS:
+        phit = base + delta * psi
+        assert raised(lambda: bryant._check_metric(s, phit)) is raised(
+            lambda: ref_check_metric(s, phit)), delta
+        if s.matches_contraction(g2core._contraction_matrix(phit.num), phit.den):
+            assert reference_metric_gap(s, phit) <= RECOVERY_TOL, delta
+            accepted += 1
+    return accepted
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_slack_metric_test_agrees_with_the_normalization_on_models(kind, sign):
+    """On the float models in both orientations the slack test accepts the
+    unperturbed twist, never a form the normalization would refuse."""
+    s = model_structure(kind, "float")
+    if sign < 0:
+        s = G2Structure(-1.0 * s.phi, FLOAT)
+    rng = random.Random(f"{kind}{sign}")
+    for _ in range(4):
+        assert assert_metric_tests_agree(s, rng) >= 1
+
+
+@given(rational_frames(), st.integers(0, 2 ** 32))
+@settings(max_examples=25, deadline=None)
+def test_slack_metric_test_agrees_with_the_normalization_on_rational_frames(a, seed):
+    """The same on float frames of both orientations with cond(g) <= 1e5."""
+    s = G2Structure(pullback(phi0(FLOAT), float_frame(a)), FLOAT)
+    assert_metric_tests_agree(s, random.Random(seed))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_slack_test_against_the_literal_test(mode):
+    """In exact mode matches_contraction is the literal B test on twists and
+    on the forms outside the family; in float mode it accepts whatever the
+    literal test accepts."""
+    s = standard_structure(mode)
+    forms = [twist(s, TwistParams(s.ctx.zero, KForm.from_entries(1, {(2,): 1}, s.ctx)))]
+    forms += [f for f in unusual_forms(s).values() if f.degree == 3]
+    for phit in forms:
+        contraction = g2core._contraction_matrix(phit.num)
+        literal = ref_same_contraction(s, contraction, phit.den)
+        fast = s.matches_contraction(contraction, phit.den)
+        assert fast is literal if s.ctx.is_exact else (fast or not literal)
+
+
+def test_slack_test_refuses_a_non_finite_contraction():
+    """A float B(phit) that overflowed (a nan or inf entry past the first) is
+    never within the slack, though max alone would skip a nan; such a form
+    gets the normalization's NotG2FormError."""
+    s = standard_structure("float")
+    own, _ = s._contraction
+    assert s.matches_contraction(own, 1)
+    for bad in (math.nan, math.inf):
+        contraction = [list(row) for row in own]
+        contraction[2][5] = contraction[5][2] = bad
+        assert not s.matches_contraction(contraction, 1)
+    huge = s.phi * 1e120
+    with np.errstate(over="ignore", invalid="ignore"):  # the cubic B overflows
+        assert raised(lambda: recover(s, huge)) is raised(lambda: ref_check_metric(s, huge)) \
+            is NotG2FormError
+
+
+# cond(g) about 1.8e3, from the frames a + 3/2 I with entries of a in
+# n / d, n in -2..2, d in {1, 1, 2, 3} (random.Random(3)): a float c = 0
+# twist there gives c^2 = (<phit, phi> + 1) / 8 = -2.3e-12, past
+# -CONSTRAINT_TOL, which the c^2 range check refused before the W pivot,
+# which reads no c^2.
+NEGATIVE_C2_FRAME = [[Fraction(x) for x in row.split()] for row in (
+    "3/2 -2 1 -1 -1/3 1 2",
+    "0 1/2 -2/3 -2/3 1/3 0 0",
+    "-2 2 2 1/3 0 1/2 2",
+    "1 -1 1/3 7/6 1 -1 2",
+    "1 0 -2/3 -1 5/6 1 0",
+    "-1/3 1/2 -1 -1 0 13/6 1",
+    "-2 1/2 1 1 -1 2 -1/2",
+)]
+
+
+def test_float_c_zero_twist_with_c2_below_zero_is_recovered():
+    s = G2Structure(pullback(phi0(FLOAT), [[float(x) for x in row] for row in NEGATIVE_C2_FRAME]),
+                    FLOAT)
+    w = KForm(1, (-1.0, 1.0, -2.0, 2.0, 1.0, -1.0, 1.0))
+    p = TwistParams(0.0, w / math.sqrt(form_inner(w, w, s.metric)))
+    phit = twist(s, p)
+    assert (form_inner(phit, s.phi, s.metric) + 1) / 8 < -CONSTRAINT_TOL
+    rec = recover(s, phit)
+    assert rec.params.equivalent_to(p, 1e-10)
 
 
 # -- recover through a pivot of X = x x^T, against the earlier c-switch branch --
