@@ -12,24 +12,30 @@ They read the structure's polarized table, Bryant's formula as a symmetric
 bilinear map B on the coordinate directions c, dx_1..dx_7, stored as its
 nonzero scaled entries (ints in the exact lane), and sum those entries with
 the point's and the tangents' coordinates: the twist at x = (c, w) is
-sum_ab x_a x_b B(a, b).  The derivative's rank needs no tangent basis: it
-is the rank of the point's ambient images under that table, less one
-(derivative_rank).  Recovery tests the form's contraction matrix B against
-the structure's within a slack that bounds the metric gap (literally in
-exact mode) before it normalizes any metric, then reads
-X = x x^T off the form and takes x as a pivot column of X over the root of
-its diagonal entry: the pivot c when c^2 >= 1/16, else the largest diagonal
-entry of the block w w^T, so no point of the sphere divides by a small
-number.  Both lanes run one code path; float checks read CONSTRAINT_TOL and
-RECOVERY_TOL from context.py, a recovered |c| at or below C_ZERO_SWITCH is
-set to 0 before the antipodal representative is picked, and the exact lane
-tests literal equality.
+sum_ab x_a x_b B(a, b).  A point is read once per call as x = xs / xden,
+off c and omega's stored (num, den), and c^2 + |w|^2 = 1 is one scaled
+identity on xs (ints in exact mode; _twist_point).  The derivative's rank
+needs no tangent basis: it is the rank of the point's ambient images under
+that table, less one (derivative_rank).  Recovery reads X = x x^T off the
+form and takes x as a pivot column of X over the root of its diagonal
+entry: the pivot c when c^2 >= 1/16, else the largest diagonal entry of the
+block w w^T, so no point of the sphere divides by a small number.  Its
+re-twist decides: every twist of a point of the sphere induces the
+structure's metric and orientation (Bryant), so a literally zero residual
+accepts with no metric test, and the form's contraction matrix B is tested
+against the structure's (within a slack that bounds the metric gap,
+literally in exact mode) only after a refused step or on any other
+residual.  Both lanes run one code path; float checks read CONSTRAINT_TOL
+and RECOVERY_TOL from context.py, a recovered |c| at or below
+C_ZERO_SWITCH is set to 0 before the antipodal representative is picked,
+and the exact lane tests literal equality.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
 from .errors import (
@@ -43,6 +49,7 @@ from .exterior import (
     DIM,
     NK,
     KForm,
+    _lambda_gram,
     coerce_form,
     form_inner,
     sharp,
@@ -121,13 +128,52 @@ def _coerce_params(s: G2Structure, p: TwistParams) -> TwistParams:
     return TwistParams(s.ctx.scalar(p.c), coerce_form(p.omega, s.ctx))
 
 
-def _check_constraint(s: G2Structure, p: TwistParams):
-    """|w|^2 at p = (c, w), once c^2 + |w|^2 - 1 is zero (ConstraintError)."""
-    w2 = form_inner(p.omega, p.omega, s.metric)
-    res = p.c * p.c + w2 - 1
-    if not s.ctx.is_zero(res, CONSTRAINT_TOL):
-        raise ConstraintError(f"c^2 + |omega|^2 - 1 = {res}, not zero in the {s.ctx.mode} lane")
-    return w2
+def _scaled_point(s: G2Structure, p: TwistParams) -> tuple:
+    """(xs, xden, sq, gden) for p = (c, w) in the structure's lane: its
+    coordinates x = (c, w_1..w_7) = xs / xden, read off c and w's stored
+    (num, den) with no Fraction per coefficient, and |w|^2 = sq / (gden xden^2)
+    with g^-1 = G / gden (_lambda_gram(g, 1)).  So
+    c^2 + |w|^2 = (xs_0^2 gden + sq) / (xden^2 gden), one identity on ints in
+    exact mode; in float mode xden = gden = 1, and sq sums in form_inner's
+    order, so every float value is the one form_inner gives."""
+    ctx, g = s.ctx, s.metric
+    ((cn,),), cden = ctx.scaled([[ctx.scalar(p.c)]])
+    omega = coerce_form(p.omega, ctx)
+    wden = omega.den
+    xden = cden // gcd(cden, wden) * wden
+    k = xden // wden
+    ws = [x * k for x in omega.num]
+    if g.is_euclidean:
+        sq, gden = sum(x * x for x in ws), 1
+    else:
+        rows, gden = _lambda_gram(g, 1)
+        nonzero = [(q, x) for q, x in enumerate(ws) if x]
+        sq = 0
+        for q, y in nonzero:
+            row = rows[q]
+            for r, x in nonzero:
+                sq += row[r] * x * y
+    return [cn * (xden // cden), *ws], xden, sq, gden
+
+
+def _twist_point(s: G2Structure, p: TwistParams, ambient_dim: int = DIM) -> tuple:
+    """(xs, xden, w2): p's coordinates xs / xden (_scaled_point) and |w|^2,
+    once ambient_dim is in 1..7 (ValueError), w lies in the first
+    ambient_dim coordinates and c^2 + |w|^2 - 1 is zero (ConstraintError):
+    literally in exact mode, within CONSTRAINT_TOL in float mode."""
+    if not 1 <= ambient_dim <= DIM:
+        raise ValueError("ambient_dim must be 1..7")
+    ctx = s.ctx
+    xs, xden, sq, gden = _scaled_point(s, p)
+    if any(xs[ambient_dim + 1:]):
+        raise ConstraintError("omega leaves the ambient coordinate subspace")
+    # (c^2 + |w|^2 - 1) xden^2 gden; the scale is 1 in float mode
+    one = xden * xden * gden
+    res = xs[0] * xs[0] * gden + sq - one
+    if not ctx.is_zero(res, CONSTRAINT_TOL):
+        raise ConstraintError(f"c^2 + |omega|^2 - 1 = {ctx.ratio(res, one)}, "
+                              f"not zero in the {ctx.mode} lane")
+    return xs, xden, ctx.ratio(sq, one)
 
 
 def _pair_terms(xs, start: int = 0) -> list:
@@ -152,10 +198,14 @@ def _table_sum(table, terms, zero) -> list:
 def twist(s: G2Structure, p: TwistParams) -> KForm:
     """The twisted 3-form (c^2 - |w|^2) phi + 2c *(w ^ phi) + 2 w ^ *(w ^ *phi),
     as sum_ab x_a x_b B(a, b) on the polarized table at x = (c, w_1..w_7)."""
-    p = _coerce_params(s, p)
-    _check_constraint(s, p)
+    xs, xden, _ = _twist_point(s, p)
+    return _twist_sum(s, xs, xden)
+
+
+def _twist_sum(s: G2Structure, xs, xden) -> KForm:
+    """sum_ab x_a x_b B(a, b) for x = xs / xden, on the polarized table; the
+    same form at -x."""
     table, den = s.polarized_table
-    (xs,), xden = s.ctx.scaled([[p.c, *p.omega.coeffs]])
     num = _table_sum(table, _pair_terms(xs), s.ctx.scaled_zero)
     return KForm._of(3, num, den * xden * xden, s.ctx)
 
@@ -170,12 +220,10 @@ def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
     p27 = Q_ww + (|w|^2 - (3 - 3 coef)/7) phi, for
     Q_ww = sum_ij w_i w_j B(dx_i, dx_j) = 2 w ^ *(w ^ *phi) - |w|^2 phi.
     """
-    p = _coerce_params(s, p)
-    w2 = _check_constraint(s, p)
-    coef = p.c * p.c - w2
+    xs, xden, w2 = _twist_point(s, p)
     ctx, phi = s.ctx, s.phi
+    coef = ctx.ratio(xs[0] * xs[0], xden * xden) - w2
     table, den = s.polarized_table
-    (xs,), xden = ctx.scaled([[p.c, *p.omega.coeffs]])
     den *= xden * xden
     c2 = 2 * xs[0]
     seven = [(0, b, c2 * y) for b, y in enumerate(xs) if b and y] if c2 else []
@@ -196,28 +244,28 @@ def _row_sum(xs, rows, zero):
     return out
 
 
-def _ambient_images(s: G2Structure, p: TwistParams, units: int) -> tuple:
+def _ambient_images(s: G2Structure, xs, xden, units: int) -> tuple:
     """(images, den): D_b = sum_a x_a B(a, b) = images[b] / den for the
     first `units` directions b of e_c, dx_1..dx_7.
 
     B is Bryant's formula polarized, read from the structure's polarized
-    table on those directions, and x = (c, w_1..w_7) are the coordinates of
-    p = (c, w).  Sums over the nonzero x_a and the table's nonzero entries,
-    on scaled entries: ints over one denominator in the exact lane."""
+    table on those directions, and x = (c, w_1..w_7) = xs / xden are the
+    coordinates of a point (_twist_point).  Sums over the nonzero x_a and
+    the table's nonzero entries, on scaled entries: ints over one
+    denominator in the exact lane."""
     table, den = s.polarized_table
-    (xs,), xden = s.ctx.scaled([[p.c, *p.omega.coeffs]])
     nonzero = [(a, x) for a, x in enumerate(xs) if x]
     zero = s.ctx.scaled_zero
     return [_table_sum(table, [(a, b, x) for a, x in nonzero], zero)
             for b in range(units)], xden * den
 
 
-def _derivative_sums(s: G2Structure, p: TwistParams, tangents, units: int) -> list:
-    """2 B(p, t) for each tangent t, as (scaled numerators, den) pairs: a
-    tangent with coordinates y, zero past the first `units` directions,
-    gives 2 sum_b y_b D_b (_ambient_images)."""
+def _derivative_sums(s: G2Structure, xs, xden, tangents, units: int) -> list:
+    """2 B(x, t) for each tangent t at the point x = xs / xden, as (scaled
+    numerators, den) pairs: a tangent with coordinates y, zero past the
+    first `units` directions, gives 2 sum_b y_b D_b (_ambient_images)."""
     ctx = s.ctx
-    images, den = _ambient_images(s, p, units)
+    images, den = _ambient_images(s, xs, xden, units)
     out = []
     for t in tangents:
         (ys,), yden = ctx.scaled([[t.c_dot, *t.omega_dot.coeffs]])
@@ -227,14 +275,13 @@ def _derivative_sums(s: G2Structure, p: TwistParams, tangents, units: int) -> li
 
 def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
     """Directional derivative of the twist map at p along a sphere tangent t: 2 B(p, t)."""
-    p = _coerce_params(s, p)
-    _check_constraint(s, p)
+    xs, xden, _ = _twist_point(s, p)
     t = TwistTangent(s.ctx.scalar(t.c_dot), coerce_form(t.omega_dot, s.ctx))
-    res = t.tangency_residual(p, s)
+    res = t.tangency_residual(_coerce_params(s, p), s)
     if not s.ctx.is_zero(res, CONSTRAINT_TOL):
         raise TangencyError(
             f"tangency c c_dot + <w, w_dot> = {res}, not zero in the {s.ctx.mode} lane")
-    ((num, den),) = _derivative_sums(s, p, [t], DIM + 1)
+    ((num, den),) = _derivative_sums(s, xs, xden, [t], DIM + 1)
     return KForm._of(3, num, den, s.ctx)
 
 
@@ -269,16 +316,26 @@ def _recover_c_positive(s: G2Structure, coords, cden, c) -> TwistParams:
     return TwistParams(c, KForm._of(1, sums, -2 * p * g.den * cden, s.ctx))
 
 
+def _sphere_point(s: G2Structure, p: TwistParams) -> tuple:
+    """(p', xs, xden): p' = p / sqrt(c^2 + |w|^2), or p itself when that norm
+    is literally 1, and p''s coordinates xs / xden (_scaled_point).  An
+    exact point recovered from a form of the family lies on the sphere, so
+    only a float point moves: the re-twist checks the constraint within the
+    absolute CONSTRAINT_TOL, which rounding in c and w can miss, and a moved
+    point is read again under that check (_twist_point)."""
+    xs, xden, sq, gden = _scaled_point(s, p)
+    one = xden * xden * gden
+    n2 = xs[0] * xs[0] * gden + sq
+    if n2 == one:
+        return p, xs, xden
+    n = s.ctx.sqrt(s.ctx.ratio(n2, one))
+    p = TwistParams(p.c / n, p.omega / n)
+    return (p, *_twist_point(s, p)[:2])
+
+
 def _onto_sphere(s: G2Structure, p: TwistParams) -> TwistParams:
-    """p / sqrt(c^2 + |w|^2) when that norm is not literally 1.  An exact
-    point recovered from a form of the family lies on the sphere, so only a
-    float point moves: the re-twist checks the constraint within the
-    absolute CONSTRAINT_TOL, which rounding in c and w can miss."""
-    n2 = p.c * p.c + form_inner(p.omega, p.omega, s.metric)
-    if n2 == 1:
-        return p
-    n = s.ctx.sqrt(n2)
-    return TwistParams(p.c / n, p.omega / n)
+    """p / sqrt(c^2 + |w|^2) when that norm is not literally 1 (_sphere_point)."""
+    return _sphere_point(s, p)[0]
 
 
 # position of the pair (min(i, j), max(i, j)) in g2core's _PAIRS, the rows of
@@ -322,8 +379,10 @@ def _recover_w_pivot(s: G2Structure, phit: KForm, phi_inner, coords, cden) -> Tw
 
 def _check_metric(s: G2Structure, phit: KForm):
     """MetricMismatchError unless phit induces the structure's metric and
-    orientation.  g = B / (6 (det(B) / 6^7)^(1/9)) after the sign flip, so a
-    contraction matrix B(phit) within the structure's slack of B(phi)
+    orientation.  recover runs it only where its re-twist does not decide:
+    after a refused step, or on a residual that is not literally zero.
+    g = B / (6 (det(B) / 6^7)^(1/9)) after the sign flip, so a contraction
+    matrix B(phit) within the structure's slack of B(phi)
     (G2Structure.matches_contraction: literally equal in exact mode) settles
     it with no normalization; any other B is normalized (with
     metric_from_phi's errors) and compared as _metric_matches does."""
@@ -335,31 +394,9 @@ def _check_metric(s: G2Structure, phit: KForm):
         raise MetricMismatchError("form does not induce this structure's metric/orientation")
 
 
-def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
-    """Canonical parameters of a form in the structure's metric family.
-
-    Tests the induced metric and orientation first (MetricMismatchError):
-    the form's contraction matrix B is compared with the structure's within
-    a slack that bounds the metric gap below RECOVERY_TOL (literally in
-    exact mode), and only a B that misses it is normalized to a metric and
-    compared within RECOVERY_TOL.  Then it reads x = (c, w) off
-    X = x x^T, with X_00 = c^2 = (<phit, phi> + 1)/8 and X_0i = c w_i from
-    the frame coordinates of the 7-part, and divides a pivot column of X by
-    the root of its diagonal entry.  At c^2 >= 1/16 the pivot is c
-    (_recover_c_positive), once c^2 is at most 1 within CONSTRAINT_TOL;
-    below it, the largest diagonal entry of the block W = w w^T, read off
-    the symmetric action's table (_recover_w_pivot), which reads no c^2, so
-    a float c^2 rounded below 0 is not refused; there a recovered |c| at or
-    below C_ZERO_SWITCH is set to 0 (literally zero in exact mode).  The
-    point is put back onto the sphere (_onto_sphere, which moves only float
-    points) and made canonical.  The reported residual is the max-abs
-    difference between re-twisting the recovered parameters and the input,
-    which decides acceptance; exact mode demands literal zero.
-    """
-    phit = coerce_form(phit, s.ctx)
-    if phit.degree != 3:
-        raise DegreeError("recover expects a 3-form")
-    _check_metric(s, phit)
+def _retwist(s: G2Structure, phit: KForm) -> tuple:
+    """(params, err): the canonical point read off phit by recover's pivots
+    and the max-abs gap between its twist and phit."""
     ctx = s.ctx
     phi_inner, (coords, cden) = frame_coordinates(phit, s)
     c_sq = (phi_inner + 1) / 8
@@ -371,30 +408,64 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
         params = _recover_w_pivot(s, phit, phi_inner, coords, cden)
         if ctx.is_zero(params.c, C_ZERO_SWITCH):
             params = TwistParams(ctx.zero, params.omega)
-    params = _onto_sphere(s, params).canonical()
-    err = (twist(s, params) - phit).max_abs()
+    params, xs, xden = _sphere_point(s, params)
+    # the twist is even, Q(-x) = Q(x), so the canonical flip keeps xs's twist
+    return params.canonical(), (_twist_sum(s, xs, xden) - phit).max_abs()
+
+
+def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
+    """Canonical parameters of a form in the structure's metric family.
+
+    Reads x = (c, w) off X = x x^T, with X_00 = c^2 = (<phit, phi> + 1)/8
+    and X_0i = c w_i from the frame coordinates of the 7-part, and divides a
+    pivot column of X by the root of its diagonal entry.  At c^2 >= 1/16 the
+    pivot is c (_recover_c_positive), once c^2 is at most 1 within
+    CONSTRAINT_TOL; below it, the largest diagonal entry of the block
+    W = w w^T, read off the symmetric action's table (_recover_w_pivot),
+    which reads no c^2, so a float c^2 rounded below 0 is not refused; there
+    a recovered |c| at or below C_ZERO_SWITCH is set to 0 (literally zero in
+    exact mode).  The point is put back onto the sphere (_sphere_point,
+    which moves only float points) and made canonical.  The reported
+    residual is the max-abs difference between re-twisting the recovered
+    parameters and the input, which decides acceptance; exact mode demands
+    literal zero.
+
+    Every twist Q(x) with x on the sphere induces the structure's metric
+    and orientation (Bryant), so a residual of literally zero proves phit in
+    the family, and the metric test (_check_metric) runs only where the
+    re-twist does not decide: when a step refuses, and on any other
+    residual.  Then a form that induces another metric or orientation
+    raises MetricMismatchError (or the normalization's NotG2FormError or
+    ExactModeError) before the step's error or the residual's
+    RecoveryError, as when the test ran first.  The rule is the same in both
+    lanes; the exact lane accepts no other residual, and so never tests the
+    metric of a twist.
+    """
+    phit = coerce_form(phit, s.ctx)
+    if phit.degree != 3:
+        raise DegreeError("recover expects a 3-form")
+    try:
+        params, err = _retwist(s, phit)
+    except Exception:
+        _check_metric(s, phit)
+        raise
     residual = float(err)
-    if not ctx.is_zero(err, tol * max(1.0, float(phit.max_abs()))):
-        raise RecoveryError(f"recovery residual {residual} above {tol} in the {ctx.mode} lane")
+    if err:
+        _check_metric(s, phit)
+        if not s.ctx.is_zero(err, tol * max(1.0, float(phit.max_abs()))):
+            raise RecoveryError(f"recovery residual {residual} above {tol} in the {s.ctx.mode} lane")
     return Recovery(params=params, residual=residual)
-
-
-def _ambient_point(s: G2Structure, p: TwistParams, ambient_dim: int) -> TwistParams:
-    """p in the structure's lane, once ambient_dim is in 1..7 (ValueError) and
-    omega lies in the first ambient_dim coordinates (ConstraintError)."""
-    if not 1 <= ambient_dim <= DIM:
-        raise ValueError("ambient_dim must be 1..7")
-    p = _coerce_params(s, p)
-    if any(p.omega.num[ambient_dim:]):
-        raise ConstraintError("omega leaves the ambient coordinate subspace")
-    return p
 
 
 def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
     """A basis of the tangent space at p inside the ambient parameter sphere
     spanned by c and the first ambient_dim coordinate 1-forms: the kernel of
     (c_dot, v) -> c c_dot + <omega, v>, with the structure's inner product."""
-    p = _ambient_point(s, p, ambient_dim)
+    if not 1 <= ambient_dim <= DIM:
+        raise ValueError("ambient_dim must be 1..7")
+    p = _coerce_params(s, p)
+    if any(p.omega.num[ambient_dim:]):
+        raise ConstraintError("omega leaves the ambient coordinate subspace")
     row = [p.c, *sharp(p.omega, s.metric)[:ambient_dim]]
     basis = []
     for v in s.ctx.nullspace([row]):
@@ -407,9 +478,8 @@ def _derivative_columns(s: G2Structure, p: TwistParams, ambient_dim: int) -> lis
     """The twist derivatives along a tangent basis, as (scaled numerators,
     den) pairs, read on the directions c and dx_1..dx_ambient_dim."""
     basis = tangent_basis(s, p, ambient_dim)
-    p = _coerce_params(s, p)
-    _check_constraint(s, p)
-    return _derivative_sums(s, p, basis, ambient_dim + 1)
+    xs, xden, _ = _twist_point(s, p)
+    return _derivative_sums(s, xs, xden, basis, ambient_dim + 1)
 
 
 def derivative_matrix(s: G2Structure, p: TwistParams, ambient_dim: int):
@@ -431,9 +501,8 @@ def derivative_rank(s: G2Structure, p: TwistParams, ambient_dim: int) -> int:
     Q(x), one dimension more.  The rank is read on the scaled numerators of
     the D_b (a common positive denominator keeps it), one row per ambient
     direction e_c, dx_1..dx_ambient_dim."""
-    p = _ambient_point(s, p, ambient_dim)
-    _check_constraint(s, p)
-    return s.ctx.rank(_ambient_images(s, p, ambient_dim + 1)[0]) - 1
+    xs, xden, _ = _twist_point(s, p, ambient_dim)
+    return s.ctx.rank(_ambient_images(s, xs, xden, ambient_dim + 1)[0]) - 1
 
 
 def derivative_margin(s: G2Structure, p: TwistParams, ambient_dim: int):

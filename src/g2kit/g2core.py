@@ -207,16 +207,23 @@ def _apply_sparse(table, a: KForm, ctx: Context) -> list:
 
 def _contraction_matrix(coeffs):
     """B as rows of rows from phi's coefficients (exact ints, or floats).
-    recover runs it on every call, in both lanes, for the test of B(phit)
-    against B(phi) (G2Structure.matches_contraction); only a B that misses
-    that test is normalized.  Float phi take numpy's bincount, a lane fork
-    kept on measurement: on a dense phi it takes 14 us and the int loop
-    117 us (Python 3.11, numpy 2.4), and the loop's B differed from
-    bincount's on 200 of 200 random phi (coefficients +-3 and +-6)."""
+    Construction runs it, and so does recover's test of B(phit) against
+    B(phi) (G2Structure.matches_contraction) where the re-twist does not
+    decide: after a refused step or on a residual that is not literally
+    zero, so never on an exact twist.  Float phi take numpy's bincount, a
+    lane fork kept on measurement: on a dense phi it takes 14 us and the
+    int loop 117 us (Python 3.11, numpy 2.4), and the loop's B differed from
+    bincount's on 200 of 200 random phi (coefficients +-3 and +-6).  A cubic
+    term beyond the float range raises NotG2FormError, which names the
+    overflow, and numpy warns of nothing."""
     if isinstance(coeffs[0], float):
         phi = np.asarray(coeffs)
         a, b, c, n, k = _contraction_arrays()
-        vals = np.bincount(n, weights=k * phi[a] * phi[b] * phi[c], minlength=len(_PAIRS)).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.bincount(n, weights=k * phi[a] * phi[b] * phi[c], minlength=len(_PAIRS))
+        if not np.isfinite(vals).all():
+            raise NotG2FormError("3-form beyond the float range: its contraction matrix overflowed")
+        vals = vals.tolist()
     else:
         vals = [0] * len(_PAIRS)
         for a, b, c, n, k in _contraction_table():
@@ -282,7 +289,7 @@ def _normalized_metric(B, den, ctx: Context) -> tuple:
         num, scale = ninth.denominator, den ** 3 * 6 * ninth.numerator
     else:
         if not isfinite(det_b):
-            raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
+            raise NotG2FormError("3-form beyond the float range: det of its contraction matrix overflowed")
         # 6 (det B / 6^7)^(1/9) is 6.0 when det B = 6.0^7: phi0 gets g = I
         num, scale = 1, 6.0 * (det_b / 6.0 ** 7) ** (1.0 / 9.0)
     try:

@@ -3,12 +3,14 @@ import contextlib
 import io
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2kit.cli import main
+from g2kit.context import FLOAT
 from g2kit.exterior import DIM, KForm, interior
 from g2kit.g2core import phi0
 from g2kit.serialize import kform_to_json
@@ -389,3 +391,15 @@ def test_exact_recover_of_a_tiny_multiple_of_phi0_exits_one(capsys, tmp_path):
     assert main(["recover", "--mode", "exact", path]) == 1
     err = capsys.readouterr().err
     assert err == "error: exact metric normalization needs det(B)/6^7 to be a rational ninth power\n"
+
+
+def test_float_recover_of_an_overflowing_form_names_the_overflow(capsys, tmp_path):
+    """phi0 * 1e120 in the float lane: the cubic contraction matrix B
+    overflows.  recover exits 1 with one error line that names the overflow,
+    and numpy warns of nothing (a warning here raises)."""
+    path = write_form(tmp_path, phi0(FLOAT) * 1e120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["recover", "--mode", "float", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 3-form beyond the float range: its contraction matrix overflowed\n"
