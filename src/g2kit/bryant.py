@@ -41,6 +41,7 @@ from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
 from .errors import (
     ConstraintError,
     DegreeError,
+    G2KitError,
     MetricMismatchError,
     RecoveryError,
     TangencyError,
@@ -318,7 +319,7 @@ def _recover_c_positive(s: G2Structure, coords, cden, c) -> TwistParams:
 
 def _sphere_point(s: G2Structure, p: TwistParams) -> tuple:
     """(p', xs, xden): p' = p / sqrt(c^2 + |w|^2), or p itself when that norm
-    is literally 1, and p''s coordinates xs / xden (_scaled_point).  An
+    is literally 1, and the coordinates xs / xden of p' (_scaled_point).  An
     exact point recovered from a form of the family lies on the sphere, so
     only a float point moves: the re-twist checks the constraint within the
     absolute CONSTRAINT_TOL, which rounding in c and w can miss, and a moved
@@ -331,11 +332,6 @@ def _sphere_point(s: G2Structure, p: TwistParams) -> tuple:
     n = s.ctx.sqrt(s.ctx.ratio(n2, one))
     p = TwistParams(p.c / n, p.omega / n)
     return (p, *_twist_point(s, p)[:2])
-
-
-def _onto_sphere(s: G2Structure, p: TwistParams) -> TwistParams:
-    """p / sqrt(c^2 + |w|^2) when that norm is not literally 1 (_sphere_point)."""
-    return _sphere_point(s, p)[0]
 
 
 # position of the pair (min(i, j), max(i, j)) in g2core's _PAIRS, the rows of
@@ -446,15 +442,17 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
         raise DegreeError("recover expects a 3-form")
     try:
         params, err = _retwist(s, phit)
-    except Exception:
+    except (G2KitError, ArithmeticError, ValueError):
+        # a refused step (ExactModeError from a non-square root, ValueError
+        # from a negative radicand, RecoveryError, ConstraintError) shows
+        # nothing about the metric
         _check_metric(s, phit)
         raise
-    residual = float(err)
     if err:
         _check_metric(s, phit)
         if not s.ctx.is_zero(err, tol * max(1.0, float(phit.max_abs()))):
-            raise RecoveryError(f"recovery residual {residual} above {tol} in the {s.ctx.mode} lane")
-    return Recovery(params=params, residual=residual)
+            raise RecoveryError(f"recovery residual {float(err)} above {tol} in the {s.ctx.mode} lane")
+    return Recovery(params=params, residual=float(err))
 
 
 def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
