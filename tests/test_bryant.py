@@ -1128,14 +1128,7 @@ def test_recover_refuses_what_it_refused(mode):
     (MetricMismatchError), and a degenerate form (NotG2FormError)."""
     s = standard_structure(mode)
     ctx = s.ctx
-    diag = [[ctx.scalar(2 if i == j == 0 else int(i == j)) for j in range(DIM)] for i in range(DIM)]
-    forms = {
-        "2phi": 2 * s.phi,
-        "8phi": 8 * s.phi,
-        "-phi": -1 * s.phi,
-        "pullback": pullback(s.phi, diag),
-        "degenerate": KForm.from_entries(3, {(1, 2, 3): 1}, ctx),
-    }
+    forms = foreign_forms(s)
     want = {"2phi": ExactModeError if ctx.is_exact else MetricMismatchError,
             "8phi": MetricMismatchError, "-phi": MetricMismatchError,
             "pullback": MetricMismatchError, "degenerate": NotG2FormError}
@@ -1347,9 +1340,8 @@ def test_exact_recover_equals_the_c_switch_reference_on_rational_frames(a, p, u)
 
 
 def foreign_forms(s):
-    """The forms of test_recover_refuses_what_it_refused, on any structure:
-    2 phi, 8 phi, -phi, phi pulled back by diag(2, 1, ..., 1) and a
-    degenerate form."""
+    """Forms outside the family of any structure: 2 phi, 8 phi, -phi, phi
+    pulled back by diag(2, 1, ..., 1) and a degenerate form."""
     ctx = s.ctx
     diag = [[ctx.scalar(2 if i == j == 0 else int(i == j)) for j in range(DIM)] for i in range(DIM)]
     return {
@@ -1575,10 +1567,9 @@ def perturbed_twists(s, rng, frame=None):
             yield f"point {k}, delta {delta}", base + ctx.scalar(delta) * psi
 
 
-def assert_recover_equals_metric_first_on(s, rng, frame=None):
-    """On the perturbed twists, and on the unusual forms of the models or
-    the foreign forms of a frame (unusual_forms reads the models' |dx_j| = 1)."""
-    forms = dict(foreign_forms(s) if frame is not None else unusual_forms(s))
+def assert_recover_equals_metric_first_on(s, forms, rng, frame=None):
+    """On the given forms and on perturbed_twists(s, rng, frame)."""
+    forms = dict(forms)
     forms.update(perturbed_twists(s, rng, frame))
     for name, phit in forms.items():
         assert_recover_equals_metric_first(s, phit, name)
@@ -1589,20 +1580,22 @@ def assert_recover_equals_metric_first_on(s, rng, frame=None):
 def test_recover_equals_the_metric_first_reference_on_models(kind, mode):
     """On the models in both lanes: the unusual forms (among them the forms
     of test_recover_refuses_what_it_refused) and perturbed twists."""
-    assert_recover_equals_metric_first_on(model_structure(kind, mode), random.Random(kind + mode))
+    s = model_structure(kind, mode)
+    assert_recover_equals_metric_first_on(s, unusual_forms(s), random.Random(kind + mode))
 
 
 @given(rational_frames(), st.integers(0, 2 ** 32))
 @settings(max_examples=6, deadline=None)
 def test_recover_equals_the_metric_first_reference_on_rational_frames(a, seed):
-    """The same on frames of both orientations, with the foreign forms: in
-    the exact lane on every frame, in the float lane on frames with
-    cond(a^T a) <= 1e5."""
-    assert_recover_equals_metric_first_on(frame_structure(a), random.Random(seed), a)
+    """The same on frames of both orientations, with the foreign forms
+    (unusual_forms reads the models' |dx_j| = 1): in the exact lane on every
+    frame, in the float lane on frames with cond(a^T a) <= 1e5."""
+    s = frame_structure(a)
+    assert_recover_equals_metric_first_on(s, foreign_forms(s), random.Random(seed), a)
     af = np.asarray(a, dtype=float)
     if np.linalg.cond(af.T @ af) <= 1e5:
         sf = G2Structure(pullback(phi0(FLOAT), af.tolist()), FLOAT)
-        assert_recover_equals_metric_first_on(sf, random.Random(seed), af.tolist())
+        assert_recover_equals_metric_first_on(sf, foreign_forms(sf), random.Random(seed))
 
 
 @pytest.fixture
