@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
 from .errors import (
@@ -158,10 +158,10 @@ def _scaled_point(s: G2Structure, p: TwistParams) -> tuple:
 
 
 def _twist_point(s: G2Structure, p: TwistParams, ambient_dim: int = DIM) -> tuple:
-    """(xs, xden, w2): p's coordinates xs / xden (_scaled_point) and |w|^2,
-    once ambient_dim is in 1..7 (ValueError), w lies in the first
-    ambient_dim coordinates and c^2 + |w|^2 - 1 is zero (ConstraintError):
-    literally in exact mode, within CONSTRAINT_TOL in float mode."""
+    """(xs, xden, sq, gden), p read as _scaled_point reads it, once
+    ambient_dim is in 1..7 (ValueError), w lies in the first ambient_dim
+    coordinates and c^2 + |w|^2 - 1 is zero (ConstraintError): literally in
+    exact mode, within CONSTRAINT_TOL in float mode."""
     if not 1 <= ambient_dim <= DIM:
         raise ValueError("ambient_dim must be 1..7")
     ctx = s.ctx
@@ -174,7 +174,7 @@ def _twist_point(s: G2Structure, p: TwistParams, ambient_dim: int = DIM) -> tupl
     if not ctx.is_zero(res, CONSTRAINT_TOL):
         raise ConstraintError(f"c^2 + |omega|^2 - 1 = {ctx.ratio(res, one)}, "
                               f"not zero in the {ctx.mode} lane")
-    return xs, xden, ctx.ratio(sq, one)
+    return xs, xden, sq, gden
 
 
 def _pair_terms(xs, start: int = 0) -> list:
@@ -199,7 +199,7 @@ def _table_sum(table, terms, zero) -> list:
 def twist(s: G2Structure, p: TwistParams) -> KForm:
     """The twisted 3-form (c^2 - |w|^2) phi + 2c *(w ^ phi) + 2 w ^ *(w ^ *phi),
     as sum_ab x_a x_b B(a, b) on the polarized table at x = (c, w_1..w_7)."""
-    xs, xden, _ = _twist_point(s, p)
+    xs, xden = _twist_point(s, p)[:2]
     return _twist_sum(s, xs, xden)
 
 
@@ -220,18 +220,32 @@ def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
     polarized table p7 = 2c sum_j w_j B(e_c, dx_j) and
     p27 = Q_ww + (|w|^2 - (3 - 3 coef)/7) phi, for
     Q_ww = sum_ij w_i w_j B(dx_i, dx_j) = 2 w ^ *(w ^ *phi) - |w|^2 phi.
+    The scalars of phi run on the point's ints (_twist_point) as scaled
+    pairs, and each part is reduced once (Context.reduce).
     """
-    xs, xden, w2 = _twist_point(s, p)
+    xs, xden, sq, gden = _twist_point(s, p)
     ctx, phi = s.ctx, s.phi
-    coef = ctx.ratio(xs[0] * xs[0], xden * xden) - w2
+    # |w|^2 = sq / one
+    one = xden * xden * gden
     table, den = s.polarized_table
     den *= xden * xden
     c2 = 2 * xs[0]
     seven = [(0, b, c2 * y) for b, y in enumerate(xs) if b and y] if c2 else []
     p7 = KForm._of(3, _table_sum(table, seven, ctx.scaled_zero), den, ctx)
-    qww = KForm._of(3, _table_sum(table, _pair_terms(xs, 1), ctx.scaled_zero), den, ctx)
-    return Decomposition3(p1=((4 * coef + 3) / 7) * phi, p7=p7,
-                          p27=qww + (w2 - (3 - 3 * coef) / 7) * phi)
+    qww = _table_sum(table, _pair_terms(xs, 1), ctx.scaled_zero)
+    # coef = c^2 - |w|^2 = cn / one, and phi's coefficients in p1 and p27 as
+    # scaled pairs: (4 coef + 3)/7 = a1 / d1, |w|^2 - (3 - 3 coef)/7 = a27 / d27
+    cn = xs[0] * xs[0] * gden - sq
+    (a1,), d1, _ = ctx.reduce([4 * cn + 3 * one], 7 * one)
+    (b,), bden, _ = ctx.reduce([3 * one - 3 * cn], 7 * one)
+    a27, d27 = sq * bden - b * one, one * bden
+    # p27 = qww / den + phi a27 / d27 over one den
+    pden = phi.den * d27
+    full = lcm(den, pden)
+    mq, mp = full // den, full // pden
+    p27 = [x * mq + y * a27 * mp for x, y in zip(qww, phi.num)]
+    return Decomposition3(p1=KForm._of(3, [y * a1 for y in phi.num], phi.den * d1, ctx),
+                          p7=p7, p27=KForm._of(3, p27, full, ctx))
 
 
 def _row_sum(xs, rows, zero):
@@ -276,7 +290,7 @@ def _derivative_sums(s: G2Structure, xs, xden, tangents, units: int) -> list:
 
 def twist_derivative(s: G2Structure, p: TwistParams, t: TwistTangent) -> KForm:
     """Directional derivative of the twist map at p along a sphere tangent t: 2 B(p, t)."""
-    xs, xden, _ = _twist_point(s, p)
+    xs, xden = _twist_point(s, p)[:2]
     t = TwistTangent(s.ctx.scalar(t.c_dot), coerce_form(t.omega_dot, s.ctx))
     res = t.tangency_residual(_coerce_params(s, p), s)
     if not s.ctx.is_zero(res, CONSTRAINT_TOL):
@@ -476,7 +490,7 @@ def _derivative_columns(s: G2Structure, p: TwistParams, ambient_dim: int) -> lis
     """The twist derivatives along a tangent basis, as (scaled numerators,
     den) pairs, read on the directions c and dx_1..dx_ambient_dim."""
     basis = tangent_basis(s, p, ambient_dim)
-    xs, xden, _ = _twist_point(s, p)
+    xs, xden = _twist_point(s, p)[:2]
     return _derivative_sums(s, xs, xden, basis, ambient_dim + 1)
 
 
@@ -499,7 +513,7 @@ def derivative_rank(s: G2Structure, p: TwistParams, ambient_dim: int) -> int:
     Q(x), one dimension more.  The rank is read on the scaled numerators of
     the D_b (a common positive denominator keeps it), one row per ambient
     direction e_c, dx_1..dx_ambient_dim."""
-    xs, xden, _ = _twist_point(s, p, ambient_dim)
+    xs, xden = _twist_point(s, p, ambient_dim)[:2]
     return s.ctx.rank(_ambient_images(s, xs, xden, ambient_dim + 1)[0]) - 1
 
 

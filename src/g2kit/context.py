@@ -5,9 +5,9 @@ float; the two are never mixed inside one structure.  A Context names the
 lane and is the only place that knows what a lane is: it coerces incoming
 scalars once, gives the lane's zero and one, decides "is this zero" (literal
 in exact, within a tolerance in float), and routes square roots,
-determinants, inverses, ranks, kernels, spans, eigenvector checks, solves,
-symmetrizing, integer scaling and the reduction of a k-form's stored
-(num, den) pair to the lane's algorithm.  Constructors that
+determinants, definiteness, inverses, ranks, kernels, spans, eigenvector
+checks, solves, symmetrizing, integer scaling and the reduction of a
+k-form's stored (num, den) pair to the lane's algorithm.  Constructors that
 need a lane's zero and one (phi0(FLOAT), KForm.zero, basis_vector, ...) take
 a Context, never a bool.  lane_of finds the lane of values that arrive
 without a Context (ints and Fractions are exact, any float makes them
@@ -252,6 +252,16 @@ class Context:
 
         return ratlin.det_exact(m) if self.is_exact else ratlin.det_float(m)
 
+    def definite_det(self, m):
+        """(det(m), sign) when one leading-minor pass over a symmetric int
+        matrix m (ratlin.definite_det) shows sign * m positive definite, in
+        exact mode; None otherwise.  Float mode returns None: the float lane
+        reads positivity off the eigenvalues (Metric) and det off
+        Context.det."""
+        from . import ratlin
+
+        return ratlin.definite_det(m) if self.is_exact else None
+
     def inv(self, m) -> list:
         """Inverse as rows; G2KitError("matrix is singular") in both modes."""
         from . import ratlin
@@ -262,6 +272,15 @@ class Context:
             return np.linalg.inv(np.asarray(m, dtype=float)).tolist()
         except np.linalg.LinAlgError as exc:
             raise G2KitError("matrix is singular") from exc
+
+    def scaled_inverse(self, m) -> tuple:
+        """inv's result as Context.scaled rows (rows, den): in exact mode int
+        rows over one den from one int elimination (ratlin.inv_int), with no
+        Fraction; in float mode numpy's inverse over 1.  G2KitError("matrix
+        is singular") in both modes."""
+        from . import ratlin
+
+        return ratlin.inv_int(m) if self.is_exact else (self.inv(m), 1)
 
     def rank(self, m) -> int:
         from . import ratlin
@@ -274,6 +293,15 @@ class Context:
         from . import ratlin
 
         return ratlin.nullspace_exact(m) if self.is_exact else ratlin.nullspace_float(m)
+
+    def scaled_nullspace(self, m) -> tuple:
+        """nullspace's kernel basis as Context.scaled rows (rows, den): in
+        exact mode int rows over one den whose quotients are nullspace's
+        vectors literally, built with no Fraction (ratlin.nullspace_int); in
+        float mode the orthonormal basis over 1."""
+        from . import ratlin
+
+        return ratlin.nullspace_int(m) if self.is_exact else (ratlin.nullspace_float(m), 1)
 
     def span(self, rows) -> list:
         """A basis of the row span: in exact mode normalized as nullspace

@@ -385,7 +385,8 @@ class Metric:
     den == 1.  Symmetry, positivity, equality and the hash read the pair.
     Positivity is Sylvester's criterion in exact mode: one Bareiss pass on
     num, whose pivots are its leading principal minors and whose last pivot
-    det(num) _metric_det reuses; float mode reads the eigenvalues.  Metrics
+    det(num) _metric_det reuses (metric_from_phi runs that pass on B and
+    hands its det to _of); float mode reads the eigenvalues.  Metrics
     of different lanes are never equal, so a Metric-keyed cache never hands
     one lane's tables to the other.
     """
@@ -402,27 +403,31 @@ class Metric:
         self._store(tuple(tuple(r) for r in num), den, lane)
 
     @classmethod
-    def _of(cls, num, den, lane: Context) -> "Metric":
+    def _of(cls, num, den, lane: Context, det=None) -> "Metric":
         """The metric num / den, num 7 rows of the lane's scaled entries (ints
         in exact mode, floats in float mode), stored as Context.reduce gives
-        it; no Fraction is built."""
+        it; no Fraction is built.  A caller that has shown the int rows num
+        positive definite passes det = det(num), and no second pass runs."""
         metric = object.__new__(cls)
-        flat, den, values = lane.reduce([x for row in num for x in row], den)
+        flat, out, values = lane.reduce([x for row in num for x in row], den)
         if values is not None:
             metric.__dict__["rows"] = _split_rows(values)
-        metric._store(_split_rows(flat), den, lane)
+        if det is not None:
+            # Context.reduce divided num by den // out
+            det //= (den // out) ** DIM
+        metric._store(_split_rows(flat), out, lane, det)
         return metric
 
-    def _store(self, num, den, lane: Context):
+    def _store(self, num, den, lane: Context, det=None):
         for i in range(DIM):
             for j in range(i):
                 if num[i][j] != num[j][i]:
                     raise MetricError("metric must be symmetric")
-        det = None
         if lane.is_exact:
-            det = ratlin.positive_definite_det(num)
-            if det is None:
+            found = ratlin.definite_det(num) if det is None else (det, 1)
+            if found is None or found[1] < 0:
                 raise MetricError("metric is not positive definite")
+            det = found[0]
         else:
             eig = np.linalg.eigvalsh(np.asarray(num, dtype=float))
             scale = max(1.0, float(np.max(np.abs(eig))))
@@ -482,14 +487,22 @@ def _metric_is_euclidean(m: Metric) -> bool:
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_inverse(m: Metric):
-    return tuple(tuple(r) for r in m._lane.inv(m.rows))
+    """g^-1 as lane scalars, read off _scaled_inverse."""
+    rows, den = _scaled_inverse(m)
+    ratio = m._lane.ratio
+    return tuple(tuple(ratio(x, den) for x in row) for row in rows)
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _scaled_inverse(m: Metric) -> tuple:
-    """g^-1 as Context.scaled rows (rows, den): int rows in the exact lane."""
-    rows, den = m._lane.scaled(_metric_inverse(m))
-    return tuple(tuple(r) for r in rows), den
+    """g^-1 as Context.scaled rows (rows, den): g^-1 = den(g) num^-1, taken
+    on the metric's stored pair (Context.scaled_inverse), so the exact lane
+    runs one int elimination and builds no Fraction; the rows are in lowest
+    terms over a positive den, as Context.scaled gives them."""
+    lane = m._lane
+    inv, den = lane.scaled_inverse(m.num)
+    flat, den, _ = lane.reduce([x * m.den for row in inv for x in row], den)
+    return _split_rows(flat), den
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)

@@ -13,7 +13,10 @@ that the eigenspaces have dimensions 7 and 14.  The splitting is read off
 phi, not solved for: the 7-space is spanned by the contractions e_i . phi
 and the 14-space is the kernel of a 7 x 21 matrix, and T is checked to act
 by one scalar on each (_split_two_forms).  Both lanes run that one path;
-the lane supplies the span, kernel and eigenvector checks.
+the lane supplies the span, kernel and eigenvector checks.  In exact mode
+the kernel comes as int rows over one den (Context.scaled_nullspace), and
+T v = lambda v is checked on those ints, so the split builds no Fraction
+per entry.
 
 A structure's linear maps are built from constant index tables, not from
 wedge-and-star chains or solves: the 2-form operator from the 2 x 2 minors
@@ -26,7 +29,9 @@ forms' stored (num, den) pairs, Context.scaled for matrices) and builds one
 Fraction per output scalar or one reduced pair per output form; the float
 lane runs the same code on floats.  decompose3 and frame_coordinates run
 the same way on the structure's scaled rows of phi and the frame forms and
-on the metric's (int rows, den) Gram table of 3-forms.
+on the metric's (int rows, den) Gram table of 3-forms; odot_inverse runs
+its J, tr_g(J) and h as int numerators over one den (Context.reduce) and
+builds a Fraction only for the returned tensor.
 """
 from __future__ import annotations
 
@@ -69,6 +74,7 @@ from .exterior import (
     _matvec,
     _metric_inverse,
     _scaled_inverse,
+    _split_rows,
     _wedge_table,
     basis_vector,
     coerce_form,
@@ -188,23 +194,6 @@ def _two_form_operator_table():
     return tuple(rows), tuple(terms)
 
 
-def _apply(table, a: KForm, ctx: Context) -> list:
-    """rows . a / den for a table (rows, den) built on Context.scaled rows
-    and a form a of the lane: the exact lane multiplies and sums ints on a's
-    stored pair and builds one Fraction per output entry."""
-    rows, den = table
-    den *= a.den
-    return [ctx.ratio(x, den) for x in _matvec(rows, a.num)]
-
-
-def _apply_sparse(table, a: KForm, ctx: Context) -> list:
-    """_apply for a table whose rows are kept as their nonzero (position,
-    value) pairs."""
-    rows, den = table
-    num, den = a.num, den * a.den
-    return [ctx.ratio(sum(x * num[q] for q, x in row), den) for row in rows]
-
-
 def _contraction_matrix(coeffs):
     """B as rows of rows from phi's coefficients (exact ints, or floats).
     Construction runs it, and so does recover's test of B(phit) against
@@ -213,9 +202,13 @@ def _contraction_matrix(coeffs):
     zero, so never on an exact twist.  Float phi take numpy's bincount, a
     lane fork kept on measurement: on a dense phi it takes 14 us and the
     int loop 117 us (Python 3.11, numpy 2.4), and the loop's B differed from
-    bincount's on 200 of 200 random phi (coefficients +-3 and +-6).  A cubic
-    term beyond the float range raises NotG2FormError, which names the
-    overflow, and numpy warns of nothing."""
+    bincount's on 200 of 200 random phi (coefficients +-3 and +-6).  The int
+    loop is kept on measurement too: against a row-at-a-time product
+    B = C K C^T (C the 7 x 21 contractions, K the 21 x 21 pairing of 2-forms
+    through phi) it took 35 us against 127 us on phi0 and 78-85 us against
+    166-229 us on pulled-back phi0 (Python 3.11).  A cubic term beyond the
+    float range raises NotG2FormError, which names the overflow, and numpy
+    warns of nothing."""
     if isinstance(coeffs[0], float):
         phi = np.asarray(coeffs)
         a, b, c, n, k = _contraction_arrays()
@@ -252,7 +245,9 @@ def metric_from_phi(phi: KForm, ctx: Context = EXACT):
     B is evaluated from a cubic table on phi's stored pair Phi / D, so in
     exact mode Phi is an integer vector, B = B(Phi) / D^3 with B(Phi) an
     integer matrix, and g is stored as B(Phi) times an int over one int
-    denominator (Metric._of), with no Fraction per entry.
+    denominator (Metric._of), with no Fraction per entry.  One leading-minor
+    pass on B(Phi) gives det B and shows B or -B positive definite, so the
+    exact metric takes no second elimination (_normalized_metric).
     """
     _, metric, orientation = _contraction_and_metric(phi, ctx)
     return metric, orientation
@@ -271,9 +266,19 @@ def _contraction_and_metric(phi: KForm, ctx: Context) -> tuple:
 def _normalized_metric(B, den, ctx: Context) -> tuple:
     """(metric, orientation) of the 3-form Phi / den from B = B(Phi), its
     unflipped contraction matrix (_contraction_matrix of Phi): metric_from_phi's
-    normalization, with its errors."""
-    det_b = ctx.det(B)
+    normalization, with its errors.
+
+    In exact mode one leading-minor pass on B (Context.definite_det) gives
+    det B and shows B or -B positive definite, so the metric needs no second
+    elimination; a B that is neither takes the determinant and the metric's
+    own test, which raise what they raised before that pass.  A float det B
+    of 0.0 on a B of full rank (Context.rank) only underflowed, and is named
+    so."""
+    definite = ctx.definite_det(B)
+    det_b = ctx.det(B) if definite is None else definite[0]
     if det_b == 0:
+        if ctx.rank(B) == DIM:
+            raise NotG2FormError("3-form beyond the float range: det of its contraction matrix underflowed")
         raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
     orient = POSITIVE if det_b > 0 else NEGATIVE
     if det_b < 0:
@@ -281,7 +286,7 @@ def _normalized_metric(B, den, ctx: Context) -> tuple:
         det_b = -det_b
     # g = B(Phi) * num / scale
     if ctx.is_exact:
-        ninth = rational_nth_root(det_b / (den ** 21 * _SIX_POW_7), 9)
+        ninth = rational_nth_root(Fraction(det_b, den ** 21 * _SIX_POW_7), 9)
         if ninth is None:
             raise ExactModeError(
                 "exact metric normalization needs det(B)/6^7 to be a rational ninth power"
@@ -292,8 +297,10 @@ def _normalized_metric(B, den, ctx: Context) -> tuple:
             raise NotG2FormError("3-form beyond the float range: det of its contraction matrix overflowed")
         # 6 (det B / 6^7)^(1/9) is 6.0 when det B = 6.0^7: phi0 gets g = I
         num, scale = 1, 6.0 * (det_b / 6.0 ** 7) ** (1.0 / 9.0)
+    # det(B * num) of the flipped B, known from the pass
+    known = None if definite is None else det_b * num ** DIM
     try:
-        metric = Metric._of([[x * num for x in row] for row in B], scale, ctx)
+        metric = Metric._of([[x * num for x in row] for row in B], scale, ctx, known)
     except MetricError as exc:
         raise NotG2FormError(f"3-form does not induce a positive metric: {exc}") from exc
     return metric, orient
@@ -336,18 +343,17 @@ def _contractions(k: int, coeffs, zero=0) -> list:
 
 
 def _split_two_forms(table, gens7, ctx: Context) -> tuple:
-    """(lambda7, lambda14, basis of the 14-space) of T = rows / den, for
-    table = (rows, den), whose lambda7-eigenspace should be spanned by
-    gens7, the contractions e_i . phi.
+    """(lambda7, lambda14, (rows, den)) for T = rows / den, table =
+    (rows, den), whose lambda7-eigenspace should be spanned by gens7, the
+    contractions e_i . phi: the two eigenvalues and a basis of the
+    14-space as Context.scaled rows over one den.
 
     lambda7 is the Rayleigh quotient of gens7 and lambda14 comes from
     tr T = 7 lambda7 + 14 lambda14.  The 14-space is the kernel of the
     7 x 21 matrix gens7 . (T - lambda14): its rows span the annihilator of
     that eigenspace, since gens7 . gens7^T is invertible.  It reads only phi
-    and T, which the float lane builds from the minors of g, not from g^-1.
-    (The kernel of beta -> beta ^ *phi is the same space, but the float *phi
-    goes through g^-1: on frames with cond(g) near 1e5 that kernel was off
-    by 2.5e-9 in projector norm, this one by 1e-12.)
+    and T.  (The kernel of beta -> beta ^ *phi is the same space, but it
+    would read *phi too.)
 
     T must then act on gens7 and on the kernel basis by its two scalars
     (Context.eigenvalue: literal int products in exact mode, a relative
@@ -355,9 +361,11 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
     dimension 14 means gens7 . (T - lambda14) has rank 7, so gens7 has rank
     7 too: with spans of dimensions 7 and 14, the two spaces meet only in 0
     and fill all 21, which proves that T is diagonalizable with eigenspaces
-    of dimensions (7, 14).  The 14-space basis is Context.nullspace, in
-    exact mode normalized as the kernel of T - lambda14 is; the 7-space
-    basis, Context.span(gens7), is left to G2Structure.basis2_7.
+    of dimensions (7, 14).  The 14-space basis is Context.scaled_nullspace:
+    in exact mode int rows whose quotients are the kernel vectors of
+    Context.nullspace, normalized as the kernel of T - lambda14 is, and the
+    eigenvector check runs on those ints with no Fraction per entry; the
+    7-space basis, Context.span(gens7), is left to G2Structure.basis2_7.
     """
     rows, den = table
     lam7 = ctx.eigenvalue(rows, gens7)
@@ -373,10 +381,10 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
             if x:
                 acc = [a + x * y for a, y in zip(acc, row)]
         kernel_rows.append([q * a - p * x for a, x in zip(acc, c)])
-    eig14 = ctx.nullspace(kernel_rows)
-    if len(eig14) != 14:
+    eig14 = ctx.scaled_nullspace(kernel_rows)
+    if len(eig14[0]) != 14:
         raise DecompositionError("2-form operator has no eigenspaces of dimensions (7, 14)")
-    if ctx.eigenvalue(rows, ctx.scaled(eig14)[0], lam14) is None:
+    if ctx.eigenvalue(rows, eig14[0], lam14) is None:
         raise DecompositionError("2-form operator is not a scalar on its 14-space")
     lam7, lam14 = ctx.ratio(lam7, den), ctx.ratio(lam14, den)
     if ctx.is_zero(lam7 - lam14, FLOAT_RANK_CUTOFF * max(abs(lam7), abs(lam14))):
@@ -391,9 +399,10 @@ class G2Structure:
     it the induced metric and orientation, the volume form, the star of phi
     (the one Hodge star construction runs), the check |phi|^2 = 7 read as
     top(phi ^ *phi) / top(vol), the operator T = *(phi ^ .) on 2-forms with
-    its spectrum and the kernel vectors of its 14-space, and the contraction
-    frame spanning the 7-dimensional piece of the 3-forms.  All of it is in
-    the context's arithmetic; exact mode never touches a float.
+    its spectrum and a kernel basis of its 14-space (int rows over one den
+    in exact mode), and the contraction frame spanning the 7-dimensional
+    piece of the 3-forms.  All of it is in the context's arithmetic; exact
+    mode never touches a float, and construction takes no inverse of g.
 
     T is built without a star or g^-1 as o / sqrt(det g) times the 2 x 2
     minors of g (compound) times a constant sign table of phi's coefficients
@@ -402,16 +411,18 @@ class G2Structure:
     phi (_split_two_forms): the contractions e_i . phi span the 7-space, the
     14-space is the kernel of those contractions times T - lambda14, and
     T . v = lambda v is checked on all 21 generators (literally, on the int
-    rows, in exact mode).  The frame forms e_i . *phi are read off *phi with
-    constant signs (_contractions), no arithmetic.  The frame's inverse Gram
-    matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij.  The star
+    rows, in exact mode; the kernel's ints are checked as they come, with
+    no Fraction per entry).  The frame forms e_i . *phi are read off *phi
+    with constant signs (_contractions), no arithmetic.  The frame's inverse
+    Gram matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij, read
+    off the metric's scaled inverse when the frame table is built.  The star
     of phi is one product with the 4 x 4 minors of g (int rows in exact
     mode), which keep a float |phi|^2 = 7 within PHI_NORM_TOL on far worse
     conditioned metrics than the Gram of g^-1 does.
 
     Built lazily on first use, so construction does not pay for them: the
     7-space basis basis2_7 (one span), the 14-space basis basis2_14 (the
-    kernel vectors wrapped as forms), the two contraction tables
+    kernel rows / den wrapped as forms), the two contraction tables
     star_dx_phi and star_dx_star_phi that Bryant's formula reads, the
     polarized table of Bryant's formula on the coordinate directions that
     the twist, its type parts and its derivative read (the nonzero scaled
@@ -487,9 +498,10 @@ class G2Structure:
 
     @cached_property
     def basis2_14(self) -> tuple:
-        """A basis of the lambda14-eigenspace: the kernel vectors that
+        """A basis of the lambda14-eigenspace: the kernel rows / den that
         _split_two_forms found at construction, wrapped as forms on first read."""
-        return tuple(KForm(2, tuple(v)) for v in self._kernel14)
+        rows, den = self._kernel14
+        return tuple(KForm._of(2, v, den, self.ctx) for v in rows)
 
     @cached_property
     def _contraction_slack(self):
@@ -538,8 +550,6 @@ class G2Structure:
         ctx, star_phi = self.ctx, self.star_phi
         self.frame3_7 = tuple(KForm._of(3, row, star_phi.den, ctx)
                               for row in _contractions(4, star_phi.num, ctx.scaled_zero))
-        # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
-        self._gram7_inv = [[x / 4 for x in row] for row in _metric_inverse(self.metric)]
 
     @cached_property
     def _frame_table(self) -> tuple:
@@ -547,10 +557,15 @@ class G2Structure:
         the degree-3 Gram table (rows, den) of the metric (None when it is
         Euclidean), and the frame's inverse Gram g^-1 / 4 as a table
         (rows, den).  All on Context.scaled rows: ints in exact mode."""
-        ctx = self.ctx
-        rows, den = ctx.scaled([self.phi.coeffs, *(w.coeffs for w in self.frame3_7)])
+        # the forms' stored pairs over one den: Context.scaled of their coefficients
+        forms = (self.phi, *self.frame3_7)
+        den = lcm(*(f.den for f in forms))
+        rows = [[x * (den // f.den) for x in f.num] for f in forms]
         gram = None if self.metric.is_euclidean else _lambda_gram(self.metric, 3)
-        return rows, den, gram, ctx.scaled(self._gram7_inv)
+        # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
+        inv, iden = _scaled_inverse(self.metric)
+        quarter, qden, _ = self.ctx.reduce([x for row in inv for x in row], 4 * iden)
+        return rows, den, gram, (_split_rows(quarter), qden)
 
     # -- tables built on first use --------------------------------------
 
@@ -577,11 +592,13 @@ class G2Structure:
             row[a] += k * pb * pc
             row[b] += k * pa * pc
             row[c] += k * pa * pb
-        # rows = pden^2 dB_phi, so den = pden^2 lambda = 3 B(Phi)_11 / (3 pden g_11); the 3
-        # stays on both sides so that float phi with integer entries round as before
+        # rows = pden^2 dB_phi, so den = pden^2 lambda = 3 B(Phi)_11 / (3 pden g_11) with
+        # g = G / gden; the 3 stays on both sides so that float phi with integer
+        # entries round as before
         contraction, _ = self._contraction
+        g = self.metric
         sparse = tuple(tuple((q, x) for q, x in enumerate(row) if x) for row in rows)
-        return sparse, self.ctx.ratio(3 * contraction[0][0], 3 * pden * self.metric.rows[0][0])
+        return sparse, self.ctx.ratio(3 * contraction[0][0] * g.den, 3 * pden * g.num[0][0])
 
     @cached_property
     def star_dx_star_phi(self) -> tuple:
@@ -848,15 +865,13 @@ def odot_endo(E, s: G2Structure) -> KForm:
 
 def odot(b, s: G2Structure) -> KForm:
     """Action of a bilinear form on phi: raise the first index, then act slotwise."""
-    return _odot_rows(_lane_rows(b, s.ctx), s)
+    return _odot_rows(*s.ctx.scaled(_lane_rows(b, s.ctx)), s)
 
 
-def _odot_rows(rows, s: G2Structure) -> KForm:
-    """odot of rows already in the structure's lane."""
-    ctx = s.ctx
+def _odot_rows(rows, den, s: G2Structure) -> KForm:
+    """odot of rows / den, Context.scaled rows: g^-1 . rows on ints in exact mode."""
     ginv, gden = _scaled_inverse(s.metric)
-    rows, bden = ctx.scaled(rows)
-    return _odot_scaled(ratlin.matmul(ginv, rows), gden * bden, s)
+    return _odot_scaled(ratlin.matmul(ginv, rows), gden * den, s)
 
 
 def odot_local(b, s: G2Structure, frame=None) -> KForm:
@@ -925,9 +940,12 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
     Closed form, no solve: with B(phi) = lambda g, for symmetric h
     dB_phi[h . phi] = lambda (2h + tr_g(h) g).  So J = dB_phi[eta] / lambda,
     one 28x35 product with the structure's table, gives
-    h = (J - tr_g(J) / 9 g) / 2.  Float checks are relative: the 7-part and
-    the residual odot(h) - eta must be within the context's tol times
-    max(1, |eta|).
+    h = (J - tr_g(J) / 9 g) / 2.  J, tr_g(J) and h run as scaled
+    numerators over one den (Context.reduce: reduced ints in exact mode,
+    the same float operations as lane scalars in float mode), and a
+    Fraction is built only per entry of the returned h.  Float checks are
+    relative: the 7-part and the residual odot(h) - eta must be within the
+    context's tol times max(1, |eta|).
     """
     if eta.degree != 3:
         raise DegreeError("odot_inverse expects a 3-form")
@@ -939,14 +957,28 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     # with p7 = 0 this is eta itself in the exact lane
     target = parts.p1 + parts.p27
-    jvec = _apply_sparse(s._odot_inverse_table, target, ctx)
-    ginv, g = _metric_inverse(s.metric), s.metric.rows
-    trace = sum(ginv[i][j] * x if i == j else 2 * ginv[i][j] * x
-                for (i, j), x in zip(_PAIRS, jvec)) / 9
+    # J = sums / jden: the table's den is lambda = t / tq
+    table, lam = s._odot_inverse_table
+    ((t,),), tq = ctx.scaled([[lam]])
+    num = target.num
+    sums = [sum(x * num[q] for q, x in row) * tq for row in table]
+    jvec, jden, _ = ctx.reduce(sums, t * target.den)
+    # tr_g(J) / 9 = tr / trden, with g^-1 = ginv / iden and g = gnum / gden
+    ginv, iden = _scaled_inverse(s.metric)
+    gnum, gden = s.metric.num, s.metric.den
+    (tr,), trden, _ = ctx.reduce([sum(ginv[i][j] * x if i == j else 2 * ginv[i][j] * x
+                                      for (i, j), x in zip(_PAIRS, jvec))], 9 * iden * jden)
+    # h = (J - tr_g(J) / 9 g) / 2 on one den
+    den = lcm(jden, trden * gden)
+    mj, mt = den // jden, den // (trden * gden)
+    upper, hden, _ = ctx.reduce([x * mj - tr * gnum[i][j] * mt for (i, j), x in zip(_PAIRS, jvec)],
+                                2 * den)
+    hrows = [[None] * DIM for _ in range(DIM)]
     rows = [[None] * DIM for _ in range(DIM)]
-    for (i, j), x in zip(_PAIRS, jvec):
-        rows[i][j] = rows[j][i] = (x - trace * g[i][j]) / 2
-    resid = (_odot_rows(rows, s) - target).max_abs()
+    for (i, j), x in zip(_PAIRS, upper):
+        hrows[i][j] = hrows[j][i] = x
+        rows[i][j] = rows[j][i] = ctx.ratio(x, hden)
+    resid = (_odot_rows(hrows, hden, s) - target).max_abs()
     if not ctx.is_zero(resid, bound):
         raise DecompositionError(f"inversion residual {resid} above tolerance")
     return SymTensor(tuple(tuple(r) for r in rows))

@@ -183,7 +183,7 @@ def _annihilator(lane, vecs):
     the rows are orthonormal).  Exact rows are scaled to ints."""
     if not vecs:
         return [[int(r == c) for c in range(len(_UPPER))] for r in range(len(_UPPER))]
-    return lane.scaled(lane.nullspace(vecs))[0]
+    return lane.scaled_nullspace(vecs)[0]
 
 
 def _in_span(lane, ann, v) -> bool:

@@ -6,18 +6,23 @@ fraction-free: each row is scaled to integers by the lcm of its
 denominators, rref runs Gauss-Jordan on Python ints with a gcd pass per
 updated row, rank runs the same elimination forward only, det uses
 Bareiss's exact-division elimination (Math. Comp. 22 (1968) 565-578), and a
-Fraction is built once per output entry.  The float lane takes det as the
-signed product of partial-pivoting pivots in pure Python (det_float, exact
-when the pivots are, as for phi0's contraction matrix 6 I) and defers the
-rest to numpy; its rank decisions use the singular value cutoff
-context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a lane
-through Context.det / inv / rank / nullspace / span / eigenvalue / solve.
-Matrices are lists/tuples of rows; vectors are flat sequences.
+Fraction is built once per output entry.  The int kernels nullspace_int and
+inv_int read the rref's int rows as int rows over one den, with no
+Fraction, and definite_det reads det and definiteness off one Bareiss pass
+with no row swaps.  The float lane takes det as the signed product of
+partial-pivoting pivots in pure Python (det_float, exact when the pivots
+are, as for phi0's contraction matrix 6 I) and defers the rest to numpy;
+its rank decisions use the singular value cutoff context.FLOAT_RANK_CUTOFF
+of the tolerance ladder.  Callers pick a lane through Context.det /
+definite_det / inv / scaled_inverse / rank / nullspace / scaled_nullspace /
+span / eigenvalue / solve.  Matrices are lists/tuples of rows; vectors are
+flat sequences.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter, mul
 
 from .context import FLOAT_RANK_CUTOFF, np
 from .errors import G2KitError
@@ -84,14 +89,12 @@ def int_rows(m):
     return [[next(it) for _ in row] for row in m], den
 
 
-def rref(m):
-    """Reduced row echelon form; returns (rows, pivot_columns).
-
-    Each row is first scaled to integers; elimination then runs on ints
-    (new = pivot * row - factor * pivot_row, divided by its gcd), and every
-    output entry becomes one Fraction at the end.  The reduced form is
-    unique, so this equals Gauss-Jordan over Fractions.
-    """
+def _rref_ints(m):
+    """(rows, pivots): the reduced row echelon form of m on int rows.  Each
+    row is first scaled to coprime integers; elimination then runs on ints
+    (new = pivot * row - factor * pivot_row, divided by its gcd).  Row r <
+    len(pivots) has its nonzero pivot rows[r][pivots[r]] and zeros in the
+    other pivot columns; the rows below are zero."""
     rows = [primitive_int_row(row) for row in m]
     if not rows:
         return rows, []
@@ -118,13 +121,24 @@ def rref(m):
         r += 1
         if r == nr:
             break
+    return rows, pivots
+
+
+def rref(m):
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Elimination runs on ints (_rref_ints), and every output entry becomes
+    one Fraction at the end.  The reduced form is unique, so this equals
+    Gauss-Jordan over Fractions.
+    """
+    rows, pivots = _rref_ints(m)
     out = []
     for i, row in enumerate(rows):
-        if i < r:
+        if i < len(pivots):
             pv = row[pivots[i]]
             out.append([Fraction(x, pv) if x else _ZERO for x in row])
         else:
-            out.append([_ZERO] * nc)
+            out.append([_ZERO] * len(row))
     return out, pivots
 
 
@@ -189,31 +203,43 @@ def det_exact(m):
     return Fraction(sign * a[0][0], den)
 
 
-def positive_definite_det(m):
-    """det(m) for a symmetric int matrix whose leading principal minors are
-    all positive (Sylvester's criterion for positive definiteness), else
-    None.  One Bareiss pass with no row swaps: its k-th pivot is the k-th
-    leading minor, so it stops at the first pivot <= 0 and its last pivot
-    is det(m)."""
+def definite_det(m):
+    """(det(m), sign) for a symmetric int matrix m with sign * m positive
+    definite, sign = 1 or -1, else None.  One Bareiss pass with no row
+    swaps: its k-th pivot is the k-th leading principal minor M_k, so m is
+    positive definite when every M_k > 0 and negative definite when every
+    (-1)^k M_k > 0 (Sylvester's criterion); the pass stops at the first
+    pivot off that pattern, and its last pivot is det(m)."""
     a, prev = m, 1
+    sign = want = 1 if m[0][0] > 0 else -1
     while True:
         top = a[0]
         pv = top[0]
-        if pv <= 0:
+        if pv * want <= 0:
             return None
         if len(a) == 1:
-            return pv
+            return pv, sign
         a = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
-        prev = pv
+        prev, want = pv, want * sign
+
+
+def inv_int(m):
+    """(rows, den) with m^-1 = rows / den, int rows over one positive den,
+    for an invertible square rational matrix m: one int rref of [m | I]
+    (_rref_ints), no Fraction.  G2KitError("matrix is singular") otherwise."""
+    n = len(m)
+    rows, pivots = _rref_ints([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise G2KitError("matrix is singular")
+    den = lcm(*(row[r] for r, row in enumerate(rows)))
+    return [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(rows)], den
 
 
 def inv_exact(m):
-    n = len(m)
-    aug = [list(row) + ident for row, ident in zip(mat_rows(m), identity(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise G2KitError("matrix is singular")
-    return [row[n:] for row in red]
+    """m^-1 as Fraction rows (inv_int)."""
+    rows, den = inv_int(m)
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def solve_exact(a, b):
@@ -250,6 +276,29 @@ def nullspace_exact(m):
     return basis
 
 
+def nullspace_int(m):
+    """(rows, den): nullspace_exact(m) as int rows over one positive den, so
+    that rows / den are its vectors literally, with no Fraction.  The int
+    rref (_rref_ints) gives pivot row r its pivot p_r at column c_r, and
+    the kernel vector of free column f has 1 at f and -x / p_r at c_r for
+    the row's entry x at f; den is the lcm of the pivots."""
+    nc = len(m[0]) if m else 0
+    rows, pivots = _rref_ints(m)
+    den = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    scaled = [(c, rows[r], den // rows[r][c]) for r, c in enumerate(pivots)]
+    taken = set(pivots)
+    basis = []
+    for fc in range(nc):
+        if fc in taken:
+            continue
+        v = [0] * nc
+        v[fc] = den
+        for c, row, k in scaled:
+            v[c] = -row[fc] * k
+        basis.append(v)
+    return basis, den
+
+
 def span_exact(m):
     """Basis of the row span in nullspace_exact's normalization: the reduced
     row echelon form taken from the right (columns reversed, rref, reversed
@@ -262,21 +311,22 @@ def span_exact(m):
 
 def eigenvalue_exact(m, vectors, lam=None):
     """lam when m v = lam v for every vector, else None.  Without lam, the
-    Rayleigh quotient sum <v, m v> / sum <v, v> is tried.  The check is
+    Rayleigh quotient sum <v, m v> / sum <v, v> is tried.  Each image m v is
+    formed as row dot products on v's nonzero entries, and the check is
     literal: q m v == p v for lam = p / q (ints for int input)."""
-    cols, images = list(zip(*m)), []
+    images = []
     for v in vectors:
-        w = [0] * len(cols[0])
-        for x, col in zip(v, cols):
-            if x:
-                w = [a + x * y for a, y in zip(w, col)]
-        images.append(w)
+        nonzero = [q for q, x in enumerate(v) if x]
+        xs = [v[q] for q in nonzero]
+        get = itemgetter(*nonzero) if len(nonzero) > 1 else lambda row: [row[q] for q in nonzero]
+        images.append([sum(map(mul, get(row), xs)) for row in m])
     if lam is None:
         den = sum(x * x for v in vectors for x in v)
         if not den:
             return None
         lam = Fraction(sum(x * y for v, w in zip(vectors, images) for x, y in zip(v, w)), den)
-    lam = Fraction(lam)
+    else:
+        lam = Fraction(lam)
     p, q = lam.numerator, lam.denominator
     for v, w in zip(vectors, images):
         if any(q * y != p * x for x, y in zip(v, w)):

@@ -38,6 +38,7 @@ from g2kit.errors import (
 )
 from g2kit.exterior import DIM, KForm, coerce_form, form_inner, hodge_star, pullback, wedge
 from g2kit.g2core import (
+    Decomposition3,
     G2Structure,
     decompose2,
     decompose3,
@@ -51,7 +52,7 @@ from g2kit.g2core import (
 from g2kit.models import flat_model, gamma_sample, model_structure
 from g2kit.sampling import rational_kform, rational_unit_tuple
 from g2kit.serialize import g2structure_from_json, g2structure_to_json
-from test_kernels import float_frame, frame_structure, rational_frames
+from test_kernels import float_frame, frame_structure, rational_frames, ref_apply_sparse, same
 
 
 def sphere_points():
@@ -1000,6 +1001,87 @@ def test_derivative_rank_argument_errors_in_order(mode):
         derivative_rank(s, off_both, 4)
 
 
+def test_exact_split_builds_ten_fractions(monkeypatch):
+    """The 2-form splitting runs on int rows: an exact G2Structure(...)
+    builds 10 Fractions inside _split_two_forms (lambda7 and lambda14 with
+    their arithmetic and checks), on phi0, a twist and a frame in both
+    orientations (158 to 234 while the kernel came as Fractions)."""
+    counts, real = [], g2core._split_two_forms
+
+    def counted(*args):
+        out = []
+        counts.append(fractions_built(lambda: out.append(real(*args))))
+        return out[0]
+
+    a = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    a[0][1], a[2][5], a[4][4] = 1, Fraction(-1, 2), 2
+    flipped = [[-x for x in a[0]]] + a[1:]
+    forms = [phi0(), twist(model_structure("t7", "exact"), sample_params(random.Random(1))),
+             pullback(phi0(), a), pullback(phi0(), flipped)]
+    monkeypatch.setattr(g2core, "_split_two_forms", counted)
+    for phi in forms:
+        G2Structure(phi)
+    assert counts == [10] * len(forms)
+
+
+def ref_twist_decomposed_fractions(s, p):
+    """twist_decomposed as it was before its phi terms ran on ints: Fraction
+    scalars, two KForm scalar products and a KForm add."""
+    xs, xden, sq, gden = bryant._twist_point(s, p)
+    ctx, phi = s.ctx, s.phi
+    w2 = ctx.ratio(sq, xden * xden * gden)
+    coef = ctx.ratio(xs[0] * xs[0], xden * xden) - w2
+    table, den = s.polarized_table
+    den *= xden * xden
+    c2 = 2 * xs[0]
+    seven = [(0, b, c2 * y) for b, y in enumerate(xs) if b and y] if c2 else []
+    p7 = KForm._of(3, bryant._table_sum(table, seven, ctx.scaled_zero), den, ctx)
+    qww = KForm._of(3, bryant._table_sum(table, bryant._pair_terms(xs, 1), ctx.scaled_zero),
+                    den, ctx)
+    return Decomposition3(p1=((4 * coef + 3) / 7) * phi, p7=p7,
+                          p27=qww + (w2 - (3 - 3 * coef) / 7) * phi)
+
+
+def assert_parts_literally_equal(got, want):
+    for part in ("p1", "p7", "p27"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert (g.num, g.den) == (w.num, w.den) and same(g, w), part
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_twist_decomposed_equals_the_fraction_reference_on_models(kind):
+    """The parts on the point's ints equal the Fraction-scalar parts
+    literally, and bit for bit in the float lane: generic points, c = 0 and
+    the poles."""
+    b1 = flat_model(kind).b1
+    rng = random.Random(kind)
+    for mode in ("exact", "float"):
+        s = model_structure(kind, mode)
+        points = [sample_params(rng, b1) for _ in range(3)]
+        points += [sample_params(rng, b1, force_c_zero=True), TwistParams(1, KForm.zero(1)),
+                   TwistParams(-1, KForm.zero(1))]
+        for p in points:
+            p = float_point(p) if mode == "float" else p
+            assert_parts_literally_equal(twist_decomposed(s, p), ref_twist_decomposed_fractions(s, p))
+
+
+@given(rational_frames(), st.integers(0, 2 ** 16))
+@settings(max_examples=6, deadline=None)
+def test_twist_decomposed_equals_the_fraction_reference_on_rational_frames(a, seed):
+    """The same on non-Euclidean metrics (gden > 1): exact on every frame,
+    float where the float lane builds structures (cond(a^T a) <= 1e5)."""
+    rng = random.Random(seed)
+    p = frame_point(sample_params(rng), a)
+    s = frame_structure(a)
+    assert_parts_literally_equal(twist_decomposed(s, p), ref_twist_decomposed_fractions(s, p))
+    sf = G2Structure(pullback(phi0(FLOAT), float_frame(a)), FLOAT)
+    try:
+        pf = bryant._sphere_point(sf, float_point(p))[0]
+    except G2KitError:
+        return
+    assert_parts_literally_equal(twist_decomposed(sf, pf), ref_twist_decomposed_fractions(sf, pf))
+
+
 @pytest.fixture
 def nullspace_calls(monkeypatch):
     calls = []
@@ -1469,16 +1551,16 @@ def assert_w_pivot_identities(s, p):
     assert all(x for row in table[0] for _, x in row)
     phit = twist(s, p)
     d = decompose3(phit, s)
-    jvec = g2core._apply_sparse(table, phit + s.phi, ctx)
-    assert jvec == g2core._apply_sparse(table, d.p1 + d.p27 + s.phi, ctx)
+    jvec = ref_apply_sparse(table, phit + s.phi, ctx)
+    assert jvec == ref_apply_sparse(table, d.p1 + d.p27 + s.phi, ctx)
     ginv = exterior._metric_inverse(s.metric)
     trace = sum(ginv[i][j] * x * (1 if i == j else 2) for (i, j), x in zip(g2core._PAIRS, jvec))
     a = form_inner(phit, s.phi, s.metric)
     assert trace == 3 * (a + 7)
-    assert g2core._apply_sparse(table, s.phi, ctx) == [3 * g[i][j] for i, j in g2core._PAIRS]
+    assert ref_apply_sparse(table, s.phi, ctx) == [3 * g[i][j] for i, j in g2core._PAIRS]
     w = p.omega.coeffs
     zeta = 6 * phit + (1 - a) * s.phi
-    assert [x / 24 for x in g2core._apply_sparse(table, zeta, ctx)] == [w[i] * w[j] for i, j in g2core._PAIRS]
+    assert [x / 24 for x in ref_apply_sparse(table, zeta, ctx)] == [w[i] * w[j] for i, j in g2core._PAIRS]
 
 
 @given(rational_frames(), sphere_points())

@@ -1,4 +1,6 @@
 """The standard 3-form: induced metric, spectra, decompositions, tensor action."""
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from g2kit import ratlin
 from g2kit.bryant import TwistParams, recover, twist
-from g2kit.context import EXACT, FLOAT
+from g2kit.context import EXACT, FLOAT, Context, rational_nth_root
 from g2kit.errors import (
     DecompositionError,
     DegreeError,
     ExactModeError,
     FrameError,
+    G2KitError,
+    MetricError,
     NotG2FormError,
 )
 from g2kit.exterior import (
@@ -20,15 +24,20 @@ from g2kit.exterior import (
     DIM,
     NK,
     KForm,
+    Metric,
     basis_vector,
+    coerce_form,
     form_inner,
     interior,
     pullback,
     wedge,
 )
 from g2kit.g2core import (
+    PHI0_ENTRIES,
     G2Structure,
     SymTensor,
+    _contraction_matrix,
+    _normalized_metric,
     decompose2,
     decompose3,
     infinitesimal_action,
@@ -412,3 +421,114 @@ def test_quadratic_term_phi_component(coeffs):
 def test_exact_structure_rejects_float_phi():
     with pytest.raises(ExactModeError):
         G2Structure(phi0(FLOAT))
+
+
+# -- metric_from_phi in one elimination -----------------------------------------
+
+
+def ref_normalized_metric(B, den, ctx):
+    """metric_from_phi's normalization as it was before its one leading-minor
+    pass: Context.det of B, then the metric's own positivity test."""
+    det_b = ctx.det(B)
+    if det_b == 0:
+        raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
+    orient = 1 if det_b > 0 else -1
+    if det_b < 0:
+        B = [[-x for x in row] for row in B]
+        det_b = -det_b
+    if ctx.is_exact:
+        ninth = rational_nth_root(det_b / (den ** 21 * 6 ** 7), 9)
+        if ninth is None:
+            raise ExactModeError(
+                "exact metric normalization needs det(B)/6^7 to be a rational ninth power"
+            )
+        num, scale = ninth.denominator, den ** 3 * 6 * ninth.numerator
+    else:
+        if not math.isfinite(det_b):
+            raise NotG2FormError("3-form beyond the float range: det of its contraction matrix overflowed")
+        num, scale = 1, 6.0 * (det_b / 6.0 ** 7) ** (1.0 / 9.0)
+    try:
+        metric = Metric._of([[x * num for x in row] for row in B], scale, ctx)
+    except MetricError as exc:
+        raise NotG2FormError(f"3-form does not induce a positive metric: {exc}") from exc
+    return metric, orient
+
+
+def normalization_outcome(normalize, phi, ctx):
+    """(num, den, det, orientation) of the metric, or the error's class and message."""
+    phi = coerce_form(phi, ctx)
+    try:
+        metric, orient = normalize(_contraction_matrix(phi.num), phi.den, ctx)
+    except G2KitError as exc:
+        return type(exc), str(exc)
+    return metric.num, metric.den, metric._det, getattr(orient, "sign", orient)
+
+
+# phi0 with each sign pattern on its seven terms: B is +-6 on the diagonal
+# for some patterns and indefinite for others, and det B / 6^7 is always a
+# ninth power, so each refusal comes from the sign pattern alone
+SIGNED_PHI0 = [KForm.from_entries(3, {idx: s * c for (idx, c), s in zip(PHI0_ENTRIES.items(), signs)})
+               for signs in itertools.product((1, -1), repeat=DIM)]
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=6, deadline=None)
+def test_one_pass_normalization_equals_the_det_first_reference(seed):
+    """The sign patterns of phi0, pulled back by a drawn rational frame, and
+    a few forms with no rational ninth root or with det B = 0: metric,
+    det g and orientation, or the refusal's class and message, equal the
+    reference's, literally in exact mode and bit for bit in float mode."""
+    rng = random.Random(seed)
+    a = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) + 3 * (i == j) for j in range(DIM)]
+         for i in range(DIM)]
+    forms = [pullback(phi, a) for phi in SIGNED_PHI0]
+    forms += [2 * phi0(), rational_kform(rng, 3), KForm.basis((1, 2, 3)),
+              KForm.from_entries(3, {(1, 2, 3): 1, (1, 4, 5): 1})]
+    for ctx in (EXACT, FLOAT):
+        for phi in forms:
+            got = normalization_outcome(_normalized_metric, phi, ctx)
+            assert got == normalization_outcome(ref_normalized_metric, phi, ctx)
+
+
+def test_exact_metric_from_phi_eliminates_b_once(monkeypatch):
+    """An exact form whose B or -B is positive definite takes one
+    leading-minor pass (ratlin.definite_det) and no Context.det; a refused
+    indefinite form takes the pass, then Context.det and the metric's own
+    test, and raises the reference's error."""
+    calls = []
+    real_pass, real_det = ratlin.definite_det, Context.det
+
+    def counted_pass(m):
+        calls.append("pass")
+        return real_pass(m)
+
+    def counted_det(self, m):
+        calls.append("det")
+        return real_det(self, m)
+
+    monkeypatch.setattr(ratlin, "definite_det", counted_pass)
+    monkeypatch.setattr(Context, "det", counted_det)
+    for phi, orient in ((phi0(), 1), (-phi0(), -1), (SIGNED_PHI0[5], None)):
+        del calls[:]
+        if orient is None:
+            with pytest.raises(NotG2FormError, match="does not induce a positive metric"):
+                metric_from_phi(phi)
+            assert calls == ["pass", "det", "pass"]
+        else:
+            assert metric_from_phi(phi)[1].sign == orient
+            assert calls == ["pass"]
+
+
+def test_float_underflowed_det_is_named_apart_from_a_degenerate_form():
+    """phi0 * 1e-20 has B = 6e-60 I of full rank, whose det underflows to 0.0:
+    the refusal names the underflow.  dx123 (B = 0) keeps the degenerate
+    message in both lanes, and phi0 * 1e-100 (det B about 1e-2093) is named
+    as phi0 * 1e-20 is."""
+    for scale in (1e-20, 1e-100):
+        with pytest.raises(NotG2FormError) as exc:
+            G2Structure(phi0(FLOAT) * scale, FLOAT)
+        assert str(exc.value) == "3-form beyond the float range: det of its contraction matrix underflowed"
+    for ctx in (EXACT, FLOAT):
+        with pytest.raises(NotG2FormError) as exc:
+            metric_from_phi(KForm.from_entries(3, {(1, 2, 3): 1}, ctx), ctx)
+        assert str(exc.value) == "degenerate 3-form: det of contraction matrix is 0"

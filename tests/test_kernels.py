@@ -1,8 +1,9 @@
 """Integer kernels of the exact lane against plain reference definitions.
 
 - ratlin's fraction-free rref/det/solve/nullspace/inv against Gauss-Jordan
-  over Fractions, kept here as the reference, and the forward-only rank
-  against the rref pivot count it replaced (ref_rank_exact);
+  over Fractions, kept here as the reference, the forward-only rank
+  against the rref pivot count it replaced (ref_rank_exact), and the int
+  kernel (nullspace_int) against nullspace_exact;
 - the cubic table for B(phi) against the wedge chain that defines it;
 - the closed forms used at construction: frame Gram = 4 g, the symmetric
   action assembled from g^-1;
@@ -14,7 +15,9 @@
   C = e_i . phi and the kernel of C (T - lambda14), with T checked on their
   generators) against the earlier exact lane (trace candidates kept by
   (T - lambda7)(T - lambda14) = 0) and float lane (numpy eigvals,
-  clustered); Context.span against the double kernel;
+  clustered); Context.span against the double kernel; lambda7, lambda14,
+  basis2_14 and odot_inverse on ints against the Fraction path they
+  replaced (ref_split_two_forms, ref_odot_inverse_fractions);
 - decompose3's single Gram product against eight quadratic forms, the
   frame forms against interior contractions, and form_inner and the star
   of degrees 4 and up (through the minors of g) against the quadratic
@@ -49,7 +52,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from g2kit import bryant, exterior, g2core, ratlin
-from g2kit.context import EXACT, FLOAT, RECOVERY_TOL, Context, lane_of, rational_nth_root
+from g2kit.context import (
+    EXACT,
+    FLOAT,
+    FLOAT_RANK_CUTOFF,
+    RECOVERY_TOL,
+    Context,
+    lane_of,
+    rational_nth_root,
+)
 from g2kit.errors import DecompositionError, G2KitError, MetricError
 from g2kit.exterior import (
     BASIS,
@@ -77,7 +88,6 @@ from g2kit.g2core import (
     _PAIRS,
     G2Structure,
     SymTensor,
-    _apply_sparse,
     _contraction_matrix,
     _contractions,
     _split_two_forms,
@@ -190,6 +200,26 @@ def test_det_matches_reference(m):
 @settings(max_examples=100, deadline=None)
 def test_nullspace_matches_reference(m):
     assert ratlin.nullspace_exact(m) == ref_nullspace(m)
+
+
+@given(matrices())
+@example([])
+@example([[0, 0, 0]])
+@example([[2, -4, 6], [-1, 0, 3]])
+@example([[Fraction(1, 2), 3, 0, 1], [0, 0, 1, 5], [1, 6, 0, 2]])
+@settings(max_examples=200, deadline=None)
+def test_int_nullspace_equals_nullspace_exact(m):
+    """The int kernel's rows over its one positive den are nullspace_exact's
+    vectors literally: on full-rank, rank-deficient and zero rows
+    (matrices()) and on the empty matrix; Context.scaled_nullspace gives the
+    same pair in exact mode and the SVD basis over 1 in float mode."""
+    rows, den = ratlin.nullspace_int(m)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert [[Fraction(x, den) for x in row] for row in rows] == ratlin.nullspace_exact(m)
+    assert EXACT.scaled_nullspace(m) == (rows, den)
+    fm = [[float(x) for x in row] for row in m]
+    assert FLOAT.scaled_nullspace(fm) == (ratlin.nullspace_float(fm), 1)
 
 
 @given(matrices(), st.data())
@@ -442,6 +472,13 @@ def ref_odot_inverse(eta, s):
     return SymTensor(tuple(tuple(r) for r in rows))
 
 
+def frame_inverse_gram(s):
+    """The frame's inverse Gram matrix g^-1 / 4 as lane scalars, from the
+    structure's frame table."""
+    inv, den = s._frame_table[3]
+    return [[s.ctx.ratio(x, den) for x in row] for row in inv]
+
+
 @given(rational_frames())
 @settings(max_examples=8, deadline=None)
 def test_frame_gram_and_symmetric_action(a):
@@ -451,7 +488,7 @@ def test_frame_gram_and_symmetric_action(a):
     assert s.orientation.sign == (1 if ratlin.det_exact(a) > 0 else -1)
     gram = [[form_inner(u, v, s.metric) for v in s.frame3_7] for u in s.frame3_7]
     assert gram == [[4 * x for x in row] for row in s.metric.rows]
-    assert ratlin.matmul(gram, s._gram7_inv) == ratlin.identity(DIM)
+    assert ratlin.matmul(gram, frame_inverse_gram(s)) == ratlin.identity(DIM)
     basis = symmetric_basis()
     cols = [odot(b, s) for b in basis]
     assert ref_odot_symmetric_matrix(s) == [list(row) for row in zip(*(c.coeffs for c in cols))]
@@ -565,6 +602,14 @@ def test_t_table_equals_star_chain_on_frames(a):
     assert_float_close(t_matrix(sf), star_t_matrix(sf), 1e-9)
 
 
+def ref_apply_sparse(table, a, ctx):
+    """rows . a / den for a table (rows, den) with sparse rows, one lane
+    scalar per entry: how odot_inverse read its table before it ran on ints."""
+    rows, den = table
+    num, den = a.num, den * a.den
+    return [ctx.ratio(sum(x * num[q] for q, x in row), den) for row in rows]
+
+
 @given(rational_frames())
 @settings(max_examples=3, deadline=None)
 def test_odot_inverse_table_identity(a):
@@ -576,7 +621,7 @@ def test_odot_inverse_table_identity(a):
     for s in structures:
         ginv, g = _metric_inverse(s.metric), s.metric.rows
         for h in symmetric_basis():
-            jvec = _apply_sparse(s._odot_inverse_table, odot(h, s), s.ctx)
+            jvec = ref_apply_sparse(s._odot_inverse_table, odot(h, s), s.ctx)
             trace = sum(ginv[i][j] * h[j][i] for i in range(DIM) for j in range(DIM))
             assert jvec == [2 * h[i][j] + trace * g[i][j] for i, j in _PAIRS]
 
@@ -618,11 +663,12 @@ def test_odot_inverse_equals_solve_reference_on_frames(a, seed):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts hodge_star and ratlin.rref calls, the row counts of the
-    matrices rref eliminates and the degrees asked of _lambda_gram, through
-    every module that imports them."""
+    """Counts hodge_star calls, the eliminations of ratlin's int rref core
+    (_rref_ints, which rref and the int kernel both run) with the row counts
+    of the matrices it eliminates, and the degrees asked of _lambda_gram,
+    through every module that imports them."""
     calls = {"star": 0, "rref": 0, "rref_rows": [], "gram": []}
-    star, rref, gram = exterior.hodge_star, ratlin.rref, exterior._lambda_gram
+    star, rref, gram = exterior.hodge_star, ratlin._rref_ints, exterior._lambda_gram
 
     def counted_star(*args, **kwargs):
         calls["star"] += 1
@@ -640,7 +686,7 @@ def kernel_calls(monkeypatch):
     for module in (exterior, g2core):
         monkeypatch.setattr(module, "hodge_star", counted_star)
         monkeypatch.setattr(module, "_lambda_gram", counted_gram)
-    monkeypatch.setattr(ratlin, "rref", counted_rref)
+    monkeypatch.setattr(ratlin, "_rref_ints", counted_rref)
 
     def reset():
         calls.update(star=0, rref=0, rref_rows=[], gram=[])
@@ -826,7 +872,7 @@ def test_two_form_spectrum_refuses_other_operators():
         gens7 = _contractions(3, s.phi.coeffs)
         lam7, lam14, eig14 = _split_two_forms(s._t_table, gens7, ctx)
         assert (lam7, lam14) == (s.lambda7, s.lambda14)
-        assert (len(s.basis2_7), len(eig14)) == (7, 14)
+        assert (len(s.basis2_7), len(eig14[0])) == (7, 14)
         for tmat in (ident, wrong, rot):
             if not ctx.is_exact:
                 tmat = [[float(x) for x in row] for row in tmat]
@@ -840,6 +886,105 @@ def test_two_form_spectrum_refuses_other_operators():
             bumped = [[x + den * ui * wj for x, wj in zip(row, w)] for row, ui in zip(rows, u)]
             with pytest.raises(DecompositionError, match="not a scalar"):
                 _split_two_forms((bumped, den), gens7, ctx)
+
+
+# -- the structure path on ints against the Fraction path it replaced --------
+
+
+def ref_split_two_forms(table, gens7, ctx):
+    """_split_two_forms as it was before the int kernel: the 14-space basis
+    as Context.nullspace's Fraction vectors, turned back into ints by
+    Context.scaled for the eigenvector check."""
+    rows, den = table
+    lam7 = ctx.eigenvalue(rows, gens7)
+    if lam7 is None:
+        raise DecompositionError("2-form operator is not a scalar on the contractions of phi")
+    lam14 = (sum(row[i] for i, row in enumerate(rows)) - 7 * lam7) / 14
+    ((p,),), q = ctx.scaled([[lam14]])
+    kernel_rows = []
+    for c in gens7:
+        acc = [0] * NK[2]
+        for x, row in zip(c, rows):
+            if x:
+                acc = [a + x * y for a, y in zip(acc, row)]
+        kernel_rows.append([q * a - p * x for a, x in zip(acc, c)])
+    eig14 = ctx.nullspace(kernel_rows)
+    if len(eig14) != 14:
+        raise DecompositionError("2-form operator has no eigenspaces of dimensions (7, 14)")
+    if ctx.eigenvalue(rows, ctx.scaled(eig14)[0], lam14) is None:
+        raise DecompositionError("2-form operator is not a scalar on its 14-space")
+    lam7, lam14 = ctx.ratio(lam7, den), ctx.ratio(lam14, den)
+    if ctx.is_zero(lam7 - lam14, FLOAT_RANK_CUTOFF * max(abs(lam7), abs(lam14))):
+        raise DecompositionError("2-form operator has one eigenvalue on both spaces")
+    return lam7, lam14, eig14
+
+
+def ref_odot_inverse_fractions(eta, s):
+    """odot_inverse as it was before it ran on ints: J, tr_g(J) and h as
+    lane scalars (Fractions in exact mode), rescaled to ints by odot."""
+    ctx = s.ctx
+    eta = coerce_form(eta, ctx)
+    bound = ctx.tol * max(1.0, float(eta.max_abs()))
+    parts = decompose3(eta, s)
+    if not ctx.is_zero(parts.p7.max_abs(), bound):
+        raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
+    target = parts.p1 + parts.p27
+    jvec = ref_apply_sparse(s._odot_inverse_table, target, ctx)
+    ginv, g = _metric_inverse(s.metric), s.metric.rows
+    trace = sum(ginv[i][j] * x if i == j else 2 * ginv[i][j] * x
+                for (i, j), x in zip(_PAIRS, jvec)) / 9
+    rows = [[None] * DIM for _ in range(DIM)]
+    for (i, j), x in zip(_PAIRS, jvec):
+        rows[i][j] = rows[j][i] = (x - trace * g[i][j]) / 2
+    resid = (odot(rows, s) - target).max_abs()
+    if not ctx.is_zero(resid, bound):
+        raise DecompositionError(f"inversion residual {resid} above tolerance")
+    return SymTensor(tuple(tuple(r) for r in rows))
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the G2KitError it raised."""
+    try:
+        return fn(*args)
+    except G2KitError as exc:
+        return type(exc), str(exc)
+
+
+def assert_int_path_equals_references(s, rng):
+    """lambda7, lambda14, basis2_14 and odot_inverse of the structure equal
+    the Fraction-path references literally (the same float bits in the
+    float lane): odot_inverse on images odot(h), on an image plus a frame
+    form (a 7-part: DecompositionError) and on a random 3-form."""
+    ctx = s.ctx
+    lam7, lam14, eig14 = ref_split_two_forms(s._t_table, _contractions(3, s.phi.num), ctx)
+    assert (s.lambda7, s.lambda14) == (lam7, lam14)
+    want = tuple(KForm(2, tuple(v)) for v in eig14)
+    assert s.basis2_14 == want and all(same(b, w) for b, w in zip(s.basis2_14, want))
+    image = odot(random_symmetric(rng, ctx), s)
+    eta = rational_kform(rng, 3)
+    etas = [image, image + s.frame3_7[rng.randrange(DIM)], eta if ctx.is_exact else eta.as_float()]
+    for eta in etas:
+        got, want = outcome(odot_inverse, eta, s), outcome(ref_odot_inverse_fractions, eta, s)
+        assert got == want
+        if isinstance(got, SymTensor):
+            assert all(same(r, w) for r, w in zip(got.rows, want.rows))
+    assert outcome(odot_inverse, etas[1], s)[0] is DecompositionError
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", ["t7", "s1xcy3", "t3xk3"])
+def test_int_structure_path_equals_references_on_models(name, mode):
+    assert_int_path_equals_references(model_structure(name, mode), random.Random(name + mode))
+
+
+@given(rational_frames(), st.integers(0, 2 ** 16))
+@settings(max_examples=6, deadline=None)
+def test_int_structure_path_equals_references_on_rational_frames(a, seed):
+    """Exact on every frame; float where the float lane builds structures
+    (cond(a^T a) <= 1e5)."""
+    assert_int_path_equals_references(frame_structure(a), random.Random(seed))
+    sf = G2Structure(pullback(phi0(FLOAT), float_frame(a)), FLOAT)
+    assert_int_path_equals_references(sf, random.Random(seed))
 
 
 def test_basis2_7_is_built_on_first_read(monkeypatch):
@@ -914,7 +1059,7 @@ def test_float_lane_frame_gram_within_tolerance():
     a[0][1], a[2][5] = 0.5, -0.25
     s = G2Structure(pullback(phi0(FLOAT), a), FLOAT)
     gram = np.asarray([[form_inner(u, v, s.metric) for v in s.frame3_7] for u in s.frame3_7])
-    assert np.allclose(gram @ np.asarray(s._gram7_inv), np.eye(DIM), atol=FLOAT.tol)
+    assert np.allclose(gram @ np.asarray(frame_inverse_gram(s)), np.eye(DIM), atol=FLOAT.tol)
 
 
 # -- decompose3: one Gram product against eight quadratic forms ----------------
@@ -925,7 +1070,7 @@ def ref_decompose3(eta, s):
     p1 = s.phi * (ref_form_inner(eta, s.phi, s.metric) / 7)
     rhs = [ref_form_inner(eta, w, s.metric) for w in s.frame3_7]
     p7 = KForm.zero(3, s.ctx)
-    for x, w in zip(ratlin.matvec(s._gram7_inv, rhs), s.frame3_7):
+    for x, w in zip(ratlin.matvec(frame_inverse_gram(s), rhs), s.frame3_7):
         if x:
             p7 = p7 + w * x
     return p1, p7, eta - p1 - p7
@@ -1321,10 +1466,18 @@ def test_metric_pair_equals_sylvester_reference(rows):
     one stores a canonical pair (gcd(den, *num) == 1 and den > 0) and reads
     back its rows literally, as Fractions; Metric(rows) equals the metric
     built from its scaled pair, or from a negative multiple of that pair,
-    and hashes like it; det g is the pass's last pivot over den^7."""
+    and hashes like it; det g is the pass's last pivot over den^7.  The
+    pass (ratlin.definite_det) reads -num as negative definite exactly when
+    num is positive definite."""
     positive = ref_leading_minors_positive(rows)
     num, den = EXACT.scaled(rows)
-    assert (ratlin.positive_definite_det(num) is not None) is positive
+    found = ratlin.definite_det(num)
+    assert (found is not None and found[1] == 1) is positive
+    # the same pass reads -num as negative definite, and det(-num) = -det(num)
+    flipped = ratlin.definite_det([[-x for x in row] for row in num])
+    assert (flipped is not None and flipped[1] == -1) is positive
+    if positive:
+        assert flipped[0] == -found[0] == -ref_det(num)
     if not positive:
         for build in (lambda: Metric(rows), lambda: Metric._of(num, den, EXACT)):
             with pytest.raises(MetricError):
@@ -1385,7 +1538,7 @@ def test_basis2_14_is_built_on_first_read(mode):
     assert "basis2_14" not in s.__dict__
     basis = s.basis2_14
     assert s.basis2_14 is basis
-    _, _, eig14 = _split_two_forms(s._t_table, _contractions(3, s.phi.num), ctx)
+    _, _, eig14 = ref_split_two_forms(s._t_table, _contractions(3, s.phi.num), ctx)
     want = tuple(KForm(2, tuple(v)) for v in eig14)
     assert basis == want and all(same(b, w) for b, w in zip(basis, want))
 
