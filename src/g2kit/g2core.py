@@ -100,6 +100,7 @@ PHI0_ENTRIES = {
 }
 
 _SIX_POW_7 = 6 ** 7
+_DEGENERATE = "degenerate 3-form: det of contraction matrix is 0"
 
 
 def phi0(ctx: Context = EXACT) -> KForm:
@@ -270,35 +271,40 @@ def _normalized_metric(B, den, ctx: Context) -> tuple:
 
     In exact mode one leading-minor pass on B (Context.definite_det) gives
     det B and shows B or -B positive definite, so the metric needs no second
-    elimination; a B that is neither takes the determinant and the metric's
-    own test, which raise what they raised before that pass.  A float det B
-    of 0.0 on a B of full rank (Context.rank) only underflowed, and is named
-    so."""
+    elimination.  A B that is neither takes the determinant, which tells a
+    degenerate B from one with no rational ninth root, and is then refused
+    as the metric's own test would refuse it, without running that test.  A
+    float det B of 0.0 on a B of full rank (Context.rank) only underflowed,
+    and is named so."""
     definite = ctx.definite_det(B)
     det_b = ctx.det(B) if definite is None else definite[0]
-    if det_b == 0:
-        if ctx.rank(B) == DIM:
-            raise NotG2FormError("3-form beyond the float range: det of its contraction matrix underflowed")
-        raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
     orient = POSITIVE if det_b > 0 else NEGATIVE
     if det_b < 0:
         B = [[-x for x in row] for row in B]
         det_b = -det_b
     # g = B(Phi) * num / scale
     if ctx.is_exact:
+        if det_b == 0:
+            raise NotG2FormError(_DEGENERATE)
         ninth = rational_nth_root(Fraction(det_b, den ** 21 * _SIX_POW_7), 9)
         if ninth is None:
             raise ExactModeError(
                 "exact metric normalization needs det(B)/6^7 to be a rational ninth power"
             )
+        if definite is None:
+            raise NotG2FormError("3-form does not induce a positive metric: metric is not positive definite")
         num, scale = ninth.denominator, den ** 3 * 6 * ninth.numerator
+        # det(B * num) of the flipped B, known from the pass
+        known = det_b * num ** DIM
     else:
+        if det_b == 0:
+            raise NotG2FormError(
+                "3-form beyond the float range: det of its contraction matrix underflowed"
+                if ctx.rank(B) == DIM else _DEGENERATE)
         if not isfinite(det_b):
             raise NotG2FormError("3-form beyond the float range: det of its contraction matrix overflowed")
         # 6 (det B / 6^7)^(1/9) is 6.0 when det B = 6.0^7: phi0 gets g = I
-        num, scale = 1, 6.0 * (det_b / 6.0 ** 7) ** (1.0 / 9.0)
-    # det(B * num) of the flipped B, known from the pass
-    known = None if definite is None else det_b * num ** DIM
+        num, scale, known = 1, 6.0 * (det_b / 6.0 ** 7) ** (1.0 / 9.0), None
     try:
         metric = Metric._of([[x * num for x in row] for row in B], scale, ctx, known)
     except MetricError as exc:

@@ -261,25 +261,15 @@ def solve_exact(a, b):
 
 
 def nullspace_exact(m):
-    """Basis of the exact kernel, one vector per free column."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    red, pivots = rref(m)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][fc]
-        basis.append(v)
-    return basis
+    """Basis of the exact kernel, one vector per free column, as Fraction
+    rows (nullspace_int)."""
+    rows, den = nullspace_int(m)
+    return [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
 
 
 def nullspace_int(m):
-    """(rows, den): nullspace_exact(m) as int rows over one positive den, so
-    that rows / den are its vectors literally, with no Fraction.  The int
-    rref (_rref_ints) gives pivot row r its pivot p_r at column c_r, and
+    """(rows, den): a basis of the exact kernel, one vector per free column,
+    as int rows over one positive den, with no Fraction.  The int rref (_rref_ints) gives pivot row r its pivot p_r at column c_r, and
     the kernel vector of free column f has 1 at f and -x / p_r at c_r for
     the row's entry x at f; den is the lcm of the pivots."""
     nc = len(m[0]) if m else 0

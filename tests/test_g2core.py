@@ -493,10 +493,10 @@ def test_one_pass_normalization_equals_the_det_first_reference(seed):
 def test_exact_metric_from_phi_eliminates_b_once(monkeypatch):
     """An exact form whose B or -B is positive definite takes one
     leading-minor pass (ratlin.definite_det) and no Context.det; a refused
-    indefinite form takes the pass, then Context.det and the metric's own
-    test, and raises the reference's error."""
+    indefinite or degenerate form takes the pass and Context.det, and no
+    second pass or rank, and raises the reference's error."""
     calls = []
-    real_pass, real_det = ratlin.definite_det, Context.det
+    real_pass, real_det, real_rank = ratlin.definite_det, Context.det, Context.rank
 
     def counted_pass(m):
         calls.append("pass")
@@ -506,14 +506,22 @@ def test_exact_metric_from_phi_eliminates_b_once(monkeypatch):
         calls.append("det")
         return real_det(self, m)
 
+    def counted_rank(self, m):
+        calls.append("rank")
+        return real_rank(self, m)
+
     monkeypatch.setattr(ratlin, "definite_det", counted_pass)
     monkeypatch.setattr(Context, "det", counted_det)
-    for phi, orient in ((phi0(), 1), (-phi0(), -1), (SIGNED_PHI0[5], None)):
+    monkeypatch.setattr(Context, "rank", counted_rank)
+    for phi, orient in ((phi0(), 1), (-phi0(), -1), (SIGNED_PHI0[5], None), (KForm.basis((1, 2, 3)), None)):
         del calls[:]
         if orient is None:
-            with pytest.raises(NotG2FormError, match="does not induce a positive metric"):
+            with pytest.raises(NotG2FormError) as exc:
                 metric_from_phi(phi)
-            assert calls == ["pass", "det", "pass"]
+            assert calls == ["pass", "det"]
+            with pytest.raises(NotG2FormError) as ref:
+                ref_normalized_metric(_contraction_matrix(phi.num), phi.den, EXACT)
+            assert str(exc.value) == str(ref.value)
         else:
             assert metric_from_phi(phi)[1].sign == orient
             assert calls == ["pass"]

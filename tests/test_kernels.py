@@ -3,7 +3,8 @@
 - ratlin's fraction-free rref/det/solve/nullspace/inv against Gauss-Jordan
   over Fractions, kept here as the reference, the forward-only rank
   against the rref pivot count it replaced (ref_rank_exact), and the int
-  kernel (nullspace_int) against nullspace_exact;
+  kernel (nullspace_int, behind nullspace_exact) against the same
+  Gauss-Jordan kernel;
 - the cubic table for B(phi) against the wedge chain that defines it;
 - the closed forms used at construction: frame Gram = 4 g, the symmetric
   action assembled from g^-1;
@@ -208,15 +209,17 @@ def test_nullspace_matches_reference(m):
 @example([[2, -4, 6], [-1, 0, 3]])
 @example([[Fraction(1, 2), 3, 0, 1], [0, 0, 1, 5], [1, 6, 0, 2]])
 @settings(max_examples=200, deadline=None)
-def test_int_nullspace_equals_nullspace_exact(m):
-    """The int kernel's rows over its one positive den are nullspace_exact's
-    vectors literally: on full-rank, rank-deficient and zero rows
-    (matrices()) and on the empty matrix; Context.scaled_nullspace gives the
-    same pair in exact mode and the SVD basis over 1 in float mode."""
+def test_int_nullspace_equals_the_reference_kernel(m):
+    """The int kernel's rows over its one positive den are the Gauss-Jordan
+    reference's vectors literally (ref_nullspace, which nullspace_exact's
+    Fractions are tested against too): on full-rank, rank-deficient and
+    zero rows (matrices()) and on the empty matrix; Context.scaled_nullspace
+    gives the same pair in exact mode and the SVD basis over 1 in float
+    mode."""
     rows, den = ratlin.nullspace_int(m)
     assert type(den) is int and den > 0
     assert all(type(x) is int for row in rows for x in row)
-    assert [[Fraction(x, den) for x in row] for row in rows] == ratlin.nullspace_exact(m)
+    assert [[Fraction(x, den) for x in row] for row in rows] == ref_nullspace(m)
     assert EXACT.scaled_nullspace(m) == (rows, den)
     fm = [[float(x) for x in row] for row in m]
     assert FLOAT.scaled_nullspace(fm) == (ratlin.nullspace_float(fm), 1)
