@@ -399,7 +399,7 @@ def _check_metric(s: G2Structure, phit: KForm):
     contraction = _contraction_matrix(phit.num)
     if s.matches_contraction(contraction, phit.den):
         return
-    metric, orient = _normalized_metric(contraction, phit.den, s.ctx)
+    metric, orient = _normalized_metric(contraction, phit.num, phit.den, s.ctx)
     if not _metric_matches(s, metric, orient):
         raise MetricMismatchError("form does not induce this structure's metric/orientation")
 

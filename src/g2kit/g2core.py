@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import isfinite, lcm
+from math import frexp, isfinite, lcm, ldexp
 
 from . import ratlin
 from .context import (
@@ -101,6 +101,7 @@ PHI0_ENTRIES = {
 
 _SIX_POW_7 = 6 ** 7
 _DEGENERATE = "degenerate 3-form: det of contraction matrix is 0"
+_UNDERFLOWED = "3-form beyond the float range: det of its contraction matrix underflowed"
 
 
 def phi0(ctx: Context = EXACT) -> KForm:
@@ -261,21 +262,21 @@ def _contraction_and_metric(phi: KForm, ctx: Context) -> tuple:
         raise DegreeError("metric recovery expects a 3-form")
     phi = coerce_form(phi, ctx)
     B = _contraction_matrix(phi.num)
-    return (B, *_normalized_metric(B, phi.den, ctx))
+    return (B, *_normalized_metric(B, phi.num, phi.den, ctx))
 
 
-def _normalized_metric(B, den, ctx: Context) -> tuple:
-    """(metric, orientation) of the 3-form Phi / den from B = B(Phi), its
-    unflipped contraction matrix (_contraction_matrix of Phi): metric_from_phi's
-    normalization, with its errors.
+def _normalized_metric(B, phi_num, den, ctx: Context) -> tuple:
+    """(metric, orientation) of the 3-form Phi / den, Phi = phi_num, from
+    B = B(Phi), its unflipped contraction matrix (_contraction_matrix of
+    Phi): metric_from_phi's normalization, with its errors.
 
     In exact mode one leading-minor pass on B (Context.definite_det) gives
     det B and shows B or -B positive definite, so the metric needs no second
     elimination.  A B that is neither takes the determinant, which tells a
     degenerate B from one with no rational ninth root, and is then refused
     as the metric's own test would refuse it, without running that test.  A
-    float det B of 0.0 on a B of full rank (Context.rank) only underflowed,
-    and is named so."""
+    float det B of 0.0 is named an underflow when B of Phi scaled by a power
+    of two has full rank (_rescaled_rank), and degenerate otherwise."""
     definite = ctx.definite_det(B)
     det_b = ctx.det(B) if definite is None else definite[0]
     orient = POSITIVE if det_b > 0 else NEGATIVE
@@ -298,9 +299,7 @@ def _normalized_metric(B, den, ctx: Context) -> tuple:
         known = det_b * num ** DIM
     else:
         if det_b == 0:
-            raise NotG2FormError(
-                "3-form beyond the float range: det of its contraction matrix underflowed"
-                if ctx.rank(B) == DIM else _DEGENERATE)
+            raise NotG2FormError(_UNDERFLOWED if _rescaled_rank(phi_num, ctx) == DIM else _DEGENERATE)
         if not isfinite(det_b):
             raise NotG2FormError("3-form beyond the float range: det of its contraction matrix overflowed")
         # 6 (det B / 6^7)^(1/9) is 6.0 when det B = 6.0^7: phi0 gets g = I
@@ -310,6 +309,18 @@ def _normalized_metric(B, den, ctx: Context) -> tuple:
     except MetricError as exc:
         raise NotG2FormError(f"3-form does not induce a positive metric: {exc}") from exc
     return metric, orient
+
+
+def _rescaled_rank(phi_num, ctx: Context) -> int:
+    """Rank of B(2^k Phi) for the power of two 2^k that puts max |Phi| in
+    [1/2, 1).  The scaling is exact, so B(2^k Phi) = 2^(3k) B(Phi) up to the
+    terms that underflowed in B(Phi): a float phi0 * 1e-120 has B(Phi) = 0
+    and a rescaled B of rank 7, while dx123 has B = 0 at every scale."""
+    top = max(abs(x) for x in phi_num)
+    if not top:
+        return 0
+    k = -frexp(top)[1]
+    return ctx.rank(_contraction_matrix([ldexp(x, k) for x in phi_num]))
 
 
 def is_g2_form(phi: KForm, ctx: Context = EXACT) -> bool:

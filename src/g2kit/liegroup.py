@@ -17,8 +17,9 @@ subspace of so(7) is tested through one annihilator (rows spanning the
 vectors orthogonal to it in the 21 upper-triangle coordinates), and brackets
 of coordinate vectors come from a sparse so(7) structure-constant table.
 The exact lane scales its vectors to integers first, so its arithmetic runs
-on ints.  scipy is imported on the first matrix_exp call, so importing the
-package does not load it.
+on ints.  The one exponential, matrix_exp, is float only and takes numpy's
+eigh; the holonomy samples it once served are exact (models.holonomy_sample),
+so coset_tangent_dim on them runs in the exact lane.
 """
 from __future__ import annotations
 
@@ -80,13 +81,19 @@ def is_g2(g, tol: float = SO7_TOL) -> bool:
 
 
 def matrix_exp(a):
-    """Matrix exponential (float only; exact mode has no rational exponential)."""
+    """Exponential of a finite, literally antisymmetric 7x7 float matrix
+    (ValueError otherwise; exact mode has no rational exponential).
+
+    iA is Hermitian, so with iA = V diag(w) V^* (numpy's eigh),
+    exp(A) = V diag(exp(-iw)) V^*, whose real part is returned."""
     rows = _rows(a)
     if _lane(rows).is_exact:
         raise ExactModeError("matrix_exp needs float input; the exponential leaves the rationals")
-    from scipy.linalg import expm
-
-    out = expm(np.asarray(rows, dtype=float))
+    arr = np.asarray(rows, dtype=float)
+    if not (np.isfinite(arr).all() and (arr == -arr.T).all()):
+        raise ValueError("matrix_exp expects a finite antisymmetric matrix")
+    w, v = np.linalg.eigh(1j * arr)
+    out = ((v * np.exp(-1j * w)) @ v.conj().T).real
     return tuple(tuple(float(x) for x in row) for row in out)
 
 

@@ -10,7 +10,10 @@ the rational unit sphere in c plus those directions, modulo the antipode.
 
 Holonomy labels are realized concretely as sampled block subgroup elements
 (special unitary blocks acting on the complex pairs), which is what the
-Lie-side membership and tangent computations consume.
+Lie-side membership and tangent computations consume.  The samples are
+exact: products of Cayley transforms of rational su(2) elements, so they are
+rational matrices in SO(7) and G2 literally, and the coset count on them
+runs in the exact lane with no numpy.
 """
 from __future__ import annotations
 
@@ -20,11 +23,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bryant import TwistParams, recover, sample_params
-from .context import ENTRY_TOL, EXACT, Context, np
+from . import ratlin
+from .context import ENTRY_TOL, EXACT, Context
 from .errors import ModelError, SubspaceViolationError
 from .exterior import DIM, KForm, coerce_form, wedge
 from .g2core import G2Structure, phi0
-from .liegroup import HolonomySpec, matrix_exp
+from .liegroup import HolonomySpec
 
 _MODEL_TABLE = {
     "t7": (7, "trivial"),
@@ -161,66 +165,70 @@ def covering_sheet_count(m: FlatModel, p: GammaPoint, rng: random.Random, sample
     return len(translation_orbit(m, p, translations))
 
 
-def _su3_real_blocks():
-    """The 8 standard special-unitary generators of the 3-fold factor,
-    embedded as real antisymmetric matrices on coordinates 2..7."""
-    lam = []
-    z = np.zeros((3, 3), dtype=complex)
+# A holonomy draw is rng.uniform(-1, 1) rounded to a multiple of 1/_DRAW_DEN.
+_DRAW_DEN = 16
 
-    def mk(entries):
-        m = z.copy()
-        for (i, j), v in entries.items():
-            m[i, j] = v
-        return m
-
-    lam.append(mk({(0, 1): 1, (1, 0): 1}))
-    lam.append(mk({(0, 1): -1j, (1, 0): 1j}))
-    lam.append(mk({(0, 0): 1, (1, 1): -1}))
-    lam.append(mk({(0, 2): 1, (2, 0): 1}))
-    lam.append(mk({(0, 2): -1j, (2, 0): 1j}))
-    lam.append(mk({(1, 2): 1, (2, 1): 1}))
-    lam.append(mk({(1, 2): -1j, (2, 1): 1j}))
-    lam.append(np.diag([1, 1, -2]).astype(complex) / np.sqrt(3))
-    return [_embed_complex(1j * x, offset=1, blocks=3) for x in lam]
+# {label: (draws per generator, ((z_p, z_q), draw indices of a, b, c) per
+# Cayley factor)}.  The complex coordinate z_k lives on the 0-based real pair
+# (1 + 2k, 2 + 2k): z_0, z_1, z_2 span coordinates 2..7 of the 3-fold factor,
+# and the surface factor's z_1, z_2 span coordinates 4..7.  An su(3)
+# generator has one factor per root su(2), and its 8 draws follow the
+# Gell-Mann basis: lambda_1..3 on (z_0, z_1), lambda_4, 5 on (z_0, z_2) and
+# lambda_6, 7 on (z_1, z_2); lambda_8, a multiple of sigma_3 on (z_0, z_2)
+# plus sigma_3 on (z_1, z_2), gives both of those factors their c.
+_CAYLEY_ROOTS = {
+    "su3": (8, (((0, 1), (0, 1, 2)), ((0, 2), (3, 4, 7)), ((1, 2), (5, 6, 7)))),
+    "su2": (3, (((1, 2), (0, 1, 2)),)),
+}
 
 
-def _su2_real_blocks():
-    """The 3 special-unitary generators of the surface factor on coordinates 4..7."""
-    pauli = [
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-    return [_embed_complex(1j * x, offset=3, blocks=2) for x in pauli]
+def _draw(rng: random.Random) -> int:
+    """One rng.uniform(-1, 1) draw as the numerator of its nearest multiple of 1/_DRAW_DEN."""
+    return round(rng.uniform(-1.0, 1.0) * _DRAW_DEN)
 
 
-def _embed_complex(x, offset: int, blocks: int):
-    """Real 7x7 image of a complex matrix acting on the paired coordinates
-    starting at 0-based offset; z_a lives on (offset + 2a, offset + 2a + 1)."""
-    out = np.zeros((DIM, DIM))
-    for a in range(blocks):
-        for b in range(blocks):
-            re, im = x[a, b].real, x[a, b].imag
-            r, c = offset + 2 * a, offset + 2 * b
-            out[r, c] = re
-            out[r, c + 1] = -im
-            out[r + 1, c] = im
-            out[r + 1, c + 1] = re
-    return out
+def _cayley_factor(p: int, q: int, a: int, b: int, c: int) -> tuple:
+    """(rows, den): the Cayley transform U = (I - A)^-1 (I + A) of
+    A = i(a s1 + b s2 + c s3) / _DRAW_DEN on the complex pair (z_p, z_q), as int
+    rows over den, the identity elsewhere.
+
+    A^2 = -r^2 I with r^2 = (a^2 + b^2 + c^2) / _DRAW_DEN^2, so
+    U = ((1 - r^2) I + 2A) / (1 + r^2), a rational element of SU(2).  The
+    complex entry x + iy at (z_j, z_k) is the real block [[x, -y], [y, x]]."""
+    n = a * a + b * b + c * c
+    unit, two = _DRAW_DEN * _DRAW_DEN, 2 * _DRAW_DEN
+    den = unit + n
+    complex_rows = (((unit - n, two * c), (two * b, two * a)),
+                    ((-two * b, two * a), (unit - n, -two * c)))
+    rows = [[den * (i == j) for j in range(DIM)] for i in range(DIM)]
+    for zr, entries in zip((p, q), complex_rows):
+        for zc, (x, y) in zip((p, q), entries):
+            r, col = 1 + 2 * zr, 1 + 2 * zc
+            rows[r][col], rows[r][col + 1] = x, -y
+            rows[r + 1][col], rows[r + 1][col + 1] = y, x
+    return rows, den
+
+
+def _cayley_generator(rng: random.Random, label: str) -> tuple:
+    """One exact generator: the product of the label's Cayley factors."""
+    count, roots = _CAYLEY_ROOTS[label]
+    draws = [_draw(rng) for _ in range(count)]
+    rows, den = [[int(i == j) for j in range(DIM)] for i in range(DIM)], 1
+    for (p, q), idx in roots:
+        f_rows, f_den = _cayley_factor(p, q, *(draws[i] for i in idx))
+        rows, den = ratlin.matmul(rows, f_rows), den * f_den
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def holonomy_sample(m: FlatModel, rng: random.Random, count: int = 3) -> HolonomySpec:
     """Sampled generators of the model's holonomy label, as a HolonomySpec.
 
-    The torus gives the trivial spec; the other models exponentiate random
-    combinations of their block special-unitary algebra."""
+    The torus gives the trivial spec.  The other models give count exact
+    rational generators of their block special-unitary group, each a product
+    of Cayley transforms (_cayley_factor) on root su(2)s, from 8 draws per
+    su(3) generator and 3 per su(2) generator.  The generators are Fraction
+    matrices whatever the caller's lane, so coset_tangent_dim and every
+    membership test on them are decided literally."""
     if m.holonomy_label == "trivial":
         return HolonomySpec.trivial()
-    basis = _su3_real_blocks() if m.holonomy_label == "su3" else _su2_real_blocks()
-    gens = []
-    for _ in range(count):
-        acc = np.zeros((DIM, DIM))
-        for b in basis:
-            acc += rng.uniform(-1.0, 1.0) * b
-        gens.append(matrix_exp(acc.tolist()))
-    return HolonomySpec(tuple(gens))
+    return HolonomySpec(tuple(_cayley_generator(rng, m.holonomy_label) for _ in range(count)))

@@ -407,13 +407,15 @@ def test_float_recover_of_an_overflowing_form_names_the_overflow(capsys, tmp_pat
 
 @pytest.mark.parametrize("form, message", [
     (phi0(FLOAT) * 1e-20, "3-form beyond the float range: det of its contraction matrix underflowed"),
+    (phi0(FLOAT) * 1e-120, "3-form beyond the float range: det of its contraction matrix underflowed"),
     (KForm.from_entries(3, {(1, 2, 3): 1.0}, FLOAT), "degenerate 3-form: det of contraction matrix is 0"),
-], ids=["phi0 * 1e-20", "dx123"])
+], ids=["phi0 * 1e-20", "phi0 * 1e-120", "dx123"])
 def test_float_recover_names_an_underflowed_det_apart_from_a_degenerate_form(capsys, tmp_path,
                                                                            form, message):
     """phi0 * 1e-20 has B = 6e-60 I, whose det (about 1e-413) underflows to
-    0.0: recover names the underflow and exits 1.  dx123 has B = 0 and
-    keeps the degenerate message and exit code 1."""
+    0.0: recover names the underflow and exits 1.  phi0 * 1e-120, whose B
+    underflows to 0, is named the same way.  dx123 has B = 0 and keeps the
+    degenerate message and exit code 1."""
     path = write_form(tmp_path, form)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -426,9 +426,10 @@ def test_exact_structure_rejects_float_phi():
 # -- metric_from_phi in one elimination -----------------------------------------
 
 
-def ref_normalized_metric(B, den, ctx):
+def ref_normalized_metric(B, phi_num, den, ctx):
     """metric_from_phi's normalization as it was before its one leading-minor
-    pass: Context.det of B, then the metric's own positivity test."""
+    pass: Context.det of B, then the metric's own positivity test.  It reads
+    B only; phi_num is _normalized_metric's float underflow test's input."""
     det_b = ctx.det(B)
     if det_b == 0:
         raise NotG2FormError("degenerate 3-form: det of contraction matrix is 0")
@@ -458,7 +459,7 @@ def normalization_outcome(normalize, phi, ctx):
     """(num, den, det, orientation) of the metric, or the error's class and message."""
     phi = coerce_form(phi, ctx)
     try:
-        metric, orient = normalize(_contraction_matrix(phi.num), phi.den, ctx)
+        metric, orient = normalize(_contraction_matrix(phi.num), phi.num, phi.den, ctx)
     except G2KitError as exc:
         return type(exc), str(exc)
     return metric.num, metric.den, metric._det, getattr(orient, "sign", orient)
@@ -520,7 +521,7 @@ def test_exact_metric_from_phi_eliminates_b_once(monkeypatch):
                 metric_from_phi(phi)
             assert calls == ["pass", "det"]
             with pytest.raises(NotG2FormError) as ref:
-                ref_normalized_metric(_contraction_matrix(phi.num), phi.den, EXACT)
+                ref_normalized_metric(_contraction_matrix(phi.num), phi.num, phi.den, EXACT)
             assert str(exc.value) == str(ref.value)
         else:
             assert metric_from_phi(phi)[1].sign == orient
@@ -531,8 +532,10 @@ def test_float_underflowed_det_is_named_apart_from_a_degenerate_form():
     """phi0 * 1e-20 has B = 6e-60 I of full rank, whose det underflows to 0.0:
     the refusal names the underflow.  dx123 (B = 0) keeps the degenerate
     message in both lanes, and phi0 * 1e-100 (det B about 1e-2093) is named
-    as phi0 * 1e-20 is."""
-    for scale in (1e-20, 1e-100):
+    as phi0 * 1e-20 is.  So are phi0 * 1e-120 and phi0 * 1e-160, whose cubic
+    terms underflow, so that their B is 0.0 like dx123's: B of the form
+    scaled by a power of two has full rank."""
+    for scale in (1e-20, 1e-100, 1e-120, 1e-160):
         with pytest.raises(NotG2FormError) as exc:
             G2Structure(phi0(FLOAT) * scale, FLOAT)
         assert str(exc.value) == "3-form beyond the float range: det of its contraction matrix underflowed"

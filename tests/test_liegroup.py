@@ -39,9 +39,10 @@ from g2kit.liegroup import (
     two_form_to_matrix,
 )
 from g2kit.liegroup import _bracket_vec, _build_g2_algebra_basis
-from g2kit.models import flat_model, holonomy_sample
+from g2kit.bryant import derivative_rank
+from g2kit.models import flat_model, gamma_sample, holonomy_sample, model_structure
 from g2kit import ratlin
-from g2kit.sampling import rational_kform
+from g2kit.sampling import float_antisymmetric, rational_kform
 
 IDENTITY = tuple(tuple(Fraction(1 if i == j else 0) for j in range(DIM)) for i in range(DIM))
 
@@ -175,6 +176,31 @@ def test_matrix_exp_guards():
     z = matrix_exp([[0.0] * DIM for _ in range(DIM)])
     assert all(z[i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
                for i in range(DIM) for j in range(DIM))
+    not_antisymmetric = [[0.0] * DIM for _ in range(DIM)]
+    not_antisymmetric[0][1], not_antisymmetric[1][0] = 0.5, -0.5 + 2.0 ** -40
+    for bad in (not_antisymmetric, [[float(i == j) for j in range(DIM)] for i in range(DIM)]):
+        with pytest.raises(ValueError, match="antisymmetric"):
+            matrix_exp(bad)
+    infinite = [[0.0] * DIM for _ in range(DIM)]
+    infinite[0][1], infinite[1][0] = math.inf, -math.inf
+    nan = [[0.0] * DIM for _ in range(DIM)]
+    nan[2][3], nan[3][2] = math.nan, math.nan
+    for bad in (infinite, nan):
+        with pytest.raises(ValueError, match="finite antisymmetric"):
+            matrix_exp(bad)
+
+
+@pytest.mark.parametrize("span", [1.0, 3.0])
+def test_matrix_exp_matches_scipy_expm(span):
+    """The eigh exponential agrees with scipy's expm, the exponential it
+    replaced, within 1e-13 on random antisymmetric inputs."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = random.Random(23)
+    for _ in range(200):
+        a = float_antisymmetric(rng, span)
+        got = np.asarray(matrix_exp(a))
+        assert np.abs(got - expm(np.asarray(a))).max() <= 1e-13
+        assert is_so7(got.tolist(), 1e-13)
 
 
 def test_two_form_matrix_roundtrip(rng):
@@ -548,22 +574,129 @@ def test_float_normalizer_rejects_non_closed_subs(indices):
         ref_float_lie_normalizer(so7_basis(FLOAT), opened)
 
 
+# -- exact holonomy samples against the float sample they replaced -------------
+#
+# ref_float_holonomy_sample keeps the float holonomy sample that
+# models.holonomy_sample drew before its generators were exact: exponentials
+# of random combinations of the block special-unitary algebra.  It takes the
+# same rng draws, so both samplers leave the rng in the same state.
+
+
+def ref_embed_complex(x, offset, blocks):
+    """Real 7x7 image of a complex matrix on the coordinate pairs from the
+    0-based offset on: z_a lives on (offset + 2a, offset + 2a + 1)."""
+    out = np.zeros((DIM, DIM))
+    for a in range(blocks):
+        for b in range(blocks):
+            r, c = offset + 2 * a, offset + 2 * b
+            out[r:r + 2, c:c + 2] = [[x[a, b].real, -x[a, b].imag], [x[a, b].imag, x[a, b].real]]
+    return out
+
+
+def ref_special_unitary_blocks(label):
+    """i times the Gell-Mann matrices on coordinates 2..7 (su3) or the Pauli
+    matrices on coordinates 4..7 (su2), as real antisymmetric matrices."""
+    def herm(n, entries):
+        m = np.zeros((n, n), dtype=complex)
+        for (i, j), v in entries.items():
+            m[i, j] = v
+        return m
+
+    if label == "su2":
+        pauli = [herm(2, {(0, 1): 1, (1, 0): 1}), herm(2, {(0, 1): -1j, (1, 0): 1j}),
+                 herm(2, {(0, 0): 1, (1, 1): -1})]
+        return [ref_embed_complex(1j * x, 3, 2) for x in pauli]
+    gell_mann = [herm(3, {(0, 1): 1, (1, 0): 1}), herm(3, {(0, 1): -1j, (1, 0): 1j}),
+                 herm(3, {(0, 0): 1, (1, 1): -1}), herm(3, {(0, 2): 1, (2, 0): 1}),
+                 herm(3, {(0, 2): -1j, (2, 0): 1j}), herm(3, {(1, 2): 1, (2, 1): 1}),
+                 herm(3, {(1, 2): -1j, (2, 1): 1j}),
+                 np.diag([1, 1, -2]).astype(complex) / np.sqrt(3)]
+    return [ref_embed_complex(1j * x, 1, 3) for x in gell_mann]
+
+
+def ref_float_holonomy_sample(m, rng, count=3):
+    if m.holonomy_label == "trivial":
+        return HolonomySpec.trivial()
+    basis = ref_special_unitary_blocks(m.holonomy_label)
+    gens = []
+    for _ in range(count):
+        acc = np.zeros((DIM, DIM))
+        for b in basis:
+            acc += rng.uniform(-1.0, 1.0) * b
+        gens.append(matrix_exp(acc.tolist()))
+    return HolonomySpec(tuple(gens))
+
+
 @pytest.mark.parametrize("kind", ["s1xcy3", "t3xk3"])
 @pytest.mark.parametrize("seed", range(6))
 def test_float_coset_dimension_equals_reference_and_b1(s, sf, kind, seed):
     m = flat_model(kind)
-    h = holonomy_sample(m, random.Random(seed))
+    h = ref_float_holonomy_sample(m, random.Random(seed))
     for structure in (s, sf):
         got = coset_tangent_dim(h, structure)
         assert got == ref_float_coset_tangent_dim(h, structure) == m.b1
 
 
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_exact_holonomy_sample_counts_as_the_float_sample_did(s, kind):
+    """On seeds 0-39 the exact sample's coset count is the float reference
+    sample's, and both samplers leave the rng in the same state (8 draws per
+    su(3) generator, 3 per su(2) generator).  On seeds 0-2 the projector
+    reference counts the exact sample too."""
+    m = flat_model(kind)
+    for seed in range(40):
+        exact_rng, float_rng = random.Random(seed), random.Random(seed)
+        h = holonomy_sample(m, exact_rng)
+        ref = ref_float_holonomy_sample(m, float_rng)
+        assert exact_rng.getstate() == float_rng.getstate()
+        assert coset_tangent_dim(h, s) == coset_tangent_dim(ref, s) == m.b1
+        if seed < 3:
+            assert ref_coset_tangent_dim(h, s) == m.b1
+
+
+@pytest.mark.parametrize("kind", ["s1xcy3", "t3xk3"])
+def test_exact_holonomy_generators_are_checked_literally(s, kind):
+    """Every exact generator is a Fraction matrix in SO(7) and G2 with no
+    tolerance; moving one entry by 10^-30 is refused by HolonomySpec."""
+    m = flat_model(kind)
+    for seed in range(10):
+        h = holonomy_sample(m, random.Random(seed))
+        assert h.count == 3
+        for g in h.generators:
+            assert all(type(x) is Fraction for row in g for x in row)
+            assert is_so7(g, 0.0) and is_g2(g, 0.0)
+        moved = [list(row) for row in h.generators[0]]
+        moved[1][1] += Fraction(1, 10 ** 30)
+        assert not is_so7(moved)
+        with pytest.raises(HolonomyError):
+            HolonomySpec((moved,))
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_first_betti_number_three_ways(s, kind):
+    """b1 of the model table, literally, three ways: the common fixed space
+    of the exact generators is spanned by dx1..dx_b1 (the twist directions),
+    the coset count, and the derivative rank of the twist at a point."""
+    m = flat_model(kind)
+    rng = random.Random(5)
+    point = gamma_sample(m, rng)
+    h = holonomy_sample(m, rng)
+    eye = ratlin.identity(DIM)
+    moved = [row for g in h.generators for row in ratlin.mat_sub(g, eye)]
+    fixed = EXACT.nullspace(moved or [[0] * DIM])
+    assert sorted(fixed) == sorted(eye[i - 1] for i in m.omega_indices)
+    assert len(fixed) == coset_tangent_dim(h, s) == m.b1
+    assert derivative_rank(model_structure(kind), point.params, m.b1) == m.b1
+
+
 # -- numpy, scipy and the selftest load on first use, not on import ------------
 
 _NO_SCIPY = """
+import ast
 import io
 import json
 import sys
+from pathlib import Path
 from fractions import Fraction
 import g2kit, g2kit.cli
 from g2kit.errors import ExactModeError
@@ -597,6 +730,8 @@ for argv, stdin, want in [
     (["recover", "-"], json.dumps(kform_to_json(phit)), 0),
     (["normalizer"], "", 0),
     (["demo", "--model", "t7", "--mode", "exact"], "", 0),
+    (["demo", "--model", "s1xcy3", "--mode", "exact"], "", 0),
+    (["demo", "--model", "t3xk3", "--mode", "exact"], "", 0),
     (["g2check", "-"], json.dumps({"shape": [6, 6], "entries": ["0"] * 36}), 2),
 ]:
     code = cli(argv, stdin)
@@ -614,11 +749,17 @@ code = cli(["decompose", "--degree", "3", "--mode", "float", "-"],
 assert code == 0, code
 assert "numpy" in sys.modules
 unloaded("scipy", "g2kit.selftest")
+assert cli(["demo", "--model", "s1xcy3", "--mode", "float"]) == 0
 A = [[0.0] * 7 for _ in range(7)]
 A[0][1], A[1][0] = 0.3, -0.3
 g = g2kit.matrix_exp(A)
 assert g2kit.is_so7(g, 1e-12) and abs(g[0][0] - 0.955336489125606) < 1e-12
-assert "scipy.linalg" in sys.modules
+unloaded("scipy", "g2kit.selftest")
+for path in Path(g2kit.__file__).parent.glob("*.py"):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+            [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)
 from g2kit import CheckResult, run_selftest
 assert run_selftest.__module__ == CheckResult.__module__ == "g2kit.selftest"
 namespace = {}
@@ -629,7 +770,9 @@ assert set(g2kit.__all__) <= set(namespace)
 
 
 def test_import_and_cli_leave_scipy_unloaded(fresh_python):
-    """A cold `import g2kit` and the exact CLI subcommands load neither numpy,
-    scipy nor the selftest; the first float-lane call loads numpy, the first
-    matrix_exp scipy, and both selftest names still import."""
+    """A cold `import g2kit` and the exact CLI subcommands, `demo` on all
+    three models included, load neither numpy, scipy nor the selftest; the
+    first float-lane call loads numpy; a float `demo --model s1xcy3` and
+    matrix_exp load no scipy, no g2kit module imports it, and both selftest
+    names still import."""
     fresh_python(_NO_SCIPY)
