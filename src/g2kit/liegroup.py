@@ -18,8 +18,8 @@ vectors orthogonal to it in the 21 upper-triangle coordinates), and brackets
 of coordinate vectors come from a sparse so(7) structure-constant table.
 The exact lane scales its vectors to integers first, so its arithmetic runs
 on ints.  The one exponential, matrix_exp, is float only and takes numpy's
-eigh; the holonomy samples it once served are exact (models.holonomy_sample),
-so coset_tangent_dim on them runs in the exact lane.
+eigh.  The models' holonomy samples are exact (models.holonomy_sample), so
+coset_tangent_dim on them runs in the exact lane.
 """
 from __future__ import annotations
 
