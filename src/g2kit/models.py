@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bryant import TwistParams, recover, sample_params
 from . import ratlin
+from .bryant import TwistParams, recover, sample_params
 from .context import ENTRY_TOL, EXACT, Context
 from .errors import ModelError, SubspaceViolationError
 from .exterior import DIM, KForm, coerce_form, wedge
