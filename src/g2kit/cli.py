@@ -4,7 +4,8 @@ Every subcommand emits a versioned Report (JSON or text) echoing the
 command, the resolved configuration, a digest of the inputs, the outputs,
 and the residual behind each claimed pass/fail flag.  Exit codes: 0 when
 every check in the report passed, 1 when a computation or validation
-failed, 2 when the input could not be parsed or read.
+failed, 2 when the input could not be parsed or read; 1 also when a float
+result left the float range, and that report is not printed.
 """
 from __future__ import annotations
 
@@ -362,11 +363,13 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, cfg: CliConfig):
-    if cfg.output == "json":
-        print(canonical_json(report))
-    else:
-        print(_render_text(report))
+def _render(report: dict, cfg: CliConfig) -> str:
+    """The report as printed; G2KitError when it holds a non-finite float."""
+    try:
+        text = canonical_json(report)
+    except ValueError as exc:
+        raise G2KitError("the result left the float range (a non-finite value)") from exc
+    return text if cfg.output == "json" else _render_text(report)
 
 
 # -- argument plumbing -----------------------------------------------------
@@ -434,13 +437,14 @@ def main(argv=None) -> int:
         cfg = CliConfig(mode=_resolve_mode(args.mode), tol=args.tol,
                         seed=args.seed, output=args.output)
         report = args.fn(args, cfg)
+        text = _render(report, cfg)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except G2KitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, cfg)
+    print(text)
     return 0 if report["ok"] else 1
 
 

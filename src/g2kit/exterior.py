@@ -26,18 +26,17 @@ ints, and equality and the hash read the pair, so the Metric-keyed caches
 below compare ints on every lookup.  Metrics of different lanes never
 compare equal, so those caches keep one entry per lane.
 
-A metric's Gram matrix of basis k-forms (the minors of g^-1, by compound)
-is kept per (metric, k) as a table (rows, den): int rows over d^k in the
-exact lane, where g^-1 = G / d for an int matrix G, and float rows over 1
-in the float lane.  gram_apply, form_inner and the non-Euclidean hodge_star
-run one matvec of the table with their form's stored numerators; the star
-folds the scaling of sqrt(det g) into the result's denominator.  The star
-of a k-form with k >= 3 reads the (7 - k) x (7 - k) minors of g instead
-(Jacobi's complementary-minor identity): they are of no higher order than
-the k x k minors of g^-1, and their float rounding grows far less with
-cond(g).  For the star of phi at construction that keeps a valid float
-pullback of phi0 at |phi|^2 = 7 on frames where the 3 x 3 minors of g^-1
-miss it by 1e-6; the exact star is the same either way.
+A non-Euclidean metric is read through two tables, each kept per metric:
+g^-1 from one elimination, and the minors of g of each order (compound),
+int rows over den^r in the exact lane, float rows over 1 in the float lane.
+By Jacobi's complementary-minor identity the k x k minors of g^-1 are the
+re-indexed (7 - k) x (7 - k) minors of g over det g, so the Gram of basis
+k-forms for k >= 2 (_lambda_gram) and the star of every degree read the
+minors of g; the Gram of 1-forms is g^-1.  form_inner and the star run one
+matvec of a table with their form's stored numerators.  The float minors
+of g round far better with cond(g) than the minors of a float g^-1: they
+keep the float star of phi at |phi|^2 = 7 on frames where the 3 x 3
+minors of g^-1 miss it by 1e-6.
 """
 from __future__ import annotations
 
@@ -563,24 +562,35 @@ def compound(rows, k: int) -> list:
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
-def _lambda_gram(m: Metric, k: int):
-    """Gram matrix of the basis k-forms as a table (rows, den): the k x k
-    minors of g^-1 = G / d, G = _scaled_inverse(m), are compound(G) / d^k.
-
-    Context.symmetric makes the table symmetric in both lanes: the exact
-    minors of the symmetric G already are (ints, kept as they are), and the
-    float table averages the two transposed minors, which keeps <a, a> as
-    the full matrix gives it (mirroring one triangle would double that
-    triangle's rounding in <a, a>)."""
-    inv, den = _scaled_inverse(m)
-    return tuple(tuple(row) for row in m._lane.symmetric(compound(inv, k))), den ** k
-
-
-@lru_cache(maxsize=_METRIC_CACHE_SIZE)
 def _metric_minors(m: Metric, k: int):
     """The k x k minors of g as a table (rows, den): compound(num) over
     den^k, ints in the exact lane."""
     return tuple(tuple(row) for row in compound(m.num, k)), m.den ** k
+
+
+@lru_cache(maxsize=_METRIC_CACHE_SIZE)
+def _lambda_gram(m: Metric, k: int):
+    """Gram matrix of the basis k-forms as a table (rows, den).
+
+    k >= 2: Gram[I][J] = s_I s_J det(g[I^c, J^c]) / det g (Jacobi), s the
+    signs of _comp_table(k), so the table re-indexes _metric_minors(m, 7 - k)
+    over det g = p / q (Context.scaled), stored as Context.reduce stores a
+    form.  k = 1: g^-1 from _scaled_inverse's elimination, whose float
+    rounding grows less with cond(g) than that of the 6 x 6 minors over
+    det g (0.28 against 0.83 eps cond(g)).  Context.symmetric averages the
+    float table's transposed entries, which keeps <a, a> as the full matrix
+    gives it; exact ones already agree."""
+    lane = m._lane
+    if k == 1:
+        inv, den = _scaled_inverse(m)
+        return tuple(tuple(row) for row in lane.symmetric(inv)), den
+    minors, den = _metric_minors(m, DIM - k)
+    ((p,),), q = lane.scaled([[_metric_det(m)]])
+    comp = _comp_table(k)
+    table = lane.symmetric([[minors[pi][pj] * (q if si == sj else -q) for pj, sj in comp]
+                            for pi, si in comp])
+    flat, den, _ = lane.reduce([x for row in table for x in row], den * p)
+    return tuple(tuple(flat[i:i + NK[k]]) for i in range(0, NK[k] ** 2, NK[k])), den
 
 
 def _matvec(rows, v, zero=0) -> list:
@@ -588,13 +598,6 @@ def _matvec(rows, v, zero=0) -> list:
     Context.scaled rows in the exact lane."""
     nonzero = [(q, c) for q, c in enumerate(v) if c]
     return [sum((row[q] * c for q, c in nonzero), zero) for row in rows]
-
-
-def _gram_sums(a: KForm, m: Metric):
-    """(sums, den) with Gram_k(m) . a = sums / den, one matvec on a's stored
-    pair: ints in the exact lane."""
-    rows, den = _lambda_gram(m, a.degree)
-    return _matvec(rows, a.num), den * a.den
 
 
 def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
@@ -621,24 +624,15 @@ def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
     return lane.ratio(tot, den * a.den * b.den)
 
 
-def gram_apply(a: KForm, m: Metric = EUCLIDEAN):
-    """Coefficients of Gram_k(m) . a, so that form_inner(a, b, m) is their
-    plain dot product with b's coefficients: one Gram product serves any
-    number of inner products with a."""
-    if m.is_euclidean:
-        return a.coeffs
-    lane = lane_of((a.num[0], m.num[0][0]))
-    sums, den = _gram_sums(coerce_form(a, lane), m)
-    return [lane.ratio(x, den) for x in sums]
-
-
 def volume_form(m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KForm:
     """Riemannian volume form: o.sign * sqrt(det g) dx1..7."""
     return KForm(DIM, (o.sign * _sqrt_det(m),))
 
 
 def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KForm:
-    """Hodge star, defined by b ^ *a = <b, a> vol for all b."""
+    """Hodge star, defined by b ^ *a = <b, a> vol for all b: on a
+    non-Euclidean metric sqrt(det g) / det g times the signed (7 - k) x
+    (7 - k) minors of g (_metric_minors) in every degree."""
     k = a.degree
     out_deg = DIM - k
     comp = _comp_table(k)
@@ -649,26 +643,16 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
         return KForm._of(out_deg, out, a.den, a._lane)
     lane = lane_of((a.num[0], m.num[0][0]))
     a = coerce_form(a, lane)
-    if k >= 3:
-        # Jacobi: the k x k minor of g^-1 on rows I, columns J is
-        # s_I s_J det(g[I^c, J^c]) / det g, s the signs of comp, so
-        # (*a)_{I^c} = vol / det g * sum_J det(g[I^c, J^c]) s_J a_J
-        signed = [None] * NK[out_deg]
-        for (po, s), c in zip(comp, a.num):
-            signed[po] = c if s > 0 else -c
-        rows, den = _metric_minors(m, out_deg)
-        ((scale,),), sden = lane.scaled([[_sqrt_det(m) * o.sign / _metric_det(m)]])
-        out = [x * scale for x in _matvec(rows, signed, lane.scaled_zero)]
-        return KForm._of(out_deg, out, den * a.den * sden, lane)
-    ((vol,),), vden = lane.scaled([[_sqrt_det(m) * o.sign]])
-    sums, den = _gram_sums(a, m)
-    # vol = vol / vden joins the Gram's denominator
-    out = [lane.scaled_zero] * NK[out_deg]
-    for p, inner in enumerate(sums):
-        if inner:
-            po, s = comp[p]
-            out[po] = s * inner * vol
-    return KForm._of(out_deg, out, den * vden, lane)
+    # Jacobi: the k x k minor of g^-1 on rows I, columns J is
+    # s_I s_J det(g[I^c, J^c]) / det g, s the signs of comp, so
+    # (*a)_{I^c} = vol / det g * sum_J det(g[I^c, J^c]) s_J a_J
+    signed = [None] * NK[out_deg]
+    for (po, s), c in zip(comp, a.num):
+        signed[po] = c if s > 0 else -c
+    rows, den = _metric_minors(m, out_deg)
+    ((scale,),), sden = lane.scaled([[_sqrt_det(m) * o.sign / _metric_det(m)]])
+    out = [x * scale for x in _matvec(rows, signed, lane.scaled_zero)]
+    return KForm._of(out_deg, out, den * a.den * sden, lane)
 
 
 def flat(v: Sequence, m: Metric = EUCLIDEAN) -> KForm:

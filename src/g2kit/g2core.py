@@ -73,12 +73,12 @@ from .exterior import (
     _lambda_gram,
     _matvec,
     _metric_inverse,
+    _metric_minors,
     _scaled_inverse,
     _split_rows,
     _wedge_table,
     basis_vector,
     coerce_form,
-    compound,
     flat,
     form_inner,
     hodge_star,
@@ -422,8 +422,8 @@ class G2Structure:
     mode never touches a float, and construction takes no inverse of g.
 
     T is built without a star or g^-1 as o / sqrt(det g) times the 2 x 2
-    minors of g (compound) times a constant sign table of phi's coefficients
-    (_two_form_operator_table).  It is kept as a (rows, den) table: int rows
+    minors of g (_metric_minors) times a constant sign table of phi's
+    coefficients (_two_form_operator_table).  It is kept as a (rows, den) table: int rows
     over a common denominator in exact mode.  Its eigenspaces are read off
     phi (_split_two_forms): the contractions e_i . phi span the 7-space, the
     14-space is the kernel of those contractions times T - lambda14, and
@@ -481,7 +481,6 @@ class G2Structure:
 
     def _init_two_form_spectrum(self):
         ctx = self.ctx
-        g, gden = self.metric.num, self.metric.den
         phi, den = self.phi.num, self.phi.den
         ((root,),), root_den = ctx.scaled([[self.orientation.sign * top_coeff(self.vol)]])
         signs, terms = _two_form_operator_table()
@@ -489,8 +488,9 @@ class G2Structure:
         for q, ab, sign, pl in terms:
             if phi[pl]:
                 w[q].append((ab, sign * phi[pl]))
+        g2, g2den = _metric_minors(self.metric, 2)
         tmat = []
-        for minors, sign in zip(compound(g, 2), signs):
+        for minors, sign in zip(g2, signs):
             row = [0] * NK[2]
             sign *= self.orientation.sign * root_den
             for minor, entries in zip(minors, w):
@@ -499,8 +499,8 @@ class G2Structure:
                     for ab, x in entries:
                         row[ab] += minor * x
             tmat.append(row)
-        # g = G / gden, phi = Phi / den and sqrt(det g) = root / root_den
-        den *= gden * gden * root
+        # the minors of g are g2 / g2den, phi = Phi / den and sqrt(det g) = root / root_den
+        den *= g2den * root
         self._t_table = (tmat, den)
         # Lambda^2_7 = {v . phi}: the contractions of phi span it
         self.lambda7, self.lambda14, self._kernel14 = _split_two_forms(

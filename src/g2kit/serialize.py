@@ -21,7 +21,8 @@ SCHEMA_VERSION = 1
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted, compact, standard JSON: a NaN or an infinity raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def sha256_hex(text: str) -> str:

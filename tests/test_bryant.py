@@ -1308,10 +1308,12 @@ def test_slack_test_refuses_a_non_finite_contraction():
 
 
 # cond(g) about 1.8e3, from the frames a + 3/2 I with entries of a in
-# n / d, n in -2..2, d in {1, 1, 2, 3} (random.Random(3)): a float c = 0
-# twist there gives c^2 = (<phit, phi> + 1) / 8 = -2.3e-12, past
-# -CONSTRAINT_TOL, which the c^2 range check refused before the W pivot,
-# which reads no c^2.
+# n / d, n in -2..2, d in {1, 1, 2, 3} (random.Random(3)).  A float c = 0
+# twist there gave c^2 = (<phit, phi> + 1) / 8 = -2.3e-12 through the minors
+# of a float g^-1, past -CONSTRAINT_TOL, which the c^2 range check refused
+# before the W pivot, which reads no c^2.  Through the minors of g it reads
+# -3.3e-14, so the test moves phit by -delta phi, which moves c^2 by
+# -7 delta / 8 in exact arithmetic.
 NEGATIVE_C2_FRAME = [[Fraction(x) for x in row.split()] for row in (
     "3/2 -2 1 -1 -1/3 1 2",
     "0 1/2 -2/3 -2/3 1/3 0 0",
@@ -1324,11 +1326,14 @@ NEGATIVE_C2_FRAME = [[Fraction(x) for x in row.split()] for row in (
 
 
 def test_float_c_zero_twist_with_c2_below_zero_is_recovered():
+    """A c = 0 twist moved off the sphere by -delta phi, delta = 4e-12, has
+    c^2 = -7 delta / 8 = -3.5e-12, below -CONSTRAINT_TOL: recover takes it
+    to the W pivot, which reads no c^2, and returns the twist's point."""
     s = G2Structure(pullback(phi0(FLOAT), [[float(x) for x in row] for row in NEGATIVE_C2_FRAME]),
                     FLOAT)
     w = KForm(1, (-1.0, 1.0, -2.0, 2.0, 1.0, -1.0, 1.0))
     p = TwistParams(0.0, w / math.sqrt(form_inner(w, w, s.metric)))
-    phit = twist(s, p)
+    phit = twist(s, p) - s.phi * 4e-12
     assert (form_inner(phit, s.phi, s.metric) + 1) / 8 < -CONSTRAINT_TOL
     rec = recover(s, phit)
     assert rec.params.equivalent_to(p, 1e-10)

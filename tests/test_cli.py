@@ -246,6 +246,27 @@ def test_tol_must_be_finite(tol):
     assert main(["normalizer", "--tol", tol]) == 2
 
 
+@pytest.mark.parametrize("argv,stdin", [
+    (["twist", "--mode", "float", "--c", "0",
+      "--omega", '{"degree": 1, "entries": [{"idx": [1], "coeff": 1e200}]}'], None),
+    (["decompose", "--degree", "2", "--mode", "float", "-"],
+     '{"degree": 2, "entries": [{"idx": [1, 2], "coeff": 1e308}]}'),
+], ids=["twist constraint", "decompose norms"])
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_a_report_leaving_the_float_range_is_not_printed(capsys, monkeypatch, argv, stdin,
+                                                         output):
+    """Finite inputs whose results overflow: the twist's constraint residual
+    (|omega|^2 = 1e400) and decompose's p7 and p14 norms (3.3e307 squared)
+    are infinite.  Neither output mode prints the report, which json would
+    write as the non-standard Infinity that g2kit refuses as input: the
+    run exits 1 with one error line."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    assert main(argv + ["--output", output]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the result left the float range (a non-finite value)\n"
+
+
 # -- fuzz: no argv or payload escapes the exit-code contract -------------------
 
 HOSTILE_TEXT = [

@@ -332,3 +332,37 @@ def test_no_unused_imports():
     found = {path.name: names for path in sorted(SRC.glob("*.py"))
              if (names := _unused_imports(path))}
     assert found == {}
+
+
+def _references(path):
+    """Every name a file reads: loaded names, attributes, imported names and
+    strings that are identifiers (monkeypatch.setattr names its target)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def test_no_dead_definitions():
+    """The package's lint step: every module-level function and class of
+    g2kit (module dunders aside) is referenced from the package, the tests
+    or perfbench, or is exported in g2kit.__all__."""
+    root = Path(__file__).resolve().parents[1]
+    used = set(g2kit.__all__)
+    for folder in (SRC, root / "tests", root / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            used |= _references(path)
+    dead = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in used]
+    assert dead == []

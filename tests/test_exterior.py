@@ -262,14 +262,16 @@ def test_metric_caches_keep_the_lanes_apart():
     """An exact and a float metric with the same values are not equal, so the
     Metric-keyed caches keep one entry per lane: after the exact diag(2, 1,
     ..., 1) has filled them, the float diag(2.0, 1.0, ...) still gets float
-    rows, and its Gram table is over 1."""
+    rows, and its Gram table is over 1.  The exact Gram of 3-forms is the
+    4 x 4 minors of g over det g = 2, in lowest terms."""
     exact = Metric(tuple(tuple(Fraction(2 if i == j == 0 else int(i == j)) for j in range(DIM))
                          for i in range(DIM)))
     floats = Metric(tuple(tuple(float(x) for x in row) for row in exact.rows))
-    for cache in (exterior._metric_inverse, exterior._scaled_inverse, exterior._lambda_gram):
+    for cache in (exterior._metric_inverse, exterior._scaled_inverse, exterior._metric_minors,
+                  exterior._lambda_gram):
         cache.cache_clear()
     assert exterior._metric_inverse(exact)[0][0] == Fraction(1, 2)
-    assert exterior._lambda_gram(exact, 3)[1] == 8
+    assert exterior._lambda_gram(exact, 3)[1] == 2
     inverse = exterior._metric_inverse(floats)
     assert all(type(x) is float for row in inverse for x in row) and inverse[0][0] == 0.5
     rows, den = exterior._lambda_gram(floats, 3)
