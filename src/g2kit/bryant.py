@@ -50,7 +50,9 @@ from .exterior import (
     DIM,
     NK,
     KForm,
-    _lambda_gram,
+    _gram_sum,
+    _metric_inverse,
+    _row_sum,
     coerce_form,
     form_inner,
     sharp,
@@ -133,10 +135,10 @@ def _scaled_point(s: G2Structure, p: TwistParams) -> tuple:
     """(xs, xden, sq, gden) for p = (c, w) in the structure's lane: its
     coordinates x = (c, w_1..w_7) = xs / xden, read off c and w's stored
     (num, den) with no Fraction per coefficient, and |w|^2 = sq / (gden xden^2)
-    with g^-1 = G / gden (_lambda_gram(g, 1)).  So
+    with g^-1 = G / gden, the metric's one g^-1 table (_metric_inverse).  So
     c^2 + |w|^2 = (xs_0^2 gden + sq) / (xden^2 gden), one identity on ints in
-    exact mode; in float mode xden = gden = 1, and sq sums in form_inner's
-    order, so every float value is the one form_inner gives."""
+    exact mode; in float mode xden = gden = 1, and sq is form_inner's own
+    sum (_gram_sum), so every float value is the one form_inner gives."""
     ctx, g = s.ctx, s.metric
     ((cn,),), cden = ctx.scaled([[ctx.scalar(p.c)]])
     omega = coerce_form(p.omega, ctx)
@@ -147,13 +149,8 @@ def _scaled_point(s: G2Structure, p: TwistParams) -> tuple:
     if g.is_euclidean:
         sq, gden = sum(x * x for x in ws), 1
     else:
-        rows, gden = _lambda_gram(g, 1)
-        nonzero = [(q, x) for q, x in enumerate(ws) if x]
-        sq = 0
-        for q, y in nonzero:
-            row = rows[q]
-            for r, x in nonzero:
-                sq += row[r] * x * y
+        rows, gden = _metric_inverse(g)
+        sq = _gram_sum(rows, ws, ws)
     return [cn * (xden // cden), *ws], xden, sq, gden
 
 
@@ -246,17 +243,6 @@ def twist_decomposed(s: G2Structure, p: TwistParams) -> Decomposition3:
     p27 = [x * mq + y * a27 * mp for x, y in zip(qww, phi.num)]
     return Decomposition3(p1=KForm._of(3, [y * a1 for y in phi.num], phi.den * d1, ctx),
                           p7=p7, p27=KForm._of(3, p27, full, ctx))
-
-
-def _row_sum(xs, rows, zero):
-    """sum x_i rows_i over the nonzero x_i, summed from zero on scaled rows
-    of one length (ints in the exact lane); zip stops at the shorter of xs
-    and rows."""
-    out = [zero] * len(rows[0])
-    for x, row in zip(xs, rows):
-        if x:
-            out = [u + x * y for u, y in zip(out, row)]
-    return out
 
 
 def _ambient_images(s: G2Structure, xs, xden, units: int) -> tuple:

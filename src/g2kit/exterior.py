@@ -27,9 +27,10 @@ below compare ints on every lookup.  Metrics of different lanes never
 compare equal, so those caches keep one entry per lane.
 
 A non-Euclidean metric is read through two tables, each kept per metric:
-g^-1 from one elimination, and the minors of g of each order (compound),
-int rows over den^r in the exact lane, float rows over 1 in the float lane.
-By Jacobi's complementary-minor identity the k x k minors of g^-1 are the
+g^-1 (_metric_inverse), the one inverse every reader in every module
+shares, from one elimination and made symmetric once in the float lane,
+and the minors of g of each order (compound); int rows over one den in the
+exact lane, float rows over 1 in the float lane.  By Jacobi's complementary-minor identity the k x k minors of g^-1 are the
 re-indexed (7 - k) x (7 - k) minors of g over det g, so the Gram of basis
 k-forms for k >= 2 (_lambda_gram) and the star of every degree read the
 minors of g; the Gram of 1-forms is g^-1.  form_inner and the star run one
@@ -485,23 +486,16 @@ def _metric_is_euclidean(m: Metric) -> bool:
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
-def _metric_inverse(m: Metric):
-    """g^-1 as lane scalars, read off _scaled_inverse."""
-    rows, den = _scaled_inverse(m)
-    ratio = m._lane.ratio
-    return tuple(tuple(ratio(x, den) for x in row) for row in rows)
-
-
-@lru_cache(maxsize=_METRIC_CACHE_SIZE)
-def _scaled_inverse(m: Metric) -> tuple:
-    """g^-1 as Context.scaled rows (rows, den): g^-1 = den(g) num^-1, taken
-    on the metric's stored pair (Context.scaled_inverse), so the exact lane
-    runs one int elimination and builds no Fraction; the rows are in lowest
-    terms over a positive den, as Context.scaled gives them."""
+def _metric_inverse(m: Metric) -> tuple:
+    """g^-1 as a table (rows, den), the one every reader shares: den(g) num^-1
+    from one elimination on the metric's stored pair (Context.scaled_inverse;
+    ints and no Fraction in the exact lane), in lowest terms over a positive
+    den as Context.reduce stores a form.  Context.symmetric averages the
+    float table's transposed entries once; exact ones already agree."""
     lane = m._lane
     inv, den = lane.scaled_inverse(m.num)
     flat, den, _ = lane.reduce([x * m.den for row in inv for x in row], den)
-    return _split_rows(flat), den
+    return tuple(tuple(row) for row in lane.symmetric(_split_rows(flat))), den
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
@@ -575,15 +569,14 @@ def _lambda_gram(m: Metric, k: int):
     k >= 2: Gram[I][J] = s_I s_J det(g[I^c, J^c]) / det g (Jacobi), s the
     signs of _comp_table(k), so the table re-indexes _metric_minors(m, 7 - k)
     over det g = p / q (Context.scaled), stored as Context.reduce stores a
-    form.  k = 1: g^-1 from _scaled_inverse's elimination, whose float
-    rounding grows less with cond(g) than that of the 6 x 6 minors over
-    det g (0.28 against 0.83 eps cond(g)).  Context.symmetric averages the
-    float table's transposed entries, which keeps <a, a> as the full matrix
-    gives it; exact ones already agree."""
-    lane = m._lane
+    form.  k = 1: _metric_inverse itself, whose float rounding grows less
+    with cond(g) than that of the 6 x 6 minors over det g (0.28 against 0.83
+    eps cond(g)).  Context.symmetric averages the float table's transposed
+    entries, which keeps <a, a> as the full matrix gives it; exact ones
+    already agree."""
     if k == 1:
-        inv, den = _scaled_inverse(m)
-        return tuple(tuple(row) for row in lane.symmetric(inv)), den
+        return _metric_inverse(m)
+    lane = m._lane
     minors, den = _metric_minors(m, DIM - k)
     ((p,),), q = lane.scaled([[_metric_det(m)]])
     comp = _comp_table(k)
@@ -600,6 +593,30 @@ def _matvec(rows, v, zero=0) -> list:
     return [sum((row[q] * c for q, c in nonzero), zero) for row in rows]
 
 
+def _row_sum(xs, rows, zero) -> list:
+    """xs . rows = sum x_i rows_i over the nonzero x_i, summed from zero on
+    scaled rows of one length (ints in the exact lane); zip stops at the
+    shorter of xs and rows."""
+    out = [zero] * len(rows[0])
+    for x, row in zip(xs, rows):
+        if x:
+            out = [u + x * y for u, y in zip(out, row)]
+    return out
+
+
+def _gram_sum(rows, v, w):
+    """w . rows . v on scaled rows (ints in the exact lane), summed from 0
+    over the nonzero entries of v and w only."""
+    nonzero = [(q, x) for q, x in enumerate(v) if x]
+    tot = 0
+    for p, y in enumerate(w):
+        if y:
+            row = rows[p]
+            for q, x in nonzero:
+                tot += row[q] * x * y
+    return tot
+
+
 def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
     """Inner product of two k-forms induced by the metric: on a non-Euclidean
     metric the dot product of b with the Gram product of a, built as one
@@ -612,16 +629,7 @@ def form_inner(a: KForm, b: KForm, m: Metric = EUCLIDEAN):
     lane = lane_of((a.num[0], b.num[0], m.num[0][0]))
     a, b = coerce_form(a, lane), coerce_form(b, lane)
     rows, den = _lambda_gram(m, a.degree)
-    v, w = a.num, b.num
-    nonzero = [(q, x) for q, x in enumerate(v) if x]
-    tot = 0
-    # only the entries of the Gram product that meet b's nonzeros
-    for p, y in enumerate(w):
-        if y:
-            row = rows[p]
-            for q, x in nonzero:
-                tot += row[q] * x * y
-    return lane.ratio(tot, den * a.den * b.den)
+    return lane.ratio(_gram_sum(rows, a.num, b.num), den * a.den * b.den)
 
 
 def volume_form(m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KForm:
@@ -666,7 +674,7 @@ def sharp(a: KForm, m: Metric = EUCLIDEAN) -> tuple:
         raise DegreeError("sharp expects a 1-form")
     lane = lane_of((a.num[0], m.num[0][0]))
     a = coerce_form(a, lane)
-    inv, den = _scaled_inverse(m)
+    inv, den = _metric_inverse(m)
     den *= a.den
     return tuple(lane.ratio(sum(x * y for x, y in zip(row, a.num)), den) for row in inv)
 
@@ -683,10 +691,7 @@ def pullback(a: KForm, mat) -> KForm:
     lane = lane_of((a.num[0], *(x for r in rows for x in r)))
     a = coerce_form(a, lane)
     rows, den = lane.scaled(rows)
-    sums = [lane.scaled_zero] * NK[k]
-    for minors, c in zip(compound(rows, k), a.num):
-        if c:
-            sums = [t + c * x for t, x in zip(sums, minors)]
+    sums = _row_sum(a.num, compound(rows, k), lane.scaled_zero)
     return KForm._of(k, sums, a.den * den ** k, lane)
 
 

@@ -74,8 +74,7 @@ from .exterior import (
     _matvec,
     _metric_inverse,
     _metric_minors,
-    _scaled_inverse,
-    _split_rows,
+    _row_sum,
     _wedge_table,
     basis_vector,
     coerce_form,
@@ -393,10 +392,7 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
     ((p,),), q = ctx.scaled([[lam14]])
     kernel_rows = []
     for c in gens7:
-        acc = [0] * NK[2]
-        for x, row in zip(c, rows):
-            if x:
-                acc = [a + x * y for a, y in zip(acc, row)]
+        acc = _row_sum(c, rows, 0)
         kernel_rows.append([q * a - p * x for a, x in zip(acc, c)])
     eig14 = ctx.scaled_nullspace(kernel_rows)
     if len(eig14[0]) != 14:
@@ -431,11 +427,11 @@ class G2Structure:
     rows, in exact mode; the kernel's ints are checked as they come, with
     no Fraction per entry).  The frame forms e_i . *phi are read off *phi
     with constant signs (_contractions), no arithmetic.  The frame's inverse
-    Gram matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij, read
-    off the metric's scaled inverse when the frame table is built.  The star
-    of phi is one product with the 4 x 4 minors of g (int rows in exact
-    mode), which keep a float |phi|^2 = 7 within PHI_NORM_TOL on far worse
-    conditioned metrics than the Gram of g^-1 does.
+    Gram matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij; it and
+    every other g^-1 a structure reads is the metric's one table
+    (exterior._metric_inverse), never a copy.  The star of phi is one product with the 4 x 4 minors of g (int
+    rows in exact mode), which keep a float |phi|^2 = 7 within PHI_NORM_TOL
+    on far worse conditioned metrics than the Gram of g^-1 does.
 
     Built lazily on first use, so construction does not pay for them: the
     7-space basis basis2_7 (one span), the 14-space basis basis2_14 (the
@@ -447,10 +443,9 @@ class G2Structure:
     derivative table of B that odot_inverse and recover read (as each
     row's nonzero entries), the frame table that
     decompose3 and frame_coordinates read (phi and the 7 frame forms as
-    scaled rows, the Gram table on a non-Euclidean metric and g^-1 / 4 as
-    scaled rows), g^-1 as scaled rows for odot, and the slack within which
-    recover's test of a form's contraction matrix against B(phi) proves the
-    metric match (_contraction_slack).
+    scaled rows, and the Gram table on a non-Euclidean metric), and the
+    slack within which recover's test of a form's contraction matrix
+    against B(phi) proves the metric match (_contraction_slack).
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
@@ -540,7 +535,8 @@ class G2Structure:
         is_zero never reads it."""
         own, den3 = self._contraction
         g = self.metric.rows
-        gamma = 7 * max(abs(x) for row in _metric_inverse(self.metric) for x in row)
+        inv, iden = _metric_inverse(self.metric)
+        gamma = self.ctx.ratio(7 * max(abs(x) for row in inv for x in row), iden)
         size = max(1, max(abs(x) for row in g for x in row))
         # s den^3 = |B(Phi)_11| / g_11
         return Fraction(RECOVERY_TOL) * abs(own[0][0]) / g[0][0] / (2 + 6 * gamma * size)
@@ -570,19 +566,16 @@ class G2Structure:
 
     @cached_property
     def _frame_table(self) -> tuple:
-        """(rows, den, gram, inv): phi and the 7 frame forms as rows / den,
-        the degree-3 Gram table (rows, den) of the metric (None when it is
-        Euclidean), and the frame's inverse Gram g^-1 / 4 as a table
-        (rows, den).  All on Context.scaled rows: ints in exact mode."""
+        """(rows, den, gram): phi and the 7 frame forms as rows / den and the
+        degree-3 Gram table (rows, den) of the metric (None when it is
+        Euclidean), on Context.scaled rows: ints in exact mode.  It keeps no
+        g^-1: _frame_sums reads the metric's one table."""
         # the forms' stored pairs over one den: Context.scaled of their coefficients
         forms = (self.phi, *self.frame3_7)
         den = lcm(*(f.den for f in forms))
         rows = [[x * (den // f.den) for x in f.num] for f in forms]
         gram = None if self.metric.is_euclidean else _lambda_gram(self.metric, 3)
-        # the frame's Gram matrix <e_i . *phi, e_j . *phi> is exactly 4 g
-        inv, iden = _scaled_inverse(self.metric)
-        quarter, qden, _ = self.ctx.reduce([x for row in inv for x in row], 4 * iden)
-        return rows, den, gram, (_split_rows(quarter), qden)
+        return rows, den, gram
 
     # -- tables built on first use --------------------------------------
 
@@ -620,12 +613,14 @@ class G2Structure:
     @cached_property
     def star_dx_star_phi(self) -> tuple:
         """u_j = *(dx_j ^ *phi) for j = 1..7, as the contractions (g^-1 e_j) . phi."""
-        return tuple(interior(col, self.phi) for col in zip(*_metric_inverse(self.metric)))
+        rows, den = _metric_inverse(self.metric)
+        return tuple(interior(row, self.phi) / den for row in rows)
 
     @cached_property
     def star_dx_phi(self) -> tuple:
         """s_j = *(dx_j ^ phi) for j = 1..7, as the contractions -(g^-1 e_j) . *phi."""
-        return tuple(-interior(col, self.star_phi) for col in zip(*_metric_inverse(self.metric)))
+        rows, den = _metric_inverse(self.metric)
+        return tuple(interior(row, self.star_phi) / -den for row in rows)
 
     @cached_property
     def polarized_table(self) -> tuple:
@@ -642,12 +637,13 @@ class G2Structure:
         (a, b) and (b, a): Context.scaled entries, ints in exact mode."""
         ctx, phi = self.ctx, self.phi
         stars, ustars = self.star_dx_phi, self.star_dx_star_phi
-        ginv = _metric_inverse(self.metric)
+        ginv, gden = _metric_inverse(self.metric)
         forms = [[phi, *stars]] + [[s] + [None] * DIM for s in stars]
         for i in range(DIM):
             for j in range(i, DIM):
                 forms[i + 1][j + 1] = forms[j + 1][i + 1] = (
-                    _dx_wedge(i, ustars[j], ctx) + _dx_wedge(j, ustars[i], ctx) - ginv[i][j] * phi)
+                    _dx_wedge(i, ustars[j], ctx) + _dx_wedge(j, ustars[i], ctx)
+                    - ctx.ratio(ginv[i][j], gden) * phi)
         den = lcm(*(f.den for row in forms for f in row))
         table = [[None] * (DIM + 1) for _ in range(DIM + 1)]
         for a, row in enumerate(forms):
@@ -756,16 +752,18 @@ def decompose2(beta: KForm, s: G2Structure) -> Decomposition2:
 def _frame_sums(v, den, s: G2Structure) -> tuple:
     """(inner, coords, den, cden) for eta = v / den (its stored pair):
     <eta, phi> = inner[0] / den, <eta, e_i . *phi> = inner[i] / den, and
-    the frame coordinates of eta's 7-part are coords / cden.  One Gram
+    the frame coordinates of eta's 7-part are coords / cden, g^-1 / 4 (the
+    inverse of the frame's Gram 4 g) times inner[1:] / den.  One Gram
     product of eta serves all 8 inner products; in exact mode every sum
     runs on ints."""
-    rows, rden, gram, (inv, iden) = s._frame_table
+    rows, rden, gram = s._frame_table
     if gram is not None:
         grows, gden = gram
         v, den = _matvec(grows, v), den * gden
     inner = _matvec(rows, v)
     den *= rden
-    return inner, _matvec(inv, inner[1:]), den, den * iden
+    inv, iden = _metric_inverse(s.metric)
+    return inner, _matvec(inv, inner[1:]), den, 4 * den * iden
 
 
 def frame_coordinates(eta: KForm, s: G2Structure):
@@ -887,7 +885,7 @@ def odot(b, s: G2Structure) -> KForm:
 
 def _odot_rows(rows, den, s: G2Structure) -> KForm:
     """odot of rows / den, Context.scaled rows: g^-1 . rows on ints in exact mode."""
-    ginv, gden = _scaled_inverse(s.metric)
+    ginv, gden = _metric_inverse(s.metric)
     return _odot_scaled(ratlin.matmul(ginv, rows), gden * den, s)
 
 
@@ -981,7 +979,7 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
     sums = [sum(x * num[q] for q, x in row) * tq for row in table]
     jvec, jden, _ = ctx.reduce(sums, t * target.den)
     # tr_g(J) / 9 = tr / trden, with g^-1 = ginv / iden and g = gnum / gden
-    ginv, iden = _scaled_inverse(s.metric)
+    ginv, iden = _metric_inverse(s.metric)
     gnum, gden = s.metric.num, s.metric.den
     (tr,), trden, _ = ctx.reduce([sum(ginv[i][j] * x if i == j else 2 * ginv[i][j] * x
                                       for (i, j), x in zip(_PAIRS, jvec))], 9 * iden * jden)

@@ -118,19 +118,23 @@ def twistparams_from_json(obj, ctx: Context) -> TwistParams:
         raise ParseError(str(exc)) from exc
 
 
-def g2structure_to_json(s: G2Structure) -> dict:
-    phi_json = kform_to_json(s.phi)
-    derived = {
+def _derived_sha256(s: G2Structure) -> str:
+    """Hash of the metric, orientation and vol a structure derives from phi."""
+    return sha256_hex(canonical_json({
         "metric": matrix_to_json(s.metric.rows),
         "orientation": s.orientation.sign,
         "vol": kform_to_json(s.vol),
-    }
+    }))
+
+
+def g2structure_to_json(s: G2Structure) -> dict:
+    phi_json = kform_to_json(s.phi)
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": s.ctx.mode,
         "phi": phi_json,
         "phi_sha256": sha256_hex(canonical_json(phi_json)),
-        "derived_sha256": sha256_hex(canonical_json(derived)),
+        "derived_sha256": _derived_sha256(s),
     }
 
 
@@ -151,11 +155,6 @@ def g2structure_from_json(obj) -> G2Structure:
     if sha256_hex(canonical_json(kform_to_json(phi))) != obj["phi_sha256"]:
         raise ParseError("stored phi hash does not match the payload")
     s = G2Structure(phi, ctx)
-    derived = {
-        "metric": matrix_to_json(s.metric.rows),
-        "orientation": s.orientation.sign,
-        "vol": kform_to_json(s.vol),
-    }
-    if sha256_hex(canonical_json(derived)) != obj["derived_sha256"]:
+    if _derived_sha256(s) != obj["derived_sha256"]:
         raise ParseError("regenerated metric/volume hash does not match the stored one")
     return s

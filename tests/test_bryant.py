@@ -1558,7 +1558,8 @@ def assert_w_pivot_identities(s, p):
     d = decompose3(phit, s)
     jvec = ref_apply_sparse(table, phit + s.phi, ctx)
     assert jvec == ref_apply_sparse(table, d.p1 + d.p27 + s.phi, ctx)
-    ginv = exterior._metric_inverse(s.metric)
+    rows, den = exterior._metric_inverse(s.metric)
+    ginv = [[ctx.ratio(x, den) for x in row] for row in rows]
     trace = sum(ginv[i][j] * x * (1 if i == j else 2) for (i, j), x in zip(g2core._PAIRS, jvec))
     a = form_inner(phit, s.phi, s.metric)
     assert trace == 3 * (a + 7)

@@ -1,6 +1,8 @@
 """Exterior algebra layer: wedge, contraction, star, musical maps, pullback."""
+import importlib.util
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from g2kit.exterior import (
     volume_form,
     wedge,
 )
+from g2kit.g2core import G2Structure, decompose3, phi0
 from g2kit.ratlin import matmul
 from g2kit.sampling import rational_kform, rational_spd_metric
 
@@ -262,21 +265,44 @@ def test_metric_caches_keep_the_lanes_apart():
     """An exact and a float metric with the same values are not equal, so the
     Metric-keyed caches keep one entry per lane: after the exact diag(2, 1,
     ..., 1) has filled them, the float diag(2.0, 1.0, ...) still gets float
-    rows, and its Gram table is over 1.  The exact Gram of 3-forms is the
-    4 x 4 minors of g over det g = 2, in lowest terms."""
+    rows, and its g^-1 and Gram tables are over 1.  The exact g^-1 table is
+    diag(1, 2, ..., 2) over 2 and the exact Gram of 3-forms the 4 x 4 minors
+    of g over det g = 2, both in lowest terms."""
     exact = Metric(tuple(tuple(Fraction(2 if i == j == 0 else int(i == j)) for j in range(DIM))
                          for i in range(DIM)))
     floats = Metric(tuple(tuple(float(x) for x in row) for row in exact.rows))
-    for cache in (exterior._metric_inverse, exterior._scaled_inverse, exterior._metric_minors,
-                  exterior._lambda_gram):
+    for cache in (exterior._metric_inverse, exterior._metric_minors, exterior._lambda_gram):
         cache.cache_clear()
-    assert exterior._metric_inverse(exact)[0][0] == Fraction(1, 2)
+    rows, den = exterior._metric_inverse(exact)
+    assert den == 2 and rows == tuple(tuple(1 + (i > 0) if i == j else 0 for j in range(DIM))
+                                      for i in range(DIM))
     assert exterior._lambda_gram(exact, 3)[1] == 2
-    inverse = exterior._metric_inverse(floats)
-    assert all(type(x) is float for row in inverse for x in row) and inverse[0][0] == 0.5
+    inverse, fden = exterior._metric_inverse(floats)
+    assert fden == 1 and all(type(x) is float for row in inverse for x in row)
+    assert inverse[0][0] == 0.5
     rows, den = exterior._lambda_gram(floats, 3)
     assert den == 1 and all(type(x) is float for row in rows for x in row)
     assert exact != floats and floats != exact
+
+
+def test_perfbench_trace_reads_the_metric_caches():
+    """The benchmark's traced run reads the Metric-keyed lru caches by name
+    (perfbench/tracing.py, metric_caches): after a non-Euclidean structure
+    has read its g^-1 table, cache_totals() still reads a cache_info off
+    each of them, so folding or renaming one cannot pass unnoticed."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert exterior._metric_inverse in tracing.metric_caches()
+    a = [[int(i == j) + (i == 0 and j == 1) for j in range(DIM)] for i in range(DIM)]
+    s = G2Structure(pullback(phi0(), a))
+    assert not s.metric.is_euclidean
+    hits, misses, size = tracing.cache_totals()
+    decompose3(s.phi, s)
+    sharp(KForm.basis((1,)), s.metric)
+    after = tracing.cache_totals()
+    assert after[0] > hits and after[1] >= misses and after[2] >= 1
 
 
 def test_volume_form_literals():
