@@ -6,17 +6,12 @@ decompositions of 2-forms (7 + 14) and 3-forms (1 + 7 + 27), and the action
 of bilinear forms on the 3-form together with its inverse on the symmetric
 side.
 
-The eigenvalues of beta -> *(phi ^ beta) on 2-forms are discovered at
-construction time and stored on the structure, never hard-coded: their signs
-depend on the star and orientation conventions, and the contract is only
-that the eigenspaces have dimensions 7 and 14.  The splitting is read off
-phi, not solved for: the 7-space is spanned by the contractions e_i . phi
-and the 14-space is the kernel of a 7 x 21 matrix, and T is checked to act
-by one scalar on each (_split_two_forms).  Both lanes run that one path;
-the lane supplies the span, kernel and eigenvector checks.  In exact mode
-the kernel comes as int rows over one den (Context.scaled_nullspace), and
-T v = lambda v is checked on those ints, so the split builds no Fraction
-per entry.
+The eigenvalues of beta -> *(phi ^ beta) on 2-forms are discovered at a
+structure's first read of its split, never hard-coded: their signs depend on
+the star and orientation conventions, and the contract is only that the
+eigenspaces have dimensions 7 and 14.  Both lanes read the splitting off
+phi, not by a solve, on one path (_split_two_forms); the lane supplies the
+span, kernel and eigenvector checks, on int rows in exact mode.
 
 A structure's linear maps are built from constant index tables, not from
 wedge-and-star chains or solves: the 2-form operator from the 2 x 2 minors
@@ -78,6 +73,7 @@ from .exterior import (
     _wedge_table,
     basis_vector,
     coerce_form,
+    compound,
     flat,
     form_inner,
     hodge_star,
@@ -381,7 +377,8 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
     in exact mode int rows whose quotients are the kernel vectors of
     Context.nullspace, normalized as the kernel of T - lambda14 is, and the
     eigenvector check runs on those ints with no Fraction per entry; the
-    7-space basis, Context.span(gens7), is left to G2Structure.basis2_7.
+    7-space basis, Context.span(gens7), is left to G2Structure.basis2_7.  A
+    structure runs it at the first read of its split, not at construction.
     """
     rows, den = table
     lam7 = ctx.eigenvalue(rows, gens7)
@@ -408,44 +405,31 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
 class G2Structure:
     """A nondegenerate 3-form bundled with everything derived from it.
 
-    Construction computes (eagerly): the contraction matrix B(phi) and from
-    it the induced metric and orientation, the volume form, the star of phi
-    (the one Hodge star construction runs), the check |phi|^2 = 7 read as
-    top(phi ^ *phi) / top(vol), the operator T = *(phi ^ .) on 2-forms with
-    its spectrum and a kernel basis of its 14-space (int rows over one den
-    in exact mode), and the contraction frame spanning the 7-dimensional
-    piece of the 3-forms.  All of it is in the context's arithmetic; exact
-    mode never touches a float, and construction takes no inverse of g.
+    Construction computes (eagerly) only what every structure needs, so
+    every refusal of a 3-form happens there: the contraction matrix B(phi)
+    and from it the induced metric and orientation, the volume form, the
+    star of phi (the one Hodge star construction runs: one product with the
+    4 x 4 minors of g, which keep a float |phi|^2 = 7 within PHI_NORM_TOL on
+    far worse conditioned metrics than the Gram of g^-1 does) and the check
+    |phi|^2 = 7 read as top(phi ^ *phi) / top(vol).  All of it is in the
+    context's arithmetic; exact mode never touches a float, and construction
+    takes no inverse of g.
 
-    T is built without a star or g^-1 as o / sqrt(det g) times the 2 x 2
-    minors of g (_metric_minors) times a constant sign table of phi's
-    coefficients (_two_form_operator_table).  It is kept as a (rows, den) table: int rows
-    over a common denominator in exact mode.  Its eigenspaces are read off
-    phi (_split_two_forms): the contractions e_i . phi span the 7-space, the
-    14-space is the kernel of those contractions times T - lambda14, and
-    T . v = lambda v is checked on all 21 generators (literally, on the int
-    rows, in exact mode; the kernel's ints are checked as they come, with
-    no Fraction per entry).  The frame forms e_i . *phi are read off *phi
-    with constant signs (_contractions), no arithmetic.  The frame's inverse
-    Gram matrix is g^-1 / 4, since <e_i . *phi, e_j . *phi> = 4 g_ij; it and
-    every other g^-1 a structure reads is the metric's one table
-    (exterior._metric_inverse), never a copy.  The star of phi is one product with the 4 x 4 minors of g (int
-    rows in exact mode), which keep a float |phi|^2 = 7 within PHI_NORM_TOL
-    on far worse conditioned metrics than the Gram of g^-1 does.
-
-    Built lazily on first use, so construction does not pay for them: the
-    7-space basis basis2_7 (one span), the 14-space basis basis2_14 (the
-    kernel rows / den wrapped as forms), the two contraction tables
-    star_dx_phi and star_dx_star_phi that Bryant's formula reads, the
-    polarized table of Bryant's formula on the coordinate directions that
-    the twist, its type parts and its derivative read (the nonzero scaled
-    entries of 8 x 8 3-forms over one den), the
-    derivative table of B that odot_inverse and recover read (as each
-    row's nonzero entries), the frame table that
-    decompose3 and frame_coordinates read (phi and the 7 frame forms as
-    scaled rows, and the Gram table on a non-Euclidean metric), and the
-    slack within which recover's test of a form's contraction matrix
-    against B(phi) proves the metric match (_contraction_slack).
+    Built lazily on first use, so a structure that is only compared,
+    serialized or twisted does not pay for them: the operator T = *(phi ^ .)
+    on 2-forms (_t_table), from the 2 x 2 minors of g and a constant sign
+    table of phi's coefficients (_two_form_operator_table) with no star or
+    g^-1; its split (_split: lambda7, lambda14 and a kernel basis of the
+    14-space, read off phi by _split_two_forms, whose checks run at the
+    first read of lambda7, lambda14, basis2_14, decompose2 or describe(),
+    and raise DecompositionError there); the bases basis2_7 and basis2_14;
+    the contraction frame frame3_7 = (e_i . *phi) of the 7-part of the
+    3-forms, whose inverse Gram matrix is g^-1 / 4, since <e_i . *phi,
+    e_j . *phi> = 4 g_ij (the metric's one g^-1 table, as every g^-1 a
+    structure reads); and the tables that decompose3, odot_inverse, Bryant's
+    formula and recover's test of B read (_frame_table, _odot_inverse_table,
+    star_dx_star_phi, star_dx_phi, polarized_table, _contraction_slack),
+    each described where it is defined.
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
@@ -463,8 +447,6 @@ class G2Structure:
             raise NotG2FormError(f"normalized 3-form should have |phi|^2 = 7, got {norm}")
         # phi = Phi / den with Phi an int vector in exact mode; the tables read Phi
         self._tensor = (_full_tensor(self.phi.num), self.phi.den)
-        self._init_two_form_spectrum()
-        self._init_three_form_frame()
 
     # -- spectral data on 2-forms ------------------------------------
 
@@ -474,8 +456,10 @@ class G2Structure:
             raise DegreeError("operator expects a 2-form")
         return hodge_star(wedge(self.phi, beta), self.metric, self.orientation)
 
-    def _init_two_form_spectrum(self):
-        ctx = self.ctx
+    @cached_property
+    def _t_table(self) -> tuple:
+        """T = *(phi ^ .) as (rows, den): o / sqrt(det g) M2(g) W(phi), ints in exact mode."""
+        ctx, m = self.ctx, self.metric
         phi, den = self.phi.num, self.phi.den
         ((root,),), root_den = ctx.scaled([[self.orientation.sign * top_coeff(self.vol)]])
         signs, terms = _two_form_operator_table()
@@ -483,7 +467,7 @@ class G2Structure:
         for q, ab, sign, pl in terms:
             if phi[pl]:
                 w[q].append((ab, sign * phi[pl]))
-        g2, g2den = _metric_minors(self.metric, 2)
+        g2, g2den = compound(m.num, 2, _metric_minors(m)), m.den ** 2
         tmat = []
         for minors, sign in zip(g2, signs):
             row = [0] * NK[2]
@@ -495,11 +479,15 @@ class G2Structure:
                         row[ab] += minor * x
             tmat.append(row)
         # the minors of g are g2 / g2den, phi = Phi / den and sqrt(det g) = root / root_den
-        den *= g2den * root
-        self._t_table = (tmat, den)
-        # Lambda^2_7 = {v . phi}: the contractions of phi span it
-        self.lambda7, self.lambda14, self._kernel14 = _split_two_forms(
-            self._t_table, _contractions(3, phi), ctx)
+        return tmat, den * g2den * root
+
+    @cached_property
+    def _split(self) -> tuple:
+        """(lambda7, lambda14, kernel rows): _split_two_forms; its checks raise here."""
+        return _split_two_forms(self._t_table, _contractions(3, self.phi.num), self.ctx)
+
+    lambda7 = property(lambda self: self._split[0])
+    lambda14 = property(lambda self: self._split[1])
 
     @cached_property
     def basis2_7(self) -> tuple:
@@ -510,9 +498,9 @@ class G2Structure:
 
     @cached_property
     def basis2_14(self) -> tuple:
-        """A basis of the lambda14-eigenspace: the kernel rows / den that
-        _split_two_forms found at construction, wrapped as forms on first read."""
-        rows, den = self._kernel14
+        """A basis of the lambda14-eigenspace: the kernel rows / den of the
+        split (_split), wrapped as forms on first read."""
+        rows, den = self._split[2]
         return tuple(KForm._of(2, v, den, self.ctx) for v in rows)
 
     @cached_property
@@ -558,11 +546,12 @@ class G2Structure:
 
     # -- frame data on 3-forms ---------------------------------------
 
-    def _init_three_form_frame(self):
-        # e_i . *phi is a signed selection of *phi's stored numerators
+    @cached_property
+    def frame3_7(self) -> tuple:
+        """The frame e_i . *phi: signed selections of *phi's stored numerators."""
         ctx, star_phi = self.ctx, self.star_phi
-        self.frame3_7 = tuple(KForm._of(3, row, star_phi.den, ctx)
-                              for row in _contractions(4, star_phi.num, ctx.scaled_zero))
+        return tuple(KForm._of(3, row, star_phi.den, ctx)
+                     for row in _contractions(4, star_phi.num, ctx.scaled_zero))
 
     @cached_property
     def _frame_table(self) -> tuple:
@@ -663,9 +652,10 @@ class G2Structure:
     def describe(self) -> dict:
         """What the structure is and what it has built so far: its lane,
         orientation sign, the eigenvalues lambda7 and lambda14 of the 2-form
-        operator, whether its metric is literally the identity (then stars,
-        inner products and frame coordinates read no Gram of the metric), and
-        the names of the lazy tables built so far, in definition order."""
+        operator (whose read builds _t_table and _split), whether its metric
+        is literally the identity (then stars, inner products and frame
+        coordinates read no Gram of the metric), and the names of the lazy
+        tables built so far, in definition order."""
         return {
             "lane": self.ctx.mode,
             "orientation": self.orientation.sign,
@@ -777,6 +767,13 @@ def frame_coordinates(eta: KForm, s: G2Structure):
     return s.ctx.ratio(inner[0], den), (coords, cden)
 
 
+def _seven_part(coords, cden, s: G2Structure) -> tuple:
+    """(p7, d7): the 7-part of frame coordinates coords / cden, on the frame's scaled rows."""
+    (_, *frames), rden = s._frame_table[:2]
+    terms = [(f, c) for f, c in zip(frames, coords) if c]
+    return [sum((f[q] * c for f, c in terms), s.ctx.scaled_zero) for q in range(NK[3])], cden * rden
+
+
 def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     """Split a 3-form into scalar, vector and symmetric-traceless parts.
 
@@ -792,13 +789,12 @@ def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     eta = coerce_form(eta, ctx)
     v, eden = eta.num, eta.den
     inner, coords, den, cden = _frame_sums(v, eden, s)
-    (phi, *frames), rden = s._frame_table[:2]
+    (phi, *_), rden = s._frame_table[:2]
     # <eta, phi> / 7 = w / wden
     ((w,),), wden = ctx.scaled([[ctx.ratio(inner[0], 7 * den)]])
     p1 = [x * w for x in phi]
-    terms = [(f, c) for f, c in zip(frames, coords) if c]
-    p7 = [sum((f[q] * c for f, c in terms), ctx.scaled_zero) for q in range(NK[3])]
-    d1, d7 = wden * rden, cden * rden
+    p7, d7 = _seven_part(coords, cden, s)
+    d1 = wden * rden
     # eta - p1 - p7 over one denominator
     den = lcm(eden, d1, d7)
     e, m1, m7 = den // eden, den // d1, den // d7
@@ -958,20 +954,22 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
     h = (J - tr_g(J) / 9 g) / 2.  J, tr_g(J) and h run as scaled
     numerators over one den (Context.reduce: reduced ints in exact mode,
     the same float operations as lane scalars in float mode), and a
-    Fraction is built only per entry of the returned h.  Float checks are
-    relative: the 7-part and the residual odot(h) - eta must be within the
-    context's tol times max(1, |eta|).
+    Fraction is built only per entry of the returned h.  The 7-part p7 is
+    read off eta's frame coordinates alone (_seven_part), and h solves for
+    eta - p7.  Float checks are relative: p7 and the residual must be
+    within the context's tol times max(1, |eta|).
     """
     if eta.degree != 3:
         raise DegreeError("odot_inverse expects a 3-form")
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
     bound = ctx.tol * max(1.0, float(eta.max_abs()))
-    parts = decompose3(eta, s)
-    if not ctx.is_zero(parts.p7.max_abs(), bound):
+    _, coords, _, cden = _frame_sums(eta.num, eta.den, s)
+    p7 = KForm._of(3, *_seven_part(coords, cden, s), ctx)
+    if not ctx.is_zero(p7.max_abs(), bound):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     # with p7 = 0 this is eta itself in the exact lane
-    target = parts.p1 + parts.p27
+    target = eta - p7
     # J = sums / jden: the table's den is lambda = t / tq
     table, lam = s._odot_inverse_table
     ((t,),), tq = ctx.scaled([[lam]])

@@ -1002,10 +1002,12 @@ def test_derivative_rank_argument_errors_in_order(mode):
 
 
 def test_exact_split_builds_ten_fractions(monkeypatch):
-    """The 2-form splitting runs on int rows: an exact G2Structure(...)
-    builds 10 Fractions inside _split_two_forms (lambda7 and lambda14 with
-    their arithmetic and checks), on phi0, a twist and a frame in both
-    orientations (158 to 234 while the kernel came as Fractions)."""
+    """The 2-form splitting runs on int rows: an exact structure runs no
+    split at construction, and its first read of lambda7 builds 10
+    Fractions inside _split_two_forms (lambda7 and lambda14 with their
+    arithmetic and checks), on phi0, a twist and a frame in both
+    orientations (158 to 234 while the kernel came as Fractions); later
+    reads and decompose2 run no split again."""
     counts, real = [], g2core._split_two_forms
 
     def counted(*args):
@@ -1019,8 +1021,11 @@ def test_exact_split_builds_ten_fractions(monkeypatch):
     forms = [phi0(), twist(model_structure("t7", "exact"), sample_params(random.Random(1))),
              pullback(phi0(), a), pullback(phi0(), flipped)]
     monkeypatch.setattr(g2core, "_split_two_forms", counted)
-    for phi in forms:
-        G2Structure(phi)
+    for n, phi in enumerate(forms):
+        s = G2Structure(phi)
+        assert len(counts) == n
+        s.lambda7
+        s.lambda14, s.basis2_14, decompose2(KForm.basis((1, 2)), s)
     assert counts == [10] * len(forms)
 
 

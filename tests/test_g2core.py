@@ -1,5 +1,6 @@
 """The standard 3-form: induced metric, spectra, decompositions, tensor action."""
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -33,6 +34,7 @@ from g2kit.exterior import (
     wedge,
 )
 from g2kit.g2core import (
+    _LAZY_TABLES,
     PHI0_ENTRIES,
     G2Structure,
     SymTensor,
@@ -54,6 +56,7 @@ from g2kit.g2core import (
 )
 from g2kit.liegroup import matrix_exp, act_on_form, two_form_to_matrix
 from g2kit.sampling import rational_kform, rational_symmetric
+from g2kit.serialize import canonical_json, g2structure_from_json, g2structure_to_json
 
 PHI_INDICES = {(1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
                (2, 5, 7): -1, (3, 4, 7): -1, (3, 5, 6): -1}
@@ -104,11 +107,14 @@ def test_metric_from_phi0_is_euclidean(s, sf):
 
 def test_describe_reports_lane_spectrum_metric_and_built_tables():
     """describe() in both lanes, on phi0, on -phi0 and on a non-Euclidean
-    frame: it builds no table itself, and lists each lazy table once built.
-    recover runs its B test only on a residual that is not literally zero:
-    the float twist here misses its re-twist in the last bits, so the float
-    lane builds the test's slack, and the exact lane never does."""
+    frame: it keeps its keys, and lists each lazy table once built.  Its
+    lambda7 and lambda14 are the split's first read, so the T table and the
+    split are built by then and `built` lists them; it builds no other
+    table.  recover runs its B test only on a residual that is not literally
+    zero: the float twist here misses its re-twist in the last bits, so the
+    float lane builds the test's slack, and the exact lane never does."""
     frame = [[2 if i == j == 0 else int(i == j) for j in range(DIM)] for i in range(DIM)]
+    split = ["_t_table", "_split"]
     for ctx in (EXACT, FLOAT):
         cases = ((phi0(ctx), 1, True), (phi0(ctx) * -1, -1, True),
                  (pullback(phi0(ctx), frame), 1, False))
@@ -116,13 +122,13 @@ def test_describe_reports_lane_spectrum_metric_and_built_tables():
             s = G2Structure(phi, ctx)
             info = s.describe()
             assert info == {"lane": ctx.mode, "orientation": sign, "lambda7": s.lambda7,
-                            "lambda14": s.lambda14, "euclidean": euclidean, "built": []}
+                            "lambda14": s.lambda14, "euclidean": euclidean, "built": split}
             assert type(info["lambda7"]) is type(ctx.one)
             assert (info["lambda7"], info["lambda14"]) == (2, -1)
             decompose3(phi, s)
-            assert s.describe()["built"] == ["_frame_table"]
+            assert s.describe()["built"] == [*split, "frame3_7", "_frame_table"]
             s.basis2_7
-            assert s.describe()["built"] == ["basis2_7", "_frame_table"]
+            assert s.describe()["built"] == [*split, "basis2_7", "frame3_7", "_frame_table"]
             # recover's re-twist builds the polarized table, and its B test
             # the slack on a float residual; |dx_2|_g = 1 in all three cases
             p = TwistParams(ctx.scalar(Fraction(3, 5)),
@@ -130,8 +136,49 @@ def test_describe_reports_lane_spectrum_metric_and_built_tables():
             rec = recover(s, twist(s, p))
             assert (rec.residual == 0) is ctx.is_exact
             slack = [] if ctx.is_exact else ["_contraction_slack"]
-            assert s.describe()["built"] == ["basis2_7", *slack, "_frame_table",
+            assert s.describe()["built"] == [*split, "basis2_7", *slack, "frame3_7", "_frame_table",
                                              "star_dx_star_phi", "star_dx_phi", "polarized_table"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_construction_round_trip_comparison_and_twist_build_no_lazy_table(mode):
+    """A structure that is only constructed, round-tripped through JSON,
+    compared and twisted builds no lazy table but the three the twist reads
+    (the contraction tables of Bryant's formula and its polarized table):
+    no T table, no split, no frame.  The loaded structure and the structure
+    of the twist build none at all.  On phi0, -phi0 and a non-Euclidean
+    frame, in both lanes."""
+    ctx = Context.of(mode)
+    frame = [[2 if i == j == 0 else int(i == j) for j in range(DIM)] for i in range(DIM)]
+    # |dx_2|_g = 1 on all three
+    p = TwistParams(ctx.scalar(Fraction(3, 5)), KForm.from_entries(1, {(2,): Fraction(4, 5)}, ctx))
+    for phi in (phi0(ctx), phi0(ctx) * -1, pullback(phi0(ctx), frame)):
+        s = G2Structure(phi, ctx)
+        loaded = g2structure_from_json(json.loads(canonical_json(g2structure_to_json(s))))
+        assert (loaded.phi, loaded.metric, loaded.orientation) == (s.phi, s.metric, s.orientation)
+        twisted = G2Structure(twist(s, p), ctx)
+        assert twisted.orientation == s.orientation
+        assert [name for name in _LAZY_TABLES if name in s.__dict__] == [
+            "star_dx_star_phi", "star_dx_phi", "polarized_table"]
+        for t in (loaded, twisted):
+            assert not set(_LAZY_TABLES) & set(t.__dict__)
+
+
+def test_split_failure_raises_at_first_read(monkeypatch):
+    """The split's checks run at its first read: with Context.eigenvalue
+    refusing every eigenvector, construction still succeeds, and decompose2,
+    lambda7, lambda14, basis2_14 and describe() each raise the
+    DecompositionError that construction raised before the split was lazy."""
+    monkeypatch.setattr(Context, "eigenvalue", lambda self, *args: None)
+    message = "2-form operator is not a scalar on the contractions of phi"
+    for ctx in (EXACT, FLOAT):
+        s = G2Structure(phi0(ctx), ctx)
+        readers = (lambda: decompose2(KForm.basis((1, 2)), s), lambda: s.lambda7,
+                   lambda: s.lambda14, lambda: s.basis2_14, s.describe)
+        for read in readers:
+            with pytest.raises(DecompositionError, match=f"^{message}$"):
+                read()
+        assert "_split" not in s.__dict__
 
 
 def test_metric_from_negated_phi_flips_orientation():
