@@ -27,18 +27,17 @@ below compare ints on every lookup.  Metrics of different lanes never
 compare equal, so those caches keep one entry per lane.
 
 A non-Euclidean metric is read through two tables, each kept per metric:
-g^-1 (_metric_inverse), the one inverse every reader in every module shares,
-from one elimination and made symmetric once in the float lane, and one
-ladder of the minors of g (_metric_minors), each order expanded once; int
-rows over one den in the exact lane, float rows over 1 in the float lane.
-By Jacobi's complementary-minor identity the k x k minors of g^-1 are the
+g^-1 (_metric_inverse), the one inverse every reader in every module
+shares, from one elimination and made symmetric once in the float lane,
+and the minors of g of each order (compound); int rows over one den in the
+exact lane, float rows over 1 in the float lane.  By Jacobi's complementary-minor identity the k x k minors of g^-1 are the
 re-indexed (7 - k) x (7 - k) minors of g over det g, so the Gram of basis
 k-forms for k >= 2 (_lambda_gram) and the star of every degree read the
 minors of g; the Gram of 1-forms is g^-1.  form_inner and the star run one
-matvec of a table with their form's stored numerators.  The float minors of
-g round far better with cond(g) than the minors of a float g^-1: they keep
-the float star of phi at |phi|^2 = 7 on frames where the 3 x 3 minors of
-g^-1 miss it by 1e-6.
+matvec of a table with their form's stored numerators.  The float minors
+of g round far better with cond(g) than the minors of a float g^-1: they
+keep the float star of phi at |phi|^2 = 7 on frames where the 3 x 3
+minors of g^-1 miss it by 1e-6.
 """
 from __future__ import annotations
 
@@ -520,18 +519,17 @@ def _laplace_table(r: int):
                  for J in BASIS[r])
 
 
-def compound(rows, k: int, ladder=None) -> list:
+def compound(rows, k: int) -> list:
     """Every k x k minor of a 7 x 7 matrix, C[p][q] = det(rows[I, J]) for
     I, J = BASIS[k][p], BASIS[k][q], order by order by Laplace expansion
     (_laplace_table) in the entries' own arithmetic (ints for Context.scaled
     rows).  Terms add left to right from the first, so float minors of
     orders 2 and 3 are bit for bit the textbook expansion.  Orders up to 4
     (the star of phi reads order 4) run as one expression per minor, with
-    the expansion's signs written out.  A ladder of orders 0 ([[1]]) to r
-    resumes at order r + 1 and keeps each order it builds, bit for bit."""
-    ladder = [[[1]]] if ladder is None else ladder
-    for r in range(len(ladder), k + 1):
-        table, nxt, minors = _laplace_table(r), [], ladder[r - 1]
+    the expansion's signs written out."""
+    minors = [[1]]
+    for r in range(1, k + 1):
+        table, nxt = _laplace_table(r), []
         for I in BASIS[r]:
             row, below = rows[I[0] - 1], minors[POS[r - 1][I[1:]]]
             if r == 1:
@@ -553,15 +551,15 @@ def compound(rows, k: int, ladder=None) -> list:
                         tot = tot - x if u % 4 == 2 else tot + x
                     out.append(tot)
             nxt.append(out)
-        ladder.append(nxt)
-    return ladder[k]
+        minors = nxt
+    return minors
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
-def _metric_minors(m: Metric) -> list:
-    """The metric's one ladder of compound(num) orders, as far as any reader
-    has asked: the k x k minors of g are order k over den^k."""
-    return [[[1]]]
+def _metric_minors(m: Metric, k: int):
+    """The k x k minors of g as a table (rows, den): compound(num) over
+    den^k, ints in the exact lane."""
+    return tuple(tuple(row) for row in compound(m.num, k)), m.den ** k
 
 
 @lru_cache(maxsize=_METRIC_CACHE_SIZE)
@@ -569,7 +567,7 @@ def _lambda_gram(m: Metric, k: int):
     """Gram matrix of the basis k-forms as a table (rows, den).
 
     k >= 2: Gram[I][J] = s_I s_J det(g[I^c, J^c]) / det g (Jacobi), s the
-    signs of _comp_table(k), so the table re-indexes the 7 - k minors of g
+    signs of _comp_table(k), so the table re-indexes _metric_minors(m, 7 - k)
     over det g = p / q (Context.scaled), stored as Context.reduce stores a
     form.  k = 1: _metric_inverse itself, whose float rounding grows less
     with cond(g) than that of the 6 x 6 minors over det g (0.28 against 0.83
@@ -579,7 +577,7 @@ def _lambda_gram(m: Metric, k: int):
     if k == 1:
         return _metric_inverse(m)
     lane = m._lane
-    minors, den = compound(m.num, DIM - k, _metric_minors(m)), m.den ** (DIM - k)
+    minors, den = _metric_minors(m, DIM - k)
     ((p,),), q = lane.scaled([[_metric_det(m)]])
     comp = _comp_table(k)
     table = lane.symmetric([[minors[pi][pj] * (q if si == sj else -q) for pj, sj in comp]
@@ -659,7 +657,7 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
     signed = [None] * NK[out_deg]
     for (po, s), c in zip(comp, a.num):
         signed[po] = c if s > 0 else -c
-    rows, den = compound(m.num, out_deg, _metric_minors(m)), m.den ** out_deg
+    rows, den = _metric_minors(m, out_deg)
     ((scale,),), sden = lane.scaled([[_sqrt_det(m) * o.sign / _metric_det(m)]])
     out = [x * scale for x in _matvec(rows, signed, lane.scaled_zero)]
     return KForm._of(out_deg, out, den * a.den * sden, lane)

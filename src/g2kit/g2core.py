@@ -73,7 +73,6 @@ from .exterior import (
     _wedge_table,
     basis_vector,
     coerce_form,
-    compound,
     flat,
     form_inner,
     hodge_star,
@@ -467,7 +466,7 @@ class G2Structure:
         for q, ab, sign, pl in terms:
             if phi[pl]:
                 w[q].append((ab, sign * phi[pl]))
-        g2, g2den = compound(m.num, 2, _metric_minors(m)), m.den ** 2
+        g2, g2den = _metric_minors(m, 2)
         tmat = []
         for minors, sign in zip(g2, signs):
             row = [0] * NK[2]
@@ -767,13 +766,6 @@ def frame_coordinates(eta: KForm, s: G2Structure):
     return s.ctx.ratio(inner[0], den), (coords, cden)
 
 
-def _seven_part(coords, cden, s: G2Structure) -> tuple:
-    """(p7, d7): the 7-part of frame coordinates coords / cden, on the frame's scaled rows."""
-    (_, *frames), rden = s._frame_table[:2]
-    terms = [(f, c) for f, c in zip(frames, coords) if c]
-    return [sum((f[q] * c for f, c in terms), s.ctx.scaled_zero) for q in range(NK[3])], cden * rden
-
-
 def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     """Split a 3-form into scalar, vector and symmetric-traceless parts.
 
@@ -789,12 +781,13 @@ def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     eta = coerce_form(eta, ctx)
     v, eden = eta.num, eta.den
     inner, coords, den, cden = _frame_sums(v, eden, s)
-    (phi, *_), rden = s._frame_table[:2]
+    (phi, *frames), rden = s._frame_table[:2]
     # <eta, phi> / 7 = w / wden
     ((w,),), wden = ctx.scaled([[ctx.ratio(inner[0], 7 * den)]])
     p1 = [x * w for x in phi]
-    p7, d7 = _seven_part(coords, cden, s)
-    d1 = wden * rden
+    terms = [(f, c) for f, c in zip(frames, coords) if c]
+    p7 = [sum((f[q] * c for f, c in terms), ctx.scaled_zero) for q in range(NK[3])]
+    d1, d7 = wden * rden, cden * rden
     # eta - p1 - p7 over one denominator
     den = lcm(eden, d1, d7)
     e, m1, m7 = den // eden, den // d1, den // d7
@@ -954,22 +947,20 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
     h = (J - tr_g(J) / 9 g) / 2.  J, tr_g(J) and h run as scaled
     numerators over one den (Context.reduce: reduced ints in exact mode,
     the same float operations as lane scalars in float mode), and a
-    Fraction is built only per entry of the returned h.  The 7-part p7 is
-    read off eta's frame coordinates alone (_seven_part), and h solves for
-    eta - p7.  Float checks are relative: p7 and the residual must be
-    within the context's tol times max(1, |eta|).
+    Fraction is built only per entry of the returned h.  Float checks are
+    relative: the 7-part and the residual odot(h) - eta must be within the
+    context's tol times max(1, |eta|).
     """
     if eta.degree != 3:
         raise DegreeError("odot_inverse expects a 3-form")
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
     bound = ctx.tol * max(1.0, float(eta.max_abs()))
-    _, coords, _, cden = _frame_sums(eta.num, eta.den, s)
-    p7 = KForm._of(3, *_seven_part(coords, cden, s), ctx)
-    if not ctx.is_zero(p7.max_abs(), bound):
+    parts = decompose3(eta, s)
+    if not ctx.is_zero(parts.p7.max_abs(), bound):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     # with p7 = 0 this is eta itself in the exact lane
-    target = eta - p7
+    target = parts.p1 + parts.p27
     # J = sums / jden: the table's den is lambda = t / tq
     table, lam = s._odot_inverse_table
     ((t,),), tq = ctx.scaled([[lam]])

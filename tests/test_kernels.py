@@ -13,9 +13,7 @@
   identity and against the 35x28 solve it replaced, and the counts of stars,
   Gram degrees and eliminations these paths run;
 - the lazy T table, split and frame against the eager build of construction
-  they replaced (ref_eager_tables), and odot_inverse's 7-part read off the
-  frame coordinates against the full decompose3 and its target p1 + p27
-  (ref_target_p1_p27);
+  they replaced (ref_eager_tables);
 - the 2-form splitting read off phi (the span of the contractions
   C = e_i . phi and the kernel of C (T - lambda14), with T checked on their
   generators) against the earlier exact lane (trace candidates kept by
@@ -47,7 +45,6 @@ Properties over drawn frames build their exact structures through
 frame_structure, cached per frame, so a failing property shrinks fast.
 """
 import random
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -689,9 +686,8 @@ def kernel_calls(monkeypatch):
     """Counts hodge_star calls, the eliminations of ratlin's int rref core
     (_rref_ints, which rref and the int kernel both run) with the row counts
     of the matrices it eliminates, the degrees asked of _lambda_gram, and
-    the (rows, order) of every order exterior.compound expands (a call that
-    resumes a ladder expands only the orders above its highest built one),
-    through every module that imports them."""
+    the (rows, order) of every exterior.compound, through every module that
+    imports them."""
     calls = {"star": 0, "rref": 0, "rref_rows": [], "gram": [], "compound": []}
     star, rref, gram = exterior.hodge_star, ratlin._rref_ints, exterior._lambda_gram
     minors = exterior.compound
@@ -709,10 +705,9 @@ def kernel_calls(monkeypatch):
         calls["gram"].append(k)
         return gram(m, k)
 
-    def counted_compound(rows, k, ladder=None):
-        start = 1 if ladder is None else len(ladder)
-        calls["compound"].extend((rows, r) for r in range(start, k + 1))
-        return minors(rows, k, ladder)
+    def counted_compound(rows, k):
+        calls["compound"].append((rows, k))
+        return minors(rows, k)
 
     for module in (exterior, g2core):
         monkeypatch.setattr(module, "hodge_star", counted_star)
@@ -762,13 +757,14 @@ def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
 
 
 def test_exact_structure_builds_each_minor_table_once(kernel_calls, monkeypatch):
-    """An exact non-Euclidean structure reads g through one ladder of minors
-    of g and one table of g^-1, and never through the minors of g^-1:
-    construction (the star of phi through the 4 x 4 minors), decompose3
-    (the Gram of 3-forms, the 4 x 4 minors again), odot_inverse and
-    form_inner on 2-forms (the Gram of 2-forms, the 5 x 5 minors) expand
-    each order 1-5 of the metric's minors once, and no compound of anything
-    else.  Through all of that, sharp, a twist and its recover,
+    """An exact non-Euclidean structure reads g through one table of minors
+    of g per order and one table of g^-1, and never through the minors of
+    g^-1: construction (the star of phi through the 4 x 4 minors), the
+    first split read by decompose2 (T through the 2 x 2), decompose3 (the
+    Gram of 3-forms, the 4 x 4 minors again), odot_inverse and form_inner
+    on 2-forms (the Gram of 2-forms, the 5 x 5 minors) build the orders 2,
+    4 and 5 once each, and no compound of anything else.  Through all of
+    that, sharp, a twist and its recover,
     Context.scaled_inverse runs once, on the metric's stored rows: every
     reader of g^-1 shares the table of that one elimination."""
     a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
@@ -794,11 +790,12 @@ def test_exact_structure_builds_each_minor_table_once(kernel_calls, monkeypatch)
     decompose3(eta, s)
     odot_inverse(eta, s)
     beta = KForm(2, tuple(Fraction(rng.randint(-5, 5), 3) for _ in range(NK[2])))
+    decompose2(beta, s)
     form_inner(beta, beta, s.metric)
     sharp(rational_kform(rng, 1), s.metric)
     got = bryant.recover(s, bryant.twist(s, p))
     assert got.residual == 0 and got.params.equivalent_to(p)
-    assert sorted(k for _, k in calls["compound"]) == [1, 2, 3, 4, 5]
+    assert sorted(k for _, k in calls["compound"]) == [2, 4, 5]
     assert all(rows == s.metric.num for rows, _ in calls["compound"])
     assert inverses == [s.metric.num]
 
@@ -994,19 +991,16 @@ def ref_split_two_forms(table, gens7, ctx):
     return lam7, lam14, eig14
 
 
-def ref_odot_inverse_fractions(eta, s, target_of=lambda eta, parts: eta - parts.p7):
+def ref_odot_inverse_fractions(eta, s):
     """odot_inverse as it was before it ran on ints: J, tr_g(J) and h as
-    lane scalars (Fractions in exact mode), rescaled to ints by odot, after
-    a full decompose3.  target_of(eta, parts) is the form h is solved for:
-    eta - p7 by default, as odot_inverse takes it now; ref_target_p1_p27
-    gives p1 + p27, as it took it while it ran decompose3."""
+    lane scalars (Fractions in exact mode), rescaled to ints by odot."""
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
     bound = ctx.tol * max(1.0, float(eta.max_abs()))
     parts = decompose3(eta, s)
     if not ctx.is_zero(parts.p7.max_abs(), bound):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
-    target = target_of(eta, parts)
+    target = parts.p1 + parts.p27
     jvec = ref_apply_sparse(s._odot_inverse_table, target, ctx)
     ginv, g = inverse_values(s.metric), s.metric.rows
     trace = sum(ginv[i][j] * x if i == j else 2 * ginv[i][j] * x
@@ -1018,10 +1012,6 @@ def ref_odot_inverse_fractions(eta, s, target_of=lambda eta, parts: eta - parts.
     if not ctx.is_zero(resid, bound):
         raise DecompositionError(f"inversion residual {resid} above tolerance")
     return SymTensor(tuple(tuple(r) for r in rows))
-
-
-def ref_target_p1_p27(eta, parts):
-    return parts.p1 + parts.p27
 
 
 def outcome(fn, *args):
@@ -1069,63 +1059,11 @@ def test_int_structure_path_equals_references_on_rational_frames(a, seed):
     assert_int_path_equals_references(sf, random.Random(seed))
 
 
-SEVEN_PART = (DecompositionError, "3-form has a nonzero 7-part; not in the symmetric image")
-
-
-def without_numbers(out):
-    """An outcome's error class and its message with every number dropped."""
-    return out[0], re.sub(r"\S*\d\S*", "#", out[1])
-
-
-def assert_seven_part_off_frame_coordinates(s, rng, cond=1.0):
-    """odot_inverse against the decompose3 route on an image, an image plus
-    a frame form and a random 3-form; cond is the frame's cond(a^T a)."""
-    ctx = s.ctx
-    image = odot(random_symmetric(rng, ctx), s)
-    eta = coerce_form(rational_kform(rng, 3), ctx)
-    for eta in (image, image + s.frame3_7[rng.randrange(DIM)], eta):
-        _, coords, _, cden = g2core._frame_sums(eta.num, eta.den, s)
-        p7 = KForm._of(3, *g2core._seven_part(coords, cden, s), ctx)
-        want7 = decompose3(eta, s).p7
-        assert same(p7, want7) and p7.den == want7.den
-        got = outcome(odot_inverse, eta, s)
-        want = outcome(ref_odot_inverse_fractions, eta, s, ref_target_p1_p27)
-        if ctx.is_exact or SEVEN_PART in (got, want):
-            assert got == want
-        elif cond <= 1e3:
-            if isinstance(want, tuple):
-                assert without_numbers(got) == without_numbers(want)
-            else:
-                assert_float_close(got.rows, want.rows, 1e-9)
-
-
-@given(rational_frames(), st.integers(0, 2 ** 16))
-@settings(max_examples=6, deadline=None)
-def test_odot_inverse_reads_its_seven_part_off_the_frame_coordinates(a, seed):
-    """odot_inverse tests the 7-part it assembles from the frame coordinates
-    alone, the same bits as decompose3's p7 in both lanes, so it refuses a
-    7-part exactly where the full decompose3 refused it.  It then solves
-    for eta - p7: in the exact lane literally eta, and the result equals
-    the decompose3 route (target p1 + p27) literally.  In the float lane the
-    two targets differ in rounding.  On cond(a^T a) <= 1e3 both routes
-    refuse the same inputs and agree within 1e-9 relative (3.7e-12 at worst
-    on 1500 seeded frames).  Above that the float lane is not clean (ROADMAP
-    item 2): the results moved by up to 2.7e-9 up to cond 1e5, and a
-    residual near its bound crossed it on 3 images at cond 9e3-7e4, so only
-    the 7-part is compared there."""
-    assert_seven_part_off_frame_coordinates(frame_structure(a), random.Random(seed))
-    af = float_frame(a)
-    arr = np.asarray(af)
-    sf = G2Structure(pullback(phi0(FLOAT), af), FLOAT)
-    assert_seven_part_off_frame_coordinates(sf, random.Random(seed), np.linalg.cond(arr.T @ arr))
-
-
 def ref_eager_tables(s):
     """(T table, split, frame3_7) as G2Structure's construction built them
     eagerly before they became lazy (_init_two_form_spectrum and
     _init_three_form_frame), from the structure's eager state: phi, the
-    metric, the orientation, vol and the star of phi.  The 2 x 2 minors of g
-    are one compound of its stored rows, with no ladder."""
+    metric, the orientation, vol and the star of phi."""
     ctx = s.ctx
     phi, den = s.phi.num, s.phi.den
     ((root,),), root_den = ctx.scaled([[s.orientation.sign * top_coeff(s.vol)]])
