@@ -89,14 +89,18 @@ class TwistParams:
 
     def canonical(self) -> "TwistParams":
         """The antipodal representative with c > 0, or with the first
-        nonzero omega coefficient positive when c = 0."""
+        nonzero omega coefficient positive when c = 0: in the float lane the
+        first one beyond the lane's tol times max(1, |omega|), so that the
+        rounding noise of a recovered zero picks no sign."""
         if self.c > 0:
             return self
         if self.c < 0:
             return self.antipode()
         # the stored numerators carry the coefficients' signs (den > 0)
+        lane = self.omega._lane
+        bound = lane.tol * max(1.0, float(self.omega.max_abs()))
         for x in self.omega.num:
-            if x:
+            if not lane.is_zero(x, bound):
                 return self if x > 0 else self.antipode()
         return self
 
@@ -413,10 +417,11 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
     """Canonical parameters of a form in the structure's metric family.
 
     Reads x = (c, w) off X = x x^T, with X_00 = c^2 = (<phit, phi> + 1)/8
-    and X_0i = c w_i from the frame coordinates of the 7-part, and divides a
-    pivot column of X by the root of its diagonal entry.  At c^2 >= 1/16 the
-    pivot is c (_recover_c_positive), once c^2 is at most 1 within
-    CONSTRAINT_TOL; below it, the largest diagonal entry of the block
+    and X_0i = c w_i from the frame coordinates of the 7-part (both from
+    frame_coordinates' wedge pairing, which reads no Gram and no g^-1), and
+    divides a pivot column of X by the root of its diagonal entry.  At
+    c^2 >= 1/16 the pivot is c (_recover_c_positive), once c^2 is at most 1
+    within CONSTRAINT_TOL; below it, the largest diagonal entry of the block
     W = w w^T, read off the symmetric action's table (_recover_w_pivot),
     which reads no c^2, so a float c^2 rounded below 0 is not refused; there
     a recovered |c| at or below C_ZERO_SWITCH is set to 0 (literally zero in

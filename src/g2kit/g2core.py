@@ -24,9 +24,9 @@ forms' stored (num, den) pairs, Context.scaled for matrices) and builds one
 Fraction per output scalar or one reduced pair per output form; the float
 lane runs the same code on floats.  decompose3 and frame_coordinates run
 the same way on the structure's scaled rows of phi and the frame forms and
-on the metric's (int rows, den) Gram table of 3-forms; odot_inverse runs
-its J, tr_g(J) and h as int numerators over one den (Context.reduce) and
-builds a Fraction only for the returned tensor.
+a wedge pairing that reads no Gram and no g^-1; odot_inverse runs its J,
+tr_g(J) and h as int numerators over one den (Context.reduce) and builds a
+Fraction only for the returned tensor.
 """
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ from .exterior import (
     Metric,
     NEGATIVE,
     POSITIVE,
-    _lambda_gram,
+    _comp_table,
     _matvec,
     _metric_inverse,
     _metric_minors,
@@ -122,13 +122,14 @@ def _interior_table(k: int):
 
 
 def _dx_wedge(i: int, u: KForm, ctx: Context) -> KForm:
-    """dx_(i+1) ^ u for a 2-form u in the context's lane: a signed selection
-    of u's stored numerators, the inverse of _interior_table(3) with its
+    """dx_(i+1) ^ u for a k-form u in the context's lane: a signed selection
+    of u's stored numerators, the inverse of _interior_table(k + 1) with its
     signs (e_i . dx_P = sign dx_Q there, and dx_i ^ dx_Q = sign dx_P)."""
-    out = [ctx.scaled_zero] * NK[3]
-    for q, (p, sign) in _interior_table(3)[i].items():
+    k = u.degree + 1
+    out = [ctx.scaled_zero] * NK[k]
+    for q, (p, sign) in _interior_table(k)[i].items():
         out[p] = u.num[q] if sign > 0 else -u.num[q]
-    return KForm._of(3, out, u.den, ctx)
+    return KForm._of(k, out, u.den, ctx)
 
 
 @lru_cache(maxsize=None)
@@ -423,12 +424,12 @@ class G2Structure:
     first read of lambda7, lambda14, basis2_14, decompose2 or describe(),
     and raise DecompositionError there); the bases basis2_7 and basis2_14;
     the contraction frame frame3_7 = (e_i . *phi) of the 7-part of the
-    3-forms, whose inverse Gram matrix is g^-1 / 4, since <e_i . *phi,
-    e_j . *phi> = 4 g_ij (the metric's one g^-1 table, as every g^-1 a
-    structure reads); and the tables that decompose3, odot_inverse, Bryant's
-    formula and recover's test of B read (_frame_table, _odot_inverse_table,
-    star_dx_star_phi, star_dx_phi, polarized_table, _contraction_slack),
-    each described where it is defined.
+    3-forms, whose coordinates the wedge pairing of _frame_table reads with
+    no Gram and no g^-1; and the tables that decompose3, odot_inverse,
+    Bryant's formula and recover's test of B read (_frame_table,
+    _odot_inverse_table, star_dx_star_phi, star_dx_phi, polarized_table,
+    _contraction_slack), each described where it is defined.  Every g^-1 a
+    structure reads is the metric's one table (_metric_inverse).
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
@@ -554,16 +555,20 @@ class G2Structure:
 
     @cached_property
     def _frame_table(self) -> tuple:
-        """(rows, den, gram): phi and the 7 frame forms as rows / den and the
-        degree-3 Gram table (rows, den) of the metric (None when it is
-        Euclidean), on Context.scaled rows: ints in exact mode.  It keeps no
-        g^-1: _frame_sums reads the metric's one table."""
-        # the forms' stored pairs over one den: Context.scaled of their coefficients
+        """(rows, den, pairing): phi and the 7 frame forms as rows / den,
+        and frame_coordinates' wedge pairing (prows, pden), a signed
+        selection (_comp_table(3)) of the stored numerators of *phi and of
+        -dx_j ^ phi over top(vol); Context.scaled rows, ints in exact mode."""
         forms = (self.phi, *self.frame3_7)
         den = lcm(*(f.den for f in forms))
         rows = [[x * (den // f.den) for x in f.num] for f in forms]
-        gram = None if self.metric.is_euclidean else _lambda_gram(self.metric, 3)
-        return rows, den, gram
+        duals = (self.star_phi, *(-_dx_wedge(j, self.phi, self.ctx) for j in range(DIM)))
+        # 1 / top(vol) = r / rq
+        ((r,),), rq = self.ctx.scaled([[1 / top_coeff(self.vol)]])
+        pden = lcm(*(f.den for f in duals))
+        prows = [[sign * f.num[pc] * r * (pden // f.den) for pc, sign in _comp_table(3)]
+                 for f in duals]
+        return rows, den, (prows, pden * rq)
 
     # -- tables built on first use --------------------------------------
 
@@ -652,9 +657,9 @@ class G2Structure:
         """What the structure is and what it has built so far: its lane,
         orientation sign, the eigenvalues lambda7 and lambda14 of the 2-form
         operator (whose read builds _t_table and _split), whether its metric
-        is literally the identity (then stars, inner products and frame
-        coordinates read no Gram of the metric), and the names of the lazy
-        tables built so far, in definition order."""
+        is literally the identity (then stars and inner products read no
+        Gram of the metric; frame coordinates read none on any metric), and
+        the names of the lazy tables built so far, in definition order."""
         return {
             "lane": self.ctx.mode,
             "orientation": self.orientation.sign,
@@ -738,52 +743,40 @@ def decompose2(beta: KForm, s: G2Structure) -> Decomposition2:
     return Decomposition2(p7=p7, p14=beta - p7)
 
 
-def _frame_sums(v, den, s: G2Structure) -> tuple:
-    """(inner, coords, den, cden) for eta = v / den (its stored pair):
-    <eta, phi> = inner[0] / den, <eta, e_i . *phi> = inner[i] / den, and
-    the frame coordinates of eta's 7-part are coords / cden, g^-1 / 4 (the
-    inverse of the frame's Gram 4 g) times inner[1:] / den.  One Gram
-    product of eta serves all 8 inner products; in exact mode every sum
-    runs on ints."""
-    rows, rden, gram = s._frame_table
-    if gram is not None:
-        grows, gden = gram
-        v, den = _matvec(grows, v), den * gden
-    inner = _matvec(rows, v)
-    den *= rden
-    inv, iden = _metric_inverse(s.metric)
-    return inner, _matvec(inv, inner[1:]), den, 4 * den * iden
-
-
 def frame_coordinates(eta: KForm, s: G2Structure):
     """(<eta, phi>, (coords, cden)): the coordinates of eta's 7-part in the
     frame e_i . *phi are coords / cden, on the lane's scaled entries (ints
     in exact mode).
 
-    eta must already be in the structure's lane.
+    One product with the wedge pairing of _frame_table, with no Gram and
+    no g^-1 on any metric: <eta, phi> = top(eta ^ *phi) / top(vol) and
+    coords_j = -top(dx_j ^ phi ^ eta) / (4 top(vol)), since
+    *(alpha ^ phi) = alpha# . *phi and the frame's Gram is 4 g.  eta must
+    already be in the structure's lane.
     """
-    inner, coords, den, cden = _frame_sums(eta.num, eta.den, s)
-    return s.ctx.ratio(inner[0], den), (coords, cden)
+    rows, den = s._frame_table[2]
+    inner, den = _matvec(rows, eta.num), den * eta.den
+    return s.ctx.ratio(inner[0], den), (inner[1:], 4 * den)
 
 
 def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     """Split a 3-form into scalar, vector and symmetric-traceless parts.
 
-    p1 is the phi-component <eta, phi>/7 * phi; p7 is the Gram projection
-    onto the span of the contractions e_i . *phi; p27 is the remainder.
-    Each part is assembled on the structure's scaled rows of phi and the
-    frame forms (ints in exact mode) and built with one scalar per
-    coefficient.
+    p1 is the phi-component <eta, phi>/7 * phi; p7 is eta's frame
+    coordinates (frame_coordinates) on the contractions e_i . *phi; p27 is
+    the remainder.  Each part is assembled on the structure's scaled rows
+    of phi and the frame forms (ints in exact mode) and built with one
+    scalar per coefficient.
     """
     if eta.degree != 3:
         raise DegreeError("decompose3 expects a 3-form")
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
     v, eden = eta.num, eta.den
-    inner, coords, den, cden = _frame_sums(v, eden, s)
+    phi_inner, (coords, cden) = frame_coordinates(eta, s)
     (phi, *frames), rden = s._frame_table[:2]
     # <eta, phi> / 7 = w / wden
-    ((w,),), wden = ctx.scaled([[ctx.ratio(inner[0], 7 * den)]])
+    ((w,),), wden = ctx.scaled([[phi_inner / 7]])
     p1 = [x * w for x in phi]
     terms = [(f, c) for f, c in zip(frames, coords) if c]
     p7 = [sum((f[q] * c for f, c in terms), ctx.scaled_zero) for q in range(NK[3])]

@@ -113,6 +113,39 @@ def test_antipode_and_canonical():
     assert p.equivalent_to(q)
 
 
+# cond(a^T a) about 29: float recover of the rounded exact twist of
+# (0, pullback(dx_2, a)) read omega's first coefficient, 0 in the exact
+# lane, as 5.7e-17, and canonical took its sign: the float point was the
+# antipode of the exact canonical point.
+C_ZERO_CANONICAL_FRAME = [[Fraction(x) for x in row.split()] for row in (
+    "0 1/2 1 1 1/2 -1 -1",
+    "0 -1/2 -2 1 -2 2 1/3",
+    "1 -1/2 0 1 0 1 1",
+    "2 0 -1 -1/3 -1/2 0 1/3",
+    "-2 1 1/3 -2/3 -2/3 2 1",
+    "-1 1/2 -2 1/2 1 -1/2 -2",
+    "2 -1 1 -2 1 0 -1",
+)]
+
+
+def test_float_canonical_at_c_zero_skips_rounding_noise():
+    """At c = 0 a float omega's sign comes from its first coefficient beyond
+    the lane's tol times max(1, |omega|): float recover on
+    C_ZERO_CANONICAL_FRAME returns the exact canonical point, not its
+    antipode.  The exact lane's first nonzero coefficient decides however
+    small it is."""
+    a = C_ZERO_CANONICAL_FRAME
+    sf = G2Structure(pullback(phi0(FLOAT), [[float(x) for x in row] for row in a]), FLOAT)
+    p = TwistParams(0, pullback(KForm.basis((2,)), a))
+    want = p.canonical().omega
+    assert want.coeffs[0] == 0 and want.coeffs[1] > 0
+    got = recover(sf, twist(frame_structure(a), p).as_float()).params
+    assert got.c == 0 and got.omega.isclose(want.as_float(), 1e-9)
+    for ctx in (Context("exact"), FLOAT):
+        tiny = TwistParams(ctx.zero, KForm.from_entries(1, {(1,): Fraction(-1, 10 ** 30), (2,): 1}, ctx))
+        assert tiny.canonical() == (tiny.antipode() if ctx.is_exact else tiny)
+
+
 @given(sphere_points())
 @settings(max_examples=40, deadline=None)
 def test_twist_preserves_metric(p):
@@ -782,27 +815,29 @@ def gram_calls(monkeypatch):
 
 @pytest.mark.parametrize("kind", ("t7", "s1xcy3", "t3xk3"))
 def test_warm_float_model_op_reads_no_gram(gram_calls, kind, rng):
-    """A float model's metric is literally I, so its frame table keeps no
-    Gram, and a warm float family op (twist, twist_decomposed, recover at
-    c = 0 and c = 0.6, derivative_rank) looks up no Gram of the metric."""
-    s = model_structure(kind, "float")
-    assert s.metric.is_euclidean and s._frame_table[2] is None
-    unit = rational_unit_tuple(rng, DIM)
-    points = [TwistParams(0.0, KForm(1, tuple(map(float, unit)))),
-              TwistParams(0.6, KForm(1, tuple(float(Fraction(4, 5) * x) for x in unit)))]
+    """A float family op (twist, twist_decomposed, recover at c = 0 and
+    c = 0.6, derivative_rank), cold and then warm, looks up no Gram of the
+    metric, on a float model (metric literally I) and on a non-Euclidean
+    float frame, whose points are pulled back by the frame: recover's frame
+    coordinates read the wedge pairing on every metric."""
+    frame = [[float(j in (i, (i + 1) % DIM)) for j in range(DIM)] for i in range(DIM)]
+    identity = [[float(i == j) for j in range(DIM)] for i in range(DIM)]
+    for s, a in ((model_structure(kind, "float"), identity),
+                 (G2Structure(pullback(phi0(FLOAT), frame), FLOAT), frame)):
+        unit = rational_unit_tuple(rng, DIM)
+        points = [TwistParams(c, pullback(KForm(1, tuple(float(r * x) for x in unit)), a))
+                  for c, r in ((0.0, 1), (0.6, Fraction(4, 5)))]
 
-    def op(p):
-        phit = twist(s, p)
-        twist_decomposed(s, p)
-        recover(s, phit)
-        derivative_rank(s, p, DIM)
+        def op(p):
+            phit = twist(s, p)
+            twist_decomposed(s, p)
+            recover(s, phit)
+            derivative_rank(s, p, DIM)
 
-    for p in points:
-        op(p)
-    del gram_calls[:]
-    for p in points:
-        op(p)
-    assert len(gram_calls) == 0
+        for p in points * 2:
+            op(p)
+        assert len(gram_calls) == 0
+    assert not s.metric.is_euclidean
 
 
 def test_polarized_table_stays_lazy():

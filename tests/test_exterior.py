@@ -29,7 +29,7 @@ from g2kit.exterior import (
     volume_form,
     wedge,
 )
-from g2kit.g2core import G2Structure, decompose3, phi0
+from g2kit.g2core import G2Structure, phi0
 from g2kit.ratlin import matmul
 from g2kit.sampling import rational_kform, rational_spd_metric
 
@@ -288,8 +288,9 @@ def test_metric_caches_keep_the_lanes_apart():
 def test_perfbench_trace_reads_the_metric_caches():
     """The benchmark's traced run reads the Metric-keyed lru caches by name
     (perfbench/tracing.py, metric_caches): after a non-Euclidean structure
-    has read its g^-1 table, cache_totals() still reads a cache_info off
-    each of them, so folding or renaming one cannot pass unnoticed."""
+    has read its Gram of 3-forms (a hit on is_euclidean and det g) and its
+    g^-1 table, cache_totals() still reads a cache_info off each of them,
+    so folding or renaming one cannot pass unnoticed."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -299,7 +300,7 @@ def test_perfbench_trace_reads_the_metric_caches():
     s = G2Structure(pullback(phi0(), a))
     assert not s.metric.is_euclidean
     hits, misses, size = tracing.cache_totals()
-    decompose3(s.phi, s)
+    form_inner(s.phi, s.phi, s.metric)
     sharp(KForm.basis((1,)), s.metric)
     after = tracing.cache_totals()
     assert after[0] > hits and after[1] >= misses and after[2] >= 1

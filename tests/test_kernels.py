@@ -21,10 +21,13 @@
   clustered); Context.span against the double kernel; lambda7, lambda14,
   basis2_14 and odot_inverse on ints against the Fraction path they
   replaced (ref_split_two_forms, ref_odot_inverse_fractions);
-- decompose3's single Gram product against eight quadratic forms, the
-  frame forms against interior contractions, and form_inner and the star
-  of degrees 4 and up (through the minors of g) against the quadratic
-  form and the star chain through the Fraction-entry Gram they replaced;
+- decompose3 against eight quadratic forms over the exact Gram and
+  against the wedge pairing by wedges (ref_decompose3,
+  ref_wedge_decompose3), frame_coordinates' wedge pairing against the
+  Gram route it replaced (ref_frame_coordinates), the frame forms against
+  interior contractions, and form_inner and the star of degrees 4 and up
+  (through the minors of g) against the quadratic form and the star chain
+  through the Fraction-entry Gram they replaced;
 - the k-form Gram table (int rows, den): symmetric in both lanes, entries
   its minor determinants;
 - compound and pullback against the per-minor determinants they replaced,
@@ -47,7 +50,7 @@ frame_structure, cached per frame, so a failing property shrinks fast.
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -711,7 +714,7 @@ def kernel_calls(monkeypatch):
 
     for module in (exterior, g2core):
         monkeypatch.setattr(module, "hodge_star", counted_star)
-        monkeypatch.setattr(module, "_lambda_gram", counted_gram)
+        monkeypatch.setattr(module, "_lambda_gram", counted_gram, raising=False)
     monkeypatch.setattr(exterior, "compound", counted_compound)
     monkeypatch.setattr(ratlin, "_rref_ints", counted_rref)
 
@@ -727,10 +730,10 @@ def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
     g), asks for no Gram and eliminates nothing: the 2-form splitting waits
     for its first read.  decompose2, that first read here, runs no star and
     eliminates no matrix of more than 7 rows (the splitting is read off
-    phi: no 21 x 21 kernel of T - lambda is left); a warm
-    decompose3 or odot_inverse asks for no Gram and runs no star (the
-    structure keeps its scaled frame rows and Gram table); odot_inverse runs
-    no elimination."""
+    phi: no 21 x 21 kernel of T - lambda is left); odot_inverse, cold or
+    warm, and decompose3 ask for no Gram and run no star (the frame
+    coordinates read the structure's wedge pairing of phi and *phi);
+    odot_inverse runs no elimination."""
     a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
     a[0][1], a[2][5], a[4][4] = Fraction(1), Fraction(-1, 2), Fraction(2)
     rng = random.Random(3)
@@ -749,7 +752,7 @@ def test_tables_run_no_star_chain_and_no_solve(kernel_calls):
         assert calls["rref"] and max(calls["rref_rows"]) <= 7
         calls = kernel_calls()
         odot_inverse(eta, s)
-        assert calls["rref"] == 0 and calls["star"] == 0 and set(calls["gram"]) <= {3}
+        assert calls["rref"] == 0 and calls["star"] == 0 and calls["gram"] == []
         calls = kernel_calls()
         decompose3(eta, s)
         odot_inverse(eta, s)
@@ -760,11 +763,11 @@ def test_exact_structure_builds_each_minor_table_once(kernel_calls, monkeypatch)
     """An exact non-Euclidean structure reads g through one table of minors
     of g per order and one table of g^-1, and never through the minors of
     g^-1: construction (the star of phi through the 4 x 4 minors), the
-    first split read by decompose2 (T through the 2 x 2), decompose3 (the
-    Gram of 3-forms, the 4 x 4 minors again), odot_inverse and form_inner
-    on 2-forms (the Gram of 2-forms, the 5 x 5 minors) build the orders 2,
-    4 and 5 once each, and no compound of anything else.  Through all of
-    that, sharp, a twist and its recover,
+    first split read by decompose2 (T through the 2 x 2), decompose3 and
+    odot_inverse (no minors: the frame coordinates read a wedge pairing)
+    and form_inner on 2-forms (the Gram of 2-forms, the 5 x 5 minors) build
+    the orders 2, 4 and 5 once each, and no compound of anything else.
+    Through all of that, sharp, a twist and its recover,
     Context.scaled_inverse runs once, on the metric's stored rows: every
     reader of g^-1 shares the table of that one elimination."""
     a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
@@ -1203,19 +1206,116 @@ def test_float_lane_frame_gram_within_tolerance():
     assert np.allclose(gram @ np.asarray(frame_inverse_gram(s)), np.eye(DIM), atol=FLOAT.tol)
 
 
-# -- decompose3: one Gram product against eight quadratic forms ----------------
+# -- decompose3 and the frame coordinates against the Gram route ---------------
 
 
-def ref_decompose3(eta, s, gram=None):
+def ref_decompose3(eta, s):
     """decompose3 through ref_form_inner: one 35x35 quadratic form per inner
-    product, over gram (by default ref_lambda_gram)."""
-    p1 = s.phi * (ref_form_inner(eta, s.phi, s.metric, gram) / 7)
-    rhs = [ref_form_inner(eta, w, s.metric, gram) for w in s.frame3_7]
+    product, over ref_lambda_gram."""
+    p1 = s.phi * (ref_form_inner(eta, s.phi, s.metric) / 7)
+    rhs = [ref_form_inner(eta, w, s.metric) for w in s.frame3_7]
     p7 = KForm.zero(3, s.ctx)
     for x, w in zip(ratlin.matvec(frame_inverse_gram(s), rhs), s.frame3_7):
         if x:
             p7 = p7 + w * x
     return p1, p7, eta - p1 - p7
+
+
+def ref_wedge_decompose3(eta, s):
+    """decompose3 by wedges: <eta, phi> = top(eta ^ *phi) / top(vol), and
+    the coordinate of frame3_7[j] is -top(dx_j ^ phi ^ eta) / (4 top(vol))."""
+    vol = top_coeff(s.vol)
+    p1 = s.phi * (top_coeff(wedge(eta, s.star_phi)) / vol / 7)
+    p7 = KForm.zero(3, s.ctx)
+    for j, w in enumerate(s.frame3_7):
+        x = -top_coeff(wedge(wedge(KForm.basis((j + 1,)), s.phi), eta)) / (4 * vol)
+        if x:
+            p7 = p7 + w * x
+    return p1, p7, eta - p1 - p7
+
+
+def ref_frame_coordinates(eta, s):
+    """frame_coordinates through the Gram route its wedge pairing replaced:
+    one product of eta with the metric's Gram of 3-forms (none on a
+    Euclidean metric), the 8 inner products with phi and the frame forms,
+    then g^-1 / 4 (the inverse of the frame's Gram 4 g) on the last 7."""
+    forms = (s.phi, *s.frame3_7)
+    rden = lcm(*(f.den for f in forms))
+    rows = [[x * (rden // f.den) for x in f.num] for f in forms]
+    v, den = eta.num, eta.den
+    if not s.metric.is_euclidean:
+        grows, gden = _lambda_gram(s.metric, 3)
+        v, den = exterior._matvec(grows, v), den * gden
+    inner = exterior._matvec(rows, v)
+    den *= rden
+    inv, iden = _metric_inverse(s.metric)
+    return s.ctx.ratio(inner[0], den), (exterior._matvec(inv, inner[1:]), 4 * den * iden)
+
+
+def coordinate_values(result, ctx):
+    """(<eta, phi>, coords) of a frame_coordinates result as lane scalars."""
+    phi_inner, (coords, cden) = result
+    return phi_inner, [ctx.ratio(x, cden) for x in coords]
+
+
+# the pullback by this frame reverses the orientation and keeps g = I
+REVERSAL = [[-1 if i == j == 0 else int(i == j) for j in range(DIM)] for i in range(DIM)]
+
+
+@given(rational_frames(), THREE_FORMS)
+@settings(max_examples=10, deadline=None)
+def test_frame_coordinates_equal_the_gram_reference(a, eta):
+    """frame_coordinates' wedge pairing against the Gram route it replaced
+    (ref_frame_coordinates): the exact values are literally equal on frames
+    of both orientations, and the float values on phi0 and on its
+    orientation-reversed pullback are repr-identical, since there the
+    pairing's rows are the old rows up to an exact sign, summed in the same
+    order."""
+    s = frame_structure(a)
+    assert (coordinate_values(frame_coordinates(eta, s), EXACT)
+            == coordinate_values(ref_frame_coordinates(eta, s), EXACT))
+    etaf = eta.as_float()
+    for sf in (standard_structure("float"), G2Structure(pullback(phi0(FLOAT), REVERSAL), FLOAT)):
+        got, want = (coordinate_values(f(etaf, sf), FLOAT)
+                     for f in (frame_coordinates, ref_frame_coordinates))
+        assert repr(got) == repr(want)
+    assert sf.orientation.sign == -1 and sf.metric.is_euclidean
+
+
+def test_frame_coordinates_read_no_gram_and_no_inverse(monkeypatch):
+    """frame_coordinates, decompose3 and recover's two pivots, cold (the
+    pairing's first build) and warm, read neither a Gram of the metric
+    (_lambda_gram) nor its g^-1 (_metric_inverse): on phi0 and on
+    non-Euclidean frames of both orientations, in both lanes."""
+    def refuse(*args):
+        raise AssertionError("a frame-coordinate path read a metric table")
+
+    a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
+    a[0][1], a[2][5], a[4][4] = Fraction(1), Fraction(-1, 2), Fraction(2)
+    rng = random.Random(13)
+    for ctx in (EXACT, FLOAT):
+        identity = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+        frames = [[[ctx.scalar(x) for x in row] for row in b]
+                  for b in (identity, a, [[-x for x in a[0]], *a[1:]])]
+        structures = [G2Structure(pullback(phi0(ctx), b), ctx) for b in frames]
+        # points of each pulled-back sphere: |pullback(w, b)|_g = |w|
+        points = [bryant.TwistParams(ctx.scalar(Fraction(3, 5)),
+                                     pullback(KForm.basis((2,)) * Fraction(4, 5), b)) for b in frames]
+        twists = [bryant.twist(s, p) for s, p in zip(structures, points)]
+        with monkeypatch.context() as patch:
+            for module in (exterior, g2core, bryant):
+                patch.setattr(module, "_lambda_gram", refuse, raising=False)
+                patch.setattr(module, "_metric_inverse", refuse, raising=False)
+            for s, phit, p in zip(structures, twists, points):
+                for eta in (coerce_form(rational_kform(rng, 3), ctx), phit):
+                    frame_coordinates(eta, s)
+                    decompose3(eta, s)
+                phi_inner, (coords, cden) = frame_coordinates(phit, s)
+                assert bryant._recover_c_positive(s, coords, cden, p.c).omega.isclose(p.omega, 1e-9)
+                got = bryant._recover_w_pivot(s, phit, phi_inner, coords, cden)
+                assert got.equivalent_to(p, 1e-9)
+        assert not structures[1].metric.is_euclidean
+        assert [s.orientation.sign for s in structures] == [1, 1, -1]
 
 
 # cond(g) about 4.3e5: the float star of phi through the 3 x 3 minors of
@@ -1234,8 +1334,8 @@ REFUSED_FLOAT_FRAME = [[Fraction(x) for x in row.split()] for row in (
 
 # cond(a^T a) about 4.25e4: with eta = dx567 the float p7 of decompose3
 # and of the float ref_decompose3, both through the minors of a float g^-1,
-# sat 6.55e-8 from the exact p7; through the minors of g it sits 1.0e-10
-# from it.
+# sat 6.55e-8 from the exact p7; through the minors of g it sat 6.2e-12
+# relative from it, and through the wedge pairing it sits 1.4e-11.
 DECOMPOSE3_FRAME = [[Fraction(x) for x in row.split()] for row in (
     "1 2 2/3 2 2/3 -1 -1/2",
     "0 1 -1/2 0 2 -1 0",
@@ -1262,21 +1362,23 @@ def assert_float_decompose3_near_exact(eta, s, sf):
 @example(a=DECOMPOSE3_FRAME, eta=KForm.basis((5, 6, 7)))
 @settings(max_examples=6, deadline=None)
 def test_decompose3_matches_form_inner_reference(a, eta):
-    """Exact decompose3 equals the quadratic-form reference literally.  On
-    every frame float decompose3 is within 1e-9 relative of the float
-    reference summed over the float Gram it reads.  The two sum in
-    different orders and g^-1 / 4 amplifies the difference by about
-    cond(g): on 5000 seeded frames the check missed 1e-9 on 4, all with
-    cond(a^T a) >= 2e7 (up to 2.1e-9), the same 4 as with the old Gram
-    under both (up to 5.2e-9).  On frames with cond(a^T a) <= 1e3 float
-    decompose3 is also near the exact one
-    (assert_float_decompose3_near_exact): the worst of 643 seeded frames, 3
-    forms each, read 1.6e-11.  Above that band the float lane can miss the
-    exact parts by more: 1.1e-9 at cond 3.9e3 (one of 888 frames at
-    1e3-1e4) and 2.0e-9 at cond 3.6e4 (one of 698 at 1e4-1e5)."""
+    """Exact decompose3 equals the quadratic-form reference over the exact
+    Gram (ref_decompose3) and the wedge-pairing reference
+    (ref_wedge_decompose3) literally.  On every frame float decompose3 is
+    within 1e-9 relative of the float wedge-pairing reference, which reads
+    what decompose3 reads (phi and *phi) by wedges: on seeds 0-4999 of
+    this draw, one rational 3-form each, it missed on none of the 4995
+    frames the float lane builds, the worst at 1.5e-14.  The float
+    reference summed over the float Gram, which this check read before, is
+    now the less accurate side (g^-1 / 4 amplifies its rounding by about
+    cond(g)): the Gram route missed this reference on 37 of them, up to
+    5.5e-8.  On frames with cond(a^T a) <= 1e5 float decompose3 is also
+    near the exact one (assert_float_decompose3_near_exact): on the same
+    seeds 4837 frames missed on none, the worst at 4.7e-10 (the Gram route:
+    2 misses, up to 1.8e-9)."""
     s = frame_structure(a)
     d = decompose3(eta, s)
-    assert (d.p1, d.p7, d.p27) == ref_decompose3(eta, s)
+    assert (d.p1, d.p7, d.p27) == ref_decompose3(eta, s) == ref_wedge_decompose3(eta, s)
     zero = decompose3(KForm.zero(3, EXACT), s)
     assert all(type(c) is Fraction and c == 0 for part in (zero.p1, zero.p7, zero.p27)
                for c in part.coeffs)
@@ -1284,16 +1386,15 @@ def test_decompose3_matches_form_inner_reference(a, eta):
     sf = G2Structure(pullback(phi0(FLOAT), af.tolist()), FLOAT)
     etaf = eta.as_float()
     df = decompose3(etaf, sf)
-    gram = _lambda_gram(sf.metric, 3)[0]
-    for got, want in zip((df.p1, df.p7, df.p27), ref_decompose3(etaf, sf, gram)):
+    for got, want in zip((df.p1, df.p7, df.p27), ref_wedge_decompose3(etaf, sf)):
         assert (got - want).max_abs() <= 1e-9 * max(1.0, want.max_abs())
-    if np.linalg.cond(af.T @ af) <= 1e3:
+    if np.linalg.cond(af.T @ af) <= 1e5:
         assert_float_decompose3_near_exact(eta, s, sf)
 
 
 def test_float_decompose3_on_decompose3_frame():
-    """DECOMPOSE3_FRAME, above the property's 1e3 band, keeps the float
-    decompose3 of dx567 near the exact one."""
+    """DECOMPOSE3_FRAME keeps the float decompose3 of dx567 near the exact
+    one."""
     a = DECOMPOSE3_FRAME
     sf = G2Structure(pullback(phi0(FLOAT), [[float(x) for x in row] for row in a]), FLOAT)
     assert_float_decompose3_near_exact(KForm.basis((5, 6, 7)), frame_structure(a), sf)
