@@ -91,7 +91,8 @@ class TwistParams:
         """The antipodal representative with c > 0, or with the first
         nonzero omega coefficient positive when c = 0: in the float lane the
         first one beyond the lane's tol times max(1, |omega|), so that the
-        rounding noise of a recovered zero picks no sign."""
+        rounding noise of a recovered zero picks no sign.  At c = 0 only
+        omega flips, so a float c = 0.0 keeps its sign."""
         if self.c > 0:
             return self
         if self.c < 0:
@@ -101,7 +102,7 @@ class TwistParams:
         bound = lane.tol * max(1.0, float(self.omega.max_abs()))
         for x in self.omega.num:
             if not lane.is_zero(x, bound):
-                return self if x > 0 else self.antipode()
+                return self if x > 0 else TwistParams(self.c, -self.omega)
         return self
 
     def equivalent_to(self, other: "TwistParams", tol: float = 0.0) -> bool:

@@ -16,7 +16,11 @@ unless a float is present), and forms of both lanes meet in the float lane.
 Every kernel here (the arithmetic, wedge, interior, the star, inner
 products, sharp, pullback) reads the stored pairs, sums on them (ints in
 the exact lane) and builds its result's pair with Context.reduce, so the
-exact lane builds no Fraction per coefficient.
+exact lane builds no Fraction per coefficient.  Contraction has one
+definition, the signed-selection table _interior_table: _contractions
+reads the seven rows e_i . a off a form's numerators with it, and interior
+is the row sum of v over those rows (_row_sum); g2core's contractions,
+dx_i ^ u and cubic table of B read the same table.
 
 A Metric is stored the same way: an exact metric keeps 7 int rows over one
 positive int denominator in lowest terms, and builds its Fraction rows on
@@ -316,8 +320,14 @@ def wedge(a: KForm, b: KForm) -> KForm:
     out_deg = a.degree + b.degree
     a, b, lane = _meet(a, b)
     out = [lane.scaled_zero] * NK[out_deg]
-    ac, bc = a.num, b.num
-    for pa, pb, s, po in _wedge_table(a.degree, b.degree):
+    _wedge_add(out, a.num, a.degree, b.num, b.degree)
+    return KForm._of(out_deg, out, a.den * b.den, lane)
+
+
+def _wedge_add(out, ac, k: int, bc, l: int) -> None:
+    """out += a ^ b on the scaled coefficients ac of a k-form and bc of an
+    l-form (ints in the exact lane), term by term in _wedge_table order."""
+    for pa, pb, s, po in _wedge_table(k, l):
         ca = ac[pa]
         if not ca:
             continue
@@ -325,30 +335,47 @@ def wedge(a: KForm, b: KForm) -> KForm:
         if not cb:
             continue
         out[po] += ca * cb if s > 0 else -(ca * cb)
-    return KForm._of(out_deg, out, a.den * b.den, lane)
+
+
+@lru_cache(maxsize=None)
+def _interior_table(k: int):
+    """e_i . dx_P = sign dx_Q on k-forms: per i = 1..7, {Q position: (P position, sign)}.
+    The one definition of contraction: every contraction in the package reads it."""
+    table = []
+    for i in range(1, DIM + 1):
+        row = {}
+        for p, idx in enumerate(BASIS[k]):
+            if i in idx:
+                t = idx.index(i)
+                row[POS[k - 1][idx[:t] + idx[t + 1:]]] = (p, -1 if t % 2 else 1)
+        table.append(row)
+    return tuple(table)
+
+
+def _contractions(k: int, coeffs, zero=0) -> list:
+    """e_i . a for i = 1..7 on a k-form's coefficients: signed selections
+    (_interior_table), one row of NK[k - 1] entries each, no arithmetic."""
+    rows = []
+    for contr in _interior_table(k):
+        out = [zero] * NK[k - 1]
+        for q, (p, sign) in contr.items():
+            if coeffs[p]:
+                out[q] = coeffs[p] if sign > 0 else -coeffs[p]
+        rows.append(out)
+    return rows
 
 
 def interior(v: Sequence, a: KForm) -> KForm:
-    """Contraction of a k-form with a vector in the first slot."""
+    """Contraction of a k-form with a vector in the first slot: the row sum
+    sum_i v_i (e_i . a) over the contractions of a's stored numerators."""
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
     k = a.degree
     lane = lane_of((a.num[0], *v))
     a = coerce_form(a, lane)
     (v,), vden = lane.scaled([v])
-    out = [lane.scaled_zero] * NK[k - 1]
-    for p, I in enumerate(BASIS[k]):
-        c = a.num[p]
-        if not c:
-            continue
-        for t, i in enumerate(I):
-            vi = v[i - 1]
-            if not vi:
-                continue
-            rest = I[:t] + I[t + 1:]
-            term = vi * c
-            out[POS[k - 1][rest]] += term if t % 2 == 0 else -term
-    return KForm._of(k - 1, out, a.den * vden, lane)
+    zero = lane.scaled_zero
+    return KForm._of(k - 1, _row_sum(v, _contractions(k, a.num, zero), zero), a.den * vden, lane)
 
 
 @dataclass(frozen=True)
@@ -468,9 +495,6 @@ class Metric:
         lane = self._lane
         return self.is_euclidean or all(lane.is_zero(self.rows[i][j] - (1 if i == j else 0), tol)
                                         for i in range(DIM) for j in range(DIM))
-
-    def entry(self, i: int, j: int):
-        return self.rows[i - 1][j - 1]
 
 
 # Bound of each Metric-keyed cache below: a caller that sees many metrics

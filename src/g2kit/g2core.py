@@ -15,10 +15,14 @@ span, kernel and eigenvector checks, on int rows in exact mode.
 
 A structure's linear maps are built from constant index tables, not from
 wedge-and-star chains or solves: the 2-form operator from the 2 x 2 minors
-of g and the coefficients of phi, the action of symmetric and endomorphism
-tensors from phi's coefficient tensor, and the inverse of the symmetric
-action from the derivative of the cubic table that gives the metric, the
-3-form frame e_i . *phi as a signed selection of *phi's coefficients.  The
+of g and the coefficients of phi, and the inverse of the symmetric action
+from the derivative of the cubic table that gives the metric.  Every
+contraction reads exterior's one signed-selection table (_interior_table):
+the contractions e_m . phi and e_m . *phi (_contractions), so the 3-form
+frame e_i . *phi; the action E . phi = sum_m alpha_m ^ (e_m . phi) of an
+endomorphism with rows alpha_m, one wedge pass over the contraction rows
+of phi; and Bryant's tables *(dx_j ^ *phi) = (g^-1 e_j) . phi and
+*(dx_j ^ phi) = -(g^-1 e_j) . *phi, g^-1 row sums over those rows.  The
 exact lane runs those tables on integers over one common denominator (the
 forms' stored (num, den) pairs, Context.scaled for matrices) and builds one
 Fraction per output scalar or one reduced pair per output form; the float
@@ -66,15 +70,17 @@ from .exterior import (
     NEGATIVE,
     POSITIVE,
     _comp_table,
+    _contractions,
+    _interior_table,
     _matvec,
     _metric_inverse,
     _metric_minors,
     _row_sum,
+    _wedge_add,
     _wedge_table,
     basis_vector,
     coerce_form,
     flat,
-    form_inner,
     hodge_star,
     interior,
     merge_sign,
@@ -105,20 +111,6 @@ def phi0(ctx: Context = EXACT) -> KForm:
 
 # B_ij is cubic in phi: the upper-triangle pairs (i, j), i <= j, in row order.
 _PAIRS = tuple((i, j) for i in range(DIM) for j in range(i, DIM))
-
-
-@lru_cache(maxsize=None)
-def _interior_table(k: int):
-    """e_i . dx_P = sign dx_Q on k-forms: per i = 1..7, {Q position: (P position, sign)}."""
-    table = []
-    for i in range(1, DIM + 1):
-        row = {}
-        for p, idx in enumerate(BASIS[k]):
-            if i in idx:
-                t = idx.index(i)
-                row[POS[k - 1][idx[:t] + idx[t + 1:]]] = (p, -1 if t % 2 else 1)
-        table.append(row)
-    return tuple(table)
 
 
 def _dx_wedge(i: int, u: KForm, ctx: Context) -> KForm:
@@ -327,33 +319,6 @@ def is_g2_form(phi: KForm, ctx: Context = EXACT) -> bool:
     return True
 
 
-def _full_tensor(coeffs):
-    """3-form coefficients as a totally antisymmetric 3-tensor lookup t[a][b][c] (0-based)."""
-    t = [[[0] * DIM for _ in range(DIM)] for _ in range(DIM)]
-    for (i, j, k), c in zip(BASIS[3], coeffs):
-        if not c:
-            continue
-        for (a, b, d), sign in (
-            ((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-            ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
-        ):
-            t[a - 1][b - 1][d - 1] = c if sign > 0 else -c
-    return t
-
-
-def _contractions(k: int, coeffs, zero=0) -> list:
-    """e_i . a for i = 1..7 on a k-form's coefficients: signed selections
-    (_interior_table), one row of NK[k - 1] entries each, no arithmetic."""
-    rows = []
-    for contr in _interior_table(k):
-        out = [zero] * NK[k - 1]
-        for q, (p, sign) in contr.items():
-            if coeffs[p]:
-                out[q] = coeffs[p] if sign > 0 else -coeffs[p]
-        rows.append(out)
-    return rows
-
-
 def _split_two_forms(table, gens7, ctx: Context) -> tuple:
     """(lambda7, lambda14, (rows, den)) for T = rows / den, table =
     (rows, den), whose lambda7-eigenspace should be spanned by gens7, the
@@ -413,7 +378,8 @@ class G2Structure:
     far worse conditioned metrics than the Gram of g^-1 does) and the check
     |phi|^2 = 7 read as top(phi ^ *phi) / top(vol).  All of it is in the
     context's arithmetic; exact mode never touches a float, and construction
-    takes no inverse of g.
+    takes no inverse of g and stores no tensor of phi: the symmetric action
+    (odot) reads the contractions of phi's stored numerators per call.
 
     Built lazily on first use, so a structure that is only compared,
     serialized or twisted does not pay for them: the operator T = *(phi ^ .)
@@ -445,8 +411,6 @@ class G2Structure:
         norm = top_coeff(wedge(self.phi, self.star_phi)) / top_coeff(self.vol)
         if not ctx.is_zero(norm - 7, PHI_NORM_TOL):
             raise NotG2FormError(f"normalized 3-form should have |phi|^2 = 7, got {norm}")
-        # phi = Phi / den with Phi an int vector in exact mode; the tables read Phi
-        self._tensor = (_full_tensor(self.phi.num), self.phi.den)
 
     # -- spectral data on 2-forms ------------------------------------
 
@@ -603,17 +567,24 @@ class G2Structure:
         sparse = tuple(tuple((q, x) for q, x in enumerate(row) if x) for row in rows)
         return sparse, self.ctx.ratio(3 * contraction[0][0] * g.den, 3 * pden * g.num[0][0])
 
+    def _ginv_contractions(self, form: KForm, sign: int) -> tuple:
+        """sign (g^-1 e_j) . form for j = 1..7: each a g^-1 row sum (_row_sum)
+        over the contractions e_m . form of form's stored numerators."""
+        ctx = self.ctx
+        ginv, gden = _metric_inverse(self.metric)
+        contr = _contractions(form.degree, form.num, ctx.scaled_zero)
+        return tuple(KForm._of(form.degree - 1, _row_sum(row, contr, ctx.scaled_zero),
+                               sign * gden * form.den, ctx) for row in ginv)
+
     @cached_property
     def star_dx_star_phi(self) -> tuple:
         """u_j = *(dx_j ^ *phi) for j = 1..7, as the contractions (g^-1 e_j) . phi."""
-        rows, den = _metric_inverse(self.metric)
-        return tuple(interior(row, self.phi) / den for row in rows)
+        return self._ginv_contractions(self.phi, 1)
 
     @cached_property
     def star_dx_phi(self) -> tuple:
         """s_j = *(dx_j ^ phi) for j = 1..7, as the contractions -(g^-1 e_j) . *phi."""
-        rows, den = _metric_inverse(self.metric)
-        return tuple(interior(row, self.star_phi) / -den for row in rows)
+        return self._ginv_contractions(self.star_phi, -1)
 
     @cached_property
     def polarized_table(self) -> tuple:
@@ -649,9 +620,6 @@ class G2Structure:
 
     def star(self, a: KForm) -> KForm:
         return hodge_star(a, self.metric, self.orientation)
-
-    def inner(self, a: KForm, b: KForm):
-        return form_inner(a, b, self.metric)
 
     def describe(self) -> dict:
         """What the structure is and what it has built so far: its lane,
@@ -832,27 +800,15 @@ def _lane_rows(b, ctx: Context):
 
 
 def _odot_scaled(rows, den, s: G2Structure) -> KForm:
-    """E . phi for E = rows / den (Context.scaled rows): the sums run on the
-    structure's tensor of phi, on ints in exact mode, and each coefficient
-    is built once."""
-    t, tden = s._tensor
+    """E . phi = sum_m alpha_m ^ (e_m . phi) for E = rows / den (Context.scaled
+    rows), alpha_m = sum_a E_ma dx_a the m-th row of E: one wedge pass per
+    row over the contractions of phi's stored numerators, on ints in exact
+    mode, and each coefficient is built once."""
     zero = s.ctx.scaled_zero
-    out = []
-    for (i, j, k) in BASIS[3]:
-        a, b, c = i - 1, j - 1, k - 1
-        acc = zero
-        for m in range(DIM):
-            e_ma = rows[m][a]
-            if e_ma:
-                acc += e_ma * t[m][b][c]
-            e_mb = rows[m][b]
-            if e_mb:
-                acc += e_mb * t[a][m][c]
-            e_mc = rows[m][c]
-            if e_mc:
-                acc += e_mc * t[a][b][m]
-        out.append(acc)
-    return KForm._of(3, out, den * tden, s.ctx)
+    out = [zero] * NK[3]
+    for row, contr in zip(rows, _contractions(3, s.phi.num, zero)):
+        _wedge_add(out, row, 1, contr, 2)
+    return KForm._of(3, out, den * s.phi.den, s.ctx)
 
 
 def odot_endo(E, s: G2Structure) -> KForm:
@@ -861,7 +817,8 @@ def odot_endo(E, s: G2Structure) -> KForm:
 
 
 def odot(b, s: G2Structure) -> KForm:
-    """Action of a bilinear form on phi: raise the first index, then act slotwise."""
+    """Action of a bilinear form on phi: raise the first index (_odot_rows),
+    then act slotwise as the endomorphism g^-1 b (_odot_scaled)."""
     return _odot_rows(*s.ctx.scaled(_lane_rows(b, s.ctx)), s)
 
 

@@ -86,6 +86,26 @@ def test_decompose_contraction_is_pure_seven(capsys, tmp_path):
     assert rep["outputs"]["p7_norm_sq"] == "3"
 
 
+@pytest.mark.parametrize("mode, c", [("float", 0.0), ("exact", "0")])
+def test_recover_at_c_zero_keeps_the_sign_of_c(capsys, tmp_path, mode, c):
+    """twist at c = 0 piped into recover: the canonical point flips omega
+    only, so float c is 0.0, never -0.0; the exact report is as before."""
+    omega = '{"degree": 1, "entries": [{"idx": [2], "coeff": "-0.6"}, {"idx": [3], "coeff": "0.8"}]}'
+    code, rep = run_json(capsys, ["twist", "--mode", mode, "--c", "0", "--omega", omega])
+    assert code == 0
+    path = tmp_path / "phit.json"
+    path.write_text(json.dumps(rep["outputs"]["phit"]))
+    code, rep = run_json(capsys, ["recover", "--mode", mode, str(path)])
+    assert code == 0
+    params = rep["outputs"]["params"]
+    assert repr(params["c"]) == repr(c)
+    coeffs = {tuple(e["idx"]): e["coeff"] for e in params["omega"]["entries"]}
+    if mode == "exact":
+        assert coeffs == {(2,): "3/5", (3,): "-4/5"}
+    else:
+        assert set(coeffs) == {(2,), (3,)} and coeffs[(2,)] > 0
+
+
 def test_decompose_rejects_other_degrees(tmp_path):
     path = write_form(tmp_path, KForm.from_entries(4, {(1, 2, 3, 4): 1}))
     assert main(["decompose", path, "--degree", "4"]) == 1

@@ -335,34 +335,49 @@ def test_no_unused_imports():
 
 
 def _references(path):
-    """Every name a file reads: loaded names, attributes, imported names and
-    strings that are identifiers (monkeypatch.setattr names its target)."""
-    found = set()
+    """(names, attributes): every name a file reads (loaded names,
+    attributes, imported names and strings that are identifiers, since
+    monkeypatch.setattr names its target), and the subset a method can be
+    reached by: attributes and identifier strings."""
+    found, attrs = set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            found.add(node.value)
-    return found
+            attrs.add(node.value)
+    return found | attrs, attrs
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_no_dead_definitions():
     """The package's lint step: every module-level function and class of
     g2kit (module dunders aside) is referenced from the package, the tests
-    or perfbench, or is exported in g2kit.__all__."""
+    or perfbench, or is exported in g2kit.__all__; every method and
+    property of a g2kit class (dunders aside) is read as an attribute or
+    named in a string there."""
     root = Path(__file__).resolve().parents[1]
-    used = set(g2kit.__all__)
+    used, attrs = set(g2kit.__all__), set()
     for folder in (SRC, root / "tests", root / "perfbench"):
         for path in sorted(folder.glob("*.py")):
-            used |= _references(path)
-    dead = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
-            for node in ast.parse(path.read_text(encoding="utf-8")).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in used]
+            names, found = _references(path)
+            used |= names
+            attrs |= found
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not _is_dunder(node.name) and node.name not in used:
+                dead.append((path.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                dead += [(path.stem, f"{node.name}.{item.name}") for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not _is_dunder(item.name) and item.name not in attrs]
     assert dead == []

@@ -164,6 +164,18 @@ def test_construction_round_trip_comparison_and_twist_build_no_lazy_table(mode):
             assert not set(_LAZY_TABLES) & set(t.__dict__)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_construction_stores_only_the_eager_state(mode):
+    """A fresh structure holds exactly its lane, phi, B(phi), the metric, the
+    orientation, vol and the star of phi: no tensor of phi and no lazy table.
+    On phi0, -phi0 and a non-Euclidean frame."""
+    ctx = Context.of(mode)
+    frame = [[2 if i == j == 0 else int(i == j) for j in range(DIM)] for i in range(DIM)]
+    for phi in (phi0(ctx), phi0(ctx) * -1, pullback(phi0(ctx), frame)):
+        assert set(G2Structure(phi, ctx).__dict__) == {
+            "ctx", "phi", "_contraction", "metric", "orientation", "vol", "star_phi"}
+
+
 def test_split_failure_raises_at_first_read(monkeypatch):
     """The split's checks run at its first read: with Context.eigenvalue
     refusing every eigenvector, construction still succeeds, and decompose2,

@@ -32,6 +32,11 @@
   its minor determinants;
 - compound and pullback against the per-minor determinants they replaced,
   kept here as ref_det_small and ref_pullback;
+- odot, odot_endo, infinitesimal_action, Bryant's u/s tables and interior,
+  which read exterior's one contraction table, against the loops they
+  replaced: the three-slot loop over phi's tensor (ref_odot_scaled,
+  ref_full_tensor) and one interior call per g^-1 row
+  (ref_ginv_contractions);
 - wedge, interior, exterior._row_sum and KForm's scalar arithmetic, which run
   on the forms' stored (num, den) pairs, against the loops over Fraction
   or float coefficients they replaced, kept here as ref_wedge,
@@ -102,8 +107,10 @@ from g2kit.g2core import (
     decompose2,
     decompose3,
     frame_coordinates,
+    infinitesimal_action,
     metric_from_phi,
     odot,
+    odot_endo,
     odot_inverse,
     phi0,
     standard_structure,
@@ -1748,6 +1755,101 @@ def test_pair_kernels_equal_fraction_loops(data, lane_a, lane_b):
     rows, fden = ctx.scaled([f.coeffs for f in forms])
     assert same(KForm._of(k, exterior._row_sum(num, rows, ctx.scaled_zero), den * fden, ctx),
                 ref_combine(ctx, k, zip(xs, (f.coeffs for f in forms))))
+
+
+# -- the symmetric action and Bryant's u/s tables against the loops they replaced
+
+
+def ref_full_tensor(coeffs):
+    """3-form coefficients as a totally antisymmetric 3-tensor lookup
+    t[a][b][c] (0-based), as G2Structure built it at construction."""
+    t = [[[0] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    for (i, j, k), c in zip(BASIS[3], coeffs):
+        if not c:
+            continue
+        for (a, b, d), sign in (
+            ((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
+            ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
+        ):
+            t[a - 1][b - 1][d - 1] = c if sign > 0 else -c
+    return t
+
+
+def ref_odot_scaled(rows, den, s):
+    """E . phi for E = rows / den (Context.scaled rows) by the three-slot loop
+    over phi's tensor (ref_full_tensor) that g2core._odot_scaled ran."""
+    t = ref_full_tensor(s.phi.num)
+    out = []
+    for (i, j, k) in BASIS[3]:
+        a, b, c = i - 1, j - 1, k - 1
+        acc = s.ctx.scaled_zero
+        for m in range(DIM):
+            e_ma = rows[m][a]
+            if e_ma:
+                acc += e_ma * t[m][b][c]
+            e_mb = rows[m][b]
+            if e_mb:
+                acc += e_mb * t[a][m][c]
+            e_mc = rows[m][c]
+            if e_mc:
+                acc += e_mc * t[a][b][m]
+        out.append(acc)
+    return KForm._of(3, out, den * s.phi.den, s.ctx)
+
+
+def ref_odot_endo(e, s):
+    return ref_odot_scaled(*s.ctx.scaled([[s.ctx.scalar(x) for x in row] for row in e]), s)
+
+
+def ref_odot(b, s):
+    rows, den = s.ctx.scaled([[s.ctx.scalar(x) for x in row] for row in b])
+    ginv, gden = _metric_inverse(s.metric)
+    return ref_odot_scaled(ratlin.matmul(ginv, rows), gden * den, s)
+
+
+def ref_ginv_contractions(s):
+    """(u, s) = (*(dx_j ^ *phi), *(dx_j ^ phi)) for j = 1..7 as the structure
+    built them: one interior call per g^-1 row, then a division."""
+    rows, den = _metric_inverse(s.metric)
+    return (tuple(ref_interior(row, s.phi) / den for row in rows),
+            tuple(ref_interior(row, s.star_phi) / -den for row in rows))
+
+
+@given(rational_frames(), st.integers(0, 2 ** 16), st.sampled_from(["exact", "float"]))
+@settings(max_examples=25, deadline=None)
+def test_contraction_kernels_equal_the_loops_they_replaced(a, seed, mode):
+    """odot, odot_endo, infinitesimal_action, star_dx_phi, star_dx_star_phi
+    and interior of every degree, which all read exterior._interior_table,
+    against ref_odot_scaled, ref_ginv_contractions and ref_interior on
+    frames of both orientations (rational_frames draws the sign of det a):
+    exact results equal literally, float results are repr-identical (types
+    and the sign of zero included)."""
+    rng = random.Random(seed)
+    if mode == "exact":
+        s = frame_structure(a)
+    else:
+        s = G2Structure(pullback(phi0(FLOAT), float_frame(a)), FLOAT)
+
+    def draw():
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return x if mode == "exact" else float(x) * (1 + rng.random())
+
+    assert s.orientation.sign == (1 if ratlin.det_exact(a) > 0 else -1)
+    e = [[draw() for _ in range(DIM)] for _ in range(DIM)]
+    b = [[None] * DIM for _ in range(DIM)]
+    for i, j in _PAIRS:
+        b[i][j] = b[j][i] = draw()
+    assert same(odot(b, s), ref_odot(b, s))
+    assert same(odot_endo(e, s), ref_odot_endo(e, s))
+    assert same(infinitesimal_action(e, s), ref_odot_endo([[-x for x in row] for row in e], s))
+    u_want, s_want = ref_ginv_contractions(s)
+    for got, want in ((s.star_dx_star_phi, u_want), (s.star_dx_phi, s_want)):
+        assert [(f.num, f.den) for f in got] == [(f.num, f.den) for f in want]
+        assert all(same(f, w) for f, w in zip(got, want))
+    for k in range(1, DIM + 1):
+        form = KForm(k, tuple(draw() for _ in range(NK[k])))
+        v = [draw() if rng.random() < 0.8 else 0 * draw() for _ in range(DIM)]
+        assert same(interior(v, form), ref_interior(v, form))
 
 
 # -- the scaled-pair Metric against the Fraction code it replaced --------------
