@@ -22,9 +22,8 @@ entry: the pivot c when c^2 >= 1/16, else the largest diagonal entry of the
 block w w^T, so no point of the sphere divides by a small number.  Its
 re-twist decides: every twist of a point of the sphere induces the
 structure's metric and orientation (Bryant), so a literally zero residual
-accepts with no metric test, and the form's contraction matrix B is tested
-against the structure's (within a slack that bounds the metric gap,
-literally in exact mode) only after a refused step or on any other
+accepts with no metric test, and the structure's metric test
+(G2Structure.check_metric) runs only after a refused step or on any other
 residual.  Both lanes run one code path; float checks read CONSTRAINT_TOL
 and RECOVERY_TOL from context.py, a recovered |c| at or below
 C_ZERO_SWITCH is set to 0 before the antipodal representative is picked,
@@ -42,7 +41,6 @@ from .errors import (
     ConstraintError,
     DegreeError,
     G2KitError,
-    MetricMismatchError,
     RecoveryError,
     TangencyError,
 )
@@ -61,8 +59,6 @@ from .g2core import (
     Decomposition3,
     G2Structure,
     _PAIRS,
-    _contraction_matrix,
-    _normalized_metric,
     frame_coordinates,
 )
 from .sampling import rational_unit_tuple
@@ -297,17 +293,6 @@ class Recovery:
     residual: float
 
 
-def _metric_matches(s: G2Structure, metric, orientation) -> bool:
-    if orientation.sign != s.orientation.sign:
-        return False
-    if metric == s.metric:
-        return True
-    diff = max(
-        abs(metric.rows[i][j] - s.metric.rows[i][j]) for i in range(DIM) for j in range(DIM)
-    )
-    return s.ctx.is_zero(diff, RECOVERY_TOL)
-
-
 def _recover_c_positive(s: G2Structure, coords, cden, c) -> TwistParams:
     """omega from the frame coordinates coords / cden of the 7-part, 2c *(w ^ phi).
 
@@ -378,23 +363,6 @@ def _recover_w_pivot(s: G2Structure, phit: KForm, phi_inner, coords, cden) -> Tw
     return TwistParams(c, KForm._of(1, [y * sden for y in col], scale, ctx))
 
 
-def _check_metric(s: G2Structure, phit: KForm):
-    """MetricMismatchError unless phit induces the structure's metric and
-    orientation.  recover runs it only where its re-twist does not decide:
-    after a refused step, or on a residual that is not literally zero.
-    g = B / (6 (det(B) / 6^7)^(1/9)) after the sign flip, so a contraction
-    matrix B(phit) within the structure's slack of B(phi)
-    (G2Structure.matches_contraction: literally equal in exact mode) settles
-    it with no normalization; any other B is normalized (with
-    metric_from_phi's errors) and compared as _metric_matches does."""
-    contraction = _contraction_matrix(phit.num)
-    if s.matches_contraction(contraction, phit.den):
-        return
-    metric, orient = _normalized_metric(contraction, phit.num, phit.den, s.ctx)
-    if not _metric_matches(s, metric, orient):
-        raise MetricMismatchError("form does not induce this structure's metric/orientation")
-
-
 def _retwist(s: G2Structure, phit: KForm) -> tuple:
     """(params, err): the canonical point read off phit by recover's pivots
     and the max-abs gap between its twist and phit."""
@@ -434,8 +402,8 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
 
     Every twist Q(x) with x on the sphere induces the structure's metric
     and orientation (Bryant), so a residual of literally zero proves phit in
-    the family, and the metric test (_check_metric) runs only where the
-    re-twist does not decide: when a step refuses, and on any other
+    the family, and the family's metric test (G2Structure.check_metric) runs
+    only where the re-twist does not decide: when a step refuses, and on any other
     residual.  Then a form that induces another metric or orientation
     raises MetricMismatchError (or the normalization's NotG2FormError or
     ExactModeError) before the step's error or the residual's
@@ -452,10 +420,10 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
         # a refused step (ExactModeError from a non-square root, ValueError
         # from a negative radicand, RecoveryError, ConstraintError) shows
         # nothing about the metric
-        _check_metric(s, phit)
+        s.check_metric(phit)
         raise
     if err:
-        _check_metric(s, phit)
+        s.check_metric(phit)
         if not s.ctx.is_zero(err, tol * max(1.0, float(phit.max_abs()))):
             raise RecoveryError(f"recovery residual {float(err)} above {tol} in the {s.ctx.mode} lane")
     return Recovery(params=params, residual=float(err))

@@ -18,10 +18,10 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .bryant import TwistParams, derivative_rank, recover, twist, twist_decomposed
-from .context import DEFAULT_TOL, Context
+from .bryant import TwistParams, derivative_rank, recover, sample_params, twist, twist_decomposed
+from .context import CONSTRAINT_TOL, DEFAULT_TOL, Context
 from .errors import G2KitError, ParseError
-from .exterior import DIM, KForm, form_inner
+from .exterior import DIM, KForm, coerce_form, form_inner
 from .g2core import decompose2, decompose3, metric_from_phi, standard_structure
 from .liegroup import act_on_form, coset_tangent_dim, g2_algebra_basis, lie_normalizer, so7_basis
 from .models import (
@@ -146,7 +146,9 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
     inputs = {"c": scalar_to_json(c), "omega": omega_payload}
     res = p.constraint_residual(s)
     residuals = {"constraint": scalar_to_json(res)}
-    if not ctx.is_zero(res):
+    # twist itself checks the constraint within CONSTRAINT_TOL, so --tol can
+    # only tighten it
+    if not ctx.is_zero(res, min(ctx.tol, CONSTRAINT_TOL)):
         return _report("twist", cfg, inputs, {}, residuals,
                        {"constraint_on_sphere": False})
     phit = twist(s, p)
@@ -302,18 +304,10 @@ def cmd_demo(args, cfg: CliConfig) -> dict:
     else:
         outputs["summary"] = f"b1={m.b1}"
     if m.kind == "s1xcy3":
-        circle = sample_circle_params(rng, cfg.ctx)
+        p = sample_params(rng, subspace_dim=1)
+        circle = TwistParams(cfg.ctx.scalar(p.c), coerce_form(p.omega, cfg.ctx))
         outputs["phase_fit"] = _phase_fit(s, circle)
     return _report("demo", cfg, {"model": args.model}, outputs, residuals, checks)
-
-
-def sample_circle_params(rng: random.Random, ctx: Context) -> TwistParams:
-    from .sampling import rational_unit_tuple
-
-    c, w = rational_unit_tuple(rng, 2)
-    coeffs = [ctx.zero] * DIM
-    coeffs[0] = ctx.scalar(w)
-    return TwistParams(ctx.scalar(c), KForm(1, tuple(coeffs)))
 
 
 def cmd_selftest(args, cfg: CliConfig) -> dict:

@@ -58,6 +58,7 @@ from .errors import (
     ExactModeError,
     FrameError,
     MetricError,
+    MetricMismatchError,
     NotG2FormError,
 )
 from .exterior import (
@@ -185,9 +186,9 @@ def _two_form_operator_table():
 
 def _contraction_matrix(coeffs):
     """B as rows of rows from phi's coefficients (exact ints, or floats).
-    Construction runs it, and so does recover's test of B(phit) against
-    B(phi) (G2Structure.matches_contraction) where the re-twist does not
-    decide: after a refused step or on a residual that is not literally
+    Construction runs it, and so does the family's metric test
+    (G2Structure.check_metric), which recover runs where the re-twist does
+    not decide: after a refused step or on a residual that is not literally
     zero, so never on an exact twist.  Float phi take numpy's bincount, a
     lane fork kept on measurement: on a dense phi it takes 14 us and the
     int loop 117 us (Python 3.11, numpy 2.4), and the loop's B differed from
@@ -392,17 +393,18 @@ class G2Structure:
     the contraction frame frame3_7 = (e_i . *phi) of the 7-part of the
     3-forms, whose coordinates the wedge pairing of _frame_table reads with
     no Gram and no g^-1; and the tables that decompose3, odot_inverse,
-    Bryant's formula and recover's test of B read (_frame_table,
-    _odot_inverse_table, star_dx_star_phi, star_dx_phi, polarized_table,
-    _contraction_slack), each described where it is defined.  Every g^-1 a
-    structure reads is the metric's one table (_metric_inverse).
+    Bryant's formula and the family's metric test (check_metric) read
+    (_frame_table, _odot_inverse_table, star_dx_star_phi, star_dx_phi,
+    polarized_table, _contraction_slack), each described where it is
+    defined.  Every g^-1 a structure reads is the metric's one table
+    (_metric_inverse).
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
         self.ctx = ctx
         self.phi = coerce_form(phi, ctx)
         contraction, self.metric, self.orientation = _contraction_and_metric(self.phi, ctx)
-        # B(phi) = B(Phi) / den^3, kept for matches_contraction, its slack and
+        # B(phi) = B(Phi) / den^3, kept for check_metric, its slack and
         # odot_inverse
         self._contraction = (contraction, self.phi.den ** 3)
         self.vol = volume_form(self.metric, self.orientation)
@@ -471,7 +473,7 @@ class G2Structure:
     def _contraction_slack(self):
         """slack * den^3 for the structure's phi = Phi / den: a bound on
         |B(phit) - B(phi)|_max under which phit induces this orientation and
-        a metric within RECOVERY_TOL of this one (matches_contraction).
+        a metric within RECOVERY_TOL of this one (check_metric).
 
         Write B(phi) = o s g with o the orientation sign and s > 0 the scale
         (|B_11| / g_11), and B(phit) = o s (g + F).  The normalization of
@@ -493,20 +495,29 @@ class G2Structure:
         # s den^3 = |B(Phi)_11| / g_11
         return Fraction(RECOVERY_TOL) * abs(own[0][0]) / g[0][0] / (2 + 6 * gamma * size)
 
-    def matches_contraction(self, contraction, den) -> bool:
-        """Whether B(Phi) / den^3, for contraction = B(Phi) (_contraction_matrix
-        of a 3-form's stored numerators Phi), is this structure's B(phi)
-        within the slack (_contraction_slack), compared entry for entry
-        across the denominators: literally in exact mode.  A True shows, by
-        the bound behind the slack, that the form induces this orientation
-        and a metric within RECOVERY_TOL of this one, with no normalization;
-        a False shows nothing, and the caller normalizes."""
+    def check_metric(self, phit: KForm):
+        """MetricMismatchError unless phit, a 3-form in this structure's lane,
+        induces this structure's metric and orientation.  A B(phit) within
+        the slack of B(phi) (_contraction_slack; literally equal in exact
+        mode) settles it with no normalization; any other B is normalized
+        (_normalized_metric, with its errors) and the orientation and the
+        metric compared, the metric within RECOVERY_TOL."""
+        ctx = self.ctx
+        contraction = _contraction_matrix(phit.num)
         own, den3 = self._contraction
-        d3 = den ** 3
+        d3 = phit.den ** 3
         gaps = [abs(contraction[i][j] * den3 - own[i][j] * d3) for i, j in _PAIRS]
         # max skips a nan gap (an overflowed float B) unless it comes first:
         # 0 * sum(gaps) is nan then, and 0 otherwise
-        return self.ctx.is_zero(max(0 * sum(gaps), *gaps), self._contraction_slack * d3)
+        if ctx.is_zero(max(0 * sum(gaps), *gaps), self._contraction_slack * d3):
+            return
+        metric, orient = _normalized_metric(contraction, phit.num, phit.den, ctx)
+        matches = orient.sign == self.orientation.sign and (
+            metric == self.metric
+            or ctx.is_zero(max(abs(x - y) for row, own_row in zip(metric.rows, self.metric.rows)
+                               for x, y in zip(row, own_row)), RECOVERY_TOL))
+        if not matches:
+            raise MetricMismatchError("form does not induce this structure's metric/orientation")
 
     # -- frame data on 3-forms ---------------------------------------
 

@@ -52,7 +52,14 @@ from g2kit.g2core import (
 from g2kit.models import flat_model, gamma_sample, model_structure
 from g2kit.sampling import rational_kform, rational_unit_tuple
 from g2kit.serialize import g2structure_from_json, g2structure_to_json
-from test_kernels import float_frame, frame_structure, rational_frames, ref_apply_sparse, same
+from test_kernels import (
+    float_frame,
+    frame_structure,
+    rational_frames,
+    ref_apply_sparse,
+    ref_metric_matches,
+    same,
+)
 
 
 def sphere_points():
@@ -1153,11 +1160,11 @@ def test_warm_derivative_rank_takes_no_kernel(nullspace_calls, mode):
 
 @pytest.fixture
 def normalization_calls(monkeypatch):
-    """Calls of the metric normalization recover runs (bryant's
-    _normalized_metric), of the exact normalization's ninth root and of
-    Context.det."""
+    """Calls of the metric normalization recover's metric test runs
+    (g2core's _normalized_metric, in G2Structure.check_metric), of the exact
+    normalization's ninth root and of Context.det."""
     calls = []
-    real_norm, real_root, real_det = bryant._normalized_metric, g2core.rational_nth_root, Context.det
+    real_norm, real_root, real_det = g2core._normalized_metric, g2core.rational_nth_root, Context.det
 
     def norm(*args):
         calls.append("_normalized_metric")
@@ -1171,7 +1178,7 @@ def normalization_calls(monkeypatch):
         calls.append("det")
         return real_det(self, m)
 
-    monkeypatch.setattr(bryant, "_normalized_metric", norm)
+    monkeypatch.setattr(g2core, "_normalized_metric", norm)
     monkeypatch.setattr(g2core, "rational_nth_root", root)
     monkeypatch.setattr(Context, "det", det)
     return calls
@@ -1229,8 +1236,30 @@ def ref_same_contraction(s, contraction, den):
 def ref_check_metric(s, phit):
     """The earlier metric test of recover: normalize phit's metric, then compare."""
     metric, orient = metric_from_phi(phit, s.ctx)
-    if not bryant._metric_matches(s, metric, orient):
+    if not ref_metric_matches(s, metric, orient):
         raise MetricMismatchError("form does not induce this structure's metric/orientation")
+
+
+class Normalized(Exception):
+    """Raised by the stub normalization of slack_accepts."""
+
+
+def slack_accepts(s, phit, contraction=None):
+    """Whether the slack test inside G2Structure.check_metric accepts phit
+    on its own: check_metric runs with g2core's _normalized_metric stubbed
+    to raise, and with B(phit) read as `contraction` when one is given."""
+    def normalize(*args):
+        raise Normalized
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(g2core, "_normalized_metric", normalize)
+        if contraction is not None:
+            mp.setattr(g2core, "_contraction_matrix", lambda coeffs: contraction)
+        try:
+            s.check_metric(phit)
+        except Normalized:
+            return False
+    return True
 
 
 def raised(run):
@@ -1279,16 +1308,16 @@ def float_sphere_point(s, rng):
 def assert_metric_tests_agree(s, rng):
     """For phit = twist + delta psi, psi a Gaussian 3-form: recover's metric
     test raises what the normalizing reference raises, and wherever the
-    slack test (matches_contraction) accepts, the reference's metric gap is
+    slack test (slack_accepts) accepts, the reference's metric gap is
     within RECOVERY_TOL.  Returns how many perturbations it accepted."""
     base = twist(s, float_sphere_point(s, rng))
     psi = KForm(3, tuple(rng.gauss(0.0, 1.0) for _ in range(len(base.num))))
     accepted = 0
     for delta in PERTURBATIONS:
         phit = base + delta * psi
-        assert raised(lambda: bryant._check_metric(s, phit)) is raised(
+        assert raised(lambda: s.check_metric(phit)) is raised(
             lambda: ref_check_metric(s, phit)), delta
-        if s.matches_contraction(g2core._contraction_matrix(phit.num), phit.den):
+        if slack_accepts(s, phit):
             assert reference_metric_gap(s, phit) <= RECOVERY_TOL, delta
             accepted += 1
     return accepted
@@ -1317,7 +1346,7 @@ def test_slack_metric_test_agrees_with_the_normalization_on_rational_frames(a, s
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_slack_test_against_the_literal_test(mode):
-    """In exact mode matches_contraction is the literal B test on twists and
+    """In exact mode the slack test is the literal B test on twists and
     on the forms outside the family; in float mode it accepts whatever the
     literal test accepts."""
     s = standard_structure(mode)
@@ -1326,7 +1355,7 @@ def test_slack_test_against_the_literal_test(mode):
     for phit in forms:
         contraction = g2core._contraction_matrix(phit.num)
         literal = ref_same_contraction(s, contraction, phit.den)
-        fast = s.matches_contraction(contraction, phit.den)
+        fast = slack_accepts(s, phit)
         assert fast is literal if s.ctx.is_exact else (fast or not literal)
 
 
@@ -1336,11 +1365,11 @@ def test_slack_test_refuses_a_non_finite_contraction():
     gets the normalization's NotG2FormError."""
     s = standard_structure("float")
     own, _ = s._contraction
-    assert s.matches_contraction(own, 1)
+    assert slack_accepts(s, s.phi, own)
     for bad in (math.nan, math.inf):
         contraction = [list(row) for row in own]
         contraction[2][5] = contraction[5][2] = bad
-        assert not s.matches_contraction(contraction, 1)
+        assert not slack_accepts(s, s.phi, contraction)
     huge = s.phi * 1e120
     with np.errstate(over="ignore", invalid="ignore"):  # the cubic B overflows
         assert raised(lambda: recover(s, huge)) is raised(lambda: ref_check_metric(s, huge)) \
@@ -1408,7 +1437,7 @@ def ref_recover(s, phit, tol=RECOVERY_TOL):
     phit = coerce_form(phit, s.ctx)
     if phit.degree != 3:
         raise DegreeError("recover expects a 3-form")
-    bryant._check_metric(s, phit)
+    s.check_metric(phit)
     ctx = s.ctx
     phi_inner, (coords, cden) = frame_coordinates(phit, s)
     c_sq = (phi_inner + 1) / 8
@@ -1632,12 +1661,12 @@ def test_w_pivot_identities_on_models(kind, rng):
 
 
 def ref_recover_metric_first(s, phit, tol=RECOVERY_TOL):
-    """The earlier recover: the metric test (_check_metric) on every call,
-    before the pivots and the re-twist."""
+    """The earlier recover: the metric test (G2Structure.check_metric) on
+    every call, before the pivots and the re-twist."""
     phit = coerce_form(phit, s.ctx)
     if phit.degree != 3:
         raise DegreeError("recover expects a 3-form")
-    bryant._check_metric(s, phit)
+    s.check_metric(phit)
     ctx = s.ctx
     phi_inner, (coords, cden) = frame_coordinates(phit, s)
     c_sq = (phi_inner + 1) / 8
@@ -1728,15 +1757,16 @@ def test_recover_equals_the_metric_first_reference_on_rational_frames(a, seed):
 
 @pytest.fixture
 def contraction_calls(monkeypatch):
-    """Calls of _contraction_matrix from recover's metric test."""
+    """Calls of g2core's _contraction_matrix, which recover's metric test
+    (G2Structure.check_metric) runs first."""
     calls = []
-    real = bryant._contraction_matrix
+    real = g2core._contraction_matrix
 
     def counted(coeffs):
         calls.append(1)
         return real(coeffs)
 
-    monkeypatch.setattr(bryant, "_contraction_matrix", counted)
+    monkeypatch.setattr(g2core, "_contraction_matrix", counted)
     return calls
 
 

@@ -59,6 +59,18 @@ def test_twist_off_sphere_exits_one(capsys):
     assert not rep["ok"]
 
 
+def test_float_twist_off_sphere_within_tol_but_beyond_constraint_tol_reports(capsys):
+    """A float residual of 1.6e-11, inside --tol 1e-10 but beyond the
+    CONSTRAINT_TOL = 1e-12 that twist checks, gets the off-sphere report
+    and exit 1, not an error on stderr with no report."""
+    omega = '{"degree": 1, "entries": [{"idx": [1], "coeff": "0.80000000001"}]}'
+    code, rep = run_json(capsys, ["twist", "--mode", "float", "--c", "0.6", "--omega", omega])
+    assert code == 1
+    assert rep["checks"] == {"constraint_on_sphere": False}
+    assert rep["residuals"]["constraint"] == pytest.approx(1.6e-11, rel=1e-3)
+    assert not rep["ok"]
+
+
 def test_twist_needs_exactly_one_omega_source(capsys, tmp_path):
     assert main(["twist", "--c", "1"]) == 2
     p = tmp_path / "w.json"

@@ -288,6 +288,32 @@ def test_lane_forks_are_counted():
     assert len(forks) <= 4, forks
 
 
+# The pieces of the family's metric test, kept inside g2core.
+METRIC_TEST_PIECES = {"_contraction_matrix", "_normalized_metric"}
+
+
+def test_the_metric_test_has_one_home():
+    """G2Structure.check_metric is the family's one metric test: the package
+    raises MetricMismatchError in one place, in g2core, and no other module
+    imports or reads the test's pieces (_contraction_matrix,
+    _normalized_metric)."""
+    raises, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "MetricMismatchError":
+                    raises.append(path.stem)
+            if path.stem == "g2core":
+                continue
+            if isinstance(node, ast.ImportFrom):
+                reads += [(path.stem, a.name) for a in node.names if a.name in METRIC_TEST_PIECES]
+            elif isinstance(node, ast.Attribute) and node.attr in METRIC_TEST_PIECES:
+                reads.append((path.stem, node.attr))
+    assert raises == ["g2core"]
+    assert reads == []
+
+
 def test_no_kernel_function_takes_an_exact_flag():
     """A lane is named by a Context, never by a bool parameter `exact`."""
     flagged = [(name, node.name) for name in KERNEL_MODULES

@@ -44,9 +44,9 @@
   ref_truediv and ref_max_abs;
 - the exact Metric's (int rows, den) pair: its one Bareiss pass against
   the seven Fraction determinants of Sylvester's criterion
-  (ref_leading_minors_positive), and is_euclidean, bryant._metric_matches
-  and bryant._recover_c_positive against the loops over the metric's rows
-  they replaced (ref_metric_is_euclidean, ref_metric_matches,
+  (ref_leading_minors_positive), and is_euclidean, the metric comparison
+  of G2Structure.check_metric and bryant._recover_c_positive against the
+  loops over the metric's rows they replaced (ref_metric_is_euclidean, ref_metric_matches,
   ref_recover_c_positive).
 
 Properties over drawn frames build their exact structures through
@@ -72,7 +72,7 @@ from g2kit.context import (
     lane_of,
     rational_nth_root,
 )
-from g2kit.errors import DecompositionError, G2KitError, MetricError
+from g2kit.errors import DecompositionError, G2KitError, MetricError, MetricMismatchError
 from g2kit.exterior import (
     BASIS,
     DIM,
@@ -1867,8 +1867,8 @@ def ref_metric_is_euclidean(m):
 
 
 def ref_metric_matches(s, metric, orientation):
-    """bryant._metric_matches with no equality shortcut: the max-abs entry
-    gap over the two metrics' rows."""
+    """The metric comparison of G2Structure.check_metric with no equality
+    shortcut: the max-abs entry gap over the two metrics' rows."""
     if orientation.sign != s.orientation.sign:
         return False
     diff = max(abs(metric.rows[i][j] - s.metric.rows[i][j]) for i in range(DIM) for j in range(DIM))
@@ -1948,13 +1948,16 @@ def test_metric_pair_equals_sylvester_reference(rows):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_metric_readers_equal_fraction_loops(mode):
-    """is_euclidean, bryant._metric_matches and bryant._recover_c_positive,
-    which read the metric's stored pair, against the loops over its rows
-    they replaced: exact results equal literally, float results are
-    repr-identical.  On the three flat models, a non-Euclidean frame and a
-    metric 1e-12 off the first model's (inside RECOVERY_TOL in the float
-    lane, unequal in the exact lane)."""
+def test_metric_readers_equal_fraction_loops(mode, monkeypatch):
+    """is_euclidean, the metric comparison of G2Structure.check_metric and
+    bryant._recover_c_positive, which read the metric's stored pair, against
+    the loops over its rows they replaced: exact results equal literally,
+    float results are repr-identical.  On the three flat models, a
+    non-Euclidean frame and a metric 1e-12 off the first model's (inside
+    RECOVERY_TOL in the float lane, unequal in the exact lane).  The
+    comparison is reached through check_metric on 2 phi, whose B lies
+    outside the slack, with g2core's _normalized_metric stubbed to return
+    the metric and orientation under test."""
     ctx = Context.of(mode)
     frame = [[ctx.scalar(x) for x in row] for row in ILL_CONDITIONED_FRAME]
     structures = [model_structure(name, mode) for name in ("t7", "s1xcy3", "t3xk3")]
@@ -1968,7 +1971,13 @@ def test_metric_readers_equal_fraction_loops(mode):
         for m in metrics:
             assert m.is_euclidean == ref_metric_is_euclidean(m)
             for o in (POSITIVE, NEGATIVE):
-                assert bryant._metric_matches(s, m, o) == ref_metric_matches(s, m, o)
+                monkeypatch.setattr(g2core, "_normalized_metric", lambda *args: (m, o))
+                try:
+                    s.check_metric(s.phi * 2)
+                    matches = True
+                except MetricMismatchError:
+                    matches = False
+                assert matches == ref_metric_matches(s, m, o)
         for _ in range(3):
             _, (coords, cden) = frame_coordinates(coerce_form(rational_kform(rng, 3), ctx), s)
             c = ctx.scalar(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
