@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import ratlin
 from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
 from .errors import (
     ConstraintError,
@@ -303,7 +304,7 @@ def _recover_c_positive(s: G2Structure, coords, cden, c) -> TwistParams:
     """
     g = s.metric
     ((p,),), q = s.ctx.scaled([[c]])
-    sums = [sum(x * y for x, y in zip(row, coords)) * q for row in g.num]
+    sums = [x * q for x in ratlin.matvec(g.num, coords, s.ctx.scaled_zero)]
     return TwistParams(c, KForm._of(1, sums, -2 * p * g.den * cden, s.ctx))
 
 

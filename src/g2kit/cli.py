@@ -23,7 +23,8 @@ from .context import CONSTRAINT_TOL, DEFAULT_TOL, Context
 from .errors import G2KitError, ParseError
 from .exterior import DIM, KForm, coerce_form, form_inner
 from .g2core import decompose2, decompose3, metric_from_phi, standard_structure
-from .liegroup import act_on_form, coset_tangent_dim, g2_algebra_basis, lie_normalizer, so7_basis
+from .liegroup import (act_on_form, coset_tangent_dim, g2_algebra_basis, lie_normalizer,
+                       orthogonality_gap, so7_basis)
 from .models import (
     covering_sheet_count,
     flat_model,
@@ -33,7 +34,6 @@ from .models import (
     model_structure,
     translation_orbit,
 )
-from .ratlin import matmul, transpose
 from .serialize import (
     SCHEMA_VERSION,
     canonical_json,
@@ -207,8 +207,7 @@ def cmd_g2check(args, cfg: CliConfig) -> dict:
     ctx = cfg.ctx
     rows = matrix_from_json(payload, ctx)
     s = standard_structure(cfg.mode)
-    gtg = matmul(transpose([list(r) for r in rows]), [list(r) for r in rows])
-    ortho_gap = max(abs(gtg[i][j] - (1 if i == j else 0)) for i in range(DIM) for j in range(DIM))
+    ortho_gap = orthogonality_gap(rows)
     ortho_ok = ctx.is_zero(ortho_gap)
     residuals = {"orthogonality": scalar_to_json(ortho_gap)}
     form_ok = False
@@ -295,7 +294,7 @@ def cmd_demo(args, cfg: CliConfig) -> dict:
     if m.kind == "t7":
         translations = [tuple(rng.uniform(0, 1) for _ in range(DIM)) for _ in range(20)]
         orbit = translation_orbit(m, pt, translations)
-        sheets = covering_sheet_count(m, pt, rng, samples=40)
+        sheets = covering_sheet_count(m, pt, rng)
         outputs["orbit_size"] = len(orbit)
         outputs["sheets"] = sheets
         outputs["summary"] = f"b1={m.b1}, sheets={sheets}"

@@ -263,24 +263,24 @@ class Context:
         return ratlin.definite_det(m) if self.is_exact else None
 
     def inv(self, m) -> list:
-        """Inverse as rows; G2KitError("matrix is singular") in both modes."""
-        from . import ratlin
-
-        if self.is_exact:
-            return ratlin.inv_exact(m)
-        try:
-            return np.linalg.inv(np.asarray(m, dtype=float)).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise G2KitError("matrix is singular") from exc
+        """Inverse as lane rows, scaled_inverse's pair read through ratio;
+        G2KitError("matrix is singular") in both modes."""
+        rows, den = self.scaled_inverse(m)
+        return [[self.ratio(x, den) for x in row] for row in rows]
 
     def scaled_inverse(self, m) -> tuple:
-        """inv's result as Context.scaled rows (rows, den): in exact mode int
+        """The inverse as Context.scaled rows (rows, den): in exact mode int
         rows over one den from one int elimination (ratlin.inv_int), with no
         Fraction; in float mode numpy's inverse over 1.  G2KitError("matrix
         is singular") in both modes."""
         from . import ratlin
 
-        return ratlin.inv_int(m) if self.is_exact else (self.inv(m), 1)
+        if self.is_exact:
+            return ratlin.inv_int(m)
+        try:
+            return np.linalg.inv(np.asarray(m, dtype=float)).tolist(), 1
+        except np.linalg.LinAlgError as exc:
+            raise G2KitError("matrix is singular") from exc
 
     def rank(self, m) -> int:
         from . import ratlin
@@ -288,17 +288,16 @@ class Context:
         return ratlin.rank_exact(m) if self.is_exact else ratlin.rank_float(m)
 
     def nullspace(self, m) -> list:
-        """A kernel basis: one rational vector per free column in exact mode,
-        an orthonormal basis (SVD) in float mode."""
-        from . import ratlin
-
-        return ratlin.nullspace_exact(m) if self.is_exact else ratlin.nullspace_float(m)
+        """A kernel basis as lane rows, scaled_nullspace's pair read through
+        ratio."""
+        rows, den = self.scaled_nullspace(m)
+        return [[self.ratio(x, den) for x in row] for row in rows]
 
     def scaled_nullspace(self, m) -> tuple:
-        """nullspace's kernel basis as Context.scaled rows (rows, den): in
-        exact mode int rows over one den whose quotients are nullspace's
-        vectors literally, built with no Fraction (ratlin.nullspace_int); in
-        float mode the orthonormal basis over 1."""
+        """A kernel basis as Context.scaled rows (rows, den): in exact mode
+        one vector per free column, int rows over one den built with no
+        Fraction (ratlin.nullspace_int); in float mode the orthonormal
+        basis over 1."""
         from . import ratlin
 
         return ratlin.nullspace_int(m) if self.is_exact else (ratlin.nullspace_float(m), 1)

@@ -37,11 +37,11 @@ and the minors of g of each order (compound); int rows over one den in the
 exact lane, float rows over 1 in the float lane.  By Jacobi's complementary-minor identity the k x k minors of g^-1 are the
 re-indexed (7 - k) x (7 - k) minors of g over det g, so the Gram of basis
 k-forms for k >= 2 (_lambda_gram) and the star of every degree read the
-minors of g; the Gram of 1-forms is g^-1.  form_inner and the star run one
-matvec of a table with their form's stored numerators.  The float minors
-of g round far better with cond(g) than the minors of a float g^-1: they
-keep the float star of phi at |phi|^2 = 7 on frames where the 3 x 3
-minors of g^-1 miss it by 1e-6.
+minors of g; the Gram of 1-forms is g^-1.  The star and sharp run one
+ratlin.matvec of a table with the form's stored numerators, form_inner one
+Gram sum (_gram_sum).  The float minors of g round far better with
+cond(g) than the minors of a float g^-1: they keep the float star of phi
+at |phi|^2 = 7 on frames where the 3 x 3 minors of g^-1 miss it by 1e-6.
 """
 from __future__ import annotations
 
@@ -213,9 +213,11 @@ class KForm:
         return self._lane.is_exact
 
     def coeff(self, *index: int):
-        """Signed coefficient lookup; repeated indices give 0."""
+        """Signed coefficient lookup; repeated indices give 0, bad ones DegreeError."""
         if len(index) == 1 and isinstance(index[0], (tuple, list)):
             index = tuple(index[0])
+        if len(index) != self.degree or not set(index) <= set(range(1, DIM + 1)):
+            raise DegreeError(f"bad index {index!r} for degree {self.degree}")
         order = tuple(sorted(index))
         if len(set(order)) != len(order):
             return self._lane.zero
@@ -311,6 +313,8 @@ def coerce_form(a: KForm, ctx: Context) -> KForm:
 
 
 def basis_vector(i: int, ctx: Context = EXACT) -> tuple:
+    if not 1 <= i <= DIM:
+        raise ValueError(f"basis vector index must be 1..{DIM}, got {i!r}")
     return tuple(ctx.one if j == i else ctx.zero for j in range(1, DIM + 1))
 
 
@@ -370,6 +374,8 @@ def interior(v: Sequence, a: KForm) -> KForm:
     sum_i v_i (e_i . a) over the contractions of a's stored numerators."""
     if a.degree == 0:
         raise DegreeError("cannot contract a 0-form")
+    if len(v) != DIM:
+        raise ValueError(f"interior needs a vector of {DIM} entries, got {len(v)}")
     k = a.degree
     lane = lane_of((a.num[0], *v))
     a = coerce_form(a, lane)
@@ -610,13 +616,6 @@ def _lambda_gram(m: Metric, k: int):
     return tuple(tuple(flat[i:i + NK[k]]) for i in range(0, NK[k] ** 2, NK[k])), den
 
 
-def _matvec(rows, v, zero=0) -> list:
-    """rows . v, skipping v's zeros, each sum started at zero: ints for
-    Context.scaled rows in the exact lane."""
-    nonzero = [(q, c) for q, c in enumerate(v) if c]
-    return [sum((row[q] * c for q, c in nonzero), zero) for row in rows]
-
-
 def _row_sum(xs, rows, zero) -> list:
     """xs . rows = sum x_i rows_i over the nonzero x_i, summed from zero on
     scaled rows of one length (ints in the exact lane); zip stops at the
@@ -683,12 +682,14 @@ def hodge_star(a: KForm, m: Metric = EUCLIDEAN, o: Orientation = POSITIVE) -> KF
         signed[po] = c if s > 0 else -c
     rows, den = _metric_minors(m, out_deg)
     ((scale,),), sden = lane.scaled([[_sqrt_det(m) * o.sign / _metric_det(m)]])
-    out = [x * scale for x in _matvec(rows, signed, lane.scaled_zero)]
+    out = [x * scale for x in ratlin.matvec(rows, signed, lane.scaled_zero)]
     return KForm._of(out_deg, out, den * a.den * sden, lane)
 
 
 def flat(v: Sequence, m: Metric = EUCLIDEAN) -> KForm:
     """Lower an index: the 1-form g(v, .)."""
+    if len(v) != DIM:
+        raise ValueError(f"flat needs a vector of {DIM} entries, got {len(v)}")
     return KForm(1, tuple(sum(m.rows[i][j] * v[j] for j in range(DIM)) for i in range(DIM)))
 
 
@@ -700,7 +701,7 @@ def sharp(a: KForm, m: Metric = EUCLIDEAN) -> tuple:
     a = coerce_form(a, lane)
     inv, den = _metric_inverse(m)
     den *= a.den
-    return tuple(lane.ratio(sum(x * y for x, y in zip(row, a.num)), den) for row in inv)
+    return tuple(lane.ratio(x, den) for x in ratlin.matvec(inv, a.num, lane.scaled_zero))
 
 
 def pullback(a: KForm, mat) -> KForm:

@@ -73,7 +73,6 @@ from .exterior import (
     _comp_table,
     _contractions,
     _interior_table,
-    _matvec,
     _metric_inverse,
     _metric_minors,
     _row_sum,
@@ -716,7 +715,7 @@ def decompose2(beta: KForm, s: G2Structure) -> Decomposition2:
         raise DegreeError("decompose2 expects a 2-form")
     beta = coerce_form(beta, s.ctx)
     rows, den = s._t_table
-    t_beta = KForm._of(2, _matvec(rows, beta.num, s.ctx.scaled_zero), den * beta.den, s.ctx)
+    t_beta = KForm._of(2, ratlin.matvec(rows, beta.num, s.ctx.scaled_zero), den * beta.den, s.ctx)
     denom = s.lambda7 - s.lambda14
     p7 = (t_beta - s.lambda14 * beta) * (1 / denom)
     return Decomposition2(p7=p7, p14=beta - p7)
@@ -734,7 +733,7 @@ def frame_coordinates(eta: KForm, s: G2Structure):
     already be in the structure's lane.
     """
     rows, den = s._frame_table[2]
-    inner, den = _matvec(rows, eta.num), den * eta.den
+    inner, den = ratlin.matvec(rows, eta.num), den * eta.den
     return s.ctx.ratio(inner[0], den), (inner[1:], 4 * den)
 
 
@@ -757,8 +756,7 @@ def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
     # <eta, phi> / 7 = w / wden
     ((w,),), wden = ctx.scaled([[phi_inner / 7]])
     p1 = [x * w for x in phi]
-    terms = [(f, c) for f, c in zip(frames, coords) if c]
-    p7 = [sum((f[q] * c for f, c in terms), ctx.scaled_zero) for q in range(NK[3])]
+    p7 = _row_sum(coords, frames, ctx.scaled_zero)
     d1, d7 = wden * rden, cden * rden
     # eta - p1 - p7 over one denominator
     den = lcm(eden, d1, d7)
@@ -791,9 +789,6 @@ class SymTensor:
             tr = sum(rows[i][i] for i in range(DIM))
             if not lane_of([tr]).is_zero(tr, ENTRY_TOL):
                 raise ValueError("SymTensor flagged traceless has nonzero trace")
-
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(DIM))
 
 
 def _as_rows(b):
@@ -853,8 +848,8 @@ def odot_local(b, s: G2Structure, frame=None) -> KForm:
         frame = [basis_vector(i, ctx) for i in range(1, DIM + 1)]
     else:
         frame = [tuple(v) for v in frame]
-        if len(frame) != DIM:
-            raise FrameError("frame needs 7 vectors")
+        if len(frame) != DIM or any(len(v) != DIM for v in frame):
+            raise FrameError("frame needs 7 vectors of 7 entries")
         for i in range(DIM):
             fi = flat(frame[i], s.metric)
             for j in range(DIM):

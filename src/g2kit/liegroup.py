@@ -54,14 +54,19 @@ def _lane(*mats):
     return lane_of(x for m in mats for row in m for x in row)
 
 
+def orthogonality_gap(g):
+    """max |(g^T g - 1)_ij|, zero exactly when g is orthogonal."""
+    rows = _rows(g)
+    gtg = ratlin.matmul(ratlin.transpose(rows), rows)
+    return ratlin.mat_max_abs(ratlin.mat_sub(gtg, ratlin.identity(DIM)))
+
+
 def is_so7(g, tol: float = SO7_TOL) -> bool:
-    """Orthogonal with determinant one: g^T g - 1 and det g - 1 vanish
-    (literally in exact mode, entrywise within tol in float mode)."""
+    """Orthogonal with determinant one: g^T g - 1 (orthogonality_gap) and det g - 1
+    vanish (literally in exact mode, entrywise within tol in float mode)."""
     rows = _rows(g)
     lane = _lane(rows)
-    gtg = ratlin.matmul(ratlin.transpose(rows), rows)
-    ortho = ratlin.mat_max_abs(ratlin.mat_sub(gtg, ratlin.identity(DIM)))
-    return lane.is_zero(ortho, tol) and lane.is_zero(lane.det(rows) - 1, tol)
+    return lane.is_zero(orthogonality_gap(rows), tol) and lane.is_zero(lane.det(rows) - 1, tol)
 
 
 def act_on_form(g, a: KForm) -> KForm:
@@ -194,7 +199,7 @@ def _annihilator(lane, vecs):
 
 
 def _in_span(lane, ann, v) -> bool:
-    return lane.is_zero(max((abs(x) for x in ratlin.matvec(ann, v)), default=0), LIE_TOL)
+    return lane.is_zero(max((abs(x) for x in ratlin.matvec(ann, v, lane.scaled_zero)), default=0), LIE_TOL)
 
 
 def so7_basis(ctx: Context = EXACT) -> SubalgebraBasis:
@@ -276,7 +281,7 @@ def lie_normalizer(ambient: SubalgebraBasis, sub: SubalgebraBasis) -> Subalgebra
     amb_vecs = lane.scaled([_vec_so(m) for m in ambient.matrices])[0]
     constraint = []
     for svec in sub_vecs:
-        cols = [ratlin.matvec(ann, _bracket_vec(avec, svec)) for avec in amb_vecs]
+        cols = [ratlin.matvec(ann, _bracket_vec(avec, svec), lane.scaled_zero) for avec in amb_vecs]
         constraint.extend(list(row) for row in zip(*cols))
     mats = []
     for coeffs in lane.nullspace(constraint or [[0] * len(amb_vecs)]):
@@ -365,7 +370,7 @@ def coset_tangent_dim(h: HolonomySpec, s: G2Structure | None = None) -> int:
             gi, gj = grows[i], grows[j]
             moved = [gi[p] * gj[q] - gj[p] * gi[q] for (p, q) in _UPPER]
             moved[a] -= d * d
-            cols.append(ratlin.matvec(ann, moved))
+            cols.append(ratlin.matvec(ann, moved, lane.scaled_zero))
         constraint.extend(list(row) for row in zip(*cols))
     return len(_UPPER) - lane.rank(constraint) - g2b.dim
 

@@ -159,14 +159,17 @@ def translation_orbit(m: FlatModel, p: GammaPoint, translations) -> tuple:
     return tuple(seen)
 
 
-def covering_sheet_count(m: FlatModel, p: GammaPoint, rng: random.Random, samples: int = 100) -> int:
-    """Sheet count over a parameter point: the orbit size under sampled translations."""
-    translations = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(DIM)] for _ in range(samples)]
+def covering_sheet_count(m: FlatModel, p: GammaPoint, rng: random.Random) -> int:
+    """Sheet count over a parameter point: the orbit size under _SHEET_SAMPLES sampled translations."""
+    translations = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(DIM)] for _ in range(_SHEET_SAMPLES)]
     return len(translation_orbit(m, p, translations))
 
 
 # A holonomy draw is rng.uniform(-1, 1) rounded to a multiple of 1/_DRAW_DEN.
 _DRAW_DEN = 16
+# Draws per call: covering_sheet_count's translations, holonomy_sample's generators.
+_SHEET_SAMPLES = 40
+_HOLONOMY_GENERATORS = 3
 
 # {label: (draws per generator, ((z_p, z_q), draw indices of a, b, c) per
 # Cayley factor)}.  The complex coordinate z_k lives on the 0-based real pair
@@ -220,15 +223,16 @@ def _cayley_generator(rng: random.Random, label: str) -> tuple:
     return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
-def holonomy_sample(m: FlatModel, rng: random.Random, count: int = 3) -> HolonomySpec:
+def holonomy_sample(m: FlatModel, rng: random.Random) -> HolonomySpec:
     """Sampled generators of the model's holonomy label, as a HolonomySpec.
 
-    The torus gives the trivial spec.  The other models give count exact
-    rational generators of their block special-unitary group, each a product
-    of Cayley transforms (_cayley_factor) on root su(2)s, from 8 draws per
-    su(3) generator and 3 per su(2) generator.  The generators are Fraction
-    matrices whatever the caller's lane, so coset_tangent_dim and every
-    membership test on them are decided literally."""
+    The torus gives the trivial spec.  The other models give
+    _HOLONOMY_GENERATORS exact rational generators of their block
+    special-unitary group, each a product of Cayley transforms
+    (_cayley_factor) on root su(2)s, from 8 draws per su(3) generator and 3
+    per su(2) generator.  The generators are Fraction matrices whatever the
+    caller's lane, so coset_tangent_dim and every membership test on them
+    are decided literally."""
     if m.holonomy_label == "trivial":
         return HolonomySpec.trivial()
-    return HolonomySpec(tuple(_cayley_generator(rng, m.holonomy_label) for _ in range(count)))
+    return HolonomySpec(tuple(_cayley_generator(rng, m.holonomy_label) for _ in range(_HOLONOMY_GENERATORS)))

@@ -14,9 +14,10 @@ partial-pivoting pivots in pure Python (det_float, exact when the pivots
 are, as for phi0's contraction matrix 6 I) and defers the rest to numpy;
 its rank decisions use the singular value cutoff context.FLOAT_RANK_CUTOFF
 of the tolerance ladder.  Callers pick a lane through Context.det /
-definite_det / inv / scaled_inverse / rank / nullspace / scaled_nullspace /
-span / eigenvalue / solve.  Matrices are lists/tuples of rows; vectors are
-flat sequences.
+definite_det / scaled_inverse (read by inv) / rank / scaled_nullspace (read
+by nullspace) / span / eigenvalue / solve; matvec is the package's one
+matrix-vector product.  Matrices are lists/tuples of rows; vectors are flat
+sequences.
 """
 from __future__ import annotations
 
@@ -48,8 +49,11 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def matvec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+def matvec(rows, v, zero=0) -> list:
+    """rows . v, skipping v's zeros, each sum started at zero: ints for
+    Context.scaled rows in the exact lane."""
+    nonzero = [(q, c) for q, c in enumerate(v) if c]
+    return [sum((row[q] * c for q, c in nonzero), zero) for row in rows]
 
 
 def mat_sub(a, b):
@@ -236,12 +240,6 @@ def inv_int(m):
     return [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(rows)], den
 
 
-def inv_exact(m):
-    """m^-1 as Fraction rows (inv_int)."""
-    rows, den = inv_int(m)
-    return [[Fraction(x, den) for x in row] for row in rows]
-
-
 def solve_exact(a, b):
     """Any exact solution of a x = b (consistent, possibly overdetermined).
 
@@ -258,13 +256,6 @@ def solve_exact(a, b):
     for r, c in enumerate(pivots):
         x[c] = red[r][nc]
     return x
-
-
-def nullspace_exact(m):
-    """Basis of the exact kernel, one vector per free column, as Fraction
-    rows (nullspace_int)."""
-    rows, den = nullspace_int(m)
-    return [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
 
 
 def nullspace_int(m):
@@ -290,11 +281,11 @@ def nullspace_int(m):
 
 
 def span_exact(m):
-    """Basis of the row span in nullspace_exact's normalization: the reduced
+    """Basis of the row span in nullspace_int's normalization: the reduced
     row echelon form taken from the right (columns reversed, rref, reversed
     back), rows ordered by their last nonzero column.  Those columns are the
     free columns of any matrix whose kernel is this span, so the basis
-    equals nullspace_exact(nullspace_exact(m))."""
+    equals the exact Context.nullspace applied twice."""
     red, pivots = rref([row[::-1] for row in m])
     return [row[::-1] for row in red[len(pivots) - 1::-1]] if pivots else []
 

@@ -288,6 +288,35 @@ def test_lane_forks_are_counted():
     assert len(forks) <= 4, forks
 
 
+# Context methods that read a scaled kernel through ratio instead of forking on the lane.
+LANE_FREE_VIEWS = ("inv", "nullspace")
+
+
+def test_only_ratlin_defines_a_matvec():
+    """ratlin.matvec is the package's one matrix-vector product: no other
+    module defines a matvec or _matvec."""
+    products = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in ("matvec", "_matvec")]
+    assert products == [("ratlin", "matvec")]
+
+
+def test_inv_and_nullspace_make_no_lane_test():
+    """Context.inv and Context.nullspace read scaled_inverse and
+    scaled_nullspace through ratio: neither reads is_exact or mode, so each
+    operation picks its lane once."""
+    tree = ast.parse((SRC / "context.py").read_text(encoding="utf-8"))
+    (context,) = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Context"]
+    views = {node.name: node for node in context.body
+             if isinstance(node, ast.FunctionDef) and node.name in LANE_FREE_VIEWS}
+    assert set(views) == set(LANE_FREE_VIEWS)
+    tests = [(name, read) for name, view in views.items() for node in ast.walk(view)
+             if (read := getattr(node, "attr", getattr(node, "id", None))) in ("is_exact", "mode")]
+    assert tests == []
+
+
 # The pieces of the family's metric test, kept inside g2core.
 METRIC_TEST_PIECES = {"_contraction_matrix", "_normalized_metric"}
 

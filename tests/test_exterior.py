@@ -77,6 +77,39 @@ def test_kform_coeff_sign_lookup():
     assert a.coeff((1, 1, 2)) == 0
 
 
+@pytest.mark.parametrize("v", [(1, 2), (), (1,) * 8], ids=["short", "empty", "long"])
+def test_interior_refuses_a_vector_without_7_entries(v):
+    """interior once read (1, 2) as (1, 2, 0, 0, 0, 0, 0), dropped an eighth
+    entry and contracted () to the zero form."""
+    with pytest.raises(ValueError, match="7 entries"):
+        interior(v, phi0())
+    with pytest.raises(DegreeError):
+        interior(v, KForm.zero(0))
+
+
+@pytest.mark.parametrize("v", [(1, 2), (1,) * 8], ids=["short", "long"])
+def test_flat_refuses_a_vector_without_7_entries(v):
+    with pytest.raises(ValueError, match="7 entries"):
+        flat(v)
+
+
+@pytest.mark.parametrize("i", [0, 8, 9, -1])
+def test_basis_vector_refuses_an_index_outside_1_to_7(i):
+    with pytest.raises(ValueError, match="1..7"):
+        basis_vector(i)
+    assert basis_vector(7, FLOAT)[-1] == 1.0
+
+
+@pytest.mark.parametrize("index", [(1, 2), (1, 2, 9), (0, 1, 2), (1, 2, 3, 4), (1, 1, 8)])
+def test_coeff_refuses_an_index_of_wrong_length_or_range(index):
+    phi = phi0()
+    with pytest.raises(DegreeError):
+        phi.coeff(*index)
+    with pytest.raises(DegreeError):
+        phi.coeff(index)
+    assert phi.coeff(1, 1, 3) == 0
+
+
 def test_degree_guards():
     with pytest.raises(DegreeError):
         KForm(2, (Fraction(1),) * 5)

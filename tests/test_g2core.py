@@ -439,6 +439,13 @@ def test_odot_local_rejects_bad_frame(s):
         odot_local([[Fraction(0)] * DIM for _ in range(DIM)], s, frame=frame)
 
 
+def test_odot_local_rejects_short_frame_vectors(s):
+    """A frame vector of the wrong length is a FrameError, not flat's IndexError."""
+    for frame in ([(1, 0)] * DIM, [(*basis_vector(k + 1), 0) for k in range(DIM)]):
+        with pytest.raises(FrameError, match="7 vectors of 7 entries"):
+            odot_local([[Fraction(0)] * DIM for _ in range(DIM)], s, frame=frame)
+
+
 def test_sym_tensor_validation():
     bad = [[Fraction(0)] * DIM for _ in range(DIM)]
     bad[0][1] = Fraction(1)

@@ -3,8 +3,11 @@
 - ratlin's fraction-free rref/det/solve/nullspace/inv against Gauss-Jordan
   over Fractions, kept here as the reference, the forward-only rank
   against the rref pivot count it replaced (ref_rank_exact), and the int
-  kernel (nullspace_int, behind nullspace_exact) against the same
-  Gauss-Jordan kernel;
+  kernel (nullspace_int, behind Context.nullspace) against the same
+  Gauss-Jordan kernel; Context.inv and Context.nullspace against the
+  Fraction wrappers and numpy calls they replaced (ref_inv_exact,
+  ref_nullspace_exact, ref_inv_float), and ratlin.matvec against the dense
+  product (ref_matvec);
 - the cubic table for B(phi) against the wedge chain that defines it;
 - the closed forms used at construction: frame Gram = 4 g, the symmetric
   action assembled from g^-1;
@@ -214,7 +217,7 @@ def test_det_matches_reference(m):
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_nullspace_matches_reference(m):
-    assert ratlin.nullspace_exact(m) == ref_nullspace(m)
+    assert EXACT.nullspace(m) == ref_nullspace(m)
 
 
 @given(matrices())
@@ -225,8 +228,8 @@ def test_nullspace_matches_reference(m):
 @settings(max_examples=200, deadline=None)
 def test_int_nullspace_equals_the_reference_kernel(m):
     """The int kernel's rows over its one positive den are the Gauss-Jordan
-    reference's vectors literally (ref_nullspace, which nullspace_exact's
-    Fractions are tested against too): on full-rank, rank-deficient and
+    reference's vectors literally (ref_nullspace, which the exact
+    Context.nullspace is tested against too): on full-rank, rank-deficient and
     zero rows (matrices()) and on the empty matrix; Context.scaled_nullspace
     gives the same pair in exact mode and the SVD basis over 1 in float
     mode."""
@@ -266,10 +269,98 @@ def test_inv_matches_reference(m):
     n = len(m)
     if ref_det(m) == 0:
         with pytest.raises(G2KitError):
-            ratlin.inv_exact(m)
+            EXACT.inv(m)
         return
     red, _ = ref_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)])
-    assert ratlin.inv_exact(m) == [row[n:] for row in red]
+    assert EXACT.inv(m) == [row[n:] for row in red]
+
+
+def ref_inv_exact(m):
+    """The Fraction wrapper the exact Context.inv replaced: inv_int's rows
+    over its den, one Fraction per entry."""
+    rows, den = ratlin.inv_int(m)
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def ref_nullspace_exact(m):
+    """The Fraction wrapper the exact Context.nullspace replaced."""
+    rows, den = ratlin.nullspace_int(m)
+    return [[Fraction(x, den) if x else Fraction(0) for x in row] for row in rows]
+
+
+def ref_inv_float(m):
+    """The float Context.inv before it read scaled_inverse: numpy's inverse."""
+    try:
+        return np.linalg.inv(np.asarray(m, dtype=float)).tolist()
+    except np.linalg.LinAlgError as exc:
+        raise G2KitError("matrix is singular") from exc
+
+
+def ref_matvec(rows, v, zero):
+    """The dense product ratlin.matvec replaced: every term, zeros of v included."""
+    return [sum((x * y for x, y in zip(row, v)), zero) for row in rows]
+
+
+def _outcome(f, m):
+    """f(m), or the message of the G2KitError it raises."""
+    try:
+        return f(m)
+    except G2KitError as exc:
+        return "raises: " + str(exc)
+
+
+@st.composite
+def lined_matrices(draw, square=False):
+    """matrices() with up to two columns zeroed as well."""
+    m = draw(matrices(square))
+    for c in draw(st.sets(st.integers(0, len(m[0]) - 1), max_size=2)):
+        for row in m:
+            row[c] = Fraction(0)
+    return m
+
+
+@st.composite
+def kernel_cases(draw):
+    """(square, m, v, fm, fv): a square and a general lined_matrices(), a
+    vector v for m with zero entries, and float copies fm, fv of m and v
+    with each zero drawn as 0.0 or -0.0."""
+    sq, m = draw(lined_matrices(square=True)), draw(lined_matrices())
+    v = [draw(st.one_of(st.just(Fraction(0)), RATIONALS)) for _ in m[0]]
+
+    def signed(xs):
+        return [-0.0 if x == 0 and draw(st.booleans()) else float(x) for x in xs]
+
+    return sq, m, v, [signed(row) for row in m], signed(v)
+
+
+@given(kernel_cases())
+@example(([[0]], [[0, 0]], [0, 0], [[-0.0, 0.0]], [-0.0, 0.0]))
+@example(([[1, 2], [2, 4]], [[1, -1], [2, 0]], [0, 3], [[1.0, -1.0], [2.0, -0.0]], [-0.0, 3.0]))
+@settings(max_examples=150, deadline=None)
+def test_lane_views_and_matvec_match_the_kernels_they_replaced(case):
+    """Context.inv and Context.nullspace, read off scaled_inverse and
+    scaled_nullspace, equal the Fraction wrappers (exact, literally) and
+    numpy's inverse and the SVD kernel (float, repr-identically) on
+    matrices with zero rows and columns; a singular matrix raises
+    G2KitError("matrix is singular") in exact mode and wherever numpy
+    raises in float mode.  ratlin.matvec, which skips v's zeros, equals
+    the dense sum from the lane's scaled zero, the sign of a zero result
+    included."""
+    sq, m, v, fm, fv = case
+    fsq = [[float(x) for x in row] for row in sq]
+    if ref_det(sq) == 0:
+        with pytest.raises(G2KitError, match="matrix is singular"):
+            EXACT.inv(sq)
+    assert _outcome(EXACT.inv, sq) == _outcome(ref_inv_exact, sq)
+    assert repr(_outcome(FLOAT.inv, fsq)) == repr(_outcome(ref_inv_float, fsq))
+    got = EXACT.nullspace(m)
+    assert got == ref_nullspace_exact(m) and repr(got) == repr(ref_nullspace_exact(m))
+    assert repr(FLOAT.nullspace(fm)) == repr(ratlin.nullspace_float(fm))
+    rows, _ = EXACT.scaled(m)
+    (iv,), _ = EXACT.scaled([v])
+    got = ratlin.matvec(rows, iv, EXACT.scaled_zero)
+    assert got == ref_matvec(rows, iv, 0) and all(type(x) is int for x in got)
+    assert repr(ratlin.matvec(fm, fv, FLOAT.scaled_zero)) == repr(ref_matvec(fm, fv, 0.0))
 
 
 def ref_rank_exact(m) -> int:
@@ -315,7 +406,7 @@ def test_rank_matches_the_rref_rank(m):
 def test_kernels_on_empty_and_integer_input():
     assert ratlin.rref([]) == ([], [])
     assert ratlin.det_exact([]) == 1
-    assert ratlin.nullspace_exact([]) == []
+    assert EXACT.nullspace([]) == []
     assert ratlin.det_exact([[2, -3], [4, 5]]) == 22
     assert ratlin.rref([[0, 0], [0, -4]]) == ([[0, 1], [0, 0]], [1])
 
@@ -824,7 +915,7 @@ def ref_exact_two_form_spectrum(tmat):
         t7, t14 = (ratlin.mat_sub(tmat, [[lam * (i == j) for j in range(n2)] for i in range(n2)])
                    for lam in (lam7, lam14))
         if all(x == 0 for row in ratlin.matmul(t7, t14) for x in row):
-            return lam7, lam14, ratlin.nullspace_exact(t7), ratlin.nullspace_exact(t14)
+            return lam7, lam14, EXACT.nullspace(t7), EXACT.nullspace(t14)
     raise AssertionError("no trace candidate annihilates T")
 
 
@@ -873,7 +964,7 @@ def test_span_is_the_double_kernel(a):
     for rows, rank in ((contractions, 7), (dependent, 4)):
         span = EXACT.span(rows)
         assert len(span) == rank
-        assert span == ratlin.nullspace_exact(ratlin.nullspace_exact(rows))
+        assert span == EXACT.nullspace(EXACT.nullspace(rows))
         fspan = FLOAT.span([[float(x) for x in row] for row in rows])
         assert len(fspan) == rank
         assert np.abs(np.asarray(fspan) @ np.asarray(fspan).T - np.eye(rank)).max() <= 1e-9
@@ -1252,11 +1343,11 @@ def ref_frame_coordinates(eta, s):
     v, den = eta.num, eta.den
     if not s.metric.is_euclidean:
         grows, gden = _lambda_gram(s.metric, 3)
-        v, den = exterior._matvec(grows, v), den * gden
-    inner = exterior._matvec(rows, v)
+        v, den = ratlin.matvec(grows, v), den * gden
+    inner = ratlin.matvec(rows, v)
     den *= rden
     inv, iden = _metric_inverse(s.metric)
-    return s.ctx.ratio(inner[0], den), (exterior._matvec(inv, inner[1:]), 4 * den * iden)
+    return s.ctx.ratio(inner[0], den), (ratlin.matvec(inv, inner[1:]), 4 * den * iden)
 
 
 def coordinate_values(result, ctx):
@@ -1507,7 +1598,7 @@ def ref_lambda_gram(m, k):
 def test_metric_inverse_is_the_one_table(a):
     """_metric_inverse is a metric's one g^-1 table, and the Gram of 1-forms
     is that same object.  The exact table is int rows over a positive int
-    den in lowest terms whose quotients are ratlin.inv_exact of g literally;
+    den in lowest terms whose quotients are EXACT.inv of g literally;
     the float table is over 1 and symmetric to the last bit."""
     m = metric_from_phi(pullback(phi0(), a))[0]
     mf = metric_from_phi(pullback(phi0(FLOAT), [[float(x) for x in row] for row in a]), FLOAT)[0]
@@ -1519,7 +1610,7 @@ def test_metric_inverse_is_the_one_table(a):
     rows, den = _metric_inverse(m)
     assert all(type(x) is int for row in rows for x in row) and type(den) is int and den > 0
     assert gcd(den, *(x for row in rows for x in row)) == 1
-    assert [[Fraction(x, den) for x in row] for row in rows] == ratlin.inv_exact(m.rows)
+    assert [[Fraction(x, den) for x in row] for row in rows] == EXACT.inv(m.rows)
     rows, den = _metric_inverse(mf)
     assert den == 1 and all(type(x) is float for row in rows for x in row)
     assert all(rows[p][q] == rows[q][p] for p in range(DIM) for q in range(p))

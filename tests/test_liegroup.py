@@ -280,7 +280,7 @@ def ref_projector(vecs):
     if not vecs:
         return vecs, None
     gram = [[sum(x * y for x, y in zip(a, b)) for b in vecs] for a in vecs]
-    return vecs, ratlin.inv_exact(gram)
+    return vecs, EXACT.inv(gram)
 
 
 def vec_so(rows):
@@ -304,7 +304,7 @@ def ref_lie_normalizer(ambient, sub):
         return ambient
     constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
     mats = []
-    for coeffs in ratlin.nullspace_exact(constraint):
+    for coeffs in EXACT.nullspace(constraint):
         acc = [[Fraction(0)] * DIM for _ in range(DIM)]
         for c, e in zip(coeffs, ambient.matrices):
             if c:
@@ -326,13 +326,13 @@ def ref_coset_tangent_dim(h, s):
         col = []
         for gen in h.generators:
             grows = [list(r) for r in gen]
-            moved = ratlin.matmul(ratlin.matmul(ratlin.inv_exact(grows), e), grows)
+            moved = ratlin.matmul(ratlin.matmul(EXACT.inv(grows), e), grows)
             diff = ratlin.mat_sub(e, moved)
             sym = [[(diff[i][j] - diff[j][i]) / 2 for j in range(DIM)] for i in range(DIM)]
             col.extend(ref_residual(vecs, gram_inv, vec_so(sym)))
         columns.append(col)
     constraint = [[columns[a][r] for a in range(len(columns))] for r in range(len(columns[0]))]
-    return len(ratlin.nullspace_exact(constraint)) - g2b.dim
+    return len(EXACT.nullspace(constraint)) - g2b.dim
 
 
 def unvec_so(vec):
