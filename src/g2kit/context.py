@@ -6,12 +6,13 @@ lane and is the only place that knows what a lane is: it coerces incoming
 scalars once, gives the lane's zero and one, decides "is this zero" (literal
 in exact, within a tolerance in float), and routes square roots,
 determinants, definiteness, inverses, ranks, kernels, spans, eigenvector
-checks, solves, symmetrizing, integer scaling and the reduction of a
-k-form's stored (num, den) pair to the lane's algorithm.  Constructors that
-need a lane's zero and one (phi0(FLOAT), KForm.zero, basis_vector, ...) take
-a Context, never a bool.  lane_of finds the lane of values that arrive
-without a Context (ints and Fractions are exact, any float makes them
-float).
+checks, symmetrizing, integer scaling and the reduction of a k-form's
+stored (num, den) pair to the lane's algorithm.  Inverses, kernels and
+spans come as scaled pairs (rows, den), int rows over one den in exact
+mode.  Constructors that need a lane's zero and one (phi0(FLOAT),
+KForm.zero, basis_vector, ...) take a Context, never a bool.  lane_of finds
+the lane of values that arrive without a Context (ints and Fractions are
+exact, any float makes them float).
 
 Only the float lane calls numpy, so the kernel modules reach it through the
 handle `np` below, which imports numpy on the first float-lane call: the
@@ -302,13 +303,15 @@ class Context:
 
         return ratlin.nullspace_int(m) if self.is_exact else (ratlin.nullspace_float(m), 1)
 
-    def span(self, rows) -> list:
-        """A basis of the row span: in exact mode normalized as nullspace
-        normalizes a kernel (nullspace(nullspace(rows)) literally), an
-        orthonormal basis (SVD) in float mode."""
+    def scaled_span(self, m) -> tuple:
+        """A basis of the row span as Context.scaled rows (rows, den): in
+        exact mode int rows over one den built with no Fraction
+        (ratlin.span_int), normalized as scaled_nullspace normalizes a
+        kernel, so the rows / den are nullspace(nullspace(m)) literally; in
+        float mode the orthonormal SVD basis over 1."""
         from . import ratlin
 
-        return ratlin.span_exact(rows) if self.is_exact else ratlin.span_float(rows)
+        return ratlin.span_int(m) if self.is_exact else (ratlin.span_float(m), 1)
 
     def eigenvalue(self, m, vectors, lam=None):
         """lam (by default the vectors' Rayleigh quotient) when m v = lam v
@@ -319,16 +322,6 @@ class Context:
         if self.is_exact:
             return ratlin.eigenvalue_exact(m, vectors, lam)
         return ratlin.eigenvalue_float(m, vectors, lam)
-
-    def solve(self, a, b) -> tuple:
-        """(x, residual) for a x = b.  Exact mode returns a solution with
-        residual 0 and raises G2KitError for an inconsistent system; float
-        mode returns the least squares solution and its max-abs residual."""
-        from . import ratlin
-
-        if self.is_exact:
-            return ratlin.solve_exact(a, b), _ZERO
-        return ratlin.solve_float(a, b)
 
 
 EXACT = Context("exact")

@@ -341,9 +341,11 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
     of dimensions (7, 14).  The 14-space basis is Context.scaled_nullspace:
     in exact mode int rows whose quotients are the kernel vectors of
     Context.nullspace, normalized as the kernel of T - lambda14 is, and the
-    eigenvector check runs on those ints with no Fraction per entry; the
-    7-space basis, Context.span(gens7), is left to G2Structure.basis2_7.  A
-    structure runs it at the first read of its split, not at construction.
+    eigenvector check runs on those ints with no Fraction per entry.  The
+    7-space basis, Context.scaled_span(gens7) (int rows over one den in
+    exact mode, normalized the same way), is left to G2Structure.basis2_7.
+    A structure runs it at the first read of its split, not at
+    construction.
     """
     rows, den = table
     lam7 = ctx.eigenvalue(rows, gens7)
@@ -456,10 +458,11 @@ class G2Structure:
 
     @cached_property
     def basis2_7(self) -> tuple:
-        """A basis of the lambda7-eigenspace: Context.span of the contractions
-        e_i . phi, in exact mode normalized as the kernel of T - lambda7 is."""
-        return tuple(KForm(2, tuple(v))
-                     for v in self.ctx.span(_contractions(3, self.phi.num)))
+        """A basis of the lambda7-eigenspace: Context.scaled_span of the
+        contractions e_i . phi's numerators, in exact mode int rows over one
+        den normalized as the kernel of T - lambda7 is, wrapped as forms."""
+        rows, den = self.ctx.scaled_span(_contractions(3, self.phi.num))
+        return tuple(KForm._of(2, v, den, self.ctx) for v in rows)
 
     @cached_property
     def basis2_14(self) -> tuple:

@@ -3,21 +3,21 @@
 Two lanes that never mix.  The exact lane takes rational matrices (ints and
 fractions.Fraction, no numpy anywhere in that path) and eliminates
 fraction-free: each row is scaled to integers by the lcm of its
-denominators, rref runs Gauss-Jordan on Python ints with a gcd pass per
-updated row, rank runs the same elimination forward only, det uses
-Bareiss's exact-division elimination (Math. Comp. 22 (1968) 565-578), and a
-Fraction is built once per output entry.  The int kernels nullspace_int and
-inv_int read the rref's int rows as int rows over one den, with no
-Fraction, and definite_det reads det and definiteness off one Bareiss pass
-with no row swaps.  The float lane takes det as the signed product of
-partial-pivoting pivots in pure Python (det_float, exact when the pivots
-are, as for phi0's contraction matrix 6 I) and defers the rest to numpy;
-its rank decisions use the singular value cutoff context.FLOAT_RANK_CUTOFF
-of the tolerance ladder.  Callers pick a lane through Context.det /
-definite_det / scaled_inverse (read by inv) / rank / scaled_nullspace (read
-by nullspace) / span / eigenvalue / solve; matvec is the package's one
-matrix-vector product.  Matrices are lists/tuples of rows; vectors are flat
-sequences.
+denominators, the package's one exact Gauss-Jordan (_rref_ints) runs on
+Python ints with a gcd pass per updated row, rank runs the same
+elimination forward only, and det uses Bareiss's exact-division
+elimination (Math. Comp. 22 (1968) 565-578).  The int kernels inv_int,
+nullspace_int and span_int read the int rref's rows as int rows over one
+den, with no Fraction, and definite_det reads det and definiteness off one
+Bareiss pass with no row swaps.  The float lane takes det as the signed
+product of partial-pivoting pivots in pure Python (det_float, exact when
+the pivots are, as for phi0's contraction matrix 6 I) and defers the rest
+to numpy; its rank decisions use the singular value cutoff
+context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a lane
+through Context.det / definite_det / scaled_inverse (read by inv) / rank /
+scaled_nullspace (read by nullspace) / scaled_span / eigenvalue; matvec is
+the package's one matrix-vector product.  Matrices are lists/tuples of
+rows; vectors are flat sequences.
 """
 from __future__ import annotations
 
@@ -30,10 +30,6 @@ from .errors import G2KitError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def mat_rows(m):
-    return [list(row) for row in m]
 
 
 def identity(n):
@@ -126,24 +122,6 @@ def _rref_ints(m):
         if r == nr:
             break
     return rows, pivots
-
-
-def rref(m):
-    """Reduced row echelon form; returns (rows, pivot_columns).
-
-    Elimination runs on ints (_rref_ints), and every output entry becomes
-    one Fraction at the end.  The reduced form is unique, so this equals
-    Gauss-Jordan over Fractions.
-    """
-    rows, pivots = _rref_ints(m)
-    out = []
-    for i, row in enumerate(rows):
-        if i < len(pivots):
-            pv = row[pivots[i]]
-            out.append([Fraction(x, pv) if x else _ZERO for x in row])
-        else:
-            out.append([_ZERO] * len(row))
-    return out, pivots
 
 
 def rank_exact(m) -> int:
@@ -240,27 +218,10 @@ def inv_int(m):
     return [[x * (den // row[r]) for x in row[n:]] for r, row in enumerate(rows)], den
 
 
-def solve_exact(a, b):
-    """Any exact solution of a x = b (consistent, possibly overdetermined).
-
-    Raises G2KitError when the system is inconsistent.  Free variables are
-    set to zero; for injective a the solution is the unique one.
-    """
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    aug = [list(row) + [bv] for row, bv in zip(mat_rows(a), b)]
-    red, pivots = rref(aug)
-    if nc in pivots:
-        raise G2KitError("inconsistent linear system")
-    x = [Fraction(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = red[r][nc]
-    return x
-
-
 def nullspace_int(m):
     """(rows, den): a basis of the exact kernel, one vector per free column,
-    as int rows over one positive den, with no Fraction.  The int rref (_rref_ints) gives pivot row r its pivot p_r at column c_r, and
+    as int rows over one positive den, with no Fraction.  The int rref
+    (_rref_ints) gives pivot row r its pivot p_r at column c_r, and
     the kernel vector of free column f has 1 at f and -x / p_r at c_r for
     the row's entry x at f; den is the lcm of the pivots."""
     nc = len(m[0]) if m else 0
@@ -280,14 +241,18 @@ def nullspace_int(m):
     return basis, den
 
 
-def span_exact(m):
-    """Basis of the row span in nullspace_int's normalization: the reduced
-    row echelon form taken from the right (columns reversed, rref, reversed
-    back), rows ordered by their last nonzero column.  Those columns are the
-    free columns of any matrix whose kernel is this span, so the basis
-    equals the exact Context.nullspace applied twice."""
-    red, pivots = rref([row[::-1] for row in m])
-    return [row[::-1] for row in red[len(pivots) - 1::-1]] if pivots else []
+def span_int(m):
+    """(rows, den): a basis of the row span as int rows over one positive
+    den, with no Fraction, in nullspace_int's normalization: the int rref
+    (_rref_ints) taken from the right (columns reversed, reduced, reversed
+    back), rows ordered by their last nonzero column, each scaled so that
+    its entry there is den; den is the lcm of the pivots.  Those columns
+    are the free columns of any matrix whose kernel is this span, so rows /
+    den equals the exact Context.nullspace applied twice."""
+    rows, pivots = _rref_ints([row[::-1] for row in m])
+    den = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    return [[x * (den // row[c]) for x in reversed(row)]
+            for row, c in reversed(list(zip(rows, pivots)))], den
 
 
 def eigenvalue_exact(m, vectors, lam=None):
@@ -396,12 +361,3 @@ def eigenvalue_float(m, vectors, lam=None):
     if np.any(np.abs(w - lam * v).max(axis=1) > FLOAT_RANK_CUTOFF * scale):
         return None
     return lam
-
-
-def solve_float(a, b):
-    """Least squares solution and residual norm."""
-    arr = _np(a)
-    rhs = np.asarray(b, dtype=float)
-    x, *_ = np.linalg.lstsq(arr, rhs, rcond=None)
-    resid = float(np.linalg.norm(arr @ x - rhs, ord=np.inf)) if arr.size else 0.0
-    return x.tolist(), resid

@@ -58,6 +58,7 @@ from test_kernels import (
     rational_frames,
     ref_apply_sparse,
     ref_metric_matches,
+    ref_solve,
     same,
 )
 
@@ -551,7 +552,7 @@ def ref_recover_c_positive(s, phit):
     cols = [((2 * c) * hodge_star(wedge(KForm.basis((i,)), s.phi), s.metric, s.orientation)).coeffs
             for i in range(1, DIM + 1)]
     amat = [[cols[j][i] for j in range(DIM)] for i in range(len(target.coeffs))]
-    x, _resid = s.ctx.solve(amat, list(target.coeffs))
+    x, _resid = ref_solve(s.ctx, amat, list(target.coeffs))
     return TwistParams(c, KForm(1, tuple(x)))
 
 

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import g2kit
-from g2kit import ratlin
 from g2kit.context import EXACT, FLOAT, Context, _int_nth_root, lane_of, rational_nth_root
 from g2kit.errors import ExactModeError, G2KitError, ParseError
 from g2kit.exterior import KForm, basis_vector
@@ -84,12 +83,9 @@ def test_lane_api():
     assert EXACT.nullspace(m) == [[-2, 1]]
     (v,) = FLOAT.nullspace(m)
     assert abs(v[0] + 2 * v[1]) < 1e-12
-    x, res = EXACT.solve(m, [3, 6])
-    assert res == 0 and ratlin.matvec(m, x) == [3, 6]
-    with pytest.raises(G2KitError):
-        EXACT.solve(m, [3, 7])
-    x, res = FLOAT.solve([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0])
-    assert x == [0.5, 0.25] and res == 0.0
+    assert EXACT.scaled_span(m) == ([[1, 2]], 2)
+    ((u0, u1),), one = FLOAT.scaled_span(m)
+    assert one == 1 and abs(u1 - 2 * u0) < 1e-12
     a = [[2, 1], [1, 1]]
     assert type(EXACT.det(a)) is Fraction and EXACT.det(a) == 1
     assert type(FLOAT.det(a)) is float and FLOAT.det(a) == 1.0
@@ -110,10 +106,10 @@ def test_lane_api():
     assert FLOAT.ratio(-0.0, 1) == 0.0 and FLOAT.ratio(3.0, 2) == 1.5
     assert lane_of([1, Fraction(1, 2)]) is EXACT and lane_of([1, 0.5]) is FLOAT
     assert lane_of([]) is EXACT
-    assert EXACT.span([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == [[-1, 1, 0], [1, 0, 1]]
-    assert EXACT.span([[0, 0]]) == [] and FLOAT.span([[0.0, 0.0]]) == []
-    (u,) = FLOAT.span([[3.0, 4.0], [6.0, 8.0]])
-    assert abs(abs(u[0]) - 0.6) < 1e-15 and abs(abs(u[1]) - 0.8) < 1e-15
+    assert EXACT.scaled_span([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == ([[-1, 1, 0], [1, 0, 1]], 1)
+    assert EXACT.scaled_span([[0, 0]]) == ([], 1) and FLOAT.scaled_span([[0.0, 0.0]]) == ([], 1)
+    (u,), one = FLOAT.scaled_span([[3.0, 4.0], [6.0, 8.0]])
+    assert one == 1 and abs(abs(u[0]) - 0.6) < 1e-15 and abs(abs(u[1]) - 0.8) < 1e-15
     t = [[2, 1], [0, 3]]
     assert EXACT.eigenvalue(t, [[1, 0], [3, 0]]) == 2 and EXACT.eigenvalue(t, [[1, 1]], 3) == 3
     assert EXACT.eigenvalue(t, [[1, 0], [1, 1]]) is None and EXACT.eigenvalue(t, [[0, 1]]) is None
@@ -269,7 +265,7 @@ def test_lane_forks_are_counted():
     - matrix_exp's refusal of exact input;
     - _contraction_matrix's numpy bincount for float coefficients (its
       docstring gives the measurement that keeps it).
-    Determinants, inverses, ranks, kernels, solves and integer scaling are
+    Determinants, inverses, ranks, kernels, spans and integer scaling are
     Context methods, not forks, and every table of minors comes from
     exterior.compound in both lanes.  A type test for floats counts as a fork
     outside the lane detectors (_normalize, KForm.is_exact, Metric.is_exact).
@@ -389,13 +385,15 @@ def test_no_unused_imports():
     assert found == {}
 
 
-def _references(path):
-    """(names, attributes): every name a file reads (loaded names,
-    attributes, imported names and strings that are identifiers, since
-    monkeypatch.setattr names its target), and the subset a method can be
-    reached by: attributes and identifier strings."""
-    found, attrs = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def _references(tree, stems):
+    """(names, attrs, modules, exports) for one file: every name it reads
+    (loaded names, attributes, imported names and strings that are
+    identifiers, since monkeypatch.setattr names its target); the subset a
+    method can be reached by (attributes and identifier strings); the
+    package modules, of the given stems, that it imports itself or a name
+    from; and the names it imports from the package g2kit itself."""
+    found, attrs, modules, exports = set(), set(), set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -405,11 +403,57 @@ def _references(path):
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
             attrs.add(node.value)
-    return found | attrs, attrs
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[1] for a in node.names
+                           if a.name.startswith("g2kit."))
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if not node.level:
+                if source != "g2kit" and not source.startswith("g2kit."):
+                    continue
+                source = source[len("g2kit."):]
+            if source:
+                modules.add(source.split(".")[0])
+            else:
+                modules.update(a.name for a in node.names if a.name in stems)
+                exports.update(a.name for a in node.names if a.name not in stems)
+    return found | attrs, attrs, modules, exports
 
 
 def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
+
+
+def _dead_definitions(package, others, exported=()):
+    """(module, name) for every module-level function and class of the
+    package sources {module stem: text} (dunders aside) that no source of
+    the package or of others {file name: text} references and that is not
+    exported, and (module, "Class.method") for every method and property
+    (dunders aside) that no source reads as an attribute or names in a
+    string.  Such a read counts only where it can reach the class: in the
+    defining module, in a file that imports that module or a name from it,
+    and in a file that imports the class from g2kit."""
+    refs = {name: _references(ast.parse(text), package)
+            for name, text in (*package.items(), *others.items())}
+    used = set(exported).union(*(r[0] for r in refs.values()))
+    dead = []
+    for stem, text in package.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not _is_dunder(node.name) and node.name not in used:
+                dead.append((stem, node.name))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            attrs = set().union(*(attrs for name, (_, attrs, modules, exports) in refs.items()
+                                  if name == stem or stem in modules or node.name in exports))
+            dead += [(stem, f"{node.name}.{item.name}") for item in node.body
+                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not _is_dunder(item.name) and item.name not in attrs]
+    return dead
+
+
+def _sources(folder):
+    return {path: path.read_text(encoding="utf-8") for path in sorted(folder.glob("*.py"))}
 
 
 def test_no_dead_definitions():
@@ -417,22 +461,44 @@ def test_no_dead_definitions():
     g2kit (module dunders aside) is referenced from the package, the tests
     or perfbench, or is exported in g2kit.__all__; every method and
     property of a g2kit class (dunders aside) is read as an attribute or
-    named in a string there."""
+    named in a string where the class can be reached (_dead_definitions)."""
     root = Path(__file__).resolve().parents[1]
-    used, attrs = set(g2kit.__all__), set()
-    for folder in (SRC, root / "tests", root / "perfbench"):
-        for path in sorted(folder.glob("*.py")):
-            names, found = _references(path)
-            used |= names
-            attrs |= found
-    dead = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and not _is_dunder(node.name) and node.name not in used:
-                dead.append((path.stem, node.name))
-            if isinstance(node, ast.ClassDef):
-                dead += [(path.stem, f"{node.name}.{item.name}") for item in node.body
-                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                         and not _is_dunder(item.name) and item.name not in attrs]
-    assert dead == []
+    package = {path.stem: text for path, text in _sources(SRC).items()}
+    others = {**_sources(root / "tests"), **_sources(root / "perfbench")}
+    assert _dead_definitions(package, others, g2kit.__all__) == []
+
+
+def test_a_method_read_only_off_an_unrelated_object_is_dead():
+    """A method counts as read only where its class can be reached: an
+    unrelated args.trace in a file that imports nothing of the package
+    does not keep SymTensor.trace alive; an import of the module, of a name
+    from it, of the module from g2kit or of the class from g2kit does, and
+    so does a relative import of the module inside the package."""
+    package = {"tensors": "class SymTensor:\n    def trace(self):\n        return 0\n",
+               "__init__": "from .tensors import SymTensor\n"}
+    bench = {"run.py": "import argparse\nargs = argparse.Namespace(trace=1)\nprint(args.trace)\n"}
+    assert _dead_definitions(package, bench) == [("tensors", "SymTensor.trace")]
+    for reader in ("from g2kit.tensors import SymTensor\nSymTensor().trace()\n",
+                   "import g2kit.tensors\nprint(g2kit.tensors.SymTensor().trace)\n",
+                   "from g2kit import tensors\ntensors.SymTensor().trace()\n",
+                   "from g2kit import SymTensor\nSymTensor().trace()\n"):
+        assert _dead_definitions(package, {**bench, "use.py": reader}) == []
+    reads = "def run(s):\n    return s.trace()\n\n\nrun(0)\n"
+    assert _dead_definitions({**package, "other": "from . import tensors\n" + reads}, bench) == []
+    assert _dead_definitions({**package, "other": reads}, bench) == [("tensors", "SymTensor.trace")]
+
+
+def test_context_carries_no_test_only_method():
+    """Every method and property of Context (dunders aside) is read as an
+    attribute in the package or perfbench: the tests do not keep one
+    alive on their own."""
+    (context,) = [node for node in ast.parse((SRC / "context.py").read_text(encoding="utf-8")).body
+                  if isinstance(node, ast.ClassDef) and node.name == "Context"]
+    methods = [item.name for item in context.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not _is_dunder(item.name)]
+    root = Path(__file__).resolve().parents[1]
+    read = {node.attr for folder in (SRC, root / "perfbench")
+            for text in _sources(folder).values()
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Attribute)}
+    assert methods and [name for name in methods if name not in read] == []

@@ -1,11 +1,14 @@
 """Integer kernels of the exact lane against plain reference definitions.
 
-- ratlin's fraction-free rref/det/solve/nullspace/inv against Gauss-Jordan
-  over Fractions, kept here as the reference, the forward-only rank
-  against the rref pivot count it replaced (ref_rank_exact), and the int
+- ratlin's fraction-free det/nullspace/inv against Gauss-Jordan over
+  Fractions (ref_rref), kept here as the reference, the forward-only rank
+  against the rref pivot count it replaced (ref_rank_exact), the int
   kernel (nullspace_int, behind Context.nullspace) against the same
-  Gauss-Jordan kernel; Context.inv and Context.nullspace against the
-  Fraction wrappers and numpy calls they replaced (ref_inv_exact,
+  Gauss-Jordan kernel, and the int span (span_int, behind
+  Context.scaled_span) against the Fraction span it replaced (ref_span);
+  ref_solve, the Context.solve the odot_inverse, recover and decompose2
+  references were written against; Context.inv and Context.nullspace
+  against the Fraction wrappers and numpy calls they replaced (ref_inv_exact,
   ref_nullspace_exact, ref_inv_float), and ratlin.matvec against the dense
   product (ref_matvec);
 - the cubic table for B(phi) against the wedge chain that defines it;
@@ -198,15 +201,6 @@ def matrices(draw, square=False):
     return rows
 
 
-@given(matrices())
-@settings(max_examples=200, deadline=None)
-def test_rref_matches_reference(m):
-    red, pivots = ratlin.rref(m)
-    assert (red, pivots) == ref_rref(m)
-    assert all(isinstance(x, Fraction) for row in red for x in row)
-    assert ratlin.rank_exact(m) == len(pivots)
-
-
 @given(matrices(square=True))
 @settings(max_examples=200, deadline=None)
 def test_det_matches_reference(m):
@@ -242,25 +236,54 @@ def test_int_nullspace_equals_the_reference_kernel(m):
     assert FLOAT.scaled_nullspace(fm) == (ratlin.nullspace_float(fm), 1)
 
 
-@given(matrices(), st.data())
-@settings(max_examples=100, deadline=None)
-def test_solve_matches_reference(m, data):
-    nc = len(m[0])
-    x0 = [data.draw(RATIONALS) for _ in range(nc)]
-    b = [sum(a * x for a, x in zip(row, x0)) for row in m]
-    x = ratlin.solve_exact(m, b)
-    red, pivots = ref_rref([row + [bv] for row, bv in zip(m, b)])
-    want = [Fraction(0)] * nc
-    for r, c in enumerate(pivots):
-        want[c] = red[r][nc]
-    assert x == want
-    assert [sum(a * v for a, v in zip(row, x)) for row in m] == b
-    # an inconsistent right-hand side is refused
-    if ratlin.rank_exact(m) < len(m):
-        bad = [bv + data.draw(RATIONALS) for bv in b]
-        if ref_rref([row + [bv] for row, bv in zip(m, bad)])[1][-1:] == [nc]:
-            with pytest.raises(G2KitError):
-                ratlin.solve_exact(m, bad)
+def ref_span(m):
+    """The Fraction span Context.span returned before scaled_span: the
+    Gauss-Jordan reference taken from the right (columns reversed,
+    reduced, reversed back), rows from the last pivot up."""
+    red, pivots = ref_rref([row[::-1] for row in m])
+    return [row[::-1] for row in reversed(red[:len(pivots)])]
+
+
+@given(matrices())
+@example([])
+@example([[0, 0, 0], [1, 2, 3]])
+@example([[-3, 6, 0], [0, 0, -2]])
+@example([[Fraction(1, 2), 3, 0, 1], [0, 0, Fraction(-5, 3), 5], [1, 6, 0, 2]])
+@settings(max_examples=200, deadline=None)
+def test_int_span_equals_the_fraction_span(m):
+    """span_int's rows over its one positive den are the Fraction span they
+    replaced (ref_span) literally, as Fractions: on full-rank,
+    rank-deficient and zero rows (matrices()), the empty matrix, negative
+    pivots and Fraction rows; Context.scaled_span gives the same pair in
+    exact mode and the SVD basis over 1 in float mode."""
+    rows, den = ratlin.span_int(m)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert [[Fraction(x, den) for x in row] for row in rows] == ref_span(m)
+    assert EXACT.scaled_span(m) == (rows, den)
+    fm = [[float(x) for x in row] for row in m]
+    assert FLOAT.scaled_span(fm) == (ratlin.span_float(fm), 1)
+
+
+def ref_solve(ctx, a, b):
+    """(x, residual) for a x = b, as the removed Context.solve gave it: in
+    exact mode a solution off the Gauss-Jordan reference (ref_rref) with
+    free variables 0 and residual 0, and G2KitError for an inconsistent
+    system; in float mode numpy's least squares solution and its max-abs
+    residual."""
+    if ctx.is_exact:
+        nc = len(a[0]) if a else 0
+        red, pivots = ref_rref([list(row) + [bv] for row, bv in zip(a, b)])
+        if nc in pivots:
+            raise G2KitError("inconsistent linear system")
+        x = [Fraction(0)] * nc
+        for r, c in enumerate(pivots):
+            x[c] = red[r][nc]
+        return x, Fraction(0)
+    arr, rhs = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    x, *_ = np.linalg.lstsq(arr, rhs, rcond=None)
+    resid = float(np.linalg.norm(arr @ x - rhs, ord=np.inf)) if arr.size else 0.0
+    return x.tolist(), resid
 
 
 @given(matrices(square=True))
@@ -365,7 +388,7 @@ def test_lane_views_and_matvec_match_the_kernels_they_replaced(case):
 
 def ref_rank_exact(m) -> int:
     """The earlier rank_exact: the pivot count of the full reduced row echelon form."""
-    return len(ratlin.rref(m)[1])
+    return len(ref_rref(m)[1])
 
 
 @st.composite
@@ -404,11 +427,11 @@ def test_rank_matches_the_rref_rank(m):
 
 
 def test_kernels_on_empty_and_integer_input():
-    assert ratlin.rref([]) == ([], [])
+    assert EXACT.scaled_span([]) == ([], 1)
     assert ratlin.det_exact([]) == 1
     assert EXACT.nullspace([]) == []
     assert ratlin.det_exact([[2, -3], [4, 5]]) == 22
-    assert ratlin.rref([[0, 0], [0, -4]]) == ([[0, 1], [0, 0]], [1])
+    assert EXACT.scaled_span([[0, 0], [0, -4]]) == ([[0, 1]], 1)
 
 
 # -- B(phi): cubic table against the wedge chain ------------------------------
@@ -567,7 +590,7 @@ def ref_odot_inverse(eta, s):
     if not ctx.is_zero(parts.p7.max_abs()):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     target = [a + b for a, b in zip(parts.p1.coeffs, parts.p27.coeffs)]
-    x, resid = ctx.solve(ref_odot_symmetric_matrix(s), target)
+    x, resid = ref_solve(ctx, ref_odot_symmetric_matrix(s), target)
     if not ctx.is_zero(resid, ctx.tol * max(1.0, float(eta.max_abs()))):
         raise DecompositionError(f"float inversion residual {resid} above tolerance")
     coords = iter(x)
@@ -784,11 +807,11 @@ def test_odot_inverse_equals_solve_reference_on_frames(a, seed):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts hodge_star calls, the eliminations of ratlin's int rref core
-    (_rref_ints, which rref and the int kernel both run) with the row counts
-    of the matrices it eliminates, the degrees asked of _lambda_gram, and
-    the (rows, order) of every exterior.compound, through every module that
-    imports them."""
+    """Counts hodge_star calls, the eliminations of ratlin's one exact
+    Gauss-Jordan (_rref_ints, which the int inverse, kernel and span run)
+    with the row counts of the matrices it eliminates, the degrees asked of
+    _lambda_gram, and the (rows, order) of every exterior.compound, through
+    every module that imports them."""
     calls = {"star": 0, "rref": 0, "rref_rows": [], "gram": [], "compound": []}
     star, rref, gram = exterior.hodge_star, ratlin._rref_ints, exterior._lambda_gram
     minors = exterior.compound
@@ -953,19 +976,21 @@ def exact_projector(rows):
 @given(rational_frames())
 @settings(max_examples=20, deadline=None)
 def test_span_is_the_double_kernel(a):
-    """Context.span on the contractions e_i . phi of a pulled-back phi0
-    (7 x 21, rank 7) and on four frame rows with two combinations of them
-    (6 x 7, rank 4): exact mode returns nullspace(nullspace(rows)) literally;
-    float mode an orthonormal basis whose projector is within 1e-9 of the
-    exact span's."""
+    """Context.scaled_span on the contractions e_i . phi of a pulled-back
+    phi0 (7 x 21, rank 7) and on four frame rows with two combinations of
+    them (6 x 7, rank 4): in exact mode its rows over den are
+    nullspace(nullspace(rows)) literally; in float mode an orthonormal basis
+    over 1 whose projector is within 1e-9 of the exact span's."""
     contractions = _contractions(3, frame_structure(a).phi.coeffs)
     dependent = [*a[:4], [x + y for x, y in zip(a[0], a[1])],
                  [x - 2 * y for x, y in zip(a[2], a[3])]]
     for rows, rank in ((contractions, 7), (dependent, 4)):
-        span = EXACT.span(rows)
+        num, den = EXACT.scaled_span(rows)
+        span = [[Fraction(x, den) for x in row] for row in num]
         assert len(span) == rank
         assert span == EXACT.nullspace(EXACT.nullspace(rows))
-        fspan = FLOAT.span([[float(x) for x in row] for row in rows])
+        fspan, fden = FLOAT.scaled_span([[float(x) for x in row] for row in rows])
+        assert fden == 1
         assert len(fspan) == rank
         assert np.abs(np.asarray(fspan) @ np.asarray(fspan).T - np.eye(rank)).max() <= 1e-9
         assert np.abs(span_projector(fspan) - exact_projector(span)).max() <= 1e-9
@@ -1230,17 +1255,17 @@ def test_lazy_tables_equal_the_eager_build_on_phi0_and_twists(mode):
 
 
 def test_basis2_7_is_built_on_first_read(monkeypatch):
-    """Construction takes no span: the 7-space basis, Context.span of the
-    contractions e_i . phi, is built when basis2_7 is first read, once, and
-    equals the kernel of T - lambda7 in exact mode."""
+    """Construction takes no span: the 7-space basis, Context.scaled_span of
+    the contractions e_i . phi, is built when basis2_7 is first read, once,
+    and equals the kernel of T - lambda7 in exact mode."""
     spans = []
-    span = ratlin.span_exact
+    span = ratlin.span_int
 
     def counted(m):
         spans.append(len(m))
         return span(m)
 
-    monkeypatch.setattr(ratlin, "span_exact", counted)
+    monkeypatch.setattr(ratlin, "span_int", counted)
     a = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
     a[0][1], a[2][5], a[4][4] = Fraction(1), Fraction(-1, 2), Fraction(2)
     s = G2Structure(pullback(phi0(), a))
