@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import ratlin
-from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, RECOVERY_TOL, np
+from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, DEFAULT_TOL, RECOVERY_TOL, np
 from .errors import (
     ConstraintError,
     DegreeError,
@@ -87,7 +87,7 @@ class TwistParams:
     def canonical(self) -> "TwistParams":
         """The antipodal representative with c > 0, or with the first
         nonzero omega coefficient positive when c = 0: in the float lane the
-        first one beyond the lane's tol times max(1, |omega|), so that the
+        first one beyond DEFAULT_TOL times max(1, |omega|), so that the
         rounding noise of a recovered zero picks no sign.  At c = 0 only
         omega flips, so a float c = 0.0 keeps its sign."""
         if self.c > 0:
@@ -96,7 +96,7 @@ class TwistParams:
             return self.antipode()
         # the stored numerators carry the coefficients' signs (den > 0)
         lane = self.omega._lane
-        bound = lane.tol * max(1.0, float(self.omega.max_abs()))
+        bound = DEFAULT_TOL * max(1.0, float(self.omega.max_abs()))
         for x in self.omega.num:
             if not lane.is_zero(x, bound):
                 return self if x > 0 else TwistParams(self.c, -self.omega)

@@ -15,7 +15,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .bryant import TwistParams, derivative_rank, recover, sample_params, twist, twist_decomposed
@@ -48,18 +47,6 @@ from .serialize import (
 MODELS = ("t7", "s1xcy3", "t3xk3")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    mode: str
-    tol: float
-    seed: int
-    output: str
-
-    @property
-    def ctx(self) -> Context:
-        return Context(self.mode, self.tol)
-
-
 def _resolve_mode(flag):
     if flag:
         return flag
@@ -89,14 +76,13 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _report(command: str, cfg: CliConfig, inputs, outputs: dict, residuals: dict,
-            checks: dict) -> dict:
+def _report(command: str, args, inputs, outputs: dict, residuals: dict, checks: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "mode": cfg.mode,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
+        "mode": args.mode,
+        "tol": args.tol,
+        "seed": args.seed,
         "inputs_sha256": sha256_hex(canonical_json(inputs)),
         "outputs": outputs,
         "residuals": residuals,
@@ -108,14 +94,15 @@ def _report(command: str, cfg: CliConfig, inputs, outputs: dict, residuals: dict
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_decompose(args, cfg: CliConfig) -> dict:
+def cmd_decompose(args) -> dict:
     payload = _load_json(args.form)
     if args.degree not in (2, 3):
         raise G2KitError(f"decomposition is defined for degrees 2 and 3, not {args.degree}")
-    form = kform_from_json(payload, cfg.ctx)
+    ctx = Context.of(args.mode)
+    form = kform_from_json(payload, ctx)
     if form.degree != args.degree:
         raise G2KitError(f"form has degree {form.degree}, command asked for {args.degree}")
-    s = standard_structure(cfg.mode)
+    s = standard_structure(args.mode)
     outputs, residuals = {}, {}
     if args.degree == 2:
         d = decompose2(form, s)
@@ -128,12 +115,12 @@ def cmd_decompose(args, cfg: CliConfig) -> dict:
         outputs[f"{name}_norm_sq"] = scalar_to_json(form_inner(part, part, s.metric))
     recon = (d.total() - form).max_abs()
     residuals["reconstruction"] = scalar_to_json(recon)
-    checks = {"reconstruction": cfg.ctx.is_zero(recon)}
-    return _report("decompose", cfg, payload, outputs, residuals, checks)
+    checks = {"reconstruction": ctx.is_zero(recon, args.tol)}
+    return _report("decompose", args, payload, outputs, residuals, checks)
 
 
-def cmd_twist(args, cfg: CliConfig) -> dict:
-    ctx = cfg.ctx
+def cmd_twist(args) -> dict:
+    ctx = Context.of(args.mode)
     if (args.omega_file is None) == (args.omega is None):
         raise ParseError("pass exactly one of --omega-file and --omega")
     omega_payload = _load_json(args.omega_file) if args.omega_file else _parse_inline(args.omega)
@@ -142,14 +129,14 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
         raise G2KitError(f"the twist direction must be a 1-form, got degree {omega.degree}")
     c = ctx.scalar(args.c)
     p = TwistParams(c, omega)
-    s = standard_structure(cfg.mode)
+    s = standard_structure(args.mode)
     inputs = {"c": scalar_to_json(c), "omega": omega_payload}
     res = p.constraint_residual(s)
     residuals = {"constraint": scalar_to_json(res)}
     # twist itself checks the constraint within CONSTRAINT_TOL, so --tol can
     # only tighten it
-    if not ctx.is_zero(res, min(ctx.tol, CONSTRAINT_TOL)):
-        return _report("twist", cfg, inputs, {}, residuals,
+    if not ctx.is_zero(res, min(args.tol, CONSTRAINT_TOL)):
+        return _report("twist", args, inputs, {}, residuals,
                        {"constraint_on_sphere": False})
     phit = twist(s, p)
     d = twist_decomposed(s, p)
@@ -165,10 +152,10 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
     })
     checks = {
         "constraint_on_sphere": True,
-        "metric_preserved": ctx.is_zero(gdiff),
+        "metric_preserved": ctx.is_zero(gdiff, args.tol),
         "orientation_preserved": o.sign == s.orientation.sign,
-        "inner_product_law": ctx.is_zero(inner_gap),
-        "parts_reconstruction": ctx.is_zero(parts_gap),
+        "inner_product_law": ctx.is_zero(inner_gap, args.tol),
+        "parts_reconstruction": ctx.is_zero(parts_gap, args.tol),
     }
     outputs = {
         "phit": kform_to_json(phit),
@@ -177,7 +164,7 @@ def cmd_twist(args, cfg: CliConfig) -> dict:
         "p27": kform_to_json(d.p27),
         "inner_with_base": scalar_to_json(inner),
     }
-    return _report("twist", cfg, inputs, outputs, residuals, checks)
+    return _report("twist", args, inputs, outputs, residuals, checks)
 
 
 def _parse_inline(text: str):
@@ -187,43 +174,44 @@ def _parse_inline(text: str):
         raise ParseError(f"invalid inline JSON: {exc}") from exc
 
 
-def cmd_recover(args, cfg: CliConfig) -> dict:
+def cmd_recover(args) -> dict:
     payload = _load_json(args.phit)
-    phit = kform_from_json(payload, cfg.ctx)
-    s = standard_structure(cfg.mode)
-    rec = recover(s, phit, tol=cfg.tol)
+    ctx = Context.of(args.mode)
+    phit = kform_from_json(payload, ctx)
+    s = standard_structure(args.mode)
+    rec = recover(s, phit, tol=args.tol)
     back = (twist(s, rec.params) - phit).max_abs()
     outputs = {"params": twistparams_to_json(rec.params)}
     residuals = {
         "recovery": scalar_to_json(rec.residual),
         "reconstruction": scalar_to_json(back),
     }
-    checks = {"reconstruction": cfg.ctx.is_zero(back)}
-    return _report("recover", cfg, payload, outputs, residuals, checks)
+    checks = {"reconstruction": ctx.is_zero(back, args.tol)}
+    return _report("recover", args, payload, outputs, residuals, checks)
 
 
-def cmd_g2check(args, cfg: CliConfig) -> dict:
+def cmd_g2check(args) -> dict:
     payload = _load_json(args.matrix)
-    ctx = cfg.ctx
+    ctx = Context.of(args.mode)
     rows = matrix_from_json(payload, ctx)
-    s = standard_structure(cfg.mode)
+    s = standard_structure(args.mode)
     ortho_gap = orthogonality_gap(rows)
-    ortho_ok = ctx.is_zero(ortho_gap)
+    ortho_ok = ctx.is_zero(ortho_gap, args.tol)
     residuals = {"orthogonality": scalar_to_json(ortho_gap)}
     form_ok = False
     if ortho_ok:
         moved = act_on_form(rows, s.phi)
         form_gap = (moved - s.phi).max_abs()
         residuals["form_preservation"] = scalar_to_json(form_gap)
-        form_ok = ctx.is_zero(form_gap)
+        form_ok = ctx.is_zero(form_gap, args.tol)
     else:
         residuals["form_preservation"] = "not evaluated"
     outputs = {"member": form_ok, "orthogonal": ortho_ok}
-    return _report("g2check", cfg, payload, outputs, residuals, {"member": form_ok})
+    return _report("g2check", args, payload, outputs, residuals, {"member": form_ok})
 
 
-def cmd_normalizer(args, cfg: CliConfig) -> dict:
-    s = standard_structure(cfg.mode)
+def cmd_normalizer(args) -> dict:
+    s = standard_structure(args.mode)
     basis = g2_algebra_basis(s)
     normalizer = lie_normalizer(so7_basis(s.ctx), basis)
     outputs = {
@@ -234,7 +222,7 @@ def cmd_normalizer(args, cfg: CliConfig) -> dict:
         "algebra_dim_14": basis.dim == 14,
         "self_normalizing": normalizer.dim == basis.dim,
     }
-    return _report("normalizer", cfg, {"command": "normalizer"}, outputs, {}, checks)
+    return _report("normalizer", args, {"command": "normalizer"}, outputs, {}, checks)
 
 
 def _phase_fit(s, p: TwistParams) -> dict:
@@ -261,14 +249,15 @@ def _phase_fit(s, p: TwistParams) -> dict:
     }
 
 
-def cmd_demo(args, cfg: CliConfig) -> dict:
+def cmd_demo(args) -> dict:
+    ctx = Context.of(args.mode)
     m = flat_model(args.model)
-    s = model_structure(m.kind, cfg.mode)
-    rng = random.Random(cfg.seed)
-    base_gap = (s.phi - standard_structure(cfg.mode).phi).max_abs()
+    s = model_structure(m.kind, args.mode)
+    rng = random.Random(args.seed)
+    base_gap = (s.phi - standard_structure(args.mode).phi).max_abs()
     pt = gamma_sample(m, rng)
     phit = twist(s, pt.params)
-    back = gamma_membership(m, phit, cfg.mode)
+    back = gamma_membership(m, phit, args.mode)
     roundtrip_gap = (twist(s, back.params) - phit).max_abs()
     rank = derivative_rank(s, pt.params, m.b1)
     coset = coset_tangent_dim(holonomy_sample(m, rng))
@@ -286,8 +275,8 @@ def cmd_demo(args, cfg: CliConfig) -> dict:
         "roundtrip": scalar_to_json(roundtrip_gap),
     }
     checks = {
-        "standard_form": cfg.ctx.is_zero(base_gap),
-        "roundtrip": cfg.ctx.is_zero(roundtrip_gap),
+        "standard_form": ctx.is_zero(base_gap, args.tol),
+        "roundtrip": ctx.is_zero(roundtrip_gap, args.tol),
         "rank_equals_b1": rank == m.b1,
         "coset_equals_b1": coset == m.b1,
     }
@@ -304,15 +293,15 @@ def cmd_demo(args, cfg: CliConfig) -> dict:
         outputs["summary"] = f"b1={m.b1}"
     if m.kind == "s1xcy3":
         p = sample_params(rng, subspace_dim=1)
-        circle = TwistParams(cfg.ctx.scalar(p.c), coerce_form(p.omega, cfg.ctx))
+        circle = TwistParams(ctx.scalar(p.c), coerce_form(p.omega, ctx))
         outputs["phase_fit"] = _phase_fit(s, circle)
-    return _report("demo", cfg, {"model": args.model}, outputs, residuals, checks)
+    return _report("demo", args, {"model": args.model}, outputs, residuals, checks)
 
 
-def cmd_selftest(args, cfg: CliConfig) -> dict:
+def cmd_selftest(args) -> dict:
     from .selftest import run_selftest
 
-    results = run_selftest(seed=cfg.seed, tol=cfg.tol)
+    results = run_selftest(seed=args.seed, tol=args.tol)
     outputs = {
         "checks_run": len(results),
         "failures": [r.name for r in results if not r.passed],
@@ -323,7 +312,7 @@ def cmd_selftest(args, cfg: CliConfig) -> dict:
         ],
     }
     checks = {r.name: r.passed for r in results}
-    return _report("selftest", cfg, {"command": "selftest"}, outputs, {}, checks)
+    return _report("selftest", args, {"command": "selftest"}, outputs, {}, checks)
 
 
 # -- rendering ------------------------------------------------------------
@@ -356,13 +345,13 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _render(report: dict, cfg: CliConfig) -> str:
+def _render(report: dict, output: str) -> str:
     """The report as printed; G2KitError when it holds a non-finite float."""
     try:
         text = canonical_json(report)
     except ValueError as exc:
         raise G2KitError("the result left the float range (a non-finite value)") from exc
-    return text if cfg.output == "json" else _render_text(report)
+    return text if output == "json" else _render_text(report)
 
 
 # -- argument plumbing -----------------------------------------------------
@@ -427,10 +416,9 @@ def main(argv=None) -> int:
     try:
         if not 0 < args.tol < math.inf:
             raise ParseError(f"--tol must be positive and finite, got {args.tol}")
-        cfg = CliConfig(mode=_resolve_mode(args.mode), tol=args.tol,
-                        seed=args.seed, output=args.output)
-        report = args.fn(args, cfg)
-        text = _render(report, cfg)
+        args.mode = _resolve_mode(args.mode)
+        report = args.fn(args)
+        text = _render(report, args.output)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,10 +36,12 @@ Scalar = Union[int, float, Fraction]
 # -- the tolerance ladder ------------------------------------------------------
 # Absolute unless marked relative.
 #
-# Context.tol: CLI checks (--tol default); odot_inverse's 7-part and residual
-# (relative to max(1, |eta|)).
+# Context.tol, a class constant: the CLI's --tol default; odot_inverse's 7-part
+# and residual (relative to max(1, |eta|)); the sign TwistParams.canonical
+# reads off a float omega at c = 0 (relative to max(1, |omega|)).
 DEFAULT_TOL = 1e-10
-# is_so7 / is_g2 / nf_member default: entries of g^T g - 1, det g - 1, g.phi0 - phi0.
+# is_so7 / is_g2 default and nf_member's conjugates: entries of g^T g - 1,
+# det g - 1, g.phi0 - phi0.
 SO7_TOL = 1e-10
 # c^2 + |omega|^2 = 1, tangency c c_dot + <omega, omega_dot> = 0, the range of c^2 in recover.
 CONSTRAINT_TOL = 1e-12
@@ -53,8 +55,8 @@ FLOAT_RANK_CUTOFF = 1e-8
 # Lie side: holonomy generators in SO(7) and G2, algebra elements killing phi,
 # brackets staying in a span.
 LIE_TOL = 1e-8
-# entrywise float identities: traceless flag, orthonormal frame, antisymmetric
-# basis matrices, a model's unused directions.
+# entrywise float identities: orthonormal frame, antisymmetric basis matrices,
+# a model's unused directions.
 ENTRY_TOL = 1e-9
 # a float metric taken as the identity (the standard basis is orthonormal).
 EUCLIDEAN_TOL = 1e-12
@@ -104,17 +106,16 @@ def _check_exponent(text: str):
 
 @dataclass(frozen=True)
 class Context:
-    """One arithmetic lane, "exact" or "float", and the float lane's default tolerance."""
+    """One arithmetic lane, "exact" or "float".  The lane carries no
+    tolerance of its own: tol is the class constant DEFAULT_TOL, the float
+    lane's is_zero default."""
 
     mode: str = "exact"
-    tol: float = DEFAULT_TOL
+    tol = DEFAULT_TOL
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)) \
-                or not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be a positive finite number, got {self.tol!r}")
 
     @staticmethod
     def of(mode) -> "Context":
@@ -136,7 +137,7 @@ class Context:
         return _ONE if self.is_exact else 1.0
 
     def is_zero(self, x, tol: float | None = None) -> bool:
-        """x == 0 in exact mode; |x| <= tol (default: this context's tol) in float mode."""
+        """x == 0 in exact mode; |x| <= tol (default: DEFAULT_TOL) in float mode."""
         if self.is_exact:
             return x == 0
         return abs(x) <= (self.tol if tol is None else tol)

@@ -41,6 +41,7 @@ from math import frexp, isfinite, lcm, ldexp
 
 from . import ratlin
 from .context import (
+    DEFAULT_TOL,
     ENTRY_TOL,
     EUCLIDEAN_TOL,
     EXACT,
@@ -48,7 +49,6 @@ from .context import (
     PHI_NORM_TOL,
     RECOVERY_TOL,
     Context,
-    lane_of,
     np,
     rational_nth_root,
 )
@@ -310,10 +310,11 @@ def _rescaled_rank(phi_num, ctx: Context) -> int:
     return ctx.rank(_contraction_matrix([ldexp(x, k) for x in phi_num]))
 
 
-def is_g2_form(phi: KForm, ctx: Context = EXACT) -> bool:
-    """True when the 3-form induces a positive definite metric (either orientation)."""
+def is_g2_form(phi: KForm) -> bool:
+    """True when the 3-form induces a positive definite metric (either
+    orientation), decided in the form's own lane."""
     try:
-        metric_from_phi(phi, ctx)
+        metric_from_phi(phi, phi._lane)
     except NotG2FormError:
         return False
     return True
@@ -774,10 +775,10 @@ def decompose3(eta: KForm, s: G2Structure) -> Decomposition3:
 
 @dataclass(frozen=True)
 class SymTensor:
-    """Symmetric bilinear form on R^7 (rows of rows)."""
+    """Symmetric bilinear form on R^7: 7 rows of 7 entries, literally
+    symmetric (ValueError otherwise)."""
 
     rows: tuple
-    traceless: bool = False
 
     def __post_init__(self):
         rows = tuple(tuple(r) for r in self.rows)
@@ -788,10 +789,6 @@ class SymTensor:
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("SymTensor must be symmetric")
         object.__setattr__(self, "rows", rows)
-        if self.traceless:
-            tr = sum(rows[i][i] for i in range(DIM))
-            if not lane_of([tr]).is_zero(tr, ENTRY_TOL):
-                raise ValueError("SymTensor flagged traceless has nonzero trace")
 
 
 def _as_rows(b):
@@ -907,14 +904,14 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
     numerators over one den (Context.reduce: reduced ints in exact mode,
     the same float operations as lane scalars in float mode), and a
     Fraction is built only per entry of the returned h.  Float checks are
-    relative: the 7-part and the residual odot(h) - eta must be within the
-    context's tol times max(1, |eta|).
+    relative: the 7-part and the residual odot(h) - eta must be within
+    DEFAULT_TOL times max(1, |eta|).
     """
     if eta.degree != 3:
         raise DegreeError("odot_inverse expects a 3-form")
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
-    bound = ctx.tol * max(1.0, float(eta.max_abs()))
+    bound = DEFAULT_TOL * max(1.0, float(eta.max_abs()))
     parts = decompose3(eta, s)
     if not ctx.is_zero(parts.p7.max_abs(), bound):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")

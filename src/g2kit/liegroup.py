@@ -37,16 +37,9 @@ from .errors import (
     FrameError,
     HolonomyError,
 )
-from .exterior import DIM, KForm, pullback
-from .g2core import G2Structure, infinitesimal_action, phi0, standard_structure
+from .exterior import DIM, KForm, _row_sum, _split_rows, pullback
+from .g2core import G2Structure, _as_rows, infinitesimal_action, phi0, standard_structure
 from .sampling import float_antisymmetric
-
-
-def _rows(m):
-    rows = [list(r) for r in m]
-    if len(rows) != DIM or any(len(r) != DIM for r in rows):
-        raise ValueError("expected a 7x7 matrix")
-    return rows
 
 
 def _lane(*mats):
@@ -56,7 +49,7 @@ def _lane(*mats):
 
 def orthogonality_gap(g):
     """max |(g^T g - 1)_ij|, zero exactly when g is orthogonal."""
-    rows = _rows(g)
+    rows = _as_rows(g)
     gtg = ratlin.matmul(ratlin.transpose(rows), rows)
     return ratlin.mat_max_abs(ratlin.mat_sub(gtg, ratlin.identity(DIM)))
 
@@ -64,20 +57,20 @@ def orthogonality_gap(g):
 def is_so7(g, tol: float = SO7_TOL) -> bool:
     """Orthogonal with determinant one: g^T g - 1 (orthogonality_gap) and det g - 1
     vanish (literally in exact mode, entrywise within tol in float mode)."""
-    rows = _rows(g)
+    rows = _as_rows(g)
     lane = _lane(rows)
     return lane.is_zero(orthogonality_gap(rows), tol) and lane.is_zero(lane.det(rows) - 1, tol)
 
 
 def act_on_form(g, a: KForm) -> KForm:
     """The group action g . a = pullback of a by g^{-1}."""
-    rows = _rows(g)
+    rows = _as_rows(g)
     return pullback(a, _lane(rows).inv(rows))
 
 
 def is_g2(g, tol: float = SO7_TOL) -> bool:
     """True when g is orthogonal, unimodular, and its action fixes the standard 3-form."""
-    rows = _rows(g)
+    rows = _as_rows(g)
     if not is_so7(rows, tol):
         return False
     lane = _lane(rows)
@@ -91,7 +84,7 @@ def matrix_exp(a):
 
     iA is Hermitian, so with iA = V diag(w) V^* (numpy's eigh),
     exp(A) = V diag(exp(-iw)) V^*, whose real part is returned."""
-    rows = _rows(a)
+    rows = _as_rows(a)
     if _lane(rows).is_exact:
         raise ExactModeError("matrix_exp needs float input; the exponential leaves the rationals")
     arr = np.asarray(rows, dtype=float)
@@ -116,7 +109,7 @@ class SubalgebraBasis:
         mats = tuple(tuple(tuple(x for x in row) for row in m) for m in self.matrices)
         object.__setattr__(self, "matrices", mats)
         for m in mats:
-            rows = _rows(m)
+            rows = _as_rows(m)
             lane = _lane(rows)
             if not all(lane.is_zero(rows[i][j] + rows[j][i], ENTRY_TOL)
                        for i in range(DIM) for j in range(DIM)):
@@ -224,7 +217,7 @@ def two_form_to_matrix(beta: KForm):
 
 
 def matrix_to_two_form(rows) -> KForm:
-    rows = _rows(rows)
+    rows = _as_rows(rows)
     return KForm.from_entries(2, {(i + 1, j + 1): rows[i][j] for (i, j) in _UPPER}, _lane(rows))
 
 
@@ -268,7 +261,9 @@ def lie_normalizer(ambient: SubalgebraBasis, sub: SubalgebraBasis) -> Subalgebra
     The kernel of A -> (annihilator . [A, S_b])_b over the ambient
     coordinates.  The exact lane scales the sub and ambient vectors to ints by
     one common denominator each; neither moves that kernel, whose basis comes
-    from the unique reduced row echelon form."""
+    from the unique reduced row echelon form.  Each kernel row combines the
+    ambient matrices, scaled to ints as well, in one row sum (_row_sum), and
+    each entry is built once (Context.ratio)."""
     lane = _lane(*ambient.matrices, *sub.matrices)
     sub_vecs = lane.scaled([_vec_so(m) for m in sub.matrices])[0]
     ann = _annihilator(lane, sub_vecs)
@@ -283,19 +278,11 @@ def lie_normalizer(ambient: SubalgebraBasis, sub: SubalgebraBasis) -> Subalgebra
     for svec in sub_vecs:
         cols = [ratlin.matvec(ann, _bracket_vec(avec, svec), lane.scaled_zero) for avec in amb_vecs]
         constraint.extend(list(row) for row in zip(*cols))
-    mats = []
-    for coeffs in lane.nullspace(constraint or [[0] * len(amb_vecs)]):
-        acc = [[lane.zero] * DIM for _ in range(DIM)]
-        for c, e in zip(coeffs, ambient.matrices):
-            if c:
-                for i in range(DIM):
-                    row = e[i]
-                    acc_i = acc[i]
-                    for j in range(DIM):
-                        if row[j]:
-                            acc_i[j] += c * row[j]
-        mats.append(tuple(tuple(r) for r in acc))
-    return SubalgebraBasis(tuple(mats))
+    flat, fden = lane.scaled([[x for row in m for x in row] for m in ambient.matrices])
+    rows, den = lane.scaled_nullspace(constraint or [[0] * len(amb_vecs)])
+    return SubalgebraBasis(tuple(
+        _split_rows([lane.ratio(x, den * fden) for x in _row_sum(row, flat, lane.scaled_zero)])
+        for row in rows))
 
 
 @dataclass(frozen=True)
@@ -320,20 +307,21 @@ class HolonomySpec:
         return len(self.generators)
 
 
-def nf_member(g, h: HolonomySpec, tol: float = SO7_TOL) -> bool:
+def nf_member(g, h: HolonomySpec) -> bool:
     """Does conjugating every holonomy generator by g land in the stabilizer?
 
-    g must itself be special orthogonal (HolonomyError otherwise); the test
-    is is_g2(g^T h_i g) for every generator, g^T being g^-1 (exactly so in
-    the exact lane, where is_so7 checks g^T g = 1 literally).
+    g must itself be special orthogonal within LIE_TOL (HolonomyError
+    otherwise); the test is is_g2(g^T h_i g) within SO7_TOL for every
+    generator, g^T being g^-1 (exactly so in the exact lane, where is_so7
+    checks g^T g = 1 literally).
     """
-    rows = _rows(g)
-    if not is_so7(rows, max(tol, LIE_TOL)):
+    rows = _as_rows(g)
+    if not is_so7(rows, LIE_TOL):
         raise HolonomyError("frame rotation must be special orthogonal")
     ginv = ratlin.transpose(rows)
     for gen in h.generators:
-        conj = ratlin.matmul(ratlin.matmul(ginv, _rows(gen)), rows)
-        if not is_g2(conj, tol):
+        conj = ratlin.matmul(ratlin.matmul(ginv, _as_rows(gen)), rows)
+        if not is_g2(conj, SO7_TOL):
             return False
     return True
 
@@ -364,7 +352,7 @@ def coset_tangent_dim(h: HolonomySpec, s: G2Structure | None = None) -> int:
     ann = _annihilator(lane, lane.scaled([_vec_so(m) for m in g2b.matrices])[0])
     constraint = []
     for gen in h.generators:
-        grows, d = lane.scaled(_rows(gen))
+        grows, d = lane.scaled(_as_rows(gen))
         cols = []
         for a, (i, j) in enumerate(_UPPER):
             gi, gj = grows[i], grows[j]
@@ -380,13 +368,9 @@ def sample_so7(rng: random.Random):
     return matrix_exp(float_antisymmetric(rng))
 
 
-def sample_g2(rng: random.Random, s: G2Structure | None = None):
-    """Random stabilizer element: exponential of a random algebra combination (float)."""
-    basis = g2_algebra_basis(s).matrices
-    acc = [[0.0] * DIM for _ in range(DIM)]
-    for m in basis:
-        c = rng.uniform(-1.0, 1.0)
-        for i in range(DIM):
-            for j in range(DIM):
-                acc[i][j] += c * float(m[i][j])
-    return matrix_exp(acc)
+def sample_g2(rng: random.Random):
+    """Random stabilizer element: the exponential (float) of a combination
+    of g2_algebra_basis() with coefficients drawn uniformly from [-1, 1]."""
+    flat = [[float(x) for row in m for x in row] for m in g2_algebra_basis().matrices]
+    coeffs = [rng.uniform(-1.0, 1.0) for _ in flat]
+    return matrix_exp(_split_rows(_row_sum(coeffs, flat, 0.0)))

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -13,10 +14,12 @@ from g2kit.cli import main
 from g2kit.context import FLOAT
 from g2kit.exterior import DIM, KForm, interior
 from g2kit.g2core import phi0
+from g2kit.sampling import float_kform
 from g2kit.serialize import kform_to_json
 from test_context import time_limit
 
 OMEGA_X1 = '{"degree": 1, "entries": [{"idx": [1], "coeff": "4/5"}]}'
+OMEGA_X1_FLOAT = '{"degree": 1, "entries": [{"idx": [1], "coeff": 0.8}]}'
 
 REPORT_KEYS = {
     "schema_version", "command", "mode", "tol", "seed",
@@ -69,6 +72,36 @@ def test_float_twist_off_sphere_within_tol_but_beyond_constraint_tol_reports(cap
     assert rep["checks"] == {"constraint_on_sphere": False}
     assert rep["residuals"]["constraint"] == pytest.approx(1.6e-11, rel=1e-3)
     assert not rep["ok"]
+
+
+# The residual behind each float check of a report, by check name.
+RESIDUAL_OF = {
+    "reconstruction": "reconstruction",
+    "constraint_on_sphere": "constraint",
+    "metric_preserved": "metric_preservation",
+    "inner_product_law": "inner_product_law",
+    "parts_reconstruction": "parts_reconstruction",
+    "standard_form": "standard_form",
+    "roundtrip": "roundtrip",
+}
+
+
+def test_tol_decides_every_float_check(capsys, tmp_path):
+    """--tol decides every float check of a report.  At the default every
+    check passes; at --tol 1e-300 the run exits 1 and exactly the checks
+    whose residual is a nonzero float fail (residuals near 1e-16 here)."""
+    form = write_form(tmp_path, float_kform(random.Random(1), 3))
+    for argv in (["decompose", form, "--degree", "3"],
+                 ["twist", "--c", "0.6", "--omega", OMEGA_X1_FLOAT],
+                 ["demo", "--model", "s1xcy3", "--seed", "3"]):
+        argv = argv + ["--mode", "float"]
+        code, rep = run_json(capsys, argv)
+        assert code == 0 and all(rep["checks"].values()), argv
+        code, tight = run_json(capsys, argv + ["--tol", "1e-300"])
+        assert tight["residuals"] == rep["residuals"] and set(tight["checks"]) == set(rep["checks"])
+        residual = {name: rep["residuals"].get(RESIDUAL_OF.get(name), 0.0) for name in rep["checks"]}
+        failed = {name for name, ok in tight["checks"].items() if not ok}
+        assert code == 1 and failed and failed == {n for n, r in residual.items() if r != 0.0}, argv
 
 
 def test_twist_needs_exactly_one_omega_source(capsys, tmp_path):

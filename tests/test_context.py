@@ -36,13 +36,20 @@ SRC = Path(g2kit.__file__).resolve().parent
     ("float", float("nan")),
 ])
 def test_context_rejects_bad_fields(mode, tol):
-    with pytest.raises(ValueError):
+    """Context takes a mode only: a tolerance argument, valid or not, is a
+    TypeError rather than a lane with a tolerance of its own, and a mode
+    other than "exact" or "float" is a ValueError."""
+    with pytest.raises(TypeError):
         Context(mode, tol)
+    if mode != "float":
+        with pytest.raises(ValueError):
+            Context(mode)
 
 
 def test_context_has_exactly_mode_and_tol():
-    assert [f.name for f in dataclasses.fields(Context)] == ["mode", "tol"]
-    assert FLOAT.tol == 1e-10
+    """mode is the one field; tol is the ladder's DEFAULT_TOL, a class constant."""
+    assert [f.name for f in dataclasses.fields(Context)] == ["mode"]
+    assert FLOAT.tol == EXACT.tol == Context.tol == 1e-10
 
 
 @pytest.mark.parametrize("bad", ["Exact", "bogus", "", None, ["exact"]])
@@ -502,3 +509,119 @@ def test_context_carries_no_test_only_method():
             for text in _sources(folder).values()
             for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Attribute)}
     assert methods and [name for name in methods if name not in read] == []
+
+
+def _name_of(node):
+    """The name a decorator or a call's callee goes by: f, or attr of x.attr."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _knobs(tree):
+    """(label, callee, slot) for every defaulted parameter of a function or
+    method of one module, nested ones included, and every defaulted field of
+    its dataclasses.  callee is the name a call uses: the function's, the
+    method's, or the class's for __init__ and for fields; slot is the
+    parameter's positional index (self and cls aside), None for a
+    keyword-only one."""
+    found = []
+
+    def visit(body, cls=None):
+        fields = 0
+        is_dataclass = cls is not None and any(
+            _name_of(d) == "dataclass" for d in cls.decorator_list)
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [*args.posonlyargs, *args.args]
+                skip = int(cls is not None
+                           and "staticmethod" not in map(_name_of, node.decorator_list))
+                first = len(positional) - len(args.defaults)
+                if cls is None:
+                    label, callee = node.name, node.name
+                elif node.name == "__init__":
+                    label, callee = cls.name, cls.name
+                else:
+                    label, callee = f"{cls.name}.{node.name}", node.name
+                found.extend((f"{label}.{a.arg}", callee, i - skip)
+                             for i, a in enumerate(positional) if i >= first)
+                found.extend((f"{label}.{a.arg}", callee, None)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(node.body)
+            elif is_dataclass and isinstance(node, ast.AnnAssign):
+                if node.value is not None:
+                    found.append((f"{cls.name}.{node.target.id}", cls.name, fields))
+                fields += 1
+
+    visit(tree.body)
+    return found
+
+
+def _unset_knobs(package, sources):
+    """Labels of the knobs (_knobs) of the package sources {module stem: text}
+    that no call sets, sorted.  Calls are read from the package and from
+    the sources {path: text} outside a tests folder: the tests are no
+    caller.  A call by the callee's name sets a knob when it names it by
+    keyword, passes more positional arguments than its slot, unpacks
+    *args (any positional knob) or unpacks **kwargs (any knob)."""
+    calls = {}
+    texts = [*package.values(),
+             *(text for path, text in sources.items() if Path(path).parent.name != "tests")]
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(_name_of(node), []).append((
+                    sum(not isinstance(a, ast.Starred) for a in node.args), starred,
+                    {k.arg for k in node.keywords}))
+
+    def is_set(name, slot, call):
+        count, starred, keywords = call
+        return None in keywords or name in keywords or (
+            slot is not None and (starred or count > slot))
+
+    return sorted(label for text in package.values() for label, callee, slot in _knobs(ast.parse(text))
+                  if not any(is_set(label.rsplit(".", 1)[1], slot, call)
+                             for call in calls.get(callee, ())))
+
+
+# Parameters kept with no setter in the package or perfbench, and why.
+KNOBS_WITHOUT_CALLER = {
+    "coset_tangent_dim.s": "the tests drive the float algebra lane through it",
+    "float_antisymmetric.span": "a test draws at 3.0",
+}
+
+
+def test_no_unset_knobs():
+    """The package's lint step: every defaulted parameter of a g2kit function
+    or method and every defaulted dataclass field is set by some call in the
+    package or perfbench (_unset_knobs), KNOBS_WITHOUT_CALLER aside.  A value
+    no caller sets is a constant."""
+    root = Path(__file__).resolve().parents[1]
+    package = {path.stem: text for path, text in _sources(SRC).items()}
+    others = {**_sources(root / "tests"), **_sources(root / "perfbench")}
+    assert _unset_knobs(package, others) == sorted(KNOBS_WITHOUT_CALLER)
+
+
+def test_a_default_set_only_by_the_tests_is_unset():
+    """The helper on synthetic sources: a default that only a tests file sets
+    is flagged; a perfbench call that passes it by keyword, by position or
+    through *args sets it, and so does a class-name call for a dataclass
+    field.  A keyword-only default is set by keyword or **kwargs only."""
+    package = {"mod": "from dataclasses import dataclass\n\n\n"
+                      "def scale(x, factor=2, *, shift=0):\n    return x * factor + shift\n\n\n"
+                      "@dataclass\nclass Box:\n    side: int\n    label: str = ''\n\n"
+                      "    def area(self, times=1):\n        return self.side ** 2 * times\n"}
+    tests = {"tests/test_mod.py": "scale(1, 3, shift=1)\nBox(1, 'a').area(2)\n"}
+    assert _unset_knobs(package, tests) == ["Box.area.times", "Box.label", "scale.factor",
+                                            "scale.shift"]
+    for call, left in (("scale(1, factor=3)\n", ["scale.shift"]),
+                       ("scale(1, 3)\n", ["scale.shift"]),
+                       ("scale(*args)\n", ["scale.shift"]),
+                       ("scale(**kwargs)\n", [])):
+        bench = {"perfbench/run.py": call + "Box(1, 'a').area(times=2)\n"}
+        assert _unset_knobs(package, {**tests, **bench}) == left, call
+    bench = {"perfbench/run.py": "scale(1, 3, shift=1)\nBox(side=1).area(2)\n"}
+    assert _unset_knobs(package, bench) == ["Box.label"]

@@ -220,6 +220,14 @@ def test_is_g2_form_cases():
         is_g2_form(KForm.zero(2))
 
 
+def test_is_g2_form_decides_in_the_forms_lane():
+    """A float form is decided in the float lane, not refused by the exact one."""
+    assert is_g2_form(phi0(FLOAT))
+    assert not is_g2_form(KForm.zero(3, FLOAT))
+    with pytest.raises(DegreeError):
+        is_g2_form(KForm.zero(2, FLOAT))
+
+
 def test_structure_rejects_unnormalized():
     with pytest.raises(NotG2FormError):
         G2Structure(KForm.basis((1, 2, 3)))
@@ -452,9 +460,6 @@ def test_sym_tensor_validation():
     bad[0][1] = Fraction(1)
     with pytest.raises(ValueError):
         SymTensor(tuple(tuple(r) for r in bad))
-    eye = [[Fraction(1 if i == j else 0) for j in range(DIM)] for i in range(DIM)]
-    with pytest.raises(ValueError):
-        SymTensor(tuple(tuple(r) for r in eye), traceless=True)
 
 
 # -- contraction identities ----------------------------------------------------
