@@ -433,12 +433,10 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
 def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
     """A basis of the tangent space at p inside the ambient parameter sphere
     spanned by c and the first ambient_dim coordinate 1-forms: the kernel of
-    (c_dot, v) -> c c_dot + <omega, v>, with the structure's inner product."""
-    if not 1 <= ambient_dim <= DIM:
-        raise ValueError("ambient_dim must be 1..7")
+    (c_dot, v) -> c c_dot + <omega, v>, with the structure's inner product.
+    p is checked as _twist_point checks it (ValueError, ConstraintError)."""
+    _twist_point(s, p, ambient_dim)
     p = _coerce_params(s, p)
-    if any(p.omega.num[ambient_dim:]):
-        raise ConstraintError("omega leaves the ambient coordinate subspace")
     row = [p.c, *sharp(p.omega, s.metric)[:ambient_dim]]
     basis = []
     for v in s.ctx.nullspace([row]):

@@ -4,13 +4,15 @@ A whole computation runs either exact (fractions.Fraction everywhere) or
 float; the two are never mixed inside one structure.  A Context names the
 lane and is the only place that knows what a lane is: it coerces incoming
 scalars once, gives the lane's zero and one, decides "is this zero" (literal
-in exact, within a tolerance in float), and routes square roots,
-determinants, definiteness, inverses, ranks, kernels, spans, eigenvector
-checks, symmetrizing, integer scaling and the reduction of a k-form's
-stored (num, den) pair to the lane's algorithm.  Inverses, kernels and
-spans come as scaled pairs (rows, den), int rows over one den in exact
-mode.  Constructors that need a lane's zero and one (phi0(FLOAT),
-KForm.zero, basis_vector, ...) take a Context, never a bool.  lane_of finds
+in exact, within a tolerance the caller names in float), and routes square
+roots, determinants, definiteness, inverses, ranks, kernels, spans,
+symmetrizing, integer scaling and the reduction of a k-form's stored
+(num, den) pair to the lane's algorithm.  Inverses, kernels and spans come
+as scaled pairs (rows, den), int rows over one den in exact mode.  The
+eigenvector check runs one code path in both lanes, on ratlin.matvec, and
+reads the lane only through scaled, ratio and is_zero.  Constructors that
+need a lane's zero and one (phi0(FLOAT), KForm.zero, basis_vector, ...)
+take a Context, never a bool.  lane_of finds
 the lane of values that arrive without a Context (ints and Fractions are
 exact, any float makes them float).
 
@@ -107,8 +109,9 @@ def _check_exponent(text: str):
 @dataclass(frozen=True)
 class Context:
     """One arithmetic lane, "exact" or "float".  The lane carries no
-    tolerance of its own: tol is the class constant DEFAULT_TOL, the float
-    lane's is_zero default."""
+    tolerance of its own: every is_zero call names its bound, and tol is
+    the class constant DEFAULT_TOL, the ladder's default for callers that
+    read it."""
 
     mode: str = "exact"
     tol = DEFAULT_TOL
@@ -136,11 +139,11 @@ class Context:
     def one(self) -> Scalar:
         return _ONE if self.is_exact else 1.0
 
-    def is_zero(self, x, tol: float | None = None) -> bool:
-        """x == 0 in exact mode; |x| <= tol (default: DEFAULT_TOL) in float mode."""
+    def is_zero(self, x, tol: float) -> bool:
+        """x == 0 in exact mode; |x| <= tol in float mode."""
         if self.is_exact:
             return x == 0
-        return abs(x) <= (self.tol if tol is None else tol)
+        return abs(x) <= tol
 
     def scalar(self, x) -> Scalar:
         """Coerce one scalar into this context's arithmetic.
@@ -316,13 +319,28 @@ class Context:
 
     def eigenvalue(self, m, vectors, lam=None):
         """lam (by default the vectors' Rayleigh quotient) when m v = lam v
-        for every vector, else None: checked literally in exact mode, in
-        float mode within FLOAT_RANK_CUTOFF relative to the bound of |m v|."""
+        for every vector, else None.  The images are ratlin.matvec's and
+        lam = p / q is split by scaled, so each residual max|q m v - p v| is
+        zero under is_zero: literally in exact mode, in float mode within
+        FLOAT_RANK_CUTOFF times q |m|_inf |v|_max, the bound of |q m v|."""
         from . import ratlin
 
-        if self.is_exact:
-            return ratlin.eigenvalue_exact(m, vectors, lam)
-        return ratlin.eigenvalue_float(m, vectors, lam)
+        images = [ratlin.matvec(m, v, self.scaled_zero) for v in vectors]
+        if lam is None:
+            den = sum(x * x for v in vectors for x in v)
+            if not den:
+                return None
+            lam = self.ratio(sum(x * y for v, w in zip(vectors, images) for x, y in zip(v, w)), den)
+        ((p,),), q = self.scaled([[lam]])
+        norm = None
+        for v, w in zip(vectors, images):
+            res = max((abs(q * y - p * x) for x, y in zip(v, w)), default=0)
+            if res:
+                if norm is None:
+                    norm = max(sum(abs(x) for x in row) for row in m)
+                if not self.is_zero(res, FLOAT_RANK_CUTOFF * (q * norm * max(map(abs, v)))):
+                    return None
+        return lam
 
 
 EXACT = Context("exact")

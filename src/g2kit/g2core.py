@@ -334,12 +334,13 @@ def _split_two_forms(table, gens7, ctx: Context) -> tuple:
     would read *phi too.)
 
     T must then act on gens7 and on the kernel basis by its two scalars
-    (Context.eigenvalue: literal int products in exact mode, a relative
-    residual in float mode), and the scalars must differ.  A kernel of
-    dimension 14 means gens7 . (T - lambda14) has rank 7, so gens7 has rank
-    7 too: with spans of dimensions 7 and 14, the two spaces meet only in 0
-    and fill all 21, which proves that T is diagonalizable with eigenspaces
-    of dimensions (7, 14).  The 14-space basis is Context.scaled_nullspace:
+    (Context.eigenvalue, one code path on ratlin.matvec: a residual that is
+    literally zero on ints in exact mode, within a relative bound in float
+    mode), and the scalars must differ.  A kernel of dimension 14 means
+    gens7 . (T - lambda14) has rank 7, so gens7 has rank 7 too: with spans
+    of dimensions 7 and 14, the two spaces meet only in 0 and fill all 21,
+    which proves that T is diagonalizable with eigenspaces of dimensions
+    (7, 14).  The 14-space basis is Context.scaled_nullspace:
     in exact mode int rows whose quotients are the kernel vectors of
     Context.nullspace, normalized as the kernel of T - lambda14 is, and the
     eigenvector check runs on those ints with no Fraction per entry.  The

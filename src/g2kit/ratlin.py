@@ -1,23 +1,25 @@
 """Small dense linear algebra kernel.
 
 Two lanes that never mix.  The exact lane takes rational matrices (ints and
-fractions.Fraction, no numpy anywhere in that path) and eliminates
-fraction-free: each row is scaled to integers by the lcm of its
-denominators, the package's one exact Gauss-Jordan (_rref_ints) runs on
-Python ints with a gcd pass per updated row, rank runs the same
-elimination forward only, and det uses Bareiss's exact-division
-elimination (Math. Comp. 22 (1968) 565-578).  The int kernels inv_int,
-nullspace_int and span_int read the int rref's rows as int rows over one
-den, with no Fraction, and definite_det reads det and definiteness off one
-Bareiss pass with no row swaps.  The float lane takes det as the signed
-product of partial-pivoting pivots in pure Python (det_float, exact when
-the pivots are, as for phi0's contraction matrix 6 I) and defers the rest
-to numpy; its rank decisions use the singular value cutoff
-context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a lane
-through Context.det / definite_det / scaled_inverse (read by inv) / rank /
-scaled_nullspace (read by nullspace) / scaled_span / eigenvalue; matvec is
-the package's one matrix-vector product.  Matrices are lists/tuples of
-rows; vectors are flat sequences.
+fractions.Fraction, no numpy anywhere in that path), scales each row to
+integers by the lcm of its denominators and runs one routine per question
+on Python ints.  The package's one exact Gauss-Jordan (_rref_ints, a gcd
+pass per updated row) gives the inverse, the kernel and the span: inv_int,
+nullspace_int and span_int read its rows as int rows over one den, with no
+Fraction.  One fraction-free forward pass (_bareiss, Bareiss's
+exact-division elimination, Math. Comp. 22 (1968) 565-578) gives the rank,
+the determinant and definiteness: rank_exact counts its pivots, det_exact
+signs its last pivot, and definite_det reads Sylvester's criterion off its
+pivots when it takes no row out of order.  The float lane takes det as the
+signed product of partial-pivoting pivots in pure Python (det_float, exact
+when the pivots are, as for phi0's contraction matrix 6 I) and defers rank,
+kernel and span to numpy's SVD, whose rank decisions use the singular value
+cutoff context.FLOAT_RANK_CUTOFF of the tolerance ladder.  Callers pick a
+lane through Context.det / definite_det / scaled_inverse (read by inv) /
+rank / scaled_nullspace (read by nullspace) / scaled_span; matvec is the
+package's one matrix-vector product, and Context.eigenvalue runs the eigen
+check of both lanes on it.  Matrices are lists/tuples of rows; vectors are
+flat sequences.
 """
 from __future__ import annotations
 
@@ -47,9 +49,12 @@ def matmul(a, b):
 
 def matvec(rows, v, zero=0) -> list:
     """rows . v, skipping v's zeros, each sum started at zero: ints for
-    Context.scaled rows in the exact lane."""
-    nonzero = [(q, c) for q, c in enumerate(v) if c]
-    return [sum((row[q] * c for q, c in nonzero), zero) for row in rows]
+    Context.scaled rows in the exact lane.  One itemgetter picks a row's
+    entries at v's nonzero positions."""
+    nonzero = [q for q, c in enumerate(v) if c]
+    xs = [v[q] for q in nonzero]
+    get = itemgetter(*nonzero) if len(nonzero) > 1 else lambda row: [row[q] for q in nonzero]
+    return [sum(map(mul, get(row), xs), zero) for row in rows]
 
 
 def mat_sub(a, b):
@@ -124,85 +129,76 @@ def _rref_ints(m):
     return rows, pivots
 
 
-def rank_exact(m) -> int:
-    """Rank by forward fraction-free elimination: rows scaled to coprime
-    ints; each pivot row leaves the working rows and is eliminated from the
-    rest (new = pivot * row - factor * pivot_row, divided by its gcd), and
-    zero rows are dropped as they appear.  No back substitution and no
-    Fraction: the rank is the number of pivots."""
-    rows = [row for row in map(primitive_int_row, m) if any(row)]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((row for row in rows if row[c]), None)
-        if pivot is None:
+def _bareiss(rows):
+    """Yield (k, pivot) for each pivot of one fraction-free forward pass
+    over int rows (Bareiss, Math. Comp. 22 (1968) 565-578).
+
+    Column by column, the first working row with a nonzero entry there is
+    the pivot row; k is its position among the working rows, so taking it
+    out costs the sign (-1)^k.  The other rows become (pivot * row -
+    factor * pivot_row) // previous pivot, an exact division, and a row
+    that becomes zero is dropped: it only shows rank deficiency.  A column
+    with no nonzero entry is skipped.  With k = 0 at every step and no
+    column skipped, the pivots are the leading principal minors."""
+    rows, prev, c = list(rows), 1, 0
+    while rows and c < len(rows[0]):
+        k = next((i for i, row in enumerate(rows) if row[c]), None)
+        if k is None:
+            c += 1
             continue
-        rank += 1
-        pv, rest = pivot[c], []
+        top = rows.pop(k)
+        pv = top[c]
+        yield k, pv
+        c += 1
+        tail, rest = top[c:], []
         for row in rows:
-            f = row[c]
-            if not f:
+            f = row[c - 1]
+            row = [(pv * x - f * y) // prev for x, y in zip(row[c:], tail)]
+            if any(row):
                 rest.append(row)
-            elif row is not pivot:
-                row = _primitive([pv * x - f * y for x, y in zip(row, pivot)])
-                if any(row):
-                    rest.append(row)
-        rows = rest
-        if not rows:
-            break
-    return rank
+        rows, prev, c = rest, pv, 0
+
+
+def rank_exact(m) -> int:
+    """Rank: the number of pivots of one Bareiss pass (_bareiss) over the
+    rows scaled to coprime ints.  No back substitution and no Fraction."""
+    return sum(1 for _ in _bareiss(map(primitive_int_row, m)))
 
 
 def det_exact(m):
-    """Determinant by fraction-free (Bareiss) elimination on integer-scaled rows.
+    """Determinant by one Bareiss pass (_bareiss) on integer-scaled rows.
 
     Row i is scaled by the lcm d_i of its denominators, so the result is
-    det(integer matrix) / prod(d_i); each Bareiss step divides exactly.
+    det(integer matrix) / prod(d_i): the last pivot, signed by the pivot
+    rows' positions k, over the product; 0 with fewer pivots than rows.
     """
-    den = 1
-    a = []
+    den, a = 1, []
     for row in m:
         ints, d = _int_row(row)
         a.append(ints)
         den *= d
-    if not a:
-        return Fraction(1)
-    sign, prev = 1, 1
-    while len(a) > 1:
-        pivot = None
-        for i, row in enumerate(a):
-            if row[0]:
-                pivot = i
-                break
-        if pivot is None:
-            return _ZERO
-        if pivot:
-            a[0], a[pivot] = a[pivot], a[0]
+    n, sign, pv = 0, 1, 1
+    for n, (k, pv) in enumerate(_bareiss(a), 1):
+        if k % 2:
             sign = -sign
-        top = a[0]
-        pv = top[0]
-        a = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
-        prev = pv
-    return Fraction(sign * a[0][0], den)
+    return Fraction(sign * pv, den) if n == len(a) else _ZERO
 
 
 def definite_det(m):
     """(det(m), sign) for a symmetric int matrix m with sign * m positive
-    definite, sign = 1 or -1, else None.  One Bareiss pass with no row
-    swaps: its k-th pivot is the k-th leading principal minor M_k, so m is
-    positive definite when every M_k > 0 and negative definite when every
-    (-1)^k M_k > 0 (Sylvester's criterion); the pass stops at the first
-    pivot off that pattern, and its last pivot is det(m)."""
-    a, prev = m, 1
-    sign = want = 1 if m[0][0] > 0 else -1
-    while True:
-        top = a[0]
-        pv = top[0]
-        if pv * want <= 0:
+    definite, sign = 1 or -1, else None.  One Bareiss pass (_bareiss) that
+    takes every pivot from the first working row: its k-th pivot is then
+    the k-th leading principal minor M_k, so m is positive definite when
+    every M_k > 0 and negative definite when every (-1)^k M_k > 0
+    (Sylvester's criterion); the pass stops at the first pivot off that
+    pattern, and with a full count of pivots its last pivot is det(m)."""
+    n, sign = 0, 1 if m[0][0] > 0 else -1
+    want = sign
+    for n, (k, pv) in enumerate(_bareiss(m), 1):
+        if k or pv * want <= 0:
             return None
-        if len(a) == 1:
-            return pv, sign
-        a = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
-        prev, want = pv, want * sign
+        want *= sign
+    return (pv, sign) if n == len(m) else None
 
 
 def inv_int(m):
@@ -253,31 +249,6 @@ def span_int(m):
     den = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
     return [[x * (den // row[c]) for x in reversed(row)]
             for row, c in reversed(list(zip(rows, pivots)))], den
-
-
-def eigenvalue_exact(m, vectors, lam=None):
-    """lam when m v = lam v for every vector, else None.  Without lam, the
-    Rayleigh quotient sum <v, m v> / sum <v, v> is tried.  Each image m v is
-    formed as row dot products on v's nonzero entries, and the check is
-    literal: q m v == p v for lam = p / q (ints for int input)."""
-    images = []
-    for v in vectors:
-        nonzero = [q for q, x in enumerate(v) if x]
-        xs = [v[q] for q in nonzero]
-        get = itemgetter(*nonzero) if len(nonzero) > 1 else lambda row: [row[q] for q in nonzero]
-        images.append([sum(map(mul, get(row), xs)) for row in m])
-    if lam is None:
-        den = sum(x * x for v in vectors for x in v)
-        if not den:
-            return None
-        lam = Fraction(sum(x * y for v, w in zip(vectors, images) for x, y in zip(v, w)), den)
-    else:
-        lam = Fraction(lam)
-    p, q = lam.numerator, lam.denominator
-    for v, w in zip(vectors, images):
-        if any(q * y != p * x for x, y in zip(v, w)):
-            return None
-    return lam
 
 
 def _np(m):
@@ -342,22 +313,3 @@ def span_float(m):
         return []
     _, sv, vt = np.linalg.svd(arr, full_matrices=False)
     return vt[:_svd_rank(sv)].tolist()
-
-
-def eigenvalue_float(m, vectors, lam=None):
-    """lam when every residual |m v - lam v| stays within FLOAT_RANK_CUTOFF
-    times the bound |m|_inf |v|_max of m v itself, else None.  Without lam,
-    the Rayleigh quotient sum <v, m v> / sum <v, v> is tried."""
-    a, v = _np(m), _np(vectors)
-    if v.size == 0:
-        return None
-    w = v @ a.T
-    if lam is None:
-        den = float(np.sum(v * v))
-        if den == 0.0:
-            return None
-        lam = float(np.sum(v * w)) / den
-    scale = float(np.abs(a).sum(axis=1).max()) * np.abs(v).max(axis=1)
-    if np.any(np.abs(w - lam * v).max(axis=1) > FLOAT_RANK_CUTOFF * scale):
-        return None
-    return lam

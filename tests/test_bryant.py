@@ -347,6 +347,25 @@ def test_tangent_basis_rejects_off_subspace_point(s):
         tangent_basis(s, p, 1)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_tangent_basis_refuses_a_point_off_the_sphere(mode):
+    """tangent_basis checks p as twist and derivative_rank do: c = 2,
+    omega = dx1 lies 4 off the sphere, so it raises the ConstraintError
+    they raise rather than return 7 vectors; the ambient ValueError and the
+    subspace ConstraintError come first, in that order."""
+    s = standard_structure(mode)
+    p = TwistParams(2, KForm.from_entries(1, {(1,): 1}, s.ctx))
+    for call in (lambda: twist(s, p), lambda: derivative_rank(s, p, 7),
+                 lambda: tangent_basis(s, p, 7)):
+        with pytest.raises(ConstraintError, match=r"c\^2 \+ \|omega\|\^2 - 1 = 4"):
+            call()
+    off_both = TwistParams(1, KForm.from_entries(1, {(4,): 1}, s.ctx))
+    with pytest.raises(ValueError, match="ambient_dim must be 1..7"):
+        tangent_basis(s, off_both, 0)
+    with pytest.raises(ConstraintError, match="leaves the ambient coordinate subspace"):
+        tangent_basis(s, off_both, 3)
+
+
 # -- kept references: Bryant's formula written out three times by hand, and the
 # -- float c = 0 square root through numpy's eigh -----------------------------
 
@@ -1044,13 +1063,14 @@ def test_derivative_rank_argument_errors_in_order(mode):
         derivative_rank(s, off_both, 4)
 
 
-def test_exact_split_builds_ten_fractions(monkeypatch):
+def test_exact_split_builds_nine_fractions(monkeypatch):
     """The 2-form splitting runs on int rows: an exact structure runs no
-    split at construction, and its first read of lambda7 builds 10
+    split at construction, and its first read of lambda7 builds 9
     Fractions inside _split_two_forms (lambda7 and lambda14 with their
-    arithmetic and checks), on phi0, a twist and a frame in both
-    orientations (158 to 234 while the kernel came as Fractions); later
-    reads and decompose2 run no split again."""
+    arithmetic and checks; the lambda14 check takes lambda14 as it is), on
+    phi0, a twist and a frame in both orientations (158 to 234 while the
+    kernel came as Fractions); later reads and decompose2 run no split
+    again."""
     counts, real = [], g2core._split_two_forms
 
     def counted(*args):
@@ -1069,7 +1089,7 @@ def test_exact_split_builds_ten_fractions(monkeypatch):
         assert len(counts) == n
         s.lambda7
         s.lambda14, s.basis2_14, decompose2(KForm.basis((1, 2)), s)
-    assert counts == [10] * len(forms)
+    assert counts == [9] * len(forms)
 
 
 def ref_twist_decomposed_fractions(s, p):

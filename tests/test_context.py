@@ -77,8 +77,9 @@ def test_context_of_returns_the_shared_lanes():
 def test_lane_api():
     assert type(EXACT.zero) is Fraction and EXACT.zero == 0 and EXACT.one == 1
     assert type(FLOAT.zero) is float and FLOAT.one == 1.0
-    assert EXACT.is_zero(Fraction(0)) and not EXACT.is_zero(Fraction(1, 10 ** 30), 1.0)
-    assert FLOAT.is_zero(1e-11) and not FLOAT.is_zero(1e-9) and FLOAT.is_zero(1e-9, 1e-8)
+    assert EXACT.is_zero(Fraction(0), Context.tol) and not EXACT.is_zero(Fraction(1, 10 ** 30), 1.0)
+    assert FLOAT.is_zero(1e-11, Context.tol) and not FLOAT.is_zero(1e-9, Context.tol)
+    assert FLOAT.is_zero(1e-9, 1e-8)
     assert EXACT.sqrt(Fraction(9, 4)) == Fraction(3, 2) and EXACT.sqrt(0) == 0
     with pytest.raises(ExactModeError):
         EXACT.sqrt(Fraction(2))
@@ -292,23 +293,38 @@ def test_lane_forks_are_counted():
 
 
 # Context methods that read a scaled kernel through ratio instead of forking on the lane.
-LANE_FREE_VIEWS = ("inv", "nullspace")
+LANE_FREE_VIEWS = ("inv", "nullspace", "eigenvalue")
 
 
 def test_only_ratlin_defines_a_matvec():
     """ratlin.matvec is the package's one matrix-vector product: no other
-    module defines a matvec or _matvec."""
+    module defines a matvec or _matvec, and no module keeps a per-lane
+    eigen check (eigenvalue_exact, eigenvalue_float) with products of its
+    own."""
     products = [(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in ("matvec", "_matvec")]
+                and node.name in ("matvec", "_matvec", "eigenvalue_exact", "eigenvalue_float")]
     assert products == [("ratlin", "matvec")]
 
 
+def test_one_bareiss_pass():
+    """ratlin._bareiss is the package's one Bareiss elimination: rank_exact,
+    det_exact and definite_det read its pivots, so it is the only function
+    that divides by a previous pivot (a floor division by a name prev)."""
+    found = [(path.stem, qualname) for path in sorted(SRC.glob("*.py"))
+             for tree in [ast.parse(path.read_text(encoding="utf-8"))]
+             for qualname, lines in _function_lines(tree).items()
+             if any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                    and isinstance(node.right, ast.Name) and node.right.id == "prev"
+                    and node.lineno in lines for node in ast.walk(tree))]
+    assert found == [("ratlin", "_bareiss")]
+
+
 def test_inv_and_nullspace_make_no_lane_test():
-    """Context.inv and Context.nullspace read scaled_inverse and
-    scaled_nullspace through ratio: neither reads is_exact or mode, so each
-    operation picks its lane once."""
+    """Context.inv, Context.nullspace and Context.eigenvalue read the scaled
+    kernels, matvec and scaled through ratio, scaled_zero and is_zero: none
+    reads is_exact or mode, so each operation picks its lane once."""
     tree = ast.parse((SRC / "context.py").read_text(encoding="utf-8"))
     (context,) = [node for node in tree.body
                   if isinstance(node, ast.ClassDef) and node.name == "Context"]

@@ -11,6 +11,10 @@
   against the Fraction wrappers and numpy calls they replaced (ref_inv_exact,
   ref_nullspace_exact, ref_inv_float), and ratlin.matvec against the dense
   product (ref_matvec);
+- rank_exact, det_exact and definite_det, which read one Bareiss pass
+  (_bareiss), and the lane-free Context.eigenvalue against the routines
+  they replaced (ref_det_exact, ref_definite_det, ref_eigenvalue_exact,
+  ref_eigenvalue_float);
 - the cubic table for B(phi) against the wedge chain that defines it;
 - the closed forms used at construction: frame Gram = 4 g, the symmetric
   action assembled from g^-1;
@@ -62,7 +66,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 import pytest
@@ -434,6 +438,170 @@ def test_kernels_on_empty_and_integer_input():
     assert EXACT.scaled_span([[0, 0], [0, -4]]) == ([[0, 1]], 1)
 
 
+def ref_det_exact(m):
+    """The det_exact that _bareiss replaced: its own Bareiss loop with row
+    swaps on rows scaled by the lcm of their denominators."""
+    den = 1
+    a = []
+    for row in m:
+        ints, d = ratlin._int_row(row)
+        a.append(ints)
+        den *= d
+    if not a:
+        return Fraction(1)
+    sign, prev = 1, 1
+    while len(a) > 1:
+        pivot = next((i for i, row in enumerate(a) if row[0]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot:
+            a[0], a[pivot] = a[pivot], a[0]
+            sign = -sign
+        top = a[0]
+        pv = top[0]
+        a = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
+        prev = pv
+    return Fraction(sign * a[0][0], den)
+
+
+def ref_definite_det(m):
+    """The definite_det that _bareiss replaced: its own Bareiss loop with no
+    row swaps, stopping at the first leading minor off Sylvester's pattern."""
+    a, prev = m, 1
+    sign = want = 1 if m[0][0] > 0 else -1
+    while True:
+        top = a[0]
+        pv = top[0]
+        if pv * want <= 0:
+            return None
+        if len(a) == 1:
+            return pv, sign
+        a = [[(pv * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])] for row in a[1:]]
+        prev, want = pv, want * sign
+
+
+def ref_eigenvalue_exact(m, vectors, lam=None):
+    """The exact lane's eigen check that Context.eigenvalue replaced, with
+    its own matrix-vector loop: lam (by default the Rayleigh quotient) when
+    q m v == p v literally for lam = p / q, else None."""
+    images = []
+    for v in vectors:
+        nonzero = [q for q, x in enumerate(v) if x]
+        xs = [v[q] for q in nonzero]
+        get = itemgetter(*nonzero) if len(nonzero) > 1 else lambda row: [row[q] for q in nonzero]
+        images.append([sum(map(mul, get(row), xs)) for row in m])
+    if lam is None:
+        den = sum(x * x for v in vectors for x in v)
+        if not den:
+            return None
+        lam = Fraction(sum(x * y for v, w in zip(vectors, images) for x, y in zip(v, w)), den)
+    else:
+        lam = Fraction(lam)
+    p, q = lam.numerator, lam.denominator
+    for v, w in zip(vectors, images):
+        if any(q * y != p * x for x, y in zip(v, w)):
+            return None
+    return lam
+
+
+def ref_eigenvalue_float(m, vectors, lam=None):
+    """The float lane's eigen check that Context.eigenvalue replaced, on
+    numpy: lam when every |m v - lam v| is within FLOAT_RANK_CUTOFF times
+    |m|_inf |v|_max, else None."""
+    a, v = np.asarray(m, dtype=float), np.asarray(vectors, dtype=float)
+    if v.size == 0:
+        return None
+    w = v @ a.T
+    if lam is None:
+        den = float(np.sum(v * v))
+        if den == 0.0:
+            return None
+        lam = float(np.sum(v * w)) / den
+    scale = float(np.abs(a).sum(axis=1).max()) * np.abs(v).max(axis=1)
+    if np.any(np.abs(w - lam * v).max(axis=1) > FLOAT_RANK_CUTOFF * scale):
+        return None
+    return lam
+
+
+SQUARE_ENTRIES = st.one_of(st.integers(-3, 3),
+                           st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)))
+
+
+@st.composite
+def square_cases(draw):
+    """(m, sym, vectors, lam) for n from 1 to 7:
+    - m, an n x n matrix of ints and Fractions: singular (a row combining
+      two others), with a zeroed column, with a zero leading entry or as
+      drawn; then the columns of a drawn set E are lam0 times their unit
+      vector, so vectors on E are eigenvectors for lam0;
+    - sym, a symmetric int matrix s (a^T a + shift I): singular,
+      indefinite, positive or negative definite, maybe with s_00 = 0;
+    - 1 to 3 vectors, each on E, anywhere or zero;
+    - lam, None, lam0 or another Fraction."""
+    n = draw(st.integers(1, 7))
+    m = [[draw(SQUARE_ENTRIES) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(("keep", "singular", "zero column", "zero lead")))
+    if kind == "singular" and n > 1:
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        a, b = draw(SQUARE_ENTRIES), draw(SQUARE_ENTRIES)
+        m[-1] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    elif kind == "zero column":
+        c = draw(st.integers(0, n - 1))
+        for row in m:
+            row[c] = 0
+    elif kind == "zero lead":
+        m[0][0] = 0
+    lam0 = Fraction(draw(SQUARE_ENTRIES))
+    eig = sorted(draw(st.sets(st.integers(0, n - 1))))
+    for c in eig:
+        for i, row in enumerate(m):
+            row[c] = lam0 if i == c else 0
+    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    shift, sign = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1)))
+    sym = [[sign * (sum(r[i] * r[j] for r in a) + shift * (i == j)) for j in range(n)]
+           for i in range(n)]
+    if draw(st.booleans()):
+        sym[0][0] = 0
+    vectors = []
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(("eigen", "eigen", "any", "zero")))
+        vectors.append([draw(SQUARE_ENTRIES) if where == "any" or (where == "eigen" and c in eig)
+                        else 0 for c in range(n)])
+    lam = draw(st.one_of(st.none(), st.just(lam0), st.builds(Fraction, SQUARE_ENTRIES)))
+    return m, sym, vectors, lam
+
+
+@given(square_cases())
+@example(([[2, 1], [0, 3]], [[2, 1], [1, 1]], [[1, 0], [3, 0]], None))
+@example(([[2, 1], [0, 3]], [[1, 2], [2, 4]], [[1, 1]], Fraction(3)))
+@example(([[2, 1], [1, 1]], [[-2, 1], [1, -1]], [[1, 0], [1, 1]], None))
+@example(([[1, 2], [2, 4]], [[0, 1], [1, 0]], [[0, 1]], None))
+@example(([[2, 1], [0, 3]], [[1, 2], [2, 1]], [[1, 0]], Fraction(3)))
+@example(([[2, 1], [0, 3]], [[1, 0], [0, -1]], [[0, 0]], None))
+@settings(max_examples=300, deadline=None)
+def test_bareiss_readers_and_eigen_check_match_the_routines_they_replaced(case):
+    """rank_exact, det_exact and definite_det, which read one Bareiss pass
+    (_bareiss), and the lane-free Context.eigenvalue on ratlin.matvec equal
+    the routines they replaced: literally in exact mode (ref_rank_exact,
+    ref_det_exact, ref_definite_det, ref_eigenvalue_exact); in float mode
+    the eigen check refuses exactly when ref_eigenvalue_float does, and
+    lambda agrees within 1e-13 relative."""
+    m, sym, vectors, lam = case
+    det = ratlin.det_exact(m)
+    assert type(det) is Fraction and repr(det) == repr(ref_det_exact(m))
+    assert ratlin.rank_exact(m) == ref_rank_exact(m)
+    assert ratlin.definite_det(sym) == ref_definite_det(sym)
+    got = EXACT.eigenvalue(m, vectors, lam)
+    assert repr(got) == repr(ref_eigenvalue_exact(m, vectors, lam))
+    fm = [[float(x) for x in row] for row in m]
+    fv = [[float(x) for x in v] for v in vectors]
+    flam = None if lam is None else float(lam)
+    got, want = FLOAT.eigenvalue(fm, fv, flam), ref_eigenvalue_float(fm, fv, flam)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert abs(got - want) <= 1e-13 * max(abs(got), abs(want))
+
+
 # -- B(phi): cubic table against the wedge chain ------------------------------
 
 
@@ -587,7 +755,7 @@ def ref_odot_inverse(eta, s):
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
     parts = decompose3(eta, s)
-    if not ctx.is_zero(parts.p7.max_abs()):
+    if not ctx.is_zero(parts.p7.max_abs(), ctx.tol):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     target = [a + b for a, b in zip(parts.p1.coeffs, parts.p27.coeffs)]
     x, resid = ref_solve(ctx, ref_odot_symmetric_matrix(s), target)
