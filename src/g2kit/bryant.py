@@ -15,8 +15,11 @@ the point's and the tangents' coordinates: the twist at x = (c, w) is
 sum_ab x_a x_b B(a, b).  A point is read once per call as x = xs / xden,
 off c and omega's stored (num, den), and c^2 + |w|^2 = 1 is one scaled
 identity on xs (ints in exact mode; _twist_point).  The derivative's rank
-needs no tangent basis: it is the rank of the point's ambient images under
-that table, less one (derivative_rank).  Recovery reads X = x x^T off the
+needs no tangent basis: it is the rank of the point's ambient images D_b
+under that table, less one (derivative_rank).  On a Euclidean metric it is
+read off Bryant's Gram identity <D_a, D_b> = 4 |x|^2 delta_ab + 3 x_a x_b,
+checked on the images' scaled numerators, with no elimination; Context.rank
+is the fallback.  Recovery reads X = x x^T off the
 form and takes x as a pivot column of X over the root of its diagonal
 entry: the pivot c when c^2 >= 1/16, else the largest diagonal entry of the
 block w w^T, so no point of the sphere divides by a small number.  Its
@@ -35,6 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import ratlin
 from .context import C_ZERO_SWITCH, CONSTRAINT_TOL, DEFAULT_TOL, RECOVERY_TOL, np
@@ -96,9 +100,9 @@ class TwistParams:
             return self.antipode()
         # the stored numerators carry the coefficients' signs (den > 0)
         lane = self.omega._lane
-        bound = DEFAULT_TOL * max(1.0, float(self.omega.max_abs()))
+        scale = max(1, self.omega.max_abs())
         for x in self.omega.num:
-            if not lane.is_zero(x, bound):
+            if not lane.is_zero(x, DEFAULT_TOL, scale):
                 return self if x > 0 else TwistParams(self.c, -self.omega)
         return self
 
@@ -435,21 +439,26 @@ def tangent_basis(s: G2Structure, p: TwistParams, ambient_dim: int):
     spanned by c and the first ambient_dim coordinate 1-forms: the kernel of
     (c_dot, v) -> c c_dot + <omega, v>, with the structure's inner product.
     p is checked as _twist_point checks it (ValueError, ConstraintError)."""
-    _twist_point(s, p, ambient_dim)
+    return _point_and_tangents(s, p, ambient_dim)[2]
+
+
+def _point_and_tangents(s: G2Structure, p: TwistParams, ambient_dim: int) -> tuple:
+    """(xs, xden, basis): p read once by _twist_point(s, p, ambient_dim),
+    and tangent_basis's basis at p."""
+    xs, xden = _twist_point(s, p, ambient_dim)[:2]
     p = _coerce_params(s, p)
     row = [p.c, *sharp(p.omega, s.metric)[:ambient_dim]]
     basis = []
     for v in s.ctx.nullspace([row]):
         coeffs = list(v[1:]) + [s.ctx.zero] * (DIM - ambient_dim)
         basis.append(TwistTangent(v[0], KForm(1, tuple(coeffs))))
-    return basis
+    return xs, xden, basis
 
 
 def _derivative_columns(s: G2Structure, p: TwistParams, ambient_dim: int) -> list:
     """The twist derivatives along a tangent basis, as (scaled numerators,
     den) pairs, read on the directions c and dx_1..dx_ambient_dim."""
-    basis = tangent_basis(s, p, ambient_dim)
-    xs, xden = _twist_point(s, p)[:2]
+    xs, xden, basis = _point_and_tangents(s, p, ambient_dim)
     return _derivative_sums(s, xs, xden, basis, ambient_dim + 1)
 
 
@@ -469,11 +478,50 @@ def derivative_rank(s: G2Structure, p: TwistParams, ambient_dim: int) -> int:
     <Q(x), dQ_x(t)> = 14 |x|^2 <x, t> = 0 for every tangent t.  The ambient
     directions are the tangent space plus the line through x, so their
     images D_b = dQ_x(e_b) / 2 span the tangent image plus the line through
-    Q(x), one dimension more.  The rank is read on the scaled numerators of
-    the D_b (a common positive denominator keeps it), one row per ambient
-    direction e_c, dx_1..dx_ambient_dim."""
+    Q(x), one dimension more; one row per ambient direction e_c,
+    dx_1..dx_ambient_dim.
+
+    On a Euclidean metric the rank is read off Bryant's Gram identity
+    (_gram_identity_holds): the D_b's Gram is 4 |x|^2 I + 3 x x^T, positive
+    definite, so the rank is full.  Where the metric is not Euclidean, or
+    the identity fails, Context.rank reads it on the scaled numerators of
+    the D_b (a common positive denominator keeps it)."""
     xs, xden = _twist_point(s, p, ambient_dim)[:2]
-    return s.ctx.rank(_ambient_images(s, xs, xden, ambient_dim + 1)[0]) - 1
+    units = ambient_dim + 1
+    images, den = _ambient_images(s, xs, xden, units)
+    if s.metric.is_euclidean and _gram_identity_holds(s.ctx, images, den, xs, xden):
+        return units - 1
+    return s.ctx.rank(images) - 1
+
+
+def _gram_identity_holds(ctx, images, den, xs, xden) -> bool:
+    """Whether the ambient images D_b = images[b] / den at x = xs / xden
+    satisfy <D_a, D_b> = 4 |x|^2 delta_ab + 3 x_a x_b on a Euclidean metric.
+
+    Sym^2(R^8) = R + Lambda^3 R^7 under Spin(7) (Bryant, "Some remarks on
+    G_2-structures"), so <B(x, y), B(z, w)> is fixed up to one constant,
+    which |Q(x)|^2 = 7 |x|^4 fixes; with G = diag(1, g^-1) the identity reads
+    4 |x|^2 G_ab + 3 (Gx)_a (Gx)_b, and G = I here.  Each pair a <= b is one
+    scaled gap, with n2 = sum xs^2,
+        gap_ab = (images_a . images_b) xden^2 - (4 n2 delta_ab + 3 xs_a xs_b) den^2,
+    and units gap_ab must be zero under is_zero at 2 n2 den^2: literally in
+    exact mode.  In float mode the closed form's least eigenvalue is
+    4 n2 den^2, so by Weyl's inequality the Gram's eigenvalues lie in
+    [2, 9] n2 den^2, its rank is full, and the images' singular values lie
+    within a factor sqrt(9/2) of each other, which rank_float counts."""
+    units = len(images)
+    n2 = sum(x * x for x in xs)
+    x2, d2 = xden * xden, den * den
+    bound, diag = 2 * n2 * d2, 4 * n2 * d2
+    for a, (row, xa) in enumerate(zip(images, xs)):
+        f = 3 * xa * d2
+        for b in range(a, units):
+            gap = sum(map(mul, row, images[b])) * x2 - f * xs[b]
+            if a == b:
+                gap -= diag
+            if not ctx.is_zero(units * gap, bound):
+                return False
+    return True
 
 
 def derivative_margin(s: G2Structure, p: TwistParams, ambient_dim: int):

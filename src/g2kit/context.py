@@ -139,11 +139,13 @@ class Context:
     def one(self) -> Scalar:
         return _ONE if self.is_exact else 1.0
 
-    def is_zero(self, x, tol: float) -> bool:
-        """x == 0 in exact mode; |x| <= tol in float mode."""
+    def is_zero(self, x, tol: float, scale=1) -> bool:
+        """x == 0 in exact mode; |x| <= tol * scale in float mode.  A
+        relative bound passes its scale apart, so an exact scale is never
+        multiplied by the float tol."""
         if self.is_exact:
             return x == 0
-        return abs(x) <= tol
+        return abs(x) <= tol * scale
 
     def scalar(self, x) -> Scalar:
         """Coerce one scalar into this context's arithmetic.
@@ -322,7 +324,8 @@ class Context:
         for every vector, else None.  The images are ratlin.matvec's and
         lam = p / q is split by scaled, so each residual max|q m v - p v| is
         zero under is_zero: literally in exact mode, in float mode within
-        FLOAT_RANK_CUTOFF times q |m|_inf |v|_max, the bound of |q m v|."""
+        FLOAT_RANK_CUTOFF times q |m|_inf |v|_max, the bound of |q m v|,
+        passed as is_zero's scale."""
         from . import ratlin
 
         images = [ratlin.matvec(m, v, self.scaled_zero) for v in vectors]
@@ -338,7 +341,7 @@ class Context:
             if res:
                 if norm is None:
                     norm = max(sum(abs(x) for x in row) for row in m)
-                if not self.is_zero(res, FLOAT_RANK_CUTOFF * (q * norm * max(map(abs, v)))):
+                if not self.is_zero(res, FLOAT_RANK_CUTOFF, q * norm * max(map(abs, v))):
                     return None
         return lam
 

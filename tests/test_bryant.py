@@ -1006,9 +1006,17 @@ def ambient_point(s, u):
     return TwistParams((1 - q) / (1 + q), u * (2 / (1 + q)))
 
 
+def ref_derivative_rank_by_images(s, p, ambient_dim):
+    """derivative_rank before Bryant's Gram identity: Context.rank of the
+    ambient images, less one."""
+    xs, xden = bryant._twist_point(s, p, ambient_dim)[:2]
+    return s.ctx.rank(bryant._ambient_images(s, xs, xden, ambient_dim + 1)[0]) - 1
+
+
 def assert_rank_equals_reference(s, p, ambient_dim):
     rank = derivative_rank(s, p, ambient_dim)
     assert rank == ref_derivative_rank(s, p, ambient_dim)
+    assert rank == ref_derivative_rank_by_images(s, p, ambient_dim)
     return rank
 
 
@@ -1061,6 +1069,167 @@ def test_derivative_rank_argument_errors_in_order(mode):
         derivative_rank(s, off_both, 3)
     with pytest.raises(ConstraintError, match=r"c\^2 \+ \|omega\|\^2 - 1"):
         derivative_rank(s, off_both, 4)
+
+
+# -- Bryant's Gram identity: <D_a, D_b> = 4 |x|^2 G_ab + 3 (Gx)_a (Gx)_b -------
+
+
+def gram_identity_gaps(s, p, ambient_dim) -> tuple:
+    """(gaps, n2): gaps[a][b] = <D_a, D_b> - (4 n2 G_ab + 3 (Gx)_a (Gx)_b)
+    for a <= b over the directions e_c, dx_1..dx_ambient_dim, with D_b the
+    ambient images as 3-forms, <., .> form_inner on the structure's metric,
+    G = diag(1, g^-1) read as <dx_i, dx_j>, Gx = (c, sharp(omega)) and
+    n2 = |x|^2 = c^2 + <omega, omega>."""
+    ctx, g = s.ctx, s.metric
+    units = ambient_dim + 1
+    xs, xden = bryant._twist_point(s, p, ambient_dim)[:2]
+    images, den = bryant._ambient_images(s, xs, xden, units)
+    forms = [KForm._of(3, row, den, ctx) for row in images]
+    p = bryant._coerce_params(s, p)
+    gx = [p.c, *exterior.sharp(p.omega, g)]
+    dx = [coerce_form(KForm.basis((i,)), ctx) for i in range(1, units)]
+    big_g = [[ctx.one if a == b == 0 else ctx.zero if 0 in (a, b)
+              else form_inner(dx[a - 1], dx[b - 1], g) for b in range(units)] for a in range(units)]
+    n2 = p.c * p.c + form_inner(p.omega, p.omega, g)
+    gaps = [[form_inner(forms[a], forms[b], g) - (4 * n2 * big_g[a][b] + 3 * gx[a] * gx[b])
+             for b in range(a, units)] for a in range(units)]
+    return gaps, n2
+
+
+def edge_points(unit) -> list:
+    """Exact points of the sphere with omega along the rational unit vector
+    unit: c = 0, c = 3/10 and c within 1e-12 of +-1 (band_point)."""
+    return [band_point(c0, unit, sign) for c0 in (Fraction(0), Fraction(3, 10), 1 - Fraction(1, 10 ** 12))
+            for sign in (1, -1)]
+
+
+@given(st.sampled_from(["t7", "s1xcy3", "t3xk3"]), st.integers(1, DIM), st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_gram_identity_on_models(kind, ambient_dim, seed):
+    """On the three models (metric I, so G = I), at c = 0, c = 3/10 and c
+    near +-1: every gap is literally zero in the exact lane, and within the
+    bound derivative_rank reads in the float lane, units |gap| <= 2 |x|^2,
+    half the closed form's least eigenvalue; derivative_rank reads the full
+    rank in both lanes."""
+    units = ambient_dim + 1
+    se, sf = model_structure(kind, "exact"), model_structure(kind, "float")
+    for p in edge_points(rational_unit_tuple(random.Random(seed), ambient_dim)):
+        gaps, n2 = gram_identity_gaps(se, p, ambient_dim)
+        assert n2 == 1 and all(gap == 0 for row in gaps for gap in row)
+        gaps, n2 = gram_identity_gaps(sf, float_params(p), ambient_dim)
+        assert max(abs(gap) for row in gaps for gap in row) * units <= 2 * n2
+        assert derivative_rank(se, p, ambient_dim) == derivative_rank(sf, float_params(p), ambient_dim) \
+            == ambient_dim
+
+
+@given(rational_frames(), sphere_points())
+@settings(max_examples=8, deadline=None)
+def test_gram_identity_on_rational_frames(a, p):
+    """Literally, in the exact lane, on frames of both orientations with
+    G = diag(1, g^-1) from the frame metric: at a pulled-back point, at a
+    pulled-back point with c = 0, and at points with c near +1 and -1."""
+    s = frame_structure(a)
+    u = pullback(KForm.basis((1,)), a)
+    points = [frame_point(p, a), frame_point(TwistParams(0, KForm.basis((1,))), a),
+              ambient_point(s, u * Fraction(1, 10 ** 6)), ambient_point(s, u * 10 ** 6)]
+    for q in points:
+        gaps, n2 = gram_identity_gaps(s, q, DIM)
+        assert n2 == 1 and all(gap == 0 for row in gaps for gap in row)
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Counts Context.rank calls."""
+    calls = []
+    real = Context.rank
+
+    def counted(self, m):
+        calls.append(1)
+        return real(self, m)
+
+    monkeypatch.setattr(Context, "rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_euclidean_derivative_rank_reads_the_identity(rank_calls, mode):
+    """On a model's metric I derivative_rank reads the rank off the Gram
+    identity and calls Context.rank 0 times; on a non-Euclidean frame it
+    calls Context.rank once a point."""
+    rng = random.Random(mode)
+    a = [[1 if j in (i, (i + 1) % DIM) else 0 for j in range(DIM)] for i in range(DIM)]
+    frame = G2Structure(pullback(phi0(), a))
+    cases = [(model_structure("t7", "exact"), sample_params(rng), 0),
+             (model_structure("t3xk3", "exact"), sample_params(rng, 3, force_c_zero=True), 0),
+             (frame, frame_point(sample_params(rng), a), 1)]
+    for s, p, calls in cases:
+        if mode == "float":
+            s, p = G2Structure(s.phi.as_float(), FLOAT), float_point(p)
+        del rank_calls[:]
+        assert derivative_rank(s, p, DIM) == DIM
+        assert len(rank_calls) == calls
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_failed_identity_falls_back_to_context_rank(monkeypatch, mode):
+    """With one ambient image set to zero the identity fails, and
+    derivative_rank reports Context.rank's lower rank."""
+    s = model_structure("t7", mode)
+    p = sample_params(random.Random(mode))
+    if mode == "float":
+        p = float_point(p)
+    real = bryant._ambient_images
+
+    def one_zero(s, xs, xden, units):
+        images, den = real(s, xs, xden, units)
+        images[2] = [s.ctx.scaled_zero] * len(images[2])
+        return images, den
+
+    monkeypatch.setattr(bryant, "_ambient_images", one_zero)
+    assert derivative_rank(s, p, DIM) == ref_derivative_rank_by_images(s, p, DIM) == DIM - 1
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_float_derivative_margin_reads_the_homothety(kind):
+    """|dQ_x(t)|^2 = 16 |x|^2 |t|^2 for every tangent t, so the family is a
+    homothetic image of the round RP^7: on the float models' orthonormal
+    tangent bases derivative_margin reads (4, 4) within 1e-12, c = 0
+    included."""
+    b1 = flat_model(kind).b1
+    s = model_structure(kind, "float")
+    rng = random.Random(kind)
+    for d in (b1, DIM):
+        for i in range(6):
+            p = float_point(sample_params(rng, d, force_c_zero=i % 3 == 0))
+            lo, hi = derivative_margin(s, p, d)
+            assert abs(lo - 4) <= 1e-12 and abs(hi - 4) <= 1e-12
+
+
+def test_derivative_columns_read_the_point_once(monkeypatch, rng):
+    """derivative_matrix and derivative_margin read the point once
+    (_twist_point), for the tangent basis and the images alike."""
+    calls = []
+    real = bryant._twist_point
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(bryant, "_twist_point", counted)
+    s = model_structure("t7", "float")
+    p = float_point(sample_params(rng))
+    for run in (derivative_matrix, derivative_margin):
+        del calls[:]
+        run(s, p, DIM)
+        assert len(calls) == 1
+
+
+def test_exact_canonical_takes_no_float_of_a_huge_omega():
+    """The float lane's sign bound is relative to max(1, |omega|); in the
+    exact lane that scale is never made a float, so an omega beyond the
+    float range picks its sign rather than raise OverflowError."""
+    w = KForm(1, (Fraction(0), Fraction(-10 ** 400)) + (Fraction(0),) * (DIM - 2))
+    assert TwistParams(0, w).canonical().omega.coeff(2) == 10 ** 400
 
 
 def test_exact_split_builds_nine_fractions(monkeypatch):

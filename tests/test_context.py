@@ -129,6 +129,9 @@ def test_lane_api():
     # residuals against FLOAT_RANK_CUTOFF times |m|_inf |v|_max = 4
     assert FLOAT.eigenvalue(tf, [[1.0, 1e-12]]) is not None
     assert FLOAT.eigenvalue(tf, [[1.0, 1e-6]]) is None
+    # an exact refusal makes no float of its scale, however large
+    assert EXACT.eigenvalue([[10 ** 400]], [[1]], 0) is None
+    assert not EXACT.is_zero(1, 1e-8, 10 ** 400) and FLOAT.is_zero(3e-8, 1e-8, 4)
     sym = [[1, 2], [2, 5]]
     assert EXACT.symmetric(sym) is sym
     assert FLOAT.symmetric([[1.0, 2.0], [4.0, 5.0]]) == [[1.0, 3.0], [3.0, 5.0]]
