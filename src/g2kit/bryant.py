@@ -25,12 +25,15 @@ entry: the pivot c when c^2 >= 1/16, else the largest diagonal entry of the
 block w w^T, so no point of the sphere divides by a small number.  Its
 re-twist decides: every twist of a point of the sphere induces the
 structure's metric and orientation (Bryant), so a literally zero residual
-accepts with no metric test, and the structure's metric test
-(G2Structure.check_metric) runs only after a refused step or on any other
-residual.  Both lanes run one code path; float checks read CONSTRAINT_TOL
-and RECOVERY_TOL from context.py, a recovered |c| at or below
-C_ZERO_SWITCH is set to 0 before the antipodal representative is picked,
-and the exact lane tests literal equality.
+accepts with no metric test, and any other residual is accepted where a
+bound read off it (G2Structure.check_retwist: the residual, the rounding
+of the float re-twist and the point's distance from the sphere) keeps
+B(phit) within the metric test's slack of B(phi), with no B(phit).  The
+structure's metric test (G2Structure.check_metric) runs only after a
+refused step or where that bound does not decide.  Both lanes run one code
+path; float checks read CONSTRAINT_TOL and RECOVERY_TOL from context.py, a
+recovered |c| at or below C_ZERO_SWITCH is set to 0 before the antipodal
+representative is picked, and the exact lane tests literal equality.
 """
 from __future__ import annotations
 
@@ -313,20 +316,22 @@ def _recover_c_positive(s: G2Structure, coords, cden, c) -> TwistParams:
 
 
 def _sphere_point(s: G2Structure, p: TwistParams) -> tuple:
-    """(p', xs, xden): p' = p / sqrt(c^2 + |w|^2), or p itself when that norm
-    is literally 1, and the coordinates xs / xden of p' (_scaled_point).  An
-    exact point recovered from a form of the family lies on the sphere, so
-    only a float point moves: the re-twist checks the constraint within the
-    absolute CONSTRAINT_TOL, which rounding in c and w can miss, and a moved
-    point is read again under that check (_twist_point)."""
+    """(p', xs, xden, norm2): p' = p / sqrt(c^2 + |w|^2), or p itself when
+    that norm is literally 1, the coordinates xs / xden of p' (_scaled_point)
+    and its c^2 + |w|^2 as one lane scalar.  An exact point recovered from a
+    form of the family lies on the sphere, so only a float point moves: the
+    re-twist checks the constraint within the absolute CONSTRAINT_TOL, which
+    rounding in c and w can miss, and a moved point is read again under
+    that check (_twist_point)."""
     xs, xden, sq, gden = _scaled_point(s, p)
     one = xden * xden * gden
     n2 = xs[0] * xs[0] * gden + sq
-    if n2 == one:
-        return p, xs, xden
-    n = s.ctx.sqrt(s.ctx.ratio(n2, one))
-    p = TwistParams(p.c / n, p.omega / n)
-    return (p, *_twist_point(s, p)[:2])
+    if n2 != one:
+        n = s.ctx.sqrt(s.ctx.ratio(n2, one))
+        p = TwistParams(p.c / n, p.omega / n)
+        xs, xden, sq, gden = _twist_point(s, p)
+        n2, one = xs[0] * xs[0] * gden + sq, xden * xden * gden
+    return p, xs, xden, s.ctx.ratio(n2, one)
 
 
 # position of the pair (min(i, j), max(i, j)) in g2core's _PAIRS, the rows of
@@ -369,8 +374,9 @@ def _recover_w_pivot(s: G2Structure, phit: KForm, phi_inner, coords, cden) -> Tw
 
 
 def _retwist(s: G2Structure, phit: KForm) -> tuple:
-    """(params, err): the canonical point read off phit by recover's pivots
-    and the max-abs gap between its twist and phit."""
+    """(params, err, xs, xden, norm2): the canonical point read off phit by
+    recover's pivots, the max-abs gap between its twist and phit, and the
+    point's coordinates xs / xden and c^2 + |w|^2 (_sphere_point)."""
     ctx = s.ctx
     phi_inner, (coords, cden) = frame_coordinates(phit, s)
     c_sq = (phi_inner + 1) / 8
@@ -382,9 +388,9 @@ def _retwist(s: G2Structure, phit: KForm) -> tuple:
         params = _recover_w_pivot(s, phit, phi_inner, coords, cden)
         if ctx.is_zero(params.c, C_ZERO_SWITCH):
             params = TwistParams(ctx.zero, params.omega)
-    params, xs, xden = _sphere_point(s, params)
+    params, xs, xden, norm2 = _sphere_point(s, params)
     # the twist is even, Q(-x) = Q(x), so the canonical flip keeps xs's twist
-    return params.canonical(), (_twist_sum(s, xs, xden) - phit).max_abs()
+    return params.canonical(), (_twist_sum(s, xs, xden) - phit).max_abs(), xs, xden, norm2
 
 
 def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
@@ -407,20 +413,24 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
 
     Every twist Q(x) with x on the sphere induces the structure's metric
     and orientation (Bryant), so a residual of literally zero proves phit in
-    the family, and the family's metric test (G2Structure.check_metric) runs
-    only where the re-twist does not decide: when a step refuses, and on any other
-    residual.  Then a form that induces another metric or orientation
-    raises MetricMismatchError (or the normalization's NotG2FormError or
-    ExactModeError) before the step's error or the residual's
-    RecoveryError, as when the test ran first.  The rule is the same in both
-    lanes; the exact lane accepts no other residual, and so never tests the
-    metric of a twist.
+    the family.  Any other residual goes to G2Structure.check_retwist,
+    which bounds |B(phit) - B(phi)|_max by the residual, the rounding of
+    the float re-twist and the point's distance from the sphere, builds no
+    B(phit), and accepts where that bound is within the slack of the
+    metric test.  Where it is not, and when a step refuses, the family's
+    metric test (G2Structure.check_metric) runs.  Then a form that induces
+    another metric or orientation raises MetricMismatchError (or the
+    normalization's NotG2FormError or ExactModeError) before the step's
+    error or the residual's RecoveryError, as when the test ran first.  The
+    rule is the same in both lanes; the exact lane's bound is a positive
+    Fraction and its is_zero literal, so it accepts only a zero residual
+    and never tests the metric of a twist.
     """
     phit = coerce_form(phit, s.ctx)
     if phit.degree != 3:
         raise DegreeError("recover expects a 3-form")
     try:
-        params, err = _retwist(s, phit)
+        params, err, xs, xden, norm2 = _retwist(s, phit)
     except (G2KitError, ArithmeticError, ValueError):
         # a refused step (ExactModeError from a non-square root, ValueError
         # from a negative radicand, RecoveryError, ConstraintError) shows
@@ -428,8 +438,8 @@ def recover(s: G2Structure, phit: KForm, tol: float = RECOVERY_TOL) -> Recovery:
         s.check_metric(phit)
         raise
     if err:
-        s.check_metric(phit)
-        if not s.ctx.is_zero(err, tol * max(1.0, float(phit.max_abs()))):
+        s.check_retwist(phit, err, s.ctx.ratio(sum(map(abs, xs)), xden), norm2)
+        if not s.ctx.is_zero(err, tol, max(1, phit.max_abs())):
             raise RecoveryError(f"recovery residual {float(err)} above {tol} in the {s.ctx.mode} lane")
     return Recovery(params=params, residual=float(err))
 

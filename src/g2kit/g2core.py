@@ -30,14 +30,16 @@ lane runs the same code on floats.  decompose3 and frame_coordinates run
 the same way on the structure's scaled rows of phi and the frame forms and
 a wedge pairing that reads no Gram and no g^-1; odot_inverse runs its J,
 tr_g(J) and h as int numerators over one den (Context.reduce) and builds a
-Fraction only for the returned tensor.
+Fraction only for the returned tensor.  The contraction matrix B(phi), from
+which the metric is read, is one loop over a cubic table in both lanes, so
+the module runs on lane scalars alone and loads no numpy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import frexp, isfinite, lcm, ldexp
+from math import frexp, isfinite, lcm, ldexp, ulp
 
 from . import ratlin
 from .context import (
@@ -49,7 +51,6 @@ from .context import (
     PHI_NORM_TOL,
     RECOVERY_TOL,
     Context,
-    np,
     rational_nth_root,
 )
 from .errors import (
@@ -147,16 +148,6 @@ def _contraction_table():
 
 
 @lru_cache(maxsize=None)
-def _contraction_arrays():
-    """_contraction_table as read-only numpy columns for the float lane."""
-    a, b, c, n, k = (np.asarray(col) for col in zip(*_contraction_table()))
-    cols = (a, b, c, n, k.astype(float))
-    for col in cols:
-        col.flags.writeable = False
-    return cols
-
-
-@lru_cache(maxsize=None)
 def _two_form_operator_table():
     """T = *(phi ^ .) on 2-forms as constant signs, with no star and no g^-1.
 
@@ -184,38 +175,29 @@ def _two_form_operator_table():
 
 
 def _contraction_matrix(coeffs):
-    """B as rows of rows from phi's coefficients (exact ints, or floats).
-    Construction runs it, and so does the family's metric test
-    (G2Structure.check_metric), which recover runs where the re-twist does
-    not decide: after a refused step or on a residual that is not literally
-    zero, so never on an exact twist.  Float phi take numpy's bincount, a
-    lane fork kept on measurement: on a dense phi it takes 14 us and the
-    int loop 117 us (Python 3.11, numpy 2.4), and the loop's B differed from
-    bincount's on 200 of 200 random phi (coefficients +-3 and +-6).  The int
-    loop is kept on measurement too: against a row-at-a-time product
-    B = C K C^T (C the 7 x 21 contractions, K the 21 x 21 pairing of 2-forms
-    through phi) it took 35 us against 127 us on phi0 and 78-85 us against
-    166-229 us on pulled-back phi0 (Python 3.11).  A cubic term beyond the
-    float range raises NotG2FormError, which names the overflow, and numpy
-    warns of nothing."""
-    if isinstance(coeffs[0], float):
-        phi = np.asarray(coeffs)
-        a, b, c, n, k = _contraction_arrays()
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.bincount(n, weights=k * phi[a] * phi[b] * phi[c], minlength=len(_PAIRS))
-        if not np.isfinite(vals).all():
-            raise NotG2FormError("3-form beyond the float range: its contraction matrix overflowed")
-        vals = vals.tolist()
-    else:
-        vals = [0] * len(_PAIRS)
-        for a, b, c, n, k in _contraction_table():
-            m = coeffs[a]
+    """B as rows of rows from phi's coefficients (exact ints, or floats), one
+    loop over the cubic table in both lanes.  Construction runs it, and so
+    does the family's metric test (G2Structure.check_metric), which recover
+    runs only where its residual bound does not decide (check_retwist), so
+    never on an exact twist.  The loop is kept on measurement: against a
+    row-at-a-time product B = C K C^T (C the 7 x 21 contractions, K the
+    21 x 21 pairing of 2-forms through phi) it took 35 us against 127 us on
+    phi0 and 78-85 us against 166-229 us on pulled-back phi0 (Python 3.11).
+    A float cubic term beyond the float range raises NotG2FormError, which
+    names the overflow: an inf or nan entry v has v - v nonzero, and an int
+    or a finite float never does."""
+    # the lane's zero: 0 for ints, 0.0 for finite floats
+    vals = [coeffs[0] - coeffs[0]] * len(_PAIRS)
+    for a, b, c, n, k in _contraction_table():
+        m = coeffs[a]
+        if m:
+            m *= coeffs[b]
             if m:
-                m *= coeffs[b]
+                m *= coeffs[c]
                 if m:
-                    m *= coeffs[c]
-                    if m:
-                        vals[n] += k * m
+                    vals[n] += k * m
+    if any(v - v for v in vals):
+        raise NotG2FormError("3-form beyond the float range: its contraction matrix overflowed")
     B = [[None] * DIM for _ in range(DIM)]
     for (i, j), v in zip(_PAIRS, vals):
         B[i][j] = B[j][i] = v
@@ -396,19 +378,19 @@ class G2Structure:
     the contraction frame frame3_7 = (e_i . *phi) of the 7-part of the
     3-forms, whose coordinates the wedge pairing of _frame_table reads with
     no Gram and no g^-1; and the tables that decompose3, odot_inverse,
-    Bryant's formula and the family's metric test (check_metric) read
+    Bryant's formula and recover's residual bound (check_retwist) read
     (_frame_table, _odot_inverse_table, star_dx_star_phi, star_dx_phi,
-    polarized_table, _contraction_slack), each described where it is
-    defined.  Every g^-1 a structure reads is the metric's one table
-    (_metric_inverse).
+    polarized_table, _contraction_slack, _retwist_terms), each described
+    where it is defined.  Every g^-1 a structure reads is the metric's one
+    table (_metric_inverse).
     """
 
     def __init__(self, phi: KForm, ctx: Context = EXACT):
         self.ctx = ctx
         self.phi = coerce_form(phi, ctx)
         contraction, self.metric, self.orientation = _contraction_and_metric(self.phi, ctx)
-        # B(phi) = B(Phi) / den^3, kept for check_metric, its slack and
-        # odot_inverse
+        # B(phi) = B(Phi) / den^3, kept for recover's residual bound, its
+        # slack and odot_inverse
         self._contraction = (contraction, self.phi.den ** 3)
         self.vol = volume_form(self.metric, self.orientation)
         self.star_phi = hodge_star(self.phi, self.metric, self.orientation)
@@ -477,7 +459,7 @@ class G2Structure:
     def _contraction_slack(self):
         """slack * den^3 for the structure's phi = Phi / den: a bound on
         |B(phit) - B(phi)|_max under which phit induces this orientation and
-        a metric within RECOVERY_TOL of this one (check_metric).
+        a metric within RECOVERY_TOL of this one (check_retwist).
 
         Write B(phi) = o s g with o the orientation sign and s > 0 the scale
         (|B_11| / g_11), and B(phit) = o s (g + F).  The normalization of
@@ -499,28 +481,78 @@ class G2Structure:
         # s den^3 = |B(Phi)_11| / g_11
         return Fraction(RECOVERY_TOL) * abs(own[0][0]) / g[0][0] / (2 + 6 * gamma * size)
 
+    @cached_property
+    def _retwist_terms(self) -> tuple:
+        """(L, r, b) for the residual bound (_retwist_bound), as lane scalars.
+
+        L is the cubic table's largest per-entry sum of |coefficient| (90).
+        r = gamma_n max(1, |T|_max, |g^-1|_max), for T the polarized table's
+        entries, with gamma_n = n u / (1 - n u), u = 2^-53 the unit roundoff
+        of a double and n = DIM^2 + 2: a float sum over the point's pairs
+        rounds each of its terms at most n times, the most being |x|^2 (49
+        terms g^-1_pq x_p x_q, two products each), then c^2 and one
+        addition; a twist coefficient has at most 36 terms x_a x_b T_ab.
+        b = |B(phi)|_max.  u is a Fraction, as the slack's RECOVERY_TOL is,
+        so the exact lane does no float arithmetic; it rounds nothing, and
+        there r only keeps every bound positive."""
+        ctx = self.ctx
+        reach = [0] * len(_PAIRS)
+        for *_, n, k in _contraction_table():
+            reach[n] += abs(k)
+        table, den = self.polarized_table
+        inv, iden = _metric_inverse(self.metric)
+        size = max(1, ctx.ratio(max(abs(v) for row in table for cell in row for _, v in cell), den),
+                   ctx.ratio(max(abs(x) for row in inv for x in row), iden))
+        nu = Fraction(ulp(1.0)) / 2 * (DIM * DIM + 2)
+        own, den3 = self._contraction
+        return max(reach), nu / (1 - nu) * size, ctx.ratio(max(abs(x) for row in own for x in row), den3)
+
+    def _retwist_bound(self, top, err, spread, norm2):
+        """A bound on |B(phit) - B(phi)|_max for a 3-form phit with
+        |phit|_max = top that recover re-twisted at a point x of the
+        family's sphere: err = |Q^ - phit|_max for Q^ the float re-twist,
+        spread = sum_a |x_a| and norm2 the lane's |x|^2 = c^2 + |w|^2.
+
+        The twist Q(x) = sum_ab x_a x_b T_ab (bryant) is quadratic in x, and
+        every twist of a point of the unit sphere induces this metric and
+        orientation (Bryant), so B(Q(x)) = |x|^6 B(phi).  The lane's sums
+        miss Q(x) and |x|^2 by at most rho = r spread^2 (_retwist_terms), so
+        |phit - Q(x)|_max <= e = err + rho and ||x|^2 - 1| <= d =
+        |norm2 - 1| + rho.  B is cubic with at most L of |coefficient| per
+        entry (_retwist_terms), so for m = top
+        |B(phit) - B(Q(x))|_max <= L ((m + e)^3 - m^3) = L e (3 m (m + e) + e^2),
+        and |B(Q(x)) - B(phi)|_max <= ((1 + d)^3 - 1) |B(phi)|_max.  Both
+        are written with no cancellation, by products only (a float power
+        raises OverflowError where a product gives inf).  The structure's
+        tables are taken as its family's, as everywhere in the float lane.
+        In exact mode the bound is a positive Fraction, reached with no
+        float arithmetic, so it never decides there."""
+        reach, r, b = self._retwist_terms
+        rho = r * spread * spread
+        e, d = err + rho, abs(norm2 - 1) + rho
+        return reach * e * (3 * top * (top + e) + e * e) + d * (3 + d * (3 + d)) * b
+
+    def check_retwist(self, phit: KForm, err, spread, norm2):
+        """MetricMismatchError unless phit, which recover re-twisted with
+        residual err at a point x of the family's sphere (spread and norm2
+        as _retwist_bound reads them), induces this structure's metric and
+        orientation.  Where the residual bound (_retwist_bound) is within
+        the slack (_contraction_slack), B(phit) is within the slack of
+        B(phi), which settles it with no B(phit); anywhere else check_metric
+        runs, and so always in exact mode, whose is_zero is literal."""
+        bound = self._retwist_bound(phit.max_abs(), err, spread, norm2)
+        if not self.ctx.is_zero(bound * self._contraction[1], self._contraction_slack):
+            self.check_metric(phit)
+
     def check_metric(self, phit: KForm):
         """MetricMismatchError unless phit, a 3-form in this structure's lane,
-        induces this structure's metric and orientation.  A B(phit) within
-        the slack of B(phi) (_contraction_slack; literally equal in exact
-        mode) settles it with no normalization; any other B is normalized
-        (_normalized_metric, with its errors) and the orientation and the
-        metric compared, the metric within RECOVERY_TOL."""
+        induces this structure's metric and orientation: B(phit) is
+        normalized (_normalized_metric, with its errors) and the orientation
+        and the metric compared, the metric within RECOVERY_TOL."""
         ctx = self.ctx
-        contraction = _contraction_matrix(phit.num)
-        own, den3 = self._contraction
-        d3 = phit.den ** 3
-        gaps = [abs(contraction[i][j] * den3 - own[i][j] * d3) for i, j in _PAIRS]
-        # max skips a nan gap (an overflowed float B) unless it comes first:
-        # 0 * sum(gaps) is nan then, and 0 otherwise
-        if ctx.is_zero(max(0 * sum(gaps), *gaps), self._contraction_slack * d3):
-            return
-        metric, orient = _normalized_metric(contraction, phit.num, phit.den, ctx)
-        matches = orient.sign == self.orientation.sign and (
-            metric == self.metric
-            or ctx.is_zero(max(abs(x - y) for row, own_row in zip(metric.rows, self.metric.rows)
-                               for x, y in zip(row, own_row)), RECOVERY_TOL))
-        if not matches:
+        metric, orient = _normalized_metric(_contraction_matrix(phit.num), phit.num, phit.den, ctx)
+        gap = max(abs(x - y) for row, own in zip(metric.rows, self.metric.rows) for x, y in zip(row, own))
+        if orient.sign != self.orientation.sign or not ctx.is_zero(gap, RECOVERY_TOL):
             raise MetricMismatchError("form does not induce this structure's metric/orientation")
 
     # -- frame data on 3-forms ---------------------------------------
@@ -912,9 +944,9 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
         raise DegreeError("odot_inverse expects a 3-form")
     ctx = s.ctx
     eta = coerce_form(eta, ctx)
-    bound = DEFAULT_TOL * max(1.0, float(eta.max_abs()))
+    scale = max(1, eta.max_abs())
     parts = decompose3(eta, s)
-    if not ctx.is_zero(parts.p7.max_abs(), bound):
+    if not ctx.is_zero(parts.p7.max_abs(), DEFAULT_TOL, scale):
         raise DecompositionError("3-form has a nonzero 7-part; not in the symmetric image")
     # with p7 = 0 this is eta itself in the exact lane
     target = parts.p1 + parts.p27
@@ -940,6 +972,6 @@ def odot_inverse(eta: KForm, s: G2Structure) -> SymTensor:
         hrows[i][j] = hrows[j][i] = x
         rows[i][j] = rows[j][i] = ctx.ratio(x, hden)
     resid = (_odot_rows(hrows, hden, s) - target).max_abs()
-    if not ctx.is_zero(resid, bound):
+    if not ctx.is_zero(resid, DEFAULT_TOL, scale):
         raise DecompositionError(f"inversion residual {resid} above tolerance")
     return SymTensor(tuple(tuple(r) for r in rows))

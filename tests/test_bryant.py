@@ -1232,6 +1232,22 @@ def test_exact_canonical_takes_no_float_of_a_huge_omega():
     assert TwistParams(0, w).canonical().omega.coeff(2) == 10 ** 400
 
 
+def test_exact_odot_inverse_and_recover_take_no_float_of_a_huge_form():
+    """odot_inverse's float bounds are relative to max(1, |eta|), and
+    recover's to max(1, |phit|); in the exact lane those scales are never
+    made floats.  So odot_inverse(10^400 phi0) is (10^400 / 3) I, as
+    odot(I) = 3 phi, rather than OverflowError; and recover of phi0 +
+    10^400 odot(h) for the traceless h = diag(6, -1, ..., -1) bounds its
+    residual with no float and raises the normalization's ExactModeError."""
+    s = standard_structure()
+    big = Fraction(10 ** 400, 3)
+    assert odot_inverse(phi0() * 10 ** 400, s).rows == tuple(
+        tuple(big if i == j else 0 for j in range(DIM)) for i in range(DIM))
+    h = [[(6 if i == 0 else -1) if i == j else 0 for j in range(DIM)] for i in range(DIM)]
+    phit = phi0() + 10 ** 400 * odot(h, s)
+    assert raised(lambda: recover(s, phit)) is ExactModeError
+
+
 def test_exact_split_builds_nine_fractions(monkeypatch):
     """The 2-form splitting runs on int rows: an exact structure runs no
     split at construction, and its first read of lambda7 builds 9
@@ -1396,10 +1412,10 @@ def test_exact_recover_of_a_twist_normalizes_no_metric(normalization_calls):
 
 @pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
 def test_float_recover_of_a_twist_normalizes_no_metric(normalization_calls, kind):
-    """A float twist's contraction matrix misses B(phi) only in its last bits,
-    inside the structure's slack, so warm float recover on a model runs no
-    _normalized_metric and no determinant: at c = 0, 1e-4 and 0.6, on the
-    model's parallel directions."""
+    """A float twist misses its re-twist only in the last bits, so the
+    residual bound (check_retwist) is within the structure's slack and warm
+    float recover on a model runs no _normalized_metric and no determinant:
+    at c = 0, 1e-4 and 0.6, on the model's parallel directions."""
     s, b1 = model_structure(kind, "float"), flat_model(kind).b1
     rng = random.Random(kind)
     for c in (0.0, 1e-4, 0.6):
@@ -1431,25 +1447,40 @@ def ref_check_metric(s, phit):
 
 
 class Normalized(Exception):
-    """Raised by the stub normalization of slack_accepts."""
+    """Raised by the stub metric test of bound_accepts."""
 
 
-def slack_accepts(s, phit, contraction=None):
-    """Whether the slack test inside G2Structure.check_metric accepts phit
-    on its own: check_metric runs with g2core's _normalized_metric stubbed
-    to raise, and with B(phit) read as `contraction` when one is given."""
-    def normalize(*args):
+def bound_accepts(s, phit):
+    """Whether recover settles phit's metric on its residual bound alone
+    (G2Structure.check_retwist): recover runs with check_metric stubbed to
+    raise, so a zero residual or a bound within the slack accepts (a
+    RecoveryError on the residual's own tolerance included), and a refused
+    step or a bound that does not decide does not."""
+    def normalize(self, form):
         raise Normalized
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(g2core, "_normalized_metric", normalize)
-        if contraction is not None:
-            mp.setattr(g2core, "_contraction_matrix", lambda coeffs: contraction)
+        mp.setattr(G2Structure, "check_metric", normalize)
         try:
-            s.check_metric(phit)
+            recover(s, phit)
         except Normalized:
             return False
+        except G2KitError:
+            pass
     return True
+
+
+def exact_contraction_gap(s, phit):
+    """|B(phit) - B(phi)|_max, exact, on both forms' floats read as Fractions."""
+    mine = g2core._contraction_matrix([Fraction(x) for x in phit.num])
+    own = g2core._contraction_matrix([Fraction(x) for x in s.phi.num])
+    return max(abs(mine[i][j] - own[i][j]) for i, j in g2core._PAIRS)
+
+
+def residual_bound(s, phit):
+    """The residual bound of check_retwist at phit's re-twist, and its err."""
+    _, err, xs, xden, norm2 = bryant._retwist(s, phit)
+    return s._retwist_bound(phit.max_abs(), err, s.ctx.ratio(sum(map(abs, xs)), xden), norm2), err
 
 
 def raised(run):
@@ -1484,7 +1515,7 @@ def reference_metric_gap(s, phit):
     return max(abs(metric.rows[i][j] - s.metric.rows[i][j]) for i in range(DIM) for j in range(DIM))
 
 
-# 0 and 1e-15, 1e-14, ..., 1e-6: the fast B test accepts the small ones on
+# 0 and 1e-15, 1e-14, ..., 1e-6: the residual rule accepts the small ones on
 # the models, the normalization decides the middle ones, both refuse 1e-6
 PERTURBATIONS = (0.0, *(10.0 ** -k for k in range(15, 5, -1)))
 
@@ -1498,8 +1529,10 @@ def float_sphere_point(s, rng):
 def assert_metric_tests_agree(s, rng):
     """For phit = twist + delta psi, psi a Gaussian 3-form: recover's metric
     test raises what the normalizing reference raises, and wherever the
-    slack test (slack_accepts) accepts, the reference's metric gap is
-    within RECOVERY_TOL.  Returns how many perturbations it accepted."""
+    residual rule (bound_accepts) accepts, the reference's metric gap is
+    within RECOVERY_TOL and the exact gap |B(phit) - B(phi)|_max, on the
+    floats read as Fractions, is within the residual bound.  Returns how
+    many perturbations it accepted."""
     base = twist(s, float_sphere_point(s, rng))
     psi = KForm(3, tuple(rng.gauss(0.0, 1.0) for _ in range(len(base.num))))
     accepted = 0
@@ -1507,8 +1540,10 @@ def assert_metric_tests_agree(s, rng):
         phit = base + delta * psi
         assert raised(lambda: s.check_metric(phit)) is raised(
             lambda: ref_check_metric(s, phit)), delta
-        if slack_accepts(s, phit):
+        if bound_accepts(s, phit):
             assert reference_metric_gap(s, phit) <= RECOVERY_TOL, delta
+            bound, err = residual_bound(s, phit)
+            assert not err or exact_contraction_gap(s, phit) <= bound, delta
             accepted += 1
     return accepted
 
@@ -1516,8 +1551,8 @@ def assert_metric_tests_agree(s, rng):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
 def test_slack_metric_test_agrees_with_the_normalization_on_models(kind, sign):
-    """On the float models in both orientations the slack test accepts the
-    unperturbed twist, never a form the normalization would refuse."""
+    """On the float models in both orientations the residual rule accepts
+    the unperturbed twist, never a form the normalization would refuse."""
     s = model_structure(kind, "float")
     if sign < 0:
         s = G2Structure(-1.0 * s.phi, FLOAT)
@@ -1536,34 +1571,53 @@ def test_slack_metric_test_agrees_with_the_normalization_on_rational_frames(a, s
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_slack_test_against_the_literal_test(mode):
-    """In exact mode the slack test is the literal B test on twists and
-    on the forms outside the family; in float mode it accepts whatever the
-    literal test accepts."""
+    """On twists and on the forms outside the family the residual rule
+    accepts only forms whose B the literal B test finds equal to B(phi), and
+    it accepts the twists.  In exact mode it accepts exactly the forms whose
+    residual is literally 0; in float mode it accepts whatever the literal
+    test accepts."""
     s = standard_structure(mode)
-    forms = [twist(s, TwistParams(s.ctx.zero, KForm.from_entries(1, {(2,): 1}, s.ctx)))]
-    forms += [f for f in unusual_forms(s).values() if f.degree == 3]
+    twists = [twist(s, TwistParams(s.ctx.zero, KForm.from_entries(1, {(2,): 1}, s.ctx)))]
+    forms = twists + [f for f in unusual_forms(s).values() if f.degree == 3]
     for phit in forms:
         contraction = g2core._contraction_matrix(phit.num)
         literal = ref_same_contraction(s, contraction, phit.den)
-        fast = slack_accepts(s, phit)
-        assert fast is literal if s.ctx.is_exact else (fast or not literal)
+        fast = bound_accepts(s, phit)
+        assert literal or not fast
+        if s.ctx.is_exact:
+            assert fast is (raised(lambda: bryant._retwist(s, phit)) is None
+                            and residual_bound(s, phit)[1] == 0)
+        else:
+            assert fast or not literal
+    assert all(bound_accepts(s, phit) for phit in twists)
 
 
 def test_slack_test_refuses_a_non_finite_contraction():
-    """A float B(phit) that overflowed (a nan or inf entry past the first) is
-    never within the slack, though max alone would skip a nan; such a form
-    gets the normalization's NotG2FormError."""
+    """A float B(phit) that overflows raises NotG2FormError naming the
+    overflow, whether its entries turn inf or nan (terms of both signs past
+    the float range): phi0 with its dx126, dx246 and dx347 coefficients set
+    to -1e200, 1e200 and 1e200 (B finite in its first entries, beyond the
+    float range past them), 1e120 phi0 (inf on the diagonal) and a dense
+    form of +-1e120.  Ints far beyond the float range pass.  The residual
+    bound of phi0 is within the slack, and that of 1e120 phi0 never is
+    (nan and inf compare false), so it gets the normalization's
+    NotG2FormError."""
     s = standard_structure("float")
-    own, _ = s._contraction
-    assert slack_accepts(s, s.phi, own)
-    for bad in (math.nan, math.inf):
-        contraction = [list(row) for row in own]
-        contraction[2][5] = contraction[5][2] = bad
-        assert not slack_accepts(s, s.phi, contraction)
+    big = list(s.phi.num)
+    big[3], big[20], big[27] = -1e200, 1e200, 1e200
+    exact = [x for row in g2core._contraction_matrix([Fraction(x) for x in big]) for x in row]
+    assert all(abs(x) < 1e300 for x in exact[:3]) and any(abs(x) > 1e308 for x in exact)
+    dense = [(1.0 if q % 3 else -1.0) * 1e120 for q in range(len(big))]
+    for coeffs in (big, [x * 1e120 for x in s.phi.num], dense):
+        with pytest.raises(NotG2FormError, match="overflowed"):
+            g2core._contraction_matrix(coeffs)
+    assert bound_accepts(s, s.phi)
+    huge_ints = [x * 10 ** 400 for x in standard_structure("exact").phi.num]
+    assert g2core._contraction_matrix(huge_ints)[0][0] == 6 * 10 ** 1200
     huge = s.phi * 1e120
-    with np.errstate(over="ignore", invalid="ignore"):  # the cubic B overflows
-        assert raised(lambda: recover(s, huge)) is raised(lambda: ref_check_metric(s, huge)) \
-            is NotG2FormError
+    assert not bound_accepts(s, huge)
+    assert raised(lambda: recover(s, huge)) is raised(lambda: ref_check_metric(s, huge)) \
+        is NotG2FormError
 
 
 # cond(g) about 1.8e3, from the frames a + 3/2 I with entries of a in
@@ -1977,6 +2031,28 @@ def test_warm_exact_recover_of_a_twist_builds_no_contraction_matrix(contraction_
         rec = recover(s, phit)
         assert contraction_calls == []
         assert rec.residual == 0 and rec.params.equivalent_to(p)
+
+
+@pytest.mark.parametrize("kind", ["t7", "s1xcy3", "t3xk3"])
+def test_warm_float_recover_of_a_twist_builds_no_contraction_matrix(contraction_calls, kind):
+    """A float twist misses its re-twist only in its last bits, so its
+    residual bound (check_retwist) is within the slack and warm float
+    recover builds no B(phit): 0 calls of _contraction_matrix on the model
+    at c = 0, 1e-4 and 0.6 and at 100 seeded points of the model's parallel
+    directions, every tenth with c = 0."""
+    s, b1 = model_structure(kind, "float"), flat_model(kind).b1
+    rng = random.Random(f"warm {kind}")
+    cs = [0.0, 1e-4, 0.6] + [0.0 if k % 10 == 9 else rng.uniform(-1.0, 1.0) for k in range(100)]
+    for c in cs:
+        w = [rng.gauss(0.0, 1.0) for _ in range(b1)]
+        scale = math.sqrt(1.0 - c * c) / math.sqrt(sum(x * x for x in w))
+        p = TwistParams(c, KForm(1, tuple(x * scale for x in w) + (0.0,) * (DIM - b1)))
+        phit = twist(s, p)
+        recover(s, phit)  # the structure's lazy tables are built on first use
+        del contraction_calls[:]
+        rec = recover(s, phit)
+        assert contraction_calls == [], c
+        assert rec.params.equivalent_to(p, FLOAT.tol), c
 
 
 # -- the float family against the exact one, across the |c| band ---------------

@@ -266,16 +266,14 @@ def _function_lines(tree):
 
 
 def test_lane_forks_are_counted():
-    """The kernel modules keep at most 4 lane forks, the places where the
+    """The kernel modules keep at most 3 lane forks, the places where the
     lanes still run different algorithms:
     - metric_from_phi's normalization (a rational ninth root in exact mode,
       the 1/9 power and the non-finite refusal in float mode);
     - Metric's positive definiteness test (in exact mode the leading
       minors, all from one Bareiss pass on the int rows, whose last pivot
       is det g's numerator; in float mode the eigenvalues);
-    - matrix_exp's refusal of exact input;
-    - _contraction_matrix's numpy bincount for float coefficients (its
-      docstring gives the measurement that keeps it).
+    - matrix_exp's refusal of exact input.
     Determinants, inverses, ranks, kernels, spans and integer scaling are
     Context methods, not forks, and every table of minors comes from
     exterior.compound in both lanes.  A type test for floats counts as a fork
@@ -292,7 +290,7 @@ def test_lane_forks_are_counted():
         forks += [(name, line) for n, line in enumerate(text.splitlines(), 1)
                   if n not in exempt and LANE_FORK.search(line)]
     assert detectors == LANE_DETECTORS
-    assert len(forks) <= 4, forks
+    assert len(forks) <= 3, forks
 
 
 # Context methods that read a scaled kernel through ratio instead of forking on the lane.
@@ -339,15 +337,17 @@ def test_inv_and_nullspace_make_no_lane_test():
     assert tests == []
 
 
-# The pieces of the family's metric test, kept inside g2core.
-METRIC_TEST_PIECES = {"_contraction_matrix", "_normalized_metric"}
+# The pieces of the family's metric test and of recover's residual bound,
+# kept inside g2core.
+METRIC_TEST_PIECES = {"_contraction_matrix", "_normalized_metric", "_retwist_bound", "_retwist_terms"}
 
 
 def test_the_metric_test_has_one_home():
-    """G2Structure.check_metric is the family's one metric test: the package
-    raises MetricMismatchError in one place, in g2core, and no other module
-    imports or reads the test's pieces (_contraction_matrix,
-    _normalized_metric)."""
+    """G2Structure.check_metric is the family's one metric test, and
+    G2Structure.check_retwist the one reader of recover's residual bound:
+    the package raises MetricMismatchError in one place, in g2core, and no
+    other module imports or reads the pieces (_contraction_matrix,
+    _normalized_metric, _retwist_bound, _retwist_terms)."""
     raises, reads = [], []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -363,6 +363,19 @@ def test_the_metric_test_has_one_home():
                 reads.append((path.stem, node.attr))
     assert raises == ["g2core"]
     assert reads == []
+
+
+def test_g2core_reaches_no_numpy():
+    """g2core runs on lane scalars alone: it imports no numpy and reads no
+    name np, so the float lane's contractions, metric test and residual
+    bound load nothing beyond the package."""
+    tree = ast.parse((SRC / "g2core.py").read_text(encoding="utf-8"))
+    imports = [a.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names if a.name == "np" or a.name.split(".")[0] == "numpy"]
+    imports += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
+    names = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "np"]
+    assert imports == [] and names == []
 
 
 def test_no_kernel_function_takes_an_exact_flag():

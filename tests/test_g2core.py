@@ -111,9 +111,10 @@ def test_describe_reports_lane_spectrum_metric_and_built_tables():
     frame: it keeps its keys, and lists each lazy table once built.  Its
     lambda7 and lambda14 are the split's first read, so the T table and the
     split are built by then and `built` lists them; it builds no other
-    table.  recover runs its B test only on a residual that is not literally
-    zero: the float twist here misses its re-twist in the last bits, so the
-    float lane builds the test's slack, and the exact lane never does."""
+    table.  recover bounds only a residual that is not literally zero: the
+    float twist here misses its re-twist in the last bits, so the float lane
+    builds the residual bound's slack and terms, and the exact lane never
+    does."""
     frame = [[2 if i == j == 0 else int(i == j) for j in range(DIM)] for i in range(DIM)]
     split = ["_t_table", "_split"]
     for ctx in (EXACT, FLOAT):
@@ -130,13 +131,14 @@ def test_describe_reports_lane_spectrum_metric_and_built_tables():
             assert s.describe()["built"] == [*split, "frame3_7", "_frame_table"]
             s.basis2_7
             assert s.describe()["built"] == [*split, "basis2_7", "frame3_7", "_frame_table"]
-            # recover's re-twist builds the polarized table, and its B test
-            # the slack on a float residual; |dx_2|_g = 1 in all three cases
+            # recover's re-twist builds the polarized table, and its
+            # residual bound the slack and the bound's terms on a float
+            # residual; |dx_2|_g = 1 in all three cases
             p = TwistParams(ctx.scalar(Fraction(3, 5)),
                             KForm.from_entries(1, {(2,): Fraction(4, 5)}, ctx))
             rec = recover(s, twist(s, p))
             assert (rec.residual == 0) is ctx.is_exact
-            slack = [] if ctx.is_exact else ["_contraction_slack"]
+            slack = [] if ctx.is_exact else ["_contraction_slack", "_retwist_terms"]
             assert s.describe()["built"] == [*split, "basis2_7", *slack, "frame3_7", "_frame_table",
                                              "star_dx_star_phi", "star_dx_phi", "polarized_table"]
 

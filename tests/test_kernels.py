@@ -2239,9 +2239,9 @@ def test_metric_readers_equal_fraction_loops(mode, monkeypatch):
     float results are repr-identical.  On the three flat models, a
     non-Euclidean frame and a metric 1e-12 off the first model's (inside
     RECOVERY_TOL in the float lane, unequal in the exact lane).  The
-    comparison is reached through check_metric on 2 phi, whose B lies
-    outside the slack, with g2core's _normalized_metric stubbed to return
-    the metric and orientation under test."""
+    comparison is reached through check_metric on 2 phi, with g2core's
+    _normalized_metric stubbed to return the metric and orientation under
+    test."""
     ctx = Context.of(mode)
     frame = [[ctx.scalar(x) for x in row] for row in ILL_CONDITIONED_FRAME]
     structures = [model_structure(name, mode) for name in ("t7", "s1xcy3", "t3xk3")]
